@@ -7,11 +7,16 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use nucdb::{
-    CoarseScratch, Database, FineMode, IndexVariant, RankingScheme, RecordSource, SearchParams,
-    SequenceStore, StorageMode, Strand,
+    CoarseScratch, Collection, CollectionOptions, FineMode, IndexVariant, RankingScheme,
+    SearchParams, SequenceStore, Shape, ShardSetConfig, StorageMode, Strand, INDEX_FILE,
+    STORE_FILE,
 };
 use nucdb_align::calibrate_gumbel;
-use nucdb_index::{build_chunked, Granularity, IndexParams, ListCodec, OnDiskIndex, StopPolicy};
+use nucdb_index::{
+    build_chunked, Granularity, IndexError, IndexParams, ListCodec, Manifest, OnDiskIndex,
+    ShardManifest, StopPolicy,
+};
+use nucdb_obs::json::{num, Value};
 use nucdb_obs::{
     Forensics, ForensicsConfig, HistogramSnapshot, MetricsRegistry, TraceSink, ValueSnapshot,
 };
@@ -143,9 +148,9 @@ pub fn usage_for(command: &str) -> Option<&'static str> {
 
 --db may also be a sharded root (from `nucdb build --shards N`): queries
 scatter across the shards and gather one merged answer, bit-identical to
-an unsharded build; a warning names any shard that failed to answer
-(--explain, --trace and the flight recorder are per-database and not
-available over a sharded root)"
+an unsharded build; a warning names any shard that failed to answer.
+--trace, --metrics and request ids work as for any database; --explain
+is rejected over a sharded root (per-shard plans do not merge)"
         }
         "ingest" => {
             "usage: nucdb ingest --collection FILE --db DIR [options]
@@ -249,7 +254,8 @@ A sharded root (SHARDS manifest from `nucdb build --shards N`) is
 detected automatically: queries scatter across per-shard workers, every
 per-query answer carries a coverage object, and failed shards degrade
 the answer instead of erroring it. /metrics gains per-shard
-nucdb_shard_* families.
+nucdb_shard_* families; request ids, /debug/queries and /debug/slow work
+as for any database (a partial answer is filed with the errors).
 
 endpoints: POST /search (FASTA or JSON body; \"explain\": true returns the
 plan), GET /metrics (Prometheus), GET /healthz, GET /readyz (503 until the
@@ -269,9 +275,6 @@ drain and exit cleanly."
         _ => return None,
     })
 }
-
-const INDEX_FILE: &str = "index.nucidx";
-const STORE_FILE: &str = "store.nucsto";
 
 /// Heaviest lists shown per strand by `nucdb search --explain`.
 const EXPLAIN_MAX_LISTS: usize = 12;
@@ -635,26 +638,6 @@ pub fn ingest(raw: &[String]) -> CommandResult {
     Ok(())
 }
 
-fn open_db(dir: &Path) -> Result<Database, Box<dyn Error>> {
-    // A manifest marks a live (segmented) directory: open the committed
-    // segments as a read-only view — answers identical to what a server
-    // over the same directory would return.
-    if nucdb_index::Manifest::exists_in(dir) {
-        return Ok(nucdb::LiveDatabase::open_readonly(
-            dir,
-            &MetricsRegistry::new(),
-        )?);
-    }
-    // Fully disk-resident: postings lists and candidate records are both
-    // fetched per query, exactly the paper's operating point.
-    let store = nucdb::OnDiskStore::open(&dir.join(STORE_FILE))?;
-    let index = OnDiskIndex::open(&dir.join(INDEX_FILE))?;
-    Ok(Database::from_variants(
-        nucdb::StoreVariant::Disk(store),
-        IndexVariant::Disk(index),
-    ))
-}
-
 /// Shared observability option names for `search`, `bench`, and `serve`.
 const OBS_VALUE_OPTS: [&str; 8] = [
     "metrics",
@@ -821,33 +804,73 @@ impl ObsOptions {
         Ok((trace, forensics))
     }
 
-    /// Attach the trace sink and flight recorder to `db` (everything
-    /// except the metrics registry, which `serve` owns separately).
-    fn bind_sinks(&self, db: &mut Database) -> Result<(), Box<dyn Error>> {
-        let (trace, forensics) = self.sinks()?;
-        if self.trace.is_some() {
-            db.set_trace(trace);
-        }
-        if self.forensics.is_some() {
-            db.set_forensics(forensics);
-        }
-        Ok(())
+    /// The registry a command's queries record into: live only when
+    /// `--metrics` asked for a snapshot.
+    fn registry(&self) -> Arc<MetricsRegistry> {
+        Arc::new(match self.metrics {
+            Some(_) => MetricsRegistry::new(),
+            None => MetricsRegistry::disabled(),
+        })
     }
 
-    /// Attach the requested sinks to `db`. Returns the registry plus
-    /// output destination when `--metrics` was given.
-    fn bind(&self, db: &mut Database) -> Result<Option<MetricsOutput>, Box<dyn Error>> {
-        self.bind_sinks(db)?;
-        let Some((path, json)) = &self.metrics else {
-            return Ok(None);
-        };
-        let registry = Arc::new(MetricsRegistry::new());
-        db.bind_metrics(&registry);
-        Ok(Some(MetricsOutput {
+    /// Open whatever `dir` holds (plain, live read-only, or sharded)
+    /// bound to `registry`, with the requested sinks attached. Shards
+    /// that would not open are named on stderr; the set still answers.
+    fn open(
+        &self,
+        dir: &Path,
+        registry: &Arc<MetricsRegistry>,
+        shards: ShardSetConfig,
+    ) -> Result<Collection, Box<dyn Error>> {
+        let (trace, forensics) = self.sinks()?;
+        let collection = Collection::open(
+            dir,
+            &CollectionOptions {
+                registry: Arc::clone(registry),
+                trace,
+                forensics,
+                shards,
+            },
+        )?;
+        if let Some(set) = collection.as_sharded() {
+            for (name, _, records, error) in set.shard_rows() {
+                if let Some(cause) = error {
+                    eprintln!("warning: {name} ({records} records) is unavailable: {cause}");
+                }
+            }
+        }
+        Ok(collection)
+    }
+
+    /// Where `--metrics` wants `registry`'s snapshot written, if it does.
+    fn metrics_output(&self, registry: Arc<MetricsRegistry>) -> Option<MetricsOutput> {
+        self.metrics.as_ref().map(|(path, json)| MetricsOutput {
             registry,
             path: path.clone(),
             json: *json,
-        }))
+        })
+    }
+}
+
+/// The one-line description `search`, `bench`, and `serve` print after
+/// opening a collection.
+fn describe(collection: &Collection) -> String {
+    match collection.as_sharded() {
+        Some(set) => format!(
+            "sharded database: {} records across {} shards",
+            set.len(),
+            set.num_shards()
+        ),
+        None => format!("database: {} records", collection.len()),
+    }
+}
+
+/// `+`, `-`, or `?` for a result's strand.
+fn strand_symbol(strand: Strand) -> char {
+    match strand {
+        Strand::Forward => '+',
+        Strand::Reverse => '-',
+        Strand::Both => '?',
     }
 }
 
@@ -938,11 +961,14 @@ pub fn search(raw: &[String]) -> CommandResult {
     params.query_stride = args.get_or("query-stride", params.query_stride)?;
 
     let obs = ObsOptions::parse(&args)?;
-    if nucdb_index::ShardManifest::exists_in(&db_dir) {
-        return search_sharded(&db_dir, &query_path, &params, &args, &obs);
-    }
-    let mut db = open_db(&db_dir)?;
-    let metrics_out = obs.bind(&mut db)?;
+    let registry = obs.registry();
+    let collection = obs.open(&db_dir, &registry, ShardSetConfig::default())?;
+    // A parameter this shape refuses (`--explain` over a sharded root)
+    // is a usage error, raised before any output.
+    collection
+        .supports(&params)
+        .map_err(|e| UsageError(e.to_string()))?;
+    let metrics_out = obs.metrics_output(registry);
     if tabular {
         println!(
             "#query\tsubject\tscore\tstrand\thits{}",
@@ -953,15 +979,18 @@ pub fn search(raw: &[String]) -> CommandResult {
             }
         );
     } else {
-        println!("database: {} records", db.len());
+        println!("{}", describe(&collection));
     }
 
-    let mean_len = (db.store().total_bases() / db.len().max(1)).max(1);
+    // Summing the collection is O(records): only when e-values are wanted.
+    let mean_len = args
+        .flag("evalue")
+        .then(|| (collection.total_bases() as usize / collection.len().max(1)).max(1));
     let reader = FastaReader::new(BufReader::new(File::open(&query_path)?));
     let mut scratch = CoarseScratch::new();
     for record in reader {
         let record = record?;
-        let fit = args.flag("evalue").then(|| {
+        let fit = mean_len.map(|mean_len| {
             calibrate_gumbel(
                 &params.scheme,
                 record.seq.len().max(16),
@@ -972,28 +1001,37 @@ pub fn search(raw: &[String]) -> CommandResult {
         });
         // The query's FASTA id doubles as the request id, so trace lines
         // and flight-recorder entries are joinable with the output.
-        let outcome = db.search_with_id(&record.seq, &params, &mut scratch, Some(&record.id))?;
+        let outcome =
+            collection.search_with_id(&record.seq, &params, &mut scratch, Some(&record.id))?;
+        // A sharded answer may be partial: the query still completes,
+        // and a warning on stderr names each shard that did not answer.
+        let degraded = outcome.coverage.as_ref().filter(|c| !c.coverage.is_full());
+        if let Some(report) = degraded {
+            eprintln!("warning: query {} answered by {report}", record.id);
+        }
+        // (bit score, e-value) of one answer, when asked for.
+        let significance = |result: &nucdb::SearchResult| {
+            fit.as_ref().map(|fit| {
+                let target_len = collection.record_len(result.record);
+                (
+                    fit.bit_score(result.score),
+                    fit.evalue(record.seq.len(), target_len, result.score),
+                )
+            })
+        };
         if tabular {
             for result in &outcome.results {
-                let strand = match result.strand {
-                    Strand::Forward => '+',
-                    Strand::Reverse => '-',
-                    Strand::Both => '?',
-                };
-                let tail = fit
-                    .as_ref()
-                    .map(|fit| {
-                        let target_len = db.store().record_len(result.record);
-                        format!(
-                            "\t{:.1}\t{:.2e}",
-                            fit.bit_score(result.score),
-                            fit.evalue(record.seq.len(), target_len, result.score)
-                        )
-                    })
+                let tail = significance(result)
+                    .map(|(bits, evalue)| format!("\t{bits:.1}\t{evalue:.2e}"))
                     .unwrap_or_default();
                 println!(
                     "{}\t{}\t{}\t{}\t{}{}",
-                    record.id, result.id, result.score, strand, result.coarse_hits, tail
+                    record.id,
+                    result.id,
+                    result.score,
+                    strand_symbol(result.strand),
+                    result.coarse_hits,
+                    tail
                 );
             }
             if let Some(plan) = &outcome.explain {
@@ -1004,8 +1042,18 @@ pub fn search(raw: &[String]) -> CommandResult {
             }
             continue;
         }
+        let from_shards = outcome
+            .coverage
+            .as_ref()
+            .map(|c| {
+                format!(
+                    " from {}/{} shards",
+                    c.coverage.shards_ok, c.coverage.shards_total
+                )
+            })
+            .unwrap_or_default();
         println!(
-            "\nquery {} ({} bases): {} answers  [coarse {:.2} ms, fine {:.2} ms, {} lists, {} postings]",
+            "\nquery {} ({} bases): {} answers{from_shards}  [coarse {:.2} ms, fine {:.2} ms, {} lists, {} postings]",
             record.id,
             record.seq.len(),
             outcome.results.len(),
@@ -1015,28 +1063,15 @@ pub fn search(raw: &[String]) -> CommandResult {
             outcome.stats.postings_decoded,
         );
         for (rank, result) in outcome.results.iter().enumerate() {
-            let strand = match result.strand {
-                Strand::Forward => '+',
-                Strand::Reverse => '-',
-                Strand::Both => '?',
-            };
-            let significance = fit
-                .as_ref()
-                .map(|fit| {
-                    let target_len = db.store().record_len(result.record);
-                    format!(
-                        "  bits {:>7.1}  E {:.2e}",
-                        fit.bit_score(result.score),
-                        fit.evalue(record.seq.len(), target_len, result.score)
-                    )
-                })
+            let significance = significance(result)
+                .map(|(bits, evalue)| format!("  bits {bits:>7.1}  E {evalue:.2e}"))
                 .unwrap_or_default();
             println!(
                 "  {:>3}. {:<14} score {:>6}  strand {}  hits {:>5}{}",
                 rank + 1,
                 result.id,
                 result.score,
-                strand,
+                strand_symbol(result.strand),
                 result.coarse_hits,
                 significance,
             );
@@ -1056,155 +1091,9 @@ pub fn search(raw: &[String]) -> CommandResult {
             print!("{}", plan.render_text(EXPLAIN_MAX_LISTS));
         }
     }
-    db.metrics().trace.flush();
-    db.metrics().forensics.flush();
+    collection.flush();
     if let Some(out) = &metrics_out {
         out.write()?;
-    }
-    Ok(())
-}
-
-/// `nucdb search` over a sharded root: scatter-gather per query,
-/// bit-identical to the unsharded answer at full coverage. When shards
-/// fail, the answer degrades to the surviving shards and a warning on
-/// stderr names each failed shard — the query still completes.
-fn search_sharded(
-    db_dir: &Path,
-    query_path: &Path,
-    params: &SearchParams,
-    args: &Args,
-    obs: &ObsOptions,
-) -> CommandResult {
-    if params.explain {
-        return Err(
-            UsageError("--explain is not supported over a sharded root".to_string()).into(),
-        );
-    }
-    let tabular = args.flag("tabular");
-    let registry = Arc::new(MetricsRegistry::new());
-    let set = nucdb::ShardSet::open_root(db_dir, nucdb::ShardSetConfig::default(), &registry)?;
-    for (name, _, records, error) in set.shard_rows() {
-        if let Some(cause) = error {
-            eprintln!("warning: {name} ({records} records) is unavailable: {cause}");
-        }
-    }
-    if tabular {
-        println!(
-            "#query\tsubject\tscore\tstrand\thits{}",
-            if args.flag("evalue") {
-                "\tbits\tevalue"
-            } else {
-                ""
-            }
-        );
-    } else {
-        println!(
-            "sharded database: {} records across {} shards",
-            set.len(),
-            set.num_shards()
-        );
-    }
-
-    let mean_len = (set.total_bases() as usize / set.len().max(1)).max(1);
-    let reader = FastaReader::new(BufReader::new(File::open(query_path)?));
-    for record in reader {
-        let record = record?;
-        let fit = args.flag("evalue").then(|| {
-            calibrate_gumbel(
-                &params.scheme,
-                record.seq.len().max(16),
-                mean_len,
-                48,
-                0xCAFE,
-            )
-        });
-        let outcome = set.search(&record.seq, params)?;
-        if !outcome.coverage.is_full() {
-            let causes: Vec<String> = outcome
-                .failures
-                .iter()
-                .map(|f| format!("{}: {}", f.shard, f.error))
-                .collect();
-            eprintln!(
-                "warning: query {} answered by {}/{} shards ({})",
-                record.id,
-                outcome.coverage.shards_ok,
-                outcome.coverage.shards_total,
-                causes.join("; "),
-            );
-        }
-        if tabular {
-            for result in &outcome.results {
-                let strand = match result.strand {
-                    Strand::Forward => '+',
-                    Strand::Reverse => '-',
-                    Strand::Both => '?',
-                };
-                let tail = fit
-                    .as_ref()
-                    .map(|fit| {
-                        let target_len = set.record_len(result.record);
-                        format!(
-                            "\t{:.1}\t{:.2e}",
-                            fit.bit_score(result.score),
-                            fit.evalue(record.seq.len(), target_len, result.score)
-                        )
-                    })
-                    .unwrap_or_default();
-                println!(
-                    "{}\t{}\t{}\t{}\t{}{}",
-                    record.id, result.id, result.score, strand, result.coarse_hits, tail
-                );
-            }
-            continue;
-        }
-        println!(
-            "\nquery {} ({} bases): {} answers from {}/{} shards  [coarse {:.2} ms, fine {:.2} ms, {} lists, {} postings]",
-            record.id,
-            record.seq.len(),
-            outcome.results.len(),
-            outcome.coverage.shards_ok,
-            outcome.coverage.shards_total,
-            outcome.stats.coarse_nanos as f64 / 1e6,
-            outcome.stats.fine_nanos as f64 / 1e6,
-            outcome.stats.lists_fetched,
-            outcome.stats.postings_decoded,
-        );
-        for (rank, result) in outcome.results.iter().enumerate() {
-            let strand = match result.strand {
-                Strand::Forward => '+',
-                Strand::Reverse => '-',
-                Strand::Both => '?',
-            };
-            let significance = fit
-                .as_ref()
-                .map(|fit| {
-                    let target_len = set.record_len(result.record);
-                    format!(
-                        "  bits {:>7.1}  E {:.2e}",
-                        fit.bit_score(result.score),
-                        fit.evalue(record.seq.len(), target_len, result.score)
-                    )
-                })
-                .unwrap_or_default();
-            println!(
-                "  {:>3}. {:<14} score {:>6}  strand {}  hits {:>5}{}",
-                rank + 1,
-                result.id,
-                result.score,
-                strand,
-                result.coarse_hits,
-                significance,
-            );
-        }
-    }
-    if let Some((path, json)) = &obs.metrics {
-        MetricsOutput {
-            registry,
-            path: path.clone(),
-            json: *json,
-        }
-        .write()?;
     }
     Ok(())
 }
@@ -1333,14 +1222,20 @@ pub fn bench(raw: &[String]) -> CommandResult {
     let repeat: usize = args.get_or("repeat", 3)?;
 
     let obs = ObsOptions::parse(&args)?;
-    let mut db = open_db(&db_dir)?;
-    let metrics_out = obs.bind(&mut db)?;
+    let registry = obs.registry();
+    let collection = obs.open(&db_dir, &registry, ShardSetConfig::default())?;
+    let metrics_out = obs.metrics_output(registry);
+    // Per-query I/O tallies exist where there is one on-disk index.
+    let disk_index = collection.as_static().and_then(|db| match db.index() {
+        IndexVariant::Disk(disk) => Some(disk),
+        _ => None,
+    });
     let params = SearchParams::default();
     let queries: Vec<_> = FastaReader::new(BufReader::new(File::open(&query_path)?))
         .collect::<Result<Vec<_>, _>>()?;
     println!(
-        "database: {} records; {} queries x {} repetitions",
-        db.len(),
+        "{}; {} queries x {} repetitions",
+        describe(&collection),
         queries.len(),
         repeat
     );
@@ -1357,17 +1252,17 @@ pub fn bench(raw: &[String]) -> CommandResult {
         let mut bytes = 0u64;
         let mut lists = 0u64;
         for _ in 0..repeat.max(1) {
-            if let IndexVariant::Disk(disk) = db.index() {
+            if let Some(disk) = disk_index {
                 disk.reset_io_counters();
             }
             let t0 = std::time::Instant::now();
             let outcome =
-                db.search_with_id(&record.seq, &params, &mut scratch, Some(&record.id))?;
+                collection.search_with_id(&record.seq, &params, &mut scratch, Some(&record.id))?;
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             best = best.min(ms);
             total += ms;
             answers = outcome.results.len();
-            if let IndexVariant::Disk(disk) = db.index() {
+            if let Some(disk) = disk_index {
                 bytes = disk.bytes_read();
                 lists = disk.lists_read();
             }
@@ -1382,9 +1277,8 @@ pub fn bench(raw: &[String]) -> CommandResult {
             lists
         );
     }
-    db.metrics().trace.flush();
-    db.metrics().forensics.flush();
-    print_slowest(&db.metrics().forensics, 5);
+    collection.flush();
+    print_slowest(&collection.forensics(), 5);
     if let Some(out) = &metrics_out {
         if let Some(latency) = out.query_latency() {
             println!(
@@ -1455,7 +1349,7 @@ pub fn serve(raw: &[String]) -> CommandResult {
     let db_dir = PathBuf::from(args.required("db")?);
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878").to_string();
     let live_mode = args.flag("live");
-    let sharded_mode = !live_mode && nucdb_index::ShardManifest::exists_in(&db_dir);
+    let sharded_mode = !live_mode && Shape::of(&db_dir) == Shape::Sharded;
 
     let mut config = nucdb_serve::ServeConfig::default();
     config.threads = args.get_or("threads", config.threads)?;
@@ -1486,10 +1380,12 @@ pub fn serve(raw: &[String]) -> CommandResult {
     // `--flight-recorder 0` to run without it.
     let obs = ObsOptions::parse_with(&args, 256)?;
     nucdb_serve::install_termination_flag();
-    let handle = if live_mode {
+    // The server always keeps a live registry: /metrics exposes it, and
+    // --metrics additionally writes a snapshot after the drain.
+    let registry = Arc::new(MetricsRegistry::new());
+    let collection = if live_mode {
         // Live ingestion: the directory holds a segment manifest (created
         // on first start); the database accepts POST /insert.
-        let registry = Arc::new(MetricsRegistry::new());
         let (trace, forensics) = obs.sinks()?;
         let mut opts = nucdb::LiveOptions {
             registry: Arc::clone(&registry),
@@ -1500,11 +1396,7 @@ pub fn serve(raw: &[String]) -> CommandResult {
         opts.memtable_max_records =
             args.get_or("memtable-max-records", opts.memtable_max_records)?;
         opts.max_segments = args.get_or("max-segments", opts.max_segments)?;
-        let live = Arc::new(nucdb::LiveDatabase::open_or_create(
-            &db_dir,
-            &nucdb::DbConfig::default(),
-            opts,
-        )?);
+        let live = nucdb::LiveDatabase::open_or_create(&db_dir, &nucdb::DbConfig::default(), opts)?;
         let status = live.status();
         println!(
             "live database: {} records ({} segments, {} in memtable)",
@@ -1512,52 +1404,29 @@ pub fn serve(raw: &[String]) -> CommandResult {
             status.segments.len(),
             status.memtable_records,
         );
-        nucdb_serve::start_live(
-            addr.as_str(),
-            live,
-            registry,
-            SearchParams::default(),
-            config,
-        )?
-    } else if sharded_mode {
-        // Sharded root: per-shard workers are the intra-query
-        // parallelism; trace/forensics are per-database and not bound.
-        let hedge_ms: u64 = args.get_or("shard-hedge-ms", 250u64)?;
-        let shard_config = nucdb::ShardSetConfig {
-            shard_deadline: std::time::Duration::from_millis(
-                args.get_or("shard-deadline-ms", 10_000u64)?,
-            ),
-            hedge_after: (hedge_ms > 0).then(|| std::time::Duration::from_millis(hedge_ms)),
-        };
-        let registry = Arc::new(MetricsRegistry::new());
-        let set = nucdb::ShardSet::open_root(&db_dir, shard_config, &registry)?;
-        for (name, _, records, error) in set.shard_rows() {
-            if let Some(cause) = error {
-                eprintln!("warning: {name} ({records} records) is unavailable: {cause}");
-            }
-        }
-        println!(
-            "sharded database: {} records across {} shards",
-            set.len(),
-            set.num_shards()
-        );
-        nucdb_serve::start_sharded(
-            addr.as_str(),
-            Arc::new(set),
-            registry,
-            SearchParams::default(),
-            config,
-        )?
+        Collection::Live(Arc::new(live))
     } else {
-        let mut db = open_db(&db_dir)?;
-        obs.bind_sinks(&mut db)?;
-        // The server always keeps a live registry: /metrics exposes it,
-        // and --metrics additionally writes a snapshot after the drain.
-        let registry = MetricsRegistry::new();
-        db.bind_metrics(&registry);
-        println!("database: {} records", db.len());
-        nucdb_serve::start(addr.as_str(), db, registry, SearchParams::default(), config)?
+        let hedge_ms: u64 = args.get_or("shard-hedge-ms", 250u64)?;
+        let collection = obs.open(
+            &db_dir,
+            &registry,
+            ShardSetConfig {
+                shard_deadline: std::time::Duration::from_millis(
+                    args.get_or("shard-deadline-ms", 10_000u64)?,
+                ),
+                hedge_after: (hedge_ms > 0).then(|| std::time::Duration::from_millis(hedge_ms)),
+            },
+        )?;
+        println!("{}", describe(&collection));
+        collection
     };
+    let handle = nucdb_serve::start_collection(
+        addr.as_str(),
+        collection,
+        registry,
+        SearchParams::default(),
+        config,
+    )?;
     println!(
         "serving on http://{} ({} workers, queue depth {}, batching {})",
         handle.addr(),
@@ -1576,13 +1445,8 @@ pub fn serve(raw: &[String]) -> CommandResult {
     let served = handle.requests_ok();
     let registry = handle.shutdown();
     println!("drained cleanly after {served} successful queries");
-    if let (Some(registry), Some((path, json))) = (registry, &obs.metrics) {
-        MetricsOutput {
-            registry,
-            path: path.clone(),
-            json: *json,
-        }
-        .write()?;
+    if let Some(out) = registry.and_then(|registry| obs.metrics_output(registry)) {
+        out.write()?;
     }
     Ok(())
 }
@@ -1672,202 +1536,285 @@ pub fn stats(raw: &[String]) -> CommandResult {
     Ok(())
 }
 
+/// One index + store pair under a database directory, and how `stat`
+/// and `fsck` name it.
+struct Part {
+    index: PathBuf,
+    store: PathBuf,
+    /// Records the manifest says the part holds (`None` for a plain
+    /// directory, which has no manifest to say so).
+    records: Option<u32>,
+    /// `segment 000003` / `shard-001`; empty for a plain directory.
+    label: String,
+    /// What `stat`'s heading says after the record count.
+    detail: String,
+    /// The JSON member identifying the part in a report.
+    key: Option<(String, Value)>,
+    /// First global record id, where the manifest assigns one.
+    base: Option<u64>,
+}
+
+/// A database directory's shape together with the manifest describing
+/// it. Everything `stat` and `fsck` say differently per shape — how the
+/// parts are found and named, the summary above them, the JSON document
+/// around them — is decided here, so each command is one walk over
+/// [`Layout::parts`].
+enum Layout {
+    Plain,
+    Live(Manifest),
+    Sharded(ShardManifest),
+}
+
+impl Layout {
+    /// Detect `dir`'s shape and load its manifest, if it has one.
+    fn load(dir: &Path) -> Result<Layout, IndexError> {
+        Ok(match Shape::of(dir) {
+            Shape::Plain => Layout::Plain,
+            Shape::Live => Layout::Live(Manifest::load(dir)?),
+            Shape::Sharded => Layout::Sharded(ShardManifest::load(dir)?),
+        })
+    }
+
+    /// Every index + store pair under `dir`, in record-id order.
+    fn parts(&self, dir: &Path) -> Vec<Part> {
+        match self {
+            Layout::Plain => vec![Part {
+                index: dir.join(INDEX_FILE),
+                store: dir.join(STORE_FILE),
+                records: None,
+                label: String::new(),
+                detail: String::new(),
+                key: None,
+                base: None,
+            }],
+            Layout::Live(manifest) => manifest
+                .segments
+                .iter()
+                .map(|seg| Part {
+                    index: dir.join(seg.index_file()),
+                    store: dir.join(seg.store_file()),
+                    records: Some(seg.records),
+                    label: format!("segment {:06}", seg.id),
+                    detail: format!("{} B", seg.bytes()),
+                    key: Some(("id".to_string(), num(seg.id))),
+                    base: None,
+                })
+                .collect(),
+            Layout::Sharded(manifest) => manifest
+                .shards
+                .iter()
+                .enumerate()
+                .map(|(i, meta)| {
+                    let name = nucdb_index::shard_dir_name(i);
+                    Part {
+                        index: dir.join(&name).join(INDEX_FILE),
+                        store: dir.join(&name).join(STORE_FILE),
+                        records: Some(meta.records),
+                        detail: format!("id base {}", manifest.base_of(i)),
+                        key: Some(("shard".to_string(), Value::Str(name.clone()))),
+                        label: name,
+                        base: Some(manifest.base_of(i)),
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    /// A shard set is built to degrade: a part that will not open is
+    /// reported in place, with its own exit code, instead of failing
+    /// the whole report.
+    fn degrades(&self) -> bool {
+        matches!(self, Layout::Sharded(_))
+    }
+
+    /// Files in `dir` a live manifest does not reference.
+    fn orphans(&self, dir: &Path) -> Result<Vec<String>, IndexError> {
+        match self {
+            Layout::Live(manifest) => manifest.orphans_in(dir),
+            _ => Ok(Vec::new()),
+        }
+    }
+
+    /// What `stat` says about the manifest: the text above the parts
+    /// and the JSON members before them.
+    fn stat_summary(&self, dir: &Path, orphans: &[String]) -> (String, Vec<(String, Value)>) {
+        match self {
+            Layout::Plain => (String::new(), Vec::new()),
+            Layout::Live(manifest) => (
+                format!(
+                    "live database {} (manifest v{})\n  k={} stride={} granularity={:?} \
+                     codec={:?}\n  {} segments, {} records, {} B on disk\n",
+                    dir.display(),
+                    manifest.version,
+                    manifest.k,
+                    manifest.stride,
+                    manifest.granularity,
+                    manifest.codec,
+                    manifest.segments.len(),
+                    manifest.total_records(),
+                    manifest.total_bytes(),
+                ),
+                vec![
+                    ("manifest_version".to_string(), num(manifest.version)),
+                    (
+                        "segment_count".to_string(),
+                        num(manifest.segments.len() as u64),
+                    ),
+                    ("records".to_string(), num(manifest.total_records())),
+                    ("bytes".to_string(), num(manifest.total_bytes())),
+                    ("orphans".to_string(), strings(orphans)),
+                ],
+            ),
+            Layout::Sharded(manifest) => (
+                format!(
+                    "sharded database {} (SHARDS v{})\n  k={} stride={} granularity={:?} \
+                     codec={:?}\n  {} shards, {} records\n",
+                    dir.display(),
+                    manifest.version,
+                    manifest.k,
+                    manifest.stride,
+                    manifest.granularity,
+                    manifest.codec,
+                    manifest.shards.len(),
+                    manifest.total_records(),
+                ),
+                vec![
+                    ("shard_count".to_string(), num(manifest.shards.len() as u64)),
+                    ("records".to_string(), num(manifest.total_records())),
+                ],
+            ),
+        }
+    }
+
+    /// What `fsck` says about the manifest, likewise.
+    fn fsck_summary(&self, orphans: &[String], worst: i32) -> (String, Vec<(String, Value)>) {
+        match self {
+            Layout::Plain => (String::new(), Vec::new()),
+            Layout::Live(manifest) => (
+                format!(
+                    "manifest v{}: {} segments, {} records\n",
+                    manifest.version,
+                    manifest.segments.len(),
+                    manifest.total_records(),
+                ),
+                vec![
+                    ("manifest_version".to_string(), num(manifest.version)),
+                    ("orphans".to_string(), strings(orphans)),
+                ],
+            ),
+            Layout::Sharded(manifest) => (
+                format!(
+                    "SHARDS v{}: {} shards, {} records\n",
+                    manifest.version,
+                    manifest.shards.len(),
+                    manifest.total_records(),
+                ),
+                vec![
+                    ("shard_count".to_string(), num(manifest.shards.len() as u64)),
+                    ("exit_code".to_string(), num(worst as u64)),
+                ],
+            ),
+        }
+    }
+
+    /// A walk's JSON document: a plain directory's is its one report; a
+    /// manifest's is its summary followed by the per-part objects.
+    fn doc(
+        &self,
+        mut summary: Vec<(String, Value)>,
+        mut parts: Vec<Vec<(String, Value)>>,
+    ) -> Value {
+        let parts_key = match self {
+            Layout::Plain => {
+                let report = parts.pop().and_then(|mut members| members.pop());
+                return report.map_or(Value::Null, |(_, report)| report);
+            }
+            Layout::Live(_) => "segments",
+            Layout::Sharded(_) => "shards",
+        };
+        let parts = parts.into_iter().map(Value::Obj).collect();
+        summary.push((parts_key.to_string(), Value::Arr(parts)));
+        Value::Obj(summary)
+    }
+}
+
+fn strings(items: &[String]) -> Value {
+    Value::Arr(items.iter().cloned().map(Value::Str).collect())
+}
+
+/// Open one part's files for `stat`. A manifest-listed part must have
+/// both files; a plain directory may hold either alone.
+fn stat_part(part: &Part) -> Result<nucdb::StatReport, Box<dyn Error>> {
+    let listed = part.records.is_some();
+    Ok(nucdb::StatReport {
+        index: (listed || part.index.exists())
+            .then(|| OnDiskIndex::open(&part.index))
+            .transpose()?
+            .map(|index| nucdb::IndexStatReport::from_disk(&index)),
+        store: (listed || part.store.exists())
+            .then(|| nucdb::OnDiskStore::open(&part.store))
+            .transpose()?
+            .map(|store| nucdb::StoreStatReport::from_disk(&store)),
+    })
+}
+
 /// `nucdb stat` — per-index statistics: list-length / bit-width / skew
 /// histograms, skip-table density, codec tier, and bytes by section, as
-/// text (stdout + STAT.txt) and JSON (STAT.json).
+/// text (stdout + STAT.txt) and JSON (STAT.json). One walk over the
+/// directory's parts whatever its shape: a live directory gets a
+/// manifest summary plus the report for every segment (so per-segment
+/// histograms expose skew between settled and freshly flushed
+/// segments), a sharded root the same for every shard — a shard that
+/// will not open is reported in place, with its manifest-recorded
+/// record count, instead of aborting the whole report.
 pub fn stat(raw: &[String]) -> CommandResult {
     let args = Args::parse("stat", raw, &["db", "out"], &[])?;
     let db_dir = PathBuf::from(args.required("db")?);
     let out_dir = PathBuf::from(args.get("out").unwrap_or("results"));
 
-    if nucdb_index::Manifest::exists_in(&db_dir) {
-        return stat_live(&db_dir, &out_dir);
-    }
-    if nucdb_index::ShardManifest::exists_in(&db_dir) {
-        return stat_sharded(&db_dir, &out_dir);
-    }
-
-    let index_path = db_dir.join(INDEX_FILE);
-    let store_path = db_dir.join(STORE_FILE);
-    let report = nucdb::StatReport {
-        index: index_path
-            .exists()
-            .then(|| OnDiskIndex::open(&index_path))
-            .transpose()?
-            .map(|index| nucdb::IndexStatReport::from_disk(&index)),
-        store: store_path
-            .exists()
-            .then(|| nucdb::OnDiskStore::open(&store_path))
-            .transpose()?
-            .map(|store| nucdb::StoreStatReport::from_disk(&store)),
-    };
-    if report.index.is_none() && report.store.is_none() {
-        return Err(format!("no index or store files in {}", db_dir.display()).into());
+    let layout = Layout::load(&db_dir)?;
+    let orphans = layout.orphans(&db_dir)?;
+    let (mut text, summary) = layout.stat_summary(&db_dir, &orphans);
+    if !orphans.is_empty() {
+        text += &format!("  orphaned files (run fsck): {}\n", orphans.join(", "));
     }
 
-    let text = report.render_text();
+    let mut part_values = Vec::new();
+    for part in layout.parts(&db_dir) {
+        let report = stat_part(&part);
+        let mut members = Vec::new();
+        if let Some(records) = part.records {
+            text += &format!(
+                "\n== {} ({} records, {}) ==\n",
+                part.label, records, part.detail
+            );
+            members.extend(part.key);
+            members.push(("records".to_string(), num(u64::from(records))));
+            members.extend(part.base.map(|base| ("record_base".to_string(), num(base))));
+        }
+        match report {
+            Ok(report) if report.index.is_none() && report.store.is_none() => {
+                return Err(format!("no index or store files in {}", db_dir.display()).into());
+            }
+            Ok(report) => {
+                text += &report.render_text();
+                members.push(("report".to_string(), report.to_value()));
+            }
+            Err(e) if layout.degrades() => {
+                text += &format!("shard will not open: {e}\n");
+                members.push(("error".to_string(), Value::Str(e.to_string())));
+            }
+            Err(e) => return Err(e),
+        }
+        part_values.push(members);
+    }
+    let doc = layout.doc(summary, part_values);
+
     print!("{text}");
     std::fs::create_dir_all(&out_dir)?;
     let txt_path = out_dir.join("STAT.txt");
     let json_path = out_dir.join("STAT.json");
     std::fs::write(&txt_path, &text)?;
-    let mut rendered = report.to_value().render();
-    rendered.push('\n');
-    std::fs::write(&json_path, rendered)?;
-    println!(
-        "report written to {} and {}",
-        txt_path.display(),
-        json_path.display()
-    );
-    Ok(())
-}
-
-/// `nucdb stat` over a live (manifest-bearing) directory: a manifest
-/// summary plus the full per-segment statistics report, so per-segment
-/// histograms expose skew between settled and freshly flushed segments.
-fn stat_live(db_dir: &Path, out_dir: &Path) -> CommandResult {
-    use nucdb_obs::json::{num, Value};
-
-    let manifest = nucdb_index::Manifest::load(db_dir)?;
-    let mut text = format!(
-        "live database {} (manifest v{})\n  k={} stride={} granularity={:?} codec={:?}\n  \
-         {} segments, {} records, {} B on disk\n",
-        db_dir.display(),
-        manifest.version,
-        manifest.k,
-        manifest.stride,
-        manifest.granularity,
-        manifest.codec,
-        manifest.segments.len(),
-        manifest.total_records(),
-        manifest.total_bytes(),
-    );
-    let orphans = manifest.orphans_in(db_dir)?;
-    if !orphans.is_empty() {
-        text += &format!("  orphaned files (run fsck): {}\n", orphans.join(", "));
-    }
-
-    let mut seg_values = Vec::with_capacity(manifest.segments.len());
-    for seg in &manifest.segments {
-        let report = nucdb::StatReport {
-            index: Some(nucdb::IndexStatReport::from_disk(&OnDiskIndex::open(
-                &db_dir.join(seg.index_file()),
-            )?)),
-            store: Some(nucdb::StoreStatReport::from_disk(
-                &nucdb::OnDiskStore::open(&db_dir.join(seg.store_file()))?,
-            )),
-        };
-        text += &format!(
-            "\n== segment {:06} ({} records, {} B) ==\n",
-            seg.id,
-            seg.records,
-            seg.bytes()
-        );
-        text += &report.render_text();
-        seg_values.push(Value::Obj(vec![
-            ("id".to_string(), num(seg.id)),
-            ("records".to_string(), num(u64::from(seg.records))),
-            ("report".to_string(), report.to_value()),
-        ]));
-    }
-
-    print!("{text}");
-    std::fs::create_dir_all(out_dir)?;
-    let txt_path = out_dir.join("STAT.txt");
-    let json_path = out_dir.join("STAT.json");
-    std::fs::write(&txt_path, &text)?;
-    let doc = Value::Obj(vec![
-        ("manifest_version".to_string(), num(manifest.version)),
-        (
-            "segment_count".to_string(),
-            num(manifest.segments.len() as u64),
-        ),
-        ("records".to_string(), num(manifest.total_records())),
-        ("bytes".to_string(), num(manifest.total_bytes())),
-        (
-            "orphans".to_string(),
-            Value::Arr(orphans.into_iter().map(Value::Str).collect()),
-        ),
-        ("segments".to_string(), Value::Arr(seg_values)),
-    ]);
-    let mut rendered = doc.render();
-    rendered.push('\n');
-    std::fs::write(&json_path, rendered)?;
-    println!(
-        "report written to {} and {}",
-        txt_path.display(),
-        json_path.display()
-    );
-    Ok(())
-}
-
-/// `nucdb stat` over a sharded root: a SHARDS-manifest summary plus the
-/// full statistics report for every shard directory. A shard that will
-/// not open is reported in place (with its manifest-recorded record
-/// count) instead of aborting the whole report.
-fn stat_sharded(db_dir: &Path, out_dir: &Path) -> CommandResult {
-    use nucdb_obs::json::{num, Value};
-
-    let manifest = nucdb_index::ShardManifest::load(db_dir)?;
-    let mut text = format!(
-        "sharded database {} (SHARDS v{})\n  k={} stride={} granularity={:?} codec={:?}\n  \
-         {} shards, {} records\n",
-        db_dir.display(),
-        manifest.version,
-        manifest.k,
-        manifest.stride,
-        manifest.granularity,
-        manifest.codec,
-        manifest.shards.len(),
-        manifest.total_records(),
-    );
-
-    let mut shard_values = Vec::with_capacity(manifest.shards.len());
-    for (i, meta) in manifest.shards.iter().enumerate() {
-        let name = nucdb_index::shard_dir_name(i);
-        let dir = db_dir.join(&name);
-        text += &format!(
-            "\n== {} ({} records, id base {}) ==\n",
-            name,
-            meta.records,
-            manifest.base_of(i)
-        );
-        let mut members = vec![
-            ("shard".to_string(), Value::Str(name.clone())),
-            ("records".to_string(), num(u64::from(meta.records))),
-            ("record_base".to_string(), num(manifest.base_of(i))),
-        ];
-        let opened: Result<nucdb::StatReport, Box<dyn Error>> = (|| {
-            let index = OnDiskIndex::open(&dir.join(INDEX_FILE))?;
-            let store = nucdb::OnDiskStore::open(&dir.join(STORE_FILE))?;
-            Ok(nucdb::StatReport {
-                index: Some(nucdb::IndexStatReport::from_disk(&index)),
-                store: Some(nucdb::StoreStatReport::from_disk(&store)),
-            })
-        })();
-        match opened {
-            Ok(report) => {
-                text += &report.render_text();
-                members.push(("report".to_string(), report.to_value()));
-            }
-            Err(e) => {
-                text += &format!("shard will not open: {e}\n");
-                members.push(("error".to_string(), Value::Str(e.to_string())));
-            }
-        }
-        shard_values.push(Value::Obj(members));
-    }
-
-    print!("{text}");
-    std::fs::create_dir_all(out_dir)?;
-    let txt_path = out_dir.join("STAT.txt");
-    let json_path = out_dir.join("STAT.json");
-    std::fs::write(&txt_path, &text)?;
-    let doc = Value::Obj(vec![
-        ("shard_count".to_string(), num(manifest.shards.len() as u64)),
-        ("records".to_string(), num(manifest.total_records())),
-        ("shards".to_string(), Value::Arr(shard_values)),
-    ]);
     let mut rendered = doc.render();
     rendered.push('\n');
     std::fs::write(&json_path, rendered)?;
@@ -1880,110 +1827,91 @@ fn stat_sharded(db_dir: &Path, out_dir: &Path) -> CommandResult {
 }
 
 /// `nucdb fsck` — walk every checksummed region of the database files
-/// and report all damage found. Returns the process exit code: 0 clean,
-/// 1 payload damage, 2 structural damage (header/TOC unreadable — which
-/// also covers files that refuse to open at all).
+/// and report all damage found, one walk over the directory's parts
+/// whatever its shape: a live directory is walked via its manifest
+/// (every referenced segment verified, unreferenced files flagged as
+/// orphans), a sharded root shard by shard. Returns the process exit
+/// code, the *worst* part's condition: 0 clean; 1 payload damage,
+/// orphaned files, or a part whose record count disagrees with its
+/// manifest; 2 structural damage — header/TOC/manifest unreadable, or a
+/// file that is missing or refuses to open at all.
 pub fn fsck(raw: &[String]) -> Result<i32, Box<dyn Error>> {
     let args = Args::parse("fsck", raw, &["db"], &["json"])?;
     let db_dir = PathBuf::from(args.required("db")?);
-    if nucdb_index::Manifest::exists_in(&db_dir) {
-        return fsck_live(&db_dir, args.flag("json"));
-    }
-    if nucdb_index::ShardManifest::exists_in(&db_dir) {
-        return fsck_sharded(&db_dir, args.flag("json"));
-    }
-    let index_path = db_dir.join(INDEX_FILE);
-    let store_path = db_dir.join(STORE_FILE);
-    if !index_path.exists() && !store_path.exists() {
-        return Err(format!("no index or store files in {}", db_dir.display()).into());
-    }
-
-    let mut report = nucdb::FsckReport::default();
-    let mut unopenable = false;
-    if index_path.exists() {
-        match OnDiskIndex::open(&index_path) {
-            Ok(index) => nucdb::fsck_index(&index, &mut report),
-            Err(e) => {
-                unopenable = true;
-                eprintln!("fsck: index {} will not open: {e}", index_path.display());
-            }
-        }
-    }
-    if store_path.exists() {
-        match nucdb::OnDiskStore::open(&store_path) {
-            Ok(store) => nucdb::fsck_store(&store, &mut report),
-            Err(e) => {
-                unopenable = true;
-                eprintln!("fsck: store {} will not open: {e}", store_path.display());
-            }
-        }
-    }
-
-    if args.flag("json") {
-        println!("{}", report.to_value().render());
-    } else {
-        print!("{}", report.render_text());
-    }
-    Ok(if unopenable { 2 } else { report.exit_code() })
-}
-
-/// `nucdb fsck` over a live (manifest-bearing) directory: verify the
-/// manifest loads, walk every referenced segment's checksums, and flag
-/// files the manifest does not account for. Exit codes: unreadable
-/// manifest or missing/unopenable segment file → 2; checksum damage or
-/// orphaned files → 1; clean → 0.
-fn fsck_live(db_dir: &Path, json: bool) -> Result<i32, Box<dyn Error>> {
-    use nucdb_obs::json::{num, Value};
-
-    let manifest = match nucdb_index::Manifest::load(db_dir) {
-        Ok(manifest) => manifest,
+    // How this shape's manifest and parts are called in messages.
+    let (manifest_name, kind) = match Shape::of(&db_dir) {
+        Shape::Plain => ("manifest", ""),
+        Shape::Live => ("manifest", "segment "),
+        Shape::Sharded => ("SHARDS manifest", "shard "),
+    };
+    let layout = match Layout::load(&db_dir) {
+        Ok(layout) => layout,
         Err(e) => {
-            eprintln!("fsck: manifest in {} will not load: {e}", db_dir.display());
+            eprintln!(
+                "fsck: {manifest_name} in {} will not load: {e}",
+                db_dir.display()
+            );
             return Ok(2);
         }
     };
-    let mut unopenable = false;
+    let mut text = String::new();
     let mut worst = 0;
-    let mut seg_values = Vec::with_capacity(manifest.segments.len());
-    let mut text = format!(
-        "manifest v{}: {} segments, {} records\n",
-        manifest.version,
-        manifest.segments.len(),
-        manifest.total_records(),
-    );
-    for seg in &manifest.segments {
+    let mut part_values = Vec::new();
+    for part in layout.parts(&db_dir) {
+        let listed = part.records.is_some();
+        if !listed && !part.index.exists() && !part.store.exists() {
+            return Err(format!("no index or store files in {}", db_dir.display()).into());
+        }
         let mut report = nucdb::FsckReport::default();
-        let index_path = db_dir.join(seg.index_file());
-        match OnDiskIndex::open(&index_path) {
-            Ok(index) => nucdb::fsck_index(&index, &mut report),
-            Err(e) => {
-                unopenable = true;
-                eprintln!(
-                    "fsck: segment index {} will not open: {e}",
-                    index_path.display()
-                );
+        let mut part_worst = 0;
+        if listed || part.index.exists() {
+            match OnDiskIndex::open(&part.index) {
+                Ok(index) => {
+                    if let Some(listed) = part.records.filter(|&n| n != index.num_records()) {
+                        part_worst = 1;
+                        eprintln!(
+                            "fsck: {} holds {} records but the {manifest_name} says {listed}",
+                            part.label,
+                            index.num_records(),
+                        );
+                    }
+                    nucdb::fsck_index(&index, &mut report);
+                }
+                Err(e) => {
+                    part_worst = 2;
+                    eprintln!(
+                        "fsck: {kind}index {} will not open: {e}",
+                        part.index.display()
+                    );
+                }
             }
         }
-        let store_path = db_dir.join(seg.store_file());
-        match nucdb::OnDiskStore::open(&store_path) {
-            Ok(store) => nucdb::fsck_store(&store, &mut report),
-            Err(e) => {
-                unopenable = true;
-                eprintln!(
-                    "fsck: segment store {} will not open: {e}",
-                    store_path.display()
-                );
+        if listed || part.store.exists() {
+            match nucdb::OnDiskStore::open(&part.store) {
+                Ok(store) => nucdb::fsck_store(&store, &mut report),
+                Err(e) => {
+                    part_worst = 2;
+                    eprintln!(
+                        "fsck: {kind}store {} will not open: {e}",
+                        part.store.display()
+                    );
+                }
             }
         }
-        worst = worst.max(report.exit_code());
-        text += &format!("== segment {:06} ({} records) ==\n", seg.id, seg.records);
+        part_worst = part_worst.max(report.exit_code());
+        worst = worst.max(part_worst);
+        if let Some(records) = part.records {
+            text += &format!("== {} ({records} records) ==\n", part.label);
+        }
         text += &report.render_text();
-        seg_values.push(Value::Obj(vec![
-            ("id".to_string(), num(seg.id)),
-            ("report".to_string(), report.to_value()),
-        ]));
+        let mut members: Vec<(String, Value)> = part.key.into_iter().collect();
+        if layout.degrades() {
+            members.push(("exit_code".to_string(), num(part_worst as u64)));
+        }
+        members.push(("report".to_string(), report.to_value()));
+        part_values.push(members);
     }
-    let orphans = manifest.orphans_in(db_dir)?;
+    let orphans = layout.orphans(&db_dir)?;
     if !orphans.is_empty() {
         worst = worst.max(1);
         text += &format!(
@@ -1993,106 +1921,11 @@ fn fsck_live(db_dir: &Path, json: bool) -> Result<i32, Box<dyn Error>> {
         );
     }
 
-    if json {
-        let doc = Value::Obj(vec![
-            ("manifest_version".to_string(), num(manifest.version)),
-            (
-                "orphans".to_string(),
-                Value::Arr(orphans.into_iter().map(Value::Str).collect()),
-            ),
-            ("segments".to_string(), Value::Arr(seg_values)),
-        ]);
-        println!("{}", doc.render());
+    let (header, summary) = layout.fsck_summary(&orphans, worst);
+    if args.flag("json") {
+        println!("{}", layout.doc(summary, part_values).render());
     } else {
-        print!("{text}");
-    }
-    Ok(if unopenable { 2 } else { worst })
-}
-
-/// `nucdb fsck` over a sharded root: verify the SHARDS manifest loads,
-/// walk every shard directory's checksums, and cross-check each shard's
-/// record count against the manifest. The exit code is the *worst*
-/// shard's condition: unreadable manifest or an unopenable shard file →
-/// 2; checksum damage or a record-count disagreement → 1; clean → 0.
-fn fsck_sharded(db_dir: &Path, json: bool) -> Result<i32, Box<dyn Error>> {
-    use nucdb_obs::json::{num, Value};
-
-    let manifest = match nucdb_index::ShardManifest::load(db_dir) {
-        Ok(manifest) => manifest,
-        Err(e) => {
-            eprintln!(
-                "fsck: SHARDS manifest in {} will not load: {e}",
-                db_dir.display()
-            );
-            return Ok(2);
-        }
-    };
-    let mut worst = 0;
-    let mut shard_values = Vec::with_capacity(manifest.shards.len());
-    let mut text = format!(
-        "SHARDS v{}: {} shards, {} records\n",
-        manifest.version,
-        manifest.shards.len(),
-        manifest.total_records(),
-    );
-    for (i, meta) in manifest.shards.iter().enumerate() {
-        let name = nucdb_index::shard_dir_name(i);
-        let dir = db_dir.join(&name);
-        let mut report = nucdb::FsckReport::default();
-        let mut shard_worst = 0;
-        let index_path = dir.join(INDEX_FILE);
-        match OnDiskIndex::open(&index_path) {
-            Ok(index) => {
-                if index.num_records() != meta.records {
-                    shard_worst = shard_worst.max(1);
-                    eprintln!(
-                        "fsck: {} holds {} records but the SHARDS manifest says {}",
-                        name,
-                        index.num_records(),
-                        meta.records
-                    );
-                }
-                nucdb::fsck_index(&index, &mut report);
-            }
-            Err(e) => {
-                shard_worst = 2;
-                eprintln!(
-                    "fsck: shard index {} will not open: {e}",
-                    index_path.display()
-                );
-            }
-        }
-        let store_path = dir.join(STORE_FILE);
-        match nucdb::OnDiskStore::open(&store_path) {
-            Ok(store) => nucdb::fsck_store(&store, &mut report),
-            Err(e) => {
-                shard_worst = 2;
-                eprintln!(
-                    "fsck: shard store {} will not open: {e}",
-                    store_path.display()
-                );
-            }
-        }
-        shard_worst = shard_worst.max(report.exit_code());
-        worst = worst.max(shard_worst);
-        text += &format!("== {} ({} records) ==\n", name, meta.records);
-        text += &report.render_text();
-        shard_values.push(Value::Obj(vec![
-            ("shard".to_string(), Value::Str(name)),
-            ("exit_code".to_string(), num(shard_worst as u64)),
-            ("report".to_string(), report.to_value()),
-        ]));
-    }
-
-    if json {
-        let doc = Value::Obj(vec![
-            ("shard_count".to_string(), num(manifest.shards.len() as u64)),
-            ("exit_code".to_string(), num(worst as u64)),
-            ("shards".to_string(), Value::Arr(shard_values)),
-        ]);
-        println!("{}", doc.render());
-    } else {
-        print!("{text}");
+        print!("{header}{text}");
     }
     Ok(worst)
 }
@@ -2178,13 +2011,20 @@ mod tests {
         .unwrap();
 
         // The merged database answers queries spanning both halves.
-        let db = open_db(&dir.join("ab")).unwrap();
+        let db = Collection::open(&dir.join("ab"), &CollectionOptions::default()).unwrap();
         let a = SequenceStore::read_from(&dir.join("a").join(STORE_FILE)).unwrap();
         let b = SequenceStore::read_from(&dir.join("b").join(STORE_FILE)).unwrap();
         assert_eq!(db.len(), a.len() + b.len());
         for (store, offset) in [(&a, 0u32), (&b, a.len() as u32)] {
             let probe = store.sequence(3).unwrap();
-            let outcome = db.search(&probe, &SearchParams::default()).unwrap();
+            let outcome = db
+                .search_with_id(
+                    &probe,
+                    &SearchParams::default(),
+                    &mut CoarseScratch::new(),
+                    None,
+                )
+                .unwrap();
             assert_eq!(outcome.results[0].record, 3 + offset);
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -2299,6 +2139,31 @@ mod tests {
         .unwrap();
         let json = std::fs::read_to_string(&metrics_json).unwrap();
         assert!(json.contains("nucdb_query_latency_ns"));
+
+        // The same collection as a sharded root goes through the same
+        // commands; `--explain` is refused up front, as a usage error.
+        let root = dir.join("root");
+        let (root_arg, out) = (root.to_str().unwrap(), dir.join("stat"));
+        let (fasta, queries) = (fasta.to_str().unwrap(), queries.to_str().unwrap());
+        build(&s(&[
+            "--collection",
+            fasta,
+            "--db",
+            root_arg,
+            "--shards",
+            "2",
+        ]))
+        .unwrap();
+        search(&s(&["--db", root_arg, "--query", queries, "--tabular"])).unwrap();
+        let err = search(&s(&["--db", root_arg, "--query", queries, "--explain"])).unwrap_err();
+        let usage = err.downcast_ref::<UsageError>().expect("a usage error");
+        assert!(usage.0.contains("explain"), "{usage}");
+        stat(&s(&["--db", root_arg, "--out", out.to_str().unwrap()])).unwrap();
+        let doc = std::fs::read_to_string(out.join("STAT.json")).unwrap();
+        assert!(doc.contains("\"shard_count\":2") && doc.contains("\"record_base\""));
+        assert_eq!(fsck(&s(&["--db", root_arg])).unwrap(), 0);
+        std::fs::remove_file(root.join("shard-001").join(STORE_FILE)).unwrap();
+        assert_eq!(fsck(&s(&["--db", root_arg])).unwrap(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -13,7 +13,14 @@ fn main() {
         .filter(|hash| !hash.is_empty())
         .unwrap_or_else(|| "unknown".to_string());
     println!("cargo:rustc-env=NUCDB_GIT_HASH={hash}");
-    // Re-embed when the checked-out commit moves.
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
-    println!("cargo:rerun-if-changed=../../.git/refs");
+    // Re-embed when the checked-out commit moves. Outside a checkout
+    // (a tarball, the benchmark's copied tree) the watched paths do not
+    // exist, and cargo treats a missing watched path as always dirty —
+    // rebuilding this crate and its dependents on every invocation.
+    if std::path::Path::new("../../.git").exists() {
+        println!("cargo:rerun-if-changed=../../.git/HEAD");
+        println!("cargo:rerun-if-changed=../../.git/refs");
+    } else {
+        println!("cargo:rerun-if-changed=build.rs");
+    }
 }

@@ -19,8 +19,7 @@
 //! banded alignment of fine search.
 
 use nucdb_index::{
-    CompressedIndex, FetchStats, Granularity, IndexError, IndexParams, OnDiskIndex, PostingsList,
-    PostingsVisitor,
+    CompressedIndex, FetchStats, Granularity, IndexError, IndexParams, OnDiskIndex, PostingsVisitor,
 };
 use nucdb_seq::Base;
 
@@ -41,11 +40,10 @@ const MAX_SKIP_SCAN_GROUPS: usize = 64;
 /// Anything coarse search can fetch postings from (in-memory index,
 /// on-disk index, or the engine's variant wrapper).
 ///
-/// The streaming methods (`fetch_with`, `fetch_counts_with`) are what the
-/// hot path calls: they drive a visitor per posting instead of
-/// materialising nested lists, reusing `io_buf` for the raw list bytes.
-/// Their default impls are backed by the materialising methods, so
-/// third-party sources keep compiling (and working) unchanged.
+/// Fetching is visitor-driven: a source calls
+/// [`PostingsVisitor::visit`] per posting instead of materialising
+/// nested lists, reusing `io_buf` for the raw list bytes, and lets the
+/// visitor veto whole blocks via [`PostingsVisitor::skip_block`].
 pub trait PostingsSource {
     /// Number of records the index covers.
     fn num_records(&self) -> u32;
@@ -55,92 +53,28 @@ pub trait PostingsSource {
     /// The index parameters (interval length, stride, stopping,
     /// granularity).
     fn index_params(&self) -> &IndexParams;
-    /// Fetch the postings list for an interval code (offset granularity
-    /// only).
-    fn fetch(&self, code: u64) -> Result<Option<PostingsList>, IndexError>;
-    /// Fetch `(record, count)` pairs for an interval code (either
-    /// granularity).
-    fn fetch_counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError>;
-
-    /// Streaming fetch: call `visit(record, offset)` for every posting of
-    /// `code`, in record order with offsets ascending per record, reusing
-    /// `io_buf` as the raw-bytes scratch. Returns the list's `df`
-    /// (`Ok(None)` if the interval is absent).
-    fn fetch_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        let _ = io_buf;
-        match self.fetch(code)? {
-            None => Ok(None),
-            Some(list) => {
-                let df = list.df() as u32;
-                for posting in &list.entries {
-                    for &offset in &posting.offsets {
-                        visit(posting.record, offset);
-                    }
-                }
-                Ok(Some(df))
-            }
-        }
-    }
-
-    /// Streaming counts fetch: call `visit(record, count)` per entry of
-    /// `code`'s list (either granularity). Returns the list's `df`
-    /// (`Ok(None)` if the interval is absent).
-    fn fetch_counts_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        let _ = io_buf;
-        match self.fetch_counts(code)? {
-            None => Ok(None),
-            Some(counts) => {
-                let df = counts.len() as u32;
-                for (record, count) in counts {
-                    visit(record, count);
-                }
-                Ok(Some(df))
-            }
-        }
-    }
 
     /// The largest per-record offset count in `code`'s list, when the
     /// source stores that hint (block-codec indexes do). `None` means
     /// "no hint available" and disables hopeless-block skipping for the
     /// whole query; an absent code reports `Some(0)`.
-    fn list_max_count(&self, code: u64) -> Option<u32> {
-        let _ = code;
-        None
-    }
+    fn list_max_count(&self, code: u64) -> Option<u32>;
 
-    /// Visitor-driven fetch with work accounting: like [`fetch_with`],
-    /// but the visitor may also veto whole blocks via
-    /// [`PostingsVisitor::skip_block`], and the return carries
-    /// [`FetchStats`] (bytes read, ids decoded, blocks decoded/skipped)
-    /// instead of a bare `df`. The default wraps [`fetch_with`]: no
-    /// skipping, plain stats.
-    ///
-    /// [`fetch_with`]: PostingsSource::fetch_with
+    /// Streaming fetch (offset granularity only): `visit(record, offset)`
+    /// for every posting of `code`, in record order with offsets
+    /// ascending per record. Returns the list's [`FetchStats`] (df, bytes
+    /// read, ids decoded, blocks decoded/skipped), or `Ok(None)` if the
+    /// interval is absent.
     fn fetch_stream(
         &self,
         code: u64,
         io_buf: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        Ok(self
-            .fetch_with(code, io_buf, &mut |record, offset| {
-                visitor.visit(record, offset)
-            })?
-            .map(FetchStats::plain))
-    }
+    ) -> Result<Option<FetchStats>, IndexError>;
 
-    /// Counts-mode companion of [`fetch_stream`]: `visit(record, count)`
-    /// per entry, with the same skip hook and stats.
+    /// Counts-mode companion of [`fetch_stream`] (either granularity):
+    /// `visit(record, count)` per entry, with the same skip hook and
+    /// stats.
     ///
     /// [`fetch_stream`]: PostingsSource::fetch_stream
     fn fetch_counts_stream(
@@ -148,63 +82,20 @@ pub trait PostingsSource {
         code: u64,
         io_buf: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        Ok(self
-            .fetch_counts_with(code, io_buf, &mut |record, count| {
-                visitor.visit(record, count)
-            })?
-            .map(FetchStats::plain))
-    }
+    ) -> Result<Option<FetchStats>, IndexError>;
 }
 
-/// Implement the forwarding boilerplate of [`PostingsSource`] for a
-/// concrete index type; the caller supplies only the two streaming
-/// methods (which differ in whether the type wants the I/O buffer).
-macro_rules! forward_postings_source {
-    ($ty:ty { $($streaming:item)* }) => {
-        impl PostingsSource for $ty {
-            fn num_records(&self) -> u32 {
-                <$ty>::num_records(self)
-            }
-
-            fn record_lens(&self) -> &[u32] {
-                <$ty>::record_lens(self)
-            }
-
-            fn index_params(&self) -> &IndexParams {
-                self.params()
-            }
-
-            fn fetch(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
-                self.postings(code)
-            }
-
-            fn fetch_counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError> {
-                self.counts(code)
-            }
-
-            $($streaming)*
-        }
-    };
-}
-
-forward_postings_source!(CompressedIndex {
-    fn fetch_with(
-        &self,
-        code: u64,
-        _io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        self.postings_with(code, visit)
+impl PostingsSource for CompressedIndex {
+    fn num_records(&self) -> u32 {
+        CompressedIndex::num_records(self)
     }
 
-    fn fetch_counts_with(
-        &self,
-        code: u64,
-        _io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        self.counts_with(code, visit)
+    fn record_lens(&self) -> &[u32] {
+        CompressedIndex::record_lens(self)
+    }
+
+    fn index_params(&self) -> &IndexParams {
+        self.params()
     }
 
     fn list_max_count(&self, code: u64) -> Option<u32> {
@@ -228,25 +119,19 @@ forward_postings_source!(CompressedIndex {
     ) -> Result<Option<FetchStats>, IndexError> {
         self.counts_stream(code, visitor)
     }
-});
+}
 
-forward_postings_source!(OnDiskIndex {
-    fn fetch_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        self.postings_with(code, io_buf, visit)
+impl PostingsSource for OnDiskIndex {
+    fn num_records(&self) -> u32 {
+        OnDiskIndex::num_records(self)
     }
 
-    fn fetch_counts_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        self.counts_with(code, io_buf, visit)
+    fn record_lens(&self) -> &[u32] {
+        OnDiskIndex::record_lens(self)
+    }
+
+    fn index_params(&self) -> &IndexParams {
+        self.params()
     }
 
     fn list_max_count(&self, code: u64) -> Option<u32> {
@@ -270,7 +155,7 @@ forward_postings_source!(OnDiskIndex {
     ) -> Result<Option<FetchStats>, IndexError> {
         self.counts_stream(code, io_buf, visitor)
     }
-});
+}
 
 /// Coarse ranking scheme.
 #[derive(Debug, Clone, Copy, PartialEq)]

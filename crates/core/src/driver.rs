@@ -1,0 +1,394 @@
+//! The query driver: the paper's one algorithm — coarse-rank the
+//! interval index, fine-align the top C, merge strands — written once.
+//!
+//! A [`Backend`] is a place that algorithm runs: a single
+//! [`Database`](crate::Database) (memory, disk, or segmented), or a
+//! [`ShardSet`](crate::ShardSet) that fans each phase out and merges the
+//! per-shard answers back into joint order. The driver owns everything
+//! that is not the two phases themselves: the strand loop, cost
+//! counters, explain-plan and span collection, the strand merge, result
+//! assembly, metrics, trace emission, and flight-recorder capture
+//! (including failed queries). It is generic and monomorphised, so a
+//! `Database` query compiles to the same code it always was.
+
+use std::time::Instant;
+
+use nucdb_index::{Granularity, IndexError};
+use nucdb_obs::{CaptureReason, QueryTrace, SpanNode};
+use nucdb_seq::{Base, DnaSeq};
+
+use crate::coarse::{CoarseHit, CoarseOutcome};
+use crate::engine::{QueryStats, SearchOutcome, SearchResult};
+use crate::explain::{
+    fine_mode_name, ranking_name, CandidateExplain, CoarseExplain, ExplainPlan, SegmentExplain,
+    StrandExplain,
+};
+use crate::fine::{CandidateTiming, FineMode, FineResult};
+use crate::metrics::SearchMetrics;
+use crate::params::{SearchParams, Strand};
+
+/// Cap on per-candidate child spans under a `fine` span, so one query
+/// with a huge candidate list cannot bloat a trace (and therefore the
+/// flight recorder's memory bound). The slowest candidates are kept.
+const MAX_CANDIDATE_SPANS: usize = 8;
+
+/// Fine results of every strand searched, each tagged with its strand:
+/// the strand merge's input.
+pub(crate) type Merged = Vec<(Strand, FineResult)>;
+
+/// The two phases of partitioned search, plus what the driver needs to
+/// turn their output into an answer. Record ids crossing this boundary
+/// are always *global* (collection-wide).
+pub(crate) trait Backend {
+    /// Per-query mutable state threaded through both phases.
+    type State;
+
+    /// Can [`Backend::coarse`] fill in an explain plan? When `false` the
+    /// driver never asks for one (tail sampling included).
+    const EXPLAINS: bool;
+
+    /// Observability handles queries record into.
+    fn metrics(&self) -> &SearchMetrics;
+
+    /// Postings granularity of the index (decides the fine-mode fallback).
+    fn granularity(&self) -> Granularity;
+
+    /// Per-part rows for explain plans.
+    fn segment_rows(&self) -> Vec<SegmentExplain> {
+        Vec::new()
+    }
+
+    /// Coarse-rank one strand orientation of the query: the top-C
+    /// candidates in `(score desc, record asc)` order plus work counters.
+    fn coarse(
+        &self,
+        state: &mut Self::State,
+        query_bases: &[Base],
+        params: &SearchParams,
+        explain: Option<&mut CoarseExplain>,
+    ) -> Result<CoarseOutcome, IndexError>;
+
+    /// Fine-align `candidates` against `query` (already oriented). Order
+    /// of the returned results is irrelevant: the strand merge sorts.
+    fn fine(
+        &self,
+        state: &mut Self::State,
+        query: &DnaSeq,
+        candidates: &[CoarseHit],
+        mode: FineMode,
+        params: &SearchParams,
+        timings: Option<&mut Vec<CandidateTiming>>,
+    ) -> Result<Vec<FineResult>, IndexError>;
+
+    /// External identifier of a record.
+    fn record_id(&self, record: u32) -> String;
+
+    /// Last word before the strand merge: a backend may drop results
+    /// (a shard that failed any phase contributes nothing) or fail the
+    /// query. A returned note marks the answer as partial; the flight
+    /// recorder files such a query with the errors.
+    fn finish(
+        &self,
+        _state: &mut Self::State,
+        _merged: &mut Merged,
+    ) -> Result<Option<String>, IndexError> {
+        Ok(None)
+    }
+}
+
+/// What one query accumulates besides its results.
+struct Capture {
+    query_start: Instant,
+    stats: QueryStats,
+    /// `Some` when the flight recorder or the stride sink wants spans.
+    spans: Option<Vec<SpanNode>>,
+    /// `Some` when an explain plan is being collected.
+    strand_plans: Option<Vec<StrandExplain>>,
+}
+
+/// Evaluate one query on `backend`. A query that trips over on-disk
+/// corruption fails with a typed error and increments
+/// `nucdb_io_corruption_total`; the backend itself stays healthy.
+pub(crate) fn run_query<B: Backend>(
+    backend: &B,
+    state: &mut B::State,
+    query: &DnaSeq,
+    params: &SearchParams,
+    request_id: Option<&str>,
+) -> Result<SearchOutcome, IndexError> {
+    let metrics = backend.metrics();
+    // Decide capture up front: the flight recorder sees every query,
+    // the stride sink its 1-in-K sample. Either one wants spans.
+    let stride_sample = metrics.trace.should_sample();
+    let capture = metrics.forensics.is_enabled() || stride_sample;
+    // Collect an explain plan when asked, and also while tail
+    // sampling is armed — a slow query is only known to be slow after
+    // it finishes, so its explanation must already exist.
+    let tail_armed = metrics
+        .forensics
+        .slow_threshold_ns()
+        .is_some_and(|t| t < u64::MAX);
+    let want_plan = params.explain || (tail_armed && B::EXPLAINS);
+
+    // Deterministic latency injection for tail-sampler tests; only a
+    // sleep, so results are bit-identical with or without it.
+    let inject_ns = metrics.forensics.inject_delay_ns();
+    if inject_ns > 0 {
+        std::thread::sleep(std::time::Duration::from_nanos(inject_ns));
+    }
+
+    let mut cap = Capture {
+        query_start: Instant::now(),
+        stats: QueryStats::default(),
+        spans: capture.then(Vec::new),
+        strand_plans: want_plan.then(Vec::new),
+    };
+    let strands = (|| -> Result<(Merged, Option<String>), IndexError> {
+        let mut merged = Merged::new();
+        for strand in [Strand::Forward, Strand::Reverse] {
+            if params.strand != strand && params.strand != Strand::Both {
+                continue;
+            }
+            let reversed;
+            let oriented = if strand == Strand::Reverse {
+                reversed = query.reverse_complement();
+                &reversed
+            } else {
+                query
+            };
+            let fine = search_strand(backend, state, oriented, params, strand, &mut cap)?;
+            merged.extend(fine.into_iter().map(|r| (strand, r)));
+        }
+        let partial = backend.finish(state, &mut merged)?;
+        Ok((merged, partial))
+    })();
+    let Capture {
+        query_start,
+        mut stats,
+        spans,
+        strand_plans,
+    } = cap;
+    let (mut merged, partial) = match strands {
+        Ok(done) => done,
+        Err(e) => {
+            if e.is_corruption() {
+                metrics.io_corruption.inc();
+            }
+            // Tail sampling: failed queries are always captured, with
+            // whatever spans completed before the failure.
+            if metrics.forensics.is_enabled() {
+                let total_ns = query_start.elapsed().as_nanos() as u64;
+                let mut root = SpanNode::new("query", 0, total_ns);
+                root.children = spans.unwrap_or_default();
+                metrics.forensics.observe(QueryTrace {
+                    request_id: request_id.unwrap_or("").to_string(),
+                    total_ns,
+                    results: 0,
+                    error: Some(e.to_string()),
+                    root,
+                    plan: None,
+                });
+            }
+            return Err(e);
+        }
+    };
+
+    // Per record, keep the better strand.
+    let merge_start = Instant::now();
+    merged.sort_by(|(_, a), (_, b)| a.record.cmp(&b.record).then(b.score.cmp(&a.score)));
+    merged.dedup_by_key(|(_, r)| r.record);
+    merged.sort_by(|(_, a), (_, b)| b.score.cmp(&a.score).then(a.record.cmp(&b.record)));
+
+    let results: Vec<SearchResult> = merged
+        .into_iter()
+        .take(params.max_results)
+        .map(|(strand, r)| SearchResult {
+            record: r.record,
+            id: backend.record_id(r.record),
+            score: r.score,
+            coarse_score: r.coarse.score,
+            coarse_hits: r.coarse.hits,
+            strand,
+            alignment: r.alignment,
+        })
+        .collect();
+    stats.merge_nanos = merge_start.elapsed().as_nanos() as u64;
+    let merge_offset = merge_start.duration_since(query_start).as_nanos() as u64;
+    let total_nanos = query_start.elapsed().as_nanos() as u64;
+
+    let plan = strand_plans.map(|strands| ExplainPlan {
+        query_len: query.len(),
+        ranking: ranking_name(params.ranking),
+        max_candidates: params.max_candidates,
+        min_score: params.min_score,
+        segments: backend.segment_rows(),
+        strands,
+        results: results.len(),
+    });
+
+    if metrics.is_enabled() {
+        metrics.record_query(&stats, total_nanos);
+    }
+    if let Some(spans) = spans {
+        let mut root = SpanNode::new("query", 0, total_nanos);
+        root.children = spans;
+        root.children.push(
+            SpanNode::new("strand_merge", merge_offset, stats.merge_nanos)
+                .counter("results", results.len() as u64),
+        );
+        if stride_sample {
+            metrics.trace.emit(&metrics.trace_event(
+                &stats,
+                &results,
+                total_nanos,
+                request_id,
+                Some(&root),
+            ));
+        }
+        let trace = QueryTrace {
+            request_id: request_id.unwrap_or("").to_string(),
+            total_ns: total_nanos,
+            results: results.len() as u64,
+            error: partial,
+            root,
+            plan: plan.as_ref().map(ExplainPlan::to_value),
+        };
+        if metrics.forensics.observe(trace) == CaptureReason::Slow {
+            metrics.slow_queries.inc();
+        }
+    }
+
+    Ok(SearchOutcome {
+        results,
+        stats,
+        explain: params.explain.then_some(plan).flatten(),
+        coverage: None,
+    })
+}
+
+/// Run coarse + fine for one strand orientation of the query,
+/// accumulating cost counters into `cap.stats`. When spans are being
+/// captured, a `coarse` span (children `extract`/`accumulate`/`rank`)
+/// and a `fine` span (children: the slowest candidates) are appended,
+/// each carrying its work counters.
+fn search_strand<B: Backend>(
+    backend: &B,
+    state: &mut B::State,
+    query: &DnaSeq,
+    params: &SearchParams,
+    strand: Strand,
+    cap: &mut Capture,
+) -> Result<Vec<FineResult>, IndexError> {
+    let stats = &mut cap.stats;
+    let query_bases = query.representative_bases();
+    let mut coarse_explain = cap.strand_plans.is_some().then(CoarseExplain::default);
+    let coarse_offset = cap.query_start.elapsed().as_nanos() as u64;
+    let coarse_start = Instant::now();
+    let coarse = backend.coarse(state, &query_bases, params, coarse_explain.as_mut())?;
+    let coarse_nanos = coarse_start.elapsed().as_nanos() as u64;
+    stats.coarse_nanos += coarse_nanos;
+    stats.extract_nanos += coarse.extract_nanos;
+    stats.accumulate_nanos += coarse.accumulate_nanos;
+    stats.rank_nanos += coarse.rank_nanos;
+    stats.intervals_looked_up += coarse.intervals_looked_up;
+    stats.lists_fetched += coarse.lists_fetched;
+    stats.postings_decoded += coarse.postings_decoded;
+    stats.postings_bytes_read += coarse.postings_bytes_read;
+    stats.blocks_decoded += coarse.blocks_decoded;
+    stats.blocks_skipped += coarse.blocks_skipped;
+    stats.total_hits += coarse.total_hits;
+    stats.candidates += coarse.candidates.len() as u64;
+    stats.fine_alignments += coarse.candidates.len() as u64;
+
+    // A record-granularity index reports no diagonals, so banded
+    // fine alignment has nothing to centre on: fall back to full
+    // local alignment (score-only) for correctness.
+    let fine_mode = if backend.granularity() == Granularity::Records
+        && matches!(params.fine, FineMode::Banded { .. })
+    {
+        FineMode::Full
+    } else {
+        params.fine
+    };
+
+    let fine_offset = cap.query_start.elapsed().as_nanos() as u64;
+    let fine_start = Instant::now();
+    let mut timings: Vec<CandidateTiming> = Vec::new();
+    let fine = backend.fine(
+        state,
+        query,
+        &coarse.candidates,
+        fine_mode,
+        params,
+        (cap.spans.is_some() || cap.strand_plans.is_some()).then_some(&mut timings),
+    );
+    let fine_nanos = fine_start.elapsed().as_nanos() as u64;
+    stats.fine_nanos += fine_nanos;
+
+    // The explain candidates want alignment order; take them before
+    // the span builder below re-sorts `timings` by duration.
+    if let (Some(strands), Some(coarse_explain)) = (&mut cap.strand_plans, coarse_explain) {
+        strands.push(StrandExplain {
+            strand,
+            coarse: coarse_explain,
+            fine_mode: fine_mode_name(fine_mode),
+            candidates: timings
+                .iter()
+                .map(|t| CandidateExplain {
+                    record: t.record,
+                    score: t.score,
+                    nanos: t.nanos,
+                    kept: t.score >= params.min_score,
+                })
+                .collect(),
+        });
+    }
+
+    if let Some(spans) = &mut cap.spans {
+        let strand_idx = u64::from(strand == Strand::Reverse);
+        spans.push(
+            SpanNode::new("coarse", coarse_offset, coarse_nanos)
+                .counter("@strand", strand_idx)
+                .child(
+                    SpanNode::new("extract", coarse_offset, coarse.extract_nanos)
+                        .counter("intervals_looked_up", coarse.intervals_looked_up),
+                )
+                .child(
+                    SpanNode::new(
+                        "accumulate",
+                        coarse_offset + coarse.extract_nanos,
+                        coarse.accumulate_nanos,
+                    )
+                    .counter("lists_fetched", coarse.lists_fetched)
+                    .counter("ids_decoded", coarse.postings_decoded)
+                    .counter("postings_bytes_read", coarse.postings_bytes_read)
+                    .counter("blocks_decoded", coarse.blocks_decoded)
+                    .counter("blocks_skipped", coarse.blocks_skipped)
+                    .counter("hits", coarse.total_hits),
+                )
+                .child(
+                    SpanNode::new(
+                        "rank",
+                        coarse_offset + coarse.extract_nanos + coarse.accumulate_nanos,
+                        coarse.rank_nanos,
+                    )
+                    .counter("candidates", coarse.candidates.len() as u64),
+                ),
+        );
+
+        let mut fine_span = SpanNode::new("fine", fine_offset, fine_nanos)
+            .counter("@strand", strand_idx)
+            .counter("alignments", coarse.candidates.len() as u64);
+        // Keep only the slowest candidates so trace size stays bounded.
+        timings.sort_by(|a, b| b.nanos.cmp(&a.nanos).then(a.record.cmp(&b.record)));
+        for t in timings.iter().take(MAX_CANDIDATE_SPANS) {
+            fine_span = fine_span.child(
+                SpanNode::new("candidate", fine_offset + t.start_ns, t.nanos)
+                    .counter("@record", t.record as u64)
+                    .counter("@score", t.score.max(0) as u64),
+            );
+        }
+        spans.push(fine_span);
+    }
+    fine
+}

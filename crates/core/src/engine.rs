@@ -2,24 +2,23 @@
 //! query evaluation.
 
 use std::path::Path;
-use std::time::Instant;
 
 use nucdb_align::Alignment;
 use nucdb_index::{
     CompressedIndex, FetchStats, IndexBuilder, IndexError, IndexParams, ListCodec, OnDiskIndex,
-    PostingsList, PostingsVisitor,
+    PostingsVisitor,
 };
 use nucdb_seq::DnaSeq;
 
-use nucdb_obs::{CaptureReason, Forensics, MetricsRegistry, QueryTrace, SpanNode, TraceSink};
+use nucdb_obs::{Forensics, MetricsRegistry, TraceSink};
 
-use crate::coarse::{coarse_rank_explain, CoarseScratch, PostingsSource};
-use crate::explain::{
-    fine_mode_name, ranking_name, CandidateExplain, CoarseExplain, ExplainPlan, StrandExplain,
-};
-use crate::fine::{fine_search_traced, CandidateTiming, FineResult};
+use crate::coarse::{coarse_rank_explain, CoarseHit, CoarseOutcome, CoarseScratch, PostingsSource};
+use crate::driver::{self, Backend};
+use crate::explain::{CoarseExplain, ExplainPlan};
+use crate::fine::{fine_search_traced, CandidateTiming, FineMode, FineResult};
 use crate::metrics::SearchMetrics;
 use crate::params::{SearchParams, Strand};
+use crate::shard::ShardCoverage;
 use crate::store::{OnDiskStore, RecordSource, SequenceStore, StorageMode, StoreVariant};
 
 /// Build-time configuration of a database.
@@ -75,48 +74,6 @@ impl PostingsSource for IndexVariant {
             IndexVariant::Memory(i) => i.params(),
             IndexVariant::Disk(i) => i.params(),
             IndexVariant::Segmented(i) => i.index_params(),
-        }
-    }
-
-    fn fetch(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
-        match self {
-            IndexVariant::Memory(i) => i.postings(code),
-            IndexVariant::Disk(i) => i.postings(code),
-            IndexVariant::Segmented(i) => i.fetch(code),
-        }
-    }
-
-    fn fetch_counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError> {
-        match self {
-            IndexVariant::Memory(i) => i.counts(code),
-            IndexVariant::Disk(i) => i.counts(code),
-            IndexVariant::Segmented(i) => i.fetch_counts(code),
-        }
-    }
-
-    fn fetch_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        match self {
-            IndexVariant::Memory(i) => i.postings_with(code, visit),
-            IndexVariant::Disk(i) => i.postings_with(code, io_buf, visit),
-            IndexVariant::Segmented(i) => i.fetch_with(code, io_buf, visit),
-        }
-    }
-
-    fn fetch_counts_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        match self {
-            IndexVariant::Memory(i) => i.counts_with(code, visit),
-            IndexVariant::Disk(i) => i.counts_with(code, io_buf, visit),
-            IndexVariant::Segmented(i) => i.fetch_counts_with(code, io_buf, visit),
         }
     }
 
@@ -222,12 +179,11 @@ pub struct SearchOutcome {
     /// are passive observers: `results` and `stats` are bit-identical
     /// with or without one.
     pub explain: Option<ExplainPlan>,
+    /// Which shards answered, when the query ran over a
+    /// [`ShardSet`](crate::ShardSet) behind a
+    /// [`Collection`](crate::Collection); `None` for a single database.
+    pub coverage: Option<ShardCoverage>,
 }
-
-/// Cap on per-candidate child spans under a `fine` span, so one query
-/// with a huge candidate list cannot bloat a trace (and therefore the
-/// flight recorder's memory bound). The slowest candidates are kept.
-const MAX_CANDIDATE_SPANS: usize = 8;
 
 /// Adapt a store-layer error to the engine's error type. Checksum
 /// mismatches map variant-to-variant (so callers see one corruption type
@@ -381,8 +337,7 @@ impl Database {
     /// Attach a sampled trace sink; subsequent queries emit JSONL events
     /// through it. Works with or without a bound metrics registry.
     pub fn set_trace(&mut self, trace: TraceSink) {
-        trace.bind_dropped(self.metrics.trace_dropped.clone());
-        self.metrics.trace = trace;
+        self.metrics = std::mem::take(&mut self.metrics).with_trace(trace);
     }
 
     /// Attach a query-forensics handle (flight recorder + tail
@@ -391,10 +346,7 @@ impl Database {
     /// bound metrics registry; like the other observability setters this
     /// is `&mut self` — configure before sharing the database.
     pub fn set_forensics(&mut self, forensics: Forensics) {
-        let slow_log = forensics.slow_log();
-        slow_log.bind_dropped(self.metrics.slow_log_dropped.clone());
-        slow_log.bind_rotations(self.metrics.slow_log_rotations.clone());
-        self.metrics.forensics = forensics;
+        self.metrics = std::mem::take(&mut self.metrics).with_forensics(forensics);
     }
 
     /// The forensics handle bound to this database (disabled by default).
@@ -434,148 +386,6 @@ impl Database {
     /// Is the database empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Run coarse + fine for one strand orientation of the query,
-    /// accumulating cost counters into `stats`. When `spans` is given,
-    /// a `coarse` span (children `extract`/`accumulate`/`rank`) and a
-    /// `fine` span (children: the slowest candidates) are appended, each
-    /// carrying its work counters; `query_start` anchors their offsets.
-    #[allow(clippy::too_many_arguments)]
-    fn search_strand(
-        &self,
-        query: &DnaSeq,
-        params: &SearchParams,
-        scratch: &mut CoarseScratch,
-        stats: &mut QueryStats,
-        query_start: Instant,
-        strand_idx: u64,
-        spans: Option<&mut Vec<SpanNode>>,
-        explain: Option<&mut Vec<StrandExplain>>,
-    ) -> Result<Vec<FineResult>, IndexError> {
-        let query_bases = query.representative_bases();
-        let mut coarse_explain = explain.is_some().then(CoarseExplain::default);
-        let coarse_offset = query_start.elapsed().as_nanos() as u64;
-        let coarse_start = Instant::now();
-        let coarse = coarse_rank_explain(
-            &self.index,
-            &query_bases,
-            params,
-            scratch,
-            coarse_explain.as_mut(),
-        )?;
-        let coarse_nanos = coarse_start.elapsed().as_nanos() as u64;
-        stats.coarse_nanos += coarse_nanos;
-        stats.extract_nanos += coarse.extract_nanos;
-        stats.accumulate_nanos += coarse.accumulate_nanos;
-        stats.rank_nanos += coarse.rank_nanos;
-        stats.intervals_looked_up += coarse.intervals_looked_up;
-        stats.lists_fetched += coarse.lists_fetched;
-        stats.postings_decoded += coarse.postings_decoded;
-        stats.postings_bytes_read += coarse.postings_bytes_read;
-        stats.blocks_decoded += coarse.blocks_decoded;
-        stats.blocks_skipped += coarse.blocks_skipped;
-        stats.total_hits += coarse.total_hits;
-        stats.candidates += coarse.candidates.len() as u64;
-        stats.fine_alignments += coarse.candidates.len() as u64;
-
-        // A record-granularity index reports no diagonals, so banded
-        // fine alignment has nothing to centre on: fall back to full
-        // local alignment (score-only) for correctness.
-        let fine_mode = if self.index.index_params().granularity
-            == nucdb_index::Granularity::Records
-            && matches!(params.fine, crate::fine::FineMode::Banded { .. })
-        {
-            crate::fine::FineMode::Full
-        } else {
-            params.fine
-        };
-
-        let fine_offset = query_start.elapsed().as_nanos() as u64;
-        let fine_start = Instant::now();
-        let mut timings: Vec<CandidateTiming> = Vec::new();
-        let fine = fine_search_traced(
-            &self.store,
-            query,
-            &coarse.candidates,
-            fine_mode,
-            &params.scheme,
-            params.min_score,
-            (spans.is_some() || explain.is_some()).then_some(&mut timings),
-        )
-        .map_err(io_err);
-        let fine_nanos = fine_start.elapsed().as_nanos() as u64;
-        stats.fine_nanos += fine_nanos;
-
-        // The explain candidates want alignment order; take them before
-        // the span builder below re-sorts `timings` by duration.
-        if let (Some(strands), Some(coarse_explain)) = (explain, coarse_explain) {
-            strands.push(StrandExplain {
-                strand: if strand_idx == 0 {
-                    Strand::Forward
-                } else {
-                    Strand::Reverse
-                },
-                coarse: coarse_explain,
-                fine_mode: fine_mode_name(fine_mode),
-                candidates: timings
-                    .iter()
-                    .map(|t| CandidateExplain {
-                        record: t.record,
-                        score: t.score,
-                        nanos: t.nanos,
-                        kept: t.score >= params.min_score,
-                    })
-                    .collect(),
-            });
-        }
-
-        if let Some(spans) = spans {
-            spans.push(
-                SpanNode::new("coarse", coarse_offset, coarse_nanos)
-                    .counter("@strand", strand_idx)
-                    .child(
-                        SpanNode::new("extract", coarse_offset, coarse.extract_nanos)
-                            .counter("intervals_looked_up", coarse.intervals_looked_up),
-                    )
-                    .child(
-                        SpanNode::new(
-                            "accumulate",
-                            coarse_offset + coarse.extract_nanos,
-                            coarse.accumulate_nanos,
-                        )
-                        .counter("lists_fetched", coarse.lists_fetched)
-                        .counter("ids_decoded", coarse.postings_decoded)
-                        .counter("postings_bytes_read", coarse.postings_bytes_read)
-                        .counter("blocks_decoded", coarse.blocks_decoded)
-                        .counter("blocks_skipped", coarse.blocks_skipped)
-                        .counter("hits", coarse.total_hits),
-                    )
-                    .child(
-                        SpanNode::new(
-                            "rank",
-                            coarse_offset + coarse.extract_nanos + coarse.accumulate_nanos,
-                            coarse.rank_nanos,
-                        )
-                        .counter("candidates", coarse.candidates.len() as u64),
-                    ),
-            );
-
-            let mut fine_span = SpanNode::new("fine", fine_offset, fine_nanos)
-                .counter("@strand", strand_idx)
-                .counter("alignments", coarse.candidates.len() as u64);
-            // Keep only the slowest candidates so trace size stays bounded.
-            timings.sort_by(|a, b| b.nanos.cmp(&a.nanos).then(a.record.cmp(&b.record)));
-            for t in timings.iter().take(MAX_CANDIDATE_SPANS) {
-                fine_span = fine_span.child(
-                    SpanNode::new("candidate", fine_offset + t.start_ns, t.nanos)
-                        .counter("@record", t.record as u64)
-                        .counter("@score", t.score.max(0) as u64),
-                );
-            }
-            spans.push(fine_span);
-        }
-        fine
     }
 
     /// Evaluate a query with partitioned search: coarse index ranking,
@@ -622,186 +432,7 @@ impl Database {
         scratch: &mut CoarseScratch,
         request_id: Option<&str>,
     ) -> Result<SearchOutcome, IndexError> {
-        let outcome = self.search_attempt(query, params, scratch, request_id);
-        if let Err(e) = &outcome {
-            if e.is_corruption() {
-                self.metrics.io_corruption.inc();
-            }
-        }
-        outcome
-    }
-
-    fn search_attempt(
-        &self,
-        query: &DnaSeq,
-        params: &SearchParams,
-        scratch: &mut CoarseScratch,
-        request_id: Option<&str>,
-    ) -> Result<SearchOutcome, IndexError> {
-        // Decide capture up front: the flight recorder sees every query,
-        // the stride sink its 1-in-K sample. Either one wants spans.
-        let stride_sample = self.metrics.trace.should_sample();
-        let capture = self.metrics.forensics.is_enabled() || stride_sample;
-        // Collect an explain plan when asked, and also while tail
-        // sampling is armed — a slow query is only known to be slow after
-        // it finishes, so its explanation must already exist.
-        let tail_armed = self
-            .metrics
-            .forensics
-            .slow_threshold_ns()
-            .is_some_and(|t| t < u64::MAX);
-        let want_plan = params.explain || tail_armed;
-        let mut strand_plans: Vec<StrandExplain> = Vec::new();
-
-        // Deterministic latency injection for tail-sampler tests; only a
-        // sleep, so results are bit-identical with or without it.
-        let inject_ns = self.metrics.forensics.inject_delay_ns();
-        if inject_ns > 0 {
-            std::thread::sleep(std::time::Duration::from_nanos(inject_ns));
-        }
-
-        let query_start = Instant::now();
-        let mut stats = QueryStats::default();
-        let mut spans: Vec<SpanNode> = Vec::new();
-
-        let strands = (|| -> Result<Vec<(Strand, FineResult)>, IndexError> {
-            let mut merged: Vec<(Strand, FineResult)> = Vec::new();
-            if params.strand != Strand::Reverse {
-                for r in self.search_strand(
-                    query,
-                    params,
-                    scratch,
-                    &mut stats,
-                    query_start,
-                    0,
-                    capture.then_some(&mut spans),
-                    want_plan.then_some(&mut strand_plans),
-                )? {
-                    merged.push((Strand::Forward, r));
-                }
-            }
-            if params.strand != Strand::Forward {
-                let reverse = query.reverse_complement();
-                for r in self.search_strand(
-                    &reverse,
-                    params,
-                    scratch,
-                    &mut stats,
-                    query_start,
-                    1,
-                    capture.then_some(&mut spans),
-                    want_plan.then_some(&mut strand_plans),
-                )? {
-                    merged.push((Strand::Reverse, r));
-                }
-            }
-            Ok(merged)
-        })();
-        let mut merged = match strands {
-            Ok(merged) => merged,
-            Err(e) => {
-                // Tail sampling: failed queries are always captured,
-                // with whatever spans completed before the failure.
-                self.capture_failure(query_start, request_id, &e, std::mem::take(&mut spans));
-                return Err(e);
-            }
-        };
-
-        // Per record, keep the better strand.
-        let merge_start = Instant::now();
-        merged.sort_by(|(_, a), (_, b)| a.record.cmp(&b.record).then(b.score.cmp(&a.score)));
-        merged.dedup_by_key(|(_, r)| r.record);
-        merged.sort_by(|(_, a), (_, b)| b.score.cmp(&a.score).then(a.record.cmp(&b.record)));
-
-        let results: Vec<SearchResult> = merged
-            .into_iter()
-            .take(params.max_results)
-            .map(|(strand, r)| SearchResult {
-                record: r.record,
-                id: self.store.id(r.record).to_string(),
-                score: r.score,
-                coarse_score: r.coarse.score,
-                coarse_hits: r.coarse.hits,
-                strand,
-                alignment: r.alignment,
-            })
-            .collect();
-        stats.merge_nanos = merge_start.elapsed().as_nanos() as u64;
-        let merge_offset = merge_start.duration_since(query_start).as_nanos() as u64;
-        let total_nanos = query_start.elapsed().as_nanos() as u64;
-
-        let plan = want_plan.then(|| ExplainPlan {
-            query_len: query.len(),
-            ranking: ranking_name(params.ranking),
-            max_candidates: params.max_candidates,
-            min_score: params.min_score,
-            segments: self.segment_rows(),
-            strands: strand_plans,
-            results: results.len(),
-        });
-
-        if self.metrics.is_enabled() {
-            self.metrics.record_query(&stats, total_nanos);
-        }
-        if capture {
-            let mut root = SpanNode::new("query", 0, total_nanos);
-            root.children = std::mem::take(&mut spans);
-            root.children.push(
-                SpanNode::new("strand_merge", merge_offset, stats.merge_nanos)
-                    .counter("results", results.len() as u64),
-            );
-            if stride_sample {
-                self.metrics.trace.emit(&self.metrics.trace_event(
-                    &stats,
-                    &results,
-                    total_nanos,
-                    request_id,
-                    Some(&root),
-                ));
-            }
-            let trace = QueryTrace {
-                request_id: request_id.unwrap_or("").to_string(),
-                total_ns: total_nanos,
-                results: results.len() as u64,
-                error: None,
-                root,
-                plan: plan.as_ref().map(ExplainPlan::to_value),
-            };
-            if self.metrics.forensics.observe(trace) == CaptureReason::Slow {
-                self.metrics.slow_queries.inc();
-            }
-        }
-
-        Ok(SearchOutcome {
-            results,
-            stats,
-            explain: params.explain.then_some(plan).flatten(),
-        })
-    }
-
-    /// Record a failed query in the flight recorder (tail sampling
-    /// captures every error), with whatever spans completed.
-    fn capture_failure(
-        &self,
-        query_start: Instant,
-        request_id: Option<&str>,
-        error: &IndexError,
-        spans: Vec<SpanNode>,
-    ) {
-        if !self.metrics.forensics.is_enabled() {
-            return;
-        }
-        let total_ns = query_start.elapsed().as_nanos() as u64;
-        let mut root = SpanNode::new("query", 0, total_ns);
-        root.children = spans;
-        self.metrics.forensics.observe(QueryTrace {
-            request_id: request_id.unwrap_or("").to_string(),
-            total_ns,
-            results: 0,
-            error: Some(error.to_string()),
-            root,
-            plan: None,
-        });
+        driver::run_query(self, scratch, query, params, request_id)
     }
 
     /// Append new records to a memory-backed database: the batch is
@@ -946,6 +577,59 @@ impl Database {
             .into_iter()
             .map(|slot| slot.expect("every query evaluated"))
             .collect()
+    }
+}
+
+impl Backend for Database {
+    /// The caller's coarse working memory.
+    type State = CoarseScratch;
+    const EXPLAINS: bool = true;
+
+    fn metrics(&self) -> &SearchMetrics {
+        &self.metrics
+    }
+
+    fn granularity(&self) -> nucdb_index::Granularity {
+        self.index.index_params().granularity
+    }
+
+    fn segment_rows(&self) -> Vec<crate::explain::SegmentExplain> {
+        Database::segment_rows(self)
+    }
+
+    fn coarse(
+        &self,
+        scratch: &mut CoarseScratch,
+        query_bases: &[nucdb_seq::Base],
+        params: &SearchParams,
+        explain: Option<&mut CoarseExplain>,
+    ) -> Result<CoarseOutcome, IndexError> {
+        coarse_rank_explain(&self.index, query_bases, params, scratch, explain)
+    }
+
+    fn fine(
+        &self,
+        _scratch: &mut CoarseScratch,
+        query: &DnaSeq,
+        candidates: &[CoarseHit],
+        mode: FineMode,
+        params: &SearchParams,
+        timings: Option<&mut Vec<CandidateTiming>>,
+    ) -> Result<Vec<FineResult>, IndexError> {
+        fine_search_traced(
+            &self.store,
+            query,
+            candidates,
+            mode,
+            &params.scheme,
+            params.min_score,
+            timings,
+        )
+        .map_err(io_err)
+    }
+
+    fn record_id(&self, record: u32) -> String {
+        self.store.id(record).to_string()
     }
 }
 

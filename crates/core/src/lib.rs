@@ -44,6 +44,8 @@
 pub mod baseline;
 pub mod build_info;
 pub mod coarse;
+pub mod collection;
+mod driver;
 pub mod engine;
 pub mod eval;
 pub mod explain;
@@ -60,6 +62,7 @@ pub use coarse::{
     coarse_rank, coarse_rank_explain, coarse_rank_with, CoarseHit, CoarseOutcome, CoarseScratch,
     PostingsSource, RankingScheme,
 };
+pub use collection::{Collection, CollectionOptions, Shape, INDEX_FILE, STORE_FILE};
 pub use engine::{Database, DbConfig, IndexVariant, QueryStats, SearchOutcome, SearchResult};
 pub use eval::{average_precision, eleven_point_precision, ground_truth_sw, recall_at};
 pub use explain::{
@@ -78,7 +81,7 @@ pub use segment::{
     SegmentStorePart, SegmentedIndex, SegmentedStore,
 };
 pub use shard::{
-    build_sharded_root, open_shard_dir, Coverage, LocalShard, Shard, ShardFailure, ShardSet,
-    ShardSetConfig, ShardWork, ShardedOutcome,
+    build_sharded_root, open_shard_dir, Coverage, LocalShard, Shard, ShardCoverage, ShardFailure,
+    ShardSet, ShardSetConfig, ShardWork, ShardedOutcome,
 };
 pub use store::{OnDiskStore, RecordSource, SequenceStore, StorageMode, StoreVariant};

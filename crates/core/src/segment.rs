@@ -38,12 +38,13 @@ use std::time::Instant;
 use nucdb_index::manifest::{segment_index_file, segment_store_file, Manifest, SegmentMeta};
 use nucdb_index::{
     load_index, merge_indexes, write_index, CompressedIndex, FetchStats, Granularity, IndexBuilder,
-    IndexError, IndexParams, OnDiskIndex, Posting, PostingsList, PostingsVisitor,
+    IndexError, IndexParams, OnDiskIndex, PostingsVisitor,
 };
 use nucdb_obs::{Counter, Forensics, Gauge, MetricsRegistry, TraceSink};
 use nucdb_seq::{Base, DnaSeq, SeqError};
 
 use crate::coarse::PostingsSource;
+use crate::collection::{has_live_manifest, Shape};
 use crate::engine::{io_err, Database, DbConfig, IndexVariant};
 use crate::explain::SegmentExplain;
 use crate::store::{OnDiskStore, RecordSource, SequenceStore, StorageMode, StoreVariant};
@@ -64,69 +65,13 @@ pub enum SegmentIndexPart {
 }
 
 impl SegmentIndexPart {
-    fn num_records(&self) -> u32 {
+    /// The part's metadata accessors (sizes, parameters, list hints).
+    /// The two per-list fetches below stay a static two-arm `match`:
+    /// they sit on the query hot path, once per list per part.
+    fn source(&self) -> &dyn PostingsSource {
         match self {
-            SegmentIndexPart::Memory(i) => i.num_records(),
-            SegmentIndexPart::Disk(i) => i.num_records(),
-        }
-    }
-
-    fn record_lens(&self) -> &[u32] {
-        match self {
-            SegmentIndexPart::Memory(i) => i.record_lens(),
-            SegmentIndexPart::Disk(i) => i.record_lens(),
-        }
-    }
-
-    fn params(&self) -> &IndexParams {
-        match self {
-            SegmentIndexPart::Memory(i) => i.params(),
-            SegmentIndexPart::Disk(i) => i.params(),
-        }
-    }
-
-    fn postings(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
-        match self {
-            SegmentIndexPart::Memory(i) => i.postings(code),
-            SegmentIndexPart::Disk(i) => i.postings(code),
-        }
-    }
-
-    fn counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError> {
-        match self {
-            SegmentIndexPart::Memory(i) => i.counts(code),
-            SegmentIndexPart::Disk(i) => i.counts(code),
-        }
-    }
-
-    fn postings_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        match self {
-            SegmentIndexPart::Memory(i) => i.postings_with(code, visit),
-            SegmentIndexPart::Disk(i) => i.postings_with(code, io_buf, visit),
-        }
-    }
-
-    fn counts_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        match self {
-            SegmentIndexPart::Memory(i) => i.counts_with(code, visit),
-            SegmentIndexPart::Disk(i) => i.counts_with(code, io_buf, visit),
-        }
-    }
-
-    fn list_max_count(&self, code: u64) -> Option<u32> {
-        match self {
-            SegmentIndexPart::Memory(i) => i.list_max_count(code),
-            SegmentIndexPart::Disk(i) => i.list_max_count(code),
+            SegmentIndexPart::Memory(i) => i.as_ref(),
+            SegmentIndexPart::Disk(i) => i.as_ref(),
         }
     }
 
@@ -187,7 +132,7 @@ impl SegmentedIndex {
                 "a segmented index needs at least one part",
             ));
         };
-        let params = first.params().clone();
+        let params = first.source().index_params().clone();
         if params.stopping.is_some() {
             return Err(IndexError::Unsupported(
                 "segmented indexes must be unstopped",
@@ -197,7 +142,7 @@ impl SegmentedIndex {
         let mut assembled = Vec::with_capacity(parts.len());
         let mut base = 0u64;
         for (label, part) in parts {
-            let p = part.params();
+            let p = part.source().index_params();
             if p.k != params.k
                 || p.stride != params.stride
                 || p.granularity != params.granularity
@@ -207,14 +152,14 @@ impl SegmentedIndex {
                     "segment parts disagree on index parameters",
                 ));
             }
-            record_lens.extend_from_slice(part.record_lens());
+            record_lens.extend_from_slice(part.source().record_lens());
             assembled.push(IndexPart {
                 base: u32::try_from(base)
                     .map_err(|_| IndexError::OutOfRange("segmented index exceeds u32 records"))?,
                 label,
                 inner: part,
             });
-            base += u64::from(assembled.last().unwrap().inner.num_records());
+            base += u64::from(assembled.last().unwrap().inner.source().num_records());
         }
         if base > u64::from(u32::MAX) {
             return Err(IndexError::OutOfRange(
@@ -240,7 +185,7 @@ impl SegmentedIndex {
             .map(|p| SegmentExplain {
                 label: p.label.clone(),
                 base: p.base,
-                records: p.inner.num_records(),
+                records: p.inner.source().num_records(),
             })
             .collect()
     }
@@ -278,82 +223,12 @@ impl PostingsSource for SegmentedIndex {
         &self.params
     }
 
-    fn fetch(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
-        let mut entries: Vec<Posting> = Vec::new();
-        let mut present = false;
-        for part in &self.parts {
-            if let Some(list) = part.inner.postings(code)? {
-                present = true;
-                entries.extend(list.entries.into_iter().map(|p| Posting {
-                    record: p.record + part.base,
-                    offsets: p.offsets,
-                }));
-            }
-        }
-        Ok(present.then_some(PostingsList { entries }))
-    }
-
-    fn fetch_counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError> {
-        let mut out: Vec<(u32, u32)> = Vec::new();
-        let mut present = false;
-        for part in &self.parts {
-            if let Some(counts) = part.inner.counts(code)? {
-                present = true;
-                out.extend(counts.into_iter().map(|(r, c)| (r + part.base, c)));
-            }
-        }
-        Ok(present.then_some(out))
-    }
-
-    fn fetch_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        let mut df_total = 0u32;
-        let mut present = false;
-        for part in &self.parts {
-            let base = part.base;
-            if let Some(df) = part
-                .inner
-                .postings_with(code, io_buf, &mut |record, offset| {
-                    visit(record + base, offset)
-                })?
-            {
-                present = true;
-                df_total += df;
-            }
-        }
-        Ok(present.then_some(df_total))
-    }
-
-    fn fetch_counts_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        let mut df_total = 0u32;
-        let mut present = false;
-        for part in &self.parts {
-            let base = part.base;
-            if let Some(df) = part.inner.counts_with(code, io_buf, &mut |record, count| {
-                visit(record + base, count)
-            })? {
-                present = true;
-                df_total += df;
-            }
-        }
-        Ok(present.then_some(df_total))
-    }
-
     fn list_max_count(&self, code: u64) -> Option<u32> {
         // Any part without the hint disables skipping (per the trait
         // contract); otherwise the max over parts bounds every block.
         let mut max = 0u32;
         for part in &self.parts {
-            max = max.max(part.inner.list_max_count(code)?);
+            max = max.max(part.inner.source().list_max_count(code)?);
         }
         Some(max)
     }
@@ -745,9 +620,9 @@ pub struct LiveDatabase {
 
 impl LiveDatabase {
     /// Create a new live directory at `dir` (the directory is created if
-    /// absent; it must not already hold a manifest). Stopping is
-    /// rejected: stopped indexes cannot be merged, so they cannot be
-    /// flushed or compacted.
+    /// absent; it must not already hold a manifest, nor be a sharded
+    /// root). Stopping is rejected: stopped indexes cannot be merged,
+    /// so they cannot be flushed or compacted.
     pub fn create(
         dir: &Path,
         config: &DbConfig,
@@ -759,11 +634,16 @@ impl LiveDatabase {
             ));
         }
         std::fs::create_dir_all(dir)?;
-        if Manifest::exists_in(dir) {
+        if has_live_manifest(dir) {
             return Err(IndexError::Io(std::io::Error::new(
                 std::io::ErrorKind::AlreadyExists,
                 format!("{} already holds a manifest", dir.display()),
             )));
+        }
+        if Shape::of(dir) == Shape::Sharded {
+            return Err(IndexError::Unsupported(
+                "a sharded root cannot be made live",
+            ));
         }
         let manifest = Manifest::new(
             config.index.k,
@@ -846,7 +726,7 @@ impl LiveDatabase {
         config: &DbConfig,
         opts: LiveOptions,
     ) -> Result<LiveDatabase, IndexError> {
-        if Manifest::exists_in(dir) {
+        if has_live_manifest(dir) {
             LiveDatabase::open(dir, opts)
         } else {
             LiveDatabase::create(dir, config, opts)

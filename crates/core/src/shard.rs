@@ -1,11 +1,13 @@
-//! Scatter-gather sharded search (ROADMAP item 3).
+//! Scatter-gather sharded search: the query driver's fan-out backend.
 //!
 //! A [`ShardSet`] partitions a collection into N shards, each an
 //! independent index + store holding a contiguous slice of the record-id
-//! space. A query fans coarse search out across a per-shard worker pool,
-//! merges the per-shard top-C candidates globally, runs fine alignment
-//! only on the global winners, and merges strands exactly as the
-//! single-database engine does.
+//! space. The set is a backend of the one query driver
+//! (`crate::driver`): its coarse phase fans out across a per-shard
+//! worker pool and merges the per-shard top-C candidates globally, its
+//! fine phase aligns only the global winners on the shards that own
+//! them, and the strand loop, strand merge, spans, and flight-recorder
+//! capture are the driver's — the same code a single database runs.
 //!
 //! ## Merge proof obligation
 //!
@@ -29,7 +31,9 @@
 //! The one engine knob that breaks this argument is
 //! [`SearchParams::max_accumulators`]: accumulator limiting keeps
 //! whichever records are touched *first*, a property of global postings
-//! order that sharding changes. [`ShardSet::search`] rejects it.
+//! order that sharding changes. [`ShardSet::search_with_id`] rejects it,
+//! and explain plans with it: merging per-shard skip thresholds into one
+//! plan is a design question of its own.
 //!
 //! ## Degraded mode
 //!
@@ -48,17 +52,18 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use nucdb_index::{
-    shard_dir_name, Granularity, IndexError, IndexParams, OnDiskIndex, ShardManifest, ShardMeta,
-};
-use nucdb_obs::{Counter, Histogram, MetricsRegistry};
-use nucdb_seq::DnaSeq;
+use nucdb_index::{shard_dir_name, Granularity, IndexError, IndexParams, ShardManifest, ShardMeta};
+use nucdb_obs::{Counter, Forensics, Histogram, MetricsRegistry, TraceSink};
+use nucdb_seq::{Base, DnaSeq};
 
 use crate::coarse::{coarse_rank_explain, CoarseHit, CoarseOutcome, CoarseScratch};
-use crate::engine::{io_err, Database, DbConfig, IndexVariant, QueryStats, SearchResult};
-use crate::fine::{fine_search_traced, FineMode, FineResult};
-use crate::params::{SearchParams, Strand};
-use crate::store::{OnDiskStore, RecordSource, SequenceStore, StoreVariant};
+use crate::driver::{self, Backend, Merged};
+use crate::engine::{io_err, Database, DbConfig, QueryStats, SearchResult};
+use crate::explain::CoarseExplain;
+use crate::fine::{fine_search_traced, CandidateTiming, FineMode, FineResult};
+use crate::metrics::SearchMetrics;
+use crate::params::SearchParams;
+use crate::store::{RecordSource, SequenceStore};
 
 /// Answer completeness of a sharded query: how many shards contributed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,6 +96,38 @@ pub struct ShardFailure {
     pub shard: String,
     /// Human-readable cause.
     pub error: String,
+}
+
+/// Which shards answered a query: the completeness report a
+/// [`SearchOutcome`](crate::SearchOutcome) carries when the query ran
+/// over a shard set.
+#[derive(Debug, Clone)]
+pub struct ShardCoverage {
+    /// How many shards contributed.
+    pub coverage: Coverage,
+    /// Why non-contributing shards failed (empty at full coverage).
+    pub failures: Vec<ShardFailure>,
+}
+
+/// `2/3 shards (shard-001: <cause>)` — how warnings and the flight
+/// recorder describe a partial answer.
+impl std::fmt::Display for ShardCoverage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Coverage {
+            shards_ok,
+            shards_total,
+        } = self.coverage;
+        let causes: Vec<String> = self
+            .failures
+            .iter()
+            .map(|failure| format!("{}: {}", failure.shard, failure.error))
+            .collect();
+        write!(
+            f,
+            "{shards_ok}/{shards_total} shards ({})",
+            causes.join("; ")
+        )
+    }
 }
 
 /// Per-shard work attribution for one query (the bench's scaling story:
@@ -136,11 +173,14 @@ pub trait Shard: Send + Sync {
     /// The shard's index parameters (must agree across the set).
     fn index_params(&self) -> IndexParams;
     /// Run coarse ranking for one strand orientation. `query_bases` is
-    /// the strand-oriented representative-base view of the query.
+    /// the strand-oriented representative-base view of the query;
+    /// `scratch` is the calling worker thread's reusable working memory
+    /// (answers are independent of its history).
     fn coarse(
         &self,
-        query_bases: &[nucdb_seq::Base],
+        query_bases: &[Base],
         params: &SearchParams,
+        scratch: &mut CoarseScratch,
     ) -> Result<CoarseOutcome, IndexError>;
     /// Run fine alignment on `candidates` (shard-local record ids).
     fn fine(
@@ -162,20 +202,21 @@ pub trait Shard: Send + Sync {
 pub struct LocalShard {
     name: String,
     db: Database,
+    /// Summed once at construction: a shard's records never change.
+    total_bases: u64,
 }
 
 impl LocalShard {
     /// Wrap a database as a shard named `name`.
     pub fn new(name: impl Into<String>, db: Database) -> LocalShard {
+        let total_bases = (0..db.len() as u32)
+            .map(|r| db.store().record_len(r) as u64)
+            .sum();
         LocalShard {
             name: name.into(),
             db,
+            total_bases,
         }
-    }
-
-    /// The wrapped database.
-    pub fn database(&self) -> &Database {
-        &self.db
     }
 }
 
@@ -195,13 +236,11 @@ impl Shard for LocalShard {
 
     fn coarse(
         &self,
-        query_bases: &[nucdb_seq::Base],
+        query_bases: &[Base],
         params: &SearchParams,
+        scratch: &mut CoarseScratch,
     ) -> Result<CoarseOutcome, IndexError> {
-        // Coarse results are independent of scratch history, so a fresh
-        // scratch per call costs allocations but nothing in answers.
-        let mut scratch = CoarseScratch::new();
-        coarse_rank_explain(self.db.index(), query_bases, params, &mut scratch, None)
+        coarse_rank_explain(self.db.index(), query_bases, params, scratch, None)
     }
 
     fn fine(
@@ -232,9 +271,7 @@ impl Shard for LocalShard {
     }
 
     fn total_bases(&self) -> u64 {
-        (0..self.db.len() as u32)
-            .map(|r| self.db.store().record_len(r) as u64)
-            .sum()
+        self.total_bases
     }
 }
 
@@ -309,10 +346,14 @@ impl ShardMetrics {
     }
 }
 
-/// A phase of work for one shard.
+/// A phase of work for one shard, with the query in the form that phase
+/// consumes (strand-oriented either way).
 enum JobKind {
-    Coarse,
+    Coarse {
+        query_bases: Arc<Vec<Base>>,
+    },
     Fine {
+        query: Arc<DnaSeq>,
         candidates: Arc<Vec<CoarseHit>>,
         mode: FineMode,
     },
@@ -326,8 +367,6 @@ enum PhaseOutput {
 struct Job {
     shard: Arc<dyn Shard>,
     slot: usize,
-    query: Arc<DnaSeq>,
-    query_bases: Arc<Vec<nucdb_seq::Base>>,
     params: SearchParams,
     kind: JobKind,
     seq: u64,
@@ -344,7 +383,7 @@ struct Reply {
     output: Result<PhaseOutput, IndexError>,
 }
 
-fn run_job(job: Job) {
+fn run_job(job: Job, scratch: &mut CoarseScratch) {
     // Injected delay (tests) applies only to a shard's primary worker,
     // never to the hedge — so a hedged re-dispatch provably overtakes a
     // delayed straggler with a bit-identical answer.
@@ -356,13 +395,17 @@ fn run_job(job: Job) {
     }
     let start = Instant::now();
     let output = match &job.kind {
-        JobKind::Coarse => job
+        JobKind::Coarse { query_bases } => job
             .shard
-            .coarse(&job.query_bases, &job.params)
+            .coarse(query_bases, &job.params, scratch)
             .map(PhaseOutput::Coarse),
-        JobKind::Fine { candidates, mode } => job
+        JobKind::Fine {
+            query,
+            candidates,
+            mode,
+        } => job
             .shard
-            .fine(&job.query, candidates, *mode, &job.params)
+            .fine(query, candidates, *mode, &job.params)
             .map(PhaseOutput::Fine),
     };
     // The dispatcher may have moved on (deadline, or the other replica
@@ -380,8 +423,11 @@ fn spawn_worker(name: String, rx: mpsc::Receiver<Job>) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(name)
         .spawn(move || {
+            // One scratch for the worker's lifetime: after warm-up a
+            // coarse phase allocates nothing.
+            let mut scratch = CoarseScratch::new();
             while let Ok(job) = rx.recv() {
-                run_job(job);
+                run_job(job, &mut scratch);
             }
         })
         .expect("spawn shard worker")
@@ -411,6 +457,14 @@ pub struct ShardSet {
     workers: Vec<JoinHandle<()>>,
     seq: AtomicU64,
     degraded_queries: Counter,
+    /// Postings granularity of the live shards (they all agree).
+    granularity: Granularity,
+    /// Stored bases across live shards, summed once at assembly.
+    total_bases: u64,
+    /// The driver's observability handles: query metrics bound to the
+    /// registry the set was opened with; trace and forensics disabled
+    /// until [`ShardSet::set_trace`] / [`ShardSet::set_forensics`].
+    metrics: SearchMetrics,
 }
 
 /// One shard slot before assembly: name, manifest record count, the
@@ -428,8 +482,6 @@ impl ShardSet {
         config: ShardSetConfig,
         registry: &MetricsRegistry,
     ) -> Result<ShardSet, IndexError> {
-        // `dead` is interleaved by name order with live shards; simpler:
-        // callers pass slots pre-ordered via `assemble_slots`.
         let mut entries: Vec<ShardEntry> = Vec::new();
         for shard in shards {
             let records = shard.num_records();
@@ -472,7 +524,9 @@ impl ShardSet {
         let mut slots = Vec::with_capacity(entries.len());
         let mut workers = Vec::new();
         let mut base: u64 = 0;
+        let mut total_bases = 0u64;
         for (name, records, shard, dead_err) in entries {
+            total_bases += shard.as_ref().map_or(0, |s| s.total_bases());
             let delay = Arc::new(AtomicU64::new(0));
             let (tx, dead) = match (&shard, dead_err) {
                 (Some(_), _) => {
@@ -516,6 +570,9 @@ impl ShardSet {
                 "nucdb_shard_degraded_queries_total",
                 "Queries answered with partial shard coverage",
             ),
+            granularity: params.map_or(Granularity::Offsets, |p| p.granularity),
+            total_bases,
+            metrics: SearchMetrics::new(registry),
         })
     }
 
@@ -594,42 +651,37 @@ impl ShardSet {
 
     /// Total stored bases across *live* shards.
     pub fn total_bases(&self) -> u64 {
-        self.slots
-            .iter()
-            .filter_map(|s| s.shard.as_ref())
-            .map(|s| s.total_bases())
-            .sum()
+        self.total_bases
+    }
+
+    /// Attach a sampled trace sink; subsequent queries emit JSONL events
+    /// through it. `&mut self`: configure before sharing the set.
+    pub fn set_trace(&mut self, trace: TraceSink) {
+        self.metrics = std::mem::take(&mut self.metrics).with_trace(trace);
+    }
+
+    /// Attach a query-forensics handle (flight recorder + tail
+    /// sampling). `&mut self`: configure before sharing the set.
+    pub fn set_forensics(&mut self, forensics: Forensics) {
+        self.metrics = std::mem::take(&mut self.metrics).with_forensics(forensics);
+    }
+
+    /// The set's observability handles.
+    pub fn metrics(&self) -> &SearchMetrics {
+        &self.metrics
     }
 
     /// External id of a global record (empty for records on dead shards).
     pub fn record_id(&self, global: u32) -> String {
-        match self.slot_of(global) {
-            Some((slot, local)) => match &slot.shard {
-                Some(shard) => shard.record_id(local),
-                None => String::new(),
-            },
-            None => String::new(),
-        }
+        self.live_slot_of(global)
+            .map(|(shard, local)| shard.record_id(local))
+            .unwrap_or_default()
     }
 
     /// Length of a global record in bases (0 for records on dead shards).
     pub fn record_len(&self, global: u32) -> usize {
-        match self.slot_of(global) {
-            Some((slot, local)) => match &slot.shard {
-                Some(shard) => shard.record_len(local),
-                None => 0,
-            },
-            None => 0,
-        }
-    }
-
-    /// Index parameters of the set (from the first live shard).
-    pub fn index_params(&self) -> Option<IndexParams> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.shard.as_ref())
-            .map(|s| s.index_params())
-            .next()
+        self.live_slot_of(global)
+            .map_or(0, |(shard, local)| shard.record_len(local))
     }
 
     /// Inject a fixed service delay into one shard's primary worker
@@ -639,59 +691,68 @@ impl ShardSet {
         self.slots[shard].delay.store(ns, Ordering::Relaxed);
     }
 
-    fn slot_of(&self, global: u32) -> Option<(&ShardSlot, u32)> {
+    /// Index of the slot whose id range holds `global`. Bases ascend, so
+    /// the owner is the last slot starting at or below it (empty slots
+    /// share their successor's base and sort before it).
+    fn slot_index_of(&self, global: u32) -> usize {
         self.slots
-            .iter()
-            .find(|s| {
-                global >= s.base && u64::from(global) < u64::from(s.base) + u64::from(s.records)
-            })
-            .map(|s| (s, global - s.base))
+            .partition_point(|s| s.base <= global)
+            .saturating_sub(1)
     }
 
-    /// Fan one phase out to `targets` (slot indexes) and gather replies
-    /// under the per-shard deadline, hedging stragglers. Returns
-    /// per-slot `Some(Ok(output))`, `Some(Err(msg))`, or is marked in
-    /// `failed` on timeout.
+    fn live_slot_of(&self, global: u32) -> Option<(&Arc<dyn Shard>, u32)> {
+        let slot = &self.slots[self.slot_index_of(global)];
+        let local = global - slot.base;
+        slot.shard
+            .as_ref()
+            .filter(|_| local < slot.records)
+            .map(|shard| (shard, local))
+    }
+
+    /// Fan one phase out to `targets` (live slot indexes) and gather
+    /// replies under the per-shard deadline, hedging stragglers. Returns
+    /// the outputs of the shards that answered, in arrival order (both
+    /// phases merge order-independently); a shard that errored or timed
+    /// out is charged and entered in `failures`.
     fn run_phase(
         &self,
+        failures: &mut BTreeMap<usize, String>,
         targets: &[usize],
         make_kind: impl Fn(usize) -> JobKind,
-        query: &Arc<DnaSeq>,
-        query_bases: &Arc<Vec<nucdb_seq::Base>>,
         params: &SearchParams,
-    ) -> Vec<Option<Result<PhaseOutput, String>>> {
-        let mut outputs: Vec<Option<Result<PhaseOutput, String>>> = Vec::new();
-        outputs.resize_with(self.slots.len(), || None);
+    ) -> Vec<(usize, PhaseOutput)> {
+        let mut outputs: Vec<(usize, PhaseOutput)> = Vec::with_capacity(targets.len());
         if targets.is_empty() {
             return outputs;
         }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+        let job = |slot_idx: usize, shard: &Arc<dyn Shard>, hedged: bool| Job {
+            shard: Arc::clone(shard),
+            slot: slot_idx,
+            params: *params,
+            kind: make_kind(slot_idx),
+            seq,
+            hedged,
+            delay: Arc::clone(&self.slots[slot_idx].delay),
+            reply: reply_tx.clone(),
+        };
+        let mut fail = |slot_idx: usize, error: String| {
+            self.slots[slot_idx].metrics.errors.inc();
+            failures.insert(slot_idx, error);
+        };
         let start = Instant::now();
         let mut pending: Vec<usize> = Vec::new();
         for &slot_idx in targets {
             let slot = &self.slots[slot_idx];
             let (Some(shard), Some(tx)) = (&slot.shard, &slot.tx) else {
-                continue; // dead shard: stays None
-            };
-            let job = Job {
-                shard: Arc::clone(shard),
-                slot: slot_idx,
-                query: Arc::clone(query),
-                query_bases: Arc::clone(query_bases),
-                params: *params,
-                kind: make_kind(slot_idx),
-                seq,
-                hedged: false,
-                delay: Arc::clone(&slot.delay),
-                reply: reply_tx.clone(),
+                continue; // dead shard: already a failure
             };
             slot.metrics.queries.inc();
-            if tx.send(job).is_err() {
-                outputs[slot_idx] = Some(Err("shard worker exited".into()));
-                continue;
+            match tx.send(job(slot_idx, shard, false)) {
+                Ok(()) => pending.push(slot_idx),
+                Err(_) => fail(slot_idx, "shard worker exited".into()),
             }
-            pending.push(slot_idx);
         }
 
         let deadline = self.config.shard_deadline;
@@ -713,18 +774,7 @@ impl ShardSet {
                             let slot = &self.slots[slot_idx];
                             let Some(shard) = &slot.shard else { continue };
                             slot.metrics.hedges.inc();
-                            let _ = hedge_tx.send(Job {
-                                shard: Arc::clone(shard),
-                                slot: slot_idx,
-                                query: Arc::clone(query),
-                                query_bases: Arc::clone(query_bases),
-                                params: *params,
-                                kind: make_kind(slot_idx),
-                                seq,
-                                hedged: true,
-                                delay: Arc::clone(&slot.delay),
-                                reply: reply_tx.clone(),
-                            });
+                            let _ = hedge_tx.send(job(slot_idx, shard, true));
                         }
                     }
                     continue;
@@ -745,10 +795,18 @@ impl ShardSet {
                     if reply.hedged {
                         slot.metrics.hedge_wins.inc();
                     }
-                    outputs[reply.slot] = Some(match reply.output {
-                        Ok(out) => Ok(out),
-                        Err(e) => Err(e.to_string()),
-                    });
+                    match reply.output {
+                        Ok(output) => outputs.push((reply.slot, output)),
+                        Err(e) => {
+                            // A corrupt shard degrades the answer instead
+                            // of failing the query, so the driver never
+                            // sees the error: count the corruption here.
+                            if e.is_corruption() {
+                                self.metrics.io_corruption.inc();
+                            }
+                            fail(reply.slot, e.to_string());
+                        }
+                    }
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => continue,
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
@@ -757,10 +815,10 @@ impl ShardSet {
         for slot_idx in pending {
             let slot = &self.slots[slot_idx];
             slot.metrics.timeouts.inc();
-            outputs[slot_idx] = Some(Err(format!(
-                "shard {} missed the {:?} deadline",
-                slot.name, deadline
-            )));
+            fail(
+                slot_idx,
+                format!("shard {} missed the {:?} deadline", slot.name, deadline),
+            );
         }
         outputs
     }
@@ -773,6 +831,13 @@ impl ShardSet {
         query: &DnaSeq,
         params: &SearchParams,
     ) -> Result<ShardedOutcome, IndexError> {
+        self.search_with_id(query, params, None)
+    }
+
+    /// The one place sharded search refuses a parameter. Every query
+    /// passes through here; front ends call it ahead of time to turn the
+    /// refusal into a usage error (CLI) or a 400 (server).
+    pub fn supports(&self, params: &SearchParams) -> Result<(), IndexError> {
         if params.max_accumulators.is_some() {
             // Accumulator limiting keeps first-touched records — a
             // global postings-order property sharding cannot reproduce.
@@ -780,221 +845,233 @@ impl ShardSet {
                 "max_accumulators is incompatible with sharded search",
             ));
         }
-        let mut stats = QueryStats::default();
-        let mut failures: BTreeMap<usize, String> = BTreeMap::new();
-        for (i, slot) in self.slots.iter().enumerate() {
-            if let Some(err) = &slot.dead {
-                failures.insert(i, err.clone());
-            }
+        if params.explain {
+            // Per-shard skip thresholds do not merge into one plan.
+            return Err(IndexError::Unsupported(
+                "explain is not supported over a sharded root",
+            ));
         }
-        let mut work: Vec<ShardWork> = Vec::new();
-        // (strand, slot, fine result with *global* record id)
-        let mut merged: Vec<(Strand, usize, FineResult)> = Vec::new();
+        Ok(())
+    }
 
-        let mut strands: Vec<(Strand, DnaSeq)> = Vec::new();
-        if params.strand != Strand::Reverse {
-            strands.push((Strand::Forward, query.clone()));
-        }
-        if params.strand != Strand::Forward {
-            strands.push((Strand::Reverse, query.reverse_complement()));
-        }
-
-        let query_start = Instant::now();
-        for (strand, oriented) in strands {
-            let oriented = Arc::new(oriented);
-            let query_bases = Arc::new(oriented.representative_bases());
-            let live: Vec<usize> = (0..self.slots.len())
-                .filter(|i| !failures.contains_key(i))
-                .collect();
-            if live.is_empty() {
-                break;
-            }
-
-            // Phase 1: coarse everywhere.
-            let coarse_start = Instant::now();
-            let coarse_outputs =
-                self.run_phase(&live, |_| JobKind::Coarse, &oriented, &query_bases, params);
-            stats.coarse_nanos += coarse_start.elapsed().as_nanos() as u64;
-
-            // Gather per-shard candidate lists; merge to the global
-            // top-C exactly as joint coarse ranking would.
-            let mut global: Vec<(usize, CoarseHit)> = Vec::new();
-            for (slot_idx, output) in coarse_outputs.into_iter().enumerate() {
-                let Some(output) = output else { continue };
-                let slot = &self.slots[slot_idx];
-                match output {
-                    Ok(PhaseOutput::Coarse(coarse)) => {
-                        stats.intervals_looked_up += coarse.intervals_looked_up;
-                        stats.lists_fetched += coarse.lists_fetched;
-                        stats.postings_decoded += coarse.postings_decoded;
-                        stats.postings_bytes_read += coarse.postings_bytes_read;
-                        stats.blocks_decoded += coarse.blocks_decoded;
-                        stats.blocks_skipped += coarse.blocks_skipped;
-                        stats.total_hits += coarse.total_hits;
-                        stats.extract_nanos += coarse.extract_nanos;
-                        stats.accumulate_nanos += coarse.accumulate_nanos;
-                        stats.rank_nanos += coarse.rank_nanos;
-                        if let Some(w) = work.iter_mut().find(|w| w.shard == slot.name) {
-                            w.postings_bytes_read += coarse.postings_bytes_read;
-                            w.ids_decoded += coarse.postings_decoded;
-                            w.candidates += coarse.candidates.len() as u64;
-                        } else {
-                            work.push(ShardWork {
-                                shard: slot.name.clone(),
-                                postings_bytes_read: coarse.postings_bytes_read,
-                                ids_decoded: coarse.postings_decoded,
-                                candidates: coarse.candidates.len() as u64,
-                            });
-                        }
-                        for hit in coarse.candidates {
-                            global.push((slot_idx, hit));
-                        }
-                    }
-                    Ok(PhaseOutput::Fine(_)) => unreachable!("coarse phase returned fine output"),
-                    Err(e) => {
-                        slot.metrics.errors.inc();
-                        failures.insert(slot_idx, e);
-                    }
-                }
-            }
-
-            // The joint candidate order: score desc, global record asc.
-            // Globalised ids preserve the joint tie-break because shards
-            // hold contiguous, ordered id ranges.
-            global.sort_by(|(sa, a), (sb, b)| {
-                b.score
-                    .partial_cmp(&a.score)
-                    .expect("coarse scores are finite")
-                    .then((self.slots[*sa].base + a.record).cmp(&(self.slots[*sb].base + b.record)))
-            });
-            global.truncate(params.max_candidates);
-            stats.candidates += global.len() as u64;
-            stats.fine_alignments += global.len() as u64;
-
-            // A record-granularity index reports no diagonals, so banded
-            // fine alignment falls back to full — same rule as the engine.
-            let granularity = self
-                .index_params()
-                .map(|p| p.granularity)
-                .unwrap_or(Granularity::Offsets);
-            let fine_mode = if granularity == Granularity::Records
-                && matches!(params.fine, FineMode::Banded { .. })
-            {
-                FineMode::Full
-            } else {
-                params.fine
-            };
-
-            // Phase 2: fine only on shards owning a global winner.
-            let mut per_shard: BTreeMap<usize, Vec<CoarseHit>> = BTreeMap::new();
-            for (slot_idx, hit) in &global {
-                per_shard.entry(*slot_idx).or_default().push(*hit);
-            }
-            let fine_targets: Vec<usize> = per_shard.keys().copied().collect();
-            let batches: BTreeMap<usize, Arc<Vec<CoarseHit>>> = per_shard
-                .into_iter()
-                .map(|(slot_idx, hits)| (slot_idx, Arc::new(hits)))
-                .collect();
-            let fine_start = Instant::now();
-            let fine_outputs = self.run_phase(
-                &fine_targets,
-                |slot_idx| JobKind::Fine {
-                    candidates: Arc::clone(&batches[&slot_idx]),
-                    mode: fine_mode,
-                },
-                &oriented,
-                &query_bases,
-                params,
-            );
-            stats.fine_nanos += fine_start.elapsed().as_nanos() as u64;
-            for (slot_idx, output) in fine_outputs.into_iter().enumerate() {
-                let Some(output) = output else { continue };
-                let slot = &self.slots[slot_idx];
-                match output {
-                    Ok(PhaseOutput::Fine(results)) => {
-                        for mut r in results {
-                            r.record += slot.base;
-                            r.coarse.record += slot.base;
-                            merged.push((strand, slot_idx, r));
-                        }
-                    }
-                    Ok(PhaseOutput::Coarse(_)) => unreachable!("fine phase returned coarse output"),
-                    Err(e) => {
-                        slot.metrics.errors.inc();
-                        failures.insert(slot_idx, e);
-                    }
-                }
-            }
-        }
-
-        let shards_total = self.slots.len();
-        if failures.len() == shards_total {
-            let detail = failures
-                .values()
-                .next()
-                .cloned()
-                .unwrap_or_else(|| "no shards".into());
-            return Err(IndexError::Io(std::io::Error::other(format!(
-                "all {shards_total} shards failed: {detail}"
-            ))));
-        }
-
-        // A shard that failed any phase contributes nothing: drop even
-        // results it returned for other strands/phases, so a degraded
-        // answer equals a clean answer over the surviving shards.
-        let merge_start = Instant::now();
-        merged.retain(|(_, slot_idx, _)| !failures.contains_key(slot_idx));
-
-        // Strand merge: exactly the engine's sequence — best strand per
-        // record, then (score desc, record asc).
-        merged.sort_by(|(_, _, a), (_, _, b)| a.record.cmp(&b.record).then(b.score.cmp(&a.score)));
-        merged.dedup_by_key(|(_, _, r)| r.record);
-        merged.sort_by(|(_, _, a), (_, _, b)| b.score.cmp(&a.score).then(a.record.cmp(&b.record)));
-
-        let results: Vec<SearchResult> = merged
-            .into_iter()
-            .take(params.max_results)
-            .map(|(strand, slot_idx, r)| {
-                let slot = &self.slots[slot_idx];
-                let local = r.record - slot.base;
-                SearchResult {
-                    record: r.record,
-                    id: slot
-                        .shard
-                        .as_ref()
-                        .map(|s| s.record_id(local))
-                        .unwrap_or_default(),
-                    score: r.score,
-                    coarse_score: r.coarse.score,
-                    coarse_hits: r.coarse.hits,
-                    strand,
-                    alignment: r.alignment,
-                }
-            })
-            .collect();
-        stats.merge_nanos += merge_start.elapsed().as_nanos() as u64;
-        let _ = query_start; // total time is the caller's to observe
-
-        let coverage = Coverage {
-            shards_ok: shards_total - failures.len(),
-            shards_total,
+    /// [`ShardSet::search`] carrying a caller-assigned request id into
+    /// every span, trace line, and flight-recorder entry the query
+    /// produces (see [`Database::search_with_id`]).
+    pub fn search_with_id(
+        &self,
+        query: &DnaSeq,
+        params: &SearchParams,
+        request_id: Option<&str>,
+    ) -> Result<ShardedOutcome, IndexError> {
+        self.supports(params)?;
+        let mut state = ShardQuery {
+            failures: self
+                .slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, slot)| Some((i, slot.dead.clone()?)))
+                .collect(),
+            work: BTreeMap::new(),
         };
-        if !coverage.is_full() {
-            self.degraded_queries.inc();
-        }
+        let outcome = driver::run_query(self, &mut state, query, params, request_id)?;
+        let ShardCoverage { coverage, failures } = self.coverage_of(&state);
         Ok(ShardedOutcome {
-            results,
-            stats,
+            results: outcome.results,
+            stats: outcome.stats,
             coverage,
-            failures: failures
-                .into_iter()
-                .map(|(i, error)| ShardFailure {
+            failures,
+            work: state.work.into_values().collect(),
+        })
+    }
+
+    fn coverage_of(&self, state: &ShardQuery) -> ShardCoverage {
+        ShardCoverage {
+            coverage: Coverage {
+                shards_ok: self.slots.len() - state.failures.len(),
+                shards_total: self.slots.len(),
+            },
+            failures: state
+                .failures
+                .iter()
+                .map(|(&i, error)| ShardFailure {
                     shard: self.slots[i].name.clone(),
-                    error,
+                    error: error.clone(),
                 })
                 .collect(),
-            work,
-        })
+        }
+    }
+
+    /// The all-shards-failed error, once no slot is left to answer.
+    fn ensure_alive(&self, state: &ShardQuery) -> Result<(), IndexError> {
+        let shards_total = self.slots.len();
+        if state.failures.len() < shards_total {
+            return Ok(());
+        }
+        let detail = state.failures.values().next().map_or("no shards", |e| e);
+        Err(IndexError::Io(std::io::Error::other(format!(
+            "all {shards_total} shards failed: {detail}"
+        ))))
+    }
+}
+
+/// One query's cross-phase state: which shards have failed so far (dead
+/// at open, errored, or timed out — by slot index) and what each live
+/// shard has done.
+pub(crate) struct ShardQuery {
+    failures: BTreeMap<usize, String>,
+    work: BTreeMap<usize, ShardWork>,
+}
+
+impl Backend for ShardSet {
+    type State = ShardQuery;
+    const EXPLAINS: bool = false;
+
+    fn metrics(&self) -> &SearchMetrics {
+        &self.metrics
+    }
+
+    fn granularity(&self) -> Granularity {
+        self.granularity
+    }
+
+    /// Coarse everywhere, then merge the per-shard candidate lists to
+    /// the global top-C exactly as joint coarse ranking would. Work
+    /// counters (and the per-shard stage times) are summed over shards.
+    fn coarse(
+        &self,
+        state: &mut ShardQuery,
+        query_bases: &[Base],
+        params: &SearchParams,
+        _explain: Option<&mut CoarseExplain>,
+    ) -> Result<CoarseOutcome, IndexError> {
+        self.ensure_alive(state)?;
+        let live: Vec<usize> = (0..self.slots.len())
+            .filter(|i| !state.failures.contains_key(i))
+            .collect();
+        let query_bases = Arc::new(query_bases.to_vec());
+        let outputs = self.run_phase(
+            &mut state.failures,
+            &live,
+            |_| JobKind::Coarse {
+                query_bases: Arc::clone(&query_bases),
+            },
+            params,
+        );
+        let mut total = CoarseOutcome::default();
+        for (slot_idx, output) in outputs {
+            let PhaseOutput::Coarse(coarse) = output else {
+                unreachable!("coarse phase returned fine output")
+            };
+            let slot = &self.slots[slot_idx];
+            total.intervals_looked_up += coarse.intervals_looked_up;
+            total.lists_fetched += coarse.lists_fetched;
+            total.postings_decoded += coarse.postings_decoded;
+            total.postings_bytes_read += coarse.postings_bytes_read;
+            total.blocks_decoded += coarse.blocks_decoded;
+            total.blocks_skipped += coarse.blocks_skipped;
+            total.total_hits += coarse.total_hits;
+            total.extract_nanos += coarse.extract_nanos;
+            total.accumulate_nanos += coarse.accumulate_nanos;
+            total.rank_nanos += coarse.rank_nanos;
+            let work = state.work.entry(slot_idx).or_insert_with(|| ShardWork {
+                shard: slot.name.clone(),
+                ..ShardWork::default()
+            });
+            work.postings_bytes_read += coarse.postings_bytes_read;
+            work.ids_decoded += coarse.postings_decoded;
+            work.candidates += coarse.candidates.len() as u64;
+            total
+                .candidates
+                .extend(coarse.candidates.into_iter().map(|mut hit| {
+                    hit.record += slot.base;
+                    hit
+                }));
+        }
+        // The joint candidate order: score desc, global record asc.
+        // Globalised ids preserve the joint tie-break because shards
+        // hold contiguous, ordered id ranges.
+        total.candidates.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .expect("coarse scores are finite")
+                .then(a.record.cmp(&b.record))
+        });
+        total.candidates.truncate(params.max_candidates);
+        Ok(total)
+    }
+
+    /// Fine only on shards owning a global winner, each aligning its
+    /// own candidates under shard-local ids.
+    fn fine(
+        &self,
+        state: &mut ShardQuery,
+        query: &DnaSeq,
+        candidates: &[CoarseHit],
+        mode: FineMode,
+        params: &SearchParams,
+        _timings: Option<&mut Vec<CandidateTiming>>,
+    ) -> Result<Vec<FineResult>, IndexError> {
+        let mut per_shard: BTreeMap<usize, Vec<CoarseHit>> = BTreeMap::new();
+        for hit in candidates {
+            let slot_idx = self.slot_index_of(hit.record);
+            per_shard.entry(slot_idx).or_default().push(CoarseHit {
+                record: hit.record - self.slots[slot_idx].base,
+                ..*hit
+            });
+        }
+        let targets: Vec<usize> = per_shard.keys().copied().collect();
+        let batches: BTreeMap<usize, Arc<Vec<CoarseHit>>> = per_shard
+            .into_iter()
+            .map(|(slot_idx, hits)| (slot_idx, Arc::new(hits)))
+            .collect();
+        let query = Arc::new(query.clone());
+        let outputs = self.run_phase(
+            &mut state.failures,
+            &targets,
+            |slot_idx| JobKind::Fine {
+                query: Arc::clone(&query),
+                candidates: Arc::clone(&batches[&slot_idx]),
+                mode,
+            },
+            params,
+        );
+        let mut results = Vec::with_capacity(candidates.len());
+        for (slot_idx, output) in outputs {
+            let PhaseOutput::Fine(fine) = output else {
+                unreachable!("fine phase returned coarse output")
+            };
+            let base = self.slots[slot_idx].base;
+            results.extend(fine.into_iter().map(|mut r| {
+                r.record += base;
+                r.coarse.record += base;
+                r
+            }));
+        }
+        Ok(results)
+    }
+
+    fn record_id(&self, record: u32) -> String {
+        ShardSet::record_id(self, record)
+    }
+
+    /// A shard that failed any phase contributes nothing: drop even
+    /// results it returned for other strands/phases, so a degraded
+    /// answer equals a clean answer over the surviving shards.
+    fn finish(
+        &self,
+        state: &mut ShardQuery,
+        merged: &mut Merged,
+    ) -> Result<Option<String>, IndexError> {
+        self.ensure_alive(state)?;
+        if state.failures.is_empty() {
+            return Ok(None);
+        }
+        merged.retain(|(_, r)| !state.failures.contains_key(&self.slot_index_of(r.record)));
+        self.degraded_queries.inc();
+        Ok(Some(format!(
+            "partial answer from {}",
+            self.coverage_of(state)
+        )))
     }
 }
 
@@ -1013,9 +1090,7 @@ impl Drop for ShardSet {
 /// Open one shard directory (`index.nucidx` + `store.nucsto`) as a
 /// [`LocalShard`].
 pub fn open_shard_dir(dir: &Path, name: &str) -> Result<Arc<dyn Shard>, IndexError> {
-    let index = OnDiskIndex::open(&dir.join("index.nucidx"))?;
-    let store = OnDiskStore::open(&dir.join("store.nucsto")).map_err(io_err)?;
-    let db = Database::from_variants(StoreVariant::Disk(store), IndexVariant::Disk(index));
+    let db = crate::collection::open_plain_dir(dir)?;
     Ok(Arc::new(LocalShard::new(name, db)) as Arc<dyn Shard>)
 }
 
@@ -1091,8 +1166,8 @@ fn build_shard_dir(
         builder.add_record(&seq.representative_bases());
         store.add(id, &seq);
     }
-    let index_path = dir.join("index.nucidx");
-    let store_path = dir.join("store.nucsto");
+    let index_path = dir.join(crate::collection::INDEX_FILE);
+    let store_path = dir.join(crate::collection::STORE_FILE);
     nucdb_index::write_index(&builder.finish(), &index_path)?;
     store.write_to(&store_path).map_err(io_err)?;
     let index_bytes = std::fs::metadata(&index_path)?.len();

@@ -328,6 +328,36 @@ pub fn outcome_to_json(
     if let Some(plan) = &outcome.explain {
         members.push(("plan".to_string(), plan.to_value()));
     }
+    if let Some(report) = &outcome.coverage {
+        let failures = report
+            .failures
+            .iter()
+            .map(|failure| {
+                Value::Obj(vec![
+                    ("shard".to_string(), Value::Str(failure.shard.clone())),
+                    ("error".to_string(), Value::Str(failure.error.clone())),
+                ])
+            })
+            .collect();
+        members.push((
+            "coverage".to_string(),
+            Value::Obj(vec![
+                (
+                    "shards_ok".to_string(),
+                    num(report.coverage.shards_ok as u64),
+                ),
+                (
+                    "shards_total".to_string(),
+                    num(report.coverage.shards_total as u64),
+                ),
+                (
+                    "fraction".to_string(),
+                    Value::Num(report.coverage.fraction()),
+                ),
+                ("failures".to_string(), Value::Arr(failures)),
+            ]),
+        ));
+    }
     Value::Obj(members)
 }
 

@@ -53,6 +53,6 @@ pub use metrics::HttpMetrics;
 pub use queue::{BoundedQueue, PushError};
 pub use scrub::ScrubState;
 pub use server::{
-    install_termination_flag, request_termination, start, start_live, start_sharded,
-    termination_requested, ServeConfig, ServerHandle,
+    install_termination_flag, request_termination, start, start_collection, start_live,
+    start_sharded, termination_requested, ServeConfig, ServerHandle,
 };

@@ -16,7 +16,7 @@
 //! With a batching window configured, workers hand `/search` query
 //! batches to a single **collector** thread that coalesces everything
 //! arriving within the window into one
-//! [`Database::search_batch_parallel`] call (grouped by identical
+//! [`Database::search_batch_parallel_with_ids`] call (grouped by identical
 //! parameters, so results stay bit-identical to sequential evaluation).
 //!
 //! Shutdown: a flag flips, the acceptor is woken by a self-connection
@@ -33,8 +33,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nucdb::{
-    build_info, CoarseScratch, Database, IndexVariant, LiveDatabase, RecordSource, SearchOutcome,
-    SearchParams, ShardSet, ShardedOutcome,
+    build_info, CoarseScratch, Collection, Database, IndexVariant, LiveDatabase, SearchOutcome,
+    SearchParams, ShardSet,
 };
 use nucdb_align::calibrate_gumbel;
 use nucdb_obs::json::{num, Value};
@@ -136,23 +136,10 @@ fn request_id_for(request: &Request) -> String {
         .unwrap_or_else(generate_request_id)
 }
 
-/// Where queries come from: a fixed database, or a live (ingesting)
-/// one whose query snapshot is re-fetched per request.
-enum DbSource {
-    /// Immutable database, shared read-only for the server's lifetime.
-    Static(Arc<Database>),
-    /// Live database: inserts arrive via `POST /insert`; every request
-    /// snapshots the current segmented view.
-    Live(Arc<LiveDatabase>),
-    /// Sharded database: every query scatters across the set's per-shard
-    /// workers and gathers one globally merged answer. Responses carry a
-    /// `coverage` object and degrade to partial answers when shards fail.
-    Sharded(Arc<ShardSet>),
-}
-
 /// Everything the acceptor, workers, and collector share.
 struct Shared {
-    source: DbSource,
+    /// What queries are answered from; `/search` pins it per request.
+    collection: Collection,
     registry: Arc<MetricsRegistry>,
     metrics: HttpMetrics,
     defaults: SearchParams,
@@ -168,38 +155,6 @@ struct Shared {
     flight_slow_entries: Gauge,
     /// `nucdb_flight_dropped_total`: captures evicted from either ring.
     flight_dropped: Counter,
-}
-
-impl Shared {
-    /// The database to answer this request from. Static mode hands back
-    /// the one shared instance; live mode snapshots the current
-    /// segmented view (cheap: one `RwLock` read + `Arc` clone), which
-    /// stays consistent for the whole request even as inserts land.
-    fn db(&self) -> Arc<Database> {
-        match &self.source {
-            DbSource::Static(db) => Arc::clone(db),
-            DbSource::Live(live) => live.snapshot(),
-            // Every call site branches on `sharded()` first: a shard set
-            // has no single-database view to hand back.
-            DbSource::Sharded(_) => unreachable!("sharded mode has no single-database view"),
-        }
-    }
-
-    /// The live database, when serving in live mode.
-    fn live(&self) -> Option<&Arc<LiveDatabase>> {
-        match &self.source {
-            DbSource::Live(live) => Some(live),
-            DbSource::Static(_) | DbSource::Sharded(_) => None,
-        }
-    }
-
-    /// The shard set, when serving in sharded mode.
-    fn sharded(&self) -> Option<&Arc<ShardSet>> {
-        match &self.source {
-            DbSource::Sharded(set) => Some(set),
-            DbSource::Static(_) | DbSource::Live(_) => None,
-        }
-    }
 }
 
 /// A running server. Dropping the handle does *not* stop the server;
@@ -284,11 +239,7 @@ impl ServerHandle {
         if let Some(compactor) = self.compactor.take() {
             let _ = compactor.join();
         }
-        if self.shared.sharded().is_none() {
-            let db = self.shared.db();
-            db.metrics().trace.flush();
-            db.metrics().forensics.flush();
-        }
+        self.shared.collection.flush();
         // Every thread has been joined, so this handle holds the last
         // strong reference; `None` only if a connection handler leaked.
         Arc::try_unwrap(self.shared)
@@ -307,9 +258,9 @@ pub fn start(
     defaults: SearchParams,
     config: ServeConfig,
 ) -> std::io::Result<ServerHandle> {
-    start_source(
+    start_collection(
         addr,
-        DbSource::Static(Arc::new(db)),
+        Collection::Static(Arc::new(db)),
         Arc::new(registry),
         defaults,
         config,
@@ -330,7 +281,7 @@ pub fn start_live(
     defaults: SearchParams,
     config: ServeConfig,
 ) -> std::io::Result<ServerHandle> {
-    start_source(addr, DbSource::Live(live), registry, defaults, config)
+    start_collection(addr, Collection::Live(live), registry, defaults, config)
 }
 
 /// Bind `addr` and serve a [`ShardSet`]: every `/search` query scatters
@@ -344,25 +295,38 @@ pub fn start_live(
 /// land in this server's `/metrics` exposition. Micro-batching is
 /// forced off (the shard workers are the intra-query parallelism) and
 /// the scrubber is skipped (`nucdb fsck` audits sharded roots offline),
-/// so readiness is immediate.
+/// so readiness is immediate. Request ids, `/debug/*`, and the flight
+/// gauges work as for any other shape: configure the recorder with
+/// [`ShardSet::set_forensics`] before sharing the set.
 pub fn start_sharded(
     addr: impl ToSocketAddrs,
     shards: Arc<ShardSet>,
     registry: Arc<MetricsRegistry>,
     defaults: SearchParams,
-    mut config: ServeConfig,
-) -> std::io::Result<ServerHandle> {
-    config.batch_window = None;
-    start_source(addr, DbSource::Sharded(shards), registry, defaults, config)
-}
-
-fn start_source(
-    addr: impl ToSocketAddrs,
-    source: DbSource,
-    registry: Arc<MetricsRegistry>,
-    defaults: SearchParams,
     config: ServeConfig,
 ) -> std::io::Result<ServerHandle> {
+    start_collection(
+        addr,
+        Collection::Sharded(shards),
+        registry,
+        defaults,
+        config,
+    )
+}
+
+/// Bind `addr` and serve a [`Collection`] of any shape; [`start`],
+/// [`start_live`], and [`start_sharded`] are this with the shape spelled
+/// out. The registry must be the one the collection was opened with.
+pub fn start_collection(
+    addr: impl ToSocketAddrs,
+    collection: Collection,
+    registry: Arc<MetricsRegistry>,
+    defaults: SearchParams,
+    mut config: ServeConfig,
+) -> std::io::Result<ServerHandle> {
+    if collection.as_sharded().is_some() {
+        config.batch_window = None;
+    }
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let metrics = HttpMetrics::new(&registry);
@@ -371,8 +335,11 @@ fn start_source(
     // The scrubber walks one fixed pair of on-disk files; a live
     // database's segment set changes underneath it, so live mode skips
     // it (per-segment checksums still verify on every query read).
-    let scrub_enabled = config.scrub_bytes_per_sec > 0 && matches!(source, DbSource::Static(_));
-    let scrub = ScrubState::new(&registry, scrub_enabled);
+    let scrub_target = collection
+        .as_static()
+        .filter(|_| config.scrub_bytes_per_sec > 0)
+        .cloned();
+    let scrub = ScrubState::new(&registry, scrub_target.is_some());
     let flight_recent_entries = registry.gauge(
         "nucdb_flight_recent_entries",
         "Entries currently retained in the flight recorder's recent ring",
@@ -386,7 +353,7 @@ fn start_source(
         "Flight-recorder captures evicted from the recent or slow ring",
     );
     let shared = Arc::new(Shared {
-        source,
+        collection,
         registry,
         metrics,
         defaults,
@@ -427,26 +394,29 @@ fn start_source(
     } else {
         None
     };
-    let scrubber = if scrub_enabled {
-        let shared = Arc::clone(&shared);
-        Some(
-            std::thread::Builder::new()
-                .name("nucdb-scrub".to_string())
-                .spawn(move || {
-                    let db = shared.db();
-                    scrub_loop(
-                        &db,
-                        &shared.scrub,
-                        &shared.shutdown,
-                        shared.config.scrub_bytes_per_sec,
-                    );
-                })?,
-        )
-    } else {
-        None
+    let scrubber = match scrub_target {
+        Some(db) => {
+            let shared = Arc::clone(&shared);
+            Some(
+                std::thread::Builder::new()
+                    .name("nucdb-scrub".to_string())
+                    .spawn(move || {
+                        scrub_loop(
+                            &db,
+                            &shared.scrub,
+                            &shared.shutdown,
+                            shared.config.scrub_bytes_per_sec,
+                        );
+                    })?,
+            )
+        }
+        None => None,
     };
-    let compactor = match (&shared.source, shared.config.compact_bytes_per_sec) {
-        (DbSource::Live(live), budget) if budget > 0 => {
+    let compactor = match (
+        shared.collection.as_live(),
+        shared.config.compact_bytes_per_sec,
+    ) {
+        (Some(live), budget) if budget > 0 => {
             let live = Arc::clone(live);
             let shared = Arc::clone(&shared);
             Some(
@@ -642,26 +612,15 @@ fn route(
             response
         }
         (Method::Get, "/stats") => Response::ok().json(stats_json(shared).render()),
-        (Method::Get, "/debug/queries") => match shared.sharded() {
-            // Per-shard flight recorders are not aggregated across the
-            // set; answer an empty ring rather than erroring.
-            Some(_) => Response::ok().json(debug_json(Vec::new(), 0).render()),
-            None => {
-                let db = shared.db();
-                let forensics = &db.metrics().forensics;
-                Response::ok()
-                    .json(debug_json(forensics.recent(), forensics.recent_capacity()).render())
-            }
-        },
-        (Method::Get, "/debug/slow") => match shared.sharded() {
-            Some(_) => Response::ok().json(debug_json(Vec::new(), 0).render()),
-            None => {
-                let db = shared.db();
-                let forensics = &db.metrics().forensics;
-                Response::ok()
-                    .json(debug_json(forensics.slow(), forensics.slow_capacity()).render())
-            }
-        },
+        (Method::Get, "/debug/queries") => {
+            let forensics = shared.collection.forensics();
+            Response::ok()
+                .json(debug_json(forensics.recent(), forensics.recent_capacity()).render())
+        }
+        (Method::Get, "/debug/slow") => {
+            let forensics = shared.collection.forensics();
+            Response::ok().json(debug_json(forensics.slow(), forensics.slow_capacity()).render())
+        }
         (Method::Post, "/search") => search_endpoint(shared, request, request_id, scratch),
         (Method::Post, "/insert") => insert_endpoint(shared, request, request_id),
         (Method::Post, "/flush") => flush_endpoint(shared, request_id),
@@ -683,7 +642,7 @@ fn route(
 /// arrives with the next flush (automatic once the memtable fills, or
 /// explicit via `POST /flush`).
 fn insert_endpoint(shared: &Shared, request: &Request, request_id: &str) -> Response {
-    let Some(live) = shared.live() else {
+    let Some(live) = shared.collection.as_live() else {
         return Response::new(409, "Conflict")
             .text("server is not in live mode; restart with --live to accept inserts\n");
     };
@@ -717,7 +676,7 @@ fn insert_endpoint(shared: &Shared, request: &Request, request_id: &str) -> Resp
 /// segment and swap in a manifest naming it. Idempotent: flushing an
 /// empty memtable answers `"flushed": false`.
 fn flush_endpoint(shared: &Shared, request_id: &str) -> Response {
-    let Some(live) = shared.live() else {
+    let Some(live) = shared.collection.as_live() else {
         return Response::new(409, "Conflict")
             .text("server is not in live mode; restart with --live to flush\n");
     };
@@ -756,11 +715,7 @@ fn debug_json(entries: Vec<FlightEntry>, capacity: usize) -> Value {
 /// have no registry hooks of their own, and scrape-time refresh keeps
 /// the query path free of extra atomics.
 fn update_flight_gauges(shared: &Shared) {
-    if shared.sharded().is_some() {
-        return; // no flight recorder in front of a shard set
-    }
-    let db = shared.db();
-    let forensics = &db.metrics().forensics;
+    let forensics = shared.collection.forensics();
     let recent_recorded = forensics.recent_recorded();
     let slow_recorded = forensics.slow_recorded();
     let recent_capacity = forensics.recent_capacity() as u64;
@@ -779,18 +734,15 @@ fn update_flight_gauges(shared: &Shared) {
     }
 }
 
+/// `GET /stats`: one document for every shape. The `live`,
+/// `index_stats`, and `sharded` blocks describe what only one shape has
+/// and are `null` for the others.
 fn stats_json(shared: &Shared) -> Value {
-    if let Some(set) = shared.sharded() {
-        return sharded_stats_json(shared, set);
-    }
-    let db = shared.db();
-    let forensics = &db.metrics().forensics;
+    let view = shared.collection.pinned();
+    let forensics = view.forensics();
     Value::Obj(vec![
-        ("records".to_string(), num(db.len() as u64)),
-        (
-            "total_bases".to_string(),
-            num(db.store().total_bases() as u64),
-        ),
+        ("records".to_string(), num(view.len() as u64)),
+        ("total_bases".to_string(), num(view.total_bases())),
         (
             "uptime_seconds".to_string(),
             Value::Num(shared.started.elapsed().as_secs_f64()),
@@ -822,7 +774,10 @@ fn stats_json(shared: &Shared) -> Value {
             ]),
         ),
         ("scrub".to_string(), shared.scrub.to_value()),
-        ("live".to_string(), live_json(shared)),
+        (
+            "live".to_string(),
+            shared.collection.as_live().map_or(Value::Null, live_json),
+        ),
         (
             // Shape and on-disk layout of the loaded index (`null` for
             // a memory-resident index — `nucdb stat` covers that case
@@ -830,19 +785,24 @@ fn stats_json(shared: &Shared) -> Value {
             // block above describes the segments instead). Computed per
             // request from the in-memory vocab; no disk I/O.
             "index_stats".to_string(),
-            match db.index() {
-                IndexVariant::Disk(index) => nucdb::IndexStatReport::from_disk(index).to_value(),
-                IndexVariant::Memory(_) | IndexVariant::Segmented(_) => Value::Null,
+            match view.as_static().map(|db| db.index()) {
+                Some(IndexVariant::Disk(index)) => {
+                    nucdb::IndexStatReport::from_disk(index).to_value()
+                }
+                _ => Value::Null,
             },
+        ),
+        (
+            "sharded".to_string(),
+            view.as_sharded().map_or(Value::Null, sharded_json),
         ),
         ("metrics".to_string(), shared.registry.snapshot().to_json()),
     ])
 }
 
-/// `GET /stats` for a sharded server: shard rows (name, record base,
-/// liveness) replace the single-database `index_stats`/`forensics`
-/// blocks, which have no aggregate meaning across a set.
-fn sharded_stats_json(shared: &Shared, set: &ShardSet) -> Value {
+/// The `sharded` block of `GET /stats`: one row per shard (name, record
+/// base, liveness).
+fn sharded_json(set: &Arc<ShardSet>) -> Value {
     let rows = set
         .shard_rows()
         .into_iter()
@@ -851,43 +811,19 @@ fn sharded_stats_json(shared: &Shared, set: &ShardSet) -> Value {
                 ("shard".to_string(), Value::Str(name)),
                 ("record_base".to_string(), num(u64::from(base))),
                 ("records".to_string(), num(u64::from(records))),
-                (
-                    "error".to_string(),
-                    match error {
-                        Some(cause) => Value::Str(cause),
-                        None => Value::Null,
-                    },
-                ),
+                ("error".to_string(), error.map_or(Value::Null, Value::Str)),
             ])
         })
         .collect();
     Value::Obj(vec![
-        ("records".to_string(), num(set.len() as u64)),
-        ("total_bases".to_string(), num(set.total_bases())),
-        (
-            "uptime_seconds".to_string(),
-            Value::Num(shared.started.elapsed().as_secs_f64()),
-        ),
-        ("batching".to_string(), Value::Bool(false)),
-        ("build_info".to_string(), build_info::as_json()),
-        (
-            "sharded".to_string(),
-            Value::Obj(vec![
-                ("shards".to_string(), num(set.num_shards() as u64)),
-                ("rows".to_string(), Value::Arr(rows)),
-            ]),
-        ),
-        ("scrub".to_string(), shared.scrub.to_value()),
-        ("metrics".to_string(), shared.registry.snapshot().to_json()),
+        ("shards".to_string(), num(set.num_shards() as u64)),
+        ("rows".to_string(), Value::Arr(rows)),
     ])
 }
 
 /// The `live` block of `GET /stats`: segment list, memtable occupancy,
-/// and flush/compaction work counters. `null` in static mode.
-fn live_json(shared: &Shared) -> Value {
-    let Some(live) = shared.live() else {
-        return Value::Null;
-    };
+/// and flush/compaction work counters.
+fn live_json(live: &Arc<LiveDatabase>) -> Value {
     let status = live.status();
     let segments = status
         .segments
@@ -949,80 +885,40 @@ fn search_endpoint(
                 .text(format!("{error} (request {request_id})\n"));
         }
     };
-    if let Some(set) = shared.sharded() {
-        return sharded_search_endpoint(set, &search, request_id);
+    // One view for the whole request: every query, the calibration
+    // inputs, and the target lengths see the same record-id space, so
+    // live-mode inserts are reflected immediately and never mid-request.
+    let view = shared.collection.pinned();
+    // A parameter this collection cannot honour (`explain` over a shard
+    // set) is the client's error, not a failed query.
+    if let Err(error) = view.supports(&search.params) {
+        return Response::new(400, "Bad Request").text(format!("{error} (request {request_id})\n"));
     }
-    let db = shared.db();
-    let outcomes = match evaluate(shared, &db, &search, request_id, scratch) {
+    // Degraded shard coverage still answers 200 — the per-query
+    // `coverage` object tells the client how complete its answer is;
+    // only a query *no* shard could answer becomes a 500.
+    let outcomes = match evaluate(shared, &view, &search, request_id, scratch) {
         Ok(outcomes) => outcomes,
         Err(error) => {
             return Response::new(500, "Internal Server Error")
                 .text(format!("{error} (request {request_id})\n"));
         }
     };
-    // Mean record length for Gumbel calibration (matches the CLI).
-    // Computed from the request's snapshot so live-mode inserts are
-    // reflected immediately.
-    let mean_len = (db.store().total_bases() / db.len().max(1)).max(1);
+    // Mean record length for Gumbel calibration (matches the CLI; dead
+    // shards count via the manifest's records, so e-values agree with
+    // the joint build at full coverage). Summing the collection is
+    // O(records): only when e-values were asked for.
+    let mean_len = search
+        .evalue
+        .then(|| (view.total_bases() as usize / view.len().max(1)).max(1));
     let per_query = search
         .queries
         .iter()
         .zip(&outcomes)
         .map(|(query, outcome)| {
-            let significance = search.evalue.then(|| {
+            let significance = mean_len.map(|mean_len| {
                 // Same calibration the CLI `search --evalue` uses, so
                 // server answers match offline answers exactly.
-                let fit = calibrate_gumbel(
-                    &search.params.scheme,
-                    query.seq.len().max(16),
-                    mean_len,
-                    48,
-                    0xCAFE,
-                );
-                outcome
-                    .results
-                    .iter()
-                    .map(|result| {
-                        let target_len = db.store().record_len(result.record);
-                        Significance {
-                            bits: fit.bit_score(result.score),
-                            evalue: fit.evalue(query.seq.len(), target_len, result.score),
-                        }
-                    })
-                    .collect::<Vec<_>>()
-            });
-            api::outcome_to_json(query, outcome, significance.as_deref())
-        })
-        .collect();
-    Response::ok().json(api::response_to_json(per_query, request_id).render())
-}
-
-/// `/search` over a shard set: scatter-gather per query. Degraded
-/// coverage still answers 200 — the per-query `coverage` object tells
-/// the client how complete its answer is; only a query *no* shard
-/// could answer (or a parameter sharding cannot honour, like
-/// `max_accumulators`) becomes a 500.
-fn sharded_search_endpoint(set: &ShardSet, search: &SearchRequest, request_id: &str) -> Response {
-    let mut outcomes = Vec::with_capacity(search.queries.len());
-    for query in &search.queries {
-        match set.search(&query.seq, &search.params) {
-            Ok(outcome) => outcomes.push(outcome),
-            Err(error) => {
-                return Response::new(500, "Internal Server Error")
-                    .text(format!("{error} (request {request_id})\n"));
-            }
-        }
-    }
-    // Mean record length over the whole set (dead shards included via
-    // the manifest's record counts), matching the joint build's
-    // calibration inputs so e-values agree at full coverage.
-    let mean_len = (set.total_bases() as usize / set.len().max(1)).max(1);
-    let per_query = search
-        .queries
-        .iter()
-        .zip(&outcomes)
-        .map(|(query, outcome)| {
-            let significance = search.evalue.then(|| {
                 let fit = calibrate_gumbel(
                     &search.params.scheme,
                     query.seq.len().max(16),
@@ -1037,62 +933,16 @@ fn sharded_search_endpoint(set: &ShardSet, search: &SearchRequest, request_id: &
                         bits: fit.bit_score(result.score),
                         evalue: fit.evalue(
                             query.seq.len(),
-                            set.record_len(result.record),
+                            view.record_len(result.record),
                             result.score,
                         ),
                     })
                     .collect::<Vec<_>>()
             });
-            sharded_query_json(query, outcome, significance.as_deref())
+            api::outcome_to_json(query, outcome, significance.as_deref())
         })
         .collect();
     Response::ok().json(api::response_to_json(per_query, request_id).render())
-}
-
-/// One sharded query's response document: the engine-shaped answer
-/// document plus a `coverage` object naming any failed shards.
-fn sharded_query_json(
-    query: &api::ApiQuery,
-    outcome: &ShardedOutcome,
-    significance: Option<&[Significance]>,
-) -> Value {
-    let engine_shaped = SearchOutcome {
-        results: outcome.results.clone(),
-        stats: outcome.stats,
-        explain: None,
-    };
-    let mut doc = api::outcome_to_json(query, &engine_shaped, significance);
-    let failures = outcome
-        .failures
-        .iter()
-        .map(|failure| {
-            Value::Obj(vec![
-                ("shard".to_string(), Value::Str(failure.shard.clone())),
-                ("error".to_string(), Value::Str(failure.error.clone())),
-            ])
-        })
-        .collect();
-    if let Value::Obj(members) = &mut doc {
-        members.push((
-            "coverage".to_string(),
-            Value::Obj(vec![
-                (
-                    "shards_ok".to_string(),
-                    num(outcome.coverage.shards_ok as u64),
-                ),
-                (
-                    "shards_total".to_string(),
-                    num(outcome.coverage.shards_total as u64),
-                ),
-                (
-                    "fraction".to_string(),
-                    Value::Num(outcome.coverage.fraction()),
-                ),
-                ("failures".to_string(), Value::Arr(failures)),
-            ]),
-        ));
-    }
-    doc
 }
 
 /// Evaluate a request's queries: through the batching collector when
@@ -1100,7 +950,7 @@ fn sharded_query_json(
 /// paths produce identical outcomes.
 fn evaluate(
     shared: &Shared,
-    db: &Database,
+    view: &Collection,
     search: &SearchRequest,
     request_id: &str,
     scratch: &mut CoarseScratch,
@@ -1116,7 +966,7 @@ fn evaluate(
         .queries
         .iter()
         .map(|query| {
-            db.search_with_id(&query.seq, &search.params, scratch, Some(request_id))
+            view.search_with_id(&query.seq, &search.params, scratch, Some(request_id))
                 .map_err(|e| e.to_string())
         })
         .collect()
@@ -1268,9 +1118,9 @@ fn evaluate_batch(shared: &Shared, mut jobs: Vec<BatchJob>) {
     let total: usize = jobs.iter().map(|j| j.queries.len()).sum();
     shared.metrics.batches.inc();
     shared.metrics.batch_size.record(total as u64);
-    // One snapshot for the whole batch: every query in it sees the same
+    // One view for the whole batch: every query in it sees the same
     // record-id space, exactly like the static case.
-    let db = shared.db();
+    let view = shared.collection.pinned();
 
     while !jobs.is_empty() {
         let params = jobs[0].params;
@@ -1283,12 +1133,23 @@ fn evaluate_batch(shared: &Shared, mut jobs: Vec<BatchJob>) {
             .iter()
             .flat_map(|j| std::iter::repeat_n(j.request_id.clone(), j.queries.len()))
             .collect();
-        match db.search_batch_parallel_with_ids(
-            &flat,
-            Some(&flat_ids),
-            &params,
-            shared.config.search_threads,
-        ) {
+        // `start_collection` runs no collector over a shard set (its
+        // workers are its parallelism), so the pinned view is a single
+        // database here.
+        let outcomes = view
+            .as_static()
+            .ok_or(nucdb_index::IndexError::Unsupported(
+                "micro-batching over a shard set",
+            ))
+            .and_then(|db| {
+                db.search_batch_parallel_with_ids(
+                    &flat,
+                    Some(&flat_ids),
+                    &params,
+                    shared.config.search_threads,
+                )
+            });
+        match outcomes {
             Ok(outcomes) => {
                 let mut cursor = outcomes.into_iter();
                 for job in &group {

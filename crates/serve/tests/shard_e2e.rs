@@ -1,7 +1,9 @@
 //! End-to-end tests for serving a sharded root: bit-identity of the
 //! scatter-gather HTTP answer against the joint engine, hedged dispatch
-//! overtaking an injected straggler, and degraded mode answering 200
-//! with partial coverage (never a 500) when a shard is corrupt.
+//! overtaking an injected straggler, degraded mode answering 200 with
+//! partial coverage (never a 500) when a shard is corrupt, and the
+//! request id / flight recorder path a shard set shares with every
+//! other shape.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -10,7 +12,7 @@ use std::time::Duration;
 
 use nucdb::{Database, DbConfig, SearchParams, ShardSet, ShardSetConfig};
 use nucdb_obs::json::{self, Value};
-use nucdb_obs::MetricsRegistry;
+use nucdb_obs::{Forensics, ForensicsConfig, MetricsRegistry};
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
 use nucdb_seq::DnaSeq;
 use nucdb_serve::{start_sharded, ServeConfig};
@@ -65,12 +67,13 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// One raw HTTP/1.1 exchange over a fresh connection.
+/// One raw HTTP/1.1 exchange over a fresh connection: status, response
+/// head, body.
 fn http(
     addr: std::net::SocketAddr,
     request_head: &str,
     body: &[u8],
-) -> std::io::Result<(u16, Vec<u8>)> {
+) -> std::io::Result<(u16, String, Vec<u8>)> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     stream.write_all(request_head.as_bytes())?;
@@ -90,7 +93,7 @@ fn http(
         .nth(1)
         .and_then(|s| s.parse().ok())
         .expect("bad status line");
-    Ok((status, raw[head_end + 4..].to_vec()))
+    Ok((status, head.to_string(), raw[head_end + 4..].to_vec()))
 }
 
 fn post_search(addr: std::net::SocketAddr, body: &str) -> (u16, Vec<u8>) {
@@ -98,12 +101,25 @@ fn post_search(addr: std::net::SocketAddr, body: &str) -> (u16, Vec<u8>) {
         "POST /search HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    http(addr, &head, body.as_bytes()).unwrap()
+    let (status, _, body) = http(addr, &head, body.as_bytes()).unwrap();
+    (status, body)
 }
 
 fn get(addr: std::net::SocketAddr, path: &str) -> (u16, Vec<u8>) {
     let head = format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
-    http(addr, &head, &[]).unwrap()
+    let (status, _, body) = http(addr, &head, &[]).unwrap();
+    (status, body)
+}
+
+/// The entries of a `/debug/queries` or `/debug/slow` ring.
+fn debug_entries(addr: std::net::SocketAddr, path: &str) -> Vec<Value> {
+    let (status, body) = get(addr, path);
+    assert_eq!(status, 200);
+    let doc = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+    match doc.get("queries") {
+        Some(Value::Arr(entries)) => entries.clone(),
+        _ => panic!("no queries array in {}", doc.render()),
+    }
 }
 
 /// The (id, record, score, coarse_hits, strand) tuples of one query's
@@ -196,7 +212,9 @@ fn hedged_sharded_server_is_bit_identical_to_joint_build() {
         shard_deadline: Duration::from_secs(30),
         hedge_after: Some(Duration::from_millis(30)),
     };
-    let set = Arc::new(ShardSet::open_root(&root, shard_config, &registry).unwrap());
+    let mut set = ShardSet::open_root(&root, shard_config, &registry).unwrap();
+    set.set_forensics(Forensics::new(ForensicsConfig::default()));
+    let set = Arc::new(set);
     // Shard 1's primary worker sleeps 300 ms per phase; the hedge fires
     // at 30 ms and is never delayed, so it deterministically wins.
     set.inject_delay_ns(1, 300_000_000);
@@ -211,19 +229,56 @@ fn hedged_sharded_server_is_bit_identical_to_joint_build() {
     .unwrap();
     let addr = handle.addr();
 
-    let (status, body) = post_search(addr, &to_fasta(&qs));
+    let fasta = to_fasta(&qs);
+    let head = format!(
+        "POST /search HTTP/1.1\r\nHost: t\r\nX-Request-Id: shard-e2e-7\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
+        fasta.len()
+    );
+    let (status, response_head, body) = http(addr, &head, fasta.as_bytes()).unwrap();
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    assert!(
+        response_head
+            .to_ascii_lowercase()
+            .contains("x-request-id: shard-e2e-7"),
+        "request id not echoed: {response_head}"
+    );
     let response = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
     let Some(Value::Arr(results)) = response.get("results") else {
         panic!("bad response shape: {}", response.render());
     };
     assert_eq!(results.len(), qs.len());
+
+    // A shard set has a flight recorder like any other shape: one entry
+    // per query, each carrying the id the client was echoed.
+    let recent = debug_entries(addr, "/debug/queries");
+    assert_eq!(recent.len(), qs.len());
+    for entry in &recent {
+        assert_eq!(
+            entry.get("request_id").and_then(Value::as_str),
+            Some("shard-e2e-7")
+        );
+    }
+    assert!(debug_entries(addr, "/debug/slow").is_empty());
+
     for (i, result) in results.iter().enumerate() {
         assert_eq!(answer_tuples(result), expected[i], "query {i}");
         let (ok, total, failed) = coverage_of(result);
         assert_eq!((ok, total), (3, 3), "hedged query {i} lost coverage");
         assert!(failed.is_empty());
     }
+
+    // An explain plan is a parameter a shard set cannot honour: the
+    // client's error (400, naming the parameter), not a failed query,
+    // and nothing new lands in the rings.
+    let body = format!(
+        r#"{{"queries":[{{"id":"x","seq":"{}"}}],"params":{{"explain":true}}}}"#,
+        to_fasta(&qs[..1]).lines().nth(1).unwrap()
+    );
+    let (status, refusal) = post_search(addr, &body);
+    assert_eq!(status, 400);
+    assert!(String::from_utf8_lossy(&refusal).contains("explain"));
+    assert_eq!(debug_entries(addr, "/debug/queries").len(), qs.len());
 
     // The per-shard metric families are in the exposition: the straggler
     // was hedged (and the hedge won), and every shard's latency
@@ -273,7 +328,9 @@ fn corrupt_shard_degrades_to_partial_coverage_not_500() {
     std::fs::write(&victim, &full[..8]).unwrap();
 
     let registry = Arc::new(MetricsRegistry::new());
-    let set = Arc::new(ShardSet::open_root(&root, ShardSetConfig::default(), &registry).unwrap());
+    let mut set = ShardSet::open_root(&root, ShardSetConfig::default(), &registry).unwrap();
+    set.set_forensics(Forensics::new(ForensicsConfig::default()));
+    let set = Arc::new(set);
     let handle = start_sharded(
         "127.0.0.1:0",
         Arc::clone(&set),
@@ -295,10 +352,42 @@ fn corrupt_shard_degrades_to_partial_coverage_not_500() {
         panic!("bad response shape: {}", response.render());
     };
     assert_eq!(results.len(), qs.len());
-    for result in results {
+    // The degraded answer is the answer of a set over the survivors:
+    // same external ids and scores, in order, as a joint build of the
+    // records shards 0 and 2 hold.
+    let all = records(&coll);
+    let n = all.len();
+    let survivors: Vec<(String, DnaSeq)> = all[..n / 3]
+        .iter()
+        .chain(&all[2 * n / 3..])
+        .cloned()
+        .collect();
+    let joint = Database::build(survivors, &DbConfig::default());
+    for (result, (_, seq)) in results.iter().zip(&qs) {
         let (ok, total, failed) = coverage_of(result);
         assert_eq!((ok, total), (2, 3));
         assert_eq!(failed, vec!["shard-001".to_string()]);
+        let got: Vec<(String, u64)> = answer_tuples(result)
+            .into_iter()
+            .map(|(id, _, score, _, _)| (id, score))
+            .collect();
+        let want: Vec<(String, u64)> = joint
+            .search(seq, &params)
+            .unwrap()
+            .results
+            .iter()
+            .map(|r| (r.id.clone(), r.score as u64))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    // Every partial answer is filed with the errors, naming the shard.
+    let slow = debug_entries(addr, "/debug/slow");
+    assert_eq!(slow.len(), qs.len());
+    for entry in &slow {
+        assert_eq!(entry.get("reason").and_then(Value::as_str), Some("error"));
+        let cause = entry.get("error").and_then(Value::as_str).unwrap();
+        assert!(cause.contains("2/3 shards (shard-001"), "{cause}");
     }
 
     // /stats names the dead shard and its manifest-recorded size.

@@ -15,7 +15,17 @@ cargo test -q -p nucdb --test durability
 cargo test -q -p nucdb --test explain_and_health
 cargo test -q -p nucdb --test sharding
 cargo test -q -p nucdb-serve --test shard_e2e
+cargo test -q -p nucdb --test shapes
 cargo clippy --workspace -- -D warnings
+# The benchmark harness (e2e/, its own workspace, so not in `cargo test`)
+# compiles against a frozen slice of the public API and gates every
+# timed section on answer identity against a joint build. Build it, run
+# its unit tests and a small run of all four workloads here, so a break
+# of either fails in tier-1 and not in the pipeline's 92 runs.
+# --smoke's own 2 s window is marginal for `live_mixed` (one complete
+# round is 256 searches, ~130/s on two loaded vCPUs); 4 s is not.
+e2e/run.sh --test
+e2e/run.sh --smoke --seconds 4
 # Index health end to end on a real corpus: build a block-codec
 # database, fsck it (clean files must exit 0 — any other exit code
 # fails the run via set -e), and write the stat report; CI uploads

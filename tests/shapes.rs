@@ -1,0 +1,262 @@
+//! One corpus, every deployment shape, one entry point. The same records
+//! written as a plain directory, a live directory (flushed segments plus
+//! a memtable flushed last, reopened read-only), and sharded roots of 2
+//! and 3 are each opened through [`Collection::open`] — the single
+//! detection entry point — and must answer identically; and in every
+//! shape a request id handed to `search_with_id` must come back in the
+//! flight recorder under a `query` root with `coarse`, `fine` and
+//! `strand_merge` children, because all of them run the same driver.
+
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use nucdb::{
+    build_sharded_root, CoarseScratch, Collection, CollectionOptions, Database, DbConfig,
+    LiveDatabase, LiveOptions, SearchParams, Shape, Strand,
+};
+use nucdb_obs::{Forensics, ForensicsConfig, MetricsRegistry};
+use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
+use nucdb_seq::DnaSeq;
+
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("nucdb_shapes_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn write_plain(dir: &Path, records: &[(String, DnaSeq)], config: &DbConfig) {
+    Database::build(records.to_vec(), config)
+        .with_disk_index(&dir.join(nucdb::INDEX_FILE))
+        .unwrap()
+        .with_disk_store(&dir.join(nucdb::STORE_FILE))
+        .unwrap();
+}
+
+/// Three flushed segments; the last one sits in a non-empty memtable
+/// (and is searchable there) before its flush.
+fn write_live(dir: &Path, records: &[(String, DnaSeq)], config: &DbConfig) {
+    let live = LiveDatabase::create(dir, config, LiveOptions::default()).unwrap();
+    let third = records.len() / 3;
+    for chunk in [&records[..third], &records[third..2 * third]] {
+        live.insert_batch(chunk.to_vec()).unwrap();
+        assert!(live.flush().unwrap());
+    }
+    live.insert_batch(records[2 * third..].to_vec()).unwrap();
+    let status = live.status();
+    assert_eq!(status.segments.len(), 2);
+    assert!(status.memtable_records > 0);
+    assert_eq!(live.snapshot().len(), records.len());
+    assert!(live.flush().unwrap());
+}
+
+type Answer = Vec<(u32, String, i32, Strand)>;
+
+#[test]
+fn every_shape_answers_identically_and_traces_through_one_driver() {
+    let coll = SyntheticCollection::generate(&CollectionSpec {
+        seed: 2020,
+        num_background: 60,
+        num_families: 4,
+        family_size: 3,
+        ..CollectionSpec::default()
+    });
+    let records: Vec<(String, DnaSeq)> = coll
+        .records
+        .iter()
+        .map(|r| (r.id.clone(), r.seq.clone()))
+        .collect();
+    let queries: Vec<DnaSeq> = (0..coll.families.len())
+        .map(|f| coll.query_for_family(f, 0.5, &MutationModel::standard(0.05)))
+        .collect();
+    let config = DbConfig::default();
+    let params = SearchParams {
+        strand: Strand::Both,
+        ..SearchParams::default()
+    };
+
+    let root = temp_dir("matrix");
+    let shapes = [
+        ("plain", Shape::Plain),
+        ("live", Shape::Live),
+        ("shards2", Shape::Sharded),
+        ("shards3", Shape::Sharded),
+    ];
+    for (name, _) in shapes {
+        std::fs::create_dir_all(root.join(name)).unwrap();
+    }
+    write_plain(&root.join("plain"), &records, &config);
+    write_live(&root.join("live"), &records, &config);
+    build_sharded_root(&root.join("shards2"), records.clone(), 2, &config).unwrap();
+    build_sharded_root(&root.join("shards3"), records.clone(), 3, &config).unwrap();
+
+    let mut reference: Option<Vec<Answer>> = None;
+    for (name, shape) in shapes {
+        let dir = root.join(name);
+        assert_eq!(Shape::of(&dir), shape, "{name}");
+        let forensics = Forensics::new(ForensicsConfig::default());
+        let collection = Collection::open(
+            &dir,
+            &CollectionOptions {
+                registry: Arc::new(MetricsRegistry::new()),
+                forensics: forensics.clone(),
+                ..CollectionOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(collection.len(), records.len(), "{name}");
+        assert_eq!(
+            collection.as_sharded().is_some(),
+            shape == Shape::Sharded,
+            "{name}"
+        );
+
+        let mut scratch = CoarseScratch::new();
+        let answers: Vec<Answer> = queries
+            .iter()
+            .enumerate()
+            .map(|(i, query)| {
+                let id = format!("{name}-q{i}");
+                let outcome = collection
+                    .search_with_id(query, &params, &mut scratch, Some(&id))
+                    .unwrap();
+                assert_eq!(
+                    outcome.coverage.is_some(),
+                    shape == Shape::Sharded,
+                    "{name}"
+                );
+                assert!(outcome.coverage.is_none_or(|c| c.coverage.is_full()));
+                outcome
+                    .results
+                    .iter()
+                    .map(|r| (r.record, r.id.clone(), r.score, r.strand))
+                    .collect()
+            })
+            .collect();
+        assert!(answers.iter().all(|a| !a.is_empty()), "{name}");
+        match &reference {
+            None => reference = Some(answers),
+            Some(want) => assert_eq!(&answers, want, "{name} differs from the plain directory"),
+        }
+
+        // The request id reappears in the recorder, on the driver's tree.
+        let entries = collection.forensics().recent();
+        assert_eq!(entries.len(), queries.len(), "{name}");
+        for i in 0..queries.len() {
+            let id = format!("{name}-q{i}");
+            let entry = entries
+                .iter()
+                .find(|e| e.trace.request_id == id)
+                .unwrap_or_else(|| panic!("{id} not in the flight recorder"));
+            assert_eq!(entry.trace.root.name, "query");
+            let children: Vec<&str> = entry
+                .trace
+                .root
+                .children
+                .iter()
+                .map(|c| c.name.as_str())
+                .collect();
+            // Both strands: coarse, fine, coarse, fine, then the merge.
+            assert_eq!(
+                children,
+                ["coarse", "fine", "coarse", "fine", "strand_merge"],
+                "{id}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Explain plans and accumulator limiting over a sharded root are each
+/// refused by a typed error, whichever door the query came through.
+#[test]
+fn sharded_roots_reject_explain_and_max_accumulators() {
+    let coll = SyntheticCollection::generate(&CollectionSpec::tiny(9));
+    let records: Vec<(String, DnaSeq)> = coll
+        .records
+        .iter()
+        .map(|r| (r.id.clone(), r.seq.clone()))
+        .collect();
+    let dir = temp_dir("reject");
+    build_sharded_root(&dir, records, 2, &DbConfig::default()).unwrap();
+    let collection = Collection::open(&dir, &CollectionOptions::default()).unwrap();
+    let query = coll.query_for_family(0, 0.5, &MutationModel::identity());
+    for (params, word) in [
+        (
+            SearchParams {
+                explain: true,
+                ..SearchParams::default()
+            },
+            "explain",
+        ),
+        (
+            SearchParams {
+                max_accumulators: Some(8),
+                ..SearchParams::default()
+            },
+            "max_accumulators",
+        ),
+    ] {
+        let err = collection
+            .search_with_id(&query, &params, &mut CoarseScratch::new(), None)
+            .unwrap_err();
+        assert!(matches!(err, nucdb_index::IndexError::Unsupported(_)));
+        assert!(err.to_string().contains(word), "{err}");
+        // Front ends ask ahead of the query and get the same refusal.
+        let asked = collection.supports(&params).unwrap_err();
+        assert_eq!(asked.to_string(), err.to_string());
+    }
+    assert!(collection.supports(&SearchParams::default()).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `MANIFEST` shadowed by a `SHARDS` file (a state `serve --live` over
+/// a sharded root could leave behind) still names committed segments:
+/// `create` must refuse to replace it and `open_or_create` must reopen
+/// it, even though the directory probes as sharded. A sharded root
+/// without a manifest is refused outright, and nothing is written.
+#[test]
+fn a_shadowed_live_manifest_is_reopened_never_overwritten() {
+    let coll = SyntheticCollection::generate(&CollectionSpec::tiny(11));
+    let records: Vec<(String, DnaSeq)> = coll
+        .records
+        .iter()
+        .map(|r| (r.id.clone(), r.seq.clone()))
+        .collect();
+    let config = DbConfig::default();
+    let sharded = temp_dir("shadow_root");
+    build_sharded_root(&sharded, records.clone(), 2, &config).unwrap();
+    let err = LiveDatabase::open_or_create(&sharded, &config, LiveOptions::default())
+        .err()
+        .expect("a sharded root must not become live");
+    assert!(
+        matches!(err, nucdb_index::IndexError::Unsupported(_)),
+        "{err}"
+    );
+    assert!(!sharded.join("MANIFEST").exists());
+
+    let dir = temp_dir("shadow_live");
+    write_live(&dir, &records, &config);
+    std::fs::copy(sharded.join("SHARDS"), dir.join("SHARDS")).unwrap();
+    assert_eq!(Shape::of(&dir), Shape::Sharded);
+    let manifest_before = std::fs::read(dir.join("MANIFEST")).unwrap();
+
+    let err = LiveDatabase::create(&dir, &config, LiveOptions::default())
+        .err()
+        .expect("create over an existing manifest");
+    assert!(
+        err.to_string().contains("already holds a manifest"),
+        "{err}"
+    );
+    let live = LiveDatabase::open_or_create(&dir, &config, LiveOptions::default()).unwrap();
+    assert_eq!(live.status().segments.len(), 3);
+    assert_eq!(live.snapshot().len(), records.len());
+    drop(live);
+    assert_eq!(
+        std::fs::read(dir.join("MANIFEST")).unwrap(),
+        manifest_before
+    );
+    for dir in [sharded, dir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
