@@ -8,7 +8,9 @@
 //!   truth) and a full-traceback form (used to report final alignments).
 //! * [`banded`] — banded local alignment around a known diagonal: the
 //!   cheap "local alignment on likely answers" that fine search runs,
-//!   seeded with the best diagonal found by coarse ranking.
+//!   seeded with the best diagonal found by coarse ranking — one
+//!   candidate at a time (the scalar reference) or sixteen, one per
+//!   `i16` lane (what fine search runs).
 //! * [`nw`] — Needleman–Wunsch global alignment (used in tests and by
 //!   callers that need end-to-end alignment of two fragments).
 //! * [`fasta_heur`] / [`blast_heur`] — from-scratch FASTA-style (k-tuple
@@ -32,7 +34,7 @@ pub mod score;
 pub mod sw;
 pub mod words;
 
-pub use banded::{band_for_diagonal, banded_sw_score};
+pub use banded::{band_for_diagonal, banded_sw_score, banded_sw_scores, BandScratch, LANES};
 pub use blast_heur::{blast_scan, blast_score, BlastParams};
 pub use evalue::{calibrate_gumbel, ungapped_lambda, GumbelFit};
 pub use fasta_heur::{fasta_scan, fasta_score, FastaParams};

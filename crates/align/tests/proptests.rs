@@ -2,8 +2,8 @@
 //! every input under every reasonable scheme.
 
 use nucdb_align::{
-    banded_sw_score, blast_score, fasta_score, nw_align, sw_align, sw_score, sw_score_iupac,
-    BlastParams, FastaParams, ScoringScheme, WordTable,
+    banded_sw_score, banded_sw_scores, blast_score, fasta_score, nw_align, sw_align, sw_score,
+    sw_score_iupac, BandScratch, BlastParams, FastaParams, ScoringScheme, WordTable, LANES,
 };
 use nucdb_seq::{Base, DnaSeq};
 use proptest::prelude::*;
@@ -114,6 +114,48 @@ proptest! {
     }
 
     #[test]
+    fn lane_kernel_equals_scalar_kernel(
+        q in dna(0..70),
+        // ((shape, band centre), left flank, right flank) per target.
+        specs in prop::collection::vec(((0u8..4, -80i64..160), dna(0..50), dna(0..50)), 1..=LANES),
+        half_width in 0usize..40,
+    ) {
+        // Empty, unrelated, containing the query, and containing it with
+        // an insertion in the middle: lengths 0..170, so the centres fall
+        // before, inside and beyond every target.
+        let targets: Vec<(Vec<Base>, i64)> = specs
+            .iter()
+            .map(|((shape, center), left, right)| {
+                let (head, tail) = q.split_at(q.len() / 2);
+                let ascii = match shape {
+                    0 => Vec::new(),
+                    1 => [&left[..], right].concat(),
+                    2 => [&left[..], &q, right].concat(),
+                    _ => [head, left, tail, right].concat(),
+                };
+                (bases(&ascii), *center)
+            })
+            .collect();
+        let qb = bases(&q);
+        let gapless_open = ScoringScheme {
+            match_score: 3,
+            mismatch_score: -2,
+            gap_open: 0,
+            gap_extend: 2,
+        };
+        let mut scratch = BandScratch::default();
+        for scheme in schemes().into_iter().chain([gapless_open]) {
+            let mut lanes = vec![0; targets.len()];
+            banded_sw_scores(&qb, &targets, &scheme, half_width, &mut scratch, &mut lanes);
+            let scalar: Vec<i32> = targets
+                .iter()
+                .map(|(t, c)| banded_sw_score(&qb, t, &scheme, *c, half_width))
+                .collect();
+            prop_assert_eq!(lanes, scalar, "scheme {:?}", scheme);
+        }
+    }
+
+    #[test]
     fn global_score_at_most_local(q in dna(0..40), t in dna(0..40)) {
         for scheme in schemes() {
             let qb = bases(&q);
@@ -164,5 +206,66 @@ proptest! {
         target.extend_from_slice(&flank_b);
         let score = sw_score(&bases(&core), &bases(&target), &scheme);
         prop_assert!(score as i64 >= scheme.max_score(core.len()));
+    }
+}
+
+#[test]
+fn scores_beyond_i16_fall_back_to_scalar_and_the_rest_fit() {
+    // 7 000 identical bases at +5 score 35 000: more than an `i16` holds,
+    // so the batch must take the scalar path.
+    let seq: Vec<Base> = (0..7000u32)
+        .map(|i| Base::from_code((i.wrapping_mul(2_654_435_761) >> 13) as u8))
+        .collect();
+    let short = &seq[..100];
+    let scheme = ScoringScheme::blastn();
+    let mut scores = [0; 2];
+    banded_sw_scores(
+        &seq,
+        &[(&seq[..], 0), (short, 0)],
+        &scheme,
+        8,
+        &mut BandScratch::default(),
+        &mut scores,
+    );
+    assert_eq!(scores[0], 35_000);
+    assert!(scores[0] > i32::from(i16::MAX));
+    assert_eq!(scores[0], banded_sw_score(&seq, &seq, &scheme, 0, 8));
+    assert_eq!(scores[1], banded_sw_score(&seq, short, &scheme, 0, 8));
+
+    // The largest score the guard admits (3 199 × 5 < 16 000) stays in
+    // lanes and must not overflow them: debug builds would panic here.
+    let fits = &seq[..3199];
+    banded_sw_scores(
+        fits,
+        &[(fits, 0)],
+        &scheme,
+        8,
+        &mut BandScratch::default(),
+        &mut scores[..1],
+    );
+    assert_eq!(scores[0], 15_995);
+}
+
+#[test]
+fn more_targets_than_lanes_are_scored_in_order() {
+    let query = bases(b"ACGTAGCTAGCTGGATCCGATTACA");
+    let targets: Vec<(Vec<Base>, i64)> = (0..2 * LANES + 3)
+        .map(|k| {
+            let rotated = query[k % 7..].iter().chain(&query[..k % 5]);
+            (rotated.copied().collect(), -((k % 7) as i64))
+        })
+        .collect();
+    let scheme = ScoringScheme::blastn();
+    let mut scores = vec![0; targets.len()];
+    banded_sw_scores(
+        &query,
+        &targets,
+        &scheme,
+        3,
+        &mut BandScratch::default(),
+        &mut scores,
+    );
+    for ((target, center), &score) in targets.iter().zip(&scores) {
+        assert_eq!(score, banded_sw_score(&query, target, &scheme, *center, 3));
     }
 }

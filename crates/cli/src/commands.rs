@@ -2031,6 +2031,86 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_bands_answer_like_a_wide_one() {
+        // `2 * half_width + 1` used to wrap (a search that never ended)
+        // or ask for 320 GB; both widths cover every record, so both must
+        // answer exactly as a band of 100 000 does, and promptly.
+        let dir = std::env::temp_dir().join(format!("nucdb_cli_band_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let s = |v: &[&str]| -> Vec<String> { v.iter().map(|x| x.to_string()).collect() };
+        let (fasta, queries, db) = (dir.join("c.fasta"), dir.join("q.fasta"), dir.join("db"));
+        let (fasta, queries, db) = (
+            fasta.to_str().unwrap(),
+            queries.to_str().unwrap(),
+            db.to_str().unwrap(),
+        );
+        generate(&s(&[
+            "--bases",
+            "60000",
+            "--out",
+            fasta,
+            "--seed",
+            "5",
+            "--queries-out",
+            queries,
+        ]))
+        .unwrap();
+        build(&s(&["--collection", fasta, "--db", db])).unwrap();
+
+        // Two queries, five candidates each: a band over the whole
+        // matrix is slow work in an unoptimised test build.
+        let mut probes: Vec<FastaRecord> =
+            FastaReader::new(BufReader::new(File::open(queries).unwrap()))
+                .collect::<Result<_, _>>()
+                .unwrap();
+        probes.truncate(2);
+        let mut writer = FastaWriter::new(File::create(queries).unwrap());
+        for probe in &probes {
+            writer.write_record(probe).unwrap();
+        }
+        writer.into_inner().unwrap();
+
+        let collection = Collection::open(Path::new(db), &CollectionOptions::default()).unwrap();
+        let answers = |spec: &str| -> Vec<Vec<(u32, i32)>> {
+            let params = SearchParams {
+                fine: parse_fine(spec).unwrap(),
+                max_candidates: 5,
+                ..SearchParams::default()
+            };
+            probes
+                .iter()
+                .map(|probe| {
+                    let outcome = collection
+                        .search_with_id(&probe.seq, &params, &mut CoarseScratch::new(), None)
+                        .unwrap();
+                    outcome
+                        .results
+                        .iter()
+                        .map(|r| (r.record, r.score))
+                        .collect()
+                })
+                .collect()
+        };
+        let wide = answers("banded:100000");
+        assert!(wide.iter().all(|results| !results.is_empty()));
+        for spec in ["banded:40000000000", "banded:9223372036854775807"] {
+            assert_eq!(answers(spec), wide, "{spec}");
+            search(&s(&[
+                "--db",
+                db,
+                "--query",
+                queries,
+                "--candidates",
+                "5",
+                "--fine",
+                spec,
+            ]))
+            .unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn end_to_end_generate_build_search_stats() {
         let dir = std::env::temp_dir().join(format!("nucdb_cli_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

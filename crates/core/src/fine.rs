@@ -5,7 +5,12 @@
 //! exhaustive scan — but the default is cheaper still: a *banded*
 //! alignment centred on the diagonal coarse ranking discovered.
 
-use nucdb_align::{banded_sw_score, sw_align, sw_score, sw_score_iupac, Alignment, ScoringScheme};
+use std::time::Instant;
+
+use nucdb_align::{
+    banded_sw_scores, sw_align, sw_score, sw_score_iupac, Alignment, BandScratch, ScoringScheme,
+    LANES,
+};
 use nucdb_seq::{DnaSeq, SeqError};
 
 use crate::coarse::CoarseHit;
@@ -88,7 +93,8 @@ pub fn fine_search<S: RecordSource>(
 /// [`fine_search`] that additionally records per-candidate wall time
 /// into `timings` (append-only; pass `None` to skip all timing work).
 /// Results are identical to [`fine_search`] — the instrumentation only
-/// reads the clock around each candidate.
+/// reads the clock around each candidate, or in [`FineMode::Banded`]
+/// around each batch of candidates, whose time its members share evenly.
 pub fn fine_search_traced<S: RecordSource>(
     store: &S,
     query: &DnaSeq,
@@ -98,45 +104,18 @@ pub fn fine_search_traced<S: RecordSource>(
     min_score: i32,
     mut timings: Option<&mut Vec<CandidateTiming>>,
 ) -> Result<Vec<FineResult>, SeqError> {
-    let stage_start = timings.as_ref().map(|_| std::time::Instant::now());
     let query_bases = query.representative_bases();
+    let stage_start = timings.as_ref().map(|_| Instant::now());
+    // Nanoseconds into the stage; the clock is read only when timing.
+    let now = || stage_start.map_or(0, |s| s.elapsed().as_nanos() as u64);
     let mut results: Vec<FineResult> = Vec::with_capacity(candidates.len());
-    for &coarse in candidates {
-        let start_ns = stage_start.map(|s| s.elapsed().as_nanos() as u64);
-        let (score, alignment) = match mode {
-            FineMode::Banded { half_width } => {
-                let target = store.try_bases(coarse.record)?;
-                (
-                    banded_sw_score(
-                        &query_bases,
-                        &target,
-                        scheme,
-                        coarse.best_diagonal,
-                        half_width,
-                    ),
-                    None,
-                )
-            }
-            FineMode::Full => {
-                let target = store.try_bases(coarse.record)?;
-                (sw_score(&query_bases, &target, scheme), None)
-            }
-            FineMode::FullWithTraceback => {
-                let target = store.try_bases(coarse.record)?;
-                let alignment = sw_align(&query_bases, &target, scheme);
-                (alignment.as_ref().map_or(0, |a| a.score), alignment)
-            }
-            FineMode::FullIupac => {
-                let target = store.sequence(coarse.record)?;
-                (sw_score_iupac(query, &target, scheme), None)
-            }
-        };
-        if let (Some(timings), Some(start_ns)) = (timings.as_deref_mut(), start_ns) {
-            let end_ns = stage_start.unwrap().elapsed().as_nanos() as u64;
+    // Every candidate is timed; those under the score floor are dropped.
+    let mut scored = |coarse: CoarseHit, score, alignment, start_ns, nanos| {
+        if let Some(timings) = timings.as_deref_mut() {
             timings.push(CandidateTiming {
                 record: coarse.record,
                 start_ns,
-                nanos: end_ns.saturating_sub(start_ns),
+                nanos,
                 score,
             });
         }
@@ -148,6 +127,49 @@ pub fn fine_search_traced<S: RecordSource>(
                 alignment,
             });
         }
+    };
+    if let FineMode::Banded { half_width } = mode {
+        // Sixteen candidates a pass, one per lane of the kernel: fetch
+        // the batch, score it in one call, keep only the scores.
+        let mut scratch = BandScratch::default();
+        let mut scores = [0i32; LANES];
+        for batch in candidates.chunks(LANES) {
+            let start_ns = now();
+            let targets = batch
+                .iter()
+                .map(|coarse| Ok((store.try_bases(coarse.record)?, coarse.best_diagonal)))
+                .collect::<Result<Vec<_>, SeqError>>()?;
+            let scores = &mut scores[..batch.len()];
+            banded_sw_scores(
+                &query_bases,
+                &targets,
+                scheme,
+                half_width,
+                &mut scratch,
+                scores,
+            );
+            let share = (now() - start_ns) / batch.len() as u64;
+            for (lane, (&coarse, &score)) in batch.iter().zip(scores.iter()).enumerate() {
+                scored(coarse, score, None, start_ns + lane as u64 * share, share);
+            }
+        }
+    } else {
+        for &coarse in candidates {
+            let start_ns = now();
+            let (score, alignment) = if mode == FineMode::FullIupac {
+                let target = store.sequence(coarse.record)?;
+                (sw_score_iupac(query, &target, scheme), None)
+            } else {
+                let target = store.try_bases(coarse.record)?;
+                if mode == FineMode::FullWithTraceback {
+                    let alignment = sw_align(&query_bases, &target, scheme);
+                    (alignment.as_ref().map_or(0, |a| a.score), alignment)
+                } else {
+                    (sw_score(&query_bases, &target, scheme), None)
+                }
+            };
+            scored(coarse, score, alignment, start_ns, now() - start_ns);
+        }
     }
     results.sort_by(|a, b| b.score.cmp(&a.score).then(a.record.cmp(&b.record)));
     Ok(results)
@@ -156,12 +178,22 @@ pub fn fine_search_traced<S: RecordSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{SequenceStore, StorageMode};
+    use crate::segment::{SegmentStorePart, SegmentedStore};
+    use crate::store::{OnDiskStore, SequenceStore, StorageMode};
+    use std::sync::Arc;
 
     fn store_with(records: &[&[u8]]) -> SequenceStore {
+        let records: Vec<DnaSeq> = records
+            .iter()
+            .map(|r| DnaSeq::from_ascii(r).unwrap())
+            .collect();
+        memory_store(&records)
+    }
+
+    fn memory_store(records: &[DnaSeq]) -> SequenceStore {
         let mut store = SequenceStore::new(StorageMode::DirectCoding);
-        for (i, r) in records.iter().enumerate() {
-            store.add(format!("r{i}"), &DnaSeq::from_ascii(r).unwrap());
+        for (i, seq) in records.iter().enumerate() {
+            store.add(format!("r{i}"), seq);
         }
         store
     }
@@ -306,6 +338,138 @@ mod tests {
         assert_eq!(records, [0, 1, 2]);
         for pair in timings.windows(2) {
             assert!(pair[1].start_ns >= pair[0].start_ns + pair[0].nanos);
+        }
+    }
+
+    /// Twenty records around `query()` with IUPAC wildcards in them, and
+    /// a candidate list over all of them: two lane batches, 16 + 4.
+    fn wildcard_corpus() -> (Vec<DnaSeq>, Vec<CoarseHit>) {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |below: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below as u64) as usize
+        };
+        let core = query().to_ascii_vec();
+        let mut records = Vec::new();
+        let mut hits = Vec::new();
+        for record in 0..20u32 {
+            let lead = next(30);
+            let mut ascii: Vec<u8> = (0..lead).map(|_| b"ACGT"[next(4)]).collect();
+            ascii.extend_from_slice(&core[..6 + next(12)]);
+            ascii.extend((0..next(3)).map(|_| b"NRYK"[next(4)]));
+            ascii.extend_from_slice(&core[next(8)..]);
+            let at = next(ascii.len());
+            ascii[at] = b"NSWB"[next(4)];
+            records.push(DnaSeq::from_ascii(&ascii).unwrap());
+            // Mostly the true diagonal, sometimes one off either end.
+            hits.push(hit(record, lead as i64 + [0, 0, 2, -40, 90][next(5)]));
+        }
+        (records, hits)
+    }
+
+    fn disk_store(records: &[DnaSeq], tag: &str) -> (std::path::PathBuf, OnDiskStore) {
+        let path = std::env::temp_dir().join(format!("nucdb_fine_{tag}_{}", std::process::id()));
+        memory_store(records).write_to(&path).unwrap();
+        let disk = OnDiskStore::open(&path).unwrap();
+        (path, disk)
+    }
+
+    #[test]
+    fn banded_batches_equal_a_scalar_loop_on_every_store() {
+        let (records, hits) = wildcard_corpus();
+        let q = query();
+        let scheme = ScoringScheme::blastn();
+        let half_width = 6;
+        let mut expected: Vec<(u32, i32)> = hits
+            .iter()
+            .map(|h| {
+                let score = nucdb_align::banded_sw_score(
+                    &q.representative_bases(),
+                    &records[h.record as usize].representative_bases(),
+                    &scheme,
+                    h.best_diagonal,
+                    half_width,
+                );
+                (h.record, score)
+            })
+            .filter(|&(_, score)| score >= 20)
+            .collect();
+        expected.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        assert!(expected.len() > 10 && expected.len() < hits.len());
+
+        let (path, disk) = disk_store(&records, "all");
+        let (head_path, head) = disk_store(&records[..9], "head");
+        let segmented = SegmentedStore::new(vec![
+            SegmentStorePart::Disk(Arc::new(head)),
+            SegmentStorePart::Memory(Arc::new(memory_store(&records[9..]))),
+        ]);
+        let memory = memory_store(&records);
+        let mode = FineMode::Banded { half_width };
+        let answers = |found: Vec<FineResult>| -> Vec<(u32, i32)> {
+            found.iter().map(|r| (r.record, r.score)).collect()
+        };
+        let from_memory = fine_search(&memory, &q, &hits, mode, &scheme, 20).unwrap();
+        let from_disk = fine_search(&disk, &q, &hits, mode, &scheme, 20).unwrap();
+        let from_parts = fine_search(&segmented, &q, &hits, mode, &scheme, 20).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&head_path);
+        assert_eq!(answers(from_memory), expected);
+        assert_eq!(answers(from_disk), expected);
+        assert_eq!(answers(from_parts), expected);
+    }
+
+    #[test]
+    fn banded_batches_time_every_candidate_in_order() {
+        let (records, hits) = wildcard_corpus();
+        let (path, disk) = disk_store(&records, "timed");
+        let mut timings = Vec::new();
+        fine_search_traced(
+            &disk,
+            &query(),
+            &hits,
+            FineMode::default(),
+            &ScoringScheme::blastn(),
+            20,
+            Some(&mut timings),
+        )
+        .unwrap();
+        let _ = std::fs::remove_file(&path);
+        // One entry per candidate — kept or not, first batch or second —
+        // in candidate order, each starting where the last one ended.
+        let timed: Vec<u32> = timings.iter().map(|t| t.record).collect();
+        let asked: Vec<u32> = hits.iter().map(|h| h.record).collect();
+        assert_eq!(timed, asked);
+        for pair in timings.windows(2) {
+            assert!(pair[1].start_ns >= pair[0].start_ns + pair[0].nanos);
+        }
+    }
+
+    #[test]
+    fn corrupt_record_inside_a_batch_is_a_checksum_error() {
+        let (records, hits) = wildcard_corpus();
+        let (path, disk) = disk_store(&records, "flip");
+        let (offset, len) = disk.record_location(5);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[(offset + len as u64 - 1) as usize] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        let found = fine_search(
+            &disk,
+            &query(),
+            &hits,
+            FineMode::default(),
+            &ScoringScheme::blastn(),
+            1,
+        );
+        let _ = std::fs::remove_file(&path);
+        match found {
+            Err(SeqError::Corruption {
+                section,
+                offset: at,
+                ..
+            }) => assert_eq!((section, at), ("record", offset)),
+            other => panic!("expected the record's checksum error, got {other:?}"),
         }
     }
 

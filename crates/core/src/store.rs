@@ -761,7 +761,19 @@ impl RecordSource for OnDiskStore {
     }
 
     fn try_bases(&self, record: u32) -> Result<Vec<Base>, SeqError> {
-        Ok(self.sequence(record)?.representative_bases())
+        match self.mode {
+            StorageMode::Ascii => Ok(self.sequence(record)?.representative_bases()),
+            // The 2-bit payload already holds the representative base
+            // under every wildcard, so the exception list is validated
+            // but never applied: no `Vec<IupacCode>` in between.
+            StorageMode::DirectCoding => {
+                let (offset, _) = self.blobs[record as usize];
+                let blob = self.fetch_blob(record)?;
+                let packed =
+                    PackedSeq::from_bytes(&blob).map_err(|e| e.located("record", offset))?;
+                Ok(packed.unpack_bases())
+            }
+        }
     }
 
     fn sequence(&self, record: u32) -> Result<DnaSeq, SeqError> {

@@ -147,9 +147,10 @@ impl PackedSeq {
     /// Unpack to representative bases only (the fast path used by alignment
     /// and interval extraction; wildcards collapse to representatives).
     pub fn unpack_bases(&self) -> Vec<Base> {
-        let mut out = Vec::with_capacity(self.len());
+        // Every packed byte pushes four bases before the tail is trimmed;
+        // reserve for all of them so the last push never reallocates.
+        let mut out = Vec::with_capacity(self.payload.len() * 4);
         for &byte in &self.payload {
-            // Four bases per packed byte; the tail is trimmed below.
             out.push(Base::from_code(byte));
             out.push(Base::from_code(byte >> 2));
             out.push(Base::from_code(byte >> 4));

@@ -16,6 +16,9 @@ cargo test -q -p nucdb --test explain_and_health
 cargo test -q -p nucdb --test sharding
 cargo test -q -p nucdb-serve --test shard_e2e
 cargo test -q -p nucdb --test shapes
+# The fine stage's lane kernel against its scalar oracle, in release:
+# that is the build whose vectorised loop ships.
+cargo test -q --release -p nucdb-align --test proptests
 cargo clippy --workspace -- -D warnings
 # The benchmark harness (e2e/, its own workspace, so not in `cargo test`)
 # compiles against a frozen slice of the public API and gates every
