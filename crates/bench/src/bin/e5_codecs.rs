@@ -5,11 +5,130 @@
 //! decode the new bottleneck. This harness encodes the same postings
 //! lists (from a reference index over the standard collection) under each
 //! scheme and reports encoded size and decode throughput.
+//!
+//! The index itself writes two layouts (`ListCodec::Paper`,
+//! `ListCodec::Block`); those rows go through `encode_postings`. The
+//! other five are ablations that exist only here: the same three streams
+//! per list — record ids, offset counts, offsets within each record —
+//! coded with `nucdb-codec`'s other integer codes, each list
+//! byte-aligned as the index's are.
 
 use nucdb_bench::{banner, bytes, collection, time, Table};
-use nucdb_index::{
-    decode_postings, encode_postings, Granularity, IndexBuilder, IndexParams, ListCodec,
+use nucdb_codec::{
+    interpolative_decode, interpolative_encode, BitReader, BitWriter, Delta, FixedWidth, Gamma,
+    IntCodec, VByte,
 };
+use nucdb_index::{
+    decode_postings, encode_postings, Granularity, IndexBuilder, IndexParams, ListCodec, Posting,
+    PostingsList,
+};
+
+/// What a table row does to one list; every list is byte-aligned.
+trait ListCoder {
+    fn encode(&self, list: &PostingsList, num_records: u32, lens: &[u32]) -> Vec<u8>;
+    fn decode(&self, bytes: &[u8], df: usize, num_records: u32, lens: &[u32]) -> PostingsList;
+}
+
+impl ListCoder for ListCodec {
+    fn encode(&self, list: &PostingsList, num_records: u32, lens: &[u32]) -> Vec<u8> {
+        encode_postings(list, num_records, lens, *self, Granularity::Offsets)
+    }
+
+    fn decode(&self, bytes: &[u8], df: usize, num_records: u32, lens: &[u32]) -> PostingsList {
+        decode_postings(bytes, df as u32, num_records, lens, *self).expect("round trip")
+    }
+}
+
+/// Codes a strictly increasing list drawn from `0..universe`: record ids
+/// out of the collection, offsets out of a record.
+type PutSorted = Box<dyn Fn(&[u64], u64, &mut BitWriter)>;
+/// Inverse of [`PutSorted`], given the list's length.
+type GetSorted = Box<dyn Fn(usize, u64, &mut BitReader) -> Vec<u64>>;
+
+/// One ablation: how it codes the two kinds of sorted list, and how it
+/// codes the per-record offset counts.
+struct Scheme {
+    put: PutSorted,
+    get: GetSorted,
+    counts: Box<dyn IntCodec>,
+}
+
+impl Scheme {
+    /// Sorted lists coded as gaps, one `code(universe)` value per gap.
+    fn per_gap<C: IntCodec>(
+        code: impl Fn(u64) -> C + Copy + 'static,
+        counts: impl IntCodec + 'static,
+    ) -> Scheme {
+        Scheme {
+            put: Box::new(move |values, universe, w| {
+                let code = code(universe.max(1));
+                let mut next = 0;
+                for &value in values {
+                    code.encode(value - next, w);
+                    next = value + 1;
+                }
+            }),
+            get: Box::new(move |count, universe, r| {
+                let code = code(universe.max(1));
+                let mut next = 0;
+                let mut value = || {
+                    let value = next + code.decode(r).expect("round trip");
+                    next = value + 1;
+                    value
+                };
+                (0..count).map(|_| value()).collect()
+            }),
+            counts: Box::new(counts),
+        }
+    }
+
+    /// Sorted lists coded whole by binary interpolative coding.
+    fn interpolative() -> Scheme {
+        Scheme {
+            put: Box::new(|values, universe, w| {
+                interpolative_encode(values, 0, universe.max(1) - 1, w)
+            }),
+            get: Box::new(|count, universe, r| {
+                interpolative_decode(count, 0, universe.max(1) - 1, r).expect("round trip")
+            }),
+            counts: Box::new(Gamma),
+        }
+    }
+}
+
+impl ListCoder for Scheme {
+    fn encode(&self, list: &PostingsList, num_records: u32, lens: &[u32]) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        let records: Vec<u64> = list.entries.iter().map(|p| p.record as u64).collect();
+        (self.put)(&records, num_records as u64, &mut w);
+        for posting in &list.entries {
+            self.counts.encode(posting.offsets.len() as u64 - 1, &mut w);
+        }
+        for posting in &list.entries {
+            let offsets: Vec<u64> = posting.offsets.iter().map(|&o| o as u64).collect();
+            (self.put)(&offsets, lens[posting.record as usize] as u64, &mut w);
+        }
+        w.into_bytes()
+    }
+
+    fn decode(&self, bytes: &[u8], df: usize, num_records: u32, lens: &[u32]) -> PostingsList {
+        let mut r = BitReader::new(bytes);
+        let records = (self.get)(df, num_records as u64, &mut r);
+        let counts = self.counts.decode_vec(&mut r, df).expect("round trip");
+        let entries = records
+            .into_iter()
+            .zip(counts)
+            .map(|(record, count)| Posting {
+                record: record as u32,
+                offsets: (self.get)(count as usize + 1, lens[record as usize] as u64, &mut r)
+                    .into_iter()
+                    .map(|o| o as u32)
+                    .collect(),
+            })
+            .collect();
+        PostingsList { entries }
+    }
+}
 
 fn main() {
     banner("E5", "postings codec comparison: size and decode speed");
@@ -21,7 +140,7 @@ fn main() {
     let reference = builder.finish();
     let lists = reference.decode_all().expect("reference index decodes");
     let num_records = reference.num_records();
-    let lens = reference.record_lens().to_vec();
+    let lens = reference.record_lens();
     let total_postings: u64 = lists.iter().map(|(_, l)| l.df() as u64).sum();
     let total_offsets: u64 = lists
         .iter()
@@ -42,45 +161,43 @@ fn main() {
         "decode ms",
         "Mpostings/s",
     ]);
-
-    for codec in [
-        ListCodec::Paper,
-        ListCodec::Interp,
-        ListCodec::Gamma,
-        ListCodec::Delta,
-        ListCodec::VByte,
-        ListCodec::Fixed,
-        ListCodec::Block,
-    ] {
+    let rows: [(&str, Box<dyn ListCoder>); 7] = [
+        (ListCodec::Paper.name(), Box::new(ListCodec::Paper)),
+        ("interpolative", Box::new(Scheme::interpolative())),
+        ("gamma", Box::new(Scheme::per_gap(|_| Gamma, Gamma))),
+        ("delta", Box::new(Scheme::per_gap(|_| Delta, Delta))),
+        ("vbyte", Box::new(Scheme::per_gap(|_| VByte, VByte))),
+        (
+            "fixed-width",
+            Box::new(Scheme::per_gap(FixedWidth::for_max, FixedWidth::new(32))),
+        ),
+        (ListCodec::Block.name(), Box::new(ListCodec::Block)),
+    ];
+    for (name, row) in rows {
         let (encoded, enc_time) = time(|| {
             lists
                 .iter()
-                .map(|(_, list)| {
-                    encode_postings(list, num_records, &lens, codec, Granularity::Offsets)
-                })
+                .map(|(_, l)| row.encode(l, num_records, lens))
                 .collect::<Vec<_>>()
         });
         let encoded_bytes: u64 = encoded.iter().map(|b| b.len() as u64).sum();
-
         let (ok, dec_time) = time(|| {
-            let mut ok = true;
-            for ((_, list), blob) in lists.iter().zip(&encoded) {
-                let decoded = decode_postings(blob, list.df() as u32, num_records, &lens, codec)
-                    .expect("round trip");
-                ok &= &decoded == list;
-            }
-            ok
+            lists
+                .iter()
+                .zip(&encoded)
+                .all(|((_, list), blob)| &row.decode(blob, list.df(), num_records, lens) == list)
         });
-        assert!(ok, "decode mismatch under {}", codec.name());
-
-        let decoded_per_sec = total_postings as f64 / dec_time.as_secs_f64() / 1e6;
+        assert!(ok, "decode mismatch under {name}");
         table.row(vec![
-            codec.name().to_string(),
+            name.to_string(),
             bytes(encoded_bytes),
             format!("{:.2}", encoded_bytes as f64 * 8.0 / total_postings as f64),
             format!("{:.0}", enc_time.as_secs_f64() * 1e3),
             format!("{:.0}", dec_time.as_secs_f64() * 1e3),
-            format!("{:.1}", decoded_per_sec),
+            format!(
+                "{:.1}",
+                total_postings as f64 / dec_time.as_secs_f64() / 1e6
+            ),
         ]);
     }
     table.print();

@@ -1,4 +1,4 @@
-//! Shared harness utilities for the experiment binaries (E1–E8).
+//! Shared harness utilities for the experiment binaries (E1–E12).
 //!
 //! Each `src/bin/eN_*.rs` binary regenerates one table/figure of the
 //! reconstructed evaluation (see EXPERIMENTS.md); this crate holds the

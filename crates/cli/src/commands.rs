@@ -1,4 +1,5 @@
-//! The four subcommands: generate / build / search / stats.
+//! The thirteen subcommands: generate / build / ingest / search / merge /
+//! stats / stat / fsck / verify / bench / serve / profile / version.
 
 use std::error::Error;
 use std::fs::File;
@@ -7,9 +8,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use nucdb::{
-    CoarseScratch, Collection, CollectionOptions, FineMode, IndexVariant, RankingScheme,
-    SearchParams, SequenceStore, Shape, ShardSetConfig, StorageMode, Strand, INDEX_FILE,
-    STORE_FILE,
+    CoarseScratch, Collection, CollectionOptions, FineMode, FsckFinding, FsckSeverity,
+    IndexVariant, RankingScheme, SearchParams, SequenceStore, Shape, ShardSetConfig, StorageMode,
+    Strand, INDEX_FILE, STORE_FILE,
 };
 use nucdb_align::calibrate_gumbel;
 use nucdb_index::{
@@ -37,12 +38,12 @@ commands:
              [--repeat-prob F] [--queries-out FILE] [--divergence F]
   build      build an on-disk database (index + sequence store) from FASTA
              --collection FILE --db DIR [--k N] [--stride N] [--stop-fraction F]
-             [--codec paper|gamma|delta|vbyte|fixed|block] [--chunk N] [--ascii-store]
+             [--codec paper|block] [--chunk N] [--ascii-store]
              [--granularity offsets|records] [--shards N]
   ingest     stream FASTA records into a live (segmented) database
              --collection FILE --db DIR [--batch N] [--memtable-max-records N]
              [--max-segments N] [--compact] [--k N] [--stride N]
-             [--codec NAME] [--granularity offsets|records] [--ascii-store]
+             [--codec paper|block] [--granularity offsets|records] [--ascii-store]
   search     run homology queries (each FASTA record is one query)
              --db DIR --query FILE [--candidates N] [--ranking count|prop|frame:W]
              [--fine banded:W|full|trace] [--both-strands] [--max-results N]
@@ -115,7 +116,7 @@ pub fn usage_for(command: &str) -> Option<&'static str> {
   --k N              interval (k-mer) length (default 8)
   --stride N         sampling stride across each record (default 1)
   --stop-fraction F  drop intervals present in more than F of records
-  --codec NAME       postings codec: paper|gamma|delta|vbyte|fixed|block
+  --codec NAME       postings codec: paper|block
                      (block = NUCIDX04 fast-decode tier with skip pointers)
   --chunk N          records per in-memory build chunk (default 2048)
   --granularity G    postings granularity: offsets|records
@@ -164,7 +165,7 @@ is rejected over a sharded root (per-shard plans do not merge)"
   --compact          run compaction to quiescence after the final flush
   --k N              interval (k-mer) length (default 8)
   --stride N         sampling stride across each record (default 1)
-  --codec NAME       postings codec: paper|gamma|delta|vbyte|fixed|block
+  --codec NAME       postings codec: paper|block
   --granularity G    postings granularity: offsets|records
   --ascii-store      store sequences as ASCII instead of 2-bit packed"
         }
@@ -357,14 +358,10 @@ pub fn generate(raw: &[String]) -> CommandResult {
 fn parse_codec(name: &str) -> Result<ListCodec, UsageError> {
     Ok(match name {
         "paper" => ListCodec::Paper,
-        "gamma" => ListCodec::Gamma,
-        "delta" => ListCodec::Delta,
-        "vbyte" => ListCodec::VByte,
-        "fixed" => ListCodec::Fixed,
         "block" => ListCodec::Block,
         _ => {
             return Err(UsageError(format!(
-                "unknown codec {name:?} (expected paper|gamma|delta|vbyte|fixed|block)"
+                "unknown codec {name:?} (expected paper|block)"
             )))
         }
     })
@@ -1838,26 +1835,42 @@ pub fn stat(raw: &[String]) -> CommandResult {
 pub fn fsck(raw: &[String]) -> Result<i32, Box<dyn Error>> {
     let args = Args::parse("fsck", raw, &["db"], &["json"])?;
     let db_dir = PathBuf::from(args.required("db")?);
-    // How this shape's manifest and parts are called in messages.
-    let (manifest_name, kind) = match Shape::of(&db_dir) {
-        Shape::Plain => ("manifest", ""),
-        Shape::Live => ("manifest", "segment "),
-        Shape::Sharded => ("SHARDS manifest", "shard "),
-    };
     let layout = match Layout::load(&db_dir) {
         Ok(layout) => layout,
         Err(e) => {
             eprintln!(
-                "fsck: {manifest_name} in {} will not load: {e}",
+                "fsck: {} in {} will not load: {e}",
+                manifest_name(Shape::of(&db_dir)),
                 db_dir.display()
             );
             return Ok(2);
         }
     };
+    let (worst, text, doc) = fsck_walk(&layout, &db_dir)?;
+    if args.flag("json") {
+        println!("{}", doc.render());
+    } else {
+        print!("{text}");
+    }
+    Ok(worst)
+}
+
+/// How messages call a shape's manifest.
+fn manifest_name(shape: Shape) -> &'static str {
+    match shape {
+        Shape::Sharded => "SHARDS manifest",
+        Shape::Plain | Shape::Live => "manifest",
+    }
+}
+
+/// The walk behind [`fsck`]: the exit code, the text report and the JSON
+/// document. A file that will not open — missing, damaged past its
+/// header, or of a retired format — is a structural finding of its part.
+fn fsck_walk(layout: &Layout, db_dir: &Path) -> Result<(i32, String, Value), Box<dyn Error>> {
     let mut text = String::new();
     let mut worst = 0;
     let mut part_values = Vec::new();
-    for part in layout.parts(&db_dir) {
+    for part in layout.parts(db_dir) {
         let listed = part.records.is_some();
         if !listed && !part.index.exists() && !part.store.exists() {
             return Err(format!("no index or store files in {}", db_dir.display()).into());
@@ -1870,32 +1883,25 @@ pub fn fsck(raw: &[String]) -> Result<i32, Box<dyn Error>> {
                     if let Some(listed) = part.records.filter(|&n| n != index.num_records()) {
                         part_worst = 1;
                         eprintln!(
-                            "fsck: {} holds {} records but the {manifest_name} says {listed}",
+                            "fsck: {} holds {} records but the {} says {listed}",
                             part.label,
                             index.num_records(),
+                            manifest_name(Shape::of(db_dir)),
                         );
                     }
                     nucdb::fsck_index(&index, &mut report);
                 }
-                Err(e) => {
-                    part_worst = 2;
-                    eprintln!(
-                        "fsck: {kind}index {} will not open: {e}",
-                        part.index.display()
-                    );
-                }
+                Err(e) => report
+                    .findings
+                    .push(FsckFinding::index(&e, FsckSeverity::Structural)),
             }
         }
         if listed || part.store.exists() {
             match nucdb::OnDiskStore::open(&part.store) {
                 Ok(store) => nucdb::fsck_store(&store, &mut report),
-                Err(e) => {
-                    part_worst = 2;
-                    eprintln!(
-                        "fsck: {kind}store {} will not open: {e}",
-                        part.store.display()
-                    );
-                }
+                Err(e) => report
+                    .findings
+                    .push(FsckFinding::store(&e, FsckSeverity::Structural)),
             }
         }
         part_worst = part_worst.max(report.exit_code());
@@ -1911,7 +1917,7 @@ pub fn fsck(raw: &[String]) -> Result<i32, Box<dyn Error>> {
         members.push(("report".to_string(), report.to_value()));
         part_values.push(members);
     }
-    let orphans = layout.orphans(&db_dir)?;
+    let orphans = layout.orphans(db_dir)?;
     if !orphans.is_empty() {
         worst = worst.max(1);
         text += &format!(
@@ -1922,12 +1928,7 @@ pub fn fsck(raw: &[String]) -> Result<i32, Box<dyn Error>> {
     }
 
     let (header, summary) = layout.fsck_summary(&orphans, worst);
-    if args.flag("json") {
-        println!("{}", layout.doc(summary, part_values).render());
-    } else {
-        print!("{header}{text}");
-    }
-    Ok(worst)
+    Ok((worst, header + &text, layout.doc(summary, part_values)))
 }
 
 #[cfg(test)]
@@ -1969,9 +1970,13 @@ mod tests {
     #[test]
     fn codec_specs() {
         assert_eq!(parse_codec("paper").unwrap(), ListCodec::Paper);
-        assert_eq!(parse_codec("vbyte").unwrap(), ListCodec::VByte);
         assert_eq!(parse_codec("block").unwrap(), ListCodec::Block);
-        assert!(parse_codec("zip").is_err());
+        // A retired name is as unknown as any other, and the error lists
+        // exactly the two that are left.
+        for name in ["vbyte", "interp", "zip"] {
+            let usage = parse_codec(name).unwrap_err().0;
+            assert!(usage.ends_with("(expected paper|block)"), "{usage}");
+        }
     }
 
     #[test]
@@ -2244,6 +2249,34 @@ mod tests {
         assert_eq!(fsck(&s(&["--db", root_arg])).unwrap(), 0);
         std::fs::remove_file(root.join("shard-001").join(STORE_FILE)).unwrap();
         assert_eq!(fsck(&s(&["--db", root_arg])).unwrap(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fsck_reports_a_retired_file_as_a_structural_finding() {
+        let dir = std::env::temp_dir().join(format!("nucdb_cli_retired_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let s = |v: &[&str]| -> Vec<String> { v.iter().map(|x| x.to_string()).collect() };
+        let (fasta, db) = (dir.join("c.fasta"), dir.join("db"));
+        let (fasta_arg, db_arg) = (fasta.to_str().unwrap(), db.to_str().unwrap());
+        generate(&s(&["--bases", "20000", "--out", fasta_arg, "--seed", "3"])).unwrap();
+        build(&s(&["--collection", fasta_arg, "--db", db_arg])).unwrap();
+        assert_eq!(fsck(&s(&["--db", db_arg])).unwrap(), 0);
+
+        // Each file in turn as a retired writer left it: the old magic,
+        // then fields under no checksum.
+        for (file, magic) in [(INDEX_FILE, "NUCIDX02"), (STORE_FILE, "NUCSTO01")] {
+            let good = std::fs::read(db.join(file)).unwrap();
+            let retired = [magic.as_bytes(), &[8, 1, 0, 0, 0, 1, 40, 0][..]].concat();
+            std::fs::write(db.join(file), retired).unwrap();
+            let (code, text, doc) = fsck_walk(&Layout::load(&db).unwrap(), &db).unwrap();
+            assert_eq!(code, 2, "{text}");
+            assert!(text.contains("structural damage"), "{text}");
+            assert!(text.contains(magic), "{text}");
+            assert!(doc.render().contains(magic));
+            std::fs::write(db.join(file), good).unwrap();
+        }
+        assert_eq!(fsck(&s(&["--db", db_arg])).unwrap(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

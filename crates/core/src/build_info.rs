@@ -18,15 +18,7 @@ pub const GIT_HASH: &str = env!("NUCDB_GIT_HASH");
 
 /// Every postings codec tier compiled into this build, by
 /// [`ListCodec::name`].
-pub const ALL_CODECS: [ListCodec; 7] = [
-    ListCodec::Paper,
-    ListCodec::Gamma,
-    ListCodec::Delta,
-    ListCodec::VByte,
-    ListCodec::Fixed,
-    ListCodec::Interp,
-    ListCodec::Block,
-];
+pub const ALL_CODECS: [ListCodec; 2] = [ListCodec::Paper, ListCodec::Block];
 
 /// Comma-joined codec tier names.
 pub fn codec_tiers() -> String {

@@ -187,8 +187,8 @@ pub struct SearchOutcome {
 
 /// Adapt a store-layer error to the engine's error type. Checksum
 /// mismatches map variant-to-variant (so callers see one corruption type
-/// regardless of which file failed); plain I/O errors pass through; the
-/// rest surface as `InvalidData` I/O errors with the
+/// regardless of which file failed), as does a retired-format refusal;
+/// plain I/O errors pass through; the rest surface as `InvalidData` I/O errors with the
 /// [`nucdb_seq::SeqError`] reachable through `source()`. Every branch
 /// satisfies [`IndexError::is_corruption`] when the cause is corrupt
 /// bytes.
@@ -205,6 +205,7 @@ pub(crate) fn io_err(e: nucdb_seq::SeqError) -> IndexError {
             expected,
             actual,
         },
+        nucdb_seq::SeqError::UnsupportedFormat(what) => IndexError::UnsupportedFormat(what),
         nucdb_seq::SeqError::Io(io) => IndexError::Io(io),
         other => IndexError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, other)),
     }

@@ -14,7 +14,7 @@
 //! so a background scrub never distorts `nucdb_index_bytes_read_total`
 //! or its store twin.
 
-use nucdb_index::{skip_table_len, IndexError, OnDiskIndex};
+use nucdb_index::{skip_table_len, IndexError, ListCodec, OnDiskIndex};
 use nucdb_obs::json::{num, Value};
 use nucdb_seq::SeqError;
 
@@ -59,6 +59,48 @@ pub struct FsckFinding {
 }
 
 impl FsckFinding {
+    /// The finding for an error the index file raised, at `severity`.
+    /// An open failure is structural: the file would not serve.
+    pub fn index(e: &IndexError, severity: FsckSeverity) -> FsckFinding {
+        let (section, offset) = match e {
+            IndexError::Corruption {
+                section, offset, ..
+            } => (*section, Some(*offset)),
+            IndexError::BadFormat(v) => (v.section, v.offset),
+            IndexError::UnsupportedFormat(_) => ("format", None),
+            IndexError::Codec(_) => ("postings", None),
+            _ => ("io", None),
+        };
+        FsckFinding {
+            file: "index",
+            section: section.to_string(),
+            offset,
+            severity,
+            detail: e.to_string(),
+        }
+    }
+
+    /// The store file's twin of [`FsckFinding::index`].
+    pub fn store(e: &SeqError, severity: FsckSeverity) -> FsckFinding {
+        let (section, offset) = match e {
+            SeqError::Corruption {
+                section, offset, ..
+            } => (*section, Some(*offset)),
+            SeqError::CorruptPackedData {
+                section, offset, ..
+            } => (*section, *offset),
+            SeqError::UnsupportedFormat(_) => ("format", None),
+            _ => ("io", None),
+        };
+        FsckFinding {
+            file: "store",
+            section: section.to_string(),
+            offset,
+            severity,
+            detail: e.to_string(),
+        }
+    }
+
     fn to_value(&self) -> Value {
         let mut members = vec![
             ("file".to_string(), Value::Str(self.file.to_string())),
@@ -165,59 +207,22 @@ impl FsckReport {
     }
 }
 
-fn index_error_location(e: &IndexError) -> (String, Option<u64>) {
-    match e {
-        IndexError::Corruption {
-            section, offset, ..
-        } => ((*section).to_string(), Some(*offset)),
-        IndexError::BadFormat(v) => (v.section.to_string(), v.offset),
-        IndexError::Codec(_) => ("postings".to_string(), None),
-        _ => ("io".to_string(), None),
-    }
-}
-
-fn seq_error_location(e: &SeqError) -> (String, Option<u64>) {
-    match e {
-        SeqError::Corruption {
-            section, offset, ..
-        } => ((*section).to_string(), Some(*offset)),
-        SeqError::CorruptPackedData {
-            section, offset, ..
-        } => ((*section).to_string(), *offset),
-        _ => ("io".to_string(), None),
-    }
-}
-
 /// Walk every checksummed region of an on-disk index — header, then
 /// every postings list — collecting all damage into `report`.
 pub fn fsck_index(index: &OnDiskIndex, report: &mut FsckReport) {
     match index.scrub_header() {
         Ok(bytes) => report.bytes_verified += bytes,
-        Err(e) => {
-            let (section, offset) = index_error_location(&e);
-            report.findings.push(FsckFinding {
-                file: "index",
-                section,
-                offset,
-                severity: FsckSeverity::Structural,
-                detail: e.to_string(),
-            });
-        }
+        Err(e) => report
+            .findings
+            .push(FsckFinding::index(&e, FsckSeverity::Structural)),
     }
     for idx in 0..index.vocab().len() {
         report.lists_checked += 1;
         match index.verify_list_at(idx) {
             Ok(bytes) => report.bytes_verified += bytes,
-            Err(e) => {
-                let (section, offset) = index_error_location(&e);
-                report.findings.push(FsckFinding {
-                    file: "index",
-                    section,
-                    offset,
-                    severity: FsckSeverity::Payload,
-                    detail: e.to_string(),
-                });
-            }
+            Err(e) => report
+                .findings
+                .push(FsckFinding::index(&e, FsckSeverity::Payload)),
         }
     }
 }
@@ -227,31 +232,17 @@ pub fn fsck_index(index: &OnDiskIndex, report: &mut FsckReport) {
 pub fn fsck_store(store: &OnDiskStore, report: &mut FsckReport) {
     match store.scrub_toc() {
         Ok(bytes) => report.bytes_verified += bytes,
-        Err(e) => {
-            let (section, offset) = seq_error_location(&e);
-            report.findings.push(FsckFinding {
-                file: "store",
-                section,
-                offset,
-                severity: FsckSeverity::Structural,
-                detail: e.to_string(),
-            });
-        }
+        Err(e) => report
+            .findings
+            .push(FsckFinding::store(&e, FsckSeverity::Structural)),
     }
     for record in 0..store.num_records() as u32 {
         report.records_checked += 1;
         match store.verify_record(record) {
             Ok(bytes) => report.bytes_verified += bytes,
-            Err(e) => {
-                let (section, offset) = seq_error_location(&e);
-                report.findings.push(FsckFinding {
-                    file: "store",
-                    section,
-                    offset,
-                    severity: FsckSeverity::Payload,
-                    detail: e.to_string(),
-                });
-            }
+            Err(e) => report
+                .findings
+                .push(FsckFinding::store(&e, FsckSeverity::Payload)),
         }
     }
 }
@@ -315,7 +306,7 @@ fn histogram_value(buckets: &[HistBucket]) -> Value {
 /// list-length and width distributions, and skew measures.
 #[derive(Debug, Clone)]
 pub struct IndexStatReport {
-    /// On-disk format magic ("NUCIDX02"/"03"/"04").
+    /// On-disk format magic ("NUCIDX03"/"04").
     pub format: String,
     /// List codec tier.
     pub codec: String,
@@ -361,7 +352,7 @@ impl IndexStatReport {
         let params = index.params();
         let postings_entries: u64 = vocab.iter().map(|e| e.df as u64).sum();
         let blob_bytes: u64 = vocab.iter().map(|e| e.len as u64).sum();
-        let skip_table_bytes = if index.format() == "NUCIDX04" {
+        let skip_table_bytes = if index.codec() == ListCodec::Block {
             vocab.iter().map(|e| skip_table_len(e.df) as u64).sum()
         } else {
             0
@@ -458,10 +449,8 @@ pub struct StoreStatReport {
     pub total_bases: u64,
     /// Payload bytes (sum of blob lengths).
     pub payload_bytes: u64,
-    /// Checksummed prefix bytes (magic + TOC); 0 for legacy v1 files.
+    /// Checksummed prefix bytes (magic + TOC).
     pub toc_bytes: u64,
-    /// Does the file carry per-record checksums?
-    pub checksummed: bool,
     /// Largest record length in bases.
     pub max_record_len: u32,
     /// Record-length distribution (power-of-two buckets).
@@ -491,7 +480,6 @@ impl StoreStatReport {
             total_bases: lens.iter().sum(),
             payload_bytes,
             toc_bytes,
-            checksummed: store.has_checksums(),
             max_record_len: lens.iter().max().copied().unwrap_or(0) as u32,
             record_len_histogram: log2_histogram(lens.into_iter()),
         }
@@ -510,7 +498,6 @@ impl StoreStatReport {
                     ("payload".to_string(), num(self.payload_bytes)),
                 ]),
             ),
-            ("checksummed".to_string(), Value::Bool(self.checksummed)),
             (
                 "max_record_len".to_string(),
                 num(self.max_record_len as u64),
@@ -587,15 +574,8 @@ impl StatReport {
         }
         if let Some(store) = &self.store {
             out.push_str(&format!(
-                "store: {} mode, {} records, {} bases{}\n",
-                store.mode,
-                store.records,
-                store.total_bases,
-                if store.checksummed {
-                    ""
-                } else {
-                    " (no checksums: legacy v1)"
-                }
+                "store: {} mode, {} records, {} bases\n",
+                store.mode, store.records, store.total_bases
             ));
             out.push_str(&format!(
                 "  bytes: toc {} / payload {}\n",
@@ -613,7 +593,7 @@ impl StatReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{RecordSource, SequenceStore};
+    use crate::store::RecordSource;
     use crate::{Database, DbConfig};
     use nucdb_seq::DnaSeq;
 
@@ -771,20 +751,5 @@ mod tests {
         assert_eq!(get("3-4"), 2);
         assert_eq!(get("5-8"), 2);
         assert_eq!(get("9-16"), 1);
-    }
-
-    #[test]
-    fn legacy_v1_store_scrubs_as_zero() {
-        let mut store = SequenceStore::new(crate::store::StorageMode::DirectCoding);
-        store.add("a", &DnaSeq::from_ascii(b"ACGTACGT").unwrap());
-        let path = temp_path("v1");
-        store.write_to_v1(&path).unwrap();
-        let disk = OnDiskStore::open(&path).unwrap();
-        assert!(!disk.has_checksums());
-        assert_eq!(disk.scrub_toc().unwrap(), 0);
-        let mut report = FsckReport::default();
-        fsck_store(&disk, &mut report);
-        assert!(report.is_clean());
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -12,8 +12,8 @@
 //!   space and faster to hand to alignment, which is why the CAFE system
 //!   reported >20% faster retrieval after adopting it.
 //!
-//! On-disk format, version 2 (current, written by
-//! [`SequenceStore::write_to`]):
+//! On-disk format, `NUCSTO02`, written by [`SequenceStore::write_to`]
+//! (`v` = LEB128-style varint):
 //!
 //! ```text
 //! magic "NUCSTO02"
@@ -24,20 +24,17 @@
 //! payload: record blobs, concatenated in record order
 //! ```
 //!
-//! Version 1 (legacy, still loadable; [`SequenceStore::write_to_v1`]
-//! kept for compatibility tests) interleaves `(id_len:v id blob_len:v
-//! blob)*` with no checksums, magic `NUCSTO01`. (`v` = LEB128-style
-//! varint.)
-//!
-//! Every byte of a v2 file is covered by a checksum — the TOC by
+//! Every byte of the file is covered by a checksum — the TOC by
 //! `toc_crc`, each payload blob by its `blob_crc` — so corruption is
 //! detected at load ([`SequenceStore::read_from`]) or, on the
 //! [`OnDiskStore`] pread path, the moment the affected record is
-//! fetched, as a typed [`SeqError::Corruption`]. Files are written
-//! through [`AtomicFile`], so a crashed build never leaves a torn store.
+//! fetched, as a typed [`SeqError::Corruption`]. The retired
+//! checksum-free `NUCSTO01` is refused at open with
+//! [`SeqError::UnsupportedFormat`]. Files are written through
+//! [`AtomicFile`], so a crashed build never leaves a torn store.
 
 use std::fs::File;
-use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
 use nucdb_index::durable::{crc32, read_exact_chunked, AtomicFile, CountingReader};
@@ -47,9 +44,22 @@ use nucdb_obs::{Counter, MetricsRegistry};
 use nucdb_seq::{Base, DnaSeq, PackedSeq, SeqError};
 
 const MAGIC_V2: &[u8; 8] = b"NUCSTO02";
-const MAGIC_V1: &[u8; 8] = b"NUCSTO01";
-/// Bytes before the TOC in a v2 file: magic + toc_len + toc_crc.
+/// The retired checksum-free generation, kept only to name the refusal.
+const RETIRED_MAGIC_V1: &str = "NUCSTO01";
+/// Bytes before the TOC: magic + toc_len + toc_crc.
 const V2_PREFIX_LEN: u64 = 16;
+
+/// Accept the current magic; refuse the retired one by name and anything
+/// else as damage.
+fn check_magic(magic: &[u8]) -> Result<(), SeqError> {
+    if magic == MAGIC_V2 {
+        Ok(())
+    } else if magic == RETIRED_MAGIC_V1.as_bytes() {
+        Err(SeqError::UnsupportedFormat(RETIRED_MAGIC_V1.to_string()))
+    } else {
+        Err(SeqError::corrupt_at("bad store magic", "magic", 0))
+    }
+}
 
 /// Anything fine search (and the exhaustive baselines) can read candidate
 /// records from: the in-memory store, the on-disk store, or the engine's
@@ -235,7 +245,7 @@ impl SequenceStore {
         }
     }
 
-    /// Persist the store to `path` in the current (v2) format — see the
+    /// Persist the store to `path` — see the
     /// module docs for the layout. The write is atomic: staged in a temp
     /// file, `fsync`ed, and renamed into place, so a crash mid-write
     /// never leaves a torn store.
@@ -266,82 +276,29 @@ impl SequenceStore {
         Ok(())
     }
 
-    /// Persist in the legacy v1 format (no checksums): `magic "NUCSTO01"
-    /// | mode:u8 | count:v | (id_len:v id blob_len:v blob)*`. Kept so
-    /// compatibility tests can produce the files the previous release
-    /// wrote; new code should use [`SequenceStore::write_to`].
-    pub fn write_to_v1(&self, path: &Path) -> Result<(), SeqError> {
-        let mut out = AtomicFile::create(path)?;
-        out.write_all(MAGIC_V1)?;
-        out.write_all(&[self.mode.tag()])?;
-        write_vu64(&mut out, self.seqs.len() as u64)?;
-        for (record, id) in self.ids.iter().enumerate() {
-            write_vu64(&mut out, id.len() as u64)?;
-            out.write_all(id.as_bytes())?;
-            let blob = self.record_blob(record);
-            write_vu64(&mut out, blob.len() as u64)?;
-            out.write_all(&blob)?;
-        }
-        out.commit()?;
-        Ok(())
-    }
-
-    /// Load a store written by [`SequenceStore::write_to`] (or a legacy
-    /// v1 file, which loads without checksum verification). On v2 every
-    /// byte is verified before the store is returned.
+    /// Load a store written by [`SequenceStore::write_to`]; every byte is
+    /// verified before the store is returned.
     pub fn read_from(path: &Path) -> Result<SequenceStore, SeqError> {
-        let mut input = BufReader::new(File::open(path)?);
-        let mut magic = [0u8; 8];
-        input.read_exact(&mut magic)?;
-        match &magic {
-            m if m == MAGIC_V1 => SequenceStore::read_from_v1(&mut input),
-            m if m == MAGIC_V2 => {
-                let mut input = CountingReader::new(input);
-                let toc = read_toc_v2(&mut input)?;
-                let mut store = SequenceStore::new(toc.mode);
-                for (record, id) in toc.ids.into_iter().enumerate() {
-                    let (offset, blob_len) = toc.blobs[record];
-                    let blob = read_exact_chunked(&mut input, blob_len as usize)?;
-                    let expected = toc.crcs[record];
-                    let actual = crc32(&blob);
-                    if actual != expected {
-                        return Err(SeqError::checksum("record", offset, expected, actual));
-                    }
-                    let seq =
-                        decode_blob(toc.mode, &blob).map_err(|e| e.located("record", offset))?;
-                    if seq_len(&seq) != toc.lens[record] as usize {
-                        return Err(SeqError::corrupt_at(
-                            "record length disagrees with TOC",
-                            "record",
-                            offset,
-                        ));
-                    }
-                    store.ids.push(id);
-                    store.seqs.push(seq);
-                }
-                Ok(store)
+        let (toc, mut input) = open_toc(path)?;
+        let mut store = SequenceStore::new(toc.mode);
+        for (record, id) in toc.ids.into_iter().enumerate() {
+            let (offset, blob_len) = toc.blobs[record];
+            let blob = read_exact_chunked(&mut input, blob_len as usize)?;
+            let expected = toc.crcs[record];
+            let actual = crc32(&blob);
+            if actual != expected {
+                return Err(SeqError::checksum("record", offset, expected, actual));
             }
-            _ => Err(SeqError::corrupt_at("bad store magic", "magic", 0)),
-        }
-    }
-
-    /// Legacy v1 body parse: `input` is positioned just past the magic.
-    fn read_from_v1(input: &mut BufReader<File>) -> Result<SequenceStore, SeqError> {
-        let mut mode_byte = [0u8; 1];
-        input.read_exact(&mut mode_byte)?;
-        let mode = StorageMode::from_tag(mode_byte[0], 8)?;
-        let count = read_vu64(input)?;
-        let mut store = SequenceStore::new(mode);
-        for _ in 0..count {
-            let id_len = read_vu64(input)? as usize;
-            let id = read_exact_chunked(input, id_len)?;
-            let id =
-                String::from_utf8(id).map_err(|_| SeqError::corrupt("record id is not UTF-8"))?;
-            let blob_len = read_vu64(input)? as usize;
-            let blob = read_exact_chunked(input, blob_len)?;
-            // Validate eagerly so corrupt files fail at load time.
-            store.seqs.push(decode_blob(mode, &blob)?);
+            let seq = decode_blob(toc.mode, &blob).map_err(|e| e.located("record", offset))?;
+            if seq_len(&seq) != toc.lens[record] as usize {
+                return Err(SeqError::corrupt_at(
+                    "record length disagrees with TOC",
+                    "record",
+                    offset,
+                ));
+            }
             store.ids.push(id);
+            store.seqs.push(seq);
         }
         Ok(store)
     }
@@ -391,13 +348,31 @@ impl RecordSource for SequenceStore {
     }
 }
 
-/// Parsed v2 table of contents. Blob offsets are absolute file offsets.
+/// Parsed table of contents — everything [`OnDiskStore`] keeps in memory.
+/// Blob offsets are absolute file offsets.
 struct TocV2 {
     mode: StorageMode,
     ids: Vec<String>,
+    /// Per record: sequence length in bases.
     lens: Vec<u32>,
+    /// Per record: byte offset and length of the payload blob.
     blobs: Vec<(u64, u32)>,
+    /// Per record: CRC-32 of the payload blob.
     crcs: Vec<u32>,
+    /// Where the payload region begins: the end of the checksummed prefix.
+    payload_start: u64,
+}
+
+/// Open a store file, check its magic and parse its TOC, leaving the
+/// reader at the start of the payload.
+fn open_toc(path: &Path) -> Result<(TocV2, CountingReader<BufReader<File>>), SeqError> {
+    let mut input = BufReader::new(File::open(path)?);
+    let mut magic = [0u8; 8];
+    input.read_exact(&mut magic)?;
+    check_magic(&magic)?;
+    let mut input = CountingReader::new(input);
+    let toc = read_toc_v2(&mut input)?;
+    Ok((toc, input))
 }
 
 /// Parse a v2 TOC. `input` is positioned just past the magic (absolute
@@ -459,6 +434,7 @@ fn read_toc_v2<R: Read>(input: &mut CountingReader<R>) -> Result<TocV2, SeqError
         lens,
         blobs,
         crcs,
+        payload_start,
     })
 }
 
@@ -470,8 +446,8 @@ fn read_toc_v2<R: Read>(input: &mut CountingReader<R>) -> Result<TocV2, SeqError
 /// lock-free positional reads, so concurrent searchers never serialise on
 /// a shared file cursor. Counts bytes read.
 ///
-/// On v2 files every fetched blob is verified against its stored CRC-32;
-/// a mismatch surfaces as [`SeqError::Corruption`] naming the file
+/// Every fetched blob is verified against its stored CRC-32; a mismatch
+/// surfaces as [`SeqError::Corruption`] naming the file
 /// offset, and no decoded (potentially wrong) sequence escapes.
 pub struct OnDiskStore {
     file: PositionalReader,
@@ -481,14 +457,11 @@ pub struct OnDiskStore {
     blobs: Vec<(u64, u32)>,
     /// Per record: sequence length in bases.
     lens: Vec<u32>,
-    /// Per-record blob CRC-32s. `None` for legacy v1 files, which carry
-    /// no checksums — those are served without verification.
-    crcs: Option<Vec<u32>>,
+    /// Per-record blob CRC-32s.
+    crcs: Vec<u32>,
     /// Absolute file offset where the payload region begins — the end of
     /// the checksummed prefix a [`OnDiskStore::scrub_toc`] pass re-reads.
-    /// `None` for legacy v1 files, whose TOC is interleaved with the
-    /// payload and carries no checksum.
-    payload_start: Option<u64>,
+    payload_start: u64,
     /// I/O counters: standalone by default, swapped for registry-backed
     /// handles by [`OnDiskStore::bind_metrics`]. The accessor methods
     /// below are thin shims over these handles either way.
@@ -496,25 +469,13 @@ pub struct OnDiskStore {
     records_read: Counter,
 }
 
-/// Everything [`OnDiskStore`] keeps in memory (the TOC, not the payload).
-struct StoreLayout {
-    mode: StorageMode,
-    ids: Vec<String>,
-    blobs: Vec<(u64, u32)>,
-    lens: Vec<u32>,
-    crcs: Option<Vec<u32>>,
-    payload_start: Option<u64>,
-}
-
 impl OnDiskStore {
-    /// Open a store file written by [`SequenceStore::write_to`] (or a
-    /// legacy v1 file), reading only its table of contents.
+    /// Open a store file written by [`SequenceStore::write_to`], reading
+    /// only its table of contents.
     pub fn open(path: &Path) -> Result<OnDiskStore, SeqError> {
-        let (layout, file) = OnDiskStore::read_layout(path)?;
-        Ok(OnDiskStore::from_layout(
-            layout,
-            PositionalReader::new(file),
-        ))
+        let (toc, input) = open_toc(path)?;
+        let file = input.into_inner().into_inner();
+        Ok(OnDiskStore::from_toc(toc, PositionalReader::new(file)))
     }
 
     /// Open like [`OnDiskStore::open`], but serve all record reads
@@ -522,99 +483,23 @@ impl OnDiskStore {
     /// from the pristine file; only the pread path sees `plan`'s faults.
     /// This is the durability-test entry point.
     pub fn open_faulty(path: &Path, plan: FaultPlan) -> Result<OnDiskStore, SeqError> {
-        let (layout, _) = OnDiskStore::read_layout(path)?;
+        let (toc, _) = open_toc(path)?;
         let file = PositionalReader::faulty(FaultyFile::from_path(path, plan)?);
-        Ok(OnDiskStore::from_layout(layout, file))
+        Ok(OnDiskStore::from_toc(toc, file))
     }
 
-    fn from_layout(layout: StoreLayout, file: PositionalReader) -> OnDiskStore {
+    fn from_toc(toc: TocV2, file: PositionalReader) -> OnDiskStore {
         OnDiskStore {
             file,
-            mode: layout.mode,
-            ids: layout.ids,
-            blobs: layout.blobs,
-            lens: layout.lens,
-            crcs: layout.crcs,
-            payload_start: layout.payload_start,
+            mode: toc.mode,
+            ids: toc.ids,
+            blobs: toc.blobs,
+            lens: toc.lens,
+            crcs: toc.crcs,
+            payload_start: toc.payload_start,
             bytes_read: Counter::new(),
             records_read: Counter::new(),
         }
-    }
-
-    fn read_layout(path: &Path) -> Result<(StoreLayout, File), SeqError> {
-        let mut input = BufReader::new(File::open(path)?);
-        let mut magic = [0u8; 8];
-        input.read_exact(&mut magic)?;
-        match &magic {
-            m if m == MAGIC_V1 => {
-                let layout = OnDiskStore::read_layout_v1(&mut input)?;
-                Ok((layout, input.into_inner()))
-            }
-            m if m == MAGIC_V2 => {
-                let mut input = CountingReader::new(input);
-                let toc = read_toc_v2(&mut input)?;
-                let payload_start = 8 + input.pos();
-                let layout = StoreLayout {
-                    mode: toc.mode,
-                    ids: toc.ids,
-                    blobs: toc.blobs,
-                    lens: toc.lens,
-                    crcs: Some(toc.crcs),
-                    payload_start: Some(payload_start),
-                };
-                Ok((layout, input.into_inner().into_inner()))
-            }
-            _ => Err(SeqError::corrupt_at("bad store magic", "magic", 0)),
-        }
-    }
-
-    /// Legacy v1 layout scan: walks the interleaved records, seeking over
-    /// each payload blob. `input` is positioned just past the magic.
-    fn read_layout_v1(input: &mut BufReader<File>) -> Result<StoreLayout, SeqError> {
-        let mut mode_byte = [0u8; 1];
-        input.read_exact(&mut mode_byte)?;
-        let mode = StorageMode::from_tag(mode_byte[0], 8)?;
-        let count = (read_vu64(input)? as usize).min(1 << 32);
-        let mut ids = Vec::with_capacity(count.min(1 << 20));
-        let mut blobs = Vec::with_capacity(count.min(1 << 20));
-        let mut lens = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let id_len = read_vu64(input)? as usize;
-            let id = read_exact_chunked(input, id_len)?;
-            ids.push(
-                String::from_utf8(id).map_err(|_| SeqError::corrupt("record id is not UTF-8"))?,
-            );
-            let blob_len = read_vu64(input)? as usize;
-            let offset = input.stream_position()?;
-            // Base length: the blob size for ASCII; the packed header's
-            // length field for direct coding.
-            let seq_len = match mode {
-                StorageMode::Ascii => blob_len as u32,
-                StorageMode::DirectCoding => {
-                    if blob_len < 4 {
-                        return Err(SeqError::corrupt_at(
-                            "packed blob too short",
-                            "record",
-                            offset,
-                        ));
-                    }
-                    let mut len_bytes = [0u8; 4];
-                    input.read_exact(&mut len_bytes)?;
-                    u32::from_le_bytes(len_bytes)
-                }
-            };
-            blobs.push((offset, blob_len as u32));
-            lens.push(seq_len);
-            input.seek(SeekFrom::Start(offset + blob_len as u64))?;
-        }
-        Ok(StoreLayout {
-            mode,
-            ids,
-            blobs,
-            lens,
-            crcs: None,
-            payload_start: None,
-        })
     }
 
     /// Swap the I/O counters for handles registered in `registry`
@@ -640,18 +525,22 @@ impl OnDiskStore {
         self.mode
     }
 
-    fn fetch_blob(&self, record: u32) -> Result<Vec<u8>, SeqError> {
+    /// Read one record's blob and check it against its stored CRC-32.
+    fn read_verified(&self, record: u32) -> Result<Vec<u8>, SeqError> {
         let (offset, len) = self.blobs[record as usize];
         let mut bytes = vec![0u8; len as usize];
         self.file.read_exact_at(&mut bytes, offset)?;
-        if let Some(crcs) = &self.crcs {
-            let expected = crcs[record as usize];
-            let actual = crc32(&bytes);
-            if actual != expected {
-                return Err(SeqError::checksum("record", offset, expected, actual));
-            }
+        let expected = self.crcs[record as usize];
+        let actual = crc32(&bytes);
+        if actual != expected {
+            return Err(SeqError::checksum("record", offset, expected, actual));
         }
-        self.bytes_read.add(len as u64);
+        Ok(bytes)
+    }
+
+    fn fetch_blob(&self, record: u32) -> Result<Vec<u8>, SeqError> {
+        let bytes = self.read_verified(record)?;
+        self.bytes_read.add(bytes.len() as u64);
         self.records_read.inc();
         Ok(bytes)
     }
@@ -682,12 +571,6 @@ impl OnDiskStore {
         self.blobs.iter().map(|&(_, len)| len as usize).sum()
     }
 
-    /// Does the file carry per-record checksums (v2)? Legacy v1 files
-    /// verify structurally only.
-    pub fn has_checksums(&self) -> bool {
-        self.crcs.is_some()
-    }
-
     /// Absolute byte offset and length of a record's payload blob
     /// (panics if out of range) — for health reports that locate damage.
     pub fn record_location(&self, record: u32) -> (u64, u32) {
@@ -696,40 +579,26 @@ impl OnDiskStore {
 
     /// Re-read the checksummed file prefix (magic + TOC) from disk and
     /// re-verify it: magic, stored TOC CRC, and full field structure.
-    /// Returns the bytes verified — 0 on a legacy v1 file, whose
-    /// interleaved TOC carries no checksum. Reads through the live file
+    /// Returns the bytes verified. Reads through the live file
     /// handle, so it observes damage that arrived after open (and
     /// injected faults under [`OnDiskStore::open_faulty`]). Does not
     /// touch the query I/O counters.
     pub fn scrub_toc(&self) -> Result<u64, SeqError> {
-        let Some(payload_start) = self.payload_start else {
-            return Ok(0);
-        };
-        let mut buf = vec![0u8; payload_start as usize];
+        let mut buf = vec![0u8; self.payload_start as usize];
         self.file.read_exact_at(&mut buf, 0)?;
-        if &buf[..8] != MAGIC_V2 {
-            return Err(SeqError::corrupt_at("bad store magic", "magic", 0));
-        }
+        check_magic(&buf[..8])?;
         let mut input = CountingReader::new(&buf[8..]);
         read_toc_v2(&mut input)?;
-        Ok(payload_start)
+        Ok(self.payload_start)
     }
 
-    /// Fetch and fully verify one record: stored CRC (v2), structural
+    /// Fetch and fully verify one record: stored CRC, structural
     /// decode, and TOC length agreement. Returns the blob bytes
     /// verified. Does not touch the query I/O counters, so a background
     /// scrub never distorts `nucdb_store_bytes_read_total`.
     pub fn verify_record(&self, record: u32) -> Result<u64, SeqError> {
         let (offset, len) = self.blobs[record as usize];
-        let mut bytes = vec![0u8; len as usize];
-        self.file.read_exact_at(&mut bytes, offset)?;
-        if let Some(crcs) = &self.crcs {
-            let expected = crcs[record as usize];
-            let actual = crc32(&bytes);
-            if actual != expected {
-                return Err(SeqError::checksum("record", offset, expected, actual));
-            }
-        }
+        let bytes = self.read_verified(record)?;
         let seq = decode_blob(self.mode, &bytes).map_err(|e| e.located("record", offset))?;
         if seq_len(&seq) != self.lens[record as usize] as usize {
             return Err(SeqError::corrupt_at(
@@ -974,39 +843,6 @@ mod tests {
                     store.sequence(record).unwrap()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn legacy_v1_round_trip() {
-        for (tag, mode) in [
-            ("v1a", StorageMode::Ascii),
-            ("v1p", StorageMode::DirectCoding),
-        ] {
-            let mut store = SequenceStore::new(mode);
-            for (id, seq) in sample() {
-                store.add(id, &seq);
-            }
-            let path = temp_path(tag);
-            store.write_to_v1(&path).unwrap();
-            let bytes = std::fs::read(&path).unwrap();
-            assert_eq!(&bytes[..8], MAGIC_V1);
-
-            let loaded = SequenceStore::read_from(&path).unwrap();
-            assert_eq!(loaded.mode(), mode);
-            let disk = OnDiskStore::open(&path).unwrap();
-            for record in 0..store.len() as u32 {
-                assert_eq!(loaded.id(record), store.id(record));
-                assert_eq!(
-                    loaded.sequence(record).unwrap(),
-                    store.sequence(record).unwrap()
-                );
-                assert_eq!(
-                    RecordSource::sequence(&disk, record).unwrap(),
-                    store.sequence(record).unwrap()
-                );
-            }
-            let _ = std::fs::remove_file(&path);
         }
     }
 

@@ -9,7 +9,8 @@
 //! time (wall time alone understates the win on a machine whose page
 //! cache swallows the collection).
 //!
-//! Version 3 (current, written by [`write_index`]):
+//! `NUCIDX03`, written by [`write_index`] for [`ListCodec::Paper`] (`v` =
+//! LEB128-style varint):
 //!
 //! ```text
 //! magic "NUCIDX03"
@@ -22,22 +23,18 @@
 //! blob bytes                                — each list covered by its list_crc
 //! ```
 //!
-//! Version 4 (magic `NUCIDX04`), written by [`write_index`] when the
-//! codec is [`ListCodec::Block`], is v3 with two changes: each vocab
+//! `NUCIDX04`, written by [`write_index`] when the codec is
+//! [`ListCodec::Block`], is v3 with two changes: each vocab
 //! entry's `list_crc` covers only the list's *skip-table prefix* (the
 //! block payloads carry their own CRC-32s inside the skip entries, so a
 //! point corruption is detected — and costs — one block, not the list),
 //! and each entry gains a `max_count:v` field, the list's largest
 //! per-record occurrence count, which powers hopeless-block skipping in
-//! coarse search. Non-block indexes keep writing byte-identical v3
-//! files.
+//! coarse search. The magic and the header's codec tag must agree; any
+//! other magic or tag is refused at open ([`IndexError::UnsupportedFormat`]
+//! for the retired `NUCIDX02` and the retired ablation codec tags).
 //!
-//! Version 2 (legacy, still loadable; [`write_index_v2`] kept for
-//! compatibility tests) is the same minus the length/CRC prefix and the
-//! per-list `list_crc` field, with magic `NUCIDX02`. (`v` = LEB128-style
-//! varint.)
-//!
-//! Every byte of a v3/v4 file is covered by a checksum: the magic and
+//! Every byte of a file is covered by a checksum: the magic and
 //! prefix by the header CRC's span, the header by `header_crc`, and the
 //! blob (whose cumulative list extents cover it exactly) by the per-list
 //! CRCs — in v4 the skip tables by the vocab CRCs and every block
@@ -52,6 +49,7 @@ use std::path::Path;
 
 use nucdb_obs::{Counter, MetricsRegistry};
 
+use crate::block::{skip_table_len, verify_block_list};
 use crate::compress::{
     decode_counts_with, decode_postings, decode_postings_with, CompressedIndex, FetchStats,
     ListCodec, PostingsVisitor, VocabEntry,
@@ -66,21 +64,10 @@ use crate::stopping::StopPolicy;
 
 const MAGIC_V4: &[u8; 8] = b"NUCIDX04";
 const MAGIC_V3: &[u8; 8] = b"NUCIDX03";
-const MAGIC_V2: &[u8; 8] = b"NUCIDX02";
-/// Bytes before the header in a v3/v4 file: magic + header_len + header_crc.
+/// The retired checksum-free generation, kept only to name the refusal.
+const RETIRED_MAGIC_V2: &str = "NUCIDX02";
+/// Bytes before the header in a file: magic + header_len + header_crc.
 const V3_PREFIX_LEN: u64 = 16;
-
-/// How a file's header checksums its lists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HeaderStyle {
-    /// v2: no per-list checksums.
-    Plain,
-    /// v3: per-list CRC over the whole list.
-    ListCrcs,
-    /// v4 (block codec): per-list CRC over the skip-table prefix only
-    /// (block payloads self-checksum), plus a per-list max-count field.
-    BlockCrcs,
-}
 
 fn write_vu64(out: &mut impl Write, mut value: u64) -> std::io::Result<()> {
     while value >= 0x80 {
@@ -165,17 +152,11 @@ fn read_stopping<R: Read>(
     })
 }
 
-/// Serialize the header fields shared by v2/v3/v4. With
-/// [`HeaderStyle::ListCrcs`] each vocabulary entry carries the CRC-32 of
-/// its list bytes; with [`HeaderStyle::BlockCrcs`] the CRC covers only
-/// the skip-table prefix and `max_counts` (parallel to the vocabulary)
-/// must be provided.
-fn encode_header_fields(
-    out: &mut Vec<u8>,
-    index: &CompressedIndex,
-    style: HeaderStyle,
-    max_counts: Option<&[u32]>,
-) -> Result<(), IndexError> {
+/// Serialize the header fields. A [`ListCodec::Paper`] vocabulary entry
+/// carries the CRC-32 of its list bytes; a [`ListCodec::Block`] entry's
+/// CRC covers only the skip-table prefix and is followed by the list's
+/// max count.
+fn encode_header_fields(out: &mut Vec<u8>, index: &CompressedIndex) -> Result<(), IndexError> {
     let params = index.params();
     out.push(params.k as u8);
     write_vu64(out, params.stride as u64)?;
@@ -197,13 +178,12 @@ fn encode_header_fields(
         write_vu64(out, entry.len as u64)?;
         write_vu64(out, entry.df as u64)?;
         let list = &blob[entry.offset as usize..][..entry.len as usize];
-        match style {
-            HeaderStyle::Plain => {}
-            HeaderStyle::ListCrcs => write_vu64(out, crc32(list) as u64)?,
-            HeaderStyle::BlockCrcs => {
-                let skip_len = crate::block::skip_table_len(entry.df).min(list.len());
+        match index.codec() {
+            ListCodec::Paper => write_vu64(out, crc32(list) as u64)?,
+            ListCodec::Block => {
+                let skip_len = skip_table_len(entry.df).min(list.len());
                 write_vu64(out, crc32(&list[..skip_len]) as u64)?;
-                let max_counts = max_counts.expect("v4 headers carry max counts");
+                let max_counts = index.max_counts().expect("block indexes carry max counts");
                 write_vu64(out, max_counts[idx] as u64)?;
             }
         }
@@ -213,24 +193,19 @@ fn encode_header_fields(
     Ok(())
 }
 
-/// Serialize a [`CompressedIndex`] to `path` in the current format,
-/// atomically: the file is staged in a temp file, `fsync`ed, and renamed
-/// into place, so a crash mid-write never leaves a torn index.
+/// Serialize a [`CompressedIndex`] to `path`, atomically: the file is
+/// staged in a temp file, `fsync`ed, and renamed into place, so a crash
+/// mid-write never leaves a torn index.
 ///
 /// Block-codec indexes are written as `NUCIDX04` (per-block CRCs, stored
-/// max counts); every other codec keeps writing byte-identical `NUCIDX03`
-/// files.
+/// max counts), paper-codec indexes as `NUCIDX03`.
 pub fn write_index(index: &CompressedIndex, path: &Path) -> Result<(), IndexError> {
-    let (magic, style) = if index.codec() == ListCodec::Block {
-        (MAGIC_V4, HeaderStyle::BlockCrcs)
-    } else {
-        (MAGIC_V3, HeaderStyle::ListCrcs)
+    let magic = match index.codec() {
+        ListCodec::Paper => MAGIC_V3,
+        ListCodec::Block => MAGIC_V4,
     };
-    let max_counts = (style == HeaderStyle::BlockCrcs)
-        .then(|| index.max_counts_or_compute())
-        .transpose()?;
     let mut header = Vec::new();
-    encode_header_fields(&mut header, index, style, max_counts.as_deref())?;
+    encode_header_fields(&mut header, index)?;
     let header_len = u32::try_from(header.len())
         .map_err(|_| IndexError::Unsupported("index header exceeds 4 GiB"))?;
 
@@ -244,46 +219,31 @@ pub fn write_index(index: &CompressedIndex, path: &Path) -> Result<(), IndexErro
     Ok(())
 }
 
-/// Serialize a [`CompressedIndex`] to `path` in the legacy v2 format
-/// (no checksums). Kept so compatibility tests can produce the files the
-/// previous release wrote; new code should use [`write_index`].
-pub fn write_index_v2(index: &CompressedIndex, path: &Path) -> Result<(), IndexError> {
-    let mut header = Vec::new();
-    encode_header_fields(&mut header, index, HeaderStyle::Plain, None)?;
-    let mut out = AtomicFile::create(path)?;
-    out.write_all(MAGIC_V2)?;
-    out.write_all(&header)?;
-    out.write_all(index.blob())?;
-    out.commit()?;
-    Ok(())
-}
-
 /// Shared header contents (everything except the blob).
 struct Header {
     params: IndexParams,
     codec: ListCodec,
     record_lens: Vec<u32>,
     vocab: Vec<VocabEntry>,
-    /// Per-list CRC-32s, parallel to `vocab`. `None` for legacy v2 files,
-    /// which carry no checksums — those load without verification. In v4
-    /// files each CRC covers only the list's skip-table prefix.
-    list_crcs: Option<Vec<u32>>,
+    /// Per-list CRC-32s, parallel to `vocab`. In v4 files each CRC
+    /// covers only the list's skip-table prefix (block payloads
+    /// self-checksum).
+    list_crcs: Vec<u32>,
     /// Per-list max per-record occurrence counts (v4 only).
     max_counts: Option<Vec<u32>>,
-    /// v4: list CRCs cover skip tables, block payloads self-checksum.
-    per_block_crcs: bool,
     blob_len: u64,
     /// Byte position of the blob within the file.
     blob_start: u64,
 }
 
-/// Parse the fields shared by v2 and v3. `base` is the absolute file
-/// offset of `input`'s first byte, used to locate violations. The
-/// returned header's `blob_start` is a placeholder the caller fills in.
+/// Parse the header fields of a file whose magic promised `magic_codec`.
+/// `base` is the absolute file offset of `input`'s first byte, used to
+/// locate violations. The returned header's `blob_start` is a
+/// placeholder the caller fills in.
 fn read_header_fields<R: Read>(
     input: &mut CountingReader<R>,
     base: u64,
-    style: HeaderStyle,
+    magic_codec: ListCodec,
 ) -> Result<Header, IndexError> {
     let mut small = [0u8; 1];
     input.read_exact(&mut small)?;
@@ -306,6 +266,12 @@ fn read_header_fields<R: Read>(
     let stopping = read_stopping(input, base)?;
     input.read_exact(&mut small)?;
     let codec = ListCodec::from_tag(small[0])?;
+    if codec != magic_codec {
+        return Err(IndexError::bad_in(
+            "magic and list codec disagree",
+            "params",
+        ));
+    }
     input.read_exact(&mut small)?;
     let granularity = crate::interval::Granularity::from_tag(small[0])?;
 
@@ -317,9 +283,9 @@ fn read_header_fields<R: Read>(
             base + input.pos(),
         ));
     }
-    // Cap the up-front allocation: `num_records` is untrusted on the v2
-    // path (no checksum), and a corrupt count must fail with a clean
-    // parse error rather than an OOM abort.
+    // Cap the up-front allocation: the count is read before the
+    // allocation it sizes, and an absurd one must fail with a clean parse
+    // error rather than an OOM abort.
     let mut record_lens = Vec::with_capacity((num_records as usize).min(1 << 20));
     for _ in 0..num_records {
         record_lens.push(
@@ -331,9 +297,8 @@ fn read_header_fields<R: Read>(
 
     let vocab_count = read_vu64(input, base, "vocabulary")?;
     let mut vocab = Vec::with_capacity((vocab_count as usize).min(1 << 20));
-    let mut list_crcs = (style != HeaderStyle::Plain)
-        .then(|| Vec::with_capacity((vocab_count as usize).min(1 << 20)));
-    let mut max_counts = (style == HeaderStyle::BlockCrcs)
+    let mut list_crcs = Vec::with_capacity((vocab_count as usize).min(1 << 20));
+    let mut max_counts = (codec == ListCodec::Block)
         .then(|| Vec::with_capacity((vocab_count as usize).min(1 << 20)));
     let mut prev_code = 0u64;
     let mut offset = 0u64;
@@ -353,12 +318,10 @@ fn read_header_fields<R: Read>(
         })?;
         let df = u32::try_from(read_vu64(input, base, "vocabulary")?)
             .map_err(|_| IndexError::bad_at("df overflow", "vocabulary", base + input.pos()))?;
-        if let Some(crcs) = &mut list_crcs {
-            let crc = u32::try_from(read_vu64(input, base, "vocabulary")?).map_err(|_| {
-                IndexError::bad_at("list checksum overflow", "vocabulary", base + input.pos())
-            })?;
-            crcs.push(crc);
-        }
+        let crc = u32::try_from(read_vu64(input, base, "vocabulary")?).map_err(|_| {
+            IndexError::bad_at("list checksum overflow", "vocabulary", base + input.pos())
+        })?;
+        list_crcs.push(crc);
         if let Some(max_counts) = &mut max_counts {
             let max_count = u32::try_from(read_vu64(input, base, "vocabulary")?).map_err(|_| {
                 IndexError::bad_at("max count overflow", "vocabulary", base + input.pos())
@@ -394,7 +357,6 @@ fn read_header_fields<R: Read>(
         vocab,
         list_crcs,
         max_counts,
-        per_block_crcs: style == HeaderStyle::BlockCrcs,
         blob_len,
         blob_start: 0,
     })
@@ -403,14 +365,12 @@ fn read_header_fields<R: Read>(
 fn read_header<R: Read>(input: &mut CountingReader<R>) -> Result<Header, IndexError> {
     let mut magic = [0u8; 8];
     input.read_exact(&mut magic)?;
-    let style = match &magic {
-        m if m == MAGIC_V2 => {
-            let mut header = read_header_fields(input, 0, HeaderStyle::Plain)?;
-            header.blob_start = input.pos();
-            return Ok(header);
+    let magic_codec = match &magic {
+        m if m == MAGIC_V3 => ListCodec::Paper,
+        m if m == MAGIC_V4 => ListCodec::Block,
+        m if m == RETIRED_MAGIC_V2.as_bytes() => {
+            return Err(IndexError::UnsupportedFormat(RETIRED_MAGIC_V2.to_string()));
         }
-        m if m == MAGIC_V3 => HeaderStyle::ListCrcs,
-        m if m == MAGIC_V4 => HeaderStyle::BlockCrcs,
         _ => return Err(IndexError::bad_at("bad magic", "magic", 0)),
     };
     let mut word = [0u8; 4];
@@ -431,7 +391,7 @@ fn read_header<R: Read>(input: &mut CountingReader<R>) -> Result<Header, IndexEr
     // The bytes are authenticated; parse errors past this point
     // would indicate a writer bug, but report them properly anyway.
     let mut fields = CountingReader::new(&header_bytes[..]);
-    let mut header = read_header_fields(&mut fields, V3_PREFIX_LEN, style)?;
+    let mut header = read_header_fields(&mut fields, V3_PREFIX_LEN, magic_codec)?;
     if fields.pos() != header_len as u64 {
         return Err(IndexError::bad_at(
             "trailing bytes in header",
@@ -439,63 +399,64 @@ fn read_header<R: Read>(input: &mut CountingReader<R>) -> Result<Header, IndexEr
             V3_PREFIX_LEN + fields.pos(),
         ));
     }
-    if style == HeaderStyle::BlockCrcs && header.codec != ListCodec::Block {
-        return Err(IndexError::bad_in(
-            "v4 file must use the block codec",
-            "params",
-        ));
-    }
     header.blob_start = V3_PREFIX_LEN + header_len as u64;
     Ok(header)
 }
 
-/// Verify every list in a fully loaded blob against the header's per-list
-/// CRCs (no-op for v2 headers, which carry none). For v4 headers the
-/// vocab CRC covers the skip-table prefix and every block payload is
-/// checked against its own skip-entry CRC, so whole-file loads still
-/// verify every blob byte.
-fn verify_blob(header: &Header, blob: &[u8]) -> Result<(), IndexError> {
-    if let Some(crcs) = &header.list_crcs {
-        for (entry, &expected) in header.vocab.iter().zip(crcs) {
-            let list = &blob[entry.offset as usize..][..entry.len as usize];
-            if header.per_block_crcs {
-                let skip_len = crate::block::skip_table_len(entry.df);
-                if list.len() < skip_len {
-                    return Err(IndexError::bad_at(
-                        "list shorter than its skip table",
-                        "list",
-                        header.blob_start + entry.offset,
-                    ));
-                }
-                let actual = crc32(&list[..skip_len]);
-                if actual != expected {
-                    return Err(IndexError::checksum(
-                        "list",
-                        header.blob_start + entry.offset,
-                        expected,
-                        actual,
-                    ));
-                }
-                crate::block::verify_block_list(list, entry.df)
-                    .map_err(|e| e.with_base_offset(header.blob_start + entry.offset))?;
-            } else {
-                let actual = crc32(list);
-                if actual != expected {
-                    return Err(IndexError::checksum(
-                        "list",
-                        header.blob_start + entry.offset,
-                        expected,
-                        actual,
-                    ));
-                }
-            }
-        }
+/// Check one fetched list against its vocabulary CRC. A paper list is
+/// covered whole; a block list only over its skip-table prefix — each
+/// block payload is verified against its own skip-entry CRC when it is
+/// decoded, so a corrupt block costs one block. `at` is the list's
+/// absolute file offset.
+fn check_list_crc(
+    codec: ListCodec,
+    list: &[u8],
+    df: u32,
+    expected: u32,
+    at: u64,
+) -> Result<(), IndexError> {
+    let covered = match codec {
+        ListCodec::Paper => list,
+        ListCodec::Block => list
+            .get(..skip_table_len(df))
+            .ok_or_else(|| IndexError::bad_at("list shorter than its skip table", "list", at))?,
+    };
+    let actual = crc32(covered);
+    if actual != expected {
+        return Err(IndexError::checksum("list", at, expected, actual));
     }
     Ok(())
 }
 
-/// Load a whole index from any byte stream (v3 or legacy v2). On v3
-/// every byte is checksum-verified before the index is returned.
+/// Verify every byte of one list: [`check_list_crc`], plus every block
+/// payload of a block list against its skip-entry CRC.
+fn verify_list(
+    codec: ListCodec,
+    list: &[u8],
+    df: u32,
+    expected: u32,
+    at: u64,
+) -> Result<(), IndexError> {
+    check_list_crc(codec, list, df, expected, at)?;
+    if codec == ListCodec::Block {
+        verify_block_list(list, df).map_err(|e| e.with_base_offset(at))?;
+    }
+    Ok(())
+}
+
+/// Verify every list in a fully loaded blob, so whole-file loads check
+/// every blob byte.
+fn verify_blob(header: &Header, blob: &[u8]) -> Result<(), IndexError> {
+    for (entry, &expected) in header.vocab.iter().zip(&header.list_crcs) {
+        let list = &blob[entry.offset as usize..][..entry.len as usize];
+        let at = header.blob_start + entry.offset;
+        verify_list(header.codec, list, entry.df, expected, at)?;
+    }
+    Ok(())
+}
+
+/// Load a whole index from any byte stream; every byte is
+/// checksum-verified before the index is returned.
 pub fn load_index_from(reader: impl Read) -> Result<CompressedIndex, IndexError> {
     let mut input = CountingReader::new(reader);
     let header = read_header(&mut input)?;
@@ -522,8 +483,8 @@ pub fn load_index(path: &Path) -> Result<CompressedIndex, IndexError> {
 /// `&self` and concurrent fetches from multiple threads proceed without
 /// contention; the I/O counters are atomics.
 ///
-/// On v3 files every fetched list is verified against its stored CRC-32;
-/// a mismatch surfaces as [`IndexError::Corruption`] naming the file
+/// Every fetched list is verified against its stored CRC-32; a mismatch
+/// surfaces as [`IndexError::Corruption`] naming the file
 /// offset, and no decoded (potentially wrong) postings escape.
 pub struct OnDiskIndex {
     file: PositionalReader,
@@ -531,17 +492,15 @@ pub struct OnDiskIndex {
     codec: ListCodec,
     record_lens: Vec<u32>,
     vocab: Vec<VocabEntry>,
-    list_crcs: Option<Vec<u32>>,
+    list_crcs: Vec<u32>,
     max_counts: Option<Vec<u32>>,
-    per_block_crcs: bool,
     blob_start: u64,
     bytes_read: Counter,
     lists_read: Counter,
 }
 
 impl OnDiskIndex {
-    /// Open an index file written by [`write_index`] (or a legacy v2
-    /// file, which loads without checksum verification).
+    /// Open an index file written by [`write_index`].
     pub fn open(path: &Path) -> Result<OnDiskIndex, IndexError> {
         let mut input = CountingReader::new(BufReader::new(File::open(path)?));
         let header = read_header(&mut input)?;
@@ -569,7 +528,6 @@ impl OnDiskIndex {
             vocab: header.vocab,
             list_crcs: header.list_crcs,
             max_counts: header.max_counts,
-            per_block_crcs: header.per_block_crcs,
             blob_start: header.blob_start,
             bytes_read: Counter::new(),
             lists_read: Counter::new(),
@@ -617,7 +575,7 @@ impl OnDiskIndex {
     /// Fetch the raw list bytes for a vocab entry into a caller-provided
     /// buffer (one positional read, no lock, no allocation once the buffer
     /// has grown to the working-set maximum), then verify them against the
-    /// stored checksum when the file carries one.
+    /// stored checksum.
     fn fetch_bytes_into(
         &self,
         idx: usize,
@@ -626,36 +584,9 @@ impl OnDiskIndex {
     ) -> Result<(), IndexError> {
         buf.clear();
         buf.resize(entry.len as usize, 0);
-        self.file
-            .read_exact_at(buf, self.blob_start + entry.offset)?;
-        if let Some(crcs) = &self.list_crcs {
-            let expected = crcs[idx];
-            // v4 files checksum only the skip-table prefix here; each
-            // block payload is verified against its own skip-entry CRC
-            // at decode time, so a corrupt block costs one block.
-            let covered = if self.per_block_crcs {
-                let skip_len = crate::block::skip_table_len(entry.df);
-                if buf.len() < skip_len {
-                    return Err(IndexError::bad_at(
-                        "list shorter than its skip table",
-                        "list",
-                        self.blob_start + entry.offset,
-                    ));
-                }
-                &buf[..skip_len]
-            } else {
-                &buf[..]
-            };
-            let actual = crc32(covered);
-            if actual != expected {
-                return Err(IndexError::checksum(
-                    "list",
-                    self.blob_start + entry.offset,
-                    expected,
-                    actual,
-                ));
-            }
-        }
+        let at = self.blob_start + entry.offset;
+        self.file.read_exact_at(buf, at)?;
+        check_list_crc(self.codec, buf, entry.df, self.list_crcs[idx], at)?;
         self.bytes_read.add(entry.len as u64);
         self.lists_read.inc();
         Ok(())
@@ -909,20 +840,11 @@ impl OnDiskIndex {
         &self.vocab
     }
 
-    /// Does the file carry stored checksums (v3/v4)? Legacy v2 files
-    /// verify structurally only.
-    pub fn has_checksums(&self) -> bool {
-        self.list_crcs.is_some()
-    }
-
     /// On-disk format name, from the magic the file was opened with.
     pub fn format(&self) -> &'static str {
-        if self.per_block_crcs {
-            "NUCIDX04"
-        } else if self.list_crcs.is_some() {
-            "NUCIDX03"
-        } else {
-            "NUCIDX02"
+        match self.codec {
+            ListCodec::Paper => "NUCIDX03",
+            ListCodec::Block => "NUCIDX04",
         }
     }
 
@@ -934,7 +856,7 @@ impl OnDiskIndex {
     }
 
     /// Re-read the header region (`[0, blob_start)`) from disk and
-    /// re-verify it: magic, stored header CRC (v3/v4), and full field
+    /// re-verify it: magic, stored header CRC, and full field
     /// structure. Returns the bytes verified. Unlike
     /// [`OnDiskIndex::open`] — which parses the header once — this reads
     /// through the live file handle, so it observes damage that arrived
@@ -952,56 +874,15 @@ impl OnDiskIndex {
     /// Fetch and fully verify the list at vocabulary position `idx`
     /// (panics if out of range — callers iterate `0..vocab().len()`).
     /// Checks the stored list CRC (v3), or the skip-table CRC plus every
-    /// block payload CRC (v4); v2 lists, which carry no checksums, are
-    /// structurally decoded instead. Returns the list bytes verified.
+    /// block payload CRC (v4). Returns the list bytes verified.
     /// Does not touch the query I/O counters, so a background scrub
     /// never distorts `nucdb_index_bytes_read_total`.
     pub fn verify_list_at(&self, idx: usize) -> Result<u64, IndexError> {
         let entry = &self.vocab[idx];
         let mut buf = vec![0u8; entry.len as usize];
-        self.file
-            .read_exact_at(&mut buf, self.blob_start + entry.offset)?;
-        if let Some(crcs) = &self.list_crcs {
-            let expected = crcs[idx];
-            let covered = if self.per_block_crcs {
-                let skip_len = crate::block::skip_table_len(entry.df);
-                if buf.len() < skip_len {
-                    return Err(IndexError::bad_at(
-                        "list shorter than its skip table",
-                        "list",
-                        self.blob_start + entry.offset,
-                    ));
-                }
-                &buf[..skip_len]
-            } else {
-                &buf[..]
-            };
-            let actual = crc32(covered);
-            if actual != expected {
-                return Err(IndexError::checksum(
-                    "list",
-                    self.blob_start + entry.offset,
-                    expected,
-                    actual,
-                ));
-            }
-            if self.per_block_crcs {
-                crate::block::verify_block_list(&buf, entry.df)
-                    .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))?;
-            }
-        } else {
-            // No stored checksum: decoding is the only verification.
-            decode_counts_with(
-                &buf,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                self.codec,
-                self.params.granularity,
-                |_, _| {},
-            )
-            .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))?;
-        }
+        let at = self.blob_start + entry.offset;
+        self.file.read_exact_at(&mut buf, at)?;
+        verify_list(self.codec, &buf, entry.df, self.list_crcs[idx], at)?;
         Ok(entry.len as u64)
     }
 }
@@ -1042,33 +923,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_round_trip() {
-        let index = build_sample(51, IndexParams::new(8));
-        let path = temp_path("v2rt");
-        write_index_v2(&index, &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[..8], MAGIC_V2);
-
-        let loaded = load_index(&path).unwrap();
-        assert_eq!(loaded.params(), index.params());
-        assert_eq!(loaded.vocab(), index.vocab());
-        assert_eq!(loaded.blob(), index.blob());
-
-        let disk = OnDiskIndex::open(&path).unwrap();
-        for entry in index.vocab().iter().step_by(11) {
-            assert_eq!(
-                disk.postings(entry.code).unwrap().unwrap(),
-                index.postings(entry.code).unwrap().unwrap()
-            );
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn round_trip_preserves_stopping_and_codec() {
         let params = IndexParams::new(6).with_stopping(StopPolicy::DfFraction(0.25));
         let coll = SyntheticCollection::generate(&CollectionSpec::tiny(42));
-        let mut builder = IndexBuilder::new(params.clone()).with_codec(ListCodec::Delta);
+        let mut builder = IndexBuilder::new(params.clone()).with_codec(ListCodec::Block);
         for record in &coll.records {
             builder.add_record(&record.seq.representative_bases());
         }
@@ -1078,7 +936,7 @@ mod tests {
         let loaded = load_index(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(loaded.params().stopping, Some(StopPolicy::DfFraction(0.25)));
-        assert_eq!(loaded.codec(), ListCodec::Delta);
+        assert_eq!(loaded.codec(), ListCodec::Block);
         assert_eq!(loaded.decode_all().unwrap(), index.decode_all().unwrap());
     }
 
@@ -1234,25 +1092,6 @@ mod tests {
     }
 
     #[test]
-    fn block_index_survives_v2_writer_and_rewrites_as_v4() {
-        // The legacy writer has no CRCs or max counts but carries the
-        // blob (skip tables included) verbatim; a reload can recompute
-        // max counts and produce a v4 file again.
-        let index = build_block_sample(63);
-        let path = temp_path("v4v2");
-        write_index_v2(&index, &path).unwrap();
-        let loaded = load_index(&path).unwrap();
-        assert_eq!(loaded.blob(), index.blob());
-        assert_eq!(loaded.max_counts(), None);
-        let path4 = temp_path("v4v2b");
-        write_index(&loaded, &path4).unwrap();
-        let again = load_index(&path4).unwrap();
-        assert_eq!(again.max_counts(), index.max_counts());
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&path4);
-    }
-
-    #[test]
     fn corrupt_block_detected_at_load_and_fetch_names_the_block() {
         let index = build_block_sample(64);
         let path = temp_path("v4corr");
@@ -1266,7 +1105,7 @@ mod tests {
             .iter()
             .max_by_key(|e| e.df)
             .expect("nonempty index");
-        let skip_len = crate::block::skip_table_len(entry.df);
+        let skip_len = skip_table_len(entry.df);
         let victim = blob_start + entry.offset as usize + skip_len;
         bytes[victim] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();

@@ -39,6 +39,9 @@ pub enum IndexError {
     Codec(CodecError),
     /// The index file has a bad magic number, version, or structure.
     BadFormat(FormatViolation),
+    /// The file is intact but of a retired generation: its magic or list
+    /// codec tag (named here) is one this release no longer opens.
+    UnsupportedFormat(String),
     /// A stored checksum did not match the bytes read: the file is
     /// corrupt (bit rot, torn write, or tampering) even though it is
     /// structurally parseable.
@@ -144,6 +147,10 @@ impl fmt::Display for IndexError {
         match self {
             IndexError::Codec(e) => write!(f, "postings decode failed: {e}"),
             IndexError::BadFormat(violation) => write!(f, "bad index format: {violation}"),
+            IndexError::UnsupportedFormat(what) => write!(
+                f,
+                "unsupported format: {what} is a retired generation; rebuild with this release"
+            ),
             IndexError::Corruption {
                 section,
                 offset,

@@ -69,7 +69,7 @@ pub use compress::{
     decode_counts, decode_counts_with, decode_postings, decode_postings_with, encode_postings,
     CompressedIndex, FetchStats, ListCodec, PostingsVisitor, VocabEntry,
 };
-pub use disk::{load_index, load_index_from, write_index, write_index_v2, OnDiskIndex};
+pub use disk::{load_index, load_index_from, write_index, OnDiskIndex};
 pub use durable::{crc32, AtomicFile, CountingReader, Crc32};
 pub use error::{FormatViolation, IndexError};
 pub use fault::{FaultPlan, FaultyFile, FaultyReader};

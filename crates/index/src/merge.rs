@@ -228,7 +228,7 @@ mod tests {
         let b = build(&r, IndexParams::new(10));
         assert!(merge_indexes(&a, &b).is_err());
         let c = {
-            let mut builder = IndexBuilder::new(IndexParams::new(8)).with_codec(ListCodec::Gamma);
+            let mut builder = IndexBuilder::new(IndexParams::new(8)).with_codec(ListCodec::Block);
             for rec in &r {
                 builder.add_record(rec);
             }

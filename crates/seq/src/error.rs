@@ -43,6 +43,9 @@ pub enum SeqError {
         /// The checksum of the bytes actually read.
         actual: u32,
     },
+    /// The store file is intact but of a retired generation: its magic
+    /// (named here) is one this release no longer opens.
+    UnsupportedFormat(String),
     /// An underlying I/O failure.
     Io(io::Error),
 }
@@ -137,6 +140,10 @@ impl fmt::Display for SeqError {
                 f,
                 "store corruption detected: checksum mismatch in section {section:?} at byte \
                  {offset} (stored {expected:#010x}, computed {actual:#010x})"
+            ),
+            SeqError::UnsupportedFormat(what) => write!(
+                f,
+                "unsupported format: {what} is a retired generation; rebuild with this release"
             ),
             SeqError::Io(e) => write!(f, "I/O error: {e}"),
         }

@@ -71,12 +71,7 @@ fn main() {
     }
 
     println!("\n--- codec sweep (k = 8) ---");
-    for codec in [
-        ListCodec::Paper,
-        ListCodec::Gamma,
-        ListCodec::VByte,
-        ListCodec::Fixed,
-    ] {
+    for codec in [ListCodec::Paper, ListCodec::Block] {
         let config = DbConfig {
             codec,
             ..DbConfig::default()

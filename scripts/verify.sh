@@ -7,15 +7,6 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo build --release
 cargo test -q
-# The server end-to-end and durability suites are part of `cargo test`
-# above; run them again by name so a serving or on-disk-format
-# regression fails loudly on its own line.
-cargo test -q -p nucdb-serve --test server_e2e
-cargo test -q -p nucdb --test durability
-cargo test -q -p nucdb --test explain_and_health
-cargo test -q -p nucdb --test sharding
-cargo test -q -p nucdb-serve --test shard_e2e
-cargo test -q -p nucdb --test shapes
 # The fine stage's lane kernel against its scalar oracle, in release:
 # that is the build whose vectorised loop ships.
 cargo test -q --release -p nucdb-align --test proptests

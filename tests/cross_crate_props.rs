@@ -4,8 +4,8 @@
 use nucdb::{coarse_rank, Database, DbConfig, SearchParams};
 use nucdb_align::{banded_sw_score, sw_score, ScoringScheme};
 use nucdb_index::{
-    load_index, write_index, write_index_v2, CompressedIndex, Granularity, IndexBuilder,
-    IndexParams, ListCodec, StopPolicy,
+    load_index, write_index, CompressedIndex, Granularity, IndexBuilder, IndexParams, ListCodec,
+    StopPolicy,
 };
 use nucdb_seq::{DnaSeq, PackedSeq};
 use proptest::prelude::*;
@@ -16,14 +16,7 @@ fn dna_ascii(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
 }
 
 fn any_codec() -> impl Strategy<Value = ListCodec> {
-    prop::sample::select(vec![
-        ListCodec::Paper,
-        ListCodec::Gamma,
-        ListCodec::Delta,
-        ListCodec::VByte,
-        ListCodec::Fixed,
-        ListCodec::Interp,
-    ])
+    prop::sample::select(vec![ListCodec::Paper, ListCodec::Block])
 }
 
 fn any_granularity() -> impl Strategy<Value = Granularity> {
@@ -157,11 +150,9 @@ proptest! {
         granularity in any_granularity(),
         stopping in any_stopping(),
     ) {
-        // Whatever the build configuration, writing the current (v3)
-        // format and loading it back must reproduce the index exactly —
-        // params (including stopping), vocabulary, and blob bytes. The
-        // legacy v2 writer must load back identically too, so files
-        // written by the previous release keep working.
+        // Whatever the build configuration, writing the index and
+        // loading it back must reproduce it exactly — params (including
+        // stopping), vocabulary, and blob bytes.
         let mut params = IndexParams::new(k).with_stride(stride).with_granularity(granularity);
         if let Some(policy) = stopping {
             params = params.with_stopping(policy);
@@ -177,12 +168,6 @@ proptest! {
         let loaded_v3 = load_index(&v3);
         let _ = std::fs::remove_file(&v3);
         prop_assert!(index_fields_equal(&loaded_v3.unwrap(), &index));
-
-        let v2 = unique_path("v2");
-        write_index_v2(&index, &v2).unwrap();
-        let loaded_v2 = load_index(&v2);
-        let _ = std::fs::remove_file(&v2);
-        prop_assert!(index_fields_equal(&loaded_v2.unwrap(), &index));
     }
 
     #[test]

@@ -12,12 +12,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nucdb::{
-    Database, DbConfig, IndexVariant, RecordSource, SearchParams, SequenceStore, StorageMode,
-    StoreVariant,
+    Database, IndexVariant, RecordSource, SearchParams, SequenceStore, StorageMode, StoreVariant,
 };
 use nucdb_index::{
-    load_index, write_index, write_index_v2, CompressedIndex, FaultPlan, Granularity, IndexBuilder,
-    IndexParams, ListCodec, OnDiskIndex, StopPolicy, TRANSIENT_RETRY_LIMIT,
+    load_index, write_index, CompressedIndex, FaultPlan, Granularity, IndexBuilder, IndexParams,
+    ListCodec, OnDiskIndex, StopPolicy, TRANSIENT_RETRY_LIMIT,
 };
 use nucdb_seq::random::{CollectionSpec, SyntheticCollection};
 use nucdb_seq::{DnaSeq, SeqError};
@@ -380,23 +379,15 @@ fn store_survives_every_truncation() {
 }
 
 // ---------------------------------------------------------------------
-// Format-compatibility sweep: every codec x granularity x stopping combo
-// round-trips through the v3 writer, and the v2/v1 legacy files still
-// load.
+// Format sweep: every codec x granularity x stopping combo round-trips
+// through the writer, and the retired generation is refused by name at
+// every door.
 // ---------------------------------------------------------------------
 
 #[test]
 fn every_codec_granularity_stopping_combo_round_trips() {
     let coll = small_collection(905);
-    let codecs = [
-        ListCodec::Paper,
-        ListCodec::Gamma,
-        ListCodec::Delta,
-        ListCodec::VByte,
-        ListCodec::Fixed,
-        ListCodec::Interp,
-        ListCodec::Block,
-    ];
+    let codecs = [ListCodec::Paper, ListCodec::Block];
     let granularities = [Granularity::Offsets, Granularity::Records];
     let stoppings = [
         None,
@@ -415,15 +406,10 @@ fn every_codec_granularity_stopping_combo_round_trips() {
                 let index = build_index(&coll, params, codec);
                 let label = format!("{codec:?}/{granularity:?}/{stopping:?}");
 
-                let v3 = dir.join("combo.nucidx");
-                write_index(&index, &v3).unwrap();
-                let loaded = load_index(&v3).unwrap();
-                assert!(indexes_equal(&loaded, &index), "v3 mismatch for {label}");
-
-                let v2 = dir.join("combo_v2.nucidx");
-                write_index_v2(&index, &v2).unwrap();
-                let loaded = load_index(&v2).unwrap();
-                assert!(indexes_equal(&loaded, &index), "v2 mismatch for {label}");
+                let path = dir.join("combo.nucidx");
+                write_index(&index, &path).unwrap();
+                let loaded = load_index(&path).unwrap();
+                assert!(indexes_equal(&loaded, &index), "mismatch for {label}");
             }
         }
     }
@@ -431,51 +417,66 @@ fn every_codec_granularity_stopping_combo_round_trips() {
 }
 
 #[test]
-fn legacy_files_and_current_files_answer_identically() {
+fn retired_magics_are_refused_by_name_at_every_door() {
+    use nucdb_index::IndexError;
+
+    // A plain database directory, then each file in turn replaced by what
+    // the retired writers left: the old magic followed by fields under no
+    // checksum. No door may parse past the magic.
     let coll = small_collection(906);
-    let dir = temp_dir("legacy");
-    let memory = Database::build(
-        coll.records.iter().map(|r| (r.id.clone(), r.seq.clone())),
-        &DbConfig::default(),
-    );
-    let query = coll.query_for_family(0, 0.6, &nucdb_seq::random::MutationModel::identity());
-    let baseline: Vec<(u32, i32)> = memory
-        .search(&query, &SearchParams::default())
-        .unwrap()
-        .results
-        .iter()
-        .map(|r| (r.record, r.score))
-        .collect();
-    assert!(!baseline.is_empty());
+    let dir = temp_dir("retired");
+    let idx = dir.join(nucdb::INDEX_FILE);
+    let sto = dir.join(nucdb::STORE_FILE);
+    write_index(
+        &build_index(&coll, IndexParams::new(8), ListCodec::Paper),
+        &idx,
+    )
+    .unwrap();
+    build_store(&coll, StorageMode::DirectCoding)
+        .write_to(&sto)
+        .unwrap();
+    let open = || nucdb::Collection::open(&dir, &nucdb::CollectionOptions::default()).map(drop);
+    open().unwrap();
+    let retired = |magic: &str| [magic.as_bytes(), &[8, 1, 0, 0, 0, 1, 40, 0][..]].concat();
+    let names = |e: &dyn std::fmt::Display, magic: &str, door: &str| {
+        let shown = e.to_string();
+        assert!(shown.contains(magic), "{door}: {shown:?} lacks {magic}");
+    };
 
-    // Current formats.
-    let index = build_index(&coll, IndexParams::new(8), ListCodec::Paper);
-    let store = build_store(&coll, StorageMode::DirectCoding);
-    let v3_idx = dir.join("idx_v3.nucidx");
-    let v2_sto = dir.join("sto_v2.nucsto");
-    write_index(&index, &v3_idx).unwrap();
-    store.write_to(&v2_sto).unwrap();
-
-    // Legacy formats, as the previous release wrote them.
-    let v2_idx = dir.join("idx_v2.nucidx");
-    let v1_sto = dir.join("sto_v1.nucsto");
-    write_index_v2(&index, &v2_idx).unwrap();
-    store.write_to_v1(&v1_sto).unwrap();
-
-    for (idx_path, sto_path) in [(&v3_idx, &v2_sto), (&v2_idx, &v1_sto)] {
-        let db = Database::from_variants(
-            StoreVariant::Disk(nucdb::OnDiskStore::open(sto_path).unwrap()),
-            IndexVariant::Disk(OnDiskIndex::open(idx_path).unwrap()),
-        );
-        let answers: Vec<(u32, i32)> = db
-            .search(&query, &SearchParams::default())
-            .unwrap()
-            .results
-            .iter()
-            .map(|r| (r.record, r.score))
-            .collect();
-        assert_eq!(answers, baseline, "disk answers diverge for {idx_path:?}");
+    let good = std::fs::read(&idx).unwrap();
+    std::fs::write(&idx, retired("NUCIDX02")).unwrap();
+    for (door, result) in [
+        ("load_index", load_index(&idx).map(drop)),
+        ("OnDiskIndex::open", OnDiskIndex::open(&idx).map(drop)),
+        ("Collection::open", open()),
+    ] {
+        match result {
+            Err(e @ IndexError::UnsupportedFormat(_)) => names(&e, "NUCIDX02", door),
+            other => panic!("{door}: {other:?}"),
+        }
     }
+    std::fs::write(&idx, good).unwrap();
+
+    let good = std::fs::read(&sto).unwrap();
+    std::fs::write(&sto, retired("NUCSTO01")).unwrap();
+    for (door, result) in [
+        ("read_from", SequenceStore::read_from(&sto).map(drop)),
+        (
+            "OnDiskStore::open",
+            nucdb::OnDiskStore::open(&sto).map(drop),
+        ),
+    ] {
+        match result {
+            Err(e @ SeqError::UnsupportedFormat(_)) => names(&e, "NUCSTO01", door),
+            other => panic!("{door}: {other:?}"),
+        }
+    }
+    match open() {
+        Err(e @ IndexError::UnsupportedFormat(_)) => names(&e, "NUCSTO01", "Collection::open"),
+        other => panic!("Collection::open: {other:?}"),
+    }
+    std::fs::write(&sto, good).unwrap();
+    open().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -617,9 +618,7 @@ fn writers_leave_no_temp_files() {
     let store = build_store(&coll, StorageMode::DirectCoding);
 
     write_index(&index, &dir.join("idx.nucidx")).unwrap();
-    write_index_v2(&index, &dir.join("idx_v2.nucidx")).unwrap();
     store.write_to(&dir.join("sto.nucsto")).unwrap();
-    store.write_to_v1(&dir.join("sto_v1.nucsto")).unwrap();
 
     // Overwrites go through the same temp+rename path.
     write_index(&index, &dir.join("idx.nucidx")).unwrap();
@@ -758,30 +757,5 @@ fn query_error_does_not_poison_the_database() {
     }
     // (If the healthy query's coarse candidates happen to include the
     // corrupt record, the error is still the typed kind.)
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn legacy_v1_store_and_v2_index_still_work_end_to_end() {
-    let coll = small_collection(914);
-    let dir = temp_dir("legacye2e");
-    let idx = dir.join("idx.nucidx");
-    let sto = dir.join("coll.nucsto");
-    write_index_v2(
-        &build_index(&coll, IndexParams::new(8), ListCodec::Paper),
-        &idx,
-    )
-    .unwrap();
-    build_store(&coll, StorageMode::Ascii)
-        .write_to_v1(&sto)
-        .unwrap();
-
-    let db = Database::from_variants(
-        StoreVariant::Disk(nucdb::OnDiskStore::open(&sto).unwrap()),
-        IndexVariant::Disk(OnDiskIndex::open(&idx).unwrap()),
-    );
-    let query = DnaSeq::from_ascii(&coll.records[0].seq.to_ascii_vec()).unwrap();
-    let outcome = db.search(&query, &SearchParams::default()).unwrap();
-    assert!(outcome.results.iter().any(|r| r.record == 0));
     let _ = std::fs::remove_dir_all(&dir);
 }

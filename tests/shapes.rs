@@ -260,3 +260,59 @@ fn a_shadowed_live_manifest_is_reopened_never_overwritten() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// The codec tags 1–5 belonged to retired list codecs. An otherwise
+/// intact file carrying one — the tag rewritten and the CRC re-stamped,
+/// so nothing else is wrong — is refused by name through the one door,
+/// whichever file of whichever shape carries it: a plain directory's
+/// index header, a live directory's `MANIFEST`, a sharded root's
+/// `SHARDS`.
+#[test]
+fn retired_codec_tags_are_refused_by_name_in_every_shape() {
+    let coll = SyntheticCollection::generate(&CollectionSpec::tiny(13));
+    let records: Vec<(String, DnaSeq)> = coll
+        .records
+        .iter()
+        .map(|r| (r.id.clone(), r.seq.clone()))
+        .collect();
+    let config = DbConfig::default();
+    let root = temp_dir("retired_tags");
+    for name in ["plain", "live", "sharded"] {
+        std::fs::create_dir_all(root.join(name)).unwrap();
+    }
+    write_plain(&root.join("plain"), &records, &config);
+    write_live(&root.join("live"), &records, &config);
+    build_sharded_root(&root.join("sharded"), records, 2, &config).unwrap();
+
+    // All three files open `magic:8 body_len:u32 body_crc:u32 body`; the
+    // codec tag sits after `k stride stopping` in the index header and
+    // after `version k stride granularity` in both manifests.
+    for (name, file, codec_at) in [
+        ("plain", nucdb::INDEX_FILE, 16 + 3),
+        ("live", nucdb_index::MANIFEST_FILE, 16 + 4),
+        ("sharded", nucdb_index::SHARD_MANIFEST_FILE, 16 + 4),
+    ] {
+        let dir = root.join(name);
+        let open = || Collection::open(&dir, &CollectionOptions::default()).map(drop);
+        let good = std::fs::read(dir.join(file)).unwrap();
+        assert_eq!(good[codec_at], 0, "{name}: not the paper codec's tag");
+        let body_len = u32::from_le_bytes(good[8..12].try_into().unwrap()) as usize;
+        for tag in 1..=5u8 {
+            let mut bytes = good.clone();
+            bytes[codec_at] = tag;
+            let crc = nucdb_index::crc32(&bytes[16..16 + body_len]);
+            bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(dir.join(file), &bytes).unwrap();
+            match open() {
+                Err(e @ nucdb_index::IndexError::UnsupportedFormat(_)) => assert!(
+                    e.to_string().contains(&format!("list codec tag {tag}")),
+                    "{name}: {e}"
+                ),
+                other => panic!("{name}, tag {tag}: {other:?}"),
+            }
+        }
+        std::fs::write(dir.join(file), &good).unwrap();
+        open().unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
