@@ -36,6 +36,9 @@ const GROUP_LEN: usize = 1 << GROUP_SHIFT;
 /// covering more records than this is simply decoded — scanning would
 /// cost more than the decode it saves.
 const MAX_SKIP_SCAN_GROUPS: usize = 64;
+/// Scatter cursor of a record below `min_coarse_hits`: its hits are not
+/// bucketed.
+const BELOW_FLOOR: u32 = u32::MAX;
 
 /// Anything coarse search can fetch postings from (in-memory index,
 /// on-disk index, or the engine's variant wrapper).
@@ -235,7 +238,8 @@ pub struct CoarseOutcome {
 /// zeroing), hits land in a reusable arena, and per-record diagonal
 /// buckets are placed by counting sort over the already-known per-record
 /// hit counts — so only records that pass `min_coarse_hits` ever have
-/// their diagonals sorted, replacing the old global sort of every hit.
+/// their diagonals scattered and sorted, replacing the old global sort
+/// of every hit.
 ///
 /// One scratch serves any number of sequential queries (and both strands
 /// of each); results are identical whether a scratch is fresh or reused.
@@ -256,8 +260,12 @@ pub struct CoarseScratch {
     hits: Vec<(u32, i64)>,
     /// Diagonal buckets, grouped per touched record by counting sort.
     diagonals: Vec<i64>,
-    /// Per-touched-record scatter cursors (prefix sums, then bucket ends).
+    /// Per-touched-record scatter cursors (prefix sums, then bucket
+    /// ends); [`BELOW_FLOOR`] for records the floor drops.
     cursor: Vec<u32>,
+    /// Floor-passing records as `hits << 32 | touched slot`, the rank
+    /// walk's order.
+    order: Vec<u64>,
     /// The query's `(interval code, query position)` pairs, sorted — runs
     /// of one code replace the old per-query hash map.
     codes: Vec<(u64, u32)>,
@@ -607,6 +615,7 @@ pub fn coarse_rank_explain<S: PostingsSource>(
         hits,
         diagonals,
         cursor,
+        order,
         codes,
         io_buf,
         candidates,
@@ -671,8 +680,9 @@ pub fn coarse_rank_explain<S: PostingsSource>(
     let rank_start = std::time::Instant::now();
 
     // Scatter the hit arena into per-record diagonal buckets by counting
-    // sort over the known per-record totals, then find each surviving
-    // record's best diagonal window (two-pointer over its sorted
+    // sort over the known per-record totals — records below the floor
+    // get no bucket and their hits are passed over — then find each
+    // scored record's best diagonal window (two-pointer over its sorted
     // diagonals). Frame ranking scores by the window; the other schemes
     // still need the diagonal to seed fine search.
     let window = match params.ranking {
@@ -681,26 +691,57 @@ pub fn coarse_rank_explain<S: PostingsSource>(
         _ => 16,
     };
     cursor.clear();
+    order.clear();
     let mut running = 0u32;
-    for &record in touched.iter() {
-        cursor.push(running);
-        running += counts[record as usize];
-    }
-    diagonals.clear();
-    diagonals.resize(hits.len(), 0);
-    for &(record, diagonal) in hits.iter() {
-        let s = slot[record as usize] as usize;
-        diagonals[cursor[s] as usize] = diagonal;
-        cursor[s] += 1;
-    }
-
-    let record_lens = index.record_lens();
-    candidates.clear();
     for (s, &record) in touched.iter().enumerate() {
         let total = counts[record as usize];
         if total < params.min_coarse_hits {
-            continue;
+            cursor.push(BELOW_FLOOR);
+        } else {
+            cursor.push(running);
+            running += total;
+            order.push(u64::from(total) << 32 | s as u64);
         }
+    }
+    let keep = params.max_candidates;
+    if keep == 0 {
+        order.clear();
+    }
+    // Nothing to score (common under a high floor): no scatter.
+    if !order.is_empty() {
+        diagonals.clear();
+        diagonals.resize(running as usize, 0);
+        for &(record, diagonal) in hits.iter() {
+            let s = slot[record as usize] as usize;
+            let c = cursor[s];
+            if c != BELOW_FLOOR {
+                diagonals[c as usize] = diagonal;
+                cursor[s] = c + 1;
+            }
+        }
+    }
+
+    // Bounded top-C: under Frame (frame hits ≤ hits) and Count (score =
+    // hits) a record's score never exceeds its hit count, so walking in
+    // descending hits can stop once the next record's hits fall strictly
+    // below the C-th best score kept so far. Equal hits are still scored:
+    // they can win on record id. Proportional walks every record. The
+    // buffer is cut back to C whenever it reaches 2C.
+    let bounded = !matches!(params.ranking, RankingScheme::Proportional);
+    if bounded {
+        order.sort_unstable_by(|a, b| b.cmp(a));
+    }
+    let cut_at = keep.saturating_mul(2);
+    let mut kth_best: Option<f64> = None;
+    let record_lens = index.record_lens();
+    candidates.clear();
+    for &entry in order.iter() {
+        let total = (entry >> 32) as u32;
+        if bounded && kth_best.is_some_and(|kth| f64::from(total) < kth) {
+            break;
+        }
+        let s = entry as u32 as usize;
+        let record = touched[s];
         // cursor[s] advanced to the bucket end during the scatter.
         let end = cursor[s] as usize;
         let diags = &mut diagonals[end - total as usize..end];
@@ -735,21 +776,39 @@ pub fn coarse_rank_explain<S: PostingsSource>(
             frame_hits: best_count as u32,
             best_diagonal,
         });
+        if candidates.len() >= cut_at {
+            keep_best(candidates, keep);
+            kth_best = candidates.last().map(|c| c.score);
+        }
     }
-
-    candidates.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("coarse scores are finite")
-            .then(a.record.cmp(&b.record))
-    });
-    candidates.truncate(params.max_candidates);
+    keep_best(candidates, keep);
+    candidates.sort_unstable_by(rank_order);
     outcome.candidates.extend_from_slice(candidates);
     if let Some(ex) = explain {
         record_survivors(ex, candidates);
     }
     outcome.rank_nanos = rank_start.elapsed().as_nanos() as u64;
     Ok(outcome)
+}
+
+/// The candidate order: score descending, then record ascending. Record
+/// ids are unique, so it is total and the top C is one set in one order.
+fn rank_order(a: &CoarseHit, b: &CoarseHit) -> std::cmp::Ordering {
+    b.score
+        .partial_cmp(&a.score)
+        .expect("coarse scores are finite")
+        .then(a.record.cmp(&b.record))
+}
+
+/// Cut `candidates` to its best `keep` under [`rank_order`], unsorted;
+/// after a cut the `keep`-th best is last.
+fn keep_best(candidates: &mut Vec<CoarseHit>, keep: usize) {
+    if candidates.len() > keep {
+        if keep > 0 {
+            candidates.select_nth_unstable_by(keep - 1, rank_order);
+        }
+        candidates.truncate(keep);
+    }
 }
 
 /// Build one [`ListExplain`] from a fetch result. `None` stats mean the
@@ -889,11 +948,15 @@ fn coarse_rank_counts<S: PostingsSource>(
     outcome.accumulate_nanos = accumulate_start.elapsed().as_nanos() as u64;
     let rank_start = std::time::Instant::now();
 
+    // Scoring is one division at most, so there is no walk to bound:
+    // the buffer is only cut back to C whenever it reaches 2C.
     let record_lens = index.record_lens();
+    let keep = params.max_candidates;
+    let cut_at = keep.saturating_mul(2);
     candidates.clear();
     for &record in touched.iter() {
         let total = counts[record as usize];
-        if total < params.min_coarse_hits.max(1) {
+        if keep == 0 || total < params.min_coarse_hits.max(1) {
             continue;
         }
         candidates.push(CoarseHit {
@@ -908,14 +971,12 @@ fn coarse_rank_counts<S: PostingsSource>(
             frame_hits: 0,
             best_diagonal: 0,
         });
+        if candidates.len() >= cut_at {
+            keep_best(candidates, keep);
+        }
     }
-    candidates.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("coarse scores are finite")
-            .then(a.record.cmp(&b.record))
-    });
-    candidates.truncate(params.max_candidates);
+    keep_best(candidates, keep);
+    candidates.sort_unstable_by(rank_order);
     outcome.candidates.extend_from_slice(candidates);
     if let Some(ex) = explain {
         record_survivors(ex, candidates);
@@ -1274,6 +1335,222 @@ mod tests {
         };
         let outcome = coarse_rank(&block, &query, &p).unwrap();
         assert_eq!(outcome.blocks_skipped, 0);
+    }
+
+    /// A tie-heavy collection: records are short runs of a few shared
+    /// motifs and noise, each kept one to three times, and sometimes one
+    /// motif stored alone 130+ times so block-codec lists span two blocks
+    /// (and hopeless-block skipping can fire). The query strings motifs
+    /// together, so many records share hit counts and frame scores.
+    fn tie_heavy_collection(seed: u64) -> (Vec<Vec<Base>>, Vec<Base>) {
+        use rand::seq::SliceRandom;
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        fn noise(rng: &mut StdRng, len: usize) -> Vec<u8> {
+            (0..len)
+                .map(|_| b"ACGT"[rng.random_range(0..4usize)])
+                .collect()
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let motifs: Vec<Vec<u8>> = (0..3)
+            .map(|_| {
+                let len = rng.random_range(16..40usize);
+                noise(&mut rng, len)
+            })
+            .collect();
+        let piece = |rng: &mut StdRng| -> Vec<u8> {
+            if rng.random_bool(0.7) {
+                motifs[rng.random_range(0..motifs.len())].clone()
+            } else {
+                let len = rng.random_range(3..20usize);
+                noise(rng, len)
+            }
+        };
+        let mut records = Vec::new();
+        for _ in 0..rng.random_range(6..30usize) {
+            let mut ascii = Vec::new();
+            for _ in 0..rng.random_range(1..5usize) {
+                ascii.extend(piece(&mut rng));
+            }
+            for _ in 0..rng.random_range(1..=3usize) {
+                records.push(bases(&ascii));
+            }
+        }
+        if rng.random_bool(0.4) {
+            let copies = rng.random_range(130..160usize);
+            let again = bases(&motifs[0]);
+            records.extend(std::iter::repeat_n(again, copies));
+        }
+        records.shuffle(&mut rng);
+        let mut query = Vec::new();
+        for _ in 0..rng.random_range(2..5usize) {
+            query.extend(piece(&mut rng));
+        }
+        (records, bases(&query))
+    }
+
+    /// The rank as it was before bounding, as the oracle: from the
+    /// accumulated state a query left in `scratch`, score every touched
+    /// record that clears the floor and sort them all (callers truncate).
+    fn reference_rank(
+        scratch: &CoarseScratch,
+        record_lens: &[u32],
+        p: &SearchParams,
+        offsets: bool,
+    ) -> Vec<CoarseHit> {
+        let floor = if offsets {
+            p.min_coarse_hits
+        } else {
+            p.min_coarse_hits.max(1)
+        };
+        let window = match p.ranking {
+            RankingScheme::Frame { window } => window as i64,
+            _ => 16,
+        };
+        let mut per_record: std::collections::HashMap<u32, Vec<i64>> = Default::default();
+        for &(record, diagonal) in &scratch.hits {
+            per_record.entry(record).or_default().push(diagonal);
+        }
+        let mut all = Vec::new();
+        for &record in &scratch.touched {
+            let hits = scratch.counts[record as usize];
+            if hits < floor {
+                continue;
+            }
+            let (frame_hits, best_diagonal) = if offsets {
+                let diags = per_record.get_mut(&record).unwrap();
+                diags.sort_unstable();
+                // The widest window, leftmost among equals.
+                let (mut width, mut start) = (0usize, 0usize);
+                for lo in 0..diags.len() {
+                    let n = diags[lo..]
+                        .iter()
+                        .take_while(|&&d| d - diags[lo] <= window)
+                        .count();
+                    if n > width {
+                        (width, start) = (n, lo);
+                    }
+                }
+                (width as u32, diags[start + width / 2])
+            } else {
+                (0, 0)
+            };
+            let score = match p.ranking {
+                RankingScheme::Count => hits as f64,
+                RankingScheme::Proportional => {
+                    hits as f64 / record_lens[record as usize].max(1) as f64
+                }
+                RankingScheme::Frame { .. } => frame_hits as f64,
+            };
+            all.push(CoarseHit {
+                record,
+                score,
+                hits,
+                frame_hits,
+                best_diagonal,
+            });
+        }
+        all.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap()
+                .then(a.record.cmp(&b.record))
+        });
+        all
+    }
+
+    /// The outcome's deterministic work counters.
+    fn work(o: &CoarseOutcome) -> [u64; 7] {
+        [
+            o.intervals_looked_up,
+            o.lists_fetched,
+            o.postings_decoded,
+            o.postings_bytes_read,
+            o.blocks_decoded,
+            o.blocks_skipped,
+            o.total_hits,
+        ]
+    }
+
+    proptest::proptest! {
+        // Eight collections in the debug suite; the release run
+        // (scripts/verify.sh) walks eight times as many.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 8 } else { 64 }
+        ))]
+
+        // The bounded walk, the floor-aware scatter and select + sort
+        // return exactly the full ranking's candidates, for every scheme,
+        // floor, cutoff, codec and granularity, through fresh and reused
+        // scratch — and the rank never touches a work counter.
+        #[test]
+        fn bounded_rank_matches_the_full_ranking(seed in proptest::prelude::any::<u64>()) {
+            use nucdb_index::ListCodec;
+            let (records, query) = tie_heavy_collection(seed);
+            let mut reused = CoarseScratch::new();
+            for granularity in [Granularity::Offsets, Granularity::Records] {
+                let offsets = granularity == Granularity::Offsets;
+                let frame = RankingScheme::Frame { window: [4, 16][seed as usize % 2] };
+                let rankings: &[RankingScheme] = if offsets {
+                    &[frame, RankingScheme::Count, RankingScheme::Proportional]
+                } else {
+                    &[RankingScheme::Count, RankingScheme::Proportional]
+                };
+                for codec in [ListCodec::Paper, ListCodec::Block] {
+                    let mut builder =
+                        IndexBuilder::new(IndexParams::new(6).with_granularity(granularity))
+                            .with_codec(codec);
+                    for r in &records {
+                        builder.add_record(r);
+                    }
+                    let index = builder.finish();
+                    // Floors across 0..=N, N the largest hit count.
+                    let open = SearchParams {
+                        ranking: RankingScheme::Count,
+                        min_coarse_hits: 0,
+                        max_candidates: usize::MAX,
+                        ..SearchParams::default()
+                    };
+                    let mut probe = CoarseScratch::new();
+                    coarse_rank_with(&index, &query, &open, &mut probe).unwrap();
+                    let n = probe.touched.iter().map(|&r| probe.counts[r as usize]).max();
+                    let n = n.unwrap_or(0);
+                    let mut floors = vec![0, 1, 2, n / 2, n, n + 1];
+                    floors.sort_unstable();
+                    floors.dedup();
+                    for floor in floors {
+                        let mut floor_work = None;
+                        for &ranking in rankings {
+                            let mut full: Option<Vec<CoarseHit>> = None;
+                            // usize::MAX first: its run's state feeds the oracle.
+                            for max_candidates in [usize::MAX, 0, 1, 2, 7, 30] {
+                                let p = SearchParams {
+                                    ranking,
+                                    min_coarse_hits: floor,
+                                    max_candidates,
+                                    ..open
+                                };
+                                let mut fresh = CoarseScratch::new();
+                                let a = coarse_rank_with(&index, &query, &p, &mut fresh).unwrap();
+                                let b = coarse_rank_with(&index, &query, &p, &mut reused).unwrap();
+                                let full = full.get_or_insert_with(|| {
+                                    reference_rank(&fresh, index.record_lens(), &p, offsets)
+                                });
+                                let expected = &full[..full.len().min(max_candidates)];
+                                let case = format!("{granularity:?} {codec:?} floor {floor} {ranking:?} C {max_candidates}");
+                                proptest::prop_assert_eq!(&a.candidates[..], expected, "{}", case);
+                                proptest::prop_assert_eq!(&b.candidates[..], expected, "{}", case);
+                                let w = *floor_work.get_or_insert(work(&a));
+                                proptest::prop_assert_eq!(work(&a), w, "{}", case);
+                                proptest::prop_assert_eq!(work(&b), w, "{}", case);
+                                let summed: u64 =
+                                    fresh.touched.iter().map(|&r| fresh.counts[r as usize] as u64).sum();
+                                proptest::prop_assert_eq!(a.total_hits, summed, "{}", case);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -131,14 +131,16 @@ pub(crate) fn run_query<B: Backend>(
     let want_plan = params.explain || (tail_armed && B::EXPLAINS);
 
     // Deterministic latency injection for tail-sampler tests; only a
-    // sleep, so results are bit-identical with or without it.
+    // sleep, so results are bit-identical with or without it. The clock
+    // starts first, so the delay counts toward the query's time.
+    let query_start = Instant::now();
     let inject_ns = metrics.forensics.inject_delay_ns();
     if inject_ns > 0 {
         std::thread::sleep(std::time::Duration::from_nanos(inject_ns));
     }
 
     let mut cap = Capture {
-        query_start: Instant::now(),
+        query_start,
         stats: QueryStats::default(),
         spans: capture.then(Vec::new),
         strand_plans: want_plan.then(Vec::new),

@@ -4,8 +4,10 @@
 //!
 //! - [`Crc32`] / [`crc32`]: the standard IEEE CRC-32 (the polynomial used
 //!   by gzip, zip, and PNG), hand-rolled because the workspace builds
-//!   with no registry access. Every versioned file format checksums its
-//!   header with it, and v3 formats carry per-section checksums too.
+//!   with no registry access, and computed slicing-by-16 (sixteen table
+//!   lookups fold sixteen bytes) since every decoded block passes
+//!   through it. Every versioned file format checksums its header with
+//!   it, and v3 formats carry per-section checksums too.
 //! - [`CountingReader`] / [`read_exact_chunked`]: streaming-parse
 //!   helpers. The counter lets parsers report the *file offset* of a
 //!   violation without requiring `Seek`; chunked reading lets loaders
@@ -25,8 +27,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320)
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Bytes folded per step of the sliced loop.
+const SLICE: usize = 16;
+
+/// Slicing-by-16 tables. `[0]` is the classic byte-at-a-time table;
+/// `[k][b]` is the CRC contribution of byte `b` followed by `k` zero
+/// bytes, so sixteen lookups fold sixteen input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; SLICE] {
+    let mut tables = [[0u32; 256]; SLICE];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -39,13 +47,23 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < SLICE {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; SLICE] = crc32_tables();
 
 /// Incremental IEEE CRC-32 hasher.
 ///
@@ -67,11 +85,34 @@ impl Crc32 {
         Crc32 { state: !0 }
     }
 
-    /// Feed `bytes` into the checksum.
+    /// Feed `bytes` into the checksum: sixteen bytes per step through
+    /// the sliced tables, then the tail a byte at a time.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC32_TABLES;
         let mut c = self.state;
-        for &b in bytes {
-            c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut chunks = bytes.chunks_exact(SLICE);
+        for chunk in &mut chunks {
+            let b: &[u8; SLICE] = chunk.try_into().expect("chunks_exact yields SLICE bytes");
+            let lead = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            c = t[15][(lead & 0xFF) as usize]
+                ^ t[14][((lead >> 8) & 0xFF) as usize]
+                ^ t[13][((lead >> 16) & 0xFF) as usize]
+                ^ t[12][(lead >> 24) as usize]
+                ^ t[11][b[4] as usize]
+                ^ t[10][b[5] as usize]
+                ^ t[9][b[6] as usize]
+                ^ t[8][b[7] as usize]
+                ^ t[7][b[8] as usize]
+                ^ t[6][b[9] as usize]
+                ^ t[5][b[10] as usize]
+                ^ t[4][b[11] as usize]
+                ^ t[3][b[12] as usize]
+                ^ t[2][b[13] as usize]
+                ^ t[1][b[14] as usize]
+                ^ t[0][b[15] as usize];
+        }
+        for &b in chunks.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.state = c;
     }
@@ -245,6 +286,58 @@ impl Drop for AtomicFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time loop the sliced one replaced: the oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sliced_crc32_matches_bytewise_oracle(
+            data in prop::collection::vec(any::<u8>(), 0..=4096),
+            cuts in prop::collection::vec(0usize..=4096, 0..6),
+            offset in 0usize..16,
+        ) {
+            prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
+            // Arbitrary split points across `update` calls: chunk
+            // boundaries land off the 16-byte grid.
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut h = Crc32::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                h.update(&data[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(h.finish(), crc32_bytewise(&data));
+            // An unaligned start: the same bytes at every address offset.
+            let mut shifted = vec![0u8; offset];
+            shifted.extend_from_slice(&data);
+            prop_assert_eq!(crc32(&shifted[offset..]), crc32_bytewise(&data));
+        }
+    }
+
+    #[test]
+    fn sliced_crc32_matches_oracle_on_constant_inputs() {
+        for fill in [0x00u8, 0xFF] {
+            let data = vec![fill; 4096];
+            for len in 0..=data.len() {
+                assert_eq!(
+                    crc32(&data[..len]),
+                    crc32_bytewise(&data[..len]),
+                    "{fill:#x} × {len}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn crc32_known_vectors() {
