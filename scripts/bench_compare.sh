@@ -1,58 +1,22 @@
 #!/usr/bin/env bash
-# Benchmark regression gate: diff the current results/BENCH_*.json
-# against the committed baseline (git show HEAD:...).
+# The blocking benchmark gate: run the traced set of the benchmark in
+# e2e/ (four workloads, seed 1996, about a minute on two vCPUs) and
+# compare it with the committed reference, results/e2e.traced.json.
 #
-# Wall-time and work-counter drift is *reported* for every benchmark
-# file but never fails the run — timing across machines is noise. The
-# decode rate (ids_per_sec in BENCH_decode.json) is *blocking*: it is a
-# same-shape, allocation-free inner loop, so a collapse there is a real
-# codec regression, not scheduler weather.
+# Every count-type metric (ids decoded, lists fetched, blocks decoded
+# and skipped, candidates, DP cells, store bytes, write amplification,
+# segments at end, ...) must repeat exactly: the traced run's work is
+# deterministic, so the counts are the same on any machine. A metric
+# missing from the new run is a breach too. Per-layer timings are
+# printed and never judged. Exit 1 names each breach by workload and
+# metric.
 #
-# A second blocking check is the explain-off overhead budget in
-# BENCH_coarse.json: answering queries with explain *not* requested must
-# cost within EXPLAIN_OFF_BUDGET percent of the plain path. This is an
-# absolute design contract checked on the current file alone, so it is
-# immune to cross-machine timing noise in the baseline.
+# A change that alters the work the engine does regenerates the
+# reference, so that its diff names the counters that moved:
 #
-#   BENCH_COMPARE_THRESHOLD  report threshold, percent (default 15)
-#   BENCH_DECODE_THRESHOLD   blocking decode-rate threshold (default 15;
-#                            CI passes a looser value for runner variance)
-#   EXPLAIN_OFF_BUDGET       blocking explain-off overhead cap, percent
-#                            (default 3)
-set -uo pipefail
+#   e2e/run.sh --traced && cp e2e/out/e2e.traced.json results/e2e.traced.json
+set -euo pipefail
 cd "$(dirname "$0")/.."
 
-THRESHOLD="${BENCH_COMPARE_THRESHOLD:-15}"
-DECODE_THRESHOLD="${BENCH_DECODE_THRESHOLD:-15}"
-EXPLAIN_OFF_BUDGET="${EXPLAIN_OFF_BUDGET:-3}"
-CMP=(cargo run --quiet --release -p nucdb-bench --bin bench_compare --)
-
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
-
-status=0
-shopt -s nullglob
-for f in results/BENCH_*.json; do
-    name=$(basename "$f")
-    if ! git show "HEAD:$f" >"$tmp/$name" 2>/dev/null; then
-        echo "bench_compare: no committed baseline for $f — skipping"
-        continue
-    fi
-    echo "== $name vs HEAD baseline (report threshold ${THRESHOLD}%) =="
-    "${CMP[@]}" --baseline "$tmp/$name" --current "$f" --threshold "$THRESHOLD" || true
-    if [ "$name" = "BENCH_decode.json" ]; then
-        echo "-- blocking decode-rate check (threshold ${DECODE_THRESHOLD}%) --"
-        if ! "${CMP[@]}" --baseline "$tmp/$name" --current "$f" \
-            --keys ids_per_sec --threshold "$DECODE_THRESHOLD" --strict; then
-            status=1
-        fi
-    fi
-    if [ "$name" = "BENCH_coarse.json" ]; then
-        echo "-- blocking explain-off overhead budget (<= ${EXPLAIN_OFF_BUDGET}%) --"
-        if ! "${CMP[@]}" --current "$f" \
-            --budget "explain_off_overhead_pct=${EXPLAIN_OFF_BUDGET}"; then
-            status=1
-        fi
-    fi
-done
-exit $status
+e2e/run.sh --traced
+"${CARGO_TARGET_DIR:-e2e/target}/release/e2e" --compare results/e2e.traced.json e2e/out/e2e.traced.json

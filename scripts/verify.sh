@@ -33,6 +33,7 @@ NUCDB=(cargo run --quiet --release -p nucdb-cli --)
 "${NUCDB[@]}" build --collection "$health_dir/coll.fasta" --db "$health_dir/db" --codec block
 "${NUCDB[@]}" fsck --db "$health_dir/db"
 "${NUCDB[@]}" stat --db "$health_dir/db" --out results
-# Benchmark drift: report-only for wall times and work counters,
-# blocking on a decode-rate collapse (see the script's header).
+# The benchmark gate: the traced run's work counts must equal the
+# committed reference exactly; timings are report-only (see the
+# script's header).
 ./scripts/bench_compare.sh
