@@ -17,9 +17,16 @@
 //!
 //! The winning diagonal is reported with each candidate, seeding the
 //! banded alignment of fine search.
+//!
+//! At offset granularity a query takes two passes over the same
+//! verified bytes. Pass one fetches each list once and accumulates
+//! per-record counts from block ids and counts alone; pass two decodes
+//! offsets, and so diagonals, only for the records whose counts cleared
+//! `min_coarse_hits` — the only records rank ever scores.
 
 use nucdb_index::{
-    CompressedIndex, FetchStats, Granularity, IndexError, IndexParams, OnDiskIndex, PostingsVisitor,
+    CompressedIndex, FetchStats, Granularity, IndexError, IndexParams, OffsetSection, OnDiskIndex,
+    PostingsVisitor,
 };
 use nucdb_seq::Base;
 
@@ -86,6 +93,28 @@ pub trait PostingsSource {
         io_buf: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError>;
+
+    /// The offsets path's first pass over `code`'s list: append its
+    /// verified bytes to the end of `kept` and walk them as counts,
+    /// [`PostingsVisitor::visit_block`] once per decoded block with the
+    /// block's offsets located in `kept`, readable there until the caller
+    /// changes `kept`. Lists that cannot step over their offsets (the
+    /// Paper codec's bit-serial gaps) stream `visit(record, offset)` as
+    /// [`fetch_stream`] does. Same skip hook and stats as
+    /// [`fetch_stream`].
+    ///
+    /// The default streams every list through [`fetch_stream`].
+    ///
+    /// [`fetch_stream`]: PostingsSource::fetch_stream
+    fn fetch_append(
+        &self,
+        code: u64,
+        kept: &mut Vec<u8>,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError> {
+        let _ = kept;
+        self.fetch_stream(code, &mut Vec::new(), visitor)
+    }
 }
 
 impl PostingsSource for CompressedIndex {
@@ -122,6 +151,15 @@ impl PostingsSource for CompressedIndex {
     ) -> Result<Option<FetchStats>, IndexError> {
         self.counts_stream(code, visitor)
     }
+
+    fn fetch_append(
+        &self,
+        code: u64,
+        kept: &mut Vec<u8>,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError> {
+        self.append_stream(code, kept, visitor)
+    }
 }
 
 impl PostingsSource for OnDiskIndex {
@@ -157,6 +195,15 @@ impl PostingsSource for OnDiskIndex {
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
         self.counts_stream(code, io_buf, visitor)
+    }
+
+    fn fetch_append(
+        &self,
+        code: u64,
+        kept: &mut Vec<u8>,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError> {
+        self.append_stream(code, kept, visitor)
     }
 }
 
@@ -229,17 +276,27 @@ pub struct CoarseOutcome {
     pub rank_nanos: u64,
 }
 
+/// One block pass one kept for pass two.
+#[derive(Debug, Clone, Copy)]
+struct KeptBlock {
+    /// Where the block's packed offsets sit in `CoarseScratch::lists`.
+    offsets: OffsetSection,
+    /// The block's postings: its share of `CoarseScratch::kept`.
+    postings: u32,
+    /// The block's query run, as a range of `CoarseScratch::codes`.
+    run: (u32, u32),
+}
+
 /// Reusable working memory for coarse search.
 ///
 /// A fresh query costs zero allocation once a scratch has warmed up: the
 /// per-record accumulators are *generation-stamped* (a record's counter is
 /// valid only when its stamp equals the current generation, so starting a
 /// query is a single integer increment instead of an `O(num_records)`
-/// zeroing), hits land in a reusable arena, and per-record diagonal
-/// buckets are placed by counting sort over the already-known per-record
-/// hit counts — so only records that pass `min_coarse_hits` ever have
-/// their diagonals scattered and sorted, replacing the old global sort
-/// of every hit.
+/// zeroing), the query's block lists stay in one reusable byte buffer
+/// between the two passes, survivors' hits land in a reusable arena, and
+/// per-record diagonal buckets are placed by counting sort over the
+/// already-known per-record hit counts.
 ///
 /// One scratch serves any number of sequential queries (and both strands
 /// of each); results are identical whether a scratch is fresh or reused.
@@ -256,8 +313,19 @@ pub struct CoarseScratch {
     slot: Vec<u32>,
     /// Records hit this query, in first-touch order.
     touched: Vec<u32>,
-    /// Hit arena: `(record, diagonal)` in arrival order.
+    /// Hit arena: `(record, diagonal)` in arrival order — Paper lists'
+    /// hits from pass one, then the survivors' hits from pass two.
     hits: Vec<(u32, i64)>,
+    /// Pass one's verified block-list bytes, in fetch order.
+    lists: Vec<u8>,
+    /// Every posting of every kept block, `(record, count)`, in fetch
+    /// order.
+    kept: Vec<(u32, u32)>,
+    /// The kept blocks, in fetch order.
+    blocks: Vec<KeptBlock>,
+    /// Bit `r` set: record `r` cleared the floor, so pass two decodes its
+    /// offsets. Lazily cleared via `touched`, like `group_max`.
+    survivors: Vec<u64>,
     /// Diagonal buckets, grouped per touched record by counting sort.
     diagonals: Vec<i64>,
     /// Per-touched-record scatter cursors (prefix sums, then bucket
@@ -302,26 +370,33 @@ impl CoarseScratch {
             self.counts.resize(num_records, 0);
             self.slot.clear();
             self.slot.resize(num_records, 0);
+            self.survivors.clear();
+            self.survivors.resize(num_records.div_ceil(64), 0);
             self.generation = 0;
         }
         if self.generation == u32::MAX {
             self.stamp.fill(0);
             self.generation = 0;
         }
-        // Lazily reset the skip probe's group maxima: only groups
-        // holding a record the *previous* query touched can be nonzero,
-        // and with skipping active the accumulator limit is off, so
-        // every counted record is in `touched`.
-        if !self.group_max.is_empty() {
-            for &record in &self.touched {
-                if let Some(g) = self.group_max.get_mut(record as usize >> GROUP_SHIFT) {
-                    *g = 0;
-                }
+        // Lazily reset the skip probe's group maxima and the survivor
+        // bits: only groups and words holding a record the *previous*
+        // query touched can be nonzero (with skipping active the
+        // accumulator limit is off, so every counted record is in
+        // `touched`; only touched records are ever marked survivors).
+        for &record in &self.touched {
+            if let Some(g) = self.group_max.get_mut(record as usize >> GROUP_SHIFT) {
+                *g = 0;
+            }
+            if let Some(w) = self.survivors.get_mut(record as usize >> 6) {
+                *w = 0;
             }
         }
         self.generation += 1;
         self.touched.clear();
         self.hits.clear();
+        self.lists.clear();
+        self.kept.clear();
+        self.blocks.clear();
     }
 }
 
@@ -396,44 +471,94 @@ fn hopeless(group_max: Option<&[u32]>, tau: u32, lo: u32, hi: u32) -> bool {
         .is_some_and(|groups| groups.iter().all(|&m| m < tau))
 }
 
-/// Per-run visitor for the offsets path: replicates the stamped
-/// accumulate (count hit pairs, record diagonals) and answers the block
-/// decoder's skip probes against the current run's τ threshold.
-struct HitAccumulator<'a> {
+/// The one accumulate path, pass one of the offsets and the counts path
+/// alike: per-record counts under the generation stamp (`count × qlen`
+/// per posting), `total_hits`, and the skip probe's group maxima against
+/// the current run's τ. On the offsets path it also keeps what pass two
+/// needs: every block's `(record, count)` postings and where its offsets
+/// sit.
+struct Accumulator<'a> {
     generation: u32,
     limit: usize,
+    /// Offsets path: a per-posting `visit` carries an offset (Paper
+    /// lists, whose hits are pushed at once) and blocks are kept for pass
+    /// two. Counts path: `visit` carries a count.
+    offsets_path: bool,
+    /// The current run's `(code, query position)` pairs.
     qrun: &'a [(u64, u32)],
+    /// The current run as a range of `CoarseScratch::codes`.
+    run: (u32, u32),
+    total_hits: u64,
     stamp: &'a mut [u32],
     counts: &'a mut [u32],
     slot: &'a mut [u32],
     touched: &'a mut Vec<u32>,
     hits: &'a mut Vec<(u32, i64)>,
+    kept: &'a mut Vec<(u32, u32)>,
+    blocks: &'a mut Vec<KeptBlock>,
     group_max: Option<&'a mut [u32]>,
     tau: u32,
 }
 
-impl PostingsVisitor for HitAccumulator<'_> {
-    fn visit(&mut self, record: u32, offset: u32) {
-        let r = record as usize;
-        if self.stamp[r] != self.generation {
-            if self.touched.len() >= self.limit {
-                return;
+impl Accumulator<'_> {
+    /// Credit each `records[i]` with `counts[i]` occurrences of the
+    /// current run's interval, `counts[i] × qlen` hits; records the
+    /// accumulator limit leaves untracked get nothing. Counts saturate: a
+    /// 100 kb poly-A query against a 100 kb poly-A record is ≈ 10¹⁰ hits,
+    /// and a saturated count still clears every floor and outranks every
+    /// smaller one.
+    fn add(&mut self, records: &[u32], counts: &[u32]) {
+        let qlen = self.qrun.len() as u32;
+        let generation = self.generation;
+        let (stamp, totals) = (&mut *self.stamp, &mut *self.counts);
+        let mut occurrences = 0u64;
+        for (&record, &count) in records.iter().zip(counts) {
+            let r = record as usize;
+            if stamp[r] != generation {
+                if self.touched.len() >= self.limit {
+                    continue;
+                }
+                stamp[r] = generation;
+                totals[r] = 0;
+                self.slot[r] = self.touched.len() as u32;
+                self.touched.push(record);
             }
-            self.stamp[r] = self.generation;
-            self.counts[r] = 0;
-            self.slot[r] = self.touched.len() as u32;
-            self.touched.push(record);
-        }
-        let total = self.counts[r] + self.qrun.len() as u32;
-        self.counts[r] = total;
-        if let Some(group_max) = self.group_max.as_deref_mut() {
-            let g = &mut group_max[r >> GROUP_SHIFT];
-            if *g < total {
-                *g = total;
+            let total = totals[r].saturating_add(count.saturating_mul(qlen));
+            totals[r] = total;
+            occurrences += u64::from(count);
+            if let Some(group_max) = self.group_max.as_deref_mut() {
+                let g = &mut group_max[r >> GROUP_SHIFT];
+                *g = (*g).max(total);
             }
         }
-        for &(_, qpos) in self.qrun {
-            self.hits.push((record, offset as i64 - qpos as i64));
+        self.total_hits += occurrences * u64::from(qlen);
+    }
+}
+
+impl PostingsVisitor for Accumulator<'_> {
+    fn visit(&mut self, record: u32, value: u32) {
+        if !self.offsets_path {
+            self.add(&[record], &[value]);
+            return;
+        }
+        self.add(&[record], &[1]);
+        if self.stamp[record as usize] == self.generation {
+            for &(_, qpos) in self.qrun {
+                self.hits.push((record, value as i64 - qpos as i64));
+            }
+        }
+    }
+
+    fn visit_block(&mut self, records: &[u32], counts: &[u32], offsets: Option<OffsetSection>) {
+        self.add(records, counts);
+        if let (true, Some(offsets)) = (self.offsets_path, offsets) {
+            self.kept
+                .extend(records.iter().copied().zip(counts.iter().copied()));
+            self.blocks.push(KeptBlock {
+                offsets,
+                postings: records.len() as u32,
+                run: self.run,
+            });
         }
     }
 
@@ -442,49 +567,171 @@ impl PostingsVisitor for HitAccumulator<'_> {
     }
 }
 
-/// Per-run visitor for the counts path (record-granularity indexes and
-/// counts-mode decodes): same stamped accumulate, count contributions
-/// scaled by the run's query-position multiplicity.
-struct CountsAccumulator<'a> {
-    generation: u32,
-    limit: usize,
-    qpositions: u32,
-    total_hits: &'a mut u64,
-    stamp: &'a mut [u32],
-    counts: &'a mut [u32],
-    slot: &'a mut [u32],
-    touched: &'a mut Vec<u32>,
-    group_max: Option<&'a mut [u32]>,
-    tau: u32,
+/// Pass one, shared by both paths: fetch each of the query's lists once
+/// (ascending code) and accumulate per-record counts, skipping the
+/// blocks the τ plan proves hopeless. On the offsets path block lists
+/// land in `scratch.lists` and their postings in `scratch.kept` for pass
+/// two, and Paper lists push their hits at once; `floor` is the floor
+/// the skip plan must respect.
+fn accumulate<S: PostingsSource>(
+    index: &S,
+    params: &SearchParams,
+    scratch: &mut CoarseScratch,
+    floor: u64,
+    offsets_path: bool,
+    outcome: &mut CoarseOutcome,
+    mut explain: Option<&mut CoarseExplain>,
+) -> Result<(), IndexError> {
+    // Optionally cap how many distinct records are tracked (accumulator
+    // limiting: once full, hits on untracked records are dropped).
+    // Records are tracked in first-touch order, which under a limit is
+    // ascending-code order of the first contributing interval.
+    let limit = params.max_accumulators.unwrap_or(usize::MAX).max(1);
+    scratch.begin(index.num_records() as usize);
+    // Hopeless-block skipping is sound only when every counted record is
+    // tracked (no accumulator limit): a skipped record's final count is
+    // then provably below the floor, so dropping its hits cannot change
+    // the surviving candidates.
+    let skipping = params.max_accumulators.is_none()
+        && build_skip_plan(index, &scratch.codes, floor, &mut scratch.run_suffix);
+    if skipping {
+        let groups = (index.num_records() as usize).div_ceil(GROUP_LEN);
+        if scratch.group_max.len() != groups {
+            scratch.group_max.clear();
+            scratch.group_max.resize(groups, 0);
+        }
+    }
+    if let Some(ex) = explain.as_deref_mut() {
+        ex.skipping = skipping;
+        ex.floor = floor;
+    }
+    let CoarseScratch {
+        generation,
+        stamp,
+        counts,
+        slot,
+        touched,
+        hits,
+        lists,
+        kept,
+        blocks,
+        codes,
+        io_buf,
+        group_max,
+        run_suffix,
+        ..
+    } = scratch;
+    let codes = &codes[..];
+    let mut acc = Accumulator {
+        generation: *generation,
+        limit,
+        offsets_path,
+        qrun: &[],
+        run: (0, 0),
+        total_hits: 0,
+        stamp,
+        counts,
+        slot,
+        touched,
+        hits,
+        kept,
+        blocks,
+        group_max: skipping.then_some(group_max.as_mut_slice()),
+        tau: 0,
+    };
+    let mut run_index = 0usize;
+    let mut run_start = 0usize;
+    while run_start < codes.len() {
+        let code = codes[run_start].0;
+        let mut run_end = run_start;
+        while run_end < codes.len() && codes[run_end].0 == code {
+            run_end += 1;
+        }
+        acc.qrun = &codes[run_start..run_end];
+        acc.run = (run_start as u32, run_end as u32);
+        run_start = run_end;
+        acc.tau = if skipping {
+            floor.saturating_sub(run_suffix[run_index]) as u32
+        } else {
+            0
+        };
+        run_index += 1;
+
+        let fetched = if offsets_path {
+            index.fetch_append(code, lists, &mut acc)?
+        } else {
+            index.fetch_counts_stream(code, io_buf, &mut acc)?
+        };
+        if let Some(stats) = &fetched {
+            outcome.lists_fetched += 1;
+            outcome.postings_decoded += stats.ids_decoded;
+            outcome.postings_bytes_read += stats.bytes_read;
+            outcome.blocks_decoded += stats.blocks_decoded as u64;
+            outcome.blocks_skipped += stats.blocks_skipped as u64;
+        }
+        if let Some(ex) = explain.as_deref_mut() {
+            let qlen = acc.qrun.len() as u32;
+            ex.lists
+                .push(list_explain(index, code, qlen, acc.tau, fetched.as_ref()));
+        }
+    }
+    outcome.total_hits = acc.total_hits;
+    Ok(())
 }
 
-impl PostingsVisitor for CountsAccumulator<'_> {
-    fn visit(&mut self, record: u32, count: u32) {
-        let r = record as usize;
-        if self.stamp[r] != self.generation {
-            if self.touched.len() >= self.limit {
-                return;
-            }
-            self.stamp[r] = self.generation;
-            self.counts[r] = 0;
-            self.slot[r] = self.touched.len() as u32;
-            self.touched.push(record);
-        }
-        let contribution = count * self.qpositions;
-        let total = self.counts[r] + contribution;
-        self.counts[r] = total;
-        *self.total_hits += contribution as u64;
-        if let Some(group_max) = self.group_max.as_deref_mut() {
-            let g = &mut group_max[r >> GROUP_SHIFT];
-            if *g < total {
-                *g = total;
-            }
+/// Pass two of the offsets path: mark the records whose counts cleared
+/// `min_coarse_hits`, then walk the kept postings and push the hits of
+/// those records alone, unpacking only the offset groups their offsets
+/// sit in. Rank scores exactly these records, so no other record's
+/// offsets are ever decoded.
+fn push_survivor_hits<S: PostingsSource>(
+    index: &S,
+    params: &SearchParams,
+    scratch: &mut CoarseScratch,
+) -> Result<(), IndexError> {
+    let CoarseScratch {
+        counts: totals,
+        touched,
+        hits,
+        codes,
+        lists,
+        kept,
+        blocks,
+        survivors,
+        ..
+    } = scratch;
+    if blocks.is_empty() {
+        return Ok(());
+    }
+    let mut any = false;
+    for &record in touched.iter() {
+        if totals[record as usize] >= params.min_coarse_hits {
+            survivors[record as usize >> 6] |= 1 << (record & 63);
+            any = true;
         }
     }
-
-    fn skip_block(&mut self, lo: u32, hi: u32) -> bool {
-        hopeless(self.group_max.as_deref(), self.tau, lo, hi)
+    if !any {
+        return Ok(());
     }
+    let record_lens = index.record_lens();
+    let mut postings = &kept[..];
+    for block in blocks.iter() {
+        let (block_postings, rest) = postings.split_at(block.postings as usize);
+        postings = rest;
+        let qrun = &codes[block.run.0 as usize..block.run.1 as usize];
+        block.offsets.visit_offsets(
+            lists,
+            block_postings,
+            record_lens,
+            |record| survivors[record as usize >> 6] >> (record & 63) & 1 != 0,
+            |record, offset| {
+                for &(_, qpos) in qrun {
+                    hits.push((record, offset as i64 - qpos as i64));
+                }
+            },
+        )?;
+    }
+    Ok(())
 }
 
 /// Run coarse search for `query` over `index`.
@@ -537,13 +784,62 @@ pub fn coarse_rank_explain<S: PostingsSource>(
         ex.survivors.clear();
     }
     let mut outcome = CoarseOutcome::default();
-    let extract_start = std::time::Instant::now();
+    extract_codes(iparams, query, params, scratch, &mut outcome);
+    if scratch.codes.is_empty() || index.num_records() == 0 {
+        return Ok(outcome);
+    }
 
-    // Distinct query intervals and the query positions they occur at,
-    // subsampled by the query stride and filtered by low-complexity
-    // masking of the query. Sorted (code, qpos) runs stand in for the old
-    // per-query hash map; ascending code order also means ascending file
-    // offsets for the on-disk index.
+    // Record-granularity indexes carry no offsets: only count-based
+    // rankings are possible, via the cheaper counts decode.
+    let offsets = iparams.granularity == Granularity::Offsets;
+    if !offsets && matches!(params.ranking, RankingScheme::Frame { .. }) {
+        return Err(IndexError::Unsupported(
+            "frame ranking requires an offset-granularity index",
+        ));
+    }
+    // The counts filter floors at 1 even when `min_coarse_hits` is 0.
+    let floor = if offsets {
+        params.min_coarse_hits
+    } else {
+        params.min_coarse_hits.max(1)
+    };
+    // The clock covers the skip plan's per-list hint lookups and both
+    // passes.
+    let accumulate_start = std::time::Instant::now();
+    accumulate(
+        index,
+        params,
+        scratch,
+        floor.into(),
+        offsets,
+        &mut outcome,
+        explain.as_deref_mut(),
+    )?;
+    if offsets {
+        push_survivor_hits(index, params, scratch)?;
+    }
+    outcome.accumulate_nanos = accumulate_start.elapsed().as_nanos() as u64;
+    if !offsets {
+        rank_counts(index, params, scratch, &mut outcome, explain);
+    } else if !scratch.hits.is_empty() {
+        rank_offsets(index, params, scratch, &mut outcome, explain);
+    }
+    Ok(outcome)
+}
+
+/// Extract the query's distinct intervals and the positions they occur
+/// at into `scratch.codes`, subsampled by the query stride and filtered
+/// by low-complexity masking of the query. Sorted (code, qpos) runs stand
+/// in for a per-query hash map; ascending code order also means
+/// ascending file offsets for the on-disk index.
+fn extract_codes(
+    iparams: &IndexParams,
+    query: &[Base],
+    params: &SearchParams,
+    scratch: &mut CoarseScratch,
+    outcome: &mut CoarseOutcome,
+) {
+    let extract_start = std::time::Instant::now();
     let masked = params
         .mask
         .as_ref()
@@ -566,49 +862,19 @@ pub fn coarse_rank_explain<S: PostingsSource>(
         }
     }
     outcome.extract_nanos = extract_start.elapsed().as_nanos() as u64;
-    if scratch.codes.is_empty() || index.num_records() == 0 {
-        return Ok(outcome);
-    }
+}
 
-    // Record-granularity indexes carry no offsets: only count-based
-    // rankings are possible, via the cheaper counts decode.
-    if iparams.granularity == Granularity::Records {
-        if matches!(params.ranking, RankingScheme::Frame { .. }) {
-            return Err(IndexError::Unsupported(
-                "frame ranking requires an offset-granularity index",
-            ));
-        }
-        return coarse_rank_counts(index, params, scratch, outcome, explain);
-    }
-
-    // Accumulate hit counts and (record, diagonal) pairs, optionally
-    // capping how many distinct records are tracked (accumulator
-    // limiting: once full, hits on untracked records are dropped).
-    // Records are tracked in first-touch order, which under a limit is
-    // ascending-code order of the first contributing interval.
-    let accumulator_limit = params.max_accumulators.unwrap_or(usize::MAX).max(1);
-    scratch.begin(index.num_records() as usize);
-    // Hopeless-block skipping is sound only when every counted record is
-    // tracked (no accumulator limit): a skipped record's final count is
-    // then provably below the floor, so dropping its hits cannot change
-    // the surviving candidates.
-    let floor = params.min_coarse_hits as u64;
-    let skipping = params.max_accumulators.is_none()
-        && build_skip_plan(index, &scratch.codes, floor, &mut scratch.run_suffix);
-    if skipping {
-        let groups = (index.num_records() as usize).div_ceil(GROUP_LEN);
-        if scratch.group_max.len() != groups {
-            scratch.group_max.clear();
-            scratch.group_max.resize(groups, 0);
-        }
-    }
-    if let Some(ex) = explain.as_deref_mut() {
-        ex.skipping = skipping;
-        ex.floor = floor;
-    }
+/// Rank the offsets path's accumulated records: scatter the survivors'
+/// hits into diagonals, frame-score the records that can still place and
+/// keep the top C.
+fn rank_offsets<S: PostingsSource>(
+    index: &S,
+    params: &SearchParams,
+    scratch: &mut CoarseScratch,
+    outcome: &mut CoarseOutcome,
+    explain: Option<&mut CoarseExplain>,
+) {
     let CoarseScratch {
-        generation,
-        stamp,
         counts,
         slot,
         touched,
@@ -616,67 +882,9 @@ pub fn coarse_rank_explain<S: PostingsSource>(
         diagonals,
         cursor,
         order,
-        codes,
-        io_buf,
         candidates,
-        group_max,
-        run_suffix,
+        ..
     } = scratch;
-    let generation = *generation;
-    let accumulate_start = std::time::Instant::now();
-
-    let mut run_index = 0usize;
-    let mut run_start = 0usize;
-    while run_start < codes.len() {
-        let code = codes[run_start].0;
-        let mut run_end = run_start;
-        while run_end < codes.len() && codes[run_end].0 == code {
-            run_end += 1;
-        }
-        let qrun = &codes[run_start..run_end];
-        run_start = run_end;
-        let tau = if skipping {
-            floor.saturating_sub(run_suffix[run_index]) as u32
-        } else {
-            0
-        };
-        run_index += 1;
-
-        let mut acc = HitAccumulator {
-            generation,
-            limit: accumulator_limit,
-            qrun,
-            stamp: stamp.as_mut_slice(),
-            counts: counts.as_mut_slice(),
-            slot: slot.as_mut_slice(),
-            touched: &mut *touched,
-            hits: &mut *hits,
-            group_max: skipping.then_some(group_max.as_mut_slice()),
-            tau,
-        };
-        let fetched = index.fetch_stream(code, io_buf, &mut acc)?;
-        if let Some(stats) = &fetched {
-            outcome.lists_fetched += 1;
-            outcome.postings_decoded += stats.ids_decoded;
-            outcome.postings_bytes_read += stats.bytes_read;
-            outcome.blocks_decoded += stats.blocks_decoded as u64;
-            outcome.blocks_skipped += stats.blocks_skipped as u64;
-        }
-        if let Some(ex) = explain.as_deref_mut() {
-            ex.lists.push(list_explain(
-                index,
-                code,
-                qrun.len() as u32,
-                tau,
-                fetched.as_ref(),
-            ));
-        }
-    }
-    outcome.total_hits = hits.len() as u64;
-    outcome.accumulate_nanos = accumulate_start.elapsed().as_nanos() as u64;
-    if hits.is_empty() {
-        return Ok(outcome);
-    }
     let rank_start = std::time::Instant::now();
 
     // Scatter the hit arena into per-record diagonal buckets by counting
@@ -788,7 +996,6 @@ pub fn coarse_rank_explain<S: PostingsSource>(
         record_survivors(ex, candidates);
     }
     outcome.rank_nanos = rank_start.elapsed().as_nanos() as u64;
-    Ok(outcome)
 }
 
 /// The candidate order: score descending, then record ascending. Record
@@ -855,97 +1062,22 @@ fn record_survivors(explain: &mut CoarseExplain, candidates: &[CoarseHit]) {
         }));
 }
 
-/// Count-based coarse ranking over a record-granularity index: the same
-/// accumulation without diagonals (no offsets exist). Candidates carry
-/// `best_diagonal = 0`; the engine compensates by running unbanded fine
-/// alignment. Reads the query's code runs from `scratch.codes` (prepared
-/// by [`coarse_rank_explain`]).
-fn coarse_rank_counts<S: PostingsSource>(
+/// Count-based ranking over a record-granularity index's accumulated
+/// counts (no offsets exist). Candidates carry `best_diagonal = 0`; the
+/// engine compensates by running unbanded fine alignment.
+fn rank_counts<S: PostingsSource>(
     index: &S,
     params: &SearchParams,
     scratch: &mut CoarseScratch,
-    mut outcome: CoarseOutcome,
-    mut explain: Option<&mut CoarseExplain>,
-) -> Result<CoarseOutcome, IndexError> {
-    let accumulator_limit = params.max_accumulators.unwrap_or(usize::MAX).max(1);
-    scratch.begin(index.num_records() as usize);
-    // Same soundness condition as the offsets path; the counts filter
-    // floors at 1 even when `min_coarse_hits` is 0.
-    let floor = params.min_coarse_hits.max(1) as u64;
-    let skipping = params.max_accumulators.is_none()
-        && build_skip_plan(index, &scratch.codes, floor, &mut scratch.run_suffix);
-    if skipping {
-        let groups = (index.num_records() as usize).div_ceil(GROUP_LEN);
-        if scratch.group_max.len() != groups {
-            scratch.group_max.clear();
-            scratch.group_max.resize(groups, 0);
-        }
-    }
-    if let Some(ex) = explain.as_deref_mut() {
-        ex.skipping = skipping;
-        ex.floor = floor;
-    }
+    outcome: &mut CoarseOutcome,
+    explain: Option<&mut CoarseExplain>,
+) {
     let CoarseScratch {
-        generation,
-        stamp,
         counts,
-        slot,
         touched,
-        codes,
-        io_buf,
         candidates,
-        group_max,
-        run_suffix,
         ..
     } = scratch;
-    let generation = *generation;
-    let accumulate_start = std::time::Instant::now();
-    let mut total_hits = 0u64;
-
-    let mut run_index = 0usize;
-    let mut run_start = 0usize;
-    while run_start < codes.len() {
-        let code = codes[run_start].0;
-        let mut run_end = run_start;
-        while run_end < codes.len() && codes[run_end].0 == code {
-            run_end += 1;
-        }
-        let qpositions = (run_end - run_start) as u32;
-        run_start = run_end;
-        let tau = if skipping {
-            floor.saturating_sub(run_suffix[run_index]) as u32
-        } else {
-            0
-        };
-        run_index += 1;
-
-        let mut acc = CountsAccumulator {
-            generation,
-            limit: accumulator_limit,
-            qpositions,
-            total_hits: &mut total_hits,
-            stamp: stamp.as_mut_slice(),
-            counts: counts.as_mut_slice(),
-            slot: slot.as_mut_slice(),
-            touched: &mut *touched,
-            group_max: skipping.then_some(group_max.as_mut_slice()),
-            tau,
-        };
-        let fetched = index.fetch_counts_stream(code, io_buf, &mut acc)?;
-        if let Some(stats) = &fetched {
-            outcome.lists_fetched += 1;
-            outcome.postings_decoded += stats.ids_decoded;
-            outcome.postings_bytes_read += stats.bytes_read;
-            outcome.blocks_decoded += stats.blocks_decoded as u64;
-            outcome.blocks_skipped += stats.blocks_skipped as u64;
-        }
-        if let Some(ex) = explain.as_deref_mut() {
-            ex.lists
-                .push(list_explain(index, code, qpositions, tau, fetched.as_ref()));
-        }
-    }
-    outcome.total_hits = total_hits;
-    outcome.accumulate_nanos = accumulate_start.elapsed().as_nanos() as u64;
     let rank_start = std::time::Instant::now();
 
     // Scoring is one division at most, so there is no walk to bound:
@@ -982,7 +1114,6 @@ fn coarse_rank_counts<S: PostingsSource>(
         record_survivors(ex, candidates);
     }
     outcome.rank_nanos = rank_start.elapsed().as_nanos() as u64;
-    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -1550,6 +1681,306 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The single-pass accumulate the two passes replaced, kept as their
+    /// oracle: every posting's offsets decoded during the fetch and every
+    /// hit pushed, below the floor or not.
+    struct HitAccumulator<'a> {
+        generation: u32,
+        limit: usize,
+        qrun: &'a [(u64, u32)],
+        stamp: &'a mut [u32],
+        counts: &'a mut [u32],
+        slot: &'a mut [u32],
+        touched: &'a mut Vec<u32>,
+        hits: &'a mut Vec<(u32, i64)>,
+        group_max: Option<&'a mut [u32]>,
+        tau: u32,
+    }
+
+    impl PostingsVisitor for HitAccumulator<'_> {
+        fn visit(&mut self, record: u32, offset: u32) {
+            let r = record as usize;
+            if self.stamp[r] != self.generation {
+                if self.touched.len() >= self.limit {
+                    return;
+                }
+                self.stamp[r] = self.generation;
+                self.counts[r] = 0;
+                self.slot[r] = self.touched.len() as u32;
+                self.touched.push(record);
+            }
+            let total = self.counts[r] + self.qrun.len() as u32;
+            self.counts[r] = total;
+            if let Some(group_max) = self.group_max.as_deref_mut() {
+                let g = &mut group_max[r >> GROUP_SHIFT];
+                if *g < total {
+                    *g = total;
+                }
+            }
+            for &(_, qpos) in self.qrun {
+                self.hits.push((record, offset as i64 - qpos as i64));
+            }
+        }
+
+        fn skip_block(&mut self, lo: u32, hi: u32) -> bool {
+            hopeless(self.group_max.as_deref(), self.tau, lo, hi)
+        }
+    }
+
+    /// Offset-granularity coarse search with the single-pass accumulate
+    /// above and the shared rank.
+    fn single_pass<S: PostingsSource>(
+        index: &S,
+        query: &[Base],
+        p: &SearchParams,
+        scratch: &mut CoarseScratch,
+    ) -> Result<CoarseOutcome, IndexError> {
+        let mut outcome = CoarseOutcome::default();
+        extract_codes(index.index_params(), query, p, scratch, &mut outcome);
+        if scratch.codes.is_empty() || index.num_records() == 0 {
+            return Ok(outcome);
+        }
+        let floor = p.min_coarse_hits as u64;
+        scratch.begin(index.num_records() as usize);
+        let skipping = p.max_accumulators.is_none()
+            && build_skip_plan(index, &scratch.codes, floor, &mut scratch.run_suffix);
+        if skipping {
+            let groups = (index.num_records() as usize).div_ceil(GROUP_LEN);
+            scratch.group_max.resize(groups, 0);
+        }
+        let CoarseScratch {
+            generation,
+            stamp,
+            counts,
+            slot,
+            touched,
+            hits,
+            codes,
+            io_buf,
+            group_max,
+            run_suffix,
+            ..
+        } = &mut *scratch;
+        let (mut run_index, mut run_start) = (0usize, 0usize);
+        while run_start < codes.len() {
+            let code = codes[run_start].0;
+            let mut run_end = run_start;
+            while run_end < codes.len() && codes[run_end].0 == code {
+                run_end += 1;
+            }
+            let mut acc = HitAccumulator {
+                generation: *generation,
+                limit: p.max_accumulators.unwrap_or(usize::MAX).max(1),
+                qrun: &codes[run_start..run_end],
+                stamp: stamp.as_mut_slice(),
+                counts: counts.as_mut_slice(),
+                slot: slot.as_mut_slice(),
+                touched: &mut *touched,
+                hits: &mut *hits,
+                group_max: skipping.then_some(group_max.as_mut_slice()),
+                tau: if skipping {
+                    floor.saturating_sub(run_suffix[run_index]) as u32
+                } else {
+                    0
+                },
+            };
+            run_start = run_end;
+            run_index += 1;
+            if let Some(stats) = index.fetch_stream(code, io_buf, &mut acc)? {
+                outcome.lists_fetched += 1;
+                outcome.postings_decoded += stats.ids_decoded;
+                outcome.postings_bytes_read += stats.bytes_read;
+                outcome.blocks_decoded += stats.blocks_decoded as u64;
+                outcome.blocks_skipped += stats.blocks_skipped as u64;
+            }
+        }
+        outcome.total_hits = hits.len() as u64;
+        if !hits.is_empty() {
+            rank_offsets(index, p, scratch, &mut outcome, None);
+        }
+        Ok(outcome)
+    }
+
+    /// The tie-heavy collection as a memory index, an on-disk index and a
+    /// segmented index of one memory part and one disk part, all one
+    /// codec. Returns the sources and the files to delete.
+    fn three_sources(
+        records: &[Vec<Base>],
+        codec: nucdb_index::ListCodec,
+        tag: &str,
+    ) -> (Vec<crate::IndexVariant>, Vec<std::path::PathBuf>) {
+        use crate::segment::{SegmentIndexPart, SegmentedIndex};
+        use std::sync::Arc;
+        let build = |records: &[Vec<Base>]| {
+            let mut builder = IndexBuilder::new(IndexParams::new(6)).with_codec(codec);
+            for r in records {
+                builder.add_record(r);
+            }
+            builder.finish()
+        };
+        let dir = std::env::temp_dir();
+        let file = |part: &str| {
+            let name = format!(
+                "nucdb_coarse_{}_{tag}_{codec:?}_{part}.nucidx",
+                std::process::id()
+            );
+            dir.join(name)
+        };
+        let joint = build(records);
+        let (whole, tail) = (file("whole"), file("tail"));
+        nucdb_index::write_index(&joint, &whole).unwrap();
+        let split = records.len() / 2;
+        nucdb_index::write_index(&build(&records[split..]), &tail).unwrap();
+        let segmented = SegmentedIndex::new(vec![
+            (
+                "memtable".to_string(),
+                SegmentIndexPart::Memory(Arc::new(build(&records[..split]))),
+            ),
+            (
+                "seg-000001".to_string(),
+                SegmentIndexPart::Disk(Arc::new(OnDiskIndex::open(&tail).unwrap())),
+            ),
+        ])
+        .unwrap();
+        let sources = vec![
+            crate::IndexVariant::Memory(joint),
+            crate::IndexVariant::Disk(OnDiskIndex::open(&whole).unwrap()),
+            crate::IndexVariant::Segmented(segmented),
+        ];
+        (sources, vec![whole, tail])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 4 } else { 48 }
+        ))]
+
+        // Counting first and decoding offsets only for records that clear
+        // the floor returns the single-pass candidates and every work
+        // counter, on every source and codec, under every floor, limit,
+        // stride and cutoff, through fresh and reused scratch. On block
+        // lists the hit arena holds exactly the survivors' hits.
+        #[test]
+        fn two_pass_accumulate_matches_the_single_pass_oracle(seed in proptest::prelude::any::<u64>()) {
+            use nucdb_index::ListCodec;
+            let (records, query) = tie_heavy_collection(seed);
+            let ranking = [
+                RankingScheme::Frame { window: 8 },
+                RankingScheme::Count,
+                RankingScheme::Proportional,
+            ][seed as usize % 3];
+            let mut reused = CoarseScratch::new();
+            for codec in [ListCodec::Paper, ListCodec::Block] {
+                let (sources, files) = three_sources(&records, codec, &seed.to_string());
+                for (s, source) in sources.iter().enumerate() {
+                    let open = SearchParams {
+                        ranking,
+                        min_coarse_hits: 0,
+                        max_candidates: usize::MAX,
+                        ..SearchParams::default()
+                    };
+                    let mut probe = CoarseScratch::new();
+                    coarse_rank_with(source, &query, &open, &mut probe).unwrap();
+                    let n = probe.touched.iter().map(|&r| probe.counts[r as usize]).max();
+                    let n = n.unwrap_or(0);
+                    for floor in [0, 1, 2, n / 2, n, n + 1] {
+                        for max_accumulators in [None, Some(1), Some(3)] {
+                            for query_stride in [1, 3] {
+                                for max_candidates in [0, 1, 30] {
+                                    let p = SearchParams {
+                                        min_coarse_hits: floor,
+                                        max_accumulators,
+                                        query_stride,
+                                        max_candidates,
+                                        ..open
+                                    };
+                                    let case = format!(
+                                        "{codec:?} source {s} floor {floor} limit \
+                                         {max_accumulators:?} stride {query_stride} C {max_candidates}"
+                                    );
+                                    let oracle = single_pass(source, &query, &p, &mut CoarseScratch::new()).unwrap();
+                                    let mut fresh = CoarseScratch::new();
+                                    let a = coarse_rank_with(source, &query, &p, &mut fresh).unwrap();
+                                    let b = coarse_rank_with(source, &query, &p, &mut reused).unwrap();
+                                    proptest::prop_assert_eq!(&a.candidates, &oracle.candidates, "{}", case);
+                                    proptest::prop_assert_eq!(&b.candidates, &oracle.candidates, "{}", case);
+                                    proptest::prop_assert_eq!(work(&a), work(&oracle), "{}", case);
+                                    proptest::prop_assert_eq!(work(&b), work(&oracle), "{}", case);
+                                    if codec == ListCodec::Block {
+                                        let survivor_hits: u64 = fresh
+                                            .touched
+                                            .iter()
+                                            .map(|&r| fresh.counts[r as usize])
+                                            .filter(|&hits| hits >= floor)
+                                            .map(u64::from)
+                                            .sum();
+                                        proptest::prop_assert_eq!(fresh.hits.len() as u64, survivor_hits, "{}", case);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                drop(sources);
+                for file in files {
+                    let _ = std::fs::remove_file(file);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counts_saturate_instead_of_overflowing() {
+        // count × qlen = 70 000² > u32::MAX, as a 70 kb poly-A query
+        // against a 70 kb poly-A record makes.
+        let qrun: Vec<(u64, u32)> = (0..70_000).map(|qpos| (0, qpos)).collect();
+        let (mut stamp, mut counts, mut slot) = (vec![0u32; 2], vec![0u32; 2], vec![0u32; 2]);
+        let (mut touched, mut hits, mut kept, mut blocks) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut acc = Accumulator {
+            generation: 1,
+            limit: usize::MAX,
+            offsets_path: false,
+            qrun: &qrun,
+            run: (0, qrun.len() as u32),
+            total_hits: 0,
+            stamp: &mut stamp,
+            counts: &mut counts,
+            slot: &mut slot,
+            touched: &mut touched,
+            hits: &mut hits,
+            kept: &mut kept,
+            blocks: &mut blocks,
+            group_max: None,
+            tau: 0,
+        };
+        acc.visit_block(&[0, 1], &[70_000, 1], None);
+        acc.visit(0, 1);
+        assert_eq!(acc.total_hits, 70_000 * 70_000 + 70_000 * 2);
+        assert_eq!(counts, [u32::MAX, 70_000]);
+        assert_eq!(touched, [0, 1]);
+    }
+
+    #[test]
+    fn poly_a_query_against_a_poly_a_record_ranks_without_overflow() {
+        use nucdb_index::ListCodec;
+        let poly_a = bases(&[b'A'; 70_000]);
+        for codec in [ListCodec::Paper, ListCodec::Block] {
+            let mut builder =
+                IndexBuilder::new(IndexParams::new(8).with_granularity(Granularity::Records))
+                    .with_codec(codec);
+            builder.add_record(&bases(b"ACGTACGTACGTACGT"));
+            builder.add_record(&poly_a);
+            let index = builder.finish();
+            let outcome = coarse_rank(&index, &poly_a, &params(RankingScheme::Count)).unwrap();
+            let occurrences = 70_000 - 8 + 1;
+            assert_eq!(outcome.total_hits, occurrences * occurrences, "{codec:?}");
+            assert_eq!(outcome.candidates.len(), 1, "{codec:?}");
+            assert_eq!(outcome.candidates[0].record, 1, "{codec:?}");
+            assert_eq!(outcome.candidates[0].hits, u32::MAX, "{codec:?}");
         }
     }
 

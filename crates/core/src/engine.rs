@@ -110,6 +110,19 @@ impl PostingsSource for IndexVariant {
             IndexVariant::Segmented(i) => i.fetch_counts_stream(code, io_buf, visitor),
         }
     }
+
+    fn fetch_append(
+        &self,
+        code: u64,
+        kept: &mut Vec<u8>,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError> {
+        match self {
+            IndexVariant::Memory(i) => i.append_stream(code, kept, visitor),
+            IndexVariant::Disk(i) => i.append_stream(code, kept, visitor),
+            IndexVariant::Segmented(i) => i.fetch_append(code, kept, visitor),
+        }
+    }
 }
 
 /// One answer to a query.

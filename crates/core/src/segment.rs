@@ -38,7 +38,7 @@ use std::time::Instant;
 use nucdb_index::manifest::{segment_index_file, segment_store_file, Manifest, SegmentMeta};
 use nucdb_index::{
     load_index, merge_indexes, write_index, CompressedIndex, FetchStats, Granularity, IndexBuilder,
-    IndexError, IndexParams, OnDiskIndex, PostingsVisitor,
+    IndexError, IndexParams, OffsetSection, OnDiskIndex, PostingsVisitor, BLOCK_LEN,
 };
 use nucdb_obs::{Counter, Forensics, Gauge, MetricsRegistry, TraceSink};
 use nucdb_seq::{Base, DnaSeq, SeqError};
@@ -96,6 +96,18 @@ impl SegmentIndexPart {
         match self {
             SegmentIndexPart::Memory(i) => i.counts_stream(code, visitor),
             SegmentIndexPart::Disk(i) => i.counts_stream(code, io_buf, visitor),
+        }
+    }
+
+    fn append_stream(
+        &self,
+        code: u64,
+        kept: &mut Vec<u8>,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError> {
+        match self {
+            SegmentIndexPart::Memory(i) => i.append_stream(code, kept, visitor),
+            SegmentIndexPart::Disk(i) => i.append_stream(code, kept, visitor),
         }
     }
 }
@@ -194,7 +206,8 @@ impl SegmentedIndex {
 /// Visitor adapter shifting a part's local record ids to global ids
 /// before forwarding, including the block-skip consultation — the skip
 /// decision is made by the real visitor on global ids, so it is exactly
-/// the decision it would make on the joint index.
+/// the decision it would make on the joint index. Whole blocks are
+/// forwarded whole, with their offset sections untouched.
 struct ShiftVisitor<'a> {
     base: u32,
     inner: &'a mut dyn PostingsVisitor,
@@ -207,6 +220,15 @@ impl PostingsVisitor for ShiftVisitor<'_> {
 
     fn skip_block(&mut self, lo: u32, hi: u32) -> bool {
         self.inner.skip_block(lo + self.base, hi + self.base)
+    }
+
+    fn visit_block(&mut self, records: &[u32], counts: &[u32], offsets: Option<OffsetSection>) {
+        let mut shifted = [0u32; BLOCK_LEN];
+        let shifted = &mut shifted[..records.len()];
+        for (global, &local) in shifted.iter_mut().zip(records) {
+            *global = local + self.base;
+        }
+        self.inner.visit_block(shifted, counts, offsets);
     }
 }
 
@@ -265,6 +287,25 @@ impl PostingsSource for SegmentedIndex {
                 inner: visitor,
             };
             if let Some(stats) = part.inner.counts_stream(code, io_buf, &mut shifted)? {
+                total = Some(merge_stats(total, stats));
+            }
+        }
+        Ok(total)
+    }
+
+    fn fetch_append(
+        &self,
+        code: u64,
+        kept: &mut Vec<u8>,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError> {
+        let mut total: Option<FetchStats> = None;
+        for part in &self.parts {
+            let mut shifted = ShiftVisitor {
+                base: part.base,
+                inner: visitor,
+            };
+            if let Some(stats) = part.inner.append_stream(code, kept, &mut shifted)? {
                 total = Some(merge_stats(total, stats));
             }
         }

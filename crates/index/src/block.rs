@@ -34,6 +34,11 @@
 //! visitor skips are never even checksummed. The unpack kernel is one
 //! monomorphised straight-line loop per width — shifts and masks over
 //! word loads, no per-bit work, no data-dependent branches.
+//!
+//! A counts decode hands each block to the visitor whole, with the
+//! position of its offset section in the caller's buffer
+//! ([`OffsetSection`]), from which the offsets of chosen postings can
+//! later be unpacked, one 32-value group at a time.
 
 use crate::compress::PostingsVisitor;
 use crate::durable::crc32;
@@ -52,6 +57,81 @@ const LANES: usize = 32;
 /// postings.
 pub fn skip_table_len(df: u32) -> usize {
     (df as usize).div_ceil(BLOCK_LEN) * SKIP_ENTRY_BYTES
+}
+
+/// What a block-list decode hands its visitor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Emit {
+    /// `visit(record, offset)` per occurrence (offset granularity only).
+    Offsets,
+    /// One [`PostingsVisitor::visit_block`] per decoded block. The list
+    /// starts at byte `list_at` of the caller's buffer, and offset
+    /// sections are located in that buffer.
+    Counts {
+        /// Position of the list's first byte in the caller's buffer.
+        list_at: usize,
+    },
+}
+
+/// Where one decoded block's packed offsets sit in the buffer its list
+/// was decoded from. The section holds the block's offsets as
+/// per-record gaps in posting order, 32 values to a group of `width`
+/// little-endian words, so one posting's offsets unpack from the group
+/// or two they fall in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OffsetSection {
+    /// Byte position of the section's first group in the buffer.
+    start: usize,
+    /// Bit width of every packed gap.
+    width: u8,
+}
+
+impl OffsetSection {
+    /// Walk the postings of this section's block, `(record, count)` in
+    /// block order, and call `visit(record, offset)` for every offset of
+    /// the postings `wanted` accepts, ascending per posting. Only the
+    /// 32-value groups those offsets sit in are unpacked. `buf` must be
+    /// the buffer the section was located in, unchanged since. An offset
+    /// at or past its record's length is a format error, as on every
+    /// other decode path.
+    pub fn visit_offsets(
+        self,
+        buf: &[u8],
+        postings: &[(u32, u32)],
+        record_lens: &[u32],
+        mut wanted: impl FnMut(u32) -> bool,
+        mut visit: impl FnMut(u32, u32),
+    ) -> Result<(), IndexError> {
+        let group_bytes = self.width as usize * 4;
+        let mut lanes = [0u32; LANES];
+        let mut unpacked = usize::MAX;
+        let mut first = 0usize;
+        for &(record, count) in postings {
+            let end = first + count as usize;
+            if wanted(record) {
+                let len = record_lens
+                    .get(record as usize)
+                    .map_or(i64::from(u32::MAX), |&len| i64::from(len.max(1)));
+                let mut prev_off: i64 = -1;
+                for i in first..end {
+                    let group = i / LANES;
+                    if group != unpacked {
+                        let at = self.start + group * group_bytes;
+                        unpack_group_dyn(self.width, &buf[at..], &mut lanes);
+                        unpacked = group;
+                    }
+                    let off = prev_off + 1 + lanes[i % LANES] as i64;
+                    if off >= len {
+                        return Err(IndexError::bad_format("decoded offset out of range"));
+                    }
+                    visit(record, off as u32);
+                    prev_off = off;
+                }
+            }
+            first = end;
+        }
+        Ok(())
+    }
 }
 
 /// Work counters from one streamed block-list decode.
@@ -258,12 +338,14 @@ fn read_skip_entry(bytes: &[u8], b: usize) -> (u32, usize, u32) {
 
 /// Stream one block-coded list through `visitor`.
 ///
-/// With `emit_offsets` the visitor sees `(record, offset)` per occurrence
-/// (offset granularity only); otherwise `(record, count)` per record —
-/// and at offset granularity the offset sections are *not unpacked at
-/// all*, the length-delimited layout just steps over them. The visitor's
-/// `skip_block(lo, hi)` is consulted per block before CRC verification
-/// and unpacking; `lo..=hi` bounds every record id the block can hold.
+/// With [`Emit::Offsets`] the visitor sees `(record, offset)` per
+/// occurrence (offset granularity only). With [`Emit::Counts`] it sees
+/// each block's ids and counts in one `visit_block` call — and at offset
+/// granularity the offset sections are *not unpacked at all*: the
+/// length-delimited layout just steps over them and reports where each
+/// one sits. The visitor's `skip_block(lo, hi)` is consulted per block
+/// before CRC verification and unpacking; `lo..=hi` bounds every record
+/// id the block can hold.
 ///
 /// Corruption offsets in errors are relative to the list's first byte;
 /// callers that know the list's file position rebase them (see
@@ -276,10 +358,10 @@ pub(crate) fn decode_block_stream(
     num_records: u32,
     record_lens: &[u32],
     granularity: Granularity,
-    emit_offsets: bool,
+    emit: Emit,
     visitor: &mut dyn PostingsVisitor,
 ) -> Result<BlockDecodeStats, IndexError> {
-    if emit_offsets && granularity == Granularity::Records {
+    if emit == Emit::Offsets && granularity == Granularity::Records {
         return Err(IndexError::Unsupported(
             "record-granularity list stores no offsets",
         ));
@@ -390,12 +472,20 @@ pub(crate) fn decode_block_stream(
             total_offs += count;
         }
 
-        if granularity == Granularity::Offsets {
+        let section = if granularity == Granularity::Offsets {
             let off_bytes = packed_len(off_w, total_offs);
             if blk.len() as u64 != fixed as u64 + off_bytes {
                 return Err(IndexError::bad_format("block offset section missized"));
             }
-            if emit_offsets {
+            Some(fixed)
+        } else {
+            if blk.len() != fixed {
+                return Err(IndexError::bad_format("trailing bytes in block"));
+            }
+            None
+        };
+        match emit {
+            Emit::Offsets => {
                 let mut reader = GroupReader::new(off_w, &blk[fixed..]);
                 for i in 0..n {
                     let record = idbuf[i];
@@ -413,18 +503,15 @@ pub(crate) fn decode_block_stream(
                         prev_off = off;
                     }
                 }
-            } else {
-                for i in 0..n {
-                    visitor.visit(idbuf[i], countbuf[i]);
-                }
             }
-        } else {
-            if blk.len() != fixed {
-                return Err(IndexError::bad_format("trailing bytes in block"));
-            }
-            for i in 0..n {
-                visitor.visit(idbuf[i], countbuf[i]);
-            }
+            Emit::Counts { list_at } => visitor.visit_block(
+                &idbuf[..n],
+                &countbuf[..n],
+                section.map(|at| OffsetSection {
+                    start: list_at + skip_len + block_start + at,
+                    width: off_w,
+                }),
+            ),
         }
 
         stats.blocks_decoded += 1;
@@ -556,7 +643,7 @@ mod tests {
                 num_records,
                 &lens,
                 Granularity::Offsets,
-                true,
+                Emit::Offsets,
                 &mut v,
             )
             .unwrap();
@@ -584,7 +671,7 @@ mod tests {
             4096,
             &lens,
             Granularity::Offsets,
-            false,
+            Emit::Counts { list_at: 0 },
             &mut v,
         )
         .unwrap();
@@ -594,6 +681,93 @@ mod tests {
             .map(|p| (p.record, p.offsets.len() as u32))
             .collect();
         assert_eq!(v.0, expect);
+    }
+
+    /// Keeps every block a counts decode hands over.
+    struct Blocks(Vec<(Vec<u32>, Vec<u32>, Option<OffsetSection>)>);
+    impl PostingsVisitor for Blocks {
+        fn visit(&mut self, _record: u32, _value: u32) {
+            panic!("a counts decode hands over whole blocks");
+        }
+        fn visit_block(&mut self, records: &[u32], counts: &[u32], offsets: Option<OffsetSection>) {
+            self.0.push((records.to_vec(), counts.to_vec(), offsets));
+        }
+    }
+
+    #[test]
+    fn offset_sections_read_back_every_postings_offsets() {
+        let list = multi_block_list(300);
+        let lens = vec![1024u32; 4096];
+        // The list sits behind other bytes in the caller's buffer.
+        let mut buf = vec![0xAB; 5];
+        buf.extend(encode_block_postings(&list, Granularity::Offsets));
+        let mut v = Blocks(Vec::new());
+        decode_block_stream(
+            &buf[5..],
+            300,
+            4096,
+            &lens,
+            Granularity::Offsets,
+            Emit::Counts { list_at: 5 },
+            &mut v,
+        )
+        .unwrap();
+        assert_eq!(v.0.len(), 3);
+        let mut seen = 0;
+        for (records, counts, section) in &v.0 {
+            let section = section.expect("offset granularity locates offsets");
+            let postings: Vec<(u32, u32)> = records
+                .iter()
+                .copied()
+                .zip(counts.iter().copied())
+                .collect();
+            let block = &list.entries[seen..seen + postings.len()];
+            let expect = |keep: &dyn Fn(u32) -> bool| -> Vec<(u32, u32)> {
+                block
+                    .iter()
+                    .filter(|p| keep(p.record))
+                    .flat_map(|p| p.offsets.iter().map(|&o| (p.record, o)))
+                    .collect()
+            };
+            // Every posting, then every other one: a posting's offsets do
+            // not depend on which were read before it.
+            for keep in [&|_| true, &|r: u32| r % 2 == 1] as [&dyn Fn(u32) -> bool; 2] {
+                let mut got = Vec::new();
+                section
+                    .visit_offsets(&buf, &postings, &lens, keep, |r, o| got.push((r, o)))
+                    .unwrap();
+                assert_eq!(got, expect(keep));
+            }
+            seen += postings.len();
+        }
+        assert_eq!(seen, 300);
+        // An offset past the record's length is refused.
+        let (records, counts, section) = &v.0[0];
+        let postings: Vec<(u32, u32)> = records
+            .iter()
+            .copied()
+            .zip(counts.iter().copied())
+            .collect();
+        // Record 0's last offset sits exactly at this length.
+        let short = vec![*list.entries[0].offsets.last().unwrap(); 4096];
+        assert!(section
+            .unwrap()
+            .visit_offsets(&buf, &postings, &short, |_| true, |_, _| {})
+            .is_err());
+        // Record granularity has no sections to locate.
+        let records_only = encode_block_postings(&list, Granularity::Records);
+        let mut v = Blocks(Vec::new());
+        decode_block_stream(
+            &records_only,
+            300,
+            4096,
+            &lens,
+            Granularity::Records,
+            Emit::Counts { list_at: 0 },
+            &mut v,
+        )
+        .unwrap();
+        assert!(v.0.iter().all(|(_, _, section)| section.is_none()));
     }
 
     #[test]
@@ -608,9 +782,16 @@ mod tests {
             seen: Vec::new(),
             skip_above: boundary,
         };
-        let stats =
-            decode_block_stream(&bytes, 400, 4096, &lens, Granularity::Offsets, true, &mut v)
-                .unwrap();
+        let stats = decode_block_stream(
+            &bytes,
+            400,
+            4096,
+            &lens,
+            Granularity::Offsets,
+            Emit::Offsets,
+            &mut v,
+        )
+        .unwrap();
         assert_eq!(stats.blocks_skipped, 2);
         assert_eq!(stats.blocks_decoded, 2);
         assert_eq!(stats.ids_decoded, 2 * BLOCK_LEN as u64);
@@ -634,7 +815,15 @@ mod tests {
         let victim = skip_len + first_end + 4;
         bytes[victim] ^= 0x10;
         let mut v = Collect(Vec::new());
-        match decode_block_stream(&bytes, 300, 4096, &lens, Granularity::Offsets, true, &mut v) {
+        match decode_block_stream(
+            &bytes,
+            300,
+            4096,
+            &lens,
+            Granularity::Offsets,
+            Emit::Offsets,
+            &mut v,
+        ) {
             Err(IndexError::Corruption {
                 section, offset, ..
             }) => {
@@ -661,7 +850,7 @@ mod tests {
                 4096,
                 &lens,
                 Granularity::Offsets,
-                true,
+                Emit::Offsets,
                 &mut v,
             );
             assert!(result.is_err(), "cut {cut} decoded");
@@ -694,7 +883,7 @@ mod tests {
             u32::MAX,
             &[16, 16],
             Granularity::Offsets,
-            true,
+            Emit::Offsets,
             &mut v,
         )
         .unwrap();
@@ -715,7 +904,7 @@ mod tests {
             4096,
             &lens,
             Granularity::Records,
-            false,
+            Emit::Counts { list_at: 0 },
             &mut v,
         )
         .unwrap();
@@ -734,7 +923,7 @@ mod tests {
                 4096,
                 &lens,
                 Granularity::Records,
-                true,
+                Emit::Offsets,
                 &mut v
             ),
             Err(IndexError::Unsupported(_))

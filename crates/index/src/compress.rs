@@ -24,6 +24,7 @@
 
 use nucdb_codec::{BitReader, BitWriter, Gamma, Golomb, IntCodec};
 
+use crate::block::{decode_block_stream, BlockDecodeStats, Emit, OffsetSection};
 use crate::error::IndexError;
 use crate::interval::{Granularity, IndexParams};
 use crate::postings::{Posting, PostingsList};
@@ -102,11 +103,33 @@ impl FetchStats {
             blocks_skipped: 0,
         }
     }
+
+    /// Counters for a fetched Paper list: read whole, decoded whole.
+    pub(crate) fn paper(entry: &VocabEntry) -> FetchStats {
+        FetchStats {
+            bytes_read: entry.len as u64,
+            ..FetchStats::plain(entry.df)
+        }
+    }
+
+    /// Counters for a fetched block list: read whole, decoded as far as
+    /// `block` says.
+    pub(crate) fn block(entry: &VocabEntry, block: BlockDecodeStats) -> FetchStats {
+        FetchStats {
+            df: entry.df,
+            bytes_read: entry.len as u64,
+            ids_decoded: block.ids_decoded,
+            blocks_decoded: block.blocks_decoded,
+            blocks_skipped: block.blocks_skipped,
+        }
+    }
 }
 
 /// Visitor driven by the streaming fetch paths. `visit` receives
 /// `(record, offset)` pairs on the postings paths and `(record, count)`
-/// pairs on the counts paths, always in ascending record order.
+/// pairs on the counts paths, always in ascending record order. On the
+/// counts paths a block-coded list hands over whole blocks through
+/// `visit_block` instead.
 ///
 /// On a block-coded list, `skip_block(lo, hi)` is consulted before each
 /// block is checksummed or unpacked: `lo..=hi` bounds every record id
@@ -121,6 +144,21 @@ pub trait PostingsVisitor {
     fn skip_block(&mut self, lo: u32, hi: u32) -> bool {
         let _ = (lo, hi);
         false
+    }
+
+    /// One decoded block of a counts walk: at most [`BLOCK_LEN`] records
+    /// ascending, with `counts[i]` the occurrences of `records[i]`. At
+    /// offset granularity `offsets` locates the block's packed offsets in
+    /// the buffer the list was decoded from (see
+    /// [`OffsetSection::visit_offsets`]). The default hands each entry to
+    /// [`visit`](PostingsVisitor::visit).
+    ///
+    /// [`BLOCK_LEN`]: crate::block::BLOCK_LEN
+    fn visit_block(&mut self, records: &[u32], counts: &[u32], offsets: Option<OffsetSection>) {
+        let _ = offsets;
+        for (&record, &count) in records.iter().zip(counts) {
+            self.visit(record, count);
+        }
     }
 }
 
@@ -196,13 +234,13 @@ pub fn decode_postings_with<F: FnMut(u32, u32)>(
 ) -> Result<(), IndexError> {
     if codec == ListCodec::Block {
         let mut visitor = FnVisitor(&mut visit);
-        crate::block::decode_block_stream(
+        decode_block_stream(
             bytes,
             df,
             num_records,
             record_lens,
             Granularity::Offsets,
-            true,
+            Emit::Offsets,
             &mut visitor,
         )?;
         return Ok(());
@@ -253,13 +291,13 @@ pub fn decode_counts_with<F: FnMut(u32, u32)>(
 ) -> Result<(), IndexError> {
     if codec == ListCodec::Block {
         let mut visitor = FnVisitor(&mut visit);
-        crate::block::decode_block_stream(
+        decode_block_stream(
             bytes,
             df,
             num_records,
             record_lens,
             granularity,
-            false,
+            Emit::Counts { list_at: 0 },
             &mut visitor,
         )?;
         return Ok(());
@@ -539,33 +577,60 @@ impl CompressedIndex {
         let Some(entry) = self.entry(code) else {
             return Ok(None);
         };
-        let bytes = &self.blob[entry.offset as usize..(entry.offset + entry.len as u64) as usize];
-        let mut stats = FetchStats::plain(entry.df);
-        stats.bytes_read = entry.len as u64;
+        let bytes = self.list_bytes(entry);
         if self.codec == ListCodec::Block {
-            let block = crate::block::decode_block_stream(
+            let block = decode_block_stream(
                 bytes,
                 entry.df,
                 self.num_records(),
                 &self.record_lens,
                 Granularity::Offsets,
-                true,
+                Emit::Offsets,
                 visitor,
             )?;
-            stats.ids_decoded = block.ids_decoded;
-            stats.blocks_decoded = block.blocks_decoded;
-            stats.blocks_skipped = block.blocks_skipped;
-        } else {
-            decode_postings_with(
-                bytes,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                self.codec,
-                |record, offset| visitor.visit(record, offset),
-            )?;
+            return Ok(Some(FetchStats::block(entry, block)));
         }
-        Ok(Some(stats))
+        decode_postings_with(
+            bytes,
+            entry.df,
+            self.num_records(),
+            &self.record_lens,
+            self.codec,
+            |record, offset| visitor.visit(record, offset),
+        )?;
+        Ok(Some(FetchStats::paper(entry)))
+    }
+
+    /// Coarse search's first pass over one list: append `code`'s list to
+    /// the end of `buf` and walk it as counts, one
+    /// [`PostingsVisitor::visit_block`] per decoded block with the
+    /// block's offsets located in `buf`. A Paper list, whose bit-serial
+    /// offsets cannot be stepped over, streams `(record, offset)` pairs as
+    /// [`CompressedIndex::postings_stream`] does and leaves `buf` alone.
+    pub fn append_stream(
+        &self,
+        code: u64,
+        buf: &mut Vec<u8>,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError> {
+        if self.codec != ListCodec::Block || self.params.granularity == Granularity::Records {
+            return self.postings_stream(code, visitor);
+        }
+        let Some(entry) = self.entry(code) else {
+            return Ok(None);
+        };
+        let list_at = buf.len();
+        buf.extend_from_slice(self.list_bytes(entry));
+        let block = decode_block_stream(
+            &buf[list_at..],
+            entry.df,
+            self.num_records(),
+            &self.record_lens,
+            Granularity::Offsets,
+            Emit::Counts { list_at },
+            visitor,
+        )?;
+        Ok(Some(FetchStats::block(entry, block)))
     }
 
     /// Streaming counts fetch: the counts-path twin of
@@ -579,34 +644,34 @@ impl CompressedIndex {
         let Some(entry) = self.entry(code) else {
             return Ok(None);
         };
-        let bytes = &self.blob[entry.offset as usize..(entry.offset + entry.len as u64) as usize];
-        let mut stats = FetchStats::plain(entry.df);
-        stats.bytes_read = entry.len as u64;
+        let bytes = self.list_bytes(entry);
         if self.codec == ListCodec::Block {
-            let block = crate::block::decode_block_stream(
+            let block = decode_block_stream(
                 bytes,
                 entry.df,
                 self.num_records(),
                 &self.record_lens,
                 self.params.granularity,
-                false,
+                Emit::Counts { list_at: 0 },
                 visitor,
             )?;
-            stats.ids_decoded = block.ids_decoded;
-            stats.blocks_decoded = block.blocks_decoded;
-            stats.blocks_skipped = block.blocks_skipped;
-        } else {
-            decode_counts_with(
-                bytes,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                self.codec,
-                self.params.granularity,
-                |record, count| visitor.visit(record, count),
-            )?;
+            return Ok(Some(FetchStats::block(entry, block)));
         }
-        Ok(Some(stats))
+        decode_counts_with(
+            bytes,
+            entry.df,
+            self.num_records(),
+            &self.record_lens,
+            self.codec,
+            self.params.granularity,
+            |record, count| visitor.visit(record, count),
+        )?;
+        Ok(Some(FetchStats::paper(entry)))
+    }
+
+    /// The stored bytes of one vocabulary entry's list.
+    fn list_bytes(&self, entry: &VocabEntry) -> &[u8] {
+        &self.blob[entry.offset as usize..(entry.offset + entry.len as u64) as usize]
     }
 
     /// Decode the postings list for `code`; `Ok(None)` if the interval is

@@ -49,7 +49,7 @@ use std::path::Path;
 
 use nucdb_obs::{Counter, MetricsRegistry};
 
-use crate::block::{skip_table_len, verify_block_list};
+use crate::block::{decode_block_stream, skip_table_len, verify_block_list, Emit};
 use crate::compress::{
     decode_counts_with, decode_postings, decode_postings_with, CompressedIndex, FetchStats,
     ListCodec, PostingsVisitor, VocabEntry,
@@ -583,10 +583,23 @@ impl OnDiskIndex {
         buf: &mut Vec<u8>,
     ) -> Result<(), IndexError> {
         buf.clear();
-        buf.resize(entry.len as usize, 0);
+        self.append_bytes(idx, entry, buf)
+    }
+
+    /// [`OnDiskIndex::fetch_bytes_into`] without the clear: the list's
+    /// verified bytes land after whatever `buf` already holds.
+    fn append_bytes(
+        &self,
+        idx: usize,
+        entry: &VocabEntry,
+        buf: &mut Vec<u8>,
+    ) -> Result<(), IndexError> {
+        let list_at = buf.len();
+        buf.resize(list_at + entry.len as usize, 0);
+        let list = &mut buf[list_at..];
         let at = self.blob_start + entry.offset;
-        self.file.read_exact_at(buf, at)?;
-        check_list_crc(self.codec, buf, entry.df, self.list_crcs[idx], at)?;
+        self.file.read_exact_at(list, at)?;
+        check_list_crc(self.codec, list, entry.df, self.list_crcs[idx], at)?;
         self.bytes_read.add(entry.len as u64);
         self.lists_read.inc();
         Ok(())
@@ -728,33 +741,57 @@ impl OnDiskIndex {
             return Ok(None);
         };
         self.fetch_bytes_into(idx, entry, io_buf)?;
-        let mut stats = FetchStats::plain(entry.df);
-        stats.bytes_read = entry.len as u64;
         if self.codec == ListCodec::Block {
-            let block = crate::block::decode_block_stream(
-                io_buf,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                crate::interval::Granularity::Offsets,
-                true,
-                visitor,
-            )
-            .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))?;
-            stats.ids_decoded = block.ids_decoded;
-            stats.blocks_decoded = block.blocks_decoded;
-            stats.blocks_skipped = block.blocks_skipped;
-        } else {
-            decode_postings_with(
-                io_buf,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                self.codec,
-                |record, offset| visitor.visit(record, offset),
-            )?;
+            return self.stream_block_list(io_buf, entry, Emit::Offsets, visitor);
         }
-        Ok(Some(stats))
+        decode_postings_with(
+            io_buf,
+            entry.df,
+            self.num_records(),
+            &self.record_lens,
+            self.codec,
+            |record, offset| visitor.visit(record, offset),
+        )?;
+        Ok(Some(FetchStats::paper(entry)))
+    }
+
+    /// Coarse search's first pass over one list: append `code`'s verified
+    /// list bytes to the end of `buf` and walk them as counts, one
+    /// [`PostingsVisitor::visit_block`] per decoded block with the
+    /// block's offsets located in `buf`. A Paper list, whose bit-serial
+    /// offsets cannot be stepped over, streams `(record, offset)` pairs as
+    /// [`OnDiskIndex::postings_stream`] does, and its bytes do not stay in
+    /// `buf`.
+    pub fn append_stream(
+        &self,
+        code: u64,
+        buf: &mut Vec<u8>,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError> {
+        if self.params.granularity == crate::interval::Granularity::Records {
+            return Err(IndexError::Unsupported(
+                "record-granularity index stores no offsets",
+            ));
+        }
+        let Some((idx, entry)) = self.entry(code) else {
+            return Ok(None);
+        };
+        let list_at = buf.len();
+        self.append_bytes(idx, entry, buf)?;
+        if self.codec == ListCodec::Block {
+            let emit = Emit::Counts { list_at };
+            return self.stream_block_list(&buf[list_at..], entry, emit, visitor);
+        }
+        decode_postings_with(
+            &buf[list_at..],
+            entry.df,
+            self.num_records(),
+            &self.record_lens,
+            self.codec,
+            |record, offset| visitor.visit(record, offset),
+        )?;
+        buf.truncate(list_at);
+        Ok(Some(FetchStats::paper(entry)))
     }
 
     /// Streaming counts fetch: the counts-path twin of
@@ -769,34 +806,42 @@ impl OnDiskIndex {
             return Ok(None);
         };
         self.fetch_bytes_into(idx, entry, io_buf)?;
-        let mut stats = FetchStats::plain(entry.df);
-        stats.bytes_read = entry.len as u64;
         if self.codec == ListCodec::Block {
-            let block = crate::block::decode_block_stream(
-                io_buf,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                self.params.granularity,
-                false,
-                visitor,
-            )
-            .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))?;
-            stats.ids_decoded = block.ids_decoded;
-            stats.blocks_decoded = block.blocks_decoded;
-            stats.blocks_skipped = block.blocks_skipped;
-        } else {
-            decode_counts_with(
-                io_buf,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                self.codec,
-                self.params.granularity,
-                |record, count| visitor.visit(record, count),
-            )?;
+            let emit = Emit::Counts { list_at: 0 };
+            return self.stream_block_list(io_buf, entry, emit, visitor);
         }
-        Ok(Some(stats))
+        decode_counts_with(
+            io_buf,
+            entry.df,
+            self.num_records(),
+            &self.record_lens,
+            self.codec,
+            self.params.granularity,
+            |record, count| visitor.visit(record, count),
+        )?;
+        Ok(Some(FetchStats::paper(entry)))
+    }
+
+    /// Decode one fetched block list, lifting corruption offsets to the
+    /// file.
+    fn stream_block_list(
+        &self,
+        list: &[u8],
+        entry: &VocabEntry,
+        emit: Emit,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError> {
+        let block = decode_block_stream(
+            list,
+            entry.df,
+            self.num_records(),
+            &self.record_lens,
+            self.params.granularity,
+            emit,
+            visitor,
+        )
+        .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))?;
+        Ok(Some(FetchStats::block(entry, block)))
     }
 
     /// Postings bytes fetched since the last reset.

@@ -63,7 +63,7 @@ pub mod shard;
 pub mod stats;
 pub mod stopping;
 
-pub use block::{skip_table_len, BLOCK_LEN, SKIP_ENTRY_BYTES};
+pub use block::{skip_table_len, OffsetSection, BLOCK_LEN, SKIP_ENTRY_BYTES};
 pub use builder::{build_chunked, build_parallel, IndexBuilder};
 pub use compress::{
     decode_counts, decode_counts_with, decode_postings, decode_postings_with, encode_postings,

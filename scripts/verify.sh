@@ -10,7 +10,8 @@ cargo test -q
 # The fine stage's lane kernel against its scalar oracle, in release:
 # that is the build whose vectorised loop ships.
 cargo test -q --release -p nucdb-align --test proptests
-# Likewise the sliced CRC-32 and the bounded coarse rank against theirs.
+# Likewise the sliced CRC-32, the bounded coarse rank and the two-pass
+# coarse accumulate against theirs.
 cargo test -q --release -p nucdb-index -p nucdb --lib -- durable:: coarse::
 cargo clippy --workspace -- -D warnings
 # The benchmark harness (e2e/, its own workspace, so not in `cargo test`)

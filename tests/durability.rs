@@ -759,3 +759,147 @@ fn query_error_does_not_poison_the_database() {
     // corrupt record, the error is still the typed kind.)
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------
+// Coarse search's two passes read only verified bytes. Pass one fetches
+// each list and checksums every block it decodes; pass two unpacks the
+// survivors' offsets out of those same bytes. So a flipped byte in a
+// decoded block is that block's corruption error, and a flipped byte in
+// a τ-skipped block is read by neither pass.
+// ---------------------------------------------------------------------
+
+/// 401 records share a 30-base segment (so its lists span four blocks)
+/// and record 0 also holds the query's other half: under floor 40 only
+/// record 0 can place, and the shared lists' later blocks are skipped.
+fn skip_index_on_disk(name: &str) -> (PathBuf, PathBuf, CompressedIndex, Vec<nucdb_seq::Base>) {
+    let common = b"ACGTAGCTAGCTGGATCCAATTGGCCAACC";
+    let unique = b"TGCATGCATTGCAACGGTACCTTAGGCATC";
+    let bases = |ascii: &[u8]| DnaSeq::from_ascii(ascii).unwrap().representative_bases();
+    let query = bases(&[&common[..], &unique[..]].concat());
+    let mut builder = IndexBuilder::new(IndexParams::new(8)).with_codec(ListCodec::Block);
+    builder.add_record(&query);
+    for i in 0..400usize {
+        let mut record = common.to_vec();
+        record.extend(std::iter::repeat_n(b"GCTA"[i % 4], 8));
+        builder.add_record(&bases(&record));
+    }
+    let index = builder.finish();
+    let dir = temp_dir(name);
+    let path = dir.join("idx.nucidx");
+    write_index(&index, &path).unwrap();
+    (dir, path, index, query)
+}
+
+fn floor_40() -> SearchParams {
+    SearchParams {
+        min_coarse_hits: 40,
+        max_candidates: 500,
+        ..SearchParams::default()
+    }
+}
+
+/// File offset of the payload of block `b` of `code`'s list.
+fn block_at(path: &Path, index: &CompressedIndex, code: u64, b: usize) -> u64 {
+    let file_len = std::fs::metadata(path).unwrap().len();
+    let blob_start = file_len - index.blob().len() as u64;
+    let entry = index.entry(code).unwrap();
+    let list = &index.blob()[entry.offset as usize..][..entry.len as usize];
+    let block_start = match b {
+        0 => 0,
+        _ => {
+            let end = &list[(b - 1) * nucdb_index::SKIP_ENTRY_BYTES + 4..][..4];
+            u32::from_le_bytes(end.try_into().unwrap()) as u64
+        }
+    };
+    blob_start + entry.offset + nucdb_index::skip_table_len(entry.df) as u64 + block_start
+}
+
+fn flip_byte(path: &Path, at: u64) {
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[at as usize] ^= 0x5A;
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// The clean run's per-list evidence.
+fn explain_lists(path: &Path, query: &[nucdb_seq::Base]) -> Vec<nucdb::ListExplain> {
+    let mut explain = nucdb::CoarseExplain::default();
+    nucdb::coarse_rank_explain(
+        &OnDiskIndex::open(path).unwrap(),
+        query,
+        &floor_40(),
+        &mut nucdb::CoarseScratch::new(),
+        Some(&mut explain),
+    )
+    .unwrap();
+    explain.lists
+}
+
+#[test]
+fn flip_in_a_decoded_block_is_that_blocks_corruption_error() {
+    let (dir, path, index, query) = skip_index_on_disk("decodedflip");
+    // A shared list whose every block is decoded: block 0 holds record 0,
+    // which places, so it is never skipped.
+    let list = explain_lists(&path, &query)
+        .into_iter()
+        .find(|l| !l.absent && l.df > 128 && l.blocks_skipped == 0)
+        .expect("a multi-block list decoded whole");
+    for b in [0, 1] {
+        let at = block_at(&path, &index, list.code, b);
+        flip_byte(&path, at + 1);
+        let result = nucdb::coarse_rank(&OnDiskIndex::open(&path).unwrap(), &query, &floor_40());
+        match result {
+            Err(nucdb_index::IndexError::Corruption {
+                section, offset, ..
+            }) => {
+                assert_eq!(section, "block", "block {b}");
+                assert_eq!(offset, at, "block {b}");
+            }
+            other => panic!("block {b}: expected a block corruption, got {other:?}"),
+        }
+        flip_byte(&path, at + 1);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn flip_in_a_skipped_block_still_answers() {
+    let (dir, path, index, query) = skip_index_on_disk("skippedflip");
+    let clean =
+        nucdb::coarse_rank(&OnDiskIndex::open(&path).unwrap(), &query, &floor_40()).unwrap();
+    assert_eq!(clean.candidates.len(), 1);
+    assert_eq!(clean.candidates[0].record, 0);
+    // A shared list of which only block 0 was decoded: its last block
+    // was skipped, so its bytes are never checksummed or unpacked.
+    let list = explain_lists(&path, &query)
+        .into_iter()
+        .find(|l| !l.absent && l.blocks_decoded == 1 && l.blocks_skipped > 0)
+        .expect("a list with skipped blocks");
+    let last = list.blocks_skipped as usize;
+    flip_byte(&path, block_at(&path, &index, list.code, last) + 1);
+    let damaged = nucdb::coarse_rank(&OnDiskIndex::open(&path).unwrap(), &query, &floor_40())
+        .expect("a skipped block is never read");
+    assert_eq!(damaged.candidates, clean.candidates);
+    assert_eq!(damaged.postings_decoded, clean.postings_decoded);
+    assert_eq!(damaged.blocks_skipped, clean.blocks_skipped);
+    assert_eq!(damaged.total_hits, clean.total_hits);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn transient_faults_are_invisible_to_both_coarse_passes() {
+    let (dir, path, _, query) = skip_index_on_disk("transientcoarse");
+    let plan = FaultPlan::clean(42)
+        .with_transient_errors(1.0, TRANSIENT_RETRY_LIMIT)
+        .with_short_reads(0.5);
+    for params in [floor_40(), SearchParams::default()] {
+        let clean = nucdb::coarse_rank(&OnDiskIndex::open(&path).unwrap(), &query, &params);
+        let flaky = OnDiskIndex::open_faulty(&path, plan.clone()).unwrap();
+        let faulty = nucdb::coarse_rank(&flaky, &query, &params);
+        let (clean, faulty) = (clean.unwrap(), faulty.unwrap());
+        assert!(!clean.candidates.is_empty());
+        assert_eq!(faulty.candidates, clean.candidates);
+        assert_eq!(faulty.total_hits, clean.total_hits);
+        assert_eq!(faulty.postings_bytes_read, clean.postings_bytes_read);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
