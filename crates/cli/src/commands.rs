@@ -19,7 +19,7 @@ use nucdb_index::{
 };
 use nucdb_obs::json::{num, Value};
 use nucdb_obs::{
-    Forensics, ForensicsConfig, HistogramSnapshot, MetricsRegistry, TraceSink, ValueSnapshot,
+    CaptureLog, Forensics, ForensicsConfig, HistogramSnapshot, MetricsRegistry, ValueSnapshot,
 };
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
 use nucdb_seq::{FastaReader, FastaRecord, FastaWriter};
@@ -64,8 +64,7 @@ commands:
   bench      time a query workload against a database
              --db DIR --query FILE [--repeat N] [--metrics FILE]
              [--metrics-format prometheus|json] [--trace FILE] [--trace-sample N]
-             [--flight-recorder N] [--slow-ms MS] [--slow-log FILE]
-             [--slow-log-max-bytes N]
+             [--trace-max-bytes N] [--flight-recorder N] [--slow-ms MS]
   serve      run a resident HTTP query server over one database
              --db DIR [--live] [--addr HOST:PORT] [--threads N] [--queue-depth N]
              [--deadline-ms N] [--batch-window MS] [--batch-max N]
@@ -74,10 +73,9 @@ commands:
              [--shard-deadline-ms N] [--shard-hedge-ms MS]
              [--search-threads N] [--scrub-bytes-per-sec N] [--metrics FILE]
              [--metrics-format prometheus|json] [--trace FILE] [--trace-sample N]
-             [--flight-recorder N] [--slow-ms MS] [--slow-log FILE]
-             [--slow-log-max-bytes N]
-  profile    aggregate a JSONL trace / flight-recorder / slow-log dump into
-             a per-stage self-time and work-counter report
+             [--trace-max-bytes N] [--flight-recorder N] [--slow-ms MS]
+  profile    aggregate a JSONL capture log or flight-recorder dump into a
+             per-stage self-time and work-counter report
              --input FILE [--top N] [--out DIR]
   version    print version, git hash, and compiled codec tiers
   help       this message (or `nucdb help CMD` / `nucdb CMD --help`)
@@ -87,12 +85,12 @@ Options may be spelled --key value or --key=value. search also accepts
 hits[, bits, evalue]).
 
 --metrics FILE writes a metrics snapshot (counters + latency histograms)
-when the command finishes; --trace FILE appends one JSON line per sampled
-query (--trace-sample N keeps every Nth). --flight-recorder N keeps the
-last N query traces in memory; --slow-ms MS tail-samples every query
-slower than MS into the slow ring (and --slow-log FILE, as JSONL)
-regardless of the trace stride. serve enables the flight recorder by
-default (N=256; --flight-recorder 0 disables).";
+when the command finishes. --trace FILE is the capture log: one JSON line
+per captured query, every Nth query (--trace-sample N, default 1) plus,
+with --slow-ms MS (bench, serve), every query slower than MS or failed,
+each query at most once. --flight-recorder N keeps the last N query
+traces in memory; serve enables it by default (N=256; --flight-recorder 0
+disables).";
 
 /// Per-subcommand usage text, shown by `nucdb CMD --help` and
 /// `nucdb help CMD`.
@@ -144,8 +142,8 @@ pub fn usage_for(command: &str) -> Option<&'static str> {
   --tabular          TSV output
   --metrics FILE     write a metrics snapshot when done
   --metrics-format F prometheus (default) or json
-  --trace FILE       append one JSON line per sampled query
-  --trace-sample N   keep every Nth query in the trace
+  --trace FILE       capture log: one JSON line per logged query
+  --trace-sample N   log every Nth query (default 1)
 
 --db may also be a sharded root (from `nucdb build --shards N`): queries
 scatter across the shards and gather one merged answer, bit-identical to
@@ -206,14 +204,13 @@ is rejected over a sharded root (per-shard plans do not merge)"
   --repeat N         repetitions per query (default 3)
   --metrics FILE     write a metrics snapshot when done
   --metrics-format F prometheus (default) or json
-  --trace FILE       append one JSON line per sampled query
-  --trace-sample N   keep every Nth query in the trace
+  --trace FILE       capture log: one JSON line per logged query
+  --trace-sample N   log every Nth query (default 1)
+  --trace-max-bytes N rotate the log at N bytes (one .1 predecessor is kept)
   --flight-recorder N keep the last N query traces; a slowest-query table
                      is printed when the run ends
-  --slow-ms MS       tail-sample queries slower than MS milliseconds
-  --slow-log FILE    append slow/error captures as JSONL
-  --slow-log-max-bytes N rotate the slow log at N bytes (one .1 predecessor
-                     is kept)"
+  --slow-ms MS       always capture queries slower than MS milliseconds, and
+                     failed ones, in the slow ring and the log"
         }
         "serve" => {
             "usage: nucdb serve --db DIR [options]
@@ -235,13 +232,12 @@ is rejected over a sharded root (per-shard plans do not merge)"
   --search-threads N threads per batched search (default 4)
   --metrics FILE     write a final metrics snapshot after draining
   --metrics-format F prometheus (default) or json
-  --trace FILE       append one JSON line per sampled query
-  --trace-sample N   keep every Nth query in the trace
+  --trace FILE       capture log: one JSON line per logged query
+  --trace-sample N   log every Nth query (default 1)
+  --trace-max-bytes N rotate the log at N bytes (one .1 predecessor is kept)
   --flight-recorder N keep the last N query traces (default 256; 0 = off)
-  --slow-ms MS       tail-sample queries slower than MS milliseconds
-  --slow-log FILE    append slow/error captures as JSONL
-  --slow-log-max-bytes N rotate the slow log at N bytes (one .1 predecessor
-                     is kept)
+  --slow-ms MS       always capture queries slower than MS milliseconds, and
+                     failed ones, in the slow ring and the log
   --scrub-bytes-per-sec N background scrub I/O budget (default 4194304;
                      0 disables the scrubber)
   --shard-deadline-ms N  sharded root: per-shard, per-phase deadline
@@ -266,7 +262,7 @@ drain and exit cleanly."
         }
         "profile" => {
             "usage: nucdb profile --input FILE [options]
-  --input FILE       JSONL dump: --trace output, a --slow-log, or a saved
+  --input FILE       JSONL dump: a --trace capture log, or a saved
                      /debug/queries|/debug/slow response body
   --top N            slowest queries to tabulate (default 10)
   --out DIR          also write PROFILE.txt + PROFILE.json here
@@ -636,16 +632,11 @@ pub fn ingest(raw: &[String]) -> CommandResult {
 }
 
 /// Shared observability option names for `search`, `bench`, and `serve`.
-const OBS_VALUE_OPTS: [&str; 8] = [
-    "metrics",
-    "metrics-format",
-    "trace",
-    "trace-sample",
-    "flight-recorder",
-    "slow-ms",
-    "slow-log",
-    "slow-log-max-bytes",
-];
+const OBS_VALUE_OPTS: [&str; 4] = ["metrics", "metrics-format", "trace", "trace-sample"];
+
+/// The capture options `bench` and `serve` add: log rotation and the
+/// flight recorder's rings.
+const CAPTURE_VALUE_OPTS: [&str; 3] = ["trace-max-bytes", "flight-recorder", "slow-ms"];
 
 /// Where and how to dump the metrics snapshot after a run.
 struct MetricsOutput {
@@ -681,17 +672,19 @@ impl MetricsOutput {
 
 /// The shared observability options, validated before anything heavy runs.
 ///
-/// `--trace FILE` attaches a JSONL per-query trace (`--trace-sample N`
-/// keeps every Nth query); `--metrics FILE` registers the full metric
-/// bundle and arranges for a snapshot to be written when the command
-/// finishes, as Prometheus text or JSON per `--metrics-format`.
+/// `--metrics FILE` registers the full metric bundle and arranges for a
+/// snapshot to be written when the command finishes, as Prometheus text
+/// or JSON per `--metrics-format`. The rest configure the one capture
+/// handle: `--trace FILE` is its JSONL log (`--trace-sample N` logs every
+/// Nth query, `--trace-max-bytes N` rotates the file), `--flight-recorder
+/// N` sizes the recent ring and `--slow-ms MS` arms tail sampling.
 struct ObsOptions {
-    trace: Option<(PathBuf, u64)>,
     metrics: Option<(PathBuf, bool)>,
-    /// Flight-recorder configuration: (recent capacity, slow threshold
-    /// in ns, slow-log path, slow-log size cap in bytes). `None` =
-    /// forensics off.
-    forensics: Option<(usize, u64, Option<PathBuf>, Option<u64>)>,
+    /// The capture handle's settings, its log left out (`None` = capture
+    /// off).
+    capture: Option<ForensicsConfig>,
+    /// Where the capture log goes, and its size cap in bytes.
+    log: Option<(PathBuf, Option<u64>)>,
 }
 
 impl ObsOptions {
@@ -702,49 +695,50 @@ impl ObsOptions {
     /// Parse with a command-specific flight-recorder default capacity
     /// (`serve` keeps the recorder on unless `--flight-recorder 0`).
     fn parse_with(args: &Args, default_flight: usize) -> Result<ObsOptions, UsageError> {
-        let trace = match args.get("trace") {
-            Some(path) => Some((PathBuf::from(path), args.get_or("trace-sample", 1u64)?)),
-            None if args.get("trace-sample").is_some() => {
-                return Err(UsageError("--trace-sample requires --trace".to_string()))
+        let path = args.get("trace").map(PathBuf::from);
+        for needs_log in ["trace-sample", "trace-max-bytes"] {
+            if path.is_none() && args.get(needs_log).is_some() {
+                return Err(UsageError(format!("--{needs_log} requires --trace")));
             }
+        }
+        let sample_every: u64 = args.get_or("trace-sample", 1)?;
+        if sample_every == 0 {
+            return Err(UsageError("--trace-sample must be positive".to_string()));
+        }
+        let max_bytes: Option<u64> = match args.get("trace-max-bytes") {
+            Some(_) => Some(args.get_or("trace-max-bytes", 0)?),
             None => None,
         };
+        if max_bytes == Some(0) {
+            return Err(UsageError("--trace-max-bytes must be positive".to_string()));
+        }
         let capacity: usize = args.get_or("flight-recorder", default_flight)?;
         let slow_ms: f64 = args.get_or("slow-ms", 0.0)?;
-        if slow_ms < 0.0 {
-            return Err(UsageError("--slow-ms must be non-negative".to_string()));
+        // NaN fails every comparison and infinity saturates to "never
+        // slow": both would quietly leave tail sampling off.
+        if !slow_ms.is_finite() || slow_ms < 0.0 {
+            return Err(UsageError(
+                "--slow-ms must be a non-negative number".to_string(),
+            ));
         }
-        let slow_log = args.get("slow-log").map(PathBuf::from);
-        let slow_log_max_bytes = match args.get("slow-log-max-bytes") {
-            Some(_) if slow_log.is_none() => {
-                return Err(UsageError(
-                    "--slow-log-max-bytes requires --slow-log".to_string(),
-                ))
-            }
-            Some(_) => {
-                let max: u64 = args.get_or("slow-log-max-bytes", 0)?;
-                if max == 0 {
-                    return Err(UsageError(
-                        "--slow-log-max-bytes must be positive".to_string(),
-                    ));
-                }
-                Some(max)
-            }
-            None => None,
-        };
-        // Any slow-query option implies the recorder; an explicit
-        // `--flight-recorder 0` with no slow options keeps it off.
-        let forensics = if capacity > 0 || slow_ms > 0.0 || slow_log.is_some() {
-            let threshold_ns = if slow_ms > 0.0 {
+        let tail = slow_ms > 0.0;
+        // The log, a ring or a slow threshold each turn capture on. A
+        // slow threshold alone also keeps the default recent ring, so
+        // bench can print its slowest-query table.
+        let capture = (path.is_some() || capacity > 0 || tail).then(|| ForensicsConfig {
+            recent_capacity: if capacity == 0 && tail {
+                ForensicsConfig::default().recent_capacity
+            } else {
+                capacity
+            },
+            slow_threshold_ns: if tail {
                 (slow_ms * 1e6) as u64
             } else {
                 u64::MAX
-            };
-            let recent = if capacity > 0 { capacity } else { 256 };
-            Some((recent, threshold_ns, slow_log, slow_log_max_bytes))
-        } else {
-            None
-        };
+            },
+            sample_every,
+            ..ForensicsConfig::default()
+        });
         let metrics = match args.get("metrics") {
             Some(path) => {
                 let json = match args.get("metrics-format").unwrap_or("prometheus") {
@@ -766,39 +760,26 @@ impl ObsOptions {
             None => None,
         };
         Ok(ObsOptions {
-            trace,
             metrics,
-            forensics,
+            capture,
+            log: path.map(|path| (path, max_bytes)),
         })
     }
 
-    /// Build the trace sink and flight recorder as values (live mode
-    /// hands them to the segment layer, which re-binds them to every
-    /// query snapshot).
-    fn sinks(&self) -> Result<(TraceSink, Forensics), Box<dyn Error>> {
-        let trace = match &self.trace {
-            Some((path, sample_every)) => TraceSink::to_file(path, *sample_every)?,
-            None => TraceSink::disabled(),
+    /// The capture handle, its log created now (live mode hands it to
+    /// the segment layer, which re-binds it to every query snapshot).
+    fn forensics(&self) -> std::io::Result<Forensics> {
+        let Some(config) = &self.capture else {
+            return Ok(Forensics::disabled());
         };
-        let forensics = match &self.forensics {
-            Some((recent_capacity, slow_threshold_ns, slow_log, max_bytes)) => {
-                let slow_log = match (slow_log, max_bytes) {
-                    (Some(path), Some(max_bytes)) => {
-                        TraceSink::to_rotating_file(path, 1, *max_bytes)?
-                    }
-                    (Some(path), None) => TraceSink::to_file(path, 1)?,
-                    (None, _) => TraceSink::disabled(),
-                };
-                Forensics::new(ForensicsConfig {
-                    recent_capacity: *recent_capacity,
-                    slow_threshold_ns: *slow_threshold_ns,
-                    slow_log,
-                    ..ForensicsConfig::default()
-                })
-            }
-            None => Forensics::disabled(),
+        let log = match &self.log {
+            Some((path, max_bytes)) => Some(CaptureLog::create(path, *max_bytes)?),
+            None => None,
         };
-        Ok((trace, forensics))
+        Ok(Forensics::new(ForensicsConfig {
+            log,
+            ..config.clone()
+        }))
     }
 
     /// The registry a command's queries record into: live only when
@@ -819,13 +800,11 @@ impl ObsOptions {
         registry: &Arc<MetricsRegistry>,
         shards: ShardSetConfig,
     ) -> Result<Collection, Box<dyn Error>> {
-        let (trace, forensics) = self.sinks()?;
         let collection = Collection::open(
             dir,
             &CollectionOptions {
                 registry: Arc::clone(registry),
-                trace,
-                forensics,
+                forensics: self.forensics()?,
                 shards,
             },
         )?;
@@ -1088,7 +1067,7 @@ pub fn search(raw: &[String]) -> CommandResult {
             print!("{}", plan.render_text(EXPLAIN_MAX_LISTS));
         }
     }
-    collection.flush();
+    collection.forensics().flush();
     if let Some(out) = &metrics_out {
         out.write()?;
     }
@@ -1213,6 +1192,7 @@ pub fn verify(raw: &[String]) -> CommandResult {
 pub fn bench(raw: &[String]) -> CommandResult {
     let mut value_opts = vec!["db", "query", "repeat"];
     value_opts.extend(OBS_VALUE_OPTS);
+    value_opts.extend(CAPTURE_VALUE_OPTS);
     let args = Args::parse("bench", raw, &value_opts, &[])?;
     let db_dir = PathBuf::from(args.required("db")?);
     let query_path = PathBuf::from(args.required("query")?);
@@ -1274,8 +1254,9 @@ pub fn bench(raw: &[String]) -> CommandResult {
             lists
         );
     }
-    collection.flush();
-    print_slowest(&collection.forensics(), 5);
+    let forensics = collection.forensics();
+    forensics.flush();
+    print_slowest(&forensics, 5);
     if let Some(out) = &metrics_out {
         if let Some(latency) = out.query_latency() {
             println!(
@@ -1292,9 +1273,9 @@ pub fn bench(raw: &[String]) -> CommandResult {
 }
 
 /// Print the flight recorder's slowest retained queries (no-op when the
-/// recorder is off).
+/// recent ring is off).
 fn print_slowest(forensics: &Forensics, top: usize) {
-    if !forensics.is_enabled() {
+    if forensics.recent_capacity() == 0 {
         return;
     }
     let mut entries = forensics.recent();
@@ -1342,6 +1323,7 @@ pub fn serve(raw: &[String]) -> CommandResult {
         "shard-hedge-ms",
     ];
     value_opts.extend(OBS_VALUE_OPTS);
+    value_opts.extend(CAPTURE_VALUE_OPTS);
     let args = Args::parse("serve", raw, &value_opts, &["live"])?;
     let db_dir = PathBuf::from(args.required("db")?);
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878").to_string();
@@ -1383,11 +1365,9 @@ pub fn serve(raw: &[String]) -> CommandResult {
     let collection = if live_mode {
         // Live ingestion: the directory holds a segment manifest (created
         // on first start); the database accepts POST /insert.
-        let (trace, forensics) = obs.sinks()?;
         let mut opts = nucdb::LiveOptions {
             registry: Arc::clone(&registry),
-            trace,
-            forensics,
+            forensics: obs.forensics()?,
             ..nucdb::LiveOptions::default()
         };
         opts.memtable_max_records =
@@ -2206,7 +2186,7 @@ mod tests {
         assert!(prom.contains("nucdb_index_bytes_read_total"));
         let traced = std::fs::read_to_string(&trace).unwrap();
         assert!(traced.lines().count() > 0);
-        assert!(traced.lines().all(|l| l.contains("\"event\":\"query\"")));
+        assert!(traced.lines().all(|l| l.contains("\"reason\":\"recent\"")));
 
         let metrics_json = dir.join("metrics.json");
         bench(&s(&[
@@ -2224,6 +2204,43 @@ mod tests {
         .unwrap();
         let json = std::fs::read_to_string(&metrics_json).unwrap();
         assert!(json.contains("nucdb_query_latency_ns"));
+
+        // One capture log: every query is both the stride's and slow, so
+        // it is logged once, as slow, in the order bench ran them, and
+        // `profile` reads every line back.
+        let (log, out) = (dir.join("t.jsonl"), dir.join("profile"));
+        bench(&s(&[
+            "--db",
+            db.to_str().unwrap(),
+            "--query",
+            queries.to_str().unwrap(),
+            "--trace",
+            log.to_str().unwrap(),
+            "--trace-sample",
+            "1",
+            "--slow-ms",
+            "0.000001",
+            "--repeat",
+            "1",
+        ]))
+        .unwrap();
+        let ids: Vec<String> = FastaReader::new(BufReader::new(File::open(&queries).unwrap()))
+            .map(|record| record.unwrap().id)
+            .collect();
+        let text = std::fs::read_to_string(&log).unwrap();
+        assert_eq!(text.lines().count(), ids.len());
+        for (line, id) in text.lines().zip(&ids) {
+            let line = nucdb_obs::json::parse(line).unwrap();
+            assert_eq!(line.get("reason").and_then(Value::as_str), Some("slow"));
+            assert_eq!(line.get("request_id").and_then(Value::as_str), Some(&**id));
+        }
+        let (log, out) = (log.to_str().unwrap(), out.to_str().unwrap());
+        profile(&s(&["--input", log, "--out", out])).unwrap();
+        let report = std::fs::read_to_string(dir.join("profile").join("PROFILE.json")).unwrap();
+        let report = nucdb_obs::json::parse(&report).unwrap();
+        let count = |key: &str| report.get(key).and_then(Value::as_f64);
+        assert_eq!(count("queries"), Some(ids.len() as f64));
+        assert_eq!(count("skipped_lines"), Some(0.0));
 
         // The same collection as a sharded root goes through the same
         // commands; `--explain` is refused up front, as a usage error.
@@ -2453,6 +2470,32 @@ mod tests {
             "json"
         ]))
         .is_err());
+
+        // Values that used to be quietly reinterpreted, the log's options
+        // without a log, the retired slow-log flags, and capture options
+        // `search` does not take: each a usage error before any I/O.
+        let usage = |result: CommandResult| result.unwrap_err().is::<UsageError>();
+        let with_db = |opts: &[&str]| s(&[&["--db", "x", "--query", "y"][..], opts].concat());
+        for opts in [
+            &["--trace", "t.jsonl", "--trace-sample", "0"][..],
+            &["--slow-ms", "NaN"],
+            &["--slow-ms", "inf"],
+            &["--slow-ms=-1"],
+            &["--trace-max-bytes", "64"],
+            &["--trace", "t.jsonl", "--trace-max-bytes", "0"],
+            &["--slow-log", "s.jsonl"],
+            &["--trace", "t.jsonl", "--slow-log-max-bytes", "64"],
+        ] {
+            assert!(usage(bench(&with_db(opts))), "bench {opts:?}");
+        }
+        for opts in [
+            &["--trace", "t.jsonl", "--trace-sample", "0"][..],
+            &["--flight-recorder", "4"],
+            &["--slow-ms", "5"],
+            &["--trace", "t.jsonl", "--trace-max-bytes", "64"],
+        ] {
+            assert!(usage(search(&with_db(opts))), "search {opts:?}");
+        }
     }
 
     #[test]

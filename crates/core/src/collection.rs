@@ -15,12 +15,11 @@ use std::path::Path;
 use std::sync::Arc;
 
 use nucdb_index::{IndexError, Manifest, OnDiskIndex, ShardManifest};
-use nucdb_obs::{Forensics, MetricsRegistry, TraceSink};
+use nucdb_obs::{Forensics, MetricsRegistry};
 use nucdb_seq::DnaSeq;
 
 use crate::coarse::CoarseScratch;
 use crate::engine::{io_err, Database, IndexVariant, SearchOutcome};
-use crate::metrics::SearchMetrics;
 use crate::params::SearchParams;
 use crate::segment::LiveDatabase;
 use crate::shard::{ShardCoverage, ShardSet, ShardSetConfig};
@@ -83,9 +82,7 @@ pub(crate) fn open_plain_dir(dir: &Path) -> Result<Database, IndexError> {
 pub struct CollectionOptions {
     /// Registry the engine, I/O, and per-shard metrics register in.
     pub registry: Arc<MetricsRegistry>,
-    /// Sampled trace sink.
-    pub trace: TraceSink,
-    /// Flight recorder + tail sampling.
+    /// Query capture: flight recorder, tail sampling, capture log.
     pub forensics: Forensics,
     /// Per-shard deadline and hedging (sharded roots only).
     pub shards: ShardSetConfig,
@@ -95,7 +92,6 @@ impl Default for CollectionOptions {
     fn default() -> CollectionOptions {
         CollectionOptions {
             registry: Arc::new(MetricsRegistry::disabled()),
-            trace: TraceSink::disabled(),
             forensics: Forensics::disabled(),
             shards: ShardSetConfig::default(),
         }
@@ -126,7 +122,6 @@ impl Collection {
         let mut db = match Shape::of(dir) {
             Shape::Sharded => {
                 let mut set = ShardSet::open_root(dir, opts.shards.clone(), &opts.registry)?;
-                set.set_trace(opts.trace.clone());
                 set.set_forensics(opts.forensics.clone());
                 return Ok(Collection::Sharded(Arc::new(set)));
             }
@@ -137,7 +132,6 @@ impl Collection {
                 db
             }
         };
-        db.set_trace(opts.trace.clone());
         db.set_forensics(opts.forensics.clone());
         Ok(Collection::Static(Arc::new(db)))
     }
@@ -233,22 +227,10 @@ impl Collection {
     /// The flight recorder queries are captured into (a live database
     /// re-binds the same handle to every snapshot).
     pub fn forensics(&self) -> Forensics {
-        self.with_metrics(|m| m.forensics.clone())
-    }
-
-    /// Flush the trace sink and the slow-query log.
-    pub fn flush(&self) {
-        self.with_metrics(|m| {
-            m.trace.flush();
-            m.forensics.flush();
-        });
-    }
-
-    fn with_metrics<T>(&self, read: impl FnOnce(&SearchMetrics) -> T) -> T {
         match self {
-            Collection::Static(db) => read(db.metrics()),
-            Collection::Live(live) => read(live.snapshot().metrics()),
-            Collection::Sharded(set) => read(set.metrics()),
+            Collection::Static(db) => db.forensics().clone(),
+            Collection::Live(live) => live.snapshot().forensics().clone(),
+            Collection::Sharded(set) => set.metrics().forensics.clone(),
         }
     }
 

@@ -7,7 +7,7 @@
 //! per-shard answers back into joint order. The driver owns everything
 //! that is not the two phases themselves: the strand loop, cost
 //! counters, explain-plan and span collection, the strand merge, result
-//! assembly, metrics, trace emission, and flight-recorder capture
+//! assembly, metrics, and capture into the flight recorder and its log
 //! (including failed queries). It is generic and monomorphised, so a
 //! `Database` query compiles to the same code it always was.
 
@@ -100,7 +100,7 @@ pub(crate) trait Backend {
 struct Capture {
     query_start: Instant,
     stats: QueryStats,
-    /// `Some` when the flight recorder or the stride sink wants spans.
+    /// `Some` when the recorder wants spans.
     spans: Option<Vec<SpanNode>>,
     /// `Some` when an explain plan is being collected.
     strand_plans: Option<Vec<StrandExplain>>,
@@ -117,18 +117,10 @@ pub(crate) fn run_query<B: Backend>(
     request_id: Option<&str>,
 ) -> Result<SearchOutcome, IndexError> {
     let metrics = backend.metrics();
-    // Decide capture up front: the flight recorder sees every query,
-    // the stride sink its 1-in-K sample. Either one wants spans.
-    let stride_sample = metrics.trace.should_sample();
-    let capture = metrics.forensics.is_enabled() || stride_sample;
-    // Collect an explain plan when asked, and also while tail
-    // sampling is armed — a slow query is only known to be slow after
-    // it finishes, so its explanation must already exist.
-    let tail_armed = metrics
-        .forensics
-        .slow_threshold_ns()
-        .is_some_and(|t| t < u64::MAX);
-    let want_plan = params.explain || (tail_armed && B::EXPLAINS);
+    // Ask the recorder up front whether it wants spans and a plan; an
+    // explain plan is also collected when the caller asks for one.
+    let capture = metrics.forensics.begin();
+    let want_plan = params.explain || (capture.plan && B::EXPLAINS);
 
     // Deterministic latency injection for tail-sampler tests; only a
     // sleep, so results are bit-identical with or without it. The clock
@@ -142,7 +134,7 @@ pub(crate) fn run_query<B: Backend>(
     let mut cap = Capture {
         query_start,
         stats: QueryStats::default(),
-        spans: capture.then(Vec::new),
+        spans: capture.spans.then(Vec::new),
         strand_plans: want_plan.then(Vec::new),
     };
     let strands = (|| -> Result<(Merged, Option<String>), IndexError> {
@@ -182,14 +174,15 @@ pub(crate) fn run_query<B: Backend>(
                 let total_ns = query_start.elapsed().as_nanos() as u64;
                 let mut root = SpanNode::new("query", 0, total_ns);
                 root.children = spans.unwrap_or_default();
-                metrics.forensics.observe(QueryTrace {
+                let trace = QueryTrace {
                     request_id: request_id.unwrap_or("").to_string(),
                     total_ns,
                     results: 0,
                     error: Some(e.to_string()),
                     root,
                     plan: None,
-                });
+                };
+                metrics.forensics.observe(capture, trace);
             }
             return Err(e);
         }
@@ -238,15 +231,6 @@ pub(crate) fn run_query<B: Backend>(
             SpanNode::new("strand_merge", merge_offset, stats.merge_nanos)
                 .counter("results", results.len() as u64),
         );
-        if stride_sample {
-            metrics.trace.emit(&metrics.trace_event(
-                &stats,
-                &results,
-                total_nanos,
-                request_id,
-                Some(&root),
-            ));
-        }
         let trace = QueryTrace {
             request_id: request_id.unwrap_or("").to_string(),
             total_ns: total_nanos,
@@ -255,7 +239,7 @@ pub(crate) fn run_query<B: Backend>(
             root,
             plan: plan.as_ref().map(ExplainPlan::to_value),
         };
-        if metrics.forensics.observe(trace) == CaptureReason::Slow {
+        if metrics.forensics.observe(capture, trace) == CaptureReason::Slow {
             metrics.slow_queries.inc();
         }
     }

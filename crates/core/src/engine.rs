@@ -10,7 +10,7 @@ use nucdb_index::{
 };
 use nucdb_seq::DnaSeq;
 
-use nucdb_obs::{Forensics, MetricsRegistry, TraceSink};
+use nucdb_obs::{Forensics, MetricsRegistry};
 
 use crate::coarse::{coarse_rank_explain, CoarseHit, CoarseOutcome, CoarseScratch, PostingsSource};
 use crate::driver::{self, Backend};
@@ -52,37 +52,33 @@ pub enum IndexVariant {
     Segmented(crate::segment::SegmentedIndex),
 }
 
+impl IndexVariant {
+    /// The index this variant wraps: every [`PostingsSource`] call
+    /// forwards through this one `match`.
+    fn source(&self) -> &dyn PostingsSource {
+        match self {
+            IndexVariant::Memory(i) => i,
+            IndexVariant::Disk(i) => i,
+            IndexVariant::Segmented(i) => i,
+        }
+    }
+}
+
 impl PostingsSource for IndexVariant {
     fn num_records(&self) -> u32 {
-        match self {
-            IndexVariant::Memory(i) => i.num_records(),
-            IndexVariant::Disk(i) => i.num_records(),
-            IndexVariant::Segmented(i) => i.num_records(),
-        }
+        self.source().num_records()
     }
 
     fn record_lens(&self) -> &[u32] {
-        match self {
-            IndexVariant::Memory(i) => i.record_lens(),
-            IndexVariant::Disk(i) => i.record_lens(),
-            IndexVariant::Segmented(i) => i.record_lens(),
-        }
+        self.source().record_lens()
     }
 
     fn index_params(&self) -> &IndexParams {
-        match self {
-            IndexVariant::Memory(i) => i.params(),
-            IndexVariant::Disk(i) => i.params(),
-            IndexVariant::Segmented(i) => i.index_params(),
-        }
+        self.source().index_params()
     }
 
     fn list_max_count(&self, code: u64) -> Option<u32> {
-        match self {
-            IndexVariant::Memory(i) => i.list_max_count(code),
-            IndexVariant::Disk(i) => i.list_max_count(code),
-            IndexVariant::Segmented(i) => PostingsSource::list_max_count(i, code),
-        }
+        self.source().list_max_count(code)
     }
 
     fn fetch_stream(
@@ -91,11 +87,7 @@ impl PostingsSource for IndexVariant {
         io_buf: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        match self {
-            IndexVariant::Memory(i) => i.postings_stream(code, visitor),
-            IndexVariant::Disk(i) => i.postings_stream(code, io_buf, visitor),
-            IndexVariant::Segmented(i) => i.fetch_stream(code, io_buf, visitor),
-        }
+        self.source().fetch_stream(code, io_buf, visitor)
     }
 
     fn fetch_counts_stream(
@@ -104,11 +96,7 @@ impl PostingsSource for IndexVariant {
         io_buf: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        match self {
-            IndexVariant::Memory(i) => i.counts_stream(code, visitor),
-            IndexVariant::Disk(i) => i.counts_stream(code, io_buf, visitor),
-            IndexVariant::Segmented(i) => i.fetch_counts_stream(code, io_buf, visitor),
-        }
+        self.source().fetch_counts_stream(code, io_buf, visitor)
     }
 
     fn fetch_append(
@@ -117,11 +105,7 @@ impl PostingsSource for IndexVariant {
         kept: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        match self {
-            IndexVariant::Memory(i) => i.append_stream(code, kept, visitor),
-            IndexVariant::Disk(i) => i.append_stream(code, kept, visitor),
-            IndexVariant::Segmented(i) => i.fetch_append(code, kept, visitor),
-        }
+        self.source().fetch_append(code, kept, visitor)
     }
 }
 
@@ -241,7 +225,7 @@ pub(crate) fn io_err(e: nucdb_seq::SeqError) -> IndexError {
 /// which are relaxed `AtomicU64`s designed for concurrent writers).
 ///
 /// The only `&mut self` methods are setup: [`Database::bind_metrics`],
-/// [`Database::set_trace`], and the disk-conversion constructors.
+/// [`Database::set_forensics`], and the disk-conversion constructors.
 /// Configure observability first, then share the database —
 /// `nucdb-serve` follows exactly this pattern.
 pub struct Database {
@@ -335,11 +319,8 @@ impl Database {
     /// conversion; binding to [`MetricsRegistry::disabled`] detaches
     /// everything again.
     pub fn bind_metrics(&mut self, registry: &MetricsRegistry) {
-        let trace = std::mem::take(&mut self.metrics.trace);
         let forensics = std::mem::take(&mut self.metrics.forensics);
-        self.metrics = SearchMetrics::new(registry)
-            .with_trace(trace)
-            .with_forensics(forensics);
+        self.metrics = SearchMetrics::new(registry).with_forensics(forensics);
         if let IndexVariant::Disk(index) = &mut self.index {
             index.bind_metrics(registry);
         }
@@ -348,17 +329,11 @@ impl Database {
         }
     }
 
-    /// Attach a sampled trace sink; subsequent queries emit JSONL events
-    /// through it. Works with or without a bound metrics registry.
-    pub fn set_trace(&mut self, trace: TraceSink) {
-        self.metrics = std::mem::take(&mut self.metrics).with_trace(trace);
-    }
-
-    /// Attach a query-forensics handle (flight recorder + tail
-    /// sampling); subsequent queries are captured per its configuration,
-    /// independently of the trace sink's stride. Works with or without a
-    /// bound metrics registry; like the other observability setters this
-    /// is `&mut self` — configure before sharing the database.
+    /// Attach the query capture handle (flight recorder, tail sampling,
+    /// capture log); subsequent queries are captured per its
+    /// configuration. Works with or without a bound metrics registry;
+    /// like the other observability setters this is `&mut self` —
+    /// configure before sharing the database.
     pub fn set_forensics(&mut self, forensics: Forensics) {
         self.metrics = std::mem::take(&mut self.metrics).with_forensics(forensics);
     }

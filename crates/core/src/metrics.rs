@@ -1,6 +1,6 @@
 //! Engine-side observability: the bundle of registered metric handles a
-//! [`Database`](crate::Database) records into, plus per-query trace
-//! emission.
+//! [`Database`](crate::Database) records into, plus its query capture
+//! handle.
 //!
 //! The bundle is resolved once (at [`Database::bind_metrics`]
 //! (crate::Database::bind_metrics) time) so the hot path never touches
@@ -8,9 +8,9 @@
 //! handles. A default-constructed [`SearchMetrics`] is fully disabled:
 //! every handle is detached, so each record call is one branch.
 
-use nucdb_obs::{Counter, Forensics, Histogram, MetricsRegistry, SpanNode, TraceEvent, TraceSink};
+use nucdb_obs::{Counter, Forensics, Histogram, MetricsRegistry};
 
-use crate::engine::{QueryStats, SearchResult};
+use crate::engine::QueryStats;
 
 /// Pre-registered metric handles for the search path.
 ///
@@ -49,19 +49,14 @@ pub struct SearchMetrics {
     /// Queries captured by tail sampling for exceeding the forensics
     /// slow-query threshold.
     pub slow_queries: Counter,
-    /// Trace events lost to write errors (bound onto the trace sink as
+    /// Capture-log lines lost to write errors (bound onto the log as
     /// `nucdb_trace_dropped_total`).
     pub trace_dropped: Counter,
-    /// Slow-query log captures lost to write errors (bound onto the
-    /// forensics slow log as `nucdb_slow_log_dropped_total`).
-    pub slow_log_dropped: Counter,
-    /// Slow-query log size-cap rotations (bound onto the forensics slow
-    /// log as `nucdb_slow_log_rotations_total`).
-    pub slow_log_rotations: Counter,
-    /// Sampled per-query trace sink.
-    pub trace: TraceSink,
-    /// Query forensics: flight-recorder rings + tail sampling. Captures
-    /// independently of the trace stride.
+    /// Capture-log size-cap rotations (bound onto the log as
+    /// `nucdb_trace_rotations_total`).
+    pub trace_rotations: Counter,
+    /// Query capture: flight-recorder rings, tail sampling, and the
+    /// strided JSONL log.
     pub forensics: Forensics,
 }
 
@@ -108,17 +103,12 @@ impl SearchMetrics {
             ),
             trace_dropped: registry.counter(
                 "nucdb_trace_dropped_total",
-                "Trace events dropped on write error",
+                "Capture log lines dropped on write error",
             ),
-            slow_log_dropped: registry.counter(
-                "nucdb_slow_log_dropped_total",
-                "Slow-query log captures dropped on write error",
+            trace_rotations: registry.counter(
+                "nucdb_trace_rotations_total",
+                "Capture log size-cap rotations",
             ),
-            slow_log_rotations: registry.counter(
-                "nucdb_slow_log_rotations_total",
-                "Slow-query log size-cap rotations",
-            ),
-            trace: TraceSink::disabled(),
             forensics: Forensics::disabled(),
         }
     }
@@ -128,28 +118,18 @@ impl SearchMetrics {
         SearchMetrics::default()
     }
 
-    /// Attach a trace sink (sampling is the sink's). The sink's dropped
-    /// events bump this bundle's `nucdb_trace_dropped_total` counter.
-    pub fn with_trace(mut self, trace: TraceSink) -> SearchMetrics {
-        trace.bind_dropped(self.trace_dropped.clone());
-        self.trace = trace;
-        self
-    }
-
-    /// Attach a forensics handle (flight recorder + tail sampling). The
-    /// slow log's drop and rotation tallies bind to this bundle's
-    /// `nucdb_slow_log_{dropped,rotations}_total` counters.
+    /// Attach the query capture handle (flight recorder, tail sampling,
+    /// log). The log's drop and rotation tallies bind to this bundle's
+    /// `nucdb_trace_{dropped,rotations}_total` counters.
     pub fn with_forensics(mut self, forensics: Forensics) -> SearchMetrics {
-        let slow_log = forensics.slow_log();
-        slow_log.bind_dropped(self.slow_log_dropped.clone());
-        slow_log.bind_rotations(self.slow_log_rotations.clone());
+        forensics.bind_log_counters(self.trace_dropped.clone(), self.trace_rotations.clone());
         self.forensics = forensics;
         self
     }
 
-    /// Is any metric handle or the trace sink live?
+    /// Is any metric handle live?
     pub fn is_enabled(&self) -> bool {
-        self.queries.is_enabled() || self.trace.is_enabled()
+        self.queries.is_enabled()
     }
 
     /// Record one evaluated query's stats into the registered handles.
@@ -166,48 +146,5 @@ impl SearchMetrics {
         self.postings_decoded.add(stats.postings_decoded);
         self.total_hits.add(stats.total_hits);
         self.fine_alignments.add(stats.fine_alignments);
-    }
-
-    /// Build the JSONL trace event for one sampled query. The event is
-    /// shaped so [`nucdb_obs::QueryTrace::from_value`] parses it back:
-    /// `total_ns`, `results`, plus `request_id` and the span tree when
-    /// the caller has them.
-    pub fn trace_event(
-        &self,
-        stats: &QueryStats,
-        results: &[SearchResult],
-        total_nanos: u64,
-        request_id: Option<&str>,
-        spans: Option<&SpanNode>,
-    ) -> TraceEvent {
-        let mut event = TraceEvent::new("query");
-        if let Some(id) = request_id {
-            event = event.str("request_id", id);
-        }
-        event = event
-            .num("total_ns", total_nanos)
-            .num("latency_ns", total_nanos)
-            .num("coarse_ns", stats.coarse_nanos)
-            .num("extract_ns", stats.extract_nanos)
-            .num("accumulate_ns", stats.accumulate_nanos)
-            .num("rank_ns", stats.rank_nanos)
-            .num("fine_ns", stats.fine_nanos)
-            .num("merge_ns", stats.merge_nanos)
-            .num("intervals", stats.intervals_looked_up)
-            .num("lists_fetched", stats.lists_fetched)
-            .num("postings_decoded", stats.postings_decoded)
-            .num("hits", stats.total_hits)
-            .num("candidates", stats.candidates)
-            .num("fine_alignments", stats.fine_alignments)
-            .num("results", results.len() as u64);
-        if let Some(top) = results.first() {
-            event = event
-                .str("top_id", &top.id)
-                .field("top_score", nucdb_obs::json::Value::Num(top.score as f64));
-        }
-        if let Some(spans) = spans {
-            event = event.field("spans", spans.to_value());
-        }
-        event
     }
 }

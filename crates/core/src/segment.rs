@@ -40,7 +40,7 @@ use nucdb_index::{
     load_index, merge_indexes, write_index, CompressedIndex, FetchStats, Granularity, IndexBuilder,
     IndexError, IndexParams, OffsetSection, OnDiskIndex, PostingsVisitor, BLOCK_LEN,
 };
-use nucdb_obs::{Counter, Forensics, Gauge, MetricsRegistry, TraceSink};
+use nucdb_obs::{Counter, Forensics, Gauge, MetricsRegistry};
 use nucdb_seq::{Base, DnaSeq, SeqError};
 
 use crate::coarse::PostingsSource;
@@ -65,49 +65,12 @@ pub enum SegmentIndexPart {
 }
 
 impl SegmentIndexPart {
-    /// The part's metadata accessors (sizes, parameters, list hints).
-    /// The two per-list fetches below stay a static two-arm `match`:
-    /// they sit on the query hot path, once per list per part.
+    /// The part as a [`PostingsSource`]: its metadata and its per-list
+    /// fetches alike forward through this one `match`.
     fn source(&self) -> &dyn PostingsSource {
         match self {
             SegmentIndexPart::Memory(i) => i.as_ref(),
             SegmentIndexPart::Disk(i) => i.as_ref(),
-        }
-    }
-
-    fn postings_stream(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        match self {
-            SegmentIndexPart::Memory(i) => i.postings_stream(code, visitor),
-            SegmentIndexPart::Disk(i) => i.postings_stream(code, io_buf, visitor),
-        }
-    }
-
-    fn counts_stream(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        match self {
-            SegmentIndexPart::Memory(i) => i.counts_stream(code, visitor),
-            SegmentIndexPart::Disk(i) => i.counts_stream(code, io_buf, visitor),
-        }
-    }
-
-    fn append_stream(
-        &self,
-        code: u64,
-        kept: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        match self {
-            SegmentIndexPart::Memory(i) => i.append_stream(code, kept, visitor),
-            SegmentIndexPart::Disk(i) => i.append_stream(code, kept, visitor),
         }
     }
 }
@@ -201,6 +164,30 @@ impl SegmentedIndex {
             })
             .collect()
     }
+
+    /// Run one per-list `fetch` on every part in ascending base order,
+    /// each part's record ids shifted to global ones, and sum the parts'
+    /// stats (`None` when no part holds the list).
+    fn fetch_parts(
+        &self,
+        visitor: &mut dyn PostingsVisitor,
+        mut fetch: impl FnMut(
+            &dyn PostingsSource,
+            &mut dyn PostingsVisitor,
+        ) -> Result<Option<FetchStats>, IndexError>,
+    ) -> Result<Option<FetchStats>, IndexError> {
+        let mut total: Option<FetchStats> = None;
+        for part in &self.parts {
+            let mut shifted = ShiftVisitor {
+                base: part.base,
+                inner: visitor,
+            };
+            if let Some(stats) = fetch(part.inner.source(), &mut shifted)? {
+                total = Some(merge_stats(total, stats));
+            }
+        }
+        Ok(total)
+    }
 }
 
 /// Visitor adapter shifting a part's local record ids to global ids
@@ -261,17 +248,9 @@ impl PostingsSource for SegmentedIndex {
         io_buf: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        let mut total: Option<FetchStats> = None;
-        for part in &self.parts {
-            let mut shifted = ShiftVisitor {
-                base: part.base,
-                inner: visitor,
-            };
-            if let Some(stats) = part.inner.postings_stream(code, io_buf, &mut shifted)? {
-                total = Some(merge_stats(total, stats));
-            }
-        }
-        Ok(total)
+        self.fetch_parts(visitor, |part, shifted| {
+            part.fetch_stream(code, io_buf, shifted)
+        })
     }
 
     fn fetch_counts_stream(
@@ -280,17 +259,9 @@ impl PostingsSource for SegmentedIndex {
         io_buf: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        let mut total: Option<FetchStats> = None;
-        for part in &self.parts {
-            let mut shifted = ShiftVisitor {
-                base: part.base,
-                inner: visitor,
-            };
-            if let Some(stats) = part.inner.counts_stream(code, io_buf, &mut shifted)? {
-                total = Some(merge_stats(total, stats));
-            }
-        }
-        Ok(total)
+        self.fetch_parts(visitor, |part, shifted| {
+            part.fetch_counts_stream(code, io_buf, shifted)
+        })
     }
 
     fn fetch_append(
@@ -299,28 +270,14 @@ impl PostingsSource for SegmentedIndex {
         kept: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        let mut total: Option<FetchStats> = None;
-        for part in &self.parts {
-            let mut shifted = ShiftVisitor {
-                base: part.base,
-                inner: visitor,
-            };
-            if let Some(stats) = part.inner.append_stream(code, kept, &mut shifted)? {
-                total = Some(merge_stats(total, stats));
-            }
-        }
-        Ok(total)
+        self.fetch_parts(visitor, |part, shifted| {
+            part.fetch_append(code, kept, shifted)
+        })
     }
 }
 
 fn merge_stats(total: Option<FetchStats>, part: FetchStats) -> FetchStats {
-    let mut acc = total.unwrap_or(FetchStats {
-        df: 0,
-        bytes_read: 0,
-        ids_decoded: 0,
-        blocks_decoded: 0,
-        blocks_skipped: 0,
-    });
+    let mut acc = total.unwrap_or_default();
     acc.df += part.df;
     acc.bytes_read += part.bytes_read;
     acc.ids_decoded += part.ids_decoded;
@@ -339,10 +296,12 @@ pub enum SegmentStorePart {
 }
 
 impl SegmentStorePart {
-    fn len(&self) -> usize {
+    /// The part as a [`RecordSource`]: every lookup forwards through
+    /// this one `match`.
+    fn source(&self) -> &dyn RecordSource {
         match self {
-            SegmentStorePart::Memory(s) => RecordSource::len(&**s),
-            SegmentStorePart::Disk(s) => RecordSource::len(&**s),
+            SegmentStorePart::Memory(s) => s.as_ref(),
+            SegmentStorePart::Disk(s) => s.as_ref(),
         }
     }
 }
@@ -365,7 +324,7 @@ impl SegmentedStore {
         let mut assembled = Vec::with_capacity(parts.len());
         let mut base = 0usize;
         for part in parts {
-            let len = part.len();
+            let len = part.source().len();
             assembled.push(StorePart {
                 base: base as u32,
                 inner: part,
@@ -389,14 +348,14 @@ impl SegmentedStore {
             .sum()
     }
 
-    fn locate(&self, record: u32) -> (&SegmentStorePart, u32) {
+    fn locate(&self, record: u32) -> (&dyn RecordSource, u32) {
         let idx = self
             .parts
             .partition_point(|p| p.base <= record)
             .checked_sub(1)
             .expect("record id below first part base");
         let part = &self.parts[idx];
-        (&part.inner, record - part.base)
+        (part.inner.source(), record - part.base)
     }
 }
 
@@ -407,51 +366,33 @@ impl RecordSource for SegmentedStore {
 
     fn id(&self, record: u32) -> &str {
         let (part, local) = self.locate(record);
-        match part {
-            SegmentStorePart::Memory(s) => RecordSource::id(&**s, local),
-            SegmentStorePart::Disk(s) => RecordSource::id(&**s, local),
-        }
+        part.id(local)
     }
 
     fn record_len(&self, record: u32) -> usize {
         let (part, local) = self.locate(record);
-        match part {
-            SegmentStorePart::Memory(s) => RecordSource::record_len(&**s, local),
-            SegmentStorePart::Disk(s) => RecordSource::record_len(&**s, local),
-        }
+        part.record_len(local)
     }
 
     fn bases(&self, record: u32) -> Vec<Base> {
         let (part, local) = self.locate(record);
-        match part {
-            SegmentStorePart::Memory(s) => RecordSource::bases(&**s, local),
-            SegmentStorePart::Disk(s) => RecordSource::bases(&**s, local),
-        }
+        part.bases(local)
     }
 
     fn try_bases(&self, record: u32) -> Result<Vec<Base>, SeqError> {
         let (part, local) = self.locate(record);
-        match part {
-            SegmentStorePart::Memory(s) => RecordSource::try_bases(&**s, local),
-            SegmentStorePart::Disk(s) => RecordSource::try_bases(&**s, local),
-        }
+        part.try_bases(local)
     }
 
     fn sequence(&self, record: u32) -> Result<DnaSeq, SeqError> {
         let (part, local) = self.locate(record);
-        match part {
-            SegmentStorePart::Memory(s) => RecordSource::sequence(&**s, local),
-            SegmentStorePart::Disk(s) => RecordSource::sequence(&**s, local),
-        }
+        part.sequence(local)
     }
 
     fn total_bases(&self) -> usize {
         self.parts
             .iter()
-            .map(|p| match &p.inner {
-                SegmentStorePart::Memory(s) => RecordSource::total_bases(&**s),
-                SegmentStorePart::Disk(s) => RecordSource::total_bases(&**s),
-            })
+            .map(|p| p.inner.source().total_bases())
             .sum()
     }
 }
@@ -489,9 +430,7 @@ pub struct LiveOptions {
     pub max_segments: usize,
     /// Metric registry for engine + segment + live-ingestion metrics.
     pub registry: Arc<MetricsRegistry>,
-    /// Trace sink bound to every query snapshot.
-    pub trace: TraceSink,
-    /// Forensics handle bound to every query snapshot.
+    /// Query capture handle bound to every query snapshot.
     pub forensics: Forensics,
 }
 
@@ -501,7 +440,6 @@ impl Default for LiveOptions {
             memtable_max_records: 1024,
             max_segments: 8,
             registry: Arc::new(MetricsRegistry::disabled()),
-            trace: TraceSink::disabled(),
             forensics: Forensics::disabled(),
         }
     }
@@ -1181,7 +1119,6 @@ impl LiveDatabase {
             )
         };
         db.bind_metrics(&self.opts.registry);
-        db.set_trace(self.opts.trace.clone());
         db.set_forensics(self.opts.forensics.clone());
         *self.view.write().expect("live view lock poisoned") = Arc::new(db);
         self.metrics.segment_count.set(inner.segments.len() as i64);

@@ -53,7 +53,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nucdb_index::{shard_dir_name, Granularity, IndexError, IndexParams, ShardManifest, ShardMeta};
-use nucdb_obs::{Counter, Forensics, Histogram, MetricsRegistry, TraceSink};
+use nucdb_obs::{Counter, Forensics, Histogram, MetricsRegistry};
 use nucdb_seq::{Base, DnaSeq};
 
 use crate::coarse::{coarse_rank_explain, CoarseHit, CoarseOutcome, CoarseScratch};
@@ -462,8 +462,8 @@ pub struct ShardSet {
     /// Stored bases across live shards, summed once at assembly.
     total_bases: u64,
     /// The driver's observability handles: query metrics bound to the
-    /// registry the set was opened with; trace and forensics disabled
-    /// until [`ShardSet::set_trace`] / [`ShardSet::set_forensics`].
+    /// registry the set was opened with; capture disabled until
+    /// [`ShardSet::set_forensics`].
     metrics: SearchMetrics,
 }
 
@@ -654,14 +654,8 @@ impl ShardSet {
         self.total_bases
     }
 
-    /// Attach a sampled trace sink; subsequent queries emit JSONL events
-    /// through it. `&mut self`: configure before sharing the set.
-    pub fn set_trace(&mut self, trace: TraceSink) {
-        self.metrics = std::mem::take(&mut self.metrics).with_trace(trace);
-    }
-
-    /// Attach a query-forensics handle (flight recorder + tail
-    /// sampling). `&mut self`: configure before sharing the set.
+    /// Attach the query capture handle (flight recorder, tail sampling,
+    /// capture log). `&mut self`: configure before sharing the set.
     pub fn set_forensics(&mut self, forensics: Forensics) {
         self.metrics = std::mem::take(&mut self.metrics).with_forensics(forensics);
     }

@@ -679,63 +679,45 @@ impl StoreVariant {
             StoreVariant::Segmented(s) => s.stored_bytes(),
         }
     }
+
+    /// The store this variant wraps: every [`RecordSource`] call
+    /// forwards through this one `match`.
+    fn source(&self) -> &dyn RecordSource {
+        match self {
+            StoreVariant::Memory(s) => s,
+            StoreVariant::Disk(s) => s,
+            StoreVariant::Segmented(s) => s,
+        }
+    }
 }
 
 impl RecordSource for StoreVariant {
     fn len(&self) -> usize {
-        match self {
-            StoreVariant::Memory(s) => RecordSource::len(s),
-            StoreVariant::Disk(s) => RecordSource::len(s),
-            StoreVariant::Segmented(s) => RecordSource::len(s),
-        }
+        self.source().len()
     }
 
     fn id(&self, record: u32) -> &str {
-        match self {
-            StoreVariant::Memory(s) => RecordSource::id(s, record),
-            StoreVariant::Disk(s) => RecordSource::id(s, record),
-            StoreVariant::Segmented(s) => RecordSource::id(s, record),
-        }
+        self.source().id(record)
     }
 
     fn record_len(&self, record: u32) -> usize {
-        match self {
-            StoreVariant::Memory(s) => RecordSource::record_len(s, record),
-            StoreVariant::Disk(s) => RecordSource::record_len(s, record),
-            StoreVariant::Segmented(s) => RecordSource::record_len(s, record),
-        }
+        self.source().record_len(record)
     }
 
     fn bases(&self, record: u32) -> Vec<Base> {
-        match self {
-            StoreVariant::Memory(s) => RecordSource::bases(s, record),
-            StoreVariant::Disk(s) => RecordSource::bases(s, record),
-            StoreVariant::Segmented(s) => RecordSource::bases(s, record),
-        }
+        self.source().bases(record)
     }
 
     fn try_bases(&self, record: u32) -> Result<Vec<Base>, SeqError> {
-        match self {
-            StoreVariant::Memory(s) => RecordSource::try_bases(s, record),
-            StoreVariant::Disk(s) => RecordSource::try_bases(s, record),
-            StoreVariant::Segmented(s) => RecordSource::try_bases(s, record),
-        }
+        self.source().try_bases(record)
     }
 
     fn sequence(&self, record: u32) -> Result<DnaSeq, SeqError> {
-        match self {
-            StoreVariant::Memory(s) => RecordSource::sequence(s, record),
-            StoreVariant::Disk(s) => RecordSource::sequence(s, record),
-            StoreVariant::Segmented(s) => RecordSource::sequence(s, record),
-        }
+        self.source().sequence(record)
     }
 
     fn total_bases(&self) -> usize {
-        match self {
-            StoreVariant::Memory(s) => RecordSource::total_bases(s),
-            StoreVariant::Disk(s) => RecordSource::total_bases(s),
-            StoreVariant::Segmented(s) => RecordSource::total_bases(s),
-        }
+        self.source().total_bases()
     }
 }
 

@@ -1,9 +1,5 @@
-//! Flight recorder and tail sampling: the last N query traces, always.
-//!
-//! The stride-sampled [`TraceSink`](crate::TraceSink) answers "what does
-//! a typical query look like" — but the queries worth debugging are
-//! precisely the ones a 1-in-K stride skips. This module holds the other
-//! half of the forensics story:
+//! Flight recorder and capture policy: which query traces are kept, in
+//! memory and in the capture log.
 //!
 //! * [`FlightRecorder`] — a fixed-capacity ring of the most recent
 //!   completed [`QueryTrace`]s. A writer reserves a slot with one atomic
@@ -14,11 +10,15 @@
 //!   entries, each a span tree whose size the engine bounds (fine-stage
 //!   candidate spans are capped), so a 256-entry ring stays in the
 //!   hundreds of kilobytes.
-//! * [`Forensics`] — the engine-facing handle combining two rings (all
-//!   recent queries, and slow/error captures) with a **tail-sampling**
-//!   rule: any query slower than the threshold, or ending in error, is
-//!   always captured and appended to the slow-query JSONL log —
-//!   independent of the trace stride.
+//! * [`Forensics`] — the one capture handle the engine holds: two rings
+//!   (all recent queries, and slow/error captures) and the JSONL
+//!   [`CaptureLog`], under three policies. The *recent* ring keeps every
+//!   query. The *stride* writes every K-th query to the log, which shows
+//!   what a typical query looks like. *Tail sampling* always captures a
+//!   query slower than the threshold, or ending in error, into the slow
+//!   ring and the log: the queries worth debugging are precisely the
+//!   ones a 1-in-K stride skips. A query reaches the log at most once, as
+//!   one [`FlightEntry`] line.
 //!
 //! Like the other obs handles, a disabled [`Forensics`] is one `Option`
 //! branch on the hot path.
@@ -27,8 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::Value;
+use crate::registry::Counter;
 use crate::span::QueryTrace;
-use crate::trace::TraceSink;
+use crate::trace::{recover, CaptureLog};
 
 /// Why a trace was captured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +43,7 @@ pub enum CaptureReason {
 }
 
 impl CaptureReason {
-    /// Stable string form used in JSON dumps and the slow-query log.
+    /// Stable string form used in JSON dumps and the capture log.
     pub fn as_str(&self) -> &'static str {
         match self {
             CaptureReason::Recent => "recent",
@@ -82,13 +83,6 @@ impl FlightEntry {
     }
 }
 
-fn recover<T>(result: std::sync::LockResult<T>) -> T {
-    // A panicking recorder thread must not take forensics down with it:
-    // a poisoned slot just holds a possibly-stale entry, which is fine
-    // for a diagnostic ring.
-    result.unwrap_or_else(|poison| poison.into_inner())
-}
-
 /// Fixed-capacity ring of the most recent [`FlightEntry`]s.
 ///
 /// The write cursor is an atomic; each slot has its own mutex, taken
@@ -101,9 +95,9 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A ring holding the last `capacity` entries (minimum 1).
+    /// A ring holding the last `capacity` entries. A ring of capacity 0
+    /// keeps nothing but still numbers what it is offered.
     pub fn new(capacity: usize) -> FlightRecorder {
-        let capacity = capacity.max(1);
         FlightRecorder {
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             cursor: AtomicU64::new(0),
@@ -124,6 +118,9 @@ impl FlightRecorder {
     /// the entry's sequence number.
     pub fn record(&self, trace: QueryTrace, reason: CaptureReason) -> u64 {
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
+        if self.slots.is_empty() {
+            return seq;
+        }
         let slot = (seq % self.slots.len() as u64) as usize;
         let mut guard = recover(self.slots[slot].lock());
         // A slow writer that reserved this slot an entire lap ago may
@@ -149,7 +146,8 @@ impl FlightRecorder {
 /// Configuration for [`Forensics::new`].
 #[derive(Debug, Clone)]
 pub struct ForensicsConfig {
-    /// Capacity of the all-queries ring (`GET /debug/queries`).
+    /// Capacity of the all-queries ring (`GET /debug/queries`); 0 turns
+    /// the ring off.
     pub recent_capacity: usize,
     /// Capacity of the slow/error ring (`GET /debug/slow`).
     pub slow_capacity: usize,
@@ -157,8 +155,12 @@ pub struct ForensicsConfig {
     /// time meets or exceeds this is always captured. `u64::MAX`
     /// disables the slow classification (errors are still captured).
     pub slow_threshold_ns: u64,
-    /// JSONL sink for slow/error captures (disabled sink = ring only).
-    pub slow_log: TraceSink,
+    /// The log's stride: every `sample_every`-th query, the first
+    /// included, is written to the log even when it is fast. 0 logs only
+    /// slow and failed queries.
+    pub sample_every: u64,
+    /// The JSONL capture log (`None` = rings only).
+    pub log: Option<CaptureLog>,
     /// Deterministic per-query latency injection in nanoseconds, for
     /// testing the tail sampler (`0` = off). Results are unaffected —
     /// the engine only sleeps.
@@ -171,22 +173,41 @@ impl Default for ForensicsConfig {
             recent_capacity: 256,
             slow_capacity: 64,
             slow_threshold_ns: u64::MAX,
-            slow_log: TraceSink::disabled(),
+            sample_every: 0,
+            log: None,
             inject_delay_ns: 0,
         }
     }
+}
+
+/// What the recorder wants from one query, decided before the query runs
+/// ([`Forensics::begin`]) and handed back with its trace
+/// ([`Forensics::observe`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueryCapture {
+    /// Build the query's span tree.
+    pub spans: bool,
+    /// Collect the query's explain plan: tail sampling is armed, and a
+    /// slow query is only known to be slow after it finishes, so its
+    /// explanation must already exist.
+    pub plan: bool,
+    /// The query is the stride's: the log takes it even if it is fast.
+    pub(crate) stride: bool,
 }
 
 struct ForensicsCore {
     recent: FlightRecorder,
     slow: FlightRecorder,
     slow_threshold_ns: u64,
-    slow_log: TraceSink,
+    sample_every: u64,
+    /// Queries begun, which the stride counts.
+    begun: AtomicU64,
+    log: Option<CaptureLog>,
     inject_delay_ns: u64,
 }
 
-/// Shared handle to the query forensics state. Cloning is cheap; all
-/// clones share the rings. The disabled handle holds nothing.
+/// Shared handle to the query capture state. Cloning is cheap; all
+/// clones share the rings and the log. The disabled handle holds nothing.
 #[derive(Clone, Default)]
 pub struct Forensics {
     inner: Option<Arc<ForensicsCore>>,
@@ -200,7 +221,9 @@ impl Forensics {
                 recent: FlightRecorder::new(config.recent_capacity),
                 slow: FlightRecorder::new(config.slow_capacity),
                 slow_threshold_ns: config.slow_threshold_ns,
-                slow_log: config.slow_log,
+                sample_every: config.sample_every,
+                begun: AtomicU64::new(0),
+                log: config.log,
                 inject_delay_ns: config.inject_delay_ns,
             })),
         }
@@ -250,11 +273,30 @@ impl Forensics {
         self.inner.as_ref().map_or(0, |core| core.slow.recorded())
     }
 
-    /// Classify and record a completed query trace. Returns the capture
-    /// reason; `Slow` and `Error` traces additionally land in the slow
-    /// ring and the slow-query log. No-op (returning `Recent`) when
-    /// disabled.
-    pub fn observe(&self, trace: QueryTrace) -> CaptureReason {
+    /// Decide what the query about to run should collect, advancing the
+    /// log's stride. A disabled handle wants nothing.
+    pub fn begin(&self) -> QueryCapture {
+        let Some(core) = &self.inner else {
+            return QueryCapture::default();
+        };
+        let stride = core.log.is_some()
+            && core.sample_every > 0
+            && core.begun.fetch_add(1, Ordering::Relaxed) % core.sample_every == 0;
+        let tail = core.slow_threshold_ns < u64::MAX;
+        QueryCapture {
+            spans: stride || tail || core.recent.capacity() > 0,
+            plan: tail,
+            stride,
+        }
+    }
+
+    /// Classify and record a completed query trace, `capture` being what
+    /// [`Forensics::begin`] returned for it. Every trace goes to the
+    /// recent ring, `Slow` and `Error` traces to the slow ring as well.
+    /// The log takes the trace once if it is slow, failed, or the
+    /// stride's, under the sequence number of the ring entry it mirrors.
+    /// Returns the capture reason (`Recent` when disabled).
+    pub fn observe(&self, capture: QueryCapture, trace: QueryTrace) -> CaptureReason {
         let Some(core) = &self.inner else {
             return CaptureReason::Recent;
         };
@@ -265,18 +307,15 @@ impl Forensics {
         } else {
             CaptureReason::Recent
         };
-        if reason != CaptureReason::Recent {
-            core.slow.record(trace.clone(), reason);
-            if core.slow_log.is_enabled() {
-                let entry = FlightEntry {
-                    seq: core.slow.recorded().saturating_sub(1),
-                    reason,
-                    trace: trace.clone(),
-                };
-                core.slow_log.emit_value(&entry.to_value());
-            }
+        let tail = reason != CaptureReason::Recent;
+        let slow_seq = tail.then(|| core.slow.record(trace.clone(), reason));
+        let log = core.log.as_ref().filter(|_| tail || capture.stride);
+        let logged = log.map(|_| trace.clone());
+        let recent_seq = core.recent.record(trace, reason);
+        if let (Some(log), Some(trace)) = (log, logged) {
+            let seq = slow_seq.unwrap_or(recent_seq);
+            log.append(&FlightEntry { seq, reason, trace }.to_value());
         }
-        core.recent.record(trace, reason);
         reason
     }
 
@@ -294,20 +333,24 @@ impl Forensics {
             .map_or_else(Vec::new, |core| core.slow.snapshot())
     }
 
-    /// Flush the slow-query log.
+    /// Flush the capture log.
     pub fn flush(&self) {
-        if let Some(core) = &self.inner {
-            core.slow_log.flush();
+        if let Some(log) = self.log() {
+            log.flush();
         }
     }
 
-    /// The slow-query log sink (disabled sink when forensics is off or
-    /// no log was configured). Lets callers bind its drop/rotation
-    /// counters or read its tallies.
-    pub fn slow_log(&self) -> TraceSink {
-        self.inner
-            .as_ref()
-            .map_or_else(TraceSink::disabled, |core| core.slow_log.clone())
+    /// Bind the registry counters the capture log bumps on a dropped
+    /// line (`nucdb_trace_dropped_total`) and on a rotation
+    /// (`nucdb_trace_rotations_total`). No-op without a log.
+    pub fn bind_log_counters(&self, dropped: Counter, rotations: Counter) {
+        if let Some(log) = self.log() {
+            log.bind(dropped, rotations);
+        }
+    }
+
+    fn log(&self) -> Option<&CaptureLog> {
+        self.inner.as_ref().and_then(|core| core.log.as_ref())
     }
 }
 
@@ -381,11 +424,12 @@ mod tests {
             slow_threshold_ns: 1_000,
             ..ForensicsConfig::default()
         });
-        assert_eq!(forensics.observe(trace("fast", 10)), CaptureReason::Recent);
-        assert_eq!(forensics.observe(trace("slow", 5_000)), CaptureReason::Slow);
+        let observe = |trace| forensics.observe(QueryCapture::default(), trace);
+        assert_eq!(observe(trace("fast", 10)), CaptureReason::Recent);
+        assert_eq!(observe(trace("slow", 5_000)), CaptureReason::Slow);
         let mut failed = trace("bad", 5);
         failed.error = Some("boom".to_string());
-        assert_eq!(forensics.observe(failed), CaptureReason::Error);
+        assert_eq!(observe(failed), CaptureReason::Error);
 
         assert_eq!(forensics.recent().len(), 3);
         let slow = forensics.slow();
@@ -393,14 +437,18 @@ mod tests {
         assert_eq!(slow[0].reason, CaptureReason::Error);
         assert_eq!(slow[1].reason, CaptureReason::Slow);
         // Threshold is inclusive: exactly-threshold queries are captured.
-        assert_eq!(forensics.observe(trace("edge", 1_000)), CaptureReason::Slow);
+        assert_eq!(observe(trace("edge", 1_000)), CaptureReason::Slow);
     }
 
     #[test]
     fn disabled_forensics_is_inert() {
         let forensics = Forensics::disabled();
         assert!(!forensics.is_enabled());
-        assert_eq!(forensics.observe(trace("x", 1)), CaptureReason::Recent);
+        assert_eq!(forensics.begin(), QueryCapture::default());
+        assert_eq!(
+            forensics.observe(QueryCapture::default(), trace("x", 1)),
+            CaptureReason::Recent
+        );
         assert!(forensics.recent().is_empty());
         assert!(forensics.slow().is_empty());
         assert_eq!(forensics.recent_capacity(), 0);
@@ -418,5 +466,46 @@ mod tests {
         assert_eq!(value.get("reason").and_then(Value::as_str), Some("slow"));
         let parsed = QueryTrace::from_value(&value).unwrap();
         assert_eq!(parsed, entry.trace);
+    }
+
+    #[test]
+    fn a_tail_capture_line_carries_the_seq_of_its_own_ring_entry() {
+        let path = std::env::temp_dir().join(format!("nucdb_seq_{}.jsonl", std::process::id()));
+        let forensics = Forensics::new(ForensicsConfig {
+            slow_capacity: 2_000,
+            slow_threshold_ns: 0,
+            log: Some(CaptureLog::create(&path, None).unwrap()),
+            ..ForensicsConfig::default()
+        });
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let forensics = &forensics;
+                scope.spawn(move || {
+                    for i in 0..500 {
+                        let trace = trace(&format!("t{t}-{i}"), 1);
+                        forensics.observe(QueryCapture::default(), trace);
+                    }
+                });
+            }
+        });
+        forensics.flush();
+        let ring: std::collections::HashMap<u64, String> = forensics
+            .slow()
+            .into_iter()
+            .map(|entry| (entry.seq, entry.trace.request_id))
+            .collect();
+        assert_eq!(ring.len(), 2_000, "the ring keeps every entry");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(text.lines().count(), 2_000);
+        for line in text.lines() {
+            let line = crate::json::parse(line).unwrap();
+            let seq = line.get("seq").and_then(Value::as_f64).unwrap() as u64;
+            assert_eq!(
+                ring.get(&seq).map(String::as_str),
+                line.get("request_id").and_then(Value::as_str),
+                "log line {seq} names another entry"
+            );
+        }
     }
 }

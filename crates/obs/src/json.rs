@@ -1,8 +1,8 @@
 //! A minimal JSON value type with a writer and a strict parser.
 //!
 //! The workspace is intentionally dependency-free, so the JSON
-//! exposition format ([`crate::Snapshot::to_json`]) and the JSONL trace
-//! sink ([`crate::TraceSink`]) serialize through this module instead of
+//! exposition format ([`crate::Snapshot::to_json`]) and the JSONL capture
+//! log ([`crate::CaptureLog`]) serialize through this module instead of
 //! `serde_json`. The parser exists so tests can assert the emitted JSON
 //! round-trips structurally; it accepts exactly RFC 8259 documents
 //! (no comments, no trailing commas, no NaN/Infinity).

@@ -19,14 +19,12 @@
 //!   extraction (p50/p90/p99/max) from histogram snapshots.
 //! * Exposition in two formats: Prometheus text ([`Snapshot::to_prometheus`])
 //!   and JSON ([`Snapshot::to_json`]).
-//! * [`TraceSink`] — a sampled, structured query log: one JSON object per
-//!   line (JSONL) carrying per-query stage timings, counter deltas and
-//!   candidate counts.
-//! * Query forensics: [`SpanNode`]/[`QueryTrace`] span trees attaching
-//!   work counters to every timed stage, a [`FlightRecorder`] ring of
-//!   the last N query traces with tail sampling ([`Forensics`]) that
-//!   always captures slow or failed queries, and offline aggregation
-//!   ([`profile::aggregate`]) backing `nucdb profile`.
+//! * Query capture: [`SpanNode`]/[`QueryTrace`] span trees attaching
+//!   work counters to every timed stage, and one capture handle,
+//!   [`Forensics`]: [`FlightRecorder`] rings of the last N query traces,
+//!   a 1-in-K stride and tail sampling that always captures slow or
+//!   failed queries, all writing one JSONL [`CaptureLog`]. Offline
+//!   aggregation ([`profile::aggregate`]) backs `nucdb profile`.
 //!
 //! ## Cost model
 //!
@@ -49,13 +47,15 @@ pub mod json;
 pub mod profile;
 pub mod registry;
 pub mod span;
-pub mod trace;
+mod trace;
 
-pub use flight::{CaptureReason, FlightEntry, FlightRecorder, Forensics, ForensicsConfig};
+pub use flight::{
+    CaptureReason, FlightEntry, FlightRecorder, Forensics, ForensicsConfig, QueryCapture,
+};
 pub use hist::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use profile::{aggregate, ProfileReport, QuerySummary, StageAgg};
 pub use registry::{
     Counter, Gauge, MetricKind, MetricSnapshot, MetricsRegistry, Snapshot, ValueSnapshot,
 };
 pub use span::{QueryTrace, SpanNode};
-pub use trace::{TraceEvent, TraceSink};
+pub use trace::CaptureLog;

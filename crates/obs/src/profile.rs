@@ -1,6 +1,6 @@
 //! Offline aggregation of query-trace dumps (`nucdb profile`).
 //!
-//! Takes the JSONL emitted by the trace sink / slow-query log, or a
+//! Takes the JSONL emitted by the capture log, or a
 //! `GET /debug/queries` / `GET /debug/slow` dump, and folds every
 //! [`QueryTrace`] in it into one [`ProfileReport`]:
 //!

@@ -182,8 +182,8 @@ impl QueryTrace {
     }
 
     /// Parse a trace produced by [`QueryTrace::to_value`]. Tolerates
-    /// extra fields (trace lines add `event`, flight entries add `seq`
-    /// and `reason`), so the same parser serves every dump format.
+    /// extra fields (flight entries and capture-log lines add `seq` and
+    /// `reason`), so the same parser serves every dump format.
     pub fn from_value(value: &Value) -> Option<QueryTrace> {
         let request_id = value
             .get("request_id")

@@ -1,303 +1,172 @@
-//! Sampled structured query logging (JSONL).
+//! The capture log's writer: one JSONL file the flight recorder
+//! ([`Forensics`](crate::Forensics)) appends captured queries to.
 //!
-//! A [`TraceSink`] appends one JSON object per event to a writer —
-//! typically a file passed via the CLI's `--trace <path>`. Events carry
-//! whatever fields the caller attaches (stage timings, counter deltas,
-//! candidate counts). Sampling is decided *before* an event is built
-//! ([`TraceSink::should_sample`]), so unsampled queries pay one atomic
-//! increment and skip all formatting work.
+//! Only the handle, [`CaptureLog`], leaves the crate: callers create one
+//! and hand it over in [`ForensicsConfig::log`](crate::ForensicsConfig).
+//! Writing never fails a query. A line that cannot be written is dropped
+//! and counted, a lock poisoned by a panicking writer is recovered, and
+//! an optional byte cap rotates the file so a long-running process
+//! cannot grow it without bound.
 
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::Value;
+use crate::registry::Counter;
 
-/// One structured trace event: an ordered set of named JSON fields,
-/// serialized as a single JSONL line by [`TraceSink::emit`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    fields: Vec<(String, Value)>,
-}
-
-impl TraceEvent {
-    /// Start an event of the given kind (recorded as an `"event"` field).
-    pub fn new(kind: &str) -> TraceEvent {
-        TraceEvent {
-            fields: vec![("event".to_string(), Value::Str(kind.to_string()))],
-        }
-    }
-
-    /// Attach an arbitrary JSON field.
-    pub fn field(mut self, key: &str, value: Value) -> TraceEvent {
-        self.fields.push((key.to_string(), value));
-        self
-    }
-
-    /// Attach an unsigned integer field.
-    pub fn num(self, key: &str, value: u64) -> TraceEvent {
-        self.field(key, crate::json::num(value))
-    }
-
-    /// Attach a string field.
-    pub fn str(self, key: &str, value: &str) -> TraceEvent {
-        self.field(key, Value::Str(value.to_string()))
-    }
-
-    /// The event as a JSON object.
-    pub fn to_value(&self) -> Value {
-        Value::Obj(self.fields.clone())
-    }
-}
-
-struct SinkCore {
-    writer: Mutex<Box<dyn Write + Send>>,
-    /// Emit every Nth query (1 = every query).
-    sample_every: u64,
-    seq: AtomicU64,
-    /// Events lost to write errors (`nucdb_trace_dropped_total` once
-    /// bound via [`TraceSink::bind_dropped`]); counted locally too so
-    /// drops are observable before any registry is attached.
-    dropped: AtomicU64,
-    dropped_counter: Mutex<crate::registry::Counter>,
-    /// Rotation tally, present only for sinks built with
-    /// [`TraceSink::to_rotating_file`] (shared with the writer).
-    rotations: Option<Arc<RotationStats>>,
-}
-
-/// Rotation tally shared between a [`RotatingWriter`] and its
-/// [`TraceSink`], following the same local-count + late-bindable-counter
-/// pattern as dropped events.
-struct RotationStats {
-    count: AtomicU64,
-    counter: Mutex<crate::registry::Counter>,
-}
-
-/// Append-only writer with size-capped rotation: once the current file
-/// exceeds `max_bytes` (checked at line boundaries, so no line is ever
-/// split across files), it is renamed to `<path>.1` — replacing any
-/// previous rotation — and a fresh file is started at `path`. Disk usage
-/// is therefore bounded by roughly `2 × max_bytes` plus one line.
-struct RotatingWriter {
-    path: std::path::PathBuf,
-    max_bytes: u64,
-    written: u64,
-    file: io::BufWriter<std::fs::File>,
-    stats: Arc<RotationStats>,
-}
-
-/// The `<path>.1` sibling a rotation renames the full file to.
-fn rotated_path(path: &Path) -> std::path::PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(".1");
-    std::path::PathBuf::from(name)
-}
-
-impl RotatingWriter {
-    fn rotate(&mut self) -> io::Result<()> {
-        self.file.flush()?;
-        std::fs::rename(&self.path, rotated_path(&self.path))?;
-        self.file = io::BufWriter::new(std::fs::File::create(&self.path)?);
-        self.written = 0;
-        self.stats.count.fetch_add(1, Ordering::Relaxed);
-        recover(self.stats.counter.lock()).inc();
-        Ok(())
-    }
-}
-
-impl Write for RotatingWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.file.write(buf)?;
-        self.written += n as u64;
-        // Rotate only when the write ends a line, so the cap never tears
-        // a JSONL record in half.
-        if self.written >= self.max_bytes && buf[..n].last() == Some(&b'\n') {
-            self.rotate()?;
-        }
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.file.flush()
-    }
-}
-
-/// Recover a possibly-poisoned lock: a panic on another traced thread
-/// must not cascade into every subsequent query. The guarded state is a
-/// byte stream / counter, both safe to keep using after an interrupted
-/// writer (worst case: one torn line in a diagnostic log).
-fn recover<T>(result: std::sync::LockResult<T>) -> T {
+/// Recover a possibly-poisoned lock: a panic on another capturing thread
+/// must not cascade into every later query. The guarded state is a byte
+/// stream, a counter or a ring slot, each safe to keep using after an
+/// interrupted writer (worst case: one torn line in a diagnostic log, or
+/// a stale ring entry).
+pub(crate) fn recover<T>(result: std::sync::LockResult<T>) -> T {
     result.unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// A shared handle to a JSONL trace stream. Cloning is cheap; all clones
-/// append to the same writer and share the sampling sequence. The
-/// disabled sink ([`TraceSink::disabled`]) holds no writer: every call
-/// is one branch.
-#[derive(Clone, Default)]
-pub struct TraceSink {
-    inner: Option<Arc<SinkCore>>,
+/// A local count plus a late-bindable registry counter, so events are
+/// observable before any registry is attached and binding never
+/// undercounts.
+#[derive(Default)]
+struct Tally {
+    count: AtomicU64,
+    counter: Mutex<Counter>,
 }
 
-impl TraceSink {
-    /// A sink writing to `writer`, emitting every `sample_every`-th
-    /// sampled event (values below 1 are treated as 1: no sampling).
-    pub fn to_writer(writer: Box<dyn Write + Send>, sample_every: u64) -> TraceSink {
-        TraceSink {
-            inner: Some(Arc::new(SinkCore {
-                writer: Mutex::new(writer),
-                sample_every: sample_every.max(1),
-                seq: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                dropped_counter: Mutex::new(crate::registry::Counter::disabled()),
-                rotations: None,
-            })),
+impl Tally {
+    fn inc(&self) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        recover(self.counter.lock()).inc();
+    }
+
+    fn get(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Route later events to `counter`, carrying over the ones so far.
+    fn bind(&self, counter: Counter) {
+        counter.add(self.get().saturating_sub(counter.get()));
+        *recover(self.counter.lock()) = counter;
+    }
+}
+
+/// The open log file. With a `rotation` of `(path, max_bytes)`, a file
+/// that has reached the cap at the end of a line is renamed to
+/// `<path>.1`, replacing any earlier one, and a fresh file is started at
+/// `path`: no line is split across files, and disk usage stays within
+/// roughly `2 × max_bytes` plus one line.
+struct LogFile {
+    writer: Box<dyn Write + Send>,
+    rotation: Option<(PathBuf, u64)>,
+    /// Bytes written to the current file.
+    written: u64,
+}
+
+/// The `<path>.1` sibling a rotation renames the full file to.
+fn rotated_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(".1");
+    PathBuf::from(name)
+}
+
+impl LogFile {
+    /// Write one whole line; `Ok(true)` when the file rotated after it.
+    fn append(&mut self, line: &[u8]) -> io::Result<bool> {
+        self.writer.write_all(line)?;
+        self.written += line.len() as u64;
+        match &self.rotation {
+            Some((path, max_bytes)) if self.written >= *max_bytes => {
+                self.writer.flush()?;
+                std::fs::rename(path, rotated_path(path))?;
+                self.writer = Box::new(io::BufWriter::new(std::fs::File::create(path)?));
+                self.written = 0;
+                Ok(true)
+            }
+            _ => Ok(false),
         }
     }
+}
 
-    /// A sink appending to the file at `path` (created/truncated).
-    pub fn to_file(path: &Path, sample_every: u64) -> io::Result<TraceSink> {
-        let file = std::fs::File::create(path)?;
-        Ok(TraceSink::to_writer(
-            Box::new(io::BufWriter::new(file)),
-            sample_every,
-        ))
+struct LogCore {
+    file: Mutex<LogFile>,
+    /// Lines lost to write or flush errors (`nucdb_trace_dropped_total`
+    /// once bound).
+    dropped: Tally,
+    /// Size-cap rotations (`nucdb_trace_rotations_total` once bound).
+    rotations: Tally,
+}
+
+/// Handle to the JSONL capture log. Cloning is cheap; every clone
+/// appends to the same file.
+#[derive(Clone)]
+pub struct CaptureLog {
+    core: Arc<LogCore>,
+}
+
+impl CaptureLog {
+    /// Create (or truncate) the log at `path`. With `max_bytes`, a file
+    /// that reaches the cap is renamed to `<path>.1` at a line boundary,
+    /// replacing any earlier one, and a fresh file is started.
+    pub fn create(path: &Path, max_bytes: Option<u64>) -> io::Result<CaptureLog> {
+        let file = io::BufWriter::new(std::fs::File::create(path)?);
+        let rotation = max_bytes.map(|max_bytes| (path.to_path_buf(), max_bytes.max(1)));
+        Ok(CaptureLog::with_writer(Box::new(file), rotation))
     }
 
-    /// Like [`TraceSink::to_file`], but with size-capped rotation: once
-    /// the file exceeds `max_bytes` it is renamed to `<path>.1` (keeping
-    /// exactly one predecessor) and a fresh file is started, so a
-    /// long-running process cannot grow the log without bound. Rotations
-    /// are counted ([`TraceSink::rotations`], bindable to a registry
-    /// counter via [`TraceSink::bind_rotations`]).
-    pub fn to_rotating_file(
-        path: &Path,
-        sample_every: u64,
-        max_bytes: u64,
-    ) -> io::Result<TraceSink> {
-        let stats = Arc::new(RotationStats {
-            count: AtomicU64::new(0),
-            counter: Mutex::new(crate::registry::Counter::disabled()),
-        });
-        let writer = RotatingWriter {
-            path: path.to_path_buf(),
-            max_bytes: max_bytes.max(1),
+    fn with_writer(writer: Box<dyn Write + Send>, rotation: Option<(PathBuf, u64)>) -> CaptureLog {
+        let file = LogFile {
+            writer,
+            rotation,
             written: 0,
-            file: io::BufWriter::new(std::fs::File::create(path)?),
-            stats: Arc::clone(&stats),
         };
-        Ok(TraceSink {
-            inner: Some(Arc::new(SinkCore {
-                writer: Mutex::new(Box::new(writer)),
-                sample_every: sample_every.max(1),
-                seq: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                dropped_counter: Mutex::new(crate::registry::Counter::disabled()),
-                rotations: Some(stats),
-            })),
-        })
-    }
-
-    /// A no-op sink.
-    pub fn disabled() -> TraceSink {
-        TraceSink { inner: None }
-    }
-
-    /// Does this sink write anywhere?
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Should the caller record (and later [`TraceSink::emit`]) the
-    /// current query? Advances the sampling sequence; returns `true` for
-    /// every `sample_every`-th call, starting with the first. Always
-    /// `false` on a disabled sink.
-    #[inline]
-    pub fn should_sample(&self) -> bool {
-        match &self.inner {
-            Some(core) => core.seq.fetch_add(1, Ordering::Relaxed) % core.sample_every == 0,
-            None => false,
+        CaptureLog {
+            core: Arc::new(LogCore {
+                file: Mutex::new(file),
+                dropped: Tally::default(),
+                rotations: Tally::default(),
+            }),
         }
     }
 
-    /// Append `event` as one JSONL line. Ignored on a disabled sink.
-    /// Write errors never fail a query: the event is dropped and the
-    /// drop counter bumped instead. A lock poisoned by a panicking
-    /// emitter is recovered, not propagated.
-    pub fn emit(&self, event: &TraceEvent) {
-        self.emit_value(&event.to_value());
+    /// A log over any writer, so tests can inject failing ones.
+    #[cfg(test)]
+    pub(crate) fn to_writer(writer: Box<dyn Write + Send>) -> CaptureLog {
+        CaptureLog::with_writer(writer, None)
     }
 
-    /// Append an already-built JSON value as one JSONL line, with the
-    /// same error policy as [`TraceSink::emit`].
-    pub fn emit_value(&self, value: &Value) {
-        if let Some(core) = &self.inner {
-            let line = value.render();
-            let mut writer = recover(core.writer.lock());
-            let ok = writer
-                .write_all(line.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
-                .is_ok();
-            if !ok {
-                core.dropped.fetch_add(1, Ordering::Relaxed);
-                recover(core.dropped_counter.lock()).inc();
-            }
+    /// Append `value` as one JSONL line. A write error drops the line
+    /// and counts it instead of failing the query.
+    pub(crate) fn append(&self, value: &Value) {
+        let mut line = value.render();
+        line.push('\n');
+        match recover(self.core.file.lock()).append(line.as_bytes()) {
+            Ok(false) => {}
+            Ok(true) => self.core.rotations.inc(),
+            Err(_) => self.core.dropped.inc(),
         }
     }
 
-    /// Bind the registry counter bumped when events are dropped
-    /// (conventionally `nucdb_trace_dropped_total`). Drops that happened
-    /// before binding are carried over so the counter never undercounts.
-    pub fn bind_dropped(&self, counter: crate::registry::Counter) {
-        if let Some(core) = &self.inner {
-            let already = core.dropped.load(Ordering::Relaxed);
-            counter.add(already.saturating_sub(counter.get()));
-            *recover(core.dropped_counter.lock()) = counter;
+    /// Flush the writer. A flush error counts as a drop.
+    pub(crate) fn flush(&self) {
+        if recover(self.core.file.lock()).writer.flush().is_err() {
+            self.core.dropped.inc();
         }
     }
 
-    /// Events lost to write errors so far.
-    pub fn dropped(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |core| core.dropped.load(Ordering::Relaxed))
-    }
-
-    /// File rotations performed so far (always 0 for non-rotating sinks).
-    pub fn rotations(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .and_then(|core| core.rotations.as_ref())
-            .map_or(0, |stats| stats.count.load(Ordering::Relaxed))
-    }
-
-    /// Bind the registry counter bumped on each rotation (conventionally
-    /// `nucdb_slow_log_rotations_total`). Rotations that happened before
-    /// binding are carried over. No-op on non-rotating sinks.
-    pub fn bind_rotations(&self, counter: crate::registry::Counter) {
-        if let Some(stats) = self.inner.as_ref().and_then(|core| core.rotations.as_ref()) {
-            let already = stats.count.load(Ordering::Relaxed);
-            counter.add(already.saturating_sub(counter.get()));
-            *recover(stats.counter.lock()) = counter;
-        }
-    }
-
-    /// Flush the underlying writer. Flush errors count as drops.
-    pub fn flush(&self) {
-        if let Some(core) = &self.inner {
-            if recover(core.writer.lock()).flush().is_err() {
-                core.dropped.fetch_add(1, Ordering::Relaxed);
-                recover(core.dropped_counter.lock()).inc();
-            }
-        }
+    /// Bind the registry counters bumped on a dropped line and on a
+    /// rotation; what happened before binding carries over.
+    pub(crate) fn bind(&self, dropped: Counter, rotations: Counter) {
+        self.core.dropped.bind(dropped);
+        self.core.rotations.bind(rotations);
     }
 }
 
-impl std::fmt::Debug for TraceSink {
+impl std::fmt::Debug for CaptureLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceSink")
-            .field("enabled", &self.is_enabled())
+        f.debug_struct("CaptureLog")
+            .field("dropped", &self.core.dropped.get())
+            .field("rotations", &self.core.rotations.get())
             .finish()
     }
 }
@@ -305,6 +174,8 @@ impl std::fmt::Debug for TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::{CaptureReason, Forensics, ForensicsConfig};
+    use crate::span::QueryTrace;
 
     /// A writer that appends into a shared buffer we can inspect later.
     #[derive(Clone)]
@@ -320,59 +191,95 @@ mod tests {
         }
     }
 
-    fn shared_sink(sample_every: u64) -> (TraceSink, Arc<Mutex<Vec<u8>>>) {
+    fn shared_sink() -> (CaptureLog, Arc<Mutex<Vec<u8>>>) {
         let buf = Arc::new(Mutex::new(Vec::new()));
-        let sink = TraceSink::to_writer(Box::new(SharedBuf(Arc::clone(&buf))), sample_every);
-        (sink, buf)
+        let log = CaptureLog::to_writer(Box::new(SharedBuf(Arc::clone(&buf))));
+        (log, buf)
+    }
+
+    fn text(buf: &Arc<Mutex<Vec<u8>>>) -> String {
+        String::from_utf8(buf.lock().unwrap().clone()).unwrap()
+    }
+
+    fn line(key: &str, n: u64) -> Value {
+        Value::Obj(vec![(key.to_string(), crate::json::num(n))])
+    }
+
+    fn trace(total_ns: u64) -> QueryTrace {
+        QueryTrace {
+            request_id: format!("q{total_ns}"),
+            total_ns,
+            ..QueryTrace::default()
+        }
     }
 
     #[test]
     fn disabled_sink_is_inert() {
-        let sink = TraceSink::disabled();
-        assert!(!sink.is_enabled());
-        assert!(!sink.should_sample());
-        sink.emit(&TraceEvent::new("query").num("n", 1));
-        sink.flush();
+        // A recorder without a log never takes the stride, and its flush
+        // touches no writer.
+        let forensics = Forensics::new(ForensicsConfig {
+            sample_every: 1,
+            ..ForensicsConfig::default()
+        });
+        for i in 0..3 {
+            let capture = forensics.begin();
+            assert!(!capture.stride);
+            forensics.observe(capture, trace(i));
+        }
+        forensics.flush();
+        assert_eq!(forensics.recent().len(), 3);
     }
 
     #[test]
     fn events_are_one_json_object_per_line() {
-        let (sink, buf) = shared_sink(1);
+        let (log, buf) = shared_sink();
         for i in 0..3u64 {
-            assert!(sink.should_sample());
-            sink.emit(
-                &TraceEvent::new("query")
-                    .num("seq", i)
-                    .str("family", "alu")
-                    .field("nested", Value::Arr(vec![crate::json::num(i)])),
-            );
+            log.append(&Value::Obj(vec![
+                ("seq".to_string(), crate::json::num(i)),
+                ("family".to_string(), Value::Str("alu".to_string())),
+                ("nested".to_string(), Value::Arr(vec![crate::json::num(i)])),
+            ]));
         }
-        sink.flush();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        log.flush();
+        let text = text(&buf);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         for (i, line) in lines.iter().enumerate() {
             let value = crate::json::parse(line).expect("line parses");
-            assert_eq!(value.get("event").and_then(Value::as_str), Some("query"));
+            assert_eq!(value.get("family").and_then(Value::as_str), Some("alu"));
             assert_eq!(value.get("seq").and_then(Value::as_f64), Some(i as f64));
         }
     }
 
     #[test]
     fn sampling_emits_every_nth() {
-        let (sink, buf) = shared_sink(3);
+        let (log, buf) = shared_sink();
+        let forensics = Forensics::new(ForensicsConfig {
+            recent_capacity: 0,
+            sample_every: 3,
+            log: Some(log),
+            ..ForensicsConfig::default()
+        });
         let mut sampled = 0;
         for i in 0..10u64 {
-            if sink.should_sample() {
-                sampled += 1;
-                sink.emit(&TraceEvent::new("query").num("i", i));
-            }
+            // With the ring off and no tail sampling, only the stride's
+            // queries build spans, and none collects a plan.
+            let capture = forensics.begin();
+            assert_eq!(capture.spans, capture.stride);
+            assert!(!capture.plan);
+            sampled += u64::from(capture.stride);
+            assert_eq!(forensics.observe(capture, trace(i)), CaptureReason::Recent);
         }
-        sink.flush();
-        // Calls 0, 3, 6, 9 are sampled.
+        forensics.flush();
+        // Queries 0, 3, 6, 9 are sampled, each logged as `recent`.
         assert_eq!(sampled, 4);
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let text = text(&buf);
         assert_eq!(text.lines().count(), 4);
+        for (line, id) in text.lines().zip(["q0", "q3", "q6", "q9"]) {
+            let value = crate::json::parse(line).unwrap();
+            assert_eq!(value.get("reason").and_then(Value::as_str), Some("recent"));
+            assert_eq!(value.get("request_id").and_then(Value::as_str), Some(id));
+        }
     }
 
     /// A writer that panics on the first write, then works normally.
@@ -397,29 +304,23 @@ mod tests {
     #[test]
     fn poisoned_writer_lock_is_recovered_not_propagated() {
         let buf = Arc::new(Mutex::new(Vec::new()));
-        let sink = TraceSink::to_writer(
-            Box::new(PanicOnce {
-                armed: true,
-                out: SharedBuf(Arc::clone(&buf)),
-            }),
-            1,
-        );
-        // First emit panics inside the writer while the lock is held,
+        let log = CaptureLog::to_writer(Box::new(PanicOnce {
+            armed: true,
+            out: SharedBuf(Arc::clone(&buf)),
+        }));
+        // First append panics inside the writer while the lock is held,
         // poisoning it.
-        let panicking = sink.clone();
-        let result = std::thread::spawn(move || {
-            panicking.emit(&TraceEvent::new("query").num("n", 0));
-        })
-        .join();
+        let panicking = log.clone();
+        let result = std::thread::spawn(move || panicking.append(&line("n", 0))).join();
         assert!(
             result.is_err(),
             "writer panic should propagate to its thread"
         );
 
-        // Subsequent emits on other threads must keep working.
-        sink.emit(&TraceEvent::new("query").num("n", 1));
-        sink.flush();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        // Later appends on other threads must keep working.
+        log.append(&line("n", 1));
+        log.flush();
+        let text = text(&buf);
         assert_eq!(text.lines().count(), 1);
         crate::json::parse(text.lines().next().unwrap()).expect("valid line after recovery");
     }
@@ -438,44 +339,49 @@ mod tests {
 
     #[test]
     fn write_errors_drop_events_and_bump_counter() {
-        let sink = TraceSink::to_writer(Box::new(BrokenPipe), 1);
-        sink.emit(&TraceEvent::new("query").num("n", 0));
-        assert_eq!(sink.dropped(), 1);
+        let log = CaptureLog::to_writer(Box::new(BrokenPipe));
+        log.append(&line("n", 0));
+        assert_eq!(log.core.dropped.get(), 1);
 
         // Binding late carries over drops that already happened.
-        let counter = crate::registry::Counter::new();
-        sink.bind_dropped(counter.clone());
-        assert_eq!(counter.get(), 1);
+        let (dropped, rotations) = (Counter::new(), Counter::new());
+        log.bind(dropped.clone(), rotations.clone());
+        assert_eq!(dropped.get(), 1);
 
-        sink.emit(&TraceEvent::new("query").num("n", 1));
-        sink.flush();
-        assert_eq!(sink.dropped(), 3); // 2 write errors + 1 flush error
-        assert_eq!(counter.get(), 3);
+        log.append(&line("n", 1));
+        log.flush();
+        assert_eq!(log.core.dropped.get(), 3); // 2 write errors + 1 flush error
+        assert_eq!(dropped.get(), 3);
+        assert_eq!(rotations.get(), 0);
     }
 
     #[test]
     fn rotating_sink_caps_size_and_keeps_one_predecessor() {
         let dir = std::env::temp_dir().join(format!("nucdb_rot_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("slow.jsonl");
-        let sink = TraceSink::to_rotating_file(&path, 1, 200).unwrap();
+        let path = dir.join("capture.jsonl");
+        let log = CaptureLog::create(&path, Some(200)).unwrap();
 
-        // Each line is ~40 bytes; 30 lines must rotate more than once.
+        // Each line is ~25 bytes; 30 lines must rotate more than once.
         for i in 0..30u64 {
-            sink.emit(&TraceEvent::new("query").num("seq", i).str("pad", "xxxx"));
+            log.append(&Value::Obj(vec![
+                ("seq".to_string(), crate::json::num(i)),
+                ("pad".to_string(), Value::Str("xxxx".to_string())),
+            ]));
         }
-        sink.flush();
-        assert!(sink.rotations() >= 2, "rotations: {}", sink.rotations());
+        log.flush();
+        let rotated = log.core.rotations.get();
+        assert!(rotated >= 2, "rotations: {rotated}");
 
         // Late binding carries the count over.
-        let counter = crate::registry::Counter::new();
-        sink.bind_rotations(counter.clone());
-        assert_eq!(counter.get(), sink.rotations());
+        let counter = Counter::new();
+        log.bind(Counter::new(), counter.clone());
+        assert_eq!(counter.get(), rotated);
 
         // Both generations exist, are size-capped (one line of overshoot
         // allowed), and contain only whole JSONL lines.
-        let rotated = super::rotated_path(&path);
-        for file in [&path, &rotated] {
+        let rotated_file = rotated_path(&path);
+        for file in [&path, &rotated_file] {
             let text = std::fs::read_to_string(file).unwrap();
             assert!(text.len() < 300, "{}: {} bytes", file.display(), text.len());
             for line in text.lines() {
@@ -484,48 +390,45 @@ mod tests {
         }
         // Every line landed in some generation: sequence numbers in the
         // rotated file strictly precede those in the live file.
-        let last_rotated = std::fs::read_to_string(&rotated)
-            .unwrap()
-            .lines()
-            .last()
-            .map(|l| crate::json::parse(l).unwrap().get("seq").unwrap().as_f64())
-            .unwrap()
-            .unwrap();
-        let first_live = std::fs::read_to_string(&path)
-            .unwrap()
-            .lines()
-            .next()
-            .map(|l| crate::json::parse(l).unwrap().get("seq").unwrap().as_f64())
-            .unwrap()
-            .unwrap();
-        assert!(last_rotated < first_live);
-        assert_eq!(sink.dropped(), 0);
+        let seq_of = |line: Option<&str>| {
+            crate::json::parse(line.unwrap())
+                .unwrap()
+                .get("seq")
+                .and_then(Value::as_f64)
+                .unwrap()
+        };
+        let older = std::fs::read_to_string(&rotated_file).unwrap();
+        let newer = std::fs::read_to_string(&path).unwrap();
+        assert!(seq_of(older.lines().last()) < seq_of(newer.lines().next()));
+        assert_eq!(log.core.dropped.get(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn non_rotating_sink_reports_zero_rotations() {
-        let (sink, _) = shared_sink(1);
-        assert_eq!(sink.rotations(), 0);
-        sink.bind_rotations(crate::registry::Counter::new());
+        let (log, _) = shared_sink();
+        log.append(&line("n", 0));
+        let counter = Counter::new();
+        log.bind(Counter::new(), counter.clone());
+        assert_eq!(log.core.rotations.get(), 0);
+        assert_eq!(counter.get(), 0);
     }
 
     #[test]
     fn concurrent_emitters_produce_whole_lines() {
-        let (sink, buf) = shared_sink(1);
+        let (log, buf) = shared_sink();
         std::thread::scope(|scope| {
             for t in 0..4u64 {
-                let sink = sink.clone();
+                let log = log.clone();
                 scope.spawn(move || {
                     for i in 0..50u64 {
-                        sink.should_sample();
-                        sink.emit(&TraceEvent::new("query").num("id", t * 1000 + i));
+                        log.append(&line("id", t * 1000 + i));
                     }
                 });
             }
         });
-        sink.flush();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        log.flush();
+        let text = text(&buf);
         assert_eq!(text.lines().count(), 200);
         for line in text.lines() {
             crate::json::parse(line).expect("every line is valid JSON");

@@ -22,7 +22,7 @@
 //! Shutdown: a flag flips, the acceptor is woken by a self-connection
 //! and exits, the queue closes (already-admitted connections drain),
 //! workers finish and exit, the collector drains its pending batches,
-//! and the trace sink is flushed. No request that was admitted is
+//! and the capture log is flushed. No request that was admitted is
 //! abandoned.
 
 use std::io::Read;
@@ -239,7 +239,7 @@ impl ServerHandle {
         if let Some(compactor) = self.compactor.take() {
             let _ = compactor.join();
         }
-        self.shared.collection.flush();
+        self.shared.collection.forensics().flush();
         // Every thread has been joined, so this handle holds the last
         // strong reference; `None` only if a connection handler leaked.
         Arc::try_unwrap(self.shared)

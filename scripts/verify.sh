@@ -27,13 +27,20 @@ e2e/run.sh --smoke --seconds 4
 # database, fsck it (clean files must exit 0 — any other exit code
 # fails the run via set -e), and write the stat report; CI uploads
 # results/STAT.json as an artifact so index-shape drift is reviewable.
+# Then the capture pipeline through the same binary: bench with the
+# log, its stride, tail sampling and the ring on, and profile the log,
+# all inside the temporary directory.
 health_dir=$(mktemp -d)
 trap 'rm -rf "$health_dir"' EXIT
 NUCDB=(cargo run --quiet --release -p nucdb-cli --)
-"${NUCDB[@]}" generate --bases 200000 --out "$health_dir/coll.fasta" --seed 7
+"${NUCDB[@]}" generate --bases 200000 --out "$health_dir/coll.fasta" --seed 7 \
+  --queries-out "$health_dir/q.fasta"
 "${NUCDB[@]}" build --collection "$health_dir/coll.fasta" --db "$health_dir/db" --codec block
 "${NUCDB[@]}" fsck --db "$health_dir/db"
 "${NUCDB[@]}" stat --db "$health_dir/db" --out results
+"${NUCDB[@]}" bench --db "$health_dir/db" --query "$health_dir/q.fasta" \
+  --trace "$health_dir/t.jsonl" --trace-sample 4 --slow-ms 0.001 --flight-recorder 16
+"${NUCDB[@]}" profile --input "$health_dir/t.jsonl" --out "$health_dir"
 # The benchmark gate: the traced run's work counts must equal the
 # committed reference exactly; timings are report-only (see the
 # script's header).

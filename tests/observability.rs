@@ -1,13 +1,15 @@
 //! Integration: observability must be transparent. Search results are
-//! bit-identical whether metrics are disabled, a registry is bound, or a
-//! sampled trace sink is attached — and the recorded numbers agree with
-//! what the engine reports through [`QueryStats`](nucdb::QueryStats).
+//! bit-identical whether metrics are disabled, a registry is bound, or
+//! the one capture handle logs, rings and tail-samples queries — and the
+//! recorded numbers agree with what the engine reports through
+//! [`QueryStats`](nucdb::QueryStats).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use nucdb::{CoarseScratch, Database, DbConfig, IndexVariant, SearchParams, Strand};
 use nucdb_obs::{
-    json, CaptureReason, Forensics, ForensicsConfig, MetricsRegistry, TraceSink, ValueSnapshot,
+    json, CaptureLog, CaptureReason, Forensics, ForensicsConfig, MetricsRegistry, QueryTrace,
+    ValueSnapshot,
 };
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
 
@@ -25,6 +27,22 @@ fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nucdb_obs_{}_{}", name, std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// A capture log at `path`.
+fn log_at(path: &Path) -> Option<CaptureLog> {
+    Some(CaptureLog::create(path, None).unwrap())
+}
+
+/// A capture handle with no ring that logs every `sample_every`-th
+/// query to `path`.
+fn strided_log(path: &Path, sample_every: u64) -> Forensics {
+    Forensics::new(ForensicsConfig {
+        recent_capacity: 0,
+        sample_every,
+        log: log_at(path),
+        ..ForensicsConfig::default()
+    })
 }
 
 /// Every observable detail of every answer, for bit-identity checks.
@@ -65,18 +83,18 @@ fn metrics_and_tracing_do_not_change_results() {
     with_metrics.bind_metrics(&registry);
     assert_eq!(results_of(&with_metrics, &coll), reference);
 
-    // Sampled trace attached on top (every 2nd query).
+    // Strided capture log on top (every 2nd query).
     let dir = temp_dir("trace");
     let trace_path = dir.join("trace.jsonl");
     let mut with_trace = build();
     with_trace.bind_metrics(&MetricsRegistry::new());
-    with_trace.set_trace(TraceSink::to_file(&trace_path, 2).unwrap());
+    with_trace.set_forensics(strided_log(&trace_path, 2));
     assert_eq!(results_of(&with_trace, &coll), reference);
-    with_trace.metrics().trace.flush();
+    with_trace.forensics().flush();
 
-    // Trace alone, no registry.
+    // Log alone, no registry.
     let mut trace_only = build();
-    trace_only.set_trace(TraceSink::to_file(&dir.join("solo.jsonl"), 1).unwrap());
+    trace_only.set_forensics(strided_log(&dir.join("solo.jsonl"), 1));
     assert_eq!(results_of(&trace_only, &coll), reference);
 
     // The registry actually observed the workload: one query per family
@@ -100,19 +118,25 @@ fn metrics_and_tracing_do_not_change_results() {
         other => panic!("expected a strand_merge histogram, got {other:?}"),
     }
 
-    // Every 2nd of 4 queries sampled: 2 valid JSONL events with the core
-    // timing fields present.
+    // Every 2nd of 4 queries logged: 2 valid JSONL lines in the
+    // flight-entry shape, their span trees carrying the stage timings.
     let traced = std::fs::read_to_string(&trace_path).unwrap();
     let lines: Vec<&str> = traced.lines().collect();
     assert_eq!(lines.len(), coll.families.len().div_ceil(2));
     for line in lines {
         let event = json::parse(line).unwrap();
-        assert_eq!(event.get("event").and_then(|v| v.as_str()), Some("query"));
-        for field in ["latency_ns", "coarse_ns", "fine_ns", "results"] {
+        assert_eq!(event.get("reason").and_then(|v| v.as_str()), Some("recent"));
+        for field in ["seq", "total_ns", "results"] {
             assert!(
                 event.get(field).and_then(|v| v.as_f64()).is_some(),
                 "missing {field}"
             );
+        }
+        let trace = QueryTrace::from_value(&event).unwrap();
+        let mut stages = Vec::new();
+        trace.root.walk(&mut |node| stages.push(node.name.as_str()));
+        for stage in ["coarse", "fine", "strand_merge"] {
+            assert!(stages.contains(&stage), "missing {stage}");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -137,19 +161,25 @@ fn forensics_is_transparent_and_flight_entries_carry_span_trees() {
     }));
     assert_eq!(results_of(&with_flight, &coll), reference);
 
-    // Tail sampling on top of a strided trace sink: still bit-identical.
+    // Tail sampling on top of a strided log: still bit-identical.
     let dir = temp_dir("forensics");
     let mut tail_sampled = build();
-    tail_sampled.set_trace(TraceSink::to_file(&dir.join("stride.jsonl"), 2).unwrap());
     tail_sampled.set_forensics(Forensics::new(ForensicsConfig {
         recent_capacity: 16,
         slow_capacity: 4,
         slow_threshold_ns: 1, // everything is "slow": max capture pressure
-        slow_log: TraceSink::to_file(&dir.join("slow.jsonl"), 1).unwrap(),
+        sample_every: 2,
+        log: log_at(&dir.join("capture.jsonl")),
         ..ForensicsConfig::default()
     }));
     assert_eq!(results_of(&tail_sampled, &coll), reference);
     tail_sampled.forensics().flush();
+
+    // Each query is logged once, as slow, although every 2nd one is the
+    // stride's too.
+    let logged = std::fs::read_to_string(dir.join("capture.jsonl")).unwrap();
+    assert_eq!(logged.lines().count(), coll.families.len());
+    assert!(logged.lines().all(|l| l.contains("\"reason\":\"slow\"")));
 
     // Every query landed in the recent ring with a full span tree:
     // query at the root, the pipeline stages underneath, and the
@@ -187,18 +217,17 @@ fn slow_queries_are_always_captured_even_when_the_stride_skips_them() {
     );
     let dir = temp_dir("slow_capture");
 
-    // The stride sink samples query 0 and then nothing until query
-    // 1000 — so the second query below is deterministically skipped by
-    // the 1-in-K sampler. The injected 2 ms delay pushes every query
-    // past the 1 ms tail threshold, so the flight recorder must capture
-    // it anyway.
-    db.set_trace(TraceSink::to_file(&dir.join("stride.jsonl"), 1000).unwrap());
+    // The log's stride takes query 0 and then nothing until query 1000
+    // — so the second query below is deterministically skipped by the
+    // 1-in-K sampler. The injected 2 ms delay pushes every query past
+    // the 1 ms tail threshold, so the recorder must capture it anyway.
     db.set_forensics(Forensics::new(ForensicsConfig {
         recent_capacity: 8,
         slow_capacity: 4,
         slow_threshold_ns: 1_000_000,
+        sample_every: 1000,
+        log: log_at(&dir.join("capture.jsonl")),
         inject_delay_ns: 2_000_000,
-        slow_log: TraceSink::to_file(&dir.join("slow.jsonl"), 1).unwrap(),
     }));
 
     let params = SearchParams::default();
@@ -208,12 +237,7 @@ fn slow_queries_are_always_captured_even_when_the_stride_skips_them() {
         .unwrap();
     db.search_with_id(&query, &params, &mut scratch, Some("slow-q"))
         .unwrap();
-    db.metrics().trace.flush();
     db.forensics().flush();
-
-    // The stride sink saw only the first query.
-    let strided = std::fs::read_to_string(dir.join("stride.jsonl")).unwrap();
-    assert!(!strided.contains("slow-q"), "stride should skip query 1");
 
     // The slow ring holds the skipped query, tagged slow, under the id
     // the caller supplied.
@@ -225,8 +249,12 @@ fn slow_queries_are_always_captured_even_when_the_stride_skips_them() {
     assert!(matches!(captured.reason, CaptureReason::Slow));
     assert!(captured.trace.total_ns >= 1_000_000);
 
-    // And the slow-query JSONL log got a parseable line for it.
-    let logged = std::fs::read_to_string(dir.join("slow.jsonl")).unwrap();
+    // And the log got one parseable line for each query, the skipped
+    // one included: both are there as tail captures, none as the
+    // stride's.
+    let logged = std::fs::read_to_string(dir.join("capture.jsonl")).unwrap();
+    assert_eq!(logged.lines().count(), 2);
+    assert!(!logged.contains("\"reason\":\"recent\""));
     let line = logged
         .lines()
         .find(|l| l.contains("slow-q"))
