@@ -1,19 +1,15 @@
-//! **E10 — Coarse-search cost dials: query stride and accumulator
-//! limiting.**
+//! **E10 — Coarse-search cost dial: query stride.**
 //!
-//! Two bounded-resource techniques from the CAFE/inverted-file line,
-//! ablated against the default configuration:
-//!
-//! * *query stride* — look up only every s-th query interval
-//!   (overlapping intervals are redundant, so lookups shrink ~s-fold);
-//! * *accumulator limiting* — cap how many records the coarse stage may
-//!   track (bounded memory; hits on records beyond the cap are dropped).
+//! A bounded-resource technique from the CAFE/inverted-file line,
+//! ablated against the default configuration: *query stride* — look up
+//! only every s-th query interval (overlapping intervals are redundant,
+//! so lookups shrink ~s-fold).
 
 use nucdb::{recall_at, DbConfig, SearchParams};
 use nucdb_bench::{banner, collection, database, family_queries, family_relevant, time, Table};
 
 fn main() {
-    banner("E10", "coarse cost dials: query stride / accumulator limit");
+    banner("E10", "coarse cost dial: query stride");
     let coll = collection(0xE10, 4_000_000);
     let db = database(&coll, &DbConfig::default());
     let queries = family_queries(&coll, 0.6, 0.06);
@@ -27,13 +23,17 @@ fn main() {
         "family recall@10",
     ]);
 
-    let mut run = |label: String, params: &SearchParams| {
+    for stride in [1usize, 2, 4, 8, 16] {
+        let params = SearchParams {
+            query_stride: stride,
+            ..SearchParams::default()
+        };
         let mut lookups = 0u64;
         let mut postings = 0u64;
         let mut recall = 0.0;
         let mut total = std::time::Duration::ZERO;
         for (f, query) in &queries {
-            let (outcome, took) = time(|| db.search(query, params).unwrap());
+            let (outcome, took) = time(|| db.search(query, &params).unwrap());
             total += took;
             lookups += outcome.stats.intervals_looked_up;
             postings += outcome.stats.postings_decoded;
@@ -42,38 +42,17 @@ fn main() {
         }
         let n = queries.len() as f64;
         table.row(vec![
-            label,
+            format!("stride {stride}"),
             format!("{:.0}", lookups as f64 / n),
             format!("{:.0}", postings as f64 / n),
             format!("{:.2}", total.as_secs_f64() * 1e3 / n),
             format!("{:.3}", recall / n),
         ]);
-    };
-
-    for stride in [1usize, 2, 4, 8, 16] {
-        let params = SearchParams {
-            query_stride: stride,
-            ..SearchParams::default()
-        };
-        run(format!("stride {stride}"), &params);
-    }
-    for limit in [None, Some(10_000), Some(1_000), Some(100), Some(30)] {
-        let params = SearchParams {
-            max_accumulators: limit,
-            ..SearchParams::default()
-        };
-        run(
-            limit.map_or("accumulators unlimited".to_string(), |l| {
-                format!("accumulators {l}")
-            }),
-            &params,
-        );
     }
     table.print();
     println!(
         "\nStride divides lookups (and postings volume) nearly proportionally with\n\
          little recall cost until the sampled intervals get too sparse to cover the\n\
-         homologous region. Accumulator limits below the collection's active-record\n\
-         count start dropping true answers whose first hit arrives late."
+         homologous region."
     );
 }

@@ -206,7 +206,7 @@ fn main() {
          binary interpolative coding (published the same year, mainstream a few years\n\
          later) edges it out slightly. vbyte trades size for decode speed; fixed-width\n\
          is the uncompressed baseline. block-128 (NUCIDX04) spends extra space on\n\
-         per-block skip entries and CRCs to buy word-parallel decode and block\n\
-         skipping — the fast tier, not the space-optimal one."
+         per-block skip entries and CRCs to buy word-parallel decode and a\n\
+         checksum per block — the fast tier, not the space-optimal one."
     );
 }

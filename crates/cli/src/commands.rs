@@ -137,8 +137,8 @@ pub fn usage_for(command: &str) -> Option<&'static str> {
   --evalue           report bit scores and e-values
   --mask             DUST-mask low-complexity query regions
   --query-stride N   sample query intervals at stride N
-  --explain          print the query plan (lists consulted, blocks skipped
-                     under tau, survivors, per-candidate fine outcome)
+  --explain          print the query plan (lists consulted, ids and blocks
+                     decoded, survivors, per-candidate fine outcome)
   --tabular          TSV output
   --metrics FILE     write a metrics snapshot when done
   --metrics-format F prometheus (default) or json
@@ -149,7 +149,7 @@ pub fn usage_for(command: &str) -> Option<&'static str> {
 scatter across the shards and gather one merged answer, bit-identical to
 an unsharded build; a warning names any shard that failed to answer.
 --trace, --metrics and request ids work as for any database; --explain
-is rejected over a sharded root (per-shard plans do not merge)"
+is rejected over a sharded root (per-shard plans are not merged)"
         }
         "ingest" => {
             "usage: nucdb ingest --collection FILE --db DIR [options]

@@ -281,7 +281,6 @@ fn search_strand<B: Backend>(
     stats.postings_decoded += coarse.postings_decoded;
     stats.postings_bytes_read += coarse.postings_bytes_read;
     stats.blocks_decoded += coarse.blocks_decoded;
-    stats.blocks_skipped += coarse.blocks_skipped;
     stats.total_hits += coarse.total_hits;
     stats.candidates += coarse.candidates.len() as u64;
     stats.fine_alignments += coarse.candidates.len() as u64;
@@ -349,7 +348,6 @@ fn search_strand<B: Backend>(
                     .counter("ids_decoded", coarse.postings_decoded)
                     .counter("postings_bytes_read", coarse.postings_bytes_read)
                     .counter("blocks_decoded", coarse.blocks_decoded)
-                    .counter("blocks_skipped", coarse.blocks_skipped)
                     .counter("hits", coarse.total_hits),
                 )
                 .child(

@@ -77,10 +77,6 @@ impl PostingsSource for IndexVariant {
         self.source().index_params()
     }
 
-    fn list_max_count(&self, code: u64) -> Option<u32> {
-        self.source().list_max_count(code)
-    }
-
     fn fetch_stream(
         &self,
         code: u64,
@@ -136,15 +132,12 @@ pub struct QueryStats {
     pub intervals_looked_up: u64,
     /// Postings lists found and decoded.
     pub lists_fetched: u64,
-    /// Postings entries decoded (entries inside skipped blocks are not
-    /// counted).
+    /// Postings entries decoded.
     pub postings_decoded: u64,
     /// Compressed postings bytes read.
     pub postings_bytes_read: u64,
     /// Block-codec blocks unpacked.
     pub blocks_decoded: u64,
-    /// Block-codec blocks proven hopeless and skipped undecoded.
-    pub blocks_skipped: u64,
     /// Hit pairs accumulated.
     pub total_hits: u64,
     /// Candidates passed to fine search.

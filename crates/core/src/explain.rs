@@ -1,12 +1,11 @@
-//! Query EXPLAIN plans: *why* coarse search kept, skipped, or dropped
-//! what it did, and what fine search made of the survivors.
+//! Query EXPLAIN plans: *why* coarse search kept or dropped what it
+//! did, and what fine search made of the survivors.
 //!
 //! [`QueryStats`](crate::QueryStats) says where time and I/O went; an
 //! [`ExplainPlan`] says why — per-interval vocabulary hits with list
-//! length and `max_count` hint, per-list blocks decoded vs skipped with
-//! the τ threshold that justified each skip, whether the skip plan was
-//! active and under which floor, the candidate-cutoff survivors with
-//! their coarse scores, and the per-candidate fine outcome.
+//! length, per-list ids and blocks decoded, the coarse floor, the
+//! candidate-cutoff survivors with their coarse scores, and the
+//! per-candidate fine outcome.
 //!
 //! Collection is strictly passive: the plan observes decisions the
 //! engine already made and never feeds back into them, so results are
@@ -24,8 +23,8 @@ use nucdb_obs::json::{num, Value};
 use crate::fine::FineMode;
 use crate::params::Strand;
 
-/// One postings list consulted by coarse search, with the evidence that
-/// justified decoding or skipping its blocks.
+/// One postings list consulted by coarse search, with what decoding it
+/// cost.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ListExplain {
     /// Packed interval code.
@@ -35,20 +34,14 @@ pub struct ListExplain {
     /// List length: records containing the interval. Zero when the
     /// interval is absent from the index (never seen, or stopped).
     pub df: u32,
-    /// The per-list `max_count` hint (largest per-record occurrence
-    /// count), when the codec stores one. Feeds the skip plan.
-    pub max_count: Option<u32>,
-    /// The τ threshold active while this list was decoded: any block
-    /// whose covered records all sit below τ accumulated hits is
-    /// provably hopeless and skipped. Zero = no skipping possible here.
-    pub tau: u32,
-    /// Postings entries actually decoded (skipped blocks excluded).
+    /// Postings entries decoded.
     pub ids_decoded: u64,
     /// Compressed bytes fetched for the list.
     pub bytes_read: u64,
     /// Blocks checksummed and unpacked (block codec only).
     pub blocks_decoded: u32,
-    /// Blocks proven hopeless under τ and skipped without decoding.
+    /// Blocks left undecoded: always zero, since coarse search decodes
+    /// every block of every list it fetches.
     pub blocks_skipped: u32,
     /// The interval was looked up but is not in the index — never
     /// indexed, or discarded by the stopping policy.
@@ -79,10 +72,8 @@ pub struct CoarseExplain {
     /// kept every interval). Absent lists under a policy were likely
     /// stopped rather than unseen.
     pub stopping: String,
-    /// Was the hopeless-block skip plan active for this query?
-    pub skipping: bool,
-    /// The coarse floor (`min_coarse_hits`, floored at 1 on the counts
-    /// path) the skip plan proved records against.
+    /// The coarse floor: `min_coarse_hits`, floored at 1 on the counts
+    /// path.
     pub floor: u64,
     /// Every list consulted, in ascending code order.
     pub lists: Vec<ListExplain>,
@@ -200,24 +191,12 @@ impl ListExplain {
             ("qlen".to_string(), num(u64::from(self.qlen))),
             ("df".to_string(), num(u64::from(self.df))),
         ];
-        members.push((
-            "max_count".to_string(),
-            match self.max_count {
-                Some(m) => num(u64::from(m)),
-                None => Value::Null,
-            },
-        ));
-        members.push(("tau".to_string(), num(u64::from(self.tau))));
         members.push(("ids_decoded".to_string(), num(self.ids_decoded)));
         members.push(("bytes_read".to_string(), num(self.bytes_read)));
-        if self.blocks_decoded > 0 || self.blocks_skipped > 0 {
+        if self.blocks_decoded > 0 {
             members.push((
                 "blocks_decoded".to_string(),
                 num(u64::from(self.blocks_decoded)),
-            ));
-            members.push((
-                "blocks_skipped".to_string(),
-                num(u64::from(self.blocks_skipped)),
             ));
         }
         if self.absent {
@@ -231,7 +210,6 @@ impl CoarseExplain {
     fn to_value(&self) -> Value {
         Value::Obj(vec![
             ("stopping".to_string(), Value::Str(self.stopping.clone())),
-            ("skipping".to_string(), Value::Bool(self.skipping)),
             ("floor".to_string(), num(self.floor)),
             (
                 "lists".to_string(),
@@ -369,14 +347,9 @@ impl ExplainPlan {
             let absent = coarse.lists.iter().filter(|l| l.absent).count();
             let _ = writeln!(
                 out,
-                "  strand {}: coarse floor {}, skip plan {}, stopping {}",
+                "  strand {}: coarse floor {}, stopping {}",
                 strand_symbol(strand.strand),
                 coarse.floor,
-                if coarse.skipping {
-                    "ACTIVE"
-                } else {
-                    "inactive"
-                },
                 coarse.stopping,
             );
             let _ = writeln!(
@@ -396,25 +369,17 @@ impl ExplainPlan {
                 coarse.lists.iter().filter(|l| !l.absent).collect();
             by_work.sort_by_key(|l| std::cmp::Reverse((l.ids_decoded, l.df)));
             for list in by_work.iter().take(max_lists) {
-                let max_count = list
-                    .max_count
-                    .map_or_else(|| "-".to_string(), |m| m.to_string());
-                let blocks = if list.blocks_decoded > 0 || list.blocks_skipped > 0 {
-                    format!(
-                        "  blocks {}+{} skipped",
-                        list.blocks_decoded, list.blocks_skipped
-                    )
+                let blocks = if list.blocks_decoded > 0 {
+                    format!("  blocks {}", list.blocks_decoded)
                 } else {
                     String::new()
                 };
                 let _ = writeln!(
                     out,
-                    "      {}  df {:>6}  qlen {:>3}  max {:>3}  tau {:>3}  ids {:>7}  {:>7} B{}",
+                    "      {}  df {:>6}  qlen {:>3}  ids {:>7}  {:>7} B{}",
                     interval_text(list.code, coarse.k),
                     list.df,
                     list.qlen,
-                    max_count,
-                    list.tau,
                     list.ids_decoded,
                     list.bytes_read,
                     blocks,
@@ -486,20 +451,16 @@ mod tests {
                 coarse: CoarseExplain {
                     k: 4,
                     stopping: "none".to_string(),
-                    skipping: true,
                     floor: 4,
                     lists: vec![
                         ListExplain {
                             code: 0b00011011, // ACGT
                             qlen: 2,
                             df: 17,
-                            max_count: Some(3),
-                            tau: 2,
                             ids_decoded: 12,
                             bytes_read: 96,
                             blocks_decoded: 1,
-                            blocks_skipped: 1,
-                            absent: false,
+                            ..ListExplain::default()
                         },
                         ListExplain {
                             code: 0,
@@ -561,8 +522,8 @@ mod tests {
         assert_eq!(strands.len(), 1);
         let coarse = strands[0].get("coarse").unwrap();
         assert_eq!(
-            coarse.get("skipping"),
-            Some(&Value::Bool(true)),
+            coarse.get("floor").and_then(Value::as_f64),
+            Some(4.0),
             "{rendered}"
         );
         let Some(Value::Arr(lists)) = coarse.get("lists") else {
@@ -572,14 +533,17 @@ mod tests {
             lists[0].get("interval").and_then(Value::as_str),
             Some("ACGT")
         );
-        assert_eq!(lists[0].get("tau").and_then(Value::as_f64), Some(2.0));
+        assert_eq!(
+            lists[0].get("blocks_decoded").and_then(Value::as_f64),
+            Some(1.0)
+        );
         assert_eq!(lists[1].get("absent"), Some(&Value::Bool(true)));
     }
 
     #[test]
     fn text_tree_names_the_decisions() {
         let text = sample_plan().render_text(16);
-        assert!(text.contains("skip plan ACTIVE"), "{text}");
+        assert!(text.contains("coarse floor 4"), "{text}");
         assert!(text.contains("ACGT"), "{text}");
         assert!(text.contains("survivors: 1"), "{text}");
         assert!(text.contains("dropped"), "{text}");

@@ -40,12 +40,6 @@ pub struct SearchParams {
     /// index lookups almost proportionally at modest accuracy cost — one
     /// of the coarse-search cost dials of the CAFE line.
     pub query_stride: usize,
-    /// Cap the number of records tracked during accumulation (`None` =
-    /// unlimited). Once the accumulator table is full, hits on new
-    /// records are dropped while existing accumulators keep updating —
-    /// the classic bounded-memory "accumulator limiting" of 1990s
-    /// inverted-file ranking.
-    pub max_accumulators: Option<usize>,
     /// DUST-style masking of low-complexity *query* regions: intervals
     /// starting inside a masked region are not looked up, so a
     /// microsatellite in the query cannot flood coarse search with
@@ -72,7 +66,6 @@ impl Default for SearchParams {
             strand: Strand::Forward,
             max_candidates: 30,
             query_stride: 1,
-            max_accumulators: None,
             mask: None,
             min_coarse_hits: 2,
             fine: FineMode::default(),

@@ -232,16 +232,6 @@ impl PostingsSource for SegmentedIndex {
         &self.params
     }
 
-    fn list_max_count(&self, code: u64) -> Option<u32> {
-        // Any part without the hint disables skipping (per the trait
-        // contract); otherwise the max over parts bounds every block.
-        let mut max = 0u32;
-        for part in &self.parts {
-            max = max.max(part.inner.source().list_max_count(code)?);
-        }
-        Some(max)
-    }
-
     fn fetch_stream(
         &self,
         code: u64,

@@ -28,12 +28,8 @@
 //!   truncating to C therefore reproduces the joint candidate list
 //!   exactly — same set, same order.
 //!
-//! The one engine knob that breaks this argument is
-//! [`SearchParams::max_accumulators`]: accumulator limiting keeps
-//! whichever records are touched *first*, a property of global postings
-//! order that sharding changes. [`ShardSet::search_with_id`] rejects it,
-//! and explain plans with it: merging per-shard skip thresholds into one
-//! plan is a design question of its own.
+//! No engine knob breaks this argument. [`ShardSet::search_with_id`]
+//! refuses only explain plans: per-shard plans are not merged into one.
 //!
 //! ## Degraded mode
 //!
@@ -832,15 +828,8 @@ impl ShardSet {
     /// passes through here; front ends call it ahead of time to turn the
     /// refusal into a usage error (CLI) or a 400 (server).
     pub fn supports(&self, params: &SearchParams) -> Result<(), IndexError> {
-        if params.max_accumulators.is_some() {
-            // Accumulator limiting keeps first-touched records — a
-            // global postings-order property sharding cannot reproduce.
-            return Err(IndexError::Unsupported(
-                "max_accumulators is incompatible with sharded search",
-            ));
-        }
         if params.explain {
-            // Per-shard skip thresholds do not merge into one plan.
+            // Per-shard plans are not merged into one.
             return Err(IndexError::Unsupported(
                 "explain is not supported over a sharded root",
             ));
@@ -962,7 +951,6 @@ impl Backend for ShardSet {
             total.postings_decoded += coarse.postings_decoded;
             total.postings_bytes_read += coarse.postings_bytes_read;
             total.blocks_decoded += coarse.blocks_decoded;
-            total.blocks_skipped += coarse.blocks_skipped;
             total.total_hits += coarse.total_hits;
             total.extract_nanos += coarse.extract_nanos;
             total.accumulate_nanos += coarse.accumulate_nanos;

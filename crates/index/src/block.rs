@@ -3,9 +3,9 @@
 //! The bit-serial codecs in [`crate::compress`] are the space-optimal
 //! choice from the paper, but they decode one bit at a time. This module
 //! trades a little space for a decode loop the compiler can unroll and
-//! vectorise, plus *skip entries* that let the coarse accumulator refuse
-//! whole blocks it can prove are hopeless. On disk this tier is the
-//! `NUCIDX04` format (see [`crate::disk`]).
+//! vectorise, plus *skip entries* that give each block its own record
+//! range and checksum. On disk this tier is the `NUCIDX04` format (see
+//! [`crate::disk`]).
 //!
 //! Per-list layout:
 //!
@@ -30,8 +30,9 @@
 //! like the bit-serial codecs.
 //!
 //! Decoding verifies each block's CRC just before unpacking it, so a
-//! point corruption costs one block, not the list, and blocks the
-//! visitor skips are never even checksummed. The unpack kernel is one
+//! point corruption costs one block, not the list. A visitor may still
+//! refuse a block through `skip_block`; such a block is never
+//! checksummed. Coarse search refuses none. The unpack kernel is one
 //! monomorphised straight-line loop per width — shifts and masks over
 //! word loads, no per-bit work, no data-dependent branches.
 //!

@@ -76,7 +76,7 @@ impl ListCodec {
 
 /// Per-list work counters reported by the streaming fetch paths: how
 /// much the caller actually paid to evaluate one list. `bytes_read` is
-/// the list's full byte length (skipping saves decode work, not I/O);
+/// the list's full byte length, even when a visitor skips blocks;
 /// `blocks_decoded`/`blocks_skipped` are zero for non-block codecs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchStats {
@@ -164,7 +164,7 @@ pub trait PostingsVisitor {
 
 /// Adapter presenting a plain closure as a never-skipping
 /// [`PostingsVisitor`].
-struct FnVisitor<F>(F);
+pub(crate) struct FnVisitor<F>(pub(crate) F);
 
 impl<F: FnMut(u32, u32)> PostingsVisitor for FnVisitor<F> {
     fn visit(&mut self, record: u32, value: u32) {
@@ -416,8 +416,8 @@ pub struct CompressedIndex {
     /// Sorted by code for binary-search lookup.
     vocab: Vec<VocabEntry>,
     /// Per-list maximum per-record occurrence count, parallel to `vocab`.
-    /// Present only for the block codec (stored in `NUCIDX04` headers);
-    /// it powers hopeless-block skipping in coarse search.
+    /// Present only for the block codec, whose `NUCIDX04` header stores
+    /// it.
     max_counts: Option<Vec<u32>>,
     blob: Vec<u8>,
 }
@@ -549,21 +549,10 @@ impl CompressedIndex {
         self.max_counts.as_deref()
     }
 
-    /// The largest per-record occurrence count in `code`'s list, when
-    /// the index stores that bound (block codec). `None` means the bound
-    /// is unavailable on this index; absent codes report `Some(0)`.
-    pub fn list_max_count(&self, code: u64) -> Option<u32> {
-        let max_counts = self.max_counts.as_ref()?;
-        match self.vocab.binary_search_by_key(&code, |e| e.code) {
-            Ok(idx) => Some(max_counts[idx]),
-            Err(_) => Some(0),
-        }
-    }
-
     /// Streaming postings fetch driving a [`PostingsVisitor`] and
     /// reporting work counters; on a block-codec index the visitor's
-    /// `skip_block` may refuse hopeless blocks. `Ok(None)` if the
-    /// interval is absent.
+    /// `skip_block` may refuse blocks. `Ok(None)` if the interval is
+    /// absent.
     pub fn postings_stream(
         &self,
         code: u64,
@@ -695,59 +684,6 @@ impl CompressedIndex {
             self.codec,
         )
         .map(Some)
-    }
-
-    /// Streaming variant of [`CompressedIndex::postings`]: calls
-    /// `visit(record, offset)` per posting without materialising a list,
-    /// returning the list's `df` (`Ok(None)` if the interval is absent).
-    pub fn postings_with<F: FnMut(u32, u32)>(
-        &self,
-        code: u64,
-        visit: F,
-    ) -> Result<Option<u32>, IndexError> {
-        if self.params.granularity == Granularity::Records {
-            return Err(IndexError::Unsupported(
-                "record-granularity index stores no offsets",
-            ));
-        }
-        let Some(entry) = self.entry(code) else {
-            return Ok(None);
-        };
-        let bytes = &self.blob[entry.offset as usize..(entry.offset + entry.len as u64) as usize];
-        decode_postings_with(
-            bytes,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-            visit,
-        )?;
-        Ok(Some(entry.df))
-    }
-
-    /// Streaming variant of [`CompressedIndex::counts`]: calls
-    /// `visit(record, count)` per entry, returning the list's `df`
-    /// (`Ok(None)` if the interval is absent). Works at either
-    /// granularity.
-    pub fn counts_with<F: FnMut(u32, u32)>(
-        &self,
-        code: u64,
-        visit: F,
-    ) -> Result<Option<u32>, IndexError> {
-        let Some(entry) = self.entry(code) else {
-            return Ok(None);
-        };
-        let bytes = &self.blob[entry.offset as usize..(entry.offset + entry.len as u64) as usize];
-        decode_counts_with(
-            bytes,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-            self.params.granularity,
-            visit,
-        )?;
-        Ok(Some(entry.df))
     }
 
     /// Decode `(record, occurrence count)` pairs for `code`; `Ok(None)`
@@ -1093,16 +1029,9 @@ mod tests {
         );
         // Largest per-record offset count in the sample list is 3.
         assert_eq!(index.max_counts(), Some(&[3u32][..]));
-        assert_eq!(index.list_max_count(3), Some(3));
-        assert_eq!(index.list_max_count(999), Some(0));
 
-        struct Collect(Vec<(u32, u32)>);
-        impl PostingsVisitor for Collect {
-            fn visit(&mut self, record: u32, value: u32) {
-                self.0.push((record, value));
-            }
-        }
-        let mut visitor = Collect(Vec::new());
+        let mut streamed = Vec::new();
+        let mut visitor = FnVisitor(|r, o| streamed.push((r, o)));
         let stats = index.postings_stream(3, &mut visitor).unwrap().unwrap();
         assert_eq!(stats.df, 4);
         assert_eq!(stats.ids_decoded, 4);
@@ -1114,21 +1043,22 @@ mod tests {
             .iter()
             .flat_map(|p| p.offsets.iter().map(|&o| (p.record, o)))
             .collect();
-        assert_eq!(visitor.0, expect);
+        assert_eq!(streamed, expect);
 
-        // A paper-codec build has no max-count hints but still streams.
+        // A paper-codec build has no max counts but still streams.
         let paper = CompressedIndex::from_sorted_lists(
             IndexParams::new(4),
             ListCodec::Paper,
             lens,
             vec![(3u64, sample_list())].into_iter(),
         );
-        assert_eq!(paper.list_max_count(3), None);
-        let mut visitor = Collect(Vec::new());
+        assert_eq!(paper.max_counts(), None);
+        let mut streamed = Vec::new();
+        let mut visitor = FnVisitor(|r, o| streamed.push((r, o)));
         let stats = paper.postings_stream(3, &mut visitor).unwrap().unwrap();
         assert_eq!(stats.ids_decoded, 4);
         assert_eq!(stats.blocks_decoded, 0);
-        assert_eq!(visitor.0, expect);
+        assert_eq!(streamed, expect);
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! block payloads carry their own CRC-32s inside the skip entries, so a
 //! point corruption is detected — and costs — one block, not the list),
 //! and each entry gains a `max_count:v` field, the list's largest
-//! per-record occurrence count, which powers hopeless-block skipping in
-//! coarse search. The magic and the header's codec tag must agree; any
+//! per-record occurrence count (covered by the header CRC; search never
+//! consults it). The magic and the header's codec tag must agree; any
 //! other magic or tag is refused at open ([`IndexError::UnsupportedFormat`]
 //! for the retired `NUCIDX02` and the retired ablation codec tags).
 //!
@@ -493,7 +493,6 @@ pub struct OnDiskIndex {
     record_lens: Vec<u32>,
     vocab: Vec<VocabEntry>,
     list_crcs: Vec<u32>,
-    max_counts: Option<Vec<u32>>,
     blob_start: u64,
     bytes_read: Counter,
     lists_read: Counter,
@@ -527,7 +526,6 @@ impl OnDiskIndex {
             record_lens: header.record_lens,
             vocab: header.vocab,
             list_crcs: header.list_crcs,
-            max_counts: header.max_counts,
             blob_start: header.blob_start,
             bytes_read: Counter::new(),
             lists_read: Counter::new(),
@@ -635,37 +633,6 @@ impl OnDiskIndex {
         .map(Some)
     }
 
-    /// Streaming variant of [`OnDiskIndex::postings`]: fetch into `io_buf`
-    /// (reused across calls) and call `visit(record, offset)` per posting
-    /// without materialising a list. Returns the list's `df`, `Ok(None)`
-    /// if the interval is absent.
-    pub fn postings_with<F: FnMut(u32, u32)>(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: F,
-    ) -> Result<Option<u32>, IndexError> {
-        if self.params.granularity == crate::interval::Granularity::Records {
-            return Err(IndexError::Unsupported(
-                "record-granularity index stores no offsets",
-            ));
-        }
-        let Some((idx, entry)) = self.entry(code) else {
-            return Ok(None);
-        };
-        self.fetch_bytes_into(idx, entry, io_buf)?;
-        decode_postings_with(
-            io_buf,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-            visit,
-        )
-        .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))?;
-        Ok(Some(entry.df))
-    }
-
     /// Fetch and decode `(record, count)` pairs for `code` (either
     /// granularity).
     pub fn counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError> {
@@ -685,47 +652,10 @@ impl OnDiskIndex {
         .map(Some)
     }
 
-    /// Streaming variant of [`OnDiskIndex::counts`]: fetch into `io_buf`
-    /// and call `visit(record, count)` per entry. Returns the list's `df`,
-    /// `Ok(None)` if the interval is absent.
-    pub fn counts_with<F: FnMut(u32, u32)>(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: F,
-    ) -> Result<Option<u32>, IndexError> {
-        let Some((idx, entry)) = self.entry(code) else {
-            return Ok(None);
-        };
-        self.fetch_bytes_into(idx, entry, io_buf)?;
-        decode_counts_with(
-            io_buf,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-            self.params.granularity,
-            visit,
-        )
-        .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))?;
-        Ok(Some(entry.df))
-    }
-
-    /// The largest per-record occurrence count in `code`'s list — v4
-    /// files store this per list; `None` on older formats, `Some(0)` for
-    /// absent codes.
-    pub fn list_max_count(&self, code: u64) -> Option<u32> {
-        let max_counts = self.max_counts.as_ref()?;
-        match self.vocab.binary_search_by_key(&code, |e| e.code) {
-            Ok(idx) => Some(max_counts[idx]),
-            Err(_) => Some(0),
-        }
-    }
-
     /// Streaming postings fetch driving a [`PostingsVisitor`], reporting
     /// per-list work counters; on a block (v4) index the visitor's
-    /// `skip_block` may refuse hopeless blocks before they are verified
-    /// or unpacked. `Ok(None)` if the interval is absent.
+    /// `skip_block` may refuse blocks before they are verified or
+    /// unpacked. `Ok(None)` if the interval is absent.
     pub fn postings_stream(
         &self,
         code: u64,
@@ -936,6 +866,7 @@ impl OnDiskIndex {
 mod tests {
     use super::*;
     use crate::builder::IndexBuilder;
+    use crate::compress::FnVisitor;
     use crate::stopping::StopPolicy;
     use nucdb_seq::random::{CollectionSpec, SyntheticCollection};
 
@@ -1035,11 +966,15 @@ mod tests {
         for entry in index.vocab().iter().step_by(13) {
             let materialized = disk.postings(entry.code).unwrap().unwrap();
             let mut streamed: Vec<(u32, u32)> = Vec::new();
-            let df = disk
-                .postings_with(entry.code, &mut io_buf, |r, o| streamed.push((r, o)))
+            let stats = disk
+                .postings_stream(
+                    entry.code,
+                    &mut io_buf,
+                    &mut FnVisitor(|r, o| streamed.push((r, o))),
+                )
                 .unwrap()
                 .unwrap();
-            assert_eq!(df, entry.df);
+            assert_eq!(stats.df, entry.df);
             let expect: Vec<(u32, u32)> = materialized
                 .entries
                 .iter()
@@ -1049,13 +984,14 @@ mod tests {
 
             let counts = disk.counts(entry.code).unwrap().unwrap();
             let mut streamed_counts: Vec<(u32, u32)> = Vec::new();
-            disk.counts_with(entry.code, &mut io_buf, |r, c| streamed_counts.push((r, c)))
+            let visitor = &mut FnVisitor(|r, c| streamed_counts.push((r, c)));
+            disk.counts_stream(entry.code, &mut io_buf, visitor)
                 .unwrap()
                 .unwrap();
             assert_eq!(streamed_counts, counts, "code {}", entry.code);
         }
         assert!(disk
-            .postings_with(u64::MAX, &mut io_buf, |_, _| {})
+            .postings_stream(u64::MAX, &mut io_buf, &mut FnVisitor(|_, _| {}))
             .unwrap()
             .is_none());
         let _ = std::fs::remove_file(&path);
@@ -1117,12 +1053,7 @@ mod tests {
                 disk.postings(entry.code).unwrap().unwrap(),
                 index.postings(entry.code).unwrap().unwrap()
             );
-            assert_eq!(
-                disk.list_max_count(entry.code),
-                index.list_max_count(entry.code)
-            );
         }
-        assert_eq!(disk.list_max_count(u64::MAX), Some(0));
         let _ = std::fs::remove_file(&path);
     }
 

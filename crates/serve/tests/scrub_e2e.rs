@@ -6,7 +6,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -36,7 +36,7 @@ fn collection() -> SyntheticCollection {
 }
 
 /// Persist `coll` as an on-disk index + store pair in `dir`.
-fn persist(coll: &SyntheticCollection, dir: &PathBuf) -> (PathBuf, PathBuf) {
+fn persist(coll: &SyntheticCollection, dir: &Path) -> (PathBuf, PathBuf) {
     let idx = dir.join("idx.nucidx");
     let sto = dir.join("sto.nucsto");
     let db = Database::build(
@@ -48,7 +48,7 @@ fn persist(coll: &SyntheticCollection, dir: &PathBuf) -> (PathBuf, PathBuf) {
     (idx, sto)
 }
 
-fn open_disk_db(idx: &PathBuf, sto: &PathBuf) -> Database {
+fn open_disk_db(idx: &Path, sto: &Path) -> Database {
     Database::from_variants(
         StoreVariant::Disk(OnDiskStore::open(sto).unwrap()),
         IndexVariant::Disk(OnDiskIndex::open(idx).unwrap()),

@@ -53,13 +53,11 @@ fn to_fasta(queries: &[(String, DnaSeq)]) -> String {
     out
 }
 
+/// An HTTP response as (status, headers, body).
+type Response = (u16, Vec<(String, String)>, Vec<u8>);
+
 /// One raw HTTP/1.1 exchange over a fresh connection.
-/// Returns (status, headers, body).
-fn http(
-    addr: std::net::SocketAddr,
-    request_head: &str,
-    body: &[u8],
-) -> std::io::Result<(u16, Vec<(String, String)>, Vec<u8>)> {
+fn http(addr: std::net::SocketAddr, request_head: &str, body: &[u8]) -> std::io::Result<Response> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
     stream.write_all(request_head.as_bytes())?;
@@ -85,10 +83,7 @@ fn http(
     Ok((status, headers, raw[head_end + 4..].to_vec()))
 }
 
-fn post_search(
-    addr: std::net::SocketAddr,
-    body: &str,
-) -> std::io::Result<(u16, Vec<(String, String)>, Vec<u8>)> {
+fn post_search(addr: std::net::SocketAddr, body: &str) -> std::io::Result<Response> {
     let head = format!(
         "POST /search HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
@@ -96,10 +91,7 @@ fn post_search(
     http(addr, &head, body.as_bytes())
 }
 
-fn get(
-    addr: std::net::SocketAddr,
-    path: &str,
-) -> std::io::Result<(u16, Vec<(String, String)>, Vec<u8>)> {
+fn get(addr: std::net::SocketAddr, path: &str) -> std::io::Result<Response> {
     let head = format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
     http(addr, &head, &[])
 }
@@ -160,9 +152,11 @@ fn concurrent_clients_match_direct_search_batch() {
 
     // Serve an identical database, with micro-batching enabled so the
     // batched path is what gets compared.
-    let mut config = ServeConfig::default();
-    config.threads = 4;
-    config.batch_window = Some(Duration::from_millis(2));
+    let config = ServeConfig {
+        threads: 4,
+        batch_window: Some(Duration::from_millis(2)),
+        ..ServeConfig::default()
+    };
     let handle = start(
         "127.0.0.1:0",
         build_db(&coll),
@@ -324,10 +318,12 @@ fn healthz_stats_and_metrics_endpoints() {
 #[test]
 fn overload_sheds_with_503_and_retry_after() {
     let coll = collection();
-    let mut config = ServeConfig::default();
-    config.threads = 1;
-    config.queue_depth = 1;
-    config.keep_alive_timeout = Duration::from_secs(1);
+    let config = ServeConfig {
+        threads: 1,
+        queue_depth: 1,
+        keep_alive_timeout: Duration::from_secs(1),
+        ..ServeConfig::default()
+    };
     let handle = start(
         "127.0.0.1:0",
         build_db(&coll),
@@ -537,11 +533,7 @@ fn shutdown_drains_admitted_connections() {
 // and a static server refuses inserts with 409.
 // ---------------------------------------------------------------------
 
-fn post(
-    addr: std::net::SocketAddr,
-    path: &str,
-    body: &str,
-) -> std::io::Result<(u16, Vec<(String, String)>, Vec<u8>)> {
+fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> std::io::Result<Response> {
     let head = format!(
         "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
@@ -573,9 +565,11 @@ fn live_insert_is_searchable_without_restart() {
         )
         .unwrap(),
     );
-    let mut config = ServeConfig::default();
-    // Deterministic test: no background compactor racing assertions.
-    config.compact_bytes_per_sec = 0;
+    let config = ServeConfig {
+        // Deterministic test: no background compactor racing assertions.
+        compact_bytes_per_sec: 0,
+        ..ServeConfig::default()
+    };
     let handle = nucdb_serve::start_live(
         "127.0.0.1:0",
         Arc::clone(&live),

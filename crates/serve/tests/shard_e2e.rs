@@ -122,9 +122,12 @@ fn debug_entries(addr: std::net::SocketAddr, path: &str) -> Vec<Value> {
     }
 }
 
+/// One answer as (id, record, score, coarse_hits, strand).
+type AnswerTuple = (String, u64, u64, u64, String);
+
 /// The (id, record, score, coarse_hits, strand) tuples of one query's
 /// answers, in rank order — the bit-identity fingerprint.
-fn answer_tuples(result: &Value) -> Vec<(String, u64, u64, u64, String)> {
+fn answer_tuples(result: &Value) -> Vec<AnswerTuple> {
     let Some(Value::Arr(answers)) = result.get("answers") else {
         panic!("no answers array in {}", result.render());
     };
@@ -147,8 +150,8 @@ fn joint_tuples(
     coll: &SyntheticCollection,
     qs: &[(String, DnaSeq)],
     params: &SearchParams,
-) -> Vec<Vec<(String, u64, u64, u64, String)>> {
-    let db = Database::build(records(coll).into_iter(), &DbConfig::default());
+) -> Vec<Vec<AnswerTuple>> {
+    let db = Database::build(records(coll), &DbConfig::default());
     qs.iter()
         .map(|(_, seq)| {
             db.search(seq, params)

@@ -13,7 +13,7 @@ cargo test -q --release -p nucdb-align --test proptests
 # Likewise the sliced CRC-32, the bounded coarse rank and the two-pass
 # coarse accumulate against theirs.
 cargo test -q --release -p nucdb-index -p nucdb --lib -- durable:: coarse::
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # The benchmark harness (e2e/, its own workspace, so not in `cargo test`)
 # compiles against a frozen slice of the public API and gates every
 # timed section on answer identity against a joint build. Build it, run

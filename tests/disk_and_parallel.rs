@@ -231,9 +231,8 @@ fn parallel_batch_search_matches_sequential_on_disk_index() {
 #[test]
 fn reused_scratch_gives_identical_results() {
     // One CoarseScratch carried across many queries — varying ranking
-    // scheme, strand, stride, and accumulator limit, against both the
-    // in-memory and on-disk index — must reproduce the fresh-scratch
-    // results exactly. This is the allocation-free contract: reuse never
+    // scheme, strand and stride, against both the in-memory and on-disk
+    // index — must reproduce the fresh-scratch results exactly. This is the allocation-free contract: reuse never
     // leaks state between queries.
     let coll = collection(207);
     let db = Database::build(
@@ -255,10 +254,6 @@ fn reused_scratch_gives_identical_results() {
         SearchParams::default().with_strand(Strand::Both),
         SearchParams {
             query_stride: 3,
-            ..SearchParams::default()
-        },
-        SearchParams {
-            max_accumulators: Some(10),
             ..SearchParams::default()
         },
     ];

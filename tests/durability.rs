@@ -762,16 +762,17 @@ fn query_error_does_not_poison_the_database() {
 
 // ---------------------------------------------------------------------
 // Coarse search's two passes read only verified bytes. Pass one fetches
-// each list and checksums every block it decodes; pass two unpacks the
-// survivors' offsets out of those same bytes. So a flipped byte in a
-// decoded block is that block's corruption error, and a flipped byte in
-// a τ-skipped block is read by neither pass.
+// each list and checksums every block of it; pass two unpacks the
+// survivors' offsets out of those same bytes. So a flipped byte in any
+// block of a fetched list is that block's corruption error.
 // ---------------------------------------------------------------------
 
 /// 401 records share a 30-base segment (so its lists span four blocks)
 /// and record 0 also holds the query's other half: under floor 40 only
-/// record 0 can place, and the shared lists' later blocks are skipped.
-fn skip_index_on_disk(name: &str) -> (PathBuf, PathBuf, CompressedIndex, Vec<nucdb_seq::Base>) {
+/// record 0 can place.
+fn shared_segment_index_on_disk(
+    name: &str,
+) -> (PathBuf, PathBuf, CompressedIndex, Vec<nucdb_seq::Base>) {
     let common = b"ACGTAGCTAGCTGGATCCAATTGGCCAACC";
     let unique = b"TGCATGCATTGCAACGGTACCTTAGGCATC";
     let bases = |ascii: &[u8]| DnaSeq::from_ascii(ascii).unwrap().representative_bases();
@@ -836,13 +837,11 @@ fn explain_lists(path: &Path, query: &[nucdb_seq::Base]) -> Vec<nucdb::ListExpla
 
 #[test]
 fn flip_in_a_decoded_block_is_that_blocks_corruption_error() {
-    let (dir, path, index, query) = skip_index_on_disk("decodedflip");
-    // A shared list whose every block is decoded: block 0 holds record 0,
-    // which places, so it is never skipped.
+    let (dir, path, index, query) = shared_segment_index_on_disk("decodedflip");
     let list = explain_lists(&path, &query)
         .into_iter()
-        .find(|l| !l.absent && l.df > 128 && l.blocks_skipped == 0)
-        .expect("a multi-block list decoded whole");
+        .find(|l| !l.absent && l.df > 128)
+        .expect("a multi-block list");
     for b in [0, 1] {
         let at = block_at(&path, &index, list.code, b);
         flip_byte(&path, at + 1);
@@ -861,33 +860,46 @@ fn flip_in_a_decoded_block_is_that_blocks_corruption_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The last block of every multi-block list holds only records that
+/// cannot reach floor 40, yet no fetched byte goes unchecked: a flip
+/// there is still that block's corruption error at its file offset.
 #[test]
-fn flip_in_a_skipped_block_still_answers() {
-    let (dir, path, index, query) = skip_index_on_disk("skippedflip");
+fn flip_in_a_block_no_survivor_holds_is_that_blocks_corruption_error() {
+    let (dir, path, index, query) = shared_segment_index_on_disk("lastblockflip");
     let clean =
         nucdb::coarse_rank(&OnDiskIndex::open(&path).unwrap(), &query, &floor_40()).unwrap();
     assert_eq!(clean.candidates.len(), 1);
     assert_eq!(clean.candidates[0].record, 0);
-    // A shared list of which only block 0 was decoded: its last block
-    // was skipped, so its bytes are never checksummed or unpacked.
-    let list = explain_lists(&path, &query)
+    let lists: Vec<_> = explain_lists(&path, &query)
         .into_iter()
-        .find(|l| !l.absent && l.blocks_decoded == 1 && l.blocks_skipped > 0)
-        .expect("a list with skipped blocks");
-    let last = list.blocks_skipped as usize;
-    flip_byte(&path, block_at(&path, &index, list.code, last) + 1);
-    let damaged = nucdb::coarse_rank(&OnDiskIndex::open(&path).unwrap(), &query, &floor_40())
-        .expect("a skipped block is never read");
-    assert_eq!(damaged.candidates, clean.candidates);
-    assert_eq!(damaged.postings_decoded, clean.postings_decoded);
-    assert_eq!(damaged.blocks_skipped, clean.blocks_skipped);
-    assert_eq!(damaged.total_hits, clean.total_hits);
+        .filter(|l| !l.absent && l.df > 128)
+        .collect();
+    assert!(!lists.is_empty());
+    for list in lists {
+        assert_eq!(list.blocks_decoded, list.df.div_ceil(128), "{}", list.code);
+        let at = block_at(&path, &index, list.code, list.blocks_decoded as usize - 1);
+        flip_byte(&path, at + 1);
+        let result = nucdb::coarse_rank(&OnDiskIndex::open(&path).unwrap(), &query, &floor_40());
+        match result {
+            Err(nucdb_index::IndexError::Corruption {
+                section, offset, ..
+            }) => {
+                assert_eq!(section, "block", "list {}", list.code);
+                assert_eq!(offset, at, "list {}", list.code);
+            }
+            other => panic!(
+                "list {}: expected a block corruption, got {other:?}",
+                list.code
+            ),
+        }
+        flip_byte(&path, at + 1);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn transient_faults_are_invisible_to_both_coarse_passes() {
-    let (dir, path, _, query) = skip_index_on_disk("transientcoarse");
+    let (dir, path, _, query) = shared_segment_index_on_disk("transientcoarse");
     let plan = FaultPlan::clean(42)
         .with_transient_errors(1.0, TRANSIENT_RETRY_LIMIT)
         .with_short_reads(0.5);

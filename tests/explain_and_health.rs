@@ -10,7 +10,7 @@
 //!    damaged section and an offset — and clean files must come back
 //!    with exit code 0.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nucdb::{
@@ -52,9 +52,12 @@ fn build_db(
     (db, coll)
 }
 
+/// One answer as (record, id, score, coarse score bits, coarse hits).
+type AnswerPrint = (u32, String, i32, u64, u32);
+
 /// Everything about an outcome that must be bit-identical with explain
 /// on and off: ranked answers and all non-timing cost counters.
-fn fingerprint(outcome: &SearchOutcome) -> (Vec<(u32, String, i32, u64, u32)>, Vec<u64>) {
+fn fingerprint(outcome: &SearchOutcome) -> (Vec<AnswerPrint>, Vec<u64>) {
     let results = outcome
         .results
         .iter()
@@ -75,7 +78,6 @@ fn fingerprint(outcome: &SearchOutcome) -> (Vec<(u32, String, i32, u64, u32)>, V
         s.postings_decoded,
         s.postings_bytes_read,
         s.blocks_decoded,
-        s.blocks_skipped,
         s.total_hits,
         s.candidates,
         s.fine_alignments,
@@ -171,7 +173,7 @@ fn explain_is_passive_on_disk() {
 
 /// A small persisted index + store pair in `dir`, sized so a per-byte
 /// sweep stays fast.
-fn persist_micro(dir: &PathBuf, codec: ListCodec) -> (PathBuf, PathBuf) {
+fn persist_micro(dir: &Path, codec: ListCodec) -> (PathBuf, PathBuf) {
     let records: Vec<(String, DnaSeq)> = [
         &b"ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT"[..],
         b"TTTTGGGGCCCCAAAATTTTGGGGCCCCAAAA",
@@ -198,7 +200,7 @@ fn persist_micro(dir: &PathBuf, codec: ListCodec) -> (PathBuf, PathBuf) {
     (idx, sto)
 }
 
-fn fsck_faulty(idx: &PathBuf, sto: &PathBuf, plan: FaultPlan) -> FsckReport {
+fn fsck_faulty(idx: &Path, sto: &Path, plan: FaultPlan) -> FsckReport {
     let index = OnDiskIndex::open_faulty(idx, plan.clone()).unwrap();
     let store = OnDiskStore::open_faulty(sto, plan).unwrap();
     let mut report = FsckReport::default();
@@ -369,7 +371,7 @@ fn stat_and_fsck_agree_on_the_universe() {
     fsck_index(&index, &mut report);
     fsck_store(&store, &mut report);
     assert!(report.is_clean());
-    assert_eq!(report.lists_checked, stat.distinct_intervals as u64);
+    assert_eq!(report.lists_checked, stat.distinct_intervals);
     assert_eq!(report.records_checked, store.num_records() as u64);
     // fsck verified the header plus every list byte and every record
     // blob; the index part must equal the stat report's accounting.

@@ -4,7 +4,7 @@
 //! and a set with one shard down must keep answering, with `coverage`
 //! reporting the loss and the surviving shards' answers unchanged.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -200,21 +200,6 @@ fn disk_root_matches_the_joint_build() {
         joint_answers(&joint, &queries, &params)
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn max_accumulators_is_rejected() {
-    let records = corpus(8, 5);
-    let set = sharded_set(&records, 2, &DbConfig::default());
-    let params = SearchParams {
-        max_accumulators: Some(4),
-        ..SearchParams::default()
-    };
-    let err = set.search(&records[0].1, &params).unwrap_err();
-    assert!(
-        err.to_string().contains("max_accumulators"),
-        "unexpected error: {err}"
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -460,7 +445,7 @@ fn deadline_expiry_degrades_instead_of_hanging() {
     assert!(timeouts >= 1, "timeout counter not bumped");
 }
 
-fn copy_tree(from: &PathBuf, to: &PathBuf) {
+fn copy_tree(from: &Path, to: &Path) {
     for entry in std::fs::read_dir(from).unwrap() {
         let entry = entry.unwrap();
         let target = to.join(entry.file_name());
