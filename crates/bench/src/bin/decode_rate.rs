@@ -16,9 +16,7 @@ use std::time::{Duration, Instant};
 
 use nucdb_bench::json::Value;
 use nucdb_bench::{banner, bytes, collection, results_path, Table};
-use nucdb_index::{
-    decode_postings_with, encode_postings, Granularity, IndexBuilder, IndexParams, ListCodec,
-};
+use nucdb_index::{decode_postings_with, encode_postings, IndexBuilder, IndexParams, ListCodec};
 
 const REPEATS: usize = 5;
 
@@ -54,7 +52,7 @@ fn main() {
     for codec in [ListCodec::Paper, ListCodec::Block] {
         let encoded: Vec<Vec<u8>> = lists
             .iter()
-            .map(|(_, list)| encode_postings(list, num_records, &lens, codec, Granularity::Offsets))
+            .map(|(_, list)| encode_postings(list, num_records, &lens, codec))
             .collect();
         let encoded_bytes: u64 = encoded.iter().map(|b| b.len() as u64).sum();
 

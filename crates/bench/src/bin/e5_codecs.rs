@@ -19,8 +19,7 @@ use nucdb_codec::{
     IntCodec, VByte,
 };
 use nucdb_index::{
-    decode_postings, encode_postings, Granularity, IndexBuilder, IndexParams, ListCodec, Posting,
-    PostingsList,
+    decode_postings, encode_postings, IndexBuilder, IndexParams, ListCodec, Posting, PostingsList,
 };
 
 /// What a table row does to one list; every list is byte-aligned.
@@ -31,7 +30,7 @@ trait ListCoder {
 
 impl ListCoder for ListCodec {
     fn encode(&self, list: &PostingsList, num_records: u32, lens: &[u32]) -> Vec<u8> {
-        encode_postings(list, num_records, lens, *self, Granularity::Offsets)
+        encode_postings(list, num_records, lens, *self)
     }
 
     fn decode(&self, bytes: &[u8], df: usize, num_records: u32, lens: &[u32]) -> PostingsList {

@@ -14,13 +14,14 @@ use nucdb::{
 };
 use nucdb_align::calibrate_gumbel;
 use nucdb_index::{
-    build_chunked, Granularity, IndexError, IndexParams, ListCodec, Manifest, OnDiskIndex,
-    ShardManifest, StopPolicy,
+    build_chunked, IndexError, IndexParams, ListCodec, Manifest, OnDiskIndex, ShardManifest,
+    StopPolicy,
 };
 use nucdb_obs::json::{num, Value};
 use nucdb_obs::{
     CaptureLog, Forensics, ForensicsConfig, HistogramSnapshot, MetricsRegistry, ValueSnapshot,
 };
+use nucdb_seq::kmer::MAX_K;
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
 use nucdb_seq::{FastaReader, FastaRecord, FastaWriter};
 
@@ -38,12 +39,11 @@ commands:
              [--repeat-prob F] [--queries-out FILE] [--divergence F]
   build      build an on-disk database (index + sequence store) from FASTA
              --collection FILE --db DIR [--k N] [--stride N] [--stop-fraction F]
-             [--codec paper|block] [--chunk N] [--ascii-store]
-             [--granularity offsets|records] [--shards N]
+             [--codec paper|block] [--chunk N] [--ascii-store] [--shards N]
   ingest     stream FASTA records into a live (segmented) database
              --collection FILE --db DIR [--batch N] [--memtable-max-records N]
              [--max-segments N] [--compact] [--k N] [--stride N]
-             [--codec paper|block] [--granularity offsets|records] [--ascii-store]
+             [--codec paper|block] [--ascii-store]
   search     run homology queries (each FASTA record is one query)
              --db DIR --query FILE [--candidates N] [--ranking count|prop|frame:W]
              [--fine banded:W|full|trace] [--both-strands] [--max-results N]
@@ -111,13 +111,12 @@ pub fn usage_for(command: &str) -> Option<&'static str> {
             "usage: nucdb build --collection FILE --db DIR [options]
   --collection FILE  input FASTA
   --db DIR           output database directory
-  --k N              interval (k-mer) length (default 8)
-  --stride N         sampling stride across each record (default 1)
+  --k N              interval (k-mer) length, 1..=32 (default 8)
+  --stride N         sampling stride across each record, 1 or more (default 1)
   --stop-fraction F  drop intervals present in more than F of records
   --codec NAME       postings codec: paper|block
                      (block = NUCIDX04 fast-decode tier with skip pointers)
   --chunk N          records per in-memory build chunk (default 2048)
-  --granularity G    postings granularity: offsets|records
   --ascii-store      store sequences as ASCII instead of 2-bit packed
   --shards N         partition the collection into N shards (a SHARDS
                      manifest plus one database directory per shard;
@@ -161,10 +160,9 @@ is rejected over a sharded root (per-shard plans are not merged)"
   --memtable-max-records N  auto-flush threshold (default 1024)
   --max-segments N   compaction falls back to smallest-pair above this
   --compact          run compaction to quiescence after the final flush
-  --k N              interval (k-mer) length (default 8)
-  --stride N         sampling stride across each record (default 1)
+  --k N              interval (k-mer) length, 1..=32 (default 8)
+  --stride N         sampling stride across each record, 1 or more (default 1)
   --codec NAME       postings codec: paper|block
-  --granularity G    postings granularity: offsets|records
   --ascii-store      store sequences as ASCII instead of 2-bit packed"
         }
         "merge" => {
@@ -363,6 +361,24 @@ fn parse_codec(name: &str) -> Result<ListCodec, UsageError> {
     })
 }
 
+/// `--k` and `--stride` as index parameters, range-checked here because
+/// [`IndexParams`] asserts its ranges.
+fn interval_params(args: &Args) -> Result<IndexParams, UsageError> {
+    let k: usize = args.get_or("k", 8)?;
+    if !(1..=MAX_K).contains(&k) {
+        return Err(UsageError(format!(
+            "--k {k} is out of range (allowed 1..={MAX_K})"
+        )));
+    }
+    let stride: usize = args.get_or("stride", 1)?;
+    if stride == 0 {
+        return Err(UsageError(
+            "--stride 0 is out of range (allowed 1 or more)".to_string(),
+        ));
+    }
+    Ok(IndexParams::new(k).with_stride(stride))
+}
+
 /// `nucdb build`
 pub fn build(raw: &[String]) -> CommandResult {
     let args = Args::parse(
@@ -376,15 +392,13 @@ pub fn build(raw: &[String]) -> CommandResult {
             "stop-fraction",
             "codec",
             "chunk",
-            "granularity",
             "shards",
         ],
         &["ascii-store"],
     )?;
     let collection = PathBuf::from(args.required("collection")?);
     let db_dir = PathBuf::from(args.required("db")?);
-    let k: usize = args.get_or("k", 8)?;
-    let stride: usize = args.get_or("stride", 1)?;
+    let mut params = interval_params(&args)?;
     let codec = parse_codec(args.get("codec").unwrap_or("paper"))?;
     let chunk: usize = args.get_or("chunk", 2048)?;
     let storage = if args.flag("ascii-store") {
@@ -393,19 +407,6 @@ pub fn build(raw: &[String]) -> CommandResult {
         StorageMode::DirectCoding
     };
 
-    let mut params = IndexParams::new(k).with_stride(stride);
-    if let Some(gran) = args.get("granularity") {
-        params = params.with_granularity(match gran {
-            "offsets" => Granularity::Offsets,
-            "records" => Granularity::Records,
-            other => {
-                return Err(UsageError(format!(
-                    "unknown granularity {other:?} (expected offsets|records)"
-                ))
-                .into())
-            }
-        });
-    }
     if let Some(frac) = args.get("stop-fraction") {
         let frac: f64 = frac
             .parse()
@@ -529,7 +530,6 @@ pub fn ingest(raw: &[String]) -> CommandResult {
             "k",
             "stride",
             "codec",
-            "granularity",
             "batch",
             "memtable-max-records",
             "max-segments",
@@ -545,23 +545,8 @@ pub fn ingest(raw: &[String]) -> CommandResult {
 
     // Index/store shape options only matter when the live database is
     // created by this run; on reopen the manifest is authoritative.
-    let k: usize = args.get_or("k", 8)?;
-    let stride: usize = args.get_or("stride", 1)?;
-    let mut params = IndexParams::new(k).with_stride(stride);
-    if let Some(gran) = args.get("granularity") {
-        params = params.with_granularity(match gran {
-            "offsets" => Granularity::Offsets,
-            "records" => Granularity::Records,
-            other => {
-                return Err(UsageError(format!(
-                    "unknown granularity {other:?} (expected offsets|records)"
-                ))
-                .into())
-            }
-        });
-    }
     let config = nucdb::DbConfig {
-        index: params,
+        index: interval_params(&args)?,
         codec: parse_codec(args.get("codec").unwrap_or("paper"))?,
         storage: if args.flag("ascii-store") {
             StorageMode::Ascii
@@ -1485,7 +1470,6 @@ pub fn stats(raw: &[String]) -> CommandResult {
     println!("  interval k     {}", index.params().k);
     println!("  stride         {}", index.params().stride);
     println!("  stopping       {:?}", index.params().stopping);
-    println!("  granularity    {:?}", index.params().granularity);
     println!("  codec          {}", index.codec().name());
     println!("  distinct       {}", index.distinct_intervals());
     println!(
@@ -1619,13 +1603,12 @@ impl Layout {
             Layout::Plain => (String::new(), Vec::new()),
             Layout::Live(manifest) => (
                 format!(
-                    "live database {} (manifest v{})\n  k={} stride={} granularity={:?} \
-                     codec={:?}\n  {} segments, {} records, {} B on disk\n",
+                    "live database {} (manifest v{})\n  k={} stride={} codec={:?}\n  \
+                     {} segments, {} records, {} B on disk\n",
                     dir.display(),
                     manifest.version,
                     manifest.k,
                     manifest.stride,
-                    manifest.granularity,
                     manifest.codec,
                     manifest.segments.len(),
                     manifest.total_records(),
@@ -1644,13 +1627,12 @@ impl Layout {
             ),
             Layout::Sharded(manifest) => (
                 format!(
-                    "sharded database {} (SHARDS v{})\n  k={} stride={} granularity={:?} \
-                     codec={:?}\n  {} shards, {} records\n",
+                    "sharded database {} (SHARDS v{})\n  k={} stride={} codec={:?}\n  \
+                     {} shards, {} records\n",
                     dir.display(),
                     manifest.version,
                     manifest.k,
                     manifest.stride,
-                    manifest.granularity,
                     manifest.codec,
                     manifest.shards.len(),
                     manifest.total_records(),
@@ -1956,6 +1938,36 @@ mod tests {
         for name in ["vbyte", "interp", "zip"] {
             let usage = parse_codec(name).unwrap_err().0;
             assert!(usage.ends_with("(expected paper|block)"), "{usage}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_interval_parameters_are_usage_errors_before_any_io() {
+        let dir = std::env::temp_dir().join(format!("nucdb_cli_range_{}", std::process::id()));
+        let db = dir.join("db");
+        let s = |v: &[&str]| -> Vec<String> { v.iter().map(|x| x.to_string()).collect() };
+        let base = [
+            "--collection",
+            "missing.fasta",
+            "--db",
+            db.to_str().unwrap(),
+        ];
+        let cases = [
+            (&["--k", "0"][..], "--k 0", "1..=32"),
+            (&["--k", "40"][..], "--k 40", "1..=32"),
+            (&["--stride", "0"][..], "--stride 0", "1 or more"),
+        ];
+        for command in [build as fn(&[String]) -> CommandResult, ingest] {
+            for (extra, flag, range) in cases {
+                let err = command(&s(&[&base[..], extra].concat())).unwrap_err();
+                let usage = err
+                    .downcast_ref::<UsageError>()
+                    .expect("a usage error")
+                    .0
+                    .clone();
+                assert!(usage.contains(flag) && usage.contains(range), "{usage}");
+                assert!(!dir.exists(), "{usage}: wrote before refusing");
+            }
         }
     }
 
@@ -2293,6 +2305,20 @@ mod tests {
             assert!(doc.render().contains(magic));
             std::fs::write(db.join(file), good).unwrap();
         }
+        // An intact index header declaring record-granularity postings
+        // (granularity byte 1, CRC re-stamped).
+        let good = std::fs::read(db.join(INDEX_FILE)).unwrap();
+        let mut records = good.clone();
+        let header_len = u32::from_le_bytes(good[8..12].try_into().unwrap()) as usize;
+        assert_eq!(records[16 + 4], 0);
+        records[16 + 4] = 1;
+        let crc = nucdb_index::crc32(&records[16..16 + header_len]);
+        records[12..16].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(db.join(INDEX_FILE), records).unwrap();
+        let (code, text, _) = fsck_walk(&Layout::load(&db).unwrap(), &db).unwrap();
+        assert_eq!(code, 2, "{text}");
+        assert!(text.contains("record-granularity"), "{text}");
+        std::fs::write(db.join(INDEX_FILE), good).unwrap();
         assert_eq!(fsck(&s(&["--db", db_arg])).unwrap(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }

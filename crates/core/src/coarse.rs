@@ -18,17 +18,17 @@
 //! The winning diagonal is reported with each candidate, seeding the
 //! banded alignment of fine search.
 //!
-//! At offset granularity a query takes two passes over the same
-//! verified bytes. Pass one fetches each list once and accumulates
-//! per-record counts from block ids and counts alone; pass two decodes
-//! offsets, and so diagonals, only for the records whose counts cleared
-//! `min_coarse_hits` — the only records rank ever scores.
+//! A query takes two passes over the same verified bytes. Pass one
+//! fetches each list once and accumulates per-record counts from block
+//! ids and counts alone; pass two decodes offsets, and so diagonals, only
+//! for the records whose counts cleared `min_coarse_hits` — the only
+//! records rank ever scores.
 //!
 //! Accumulation prunes nothing: every record a list touches is tracked,
 //! and every block of every fetched list is verified and decoded.
 
 use nucdb_index::{
-    CompressedIndex, FetchStats, Granularity, IndexError, IndexParams, OffsetSection, OnDiskIndex,
+    CompressedIndex, FetchStats, IndexError, IndexParams, OffsetSection, OnDiskIndex,
     PostingsVisitor,
 };
 use nucdb_seq::Base;
@@ -54,15 +54,13 @@ pub trait PostingsSource {
     /// Per-record lengths (needed for proportional ranking and offset
     /// decoding).
     fn record_lens(&self) -> &[u32];
-    /// The index parameters (interval length, stride, stopping,
-    /// granularity).
+    /// The index parameters (interval length, stride, stopping).
     fn index_params(&self) -> &IndexParams;
 
-    /// Streaming fetch (offset granularity only): `visit(record, offset)`
-    /// for every posting of `code`, in record order with offsets
-    /// ascending per record. Returns the list's [`FetchStats`] (df, bytes
-    /// read, ids decoded, blocks decoded/skipped), or `Ok(None)` if the
-    /// interval is absent.
+    /// Streaming fetch: `visit(record, offset)` for every posting of
+    /// `code`, in record order with offsets ascending per record. Returns
+    /// the list's [`FetchStats`] (df, bytes read, ids decoded, blocks
+    /// decoded/skipped), or `Ok(None)` if the interval is absent.
     fn fetch_stream(
         &self,
         code: u64,
@@ -70,19 +68,7 @@ pub trait PostingsSource {
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError>;
 
-    /// Counts-mode companion of [`fetch_stream`] (either granularity):
-    /// `visit(record, count)` per entry, with the same skip hook and
-    /// stats.
-    ///
-    /// [`fetch_stream`]: PostingsSource::fetch_stream
-    fn fetch_counts_stream(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError>;
-
-    /// The offsets path's first pass over `code`'s list: append its
+    /// Coarse search's first pass over `code`'s list: append its
     /// verified bytes to the end of `kept` and walk them as counts,
     /// [`PostingsVisitor::visit_block`] once per decoded block with the
     /// block's offsets located in `kept`, readable there until the caller
@@ -127,15 +113,6 @@ impl PostingsSource for CompressedIndex {
         self.postings_stream(code, visitor)
     }
 
-    fn fetch_counts_stream(
-        &self,
-        code: u64,
-        _io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        self.counts_stream(code, visitor)
-    }
-
     fn fetch_append(
         &self,
         code: u64,
@@ -166,15 +143,6 @@ impl PostingsSource for OnDiskIndex {
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
         self.postings_stream(code, io_buf, visitor)
-    }
-
-    fn fetch_counts_stream(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        self.counts_stream(code, io_buf, visitor)
     }
 
     fn fetch_append(
@@ -316,8 +284,6 @@ pub struct CoarseScratch {
     /// The query's `(interval code, query position)` pairs, sorted — runs
     /// of one code replace the old per-query hash map.
     codes: Vec<(u64, u32)>,
-    /// Raw postings bytes for the on-disk index's positional reads.
-    io_buf: Vec<u8>,
     /// Candidate build area (sorted and truncated before copy-out).
     candidates: Vec<CoarseHit>,
 }
@@ -363,17 +329,13 @@ impl CoarseScratch {
     }
 }
 
-/// The one accumulate path, pass one of the offsets and the counts path
-/// alike: per-record counts under the generation stamp (`count × qlen`
-/// per posting) and `total_hits`. On the offsets path it also keeps what
-/// pass two needs: every block's `(record, count)` postings and where
-/// its offsets sit.
+/// Pass one's accumulator: per-record counts under the generation stamp
+/// (`count × qlen` per posting) and `total_hits`, plus what pass two
+/// needs: every block's `(record, count)` postings and where its offsets
+/// sit. A per-posting `visit` carries an offset (a Paper list, whose hits
+/// are pushed at once).
 struct Accumulator<'a> {
     generation: u32,
-    /// Offsets path: a per-posting `visit` carries an offset (Paper
-    /// lists, whose hits are pushed at once) and blocks are kept for pass
-    /// two. Counts path: `visit` carries a count.
-    offsets_path: bool,
     /// The current run's `(code, query position)` pairs.
     qrun: &'a [(u64, u32)],
     /// The current run as a range of `CoarseScratch::codes`.
@@ -415,39 +377,32 @@ impl Accumulator<'_> {
 }
 
 impl PostingsVisitor for Accumulator<'_> {
-    fn visit(&mut self, record: u32, value: u32) {
-        if !self.offsets_path {
-            self.add(&[record], &[value]);
-            return;
-        }
+    fn visit(&mut self, record: u32, offset: u32) {
         self.add(&[record], &[1]);
         for &(_, qpos) in self.qrun {
-            self.hits.push((record, value as i64 - qpos as i64));
+            self.hits.push((record, offset as i64 - qpos as i64));
         }
     }
 
-    fn visit_block(&mut self, records: &[u32], counts: &[u32], offsets: Option<OffsetSection>) {
+    fn visit_block(&mut self, records: &[u32], counts: &[u32], offsets: OffsetSection) {
         self.add(records, counts);
-        if let (true, Some(offsets)) = (self.offsets_path, offsets) {
-            self.kept
-                .extend(records.iter().copied().zip(counts.iter().copied()));
-            self.blocks.push(KeptBlock {
-                offsets,
-                postings: records.len() as u32,
-                run: self.run,
-            });
-        }
+        self.kept
+            .extend(records.iter().copied().zip(counts.iter().copied()));
+        self.blocks.push(KeptBlock {
+            offsets,
+            postings: records.len() as u32,
+            run: self.run,
+        });
     }
 }
 
-/// Pass one, shared by both paths: fetch each of the query's lists once
-/// (ascending code) and accumulate per-record counts. On the offsets
-/// path block lists land in `scratch.lists` and their postings in
-/// `scratch.kept` for pass two, and Paper lists push their hits at once.
+/// Pass one: fetch each of the query's lists once (ascending code) and
+/// accumulate per-record counts. Block lists land in `scratch.lists` and
+/// their postings in `scratch.kept` for pass two; Paper lists push their
+/// hits at once.
 fn accumulate<S: PostingsSource>(
     index: &S,
     scratch: &mut CoarseScratch,
-    offsets_path: bool,
     outcome: &mut CoarseOutcome,
     mut explain: Option<&mut CoarseExplain>,
 ) -> Result<(), IndexError> {
@@ -463,13 +418,11 @@ fn accumulate<S: PostingsSource>(
         kept,
         blocks,
         codes,
-        io_buf,
         ..
     } = scratch;
     let codes = &codes[..];
     let mut acc = Accumulator {
         generation: *generation,
-        offsets_path,
         qrun: &[],
         run: (0, 0),
         total_hits: 0,
@@ -492,11 +445,7 @@ fn accumulate<S: PostingsSource>(
         acc.run = (run_start as u32, run_end as u32);
         run_start = run_end;
 
-        let fetched = if offsets_path {
-            index.fetch_append(code, lists, &mut acc)?
-        } else {
-            index.fetch_counts_stream(code, io_buf, &mut acc)?
-        };
+        let fetched = index.fetch_append(code, lists, &mut acc)?;
         if let Some(stats) = &fetched {
             outcome.lists_fetched += 1;
             outcome.postings_decoded += stats.ids_decoded;
@@ -512,11 +461,10 @@ fn accumulate<S: PostingsSource>(
     Ok(())
 }
 
-/// Pass two of the offsets path: mark the records whose counts cleared
-/// `min_coarse_hits`, then walk the kept postings and push the hits of
-/// those records alone, unpacking only the offset groups their offsets
-/// sit in. Rank scores exactly these records, so no other record's
-/// offsets are ever decoded.
+/// Pass two: mark the records whose counts cleared `min_coarse_hits`,
+/// then walk the kept postings and push the hits of those records alone,
+/// unpacking only the offset groups their offsets sit in. Rank scores
+/// exactly these records, so no other record's offsets are ever decoded.
 fn push_survivor_hits<S: PostingsSource>(
     index: &S,
     params: &SearchParams,
@@ -621,39 +569,15 @@ pub fn coarse_rank_explain<S: PostingsSource>(
         return Ok(outcome);
     }
 
-    // Record-granularity indexes carry no offsets: only count-based
-    // rankings are possible, via the cheaper counts decode.
-    let offsets = iparams.granularity == Granularity::Offsets;
-    if !offsets && matches!(params.ranking, RankingScheme::Frame { .. }) {
-        return Err(IndexError::Unsupported(
-            "frame ranking requires an offset-granularity index",
-        ));
-    }
     if let Some(ex) = explain.as_deref_mut() {
-        // The counts filter floors at 1 even when `min_coarse_hits` is 0.
-        ex.floor = if offsets {
-            params.min_coarse_hits
-        } else {
-            params.min_coarse_hits.max(1)
-        }
-        .into();
+        ex.floor = params.min_coarse_hits.into();
     }
     // The clock covers both passes.
     let accumulate_start = std::time::Instant::now();
-    accumulate(
-        index,
-        scratch,
-        offsets,
-        &mut outcome,
-        explain.as_deref_mut(),
-    )?;
-    if offsets {
-        push_survivor_hits(index, params, scratch)?;
-    }
+    accumulate(index, scratch, &mut outcome, explain.as_deref_mut())?;
+    push_survivor_hits(index, params, scratch)?;
     outcome.accumulate_nanos = accumulate_start.elapsed().as_nanos() as u64;
-    if !offsets {
-        rank_counts(index, params, scratch, &mut outcome, explain);
-    } else if !scratch.hits.is_empty() {
+    if !scratch.hits.is_empty() {
         rank_offsets(index, params, scratch, &mut outcome, explain);
     }
     Ok(outcome)
@@ -696,9 +620,9 @@ fn extract_codes(
     outcome.extract_nanos = extract_start.elapsed().as_nanos() as u64;
 }
 
-/// Rank the offsets path's accumulated records: scatter the survivors'
-/// hits into diagonals, frame-score the records that can still place and
-/// keep the top C.
+/// Rank the accumulated records: scatter the survivors' hits into
+/// diagonals, frame-score the records that can still place and keep the
+/// top C.
 fn rank_offsets<S: PostingsSource>(
     index: &S,
     params: &SearchParams,
@@ -883,60 +807,6 @@ fn record_survivors(explain: &mut CoarseExplain, candidates: &[CoarseHit]) {
             frame_hits: hit.frame_hits,
             best_diagonal: hit.best_diagonal,
         }));
-}
-
-/// Count-based ranking over a record-granularity index's accumulated
-/// counts (no offsets exist). Candidates carry `best_diagonal = 0`; the
-/// engine compensates by running unbanded fine alignment.
-fn rank_counts<S: PostingsSource>(
-    index: &S,
-    params: &SearchParams,
-    scratch: &mut CoarseScratch,
-    outcome: &mut CoarseOutcome,
-    explain: Option<&mut CoarseExplain>,
-) {
-    let CoarseScratch {
-        counts,
-        touched,
-        candidates,
-        ..
-    } = scratch;
-    let rank_start = std::time::Instant::now();
-
-    // Scoring is one division at most, so there is no walk to bound:
-    // the buffer is only cut back to C whenever it reaches 2C.
-    let record_lens = index.record_lens();
-    let keep = params.max_candidates;
-    let cut_at = keep.saturating_mul(2);
-    candidates.clear();
-    for &record in touched.iter() {
-        let total = counts[record as usize];
-        if keep == 0 || total < params.min_coarse_hits.max(1) {
-            continue;
-        }
-        candidates.push(CoarseHit {
-            record,
-            score: match params.ranking {
-                RankingScheme::Proportional => {
-                    total as f64 / (record_lens[record as usize].max(1) as f64)
-                }
-                _ => total as f64,
-            },
-            hits: total,
-            frame_hits: 0,
-            best_diagonal: 0,
-        });
-        if candidates.len() >= cut_at {
-            keep_best(candidates, keep);
-        }
-    }
-    keep_best(candidates, keep);
-    candidates.sort_unstable_by(rank_order);
-    outcome.candidates.extend_from_slice(candidates);
-    if let Some(ex) = explain {
-        record_survivors(ex, candidates);
-    }
-    outcome.rank_nanos = rank_start.elapsed().as_nanos() as u64;
 }
 
 #[cfg(test)]
@@ -1300,13 +1170,8 @@ mod tests {
         scratch: &CoarseScratch,
         record_lens: &[u32],
         p: &SearchParams,
-        offsets: bool,
     ) -> Vec<CoarseHit> {
-        let floor = if offsets {
-            p.min_coarse_hits
-        } else {
-            p.min_coarse_hits.max(1)
-        };
+        let floor = p.min_coarse_hits;
         let window = match p.ranking {
             RankingScheme::Frame { window } => window as i64,
             _ => 16,
@@ -1321,24 +1186,20 @@ mod tests {
             if hits < floor {
                 continue;
             }
-            let (frame_hits, best_diagonal) = if offsets {
-                let diags = per_record.get_mut(&record).unwrap();
-                diags.sort_unstable();
-                // The widest window, leftmost among equals.
-                let (mut width, mut start) = (0usize, 0usize);
-                for lo in 0..diags.len() {
-                    let n = diags[lo..]
-                        .iter()
-                        .take_while(|&&d| d - diags[lo] <= window)
-                        .count();
-                    if n > width {
-                        (width, start) = (n, lo);
-                    }
+            let diags = per_record.get_mut(&record).unwrap();
+            diags.sort_unstable();
+            // The widest window, leftmost among equals.
+            let (mut width, mut start) = (0usize, 0usize);
+            for lo in 0..diags.len() {
+                let n = diags[lo..]
+                    .iter()
+                    .take_while(|&&d| d - diags[lo] <= window)
+                    .count();
+                if n > width {
+                    (width, start) = (n, lo);
                 }
-                (width as u32, diags[start + width / 2])
-            } else {
-                (0, 0)
-            };
+            }
+            let (frame_hits, best_diagonal) = (width as u32, diags[start + width / 2]);
             let score = match p.ranking {
                 RankingScheme::Count => hits as f64,
                 RankingScheme::Proportional => {
@@ -1384,72 +1245,63 @@ mod tests {
 
         // The bounded walk, the floor-aware scatter and select + sort
         // return exactly the full ranking's candidates, for every scheme,
-        // floor, cutoff, codec and granularity, through fresh and reused
+        // floor, cutoff and codec, through fresh and reused
         // scratch — and the rank never touches a work counter.
         #[test]
         fn bounded_rank_matches_the_full_ranking(seed in proptest::prelude::any::<u64>()) {
             use nucdb_index::ListCodec;
             let (records, query) = tie_heavy_collection(seed);
             let mut reused = CoarseScratch::new();
-            for granularity in [Granularity::Offsets, Granularity::Records] {
-                let offsets = granularity == Granularity::Offsets;
-                let frame = RankingScheme::Frame { window: [4, 16][seed as usize % 2] };
-                let rankings: &[RankingScheme] = if offsets {
-                    &[frame, RankingScheme::Count, RankingScheme::Proportional]
-                } else {
-                    &[RankingScheme::Count, RankingScheme::Proportional]
+            let frame = RankingScheme::Frame { window: [4, 16][seed as usize % 2] };
+            let rankings = [frame, RankingScheme::Count, RankingScheme::Proportional];
+            for codec in [ListCodec::Paper, ListCodec::Block] {
+                let mut builder = IndexBuilder::new(IndexParams::new(6)).with_codec(codec);
+                for r in &records {
+                    builder.add_record(r);
+                }
+                let index = builder.finish();
+                // Floors across 0..=N, N the largest hit count.
+                let open = SearchParams {
+                    ranking: RankingScheme::Count,
+                    min_coarse_hits: 0,
+                    max_candidates: usize::MAX,
+                    ..SearchParams::default()
                 };
-                for codec in [ListCodec::Paper, ListCodec::Block] {
-                    let mut builder =
-                        IndexBuilder::new(IndexParams::new(6).with_granularity(granularity))
-                            .with_codec(codec);
-                    for r in &records {
-                        builder.add_record(r);
-                    }
-                    let index = builder.finish();
-                    // Floors across 0..=N, N the largest hit count.
-                    let open = SearchParams {
-                        ranking: RankingScheme::Count,
-                        min_coarse_hits: 0,
-                        max_candidates: usize::MAX,
-                        ..SearchParams::default()
-                    };
-                    let mut probe = CoarseScratch::new();
-                    coarse_rank_with(&index, &query, &open, &mut probe).unwrap();
-                    let n = probe.touched.iter().map(|&r| probe.counts[r as usize]).max();
-                    let n = n.unwrap_or(0);
-                    let mut floors = vec![0, 1, 2, n / 2, n, n + 1];
-                    floors.sort_unstable();
-                    floors.dedup();
-                    for floor in floors {
-                        let mut floor_work = None;
-                        for &ranking in rankings {
-                            let mut full: Option<Vec<CoarseHit>> = None;
-                            // usize::MAX first: its run's state feeds the oracle.
-                            for max_candidates in [usize::MAX, 0, 1, 2, 7, 30] {
-                                let p = SearchParams {
-                                    ranking,
-                                    min_coarse_hits: floor,
-                                    max_candidates,
-                                    ..open
-                                };
-                                let mut fresh = CoarseScratch::new();
-                                let a = coarse_rank_with(&index, &query, &p, &mut fresh).unwrap();
-                                let b = coarse_rank_with(&index, &query, &p, &mut reused).unwrap();
-                                let full = full.get_or_insert_with(|| {
-                                    reference_rank(&fresh, index.record_lens(), &p, offsets)
-                                });
-                                let expected = &full[..full.len().min(max_candidates)];
-                                let case = format!("{granularity:?} {codec:?} floor {floor} {ranking:?} C {max_candidates}");
-                                proptest::prop_assert_eq!(&a.candidates[..], expected, "{}", case);
-                                proptest::prop_assert_eq!(&b.candidates[..], expected, "{}", case);
-                                let w = *floor_work.get_or_insert(work(&a));
-                                proptest::prop_assert_eq!(work(&a), w, "{}", case);
-                                proptest::prop_assert_eq!(work(&b), w, "{}", case);
-                                let summed: u64 =
-                                    fresh.touched.iter().map(|&r| fresh.counts[r as usize] as u64).sum();
-                                proptest::prop_assert_eq!(a.total_hits, summed, "{}", case);
-                            }
+                let mut probe = CoarseScratch::new();
+                coarse_rank_with(&index, &query, &open, &mut probe).unwrap();
+                let n = probe.touched.iter().map(|&r| probe.counts[r as usize]).max();
+                let n = n.unwrap_or(0);
+                let mut floors = vec![0, 1, 2, n / 2, n, n + 1];
+                floors.sort_unstable();
+                floors.dedup();
+                for floor in floors {
+                    let mut floor_work = None;
+                    for ranking in rankings {
+                        let mut full: Option<Vec<CoarseHit>> = None;
+                        // usize::MAX first: its run's state feeds the oracle.
+                        for max_candidates in [usize::MAX, 0, 1, 2, 7, 30] {
+                            let p = SearchParams {
+                                ranking,
+                                min_coarse_hits: floor,
+                                max_candidates,
+                                ..open
+                            };
+                            let mut fresh = CoarseScratch::new();
+                            let a = coarse_rank_with(&index, &query, &p, &mut fresh).unwrap();
+                            let b = coarse_rank_with(&index, &query, &p, &mut reused).unwrap();
+                            let full = full.get_or_insert_with(|| {
+                                reference_rank(&fresh, index.record_lens(), &p)
+                            });
+                            let expected = &full[..full.len().min(max_candidates)];
+                            let case = format!("{codec:?} floor {floor} {ranking:?} C {max_candidates}");
+                            proptest::prop_assert_eq!(&a.candidates[..], expected, "{}", case);
+                            proptest::prop_assert_eq!(&b.candidates[..], expected, "{}", case);
+                            let w = *floor_work.get_or_insert(work(&a));
+                            proptest::prop_assert_eq!(work(&a), w, "{}", case);
+                            proptest::prop_assert_eq!(work(&b), w, "{}", case);
+                            let summed: u64 =
+                                fresh.touched.iter().map(|&r| fresh.counts[r as usize] as u64).sum();
+                            proptest::prop_assert_eq!(a.total_hits, summed, "{}", case);
                         }
                     }
                 }
@@ -1486,8 +1338,8 @@ mod tests {
         }
     }
 
-    /// Offset-granularity coarse search with the single-pass accumulate
-    /// above and the shared rank.
+    /// Coarse search with the single-pass accumulate above and the shared
+    /// rank.
     fn single_pass<S: PostingsSource>(
         index: &S,
         query: &[Base],
@@ -1508,9 +1360,9 @@ mod tests {
             touched,
             hits,
             codes,
-            io_buf,
             ..
         } = &mut *scratch;
+        let mut io_buf = Vec::new();
         let mut run_start = 0usize;
         while run_start < codes.len() {
             let code = codes[run_start].0;
@@ -1528,7 +1380,7 @@ mod tests {
                 hits: &mut *hits,
             };
             run_start = run_end;
-            if let Some(stats) = index.fetch_stream(code, io_buf, &mut acc)? {
+            if let Some(stats) = index.fetch_stream(code, &mut io_buf, &mut acc)? {
                 outcome.lists_fetched += 1;
                 outcome.postings_decoded += stats.ids_decoded;
                 outcome.postings_bytes_read += stats.bytes_read;
@@ -1676,7 +1528,6 @@ mod tests {
             (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let mut acc = Accumulator {
             generation: 1,
-            offsets_path: false,
             qrun: &qrun,
             run: (0, qrun.len() as u32),
             total_hits: 0,
@@ -1688,31 +1539,11 @@ mod tests {
             kept: &mut kept,
             blocks: &mut blocks,
         };
-        acc.visit_block(&[0, 1], &[70_000, 1], None);
+        acc.add(&[0, 1], &[70_000, 1]);
         acc.visit(0, 1);
         assert_eq!(acc.total_hits, 70_000 * 70_000 + 70_000 * 2);
         assert_eq!(counts, [u32::MAX, 70_000]);
         assert_eq!(touched, [0, 1]);
-    }
-
-    #[test]
-    fn poly_a_query_against_a_poly_a_record_ranks_without_overflow() {
-        use nucdb_index::ListCodec;
-        let poly_a = bases(&[b'A'; 70_000]);
-        for codec in [ListCodec::Paper, ListCodec::Block] {
-            let mut builder =
-                IndexBuilder::new(IndexParams::new(8).with_granularity(Granularity::Records))
-                    .with_codec(codec);
-            builder.add_record(&bases(b"ACGTACGTACGTACGT"));
-            builder.add_record(&poly_a);
-            let index = builder.finish();
-            let outcome = coarse_rank(&index, &poly_a, &params(RankingScheme::Count)).unwrap();
-            let occurrences = 70_000 - 8 + 1;
-            assert_eq!(outcome.total_hits, occurrences * occurrences, "{codec:?}");
-            assert_eq!(outcome.candidates.len(), 1, "{codec:?}");
-            assert_eq!(outcome.candidates[0].record, 1, "{codec:?}");
-            assert_eq!(outcome.candidates[0].hits, u32::MAX, "{codec:?}");
-        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub enum Shape {
 impl Shape {
     /// Probe `dir` for a manifest. `SHARDS` wins over `MANIFEST`, so
     /// "is this directory sharded?" is the question this answers; "has
-    /// anyone committed segments here?" is [`has_live_manifest`]'s.
+    /// anyone committed segments here?" is `has_live_manifest`'s.
     pub fn of(dir: &Path) -> Shape {
         if ShardManifest::exists_in(dir) {
             Shape::Sharded

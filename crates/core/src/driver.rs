@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use nucdb_index::{Granularity, IndexError};
+use nucdb_index::IndexError;
 use nucdb_obs::{CaptureReason, QueryTrace, SpanNode};
 use nucdb_seq::{Base, DnaSeq};
 
@@ -49,9 +49,6 @@ pub(crate) trait Backend {
 
     /// Observability handles queries record into.
     fn metrics(&self) -> &SearchMetrics;
-
-    /// Postings granularity of the index (decides the fine-mode fallback).
-    fn granularity(&self) -> Granularity;
 
     /// Per-part rows for explain plans.
     fn segment_rows(&self) -> Vec<SegmentExplain> {
@@ -285,17 +282,6 @@ fn search_strand<B: Backend>(
     stats.candidates += coarse.candidates.len() as u64;
     stats.fine_alignments += coarse.candidates.len() as u64;
 
-    // A record-granularity index reports no diagonals, so banded
-    // fine alignment has nothing to centre on: fall back to full
-    // local alignment (score-only) for correctness.
-    let fine_mode = if backend.granularity() == Granularity::Records
-        && matches!(params.fine, FineMode::Banded { .. })
-    {
-        FineMode::Full
-    } else {
-        params.fine
-    };
-
     let fine_offset = cap.query_start.elapsed().as_nanos() as u64;
     let fine_start = Instant::now();
     let mut timings: Vec<CandidateTiming> = Vec::new();
@@ -303,7 +289,7 @@ fn search_strand<B: Backend>(
         state,
         query,
         &coarse.candidates,
-        fine_mode,
+        params.fine,
         params,
         (cap.spans.is_some() || cap.strand_plans.is_some()).then_some(&mut timings),
     );
@@ -316,7 +302,7 @@ fn search_strand<B: Backend>(
         strands.push(StrandExplain {
             strand,
             coarse: coarse_explain,
-            fine_mode: fine_mode_name(fine_mode),
+            fine_mode: fine_mode_name(params.fine),
             candidates: timings
                 .iter()
                 .map(|t| CandidateExplain {

@@ -86,15 +86,6 @@ impl PostingsSource for IndexVariant {
         self.source().fetch_stream(code, io_buf, visitor)
     }
 
-    fn fetch_counts_stream(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        self.source().fetch_counts_stream(code, io_buf, visitor)
-    }
-
     fn fetch_append(
         &self,
         code: u64,
@@ -571,10 +562,6 @@ impl Backend for Database {
         &self.metrics
     }
 
-    fn granularity(&self) -> nucdb_index::Granularity {
-        self.index.index_params().granularity
-    }
-
     fn segment_rows(&self) -> Vec<crate::explain::SegmentExplain> {
         Database::segment_rows(self)
     }
@@ -800,77 +787,6 @@ mod tests {
         let outcome = db.search(&rc_query, &params).unwrap();
         assert!(outcome.results.iter().any(|r| r.record == member));
         assert!(outcome.results.iter().all(|r| r.strand == Strand::Reverse));
-    }
-
-    #[test]
-    fn record_granularity_database_still_retrieves() {
-        use nucdb_index::{Granularity, IndexParams};
-        let coll = SyntheticCollection::generate(&CollectionSpec::tiny(64));
-        let config = DbConfig {
-            index: IndexParams::new(8).with_granularity(Granularity::Records),
-            ..DbConfig::default()
-        };
-        let db = Database::build(
-            coll.records.iter().map(|r| (r.id.clone(), r.seq.clone())),
-            &config,
-        );
-
-        // Frame ranking is impossible without offsets.
-        let query = coll.query_for_family(0, 0.6, &MutationModel::identity());
-        let frame = SearchParams::default();
-        assert!(db.search(&query, &frame).is_err());
-
-        // Count ranking + (automatic) full fine alignment works and finds
-        // the family.
-        let count = SearchParams::default().with_ranking(RankingScheme::Count);
-        let outcome = db.search(&query, &count).unwrap();
-        let retrieved: Vec<u32> = outcome.results.iter().map(|r| r.record).collect();
-        let found = coll.families[0]
-            .member_ids
-            .iter()
-            .filter(|m| retrieved.contains(m))
-            .count();
-        assert!(
-            found >= coll.families[0].member_ids.len() - 1,
-            "found {found}"
-        );
-
-        // The record-granularity index is smaller than the offset one.
-        let offsets_db = Database::build(
-            coll.records.iter().map(|r| (r.id.clone(), r.seq.clone())),
-            &DbConfig::default(),
-        );
-        let (IndexVariant::Memory(small), IndexVariant::Memory(big)) =
-            (db.index(), offsets_db.index())
-        else {
-            unreachable!()
-        };
-        assert!(small.stats().blob_bytes * 2 < big.stats().blob_bytes);
-    }
-
-    #[test]
-    fn record_granularity_disk_round_trip() {
-        use nucdb_index::{Granularity, IndexParams};
-        let coll = SyntheticCollection::generate(&CollectionSpec::tiny(65));
-        let config = DbConfig {
-            index: IndexParams::new(8).with_granularity(Granularity::Records),
-            ..DbConfig::default()
-        };
-        let db = Database::build(
-            coll.records.iter().map(|r| (r.id.clone(), r.seq.clone())),
-            &config,
-        );
-        let dir = std::env::temp_dir().join(format!("nucdb_gran_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let db = db.with_disk_index(&dir.join("idx.nucidx")).unwrap();
-        let query = coll.query_for_family(1, 0.6, &MutationModel::identity());
-        let params = SearchParams::default().with_ranking(RankingScheme::Count);
-        let outcome = db.search(&query, &params).unwrap();
-        assert!(outcome
-            .results
-            .iter()
-            .any(|r| coll.families[1].member_ids.contains(&r.record)));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

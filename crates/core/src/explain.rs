@@ -103,7 +103,7 @@ pub struct StrandExplain {
     pub strand: Strand,
     /// The coarse stage.
     pub coarse: CoarseExplain,
-    /// The fine mode that actually ran (after any granularity fallback).
+    /// The fine mode that ran (the requested one).
     pub fine_mode: String,
     /// Per-candidate fine outcomes, in alignment order.
     pub candidates: Vec<CandidateExplain>,

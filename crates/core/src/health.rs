@@ -314,8 +314,6 @@ pub struct IndexStatReport {
     pub k: usize,
     /// Extraction stride.
     pub stride: usize,
-    /// Postings granularity ("offsets" or "records").
-    pub granularity: String,
     /// Records indexed.
     pub records: u64,
     /// Distinct intervals (vocabulary size).
@@ -365,7 +363,6 @@ impl IndexStatReport {
             codec: index.codec().name().to_string(),
             k: params.k,
             stride: params.stride,
-            granularity: format!("{:?}", params.granularity).to_lowercase(),
             records: index.num_records() as u64,
             distinct_intervals: vocab.len() as u64,
             postings_entries,
@@ -401,10 +398,6 @@ impl IndexStatReport {
             ("codec".to_string(), Value::Str(self.codec.clone())),
             ("k".to_string(), num(self.k as u64)),
             ("stride".to_string(), num(self.stride as u64)),
-            (
-                "granularity".to_string(),
-                Value::Str(self.granularity.clone()),
-            ),
             ("records".to_string(), num(self.records)),
             (
                 "distinct_intervals".to_string(),
@@ -548,8 +541,8 @@ impl StatReport {
         };
         if let Some(index) = &self.index {
             out.push_str(&format!(
-                "index: {} ({} codec), k={} stride={} granularity={}\n",
-                index.format, index.codec, index.k, index.stride, index.granularity
+                "index: {} ({} codec), k={} stride={}\n",
+                index.format, index.codec, index.k, index.stride
             ));
             out.push_str(&format!(
                 "  {} records, {} distinct intervals, {} postings entries\n",

@@ -2,11 +2,12 @@
 //! [`Database`](crate::Database) records into, plus its query capture
 //! handle.
 //!
-//! The bundle is resolved once (at [`Database::bind_metrics`]
-//! (crate::Database::bind_metrics) time) so the hot path never touches
-//! the registry lock — each query records through pre-registered atomic
-//! handles. A default-constructed [`SearchMetrics`] is fully disabled:
-//! every handle is detached, so each record call is one branch.
+//! The bundle is resolved once (at
+//! [`Database::bind_metrics`](crate::Database::bind_metrics) time) so the
+//! hot path never touches the registry lock — each query records through
+//! pre-registered atomic handles. A default-constructed [`SearchMetrics`]
+//! is fully disabled: every handle is detached, so each record call is
+//! one branch.
 
 use nucdb_obs::{Counter, Forensics, Histogram, MetricsRegistry};
 

@@ -20,7 +20,7 @@
 //!   `Arc`s and are never torn.
 //! * Size-tiered compaction ([`LiveDatabase::compact_once`]) — merges
 //!   adjacent similar-sized segments with
-//!   [`merge_indexes`](nucdb_index::merge_indexes) as the kernel,
+//!   [`merge_indexes`] as the kernel,
 //!   deleting superseded files only after the new manifest is durable.
 //!   Merging only ever touches *adjacent* segments, so global record ids
 //!   (positional) never change.
@@ -37,8 +37,8 @@ use std::time::Instant;
 
 use nucdb_index::manifest::{segment_index_file, segment_store_file, Manifest, SegmentMeta};
 use nucdb_index::{
-    load_index, merge_indexes, write_index, CompressedIndex, FetchStats, Granularity, IndexBuilder,
-    IndexError, IndexParams, OffsetSection, OnDiskIndex, PostingsVisitor, BLOCK_LEN,
+    load_index, merge_indexes, write_index, CompressedIndex, FetchStats, IndexBuilder, IndexError,
+    IndexParams, OffsetSection, OnDiskIndex, PostingsVisitor, BLOCK_LEN,
 };
 use nucdb_obs::{Counter, Forensics, Gauge, MetricsRegistry};
 use nucdb_seq::{Base, DnaSeq, SeqError};
@@ -97,10 +97,10 @@ pub struct SegmentedIndex {
 }
 
 impl SegmentedIndex {
-    /// Compose parts (in global record-id order) into one index view.
-    /// All parts must agree on interval parameters and granularity and
-    /// be unstopped (live directories never use stopping; a stopped
-    /// segment would break merge identity).
+    /// Compose parts (in global record-id order) into one index view. All
+    /// parts must agree on interval parameters and be unstopped (live
+    /// directories never use stopping; a stopped segment would break
+    /// merge identity).
     pub fn new(parts: Vec<(String, SegmentIndexPart)>) -> Result<SegmentedIndex, IndexError> {
         let Some((_, first)) = parts.first() else {
             return Err(IndexError::Unsupported(
@@ -118,11 +118,7 @@ impl SegmentedIndex {
         let mut base = 0u64;
         for (label, part) in parts {
             let p = part.source().index_params();
-            if p.k != params.k
-                || p.stride != params.stride
-                || p.granularity != params.granularity
-                || p.stopping.is_some()
-            {
+            if p.k != params.k || p.stride != params.stride || p.stopping.is_some() {
                 return Err(IndexError::Unsupported(
                     "segment parts disagree on index parameters",
                 ));
@@ -209,7 +205,7 @@ impl PostingsVisitor for ShiftVisitor<'_> {
         self.inner.skip_block(lo + self.base, hi + self.base)
     }
 
-    fn visit_block(&mut self, records: &[u32], counts: &[u32], offsets: Option<OffsetSection>) {
+    fn visit_block(&mut self, records: &[u32], counts: &[u32], offsets: OffsetSection) {
         let mut shifted = [0u32; BLOCK_LEN];
         let shifted = &mut shifted[..records.len()];
         for (global, &local) in shifted.iter_mut().zip(records) {
@@ -240,17 +236,6 @@ impl PostingsSource for SegmentedIndex {
     ) -> Result<Option<FetchStats>, IndexError> {
         self.fetch_parts(visitor, |part, shifted| {
             part.fetch_stream(code, io_buf, shifted)
-        })
-    }
-
-    fn fetch_counts_stream(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        self.fetch_parts(visitor, |part, shifted| {
-            part.fetch_counts_stream(code, io_buf, shifted)
         })
     }
 
@@ -617,7 +602,6 @@ impl LiveDatabase {
         let manifest = Manifest::new(
             config.index.k,
             config.index.stride,
-            config.index.granularity,
             config.codec,
             storage_tag(config.storage),
         );
@@ -636,7 +620,6 @@ impl LiveDatabase {
                 k: manifest.k,
                 stride: manifest.stride,
                 stopping: None,
-                granularity: manifest.granularity,
             },
             codec: manifest.codec,
             storage: storage_from_tag(manifest.storage)?,
@@ -662,7 +645,6 @@ impl LiveDatabase {
                 k: manifest.k,
                 stride: manifest.stride,
                 stopping: None,
-                granularity: manifest.granularity,
             },
             codec: manifest.codec,
             storage: storage_from_tag(manifest.storage)?,
@@ -853,34 +835,11 @@ impl LiveDatabase {
         let mut store = SequenceStore::new(self.config.storage);
         store.extend_from_store(&a.store).map_err(io_err)?;
         store.extend_from_store(&b.store).map_err(io_err)?;
-        let index = self.merged_index_for(&a.index, &b.index, &store)?;
+        let index = merge_indexes(&a.index, &b.index)?;
         Ok(MemRun {
             store: Arc::new(store),
             index: Arc::new(index),
         })
-    }
-
-    /// Merge two adjacent indexes: `merge_indexes` for offset
-    /// granularity, rebuild from the (already merged) store for record
-    /// granularity — `merge_indexes` proves blob-identity to a joint
-    /// build for offsets, and a rebuild is identical by construction.
-    fn merged_index_for(
-        &self,
-        a: &CompressedIndex,
-        b: &CompressedIndex,
-        merged_store: &SequenceStore,
-    ) -> Result<CompressedIndex, IndexError> {
-        match self.config.index.granularity {
-            Granularity::Offsets => merge_indexes(a, b),
-            Granularity::Records => {
-                let mut builder =
-                    IndexBuilder::new(self.config.index.clone()).with_codec(self.config.codec);
-                for record in 0..RecordSource::len(merged_store) as u32 {
-                    builder.add_record(&RecordSource::bases(merged_store, record));
-                }
-                Ok(builder.finish())
-            }
-        }
     }
 
     /// Flush the memtable to a new immutable on-disk segment and swap in
@@ -988,7 +947,7 @@ impl LiveDatabase {
         merged_store.extend_from_store(&store_b).map_err(io_err)?;
         let index_a = load_index(&self.dir.join(a.index_file()))?;
         let index_b = load_index(&self.dir.join(b.index_file()))?;
-        let merged_index = self.merged_index_for(&index_a, &index_b, &merged_store)?;
+        let merged_index = merge_indexes(&index_a, &index_b)?;
 
         let index_path = self.dir.join(segment_index_file(new_id));
         let store_path = self.dir.join(segment_store_file(new_id));

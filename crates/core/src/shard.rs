@@ -48,7 +48,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use nucdb_index::{shard_dir_name, Granularity, IndexError, IndexParams, ShardManifest, ShardMeta};
+use nucdb_index::{shard_dir_name, IndexError, IndexParams, ShardManifest, ShardMeta};
 use nucdb_obs::{Counter, Forensics, Histogram, MetricsRegistry};
 use nucdb_seq::{Base, DnaSeq};
 
@@ -453,8 +453,6 @@ pub struct ShardSet {
     workers: Vec<JoinHandle<()>>,
     seq: AtomicU64,
     degraded_queries: Counter,
-    /// Postings granularity of the live shards (they all agree).
-    granularity: Granularity,
     /// Stored bases across live shards, summed once at assembly.
     total_bases: u64,
     /// The driver's observability handles: query metrics bound to the
@@ -566,7 +564,6 @@ impl ShardSet {
                 "nucdb_shard_degraded_queries_total",
                 "Queries answered with partial shard coverage",
             ),
-            granularity: params.map_or(Granularity::Offsets, |p| p.granularity),
             total_bases,
             metrics: SearchMetrics::new(registry),
         })
@@ -913,10 +910,6 @@ impl Backend for ShardSet {
         &self.metrics
     }
 
-    fn granularity(&self) -> Granularity {
-        self.granularity
-    }
-
     /// Coarse everywhere, then merge the per-shard candidate lists to
     /// the global top-C exactly as joint coarse ranking would. Work
     /// counters (and the per-shard stage times) are summed over shards.
@@ -1117,7 +1110,6 @@ pub fn build_sharded_root(
     let mut manifest = ShardManifest::new(
         config.index.k,
         config.index.stride,
-        config.index.granularity,
         config.codec,
         crate::segment::storage_tag(config.storage),
     );

@@ -12,14 +12,13 @@
 //! ```text
 //! list       := skip_table block*
 //! skip_table := (max_record:u32le end:u32le crc:u32le) * num_blocks
-//! block      := id_width:u8 count_width:u8 [off_width:u8]
-//!               packed id gaps   packed (count-1)s   [packed offset gaps]
+//! block      := id_width:u8 count_width:u8 off_width:u8
+//!               packed id gaps   packed (count-1)s   packed offset gaps
 //! ```
 //!
 //! `num_blocks = ceil(df / 128)`; `end` is the byte offset one past the
 //! block's payload relative to the first payload byte; `crc` is the IEEE
-//! CRC-32 of the payload bytes. The `off_width` byte and the offset
-//! section exist only at [`Granularity::Offsets`].
+//! CRC-32 of the payload bytes.
 //!
 //! Values are packed LSB-first in the classic horizontal layout: 32
 //! values per group of `width` little-endian 32-bit words, arrays padded
@@ -44,7 +43,6 @@
 use crate::compress::PostingsVisitor;
 use crate::durable::crc32;
 use crate::error::IndexError;
-use crate::interval::Granularity;
 use crate::postings::PostingsList;
 
 /// Postings per block.
@@ -63,7 +61,7 @@ pub fn skip_table_len(df: u32) -> usize {
 /// What a block-list decode hands its visitor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Emit {
-    /// `visit(record, offset)` per occurrence (offset granularity only).
+    /// `visit(record, offset)` per occurrence.
     Offsets,
     /// One [`PostingsVisitor::visit_block`] per decoded block. The list
     /// starts at byte `list_at` of the caller's buffer, and offset
@@ -274,10 +272,10 @@ impl<'a> GroupReader<'a> {
     }
 }
 
-/// Encode one list in the block layout. [`Granularity::Records`] drops
-/// the offset sections. Unlike the Golomb tiers the block codec needs no
-/// record-length table: widths are stored per block, never derived.
-pub(crate) fn encode_block_postings(list: &PostingsList, granularity: Granularity) -> Vec<u8> {
+/// Encode one list in the block layout. Unlike the Golomb tiers the block
+/// codec needs no record-length table: widths are stored per block, never
+/// derived.
+pub(crate) fn encode_block_postings(list: &PostingsList) -> Vec<u8> {
     let df = list.entries.len();
     let num_blocks = df.div_ceil(BLOCK_LEN);
     let mut out = vec![0u8; num_blocks * SKIP_ENTRY_BYTES];
@@ -295,29 +293,20 @@ pub(crate) fn encode_block_postings(list: &PostingsList, granularity: Granularit
             ids.push((posting.record as i64 - prev_record - 1) as u32);
             prev_record = posting.record as i64;
             counts.push(posting.offsets.len() as u32 - 1);
-            if granularity == Granularity::Offsets {
-                let mut prev_off: i64 = -1;
-                for &off in &posting.offsets {
-                    offs.push((off as i64 - prev_off - 1) as u32);
-                    prev_off = off as i64;
-                }
+            let mut prev_off: i64 = -1;
+            for &off in &posting.offsets {
+                offs.push((off as i64 - prev_off - 1) as u32);
+                prev_off = off as i64;
             }
         }
         let id_w = width_for(ids.iter().copied().max().unwrap_or(0));
         let count_w = width_for(counts.iter().copied().max().unwrap_or(0));
+        let off_w = width_for(offs.iter().copied().max().unwrap_or(0));
         let block_start = out.len();
-        out.push(id_w);
-        out.push(count_w);
-        if granularity == Granularity::Offsets {
-            let off_w = width_for(offs.iter().copied().max().unwrap_or(0));
-            out.push(off_w);
-            pack_values(id_w, &ids, &mut out);
-            pack_values(count_w, &counts, &mut out);
-            pack_values(off_w, &offs, &mut out);
-        } else {
-            pack_values(id_w, &ids, &mut out);
-            pack_values(count_w, &counts, &mut out);
-        }
+        out.extend_from_slice(&[id_w, count_w, off_w]);
+        pack_values(id_w, &ids, &mut out);
+        pack_values(count_w, &counts, &mut out);
+        pack_values(off_w, &offs, &mut out);
         let end = (out.len() - payload_start) as u32;
         let crc = crc32(&out[block_start..]);
         let entry = &mut out[b * SKIP_ENTRY_BYTES..(b + 1) * SKIP_ENTRY_BYTES];
@@ -340,13 +329,12 @@ fn read_skip_entry(bytes: &[u8], b: usize) -> (u32, usize, u32) {
 /// Stream one block-coded list through `visitor`.
 ///
 /// With [`Emit::Offsets`] the visitor sees `(record, offset)` per
-/// occurrence (offset granularity only). With [`Emit::Counts`] it sees
-/// each block's ids and counts in one `visit_block` call — and at offset
-/// granularity the offset sections are *not unpacked at all*: the
-/// length-delimited layout just steps over them and reports where each
-/// one sits. The visitor's `skip_block(lo, hi)` is consulted per block
-/// before CRC verification and unpacking; `lo..=hi` bounds every record
-/// id the block can hold.
+/// occurrence. With [`Emit::Counts`] it sees each block's ids and counts
+/// in one `visit_block` call — and the offset sections are *not unpacked
+/// at all*: the length-delimited layout just steps over them and reports
+/// where each one sits. The visitor's `skip_block(lo, hi)` is consulted
+/// per block before CRC verification and unpacking; `lo..=hi` bounds
+/// every record id the block can hold.
 ///
 /// Corruption offsets in errors are relative to the list's first byte;
 /// callers that know the list's file position rebase them (see
@@ -358,15 +346,9 @@ pub(crate) fn decode_block_stream(
     df: u32,
     num_records: u32,
     record_lens: &[u32],
-    granularity: Granularity,
     emit: Emit,
     visitor: &mut dyn PostingsVisitor,
 ) -> Result<BlockDecodeStats, IndexError> {
-    if emit == Emit::Offsets && granularity == Granularity::Records {
-        return Err(IndexError::Unsupported(
-            "record-granularity list stores no offsets",
-        ));
-    }
     let mut stats = BlockDecodeStats::default();
     let num_blocks = (df as usize).div_ceil(BLOCK_LEN);
     let skip_len = num_blocks * SKIP_ENTRY_BYTES;
@@ -382,11 +364,7 @@ pub(crate) fn decode_block_stream(
         return Ok(stats);
     }
     let payload = &bytes[skip_len..];
-    let width_bytes = if granularity == Granularity::Offsets {
-        3
-    } else {
-        2
-    };
+    const WIDTH_BYTES: usize = 3;
 
     let mut idbuf = [0u32; BLOCK_LEN];
     let mut countbuf = [0u32; BLOCK_LEN];
@@ -424,25 +402,23 @@ pub(crate) fn decode_block_stream(
                 actual_crc,
             ));
         }
-        if blk.len() < width_bytes {
+        if blk.len() < WIDTH_BYTES {
             return Err(IndexError::bad_format("block too short for its widths"));
         }
-        let id_w = blk[0];
-        let count_w = blk[1];
-        let off_w = if width_bytes == 3 { blk[2] } else { 0 };
+        let (id_w, count_w, off_w) = (blk[0], blk[1], blk[2]);
         if id_w > 32 || count_w > 32 || off_w > 32 {
             return Err(IndexError::bad_format("block width exceeds 32 bits"));
         }
         let id_bytes = packed_len(id_w, n as u64) as usize;
         let count_bytes = packed_len(count_w, n as u64) as usize;
-        let fixed = width_bytes + id_bytes + count_bytes;
+        let fixed = WIDTH_BYTES + id_bytes + count_bytes;
         if blk.len() < fixed {
             return Err(IndexError::bad_format(
                 "block shorter than its packed sections",
             ));
         }
 
-        unpack_values(id_w, &blk[width_bytes..], n, &mut idbuf);
+        unpack_values(id_w, &blk[WIDTH_BYTES..], n, &mut idbuf);
         let mut prev = prev_record;
         for gap in idbuf.iter_mut().take(n) {
             let record = prev + 1 + *gap as i64;
@@ -458,7 +434,7 @@ pub(crate) fn decode_block_stream(
             ));
         }
 
-        unpack_values(count_w, &blk[width_bytes + id_bytes..], n, &mut countbuf);
+        unpack_values(count_w, &blk[WIDTH_BYTES + id_bytes..], n, &mut countbuf);
         let mut total_offs = 0u64;
         for i in 0..n {
             let count = countbuf[i] as u64 + 1;
@@ -473,18 +449,9 @@ pub(crate) fn decode_block_stream(
             total_offs += count;
         }
 
-        let section = if granularity == Granularity::Offsets {
-            let off_bytes = packed_len(off_w, total_offs);
-            if blk.len() as u64 != fixed as u64 + off_bytes {
-                return Err(IndexError::bad_format("block offset section missized"));
-            }
-            Some(fixed)
-        } else {
-            if blk.len() != fixed {
-                return Err(IndexError::bad_format("trailing bytes in block"));
-            }
-            None
-        };
+        if blk.len() as u64 != fixed as u64 + packed_len(off_w, total_offs) {
+            return Err(IndexError::bad_format("block offset section missized"));
+        }
         match emit {
             Emit::Offsets => {
                 let mut reader = GroupReader::new(off_w, &blk[fixed..]);
@@ -508,10 +475,10 @@ pub(crate) fn decode_block_stream(
             Emit::Counts { list_at } => visitor.visit_block(
                 &idbuf[..n],
                 &countbuf[..n],
-                section.map(|at| OffsetSection {
-                    start: list_at + skip_len + block_start + at,
+                OffsetSection {
+                    start: list_at + skip_len + block_start + fixed,
                     width: off_w,
-                }),
+                },
             ),
         }
 
@@ -635,19 +602,12 @@ mod tests {
             let list = multi_block_list(df);
             let num_records = 4096;
             let lens = vec![1024u32; num_records as usize];
-            let bytes = encode_block_postings(&list, Granularity::Offsets);
+            let bytes = encode_block_postings(&list);
             assert!(bytes.len() >= skip_table_len(df as u32), "df {df}");
             let mut v = Collect(Vec::new());
-            let stats = decode_block_stream(
-                &bytes,
-                df as u32,
-                num_records,
-                &lens,
-                Granularity::Offsets,
-                Emit::Offsets,
-                &mut v,
-            )
-            .unwrap();
+            let stats =
+                decode_block_stream(&bytes, df as u32, num_records, &lens, Emit::Offsets, &mut v)
+                    .unwrap();
             let expect: Vec<(u32, u32)> = list
                 .entries
                 .iter()
@@ -664,14 +624,13 @@ mod tests {
     fn counts_decode_skips_offset_sections() {
         let list = multi_block_list(300);
         let lens = vec![1024u32; 4096];
-        let bytes = encode_block_postings(&list, Granularity::Offsets);
+        let bytes = encode_block_postings(&list);
         let mut v = Collect(Vec::new());
         decode_block_stream(
             &bytes,
             300,
             4096,
             &lens,
-            Granularity::Offsets,
             Emit::Counts { list_at: 0 },
             &mut v,
         )
@@ -685,12 +644,12 @@ mod tests {
     }
 
     /// Keeps every block a counts decode hands over.
-    struct Blocks(Vec<(Vec<u32>, Vec<u32>, Option<OffsetSection>)>);
+    struct Blocks(Vec<(Vec<u32>, Vec<u32>, OffsetSection)>);
     impl PostingsVisitor for Blocks {
         fn visit(&mut self, _record: u32, _value: u32) {
             panic!("a counts decode hands over whole blocks");
         }
-        fn visit_block(&mut self, records: &[u32], counts: &[u32], offsets: Option<OffsetSection>) {
+        fn visit_block(&mut self, records: &[u32], counts: &[u32], offsets: OffsetSection) {
             self.0.push((records.to_vec(), counts.to_vec(), offsets));
         }
     }
@@ -701,14 +660,13 @@ mod tests {
         let lens = vec![1024u32; 4096];
         // The list sits behind other bytes in the caller's buffer.
         let mut buf = vec![0xAB; 5];
-        buf.extend(encode_block_postings(&list, Granularity::Offsets));
+        buf.extend(encode_block_postings(&list));
         let mut v = Blocks(Vec::new());
         decode_block_stream(
             &buf[5..],
             300,
             4096,
             &lens,
-            Granularity::Offsets,
             Emit::Counts { list_at: 5 },
             &mut v,
         )
@@ -716,7 +674,6 @@ mod tests {
         assert_eq!(v.0.len(), 3);
         let mut seen = 0;
         for (records, counts, section) in &v.0 {
-            let section = section.expect("offset granularity locates offsets");
             let postings: Vec<(u32, u32)> = records
                 .iter()
                 .copied()
@@ -752,30 +709,15 @@ mod tests {
         // Record 0's last offset sits exactly at this length.
         let short = vec![*list.entries[0].offsets.last().unwrap(); 4096];
         assert!(section
-            .unwrap()
             .visit_offsets(&buf, &postings, &short, |_| true, |_, _| {})
             .is_err());
-        // Record granularity has no sections to locate.
-        let records_only = encode_block_postings(&list, Granularity::Records);
-        let mut v = Blocks(Vec::new());
-        decode_block_stream(
-            &records_only,
-            300,
-            4096,
-            &lens,
-            Granularity::Records,
-            Emit::Counts { list_at: 0 },
-            &mut v,
-        )
-        .unwrap();
-        assert!(v.0.iter().all(|(_, _, section)| section.is_none()));
     }
 
     #[test]
     fn skipping_blocks_preserves_later_blocks() {
         let list = multi_block_list(400);
         let lens = vec![1024u32; 4096];
-        let bytes = encode_block_postings(&list, Granularity::Offsets);
+        let bytes = encode_block_postings(&list);
         // Skip every block whose lowest possible record exceeds the first
         // block's range: blocks 2..4 are refused, blocks 0..2 decode.
         let boundary = list.entries[2 * BLOCK_LEN - 1].record;
@@ -783,16 +725,7 @@ mod tests {
             seen: Vec::new(),
             skip_above: boundary,
         };
-        let stats = decode_block_stream(
-            &bytes,
-            400,
-            4096,
-            &lens,
-            Granularity::Offsets,
-            Emit::Offsets,
-            &mut v,
-        )
-        .unwrap();
+        let stats = decode_block_stream(&bytes, 400, 4096, &lens, Emit::Offsets, &mut v).unwrap();
         assert_eq!(stats.blocks_skipped, 2);
         assert_eq!(stats.blocks_decoded, 2);
         assert_eq!(stats.ids_decoded, 2 * BLOCK_LEN as u64);
@@ -809,22 +742,14 @@ mod tests {
     fn corrupt_block_payload_names_the_block() {
         let list = multi_block_list(300);
         let lens = vec![1024u32; 4096];
-        let mut bytes = encode_block_postings(&list, Granularity::Offsets);
+        let mut bytes = encode_block_postings(&list);
         let skip_len = skip_table_len(300);
         // Flip a byte in the second block's payload.
         let (_, first_end, _) = read_skip_entry(&bytes, 0);
         let victim = skip_len + first_end + 4;
         bytes[victim] ^= 0x10;
         let mut v = Collect(Vec::new());
-        match decode_block_stream(
-            &bytes,
-            300,
-            4096,
-            &lens,
-            Granularity::Offsets,
-            Emit::Offsets,
-            &mut v,
-        ) {
+        match decode_block_stream(&bytes, 300, 4096, &lens, Emit::Offsets, &mut v) {
             Err(IndexError::Corruption {
                 section, offset, ..
             }) => {
@@ -842,18 +767,11 @@ mod tests {
     fn every_truncation_errors_cleanly() {
         let list = multi_block_list(260);
         let lens = vec![1024u32; 4096];
-        let bytes = encode_block_postings(&list, Granularity::Offsets);
+        let bytes = encode_block_postings(&list);
         for cut in 0..bytes.len() {
             let mut v = Collect(Vec::new());
-            let result = decode_block_stream(
-                &bytes[..cut],
-                260,
-                4096,
-                &lens,
-                Granularity::Offsets,
-                Emit::Offsets,
-                &mut v,
-            );
+            let result =
+                decode_block_stream(&bytes[..cut], 260, 4096, &lens, Emit::Offsets, &mut v);
             assert!(result.is_err(), "cut {cut} decoded");
             assert!(verify_block_list(&bytes[..cut], 260).is_err(), "cut {cut}");
         }
@@ -876,58 +794,9 @@ mod tests {
                 },
             ],
         };
-        let bytes = encode_block_postings(&list, Granularity::Offsets);
+        let bytes = encode_block_postings(&list);
         let mut v = Collect(Vec::new());
-        decode_block_stream(
-            &bytes,
-            2,
-            u32::MAX,
-            &[16, 16],
-            Granularity::Offsets,
-            Emit::Offsets,
-            &mut v,
-        )
-        .unwrap();
+        decode_block_stream(&bytes, 2, u32::MAX, &[16, 16], Emit::Offsets, &mut v).unwrap();
         assert_eq!(v.0, vec![(0, 0), (0, 3), (u32::MAX - 1, 7)]);
-    }
-
-    #[test]
-    fn records_granularity_has_no_offset_sections() {
-        let list = multi_block_list(200);
-        let with_offsets = encode_block_postings(&list, Granularity::Offsets);
-        let records_only = encode_block_postings(&list, Granularity::Records);
-        assert!(records_only.len() < with_offsets.len());
-        let lens = vec![1024u32; 4096];
-        let mut v = Collect(Vec::new());
-        decode_block_stream(
-            &records_only,
-            200,
-            4096,
-            &lens,
-            Granularity::Records,
-            Emit::Counts { list_at: 0 },
-            &mut v,
-        )
-        .unwrap();
-        let expect: Vec<(u32, u32)> = list
-            .entries
-            .iter()
-            .map(|p| (p.record, p.offsets.len() as u32))
-            .collect();
-        assert_eq!(v.0, expect);
-        // Asking a records-granularity list for offsets is refused.
-        let mut v = Collect(Vec::new());
-        assert!(matches!(
-            decode_block_stream(
-                &records_only,
-                200,
-                4096,
-                &lens,
-                Granularity::Records,
-                Emit::Offsets,
-                &mut v
-            ),
-            Err(IndexError::Unsupported(_))
-        ));
     }
 }

@@ -20,13 +20,15 @@
 //! [`ListCodec::Block`] is the one other layout (see [`crate::block`]).
 //! The comparison experiment E5 measures the remaining integer codes by
 //! applying `nucdb-codec` to these three streams itself; nothing but
-//! these two layouts is ever written or opened.
+//! these two layouts is ever written or opened. Both always carry the
+//! offsets: record-level lists (ids and counts only) exist only as the
+//! E12 row the bench crate builds.
 
 use nucdb_codec::{BitReader, BitWriter, Gamma, Golomb, IntCodec};
 
 use crate::block::{decode_block_stream, BlockDecodeStats, Emit, OffsetSection};
 use crate::error::IndexError;
-use crate::interval::{Granularity, IndexParams};
+use crate::interval::IndexParams;
 use crate::postings::{Posting, PostingsList};
 use crate::stats::IndexStats;
 
@@ -147,14 +149,13 @@ pub trait PostingsVisitor {
     }
 
     /// One decoded block of a counts walk: at most [`BLOCK_LEN`] records
-    /// ascending, with `counts[i]` the occurrences of `records[i]`. At
-    /// offset granularity `offsets` locates the block's packed offsets in
-    /// the buffer the list was decoded from (see
-    /// [`OffsetSection::visit_offsets`]). The default hands each entry to
-    /// [`visit`](PostingsVisitor::visit).
+    /// ascending, with `counts[i]` the occurrences of `records[i]`.
+    /// `offsets` locates the block's packed offsets in the buffer the list
+    /// was decoded from (see [`OffsetSection::visit_offsets`]). The
+    /// default hands each entry to [`visit`](PostingsVisitor::visit).
     ///
     /// [`BLOCK_LEN`]: crate::block::BLOCK_LEN
-    fn visit_block(&mut self, records: &[u32], counts: &[u32], offsets: Option<OffsetSection>) {
+    fn visit_block(&mut self, records: &[u32], counts: &[u32], offsets: OffsetSection) {
         let _ = offsets;
         for (&record, &count) in records.iter().zip(counts) {
             self.visit(record, count);
@@ -174,21 +175,18 @@ impl<F: FnMut(u32, u32)> PostingsVisitor for FnVisitor<F> {
 
 /// Encode one postings list into a byte-aligned blob.
 ///
-/// `record_lens` must cover every record id in the list. With
-/// [`Granularity::Records`] only record gaps and occurrence counts are
-/// written; offsets are dropped (the paper family's coarse-grained index
-/// option). `ListCodec::Block` ignores `record_lens` (its widths are
-/// stored, not fitted).
+/// `record_lens` must cover every record id in the list.
+/// `ListCodec::Block` ignores `record_lens` (its widths are stored, not
+/// fitted).
 pub fn encode_postings(
     list: &PostingsList,
     num_records: u32,
     record_lens: &[u32],
     codec: ListCodec,
-    granularity: Granularity,
 ) -> Vec<u8> {
     debug_assert!(list.is_well_formed());
     if codec == ListCodec::Block {
-        return crate::block::encode_block_postings(list, granularity);
+        return crate::block::encode_block_postings(list);
     }
     let record_gaps = Golomb::fit((num_records as u64).max(1), list.df() as u64);
 
@@ -201,9 +199,6 @@ pub fn encode_postings(
         let count = posting.offsets.len() as u64;
         Gamma.encode(count - 1, &mut w);
 
-        if granularity == Granularity::Records {
-            continue;
-        }
         let len = record_lens[posting.record as usize] as u64;
         let offset_gaps = Golomb::fit(len.max(1), count);
         let mut prev_off: i64 = -1;
@@ -215,11 +210,11 @@ pub fn encode_postings(
     w.into_bytes()
 }
 
-/// Streaming decode of a blob produced by [`encode_postings`] at offset
-/// granularity: `visit(record, offset)` is called for every posting, in
-/// record order, offsets ascending within a record — no `PostingsList` is
-/// materialised. `df` is the list's record count (stored in the
-/// vocabulary, not in the blob).
+/// Streaming decode of a blob produced by [`encode_postings`]:
+/// `visit(record, offset)` is called for every posting, in record order,
+/// offsets ascending within a record — no `PostingsList` is materialised.
+/// `df` is the list's record count (stored in the vocabulary, not in the
+/// blob).
 ///
 /// On a decode error some prefix of the entries may already have been
 /// visited; callers must treat the visited data as void when `Err` is
@@ -239,7 +234,6 @@ pub fn decode_postings_with<F: FnMut(u32, u32)>(
             df,
             num_records,
             record_lens,
-            Granularity::Offsets,
             Emit::Offsets,
             &mut visitor,
         )?;
@@ -276,17 +270,15 @@ pub fn decode_postings_with<F: FnMut(u32, u32)>(
     Ok(())
 }
 
-/// Streaming decode of `(record, occurrence count)` pairs from a blob of
-/// either granularity (offset-granularity blobs have their offsets walked
-/// past without materialisation). Same visitor contract as
-/// [`decode_postings_with`].
+/// Streaming decode of `(record, occurrence count)` pairs from a blob,
+/// walking past the offsets without materialising them. Same visitor
+/// contract as [`decode_postings_with`].
 pub fn decode_counts_with<F: FnMut(u32, u32)>(
     bytes: &[u8],
     df: u32,
     num_records: u32,
     record_lens: &[u32],
     codec: ListCodec,
-    granularity: Granularity,
     mut visit: F,
 ) -> Result<(), IndexError> {
     if codec == ListCodec::Block {
@@ -296,7 +288,6 @@ pub fn decode_counts_with<F: FnMut(u32, u32)>(
             df,
             num_records,
             record_lens,
-            granularity,
             Emit::Counts { list_at: 0 },
             &mut visitor,
         )?;
@@ -319,23 +310,18 @@ pub fn decode_counts_with<F: FnMut(u32, u32)>(
         if count > len {
             return Err(IndexError::bad_format("offset count exceeds record length"));
         }
-        if granularity == Granularity::Offsets {
-            // Walk past the offsets without materialising them.
-            let offset_gaps = Golomb::fit(len.max(1), count);
-            for _ in 0..count {
-                offset_gaps.decode(&mut r)?;
-            }
+        let offset_gaps = Golomb::fit(len.max(1), count);
+        for _ in 0..count {
+            offset_gaps.decode(&mut r)?;
         }
         visit(record, count as u32);
     }
     Ok(())
 }
 
-/// Decode a blob produced by [`encode_postings`] at offset granularity.
-/// `df` is the list's record count (stored in the vocabulary, not in the
-/// blob). Record-granularity blobs hold no offsets; use
-/// [`decode_counts`] for those. The hot path streams instead: see
-/// [`decode_postings_with`].
+/// Decode a blob produced by [`encode_postings`]. `df` is the list's
+/// record count (stored in the vocabulary, not in the blob). The hot path
+/// streams instead: see [`decode_postings_with`].
 pub fn decode_postings(
     bytes: &[u8],
     df: u32,
@@ -365,16 +351,14 @@ pub fn decode_postings(
     Ok(PostingsList { entries })
 }
 
-/// Decode `(record, occurrence count)` pairs from a blob of either
-/// granularity (offset-granularity blobs have their offsets decoded and
-/// discarded). The hot path streams instead: see [`decode_counts_with`].
+/// Decode `(record, occurrence count)` pairs from a blob, its offsets
+/// decoded and discarded (offline statistics).
 pub fn decode_counts(
     bytes: &[u8],
     df: u32,
     num_records: u32,
     record_lens: &[u32],
     codec: ListCodec,
-    granularity: Granularity,
 ) -> Result<Vec<(u32, u32)>, IndexError> {
     let mut out = Vec::with_capacity(df as usize);
     decode_counts_with(
@@ -383,7 +367,6 @@ pub fn decode_counts(
         num_records,
         record_lens,
         codec,
-        granularity,
         |record, count| {
             out.push((record, count));
         },
@@ -445,8 +428,7 @@ impl CompressedIndex {
             if list.df() == 0 {
                 continue;
             }
-            let bytes =
-                encode_postings(&list, num_records, &record_lens, codec, params.granularity);
+            let bytes = encode_postings(&list, num_records, &record_lens, codec);
             vocab.push(VocabEntry {
                 code,
                 offset: blob.len() as u64,
@@ -558,11 +540,6 @@ impl CompressedIndex {
         code: u64,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        if self.params.granularity == Granularity::Records {
-            return Err(IndexError::Unsupported(
-                "record-granularity index stores no offsets",
-            ));
-        }
         let Some(entry) = self.entry(code) else {
             return Ok(None);
         };
@@ -573,7 +550,6 @@ impl CompressedIndex {
                 entry.df,
                 self.num_records(),
                 &self.record_lens,
-                Granularity::Offsets,
                 Emit::Offsets,
                 visitor,
             )?;
@@ -602,7 +578,7 @@ impl CompressedIndex {
         buf: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        if self.codec != ListCodec::Block || self.params.granularity == Granularity::Records {
+        if self.codec != ListCodec::Block {
             return self.postings_stream(code, visitor);
         }
         let Some(entry) = self.entry(code) else {
@@ -615,47 +591,10 @@ impl CompressedIndex {
             entry.df,
             self.num_records(),
             &self.record_lens,
-            Granularity::Offsets,
             Emit::Counts { list_at },
             visitor,
         )?;
         Ok(Some(FetchStats::block(entry, block)))
-    }
-
-    /// Streaming counts fetch: the counts-path twin of
-    /// [`CompressedIndex::postings_stream`], working at either
-    /// granularity.
-    pub fn counts_stream(
-        &self,
-        code: u64,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        let Some(entry) = self.entry(code) else {
-            return Ok(None);
-        };
-        let bytes = self.list_bytes(entry);
-        if self.codec == ListCodec::Block {
-            let block = decode_block_stream(
-                bytes,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                self.params.granularity,
-                Emit::Counts { list_at: 0 },
-                visitor,
-            )?;
-            return Ok(Some(FetchStats::block(entry, block)));
-        }
-        decode_counts_with(
-            bytes,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-            self.params.granularity,
-            |record, count| visitor.visit(record, count),
-        )?;
-        Ok(Some(FetchStats::paper(entry)))
     }
 
     /// The stored bytes of one vocabulary entry's list.
@@ -664,14 +603,8 @@ impl CompressedIndex {
     }
 
     /// Decode the postings list for `code`; `Ok(None)` if the interval is
-    /// absent (never indexed, or stopped). Errors on a record-granularity
-    /// index, which stores no offsets — use [`CompressedIndex::counts`].
+    /// absent (never indexed, or stopped).
     pub fn postings(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
-        if self.params.granularity == Granularity::Records {
-            return Err(IndexError::Unsupported(
-                "record-granularity index stores no offsets",
-            ));
-        }
         let Some(entry) = self.entry(code) else {
             return Ok(None);
         };
@@ -687,7 +620,7 @@ impl CompressedIndex {
     }
 
     /// Decode `(record, occurrence count)` pairs for `code`; `Ok(None)`
-    /// if the interval is absent. Works at either granularity.
+    /// if the interval is absent.
     pub fn counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError> {
         let Some(entry) = self.entry(code) else {
             return Ok(None);
@@ -699,7 +632,6 @@ impl CompressedIndex {
             self.num_records(),
             &self.record_lens,
             self.codec,
-            self.params.granularity,
         )
         .map(Some)
     }
@@ -749,8 +681,7 @@ impl CompressedIndex {
         total
     }
 
-    /// Decode every list (for merging and tests). Offset granularity
-    /// only.
+    /// Decode every list (for merging and tests).
     pub fn decode_all(&self) -> Result<Vec<(u64, PostingsList)>, IndexError> {
         self.vocab
             .iter()
@@ -802,19 +733,11 @@ mod tests {
         let list = sample_list();
         let lens = lens();
         for codec in ALL_CODECS {
-            let bytes = encode_postings(&list, 100, &lens, codec, Granularity::Offsets);
+            let bytes = encode_postings(&list, 100, &lens, codec);
             let back = decode_postings(&bytes, list.df() as u32, 100, &lens, codec).unwrap();
             assert_eq!(back, list, "{}", codec.name());
             // Counts decode agrees for every codec too.
-            let counts = decode_counts(
-                &bytes,
-                list.df() as u32,
-                100,
-                &lens,
-                codec,
-                Granularity::Offsets,
-            )
-            .unwrap();
+            let counts = decode_counts(&bytes, list.df() as u32, 100, &lens, codec).unwrap();
             let expect: Vec<(u32, u32)> = list
                 .entries
                 .iter()
@@ -838,10 +761,8 @@ mod tests {
                 .collect(),
         };
         let lens = vec![1000u32; 600];
-        let paper =
-            encode_postings(&list, 600, &lens, ListCodec::Paper, Granularity::Offsets).len();
-        let block =
-            encode_postings(&list, 600, &lens, ListCodec::Block, Granularity::Offsets).len();
+        let paper = encode_postings(&list, 600, &lens, ListCodec::Paper).len();
+        let block = encode_postings(&list, 600, &lens, ListCodec::Block).len();
         assert!(paper < block, "paper {paper} >= block {block}");
     }
 
@@ -856,7 +777,7 @@ mod tests {
         };
         let lens = vec![32u32];
         for codec in ALL_CODECS {
-            let bytes = encode_postings(&list, 1, &lens, codec, Granularity::Offsets);
+            let bytes = encode_postings(&list, 1, &lens, codec);
             let back = decode_postings(&bytes, 1, 1, &lens, codec).unwrap();
             assert_eq!(back, list);
         }
@@ -866,7 +787,7 @@ mod tests {
     fn decode_rejects_corrupt_record_id() {
         let list = sample_list();
         let lens = lens();
-        let bytes = encode_postings(&list, 100, &lens, ListCodec::Paper, Granularity::Offsets);
+        let bytes = encode_postings(&list, 100, &lens, ListCodec::Paper);
         // Lie about df: decoder walks past the real entries into padding
         // and must fail, not panic.
         let result = decode_postings(&bytes, 60, 100, &lens, ListCodec::Paper);
@@ -934,87 +855,6 @@ mod tests {
             vec![8u32],
             vec![(9u64, l.clone()), (7u64, l)].into_iter(),
         );
-    }
-
-    #[test]
-    fn records_granularity_round_trips_counts() {
-        let list = sample_list();
-        let lens = lens();
-        for codec in ALL_CODECS {
-            let bytes = encode_postings(&list, 100, &lens, codec, Granularity::Records);
-            let counts = decode_counts(
-                &bytes,
-                list.df() as u32,
-                100,
-                &lens,
-                codec,
-                Granularity::Records,
-            )
-            .unwrap();
-            let expect: Vec<(u32, u32)> = list
-                .entries
-                .iter()
-                .map(|p| (p.record, p.offsets.len() as u32))
-                .collect();
-            assert_eq!(counts, expect, "{}", codec.name());
-        }
-    }
-
-    #[test]
-    fn counts_agree_across_granularities() {
-        let list = sample_list();
-        let lens = lens();
-        let with_offsets =
-            encode_postings(&list, 100, &lens, ListCodec::Paper, Granularity::Offsets);
-        let records_only =
-            encode_postings(&list, 100, &lens, ListCodec::Paper, Granularity::Records);
-        // Records-only is strictly smaller.
-        assert!(records_only.len() < with_offsets.len());
-        let a = decode_counts(
-            &with_offsets,
-            list.df() as u32,
-            100,
-            &lens,
-            ListCodec::Paper,
-            Granularity::Offsets,
-        )
-        .unwrap();
-        let b = decode_counts(
-            &records_only,
-            list.df() as u32,
-            100,
-            &lens,
-            ListCodec::Paper,
-            Granularity::Records,
-        )
-        .unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn records_granularity_index_rejects_postings_access() {
-        let lens = vec![40u32; 10];
-        let lists = vec![(
-            7u64,
-            PostingsList {
-                entries: vec![Posting {
-                    record: 1,
-                    offsets: vec![3, 9],
-                }],
-            },
-        )];
-        let index = CompressedIndex::from_sorted_lists(
-            IndexParams::new(4).with_granularity(Granularity::Records),
-            ListCodec::Paper,
-            lens,
-            lists.into_iter(),
-        );
-        assert!(matches!(index.postings(7), Err(IndexError::Unsupported(_))));
-        assert_eq!(index.counts(7).unwrap().unwrap(), vec![(1u32, 2u32)]);
-        assert!(index.counts(99).unwrap().is_none());
-        // Stats still work (offsets counted from the counts decode).
-        let stats = index.stats();
-        assert_eq!(stats.total_offsets, 2);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! magic "NUCIDX03"
 //! header_len:u32le  header_crc:u32le        — IEEE CRC-32 of the header bytes
 //! header bytes:
-//!   k:u8  stride:v  stopping:(tag:u8 payload)  codec:u8  granularity:u8
+//!   k:u8  stride:v  stopping:(tag:u8 payload)  codec:u8  granularity:u8 (0)
 //!   num_records:v  record_lens:v*
 //!   vocab_count:v  (code_gap+1:v  len:v  df:v  list_crc:v)*
 //!   blob_len:v                              — list offsets are cumulative
@@ -32,7 +32,8 @@
 //! per-record occurrence count (covered by the header CRC; search never
 //! consults it). The magic and the header's codec tag must agree; any
 //! other magic or tag is refused at open ([`IndexError::UnsupportedFormat`]
-//! for the retired `NUCIDX02` and the retired ablation codec tags).
+//! for the retired `NUCIDX02`, the retired ablation codec tags and
+//! granularity byte 1, the retired record-level postings).
 //!
 //! Every byte of a file is covered by a checksum: the magic and
 //! prefix by the header CRC's span, the header by `header_crc`, and the
@@ -51,8 +52,8 @@ use nucdb_obs::{Counter, MetricsRegistry};
 
 use crate::block::{decode_block_stream, skip_table_len, verify_block_list, Emit};
 use crate::compress::{
-    decode_counts_with, decode_postings, decode_postings_with, CompressedIndex, FetchStats,
-    ListCodec, PostingsVisitor, VocabEntry,
+    decode_postings, decode_postings_with, CompressedIndex, FetchStats, ListCodec, PostingsVisitor,
+    VocabEntry,
 };
 use crate::durable::{crc32, read_exact_chunked, AtomicFile, CountingReader};
 use crate::error::IndexError;
@@ -162,7 +163,7 @@ fn encode_header_fields(out: &mut Vec<u8>, index: &CompressedIndex) -> Result<()
     write_vu64(out, params.stride as u64)?;
     write_stopping(out, &params.stopping)?;
     out.push(index.codec().tag());
-    out.push(params.granularity.tag());
+    out.push(crate::interval::OFFSET_GRANULARITY);
 
     write_vu64(out, index.num_records() as u64)?;
     for &len in index.record_lens() {
@@ -273,7 +274,7 @@ fn read_header_fields<R: Read>(
         ));
     }
     input.read_exact(&mut small)?;
-    let granularity = crate::interval::Granularity::from_tag(small[0])?;
+    crate::interval::check_granularity(small[0])?;
 
     let num_records = read_vu64(input, base, "record-lens")?;
     if num_records > u32::MAX as u64 {
@@ -346,9 +347,7 @@ fn read_header_fields<R: Read>(
         ));
     }
 
-    let mut params = IndexParams::new(k)
-        .with_stride(stride)
-        .with_granularity(granularity);
+    let mut params = IndexParams::new(k).with_stride(stride);
     params.stopping = stopping;
     Ok(Header {
         params,
@@ -610,14 +609,8 @@ impl OnDiskIndex {
         Ok(bytes)
     }
 
-    /// Fetch and decode the list for `code`. Errors on a
-    /// record-granularity index; use [`OnDiskIndex::counts`] there.
+    /// Fetch and decode the list for `code`.
     pub fn postings(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
-        if self.params.granularity == crate::interval::Granularity::Records {
-            return Err(IndexError::Unsupported(
-                "record-granularity index stores no offsets",
-            ));
-        }
         let Some((idx, entry)) = self.entry(code) else {
             return Ok(None);
         };
@@ -633,8 +626,7 @@ impl OnDiskIndex {
         .map(Some)
     }
 
-    /// Fetch and decode `(record, count)` pairs for `code` (either
-    /// granularity).
+    /// Fetch and decode `(record, count)` pairs for `code`.
     pub fn counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError> {
         let Some((idx, entry)) = self.entry(code) else {
             return Ok(None);
@@ -646,7 +638,6 @@ impl OnDiskIndex {
             self.num_records(),
             &self.record_lens,
             self.codec,
-            self.params.granularity,
         )
         .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))
         .map(Some)
@@ -662,11 +653,6 @@ impl OnDiskIndex {
         io_buf: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        if self.params.granularity == crate::interval::Granularity::Records {
-            return Err(IndexError::Unsupported(
-                "record-granularity index stores no offsets",
-            ));
-        }
         let Some((idx, entry)) = self.entry(code) else {
             return Ok(None);
         };
@@ -698,11 +684,6 @@ impl OnDiskIndex {
         buf: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        if self.params.granularity == crate::interval::Granularity::Records {
-            return Err(IndexError::Unsupported(
-                "record-granularity index stores no offsets",
-            ));
-        }
         let Some((idx, entry)) = self.entry(code) else {
             return Ok(None);
         };
@@ -724,34 +705,6 @@ impl OnDiskIndex {
         Ok(Some(FetchStats::paper(entry)))
     }
 
-    /// Streaming counts fetch: the counts-path twin of
-    /// [`OnDiskIndex::postings_stream`], working at either granularity.
-    pub fn counts_stream(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        let Some((idx, entry)) = self.entry(code) else {
-            return Ok(None);
-        };
-        self.fetch_bytes_into(idx, entry, io_buf)?;
-        if self.codec == ListCodec::Block {
-            let emit = Emit::Counts { list_at: 0 };
-            return self.stream_block_list(io_buf, entry, emit, visitor);
-        }
-        decode_counts_with(
-            io_buf,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-            self.params.granularity,
-            |record, count| visitor.visit(record, count),
-        )?;
-        Ok(Some(FetchStats::paper(entry)))
-    }
-
     /// Decode one fetched block list, lifting corruption offsets to the
     /// file.
     fn stream_block_list(
@@ -766,7 +719,6 @@ impl OnDiskIndex {
             entry.df,
             self.num_records(),
             &self.record_lens,
-            self.params.granularity,
             emit,
             visitor,
         )
@@ -982,13 +934,12 @@ mod tests {
                 .collect();
             assert_eq!(streamed, expect, "code {}", entry.code);
 
-            let counts = disk.counts(entry.code).unwrap().unwrap();
-            let mut streamed_counts: Vec<(u32, u32)> = Vec::new();
-            let visitor = &mut FnVisitor(|r, c| streamed_counts.push((r, c)));
-            disk.counts_stream(entry.code, &mut io_buf, visitor)
-                .unwrap()
-                .unwrap();
-            assert_eq!(streamed_counts, counts, "code {}", entry.code);
+            let counts: Vec<(u32, u32)> = materialized
+                .entries
+                .iter()
+                .map(|p| (p.record, p.offsets.len() as u32))
+                .collect();
+            assert_eq!(disk.counts(entry.code).unwrap().unwrap(), counts);
         }
         assert!(disk
             .postings_stream(u64::MAX, &mut io_buf, &mut FnVisitor(|_, _| {}))

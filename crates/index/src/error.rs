@@ -58,7 +58,7 @@ pub enum IndexError {
     /// A record id or interval code out of range for this index.
     OutOfRange(&'static str),
     /// The operation is not supported by this index's configuration
-    /// (e.g. offset-dependent access to a record-granularity index).
+    /// (e.g. merging indexes built with different parameters).
     Unsupported(&'static str),
     /// Underlying I/O failure.
     Io(io::Error),

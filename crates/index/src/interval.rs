@@ -5,51 +5,32 @@
 //! sequence has no natural token boundary, so every overlapping window of
 //! length `k` becomes an indexing unit. The experiments sweep `k` (E1) and
 //! the extraction stride.
+//!
+//! Every occurrence is indexed with its in-record offset, as in the
+//! paper: frame ranking and banded fine search both need it. Record-level
+//! postings (ids and counts only) are not a format; E12 builds them in the
+//! bench crate, and a file that declares them is refused by name.
 
 use nucdb_seq::kmer::{vocabulary_size, KmerIter, MAX_K};
 use nucdb_seq::Base;
 
+use crate::error::IndexError;
 use crate::stopping::StopPolicy;
 
-/// Postings granularity: how much the index records about each
-/// occurrence.
-///
-/// The CAFE line evaluates both: offset-level postings enable
-/// diagonal-structured (frame) coarse ranking and banded fine alignment,
-/// at several bits per *occurrence*; record-level postings store only
-/// `(record, occurrence count)` — a much smaller index whose coarse
-/// ranking is count-based and whose fine search must align whole records.
-/// Experiment **E12** measures the trade.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Granularity {
-    /// Record ids, per-record counts, and every in-record offset.
-    #[default]
-    Offsets,
-    /// Record ids and per-record counts only.
-    Records,
-}
+/// The granularity byte every index header, `MANIFEST` and `SHARDS`
+/// carries. Postings always hold every in-record offset, written as 0.
+pub(crate) const OFFSET_GRANULARITY: u8 = 0;
 
-impl Granularity {
-    /// Stable on-disk tag.
-    pub(crate) fn tag(self) -> u8 {
-        match self {
-            Granularity::Offsets => 0,
-            Granularity::Records => 1,
-        }
-    }
-
-    /// Inverse of [`Granularity::tag`].
-    pub(crate) fn from_tag(tag: u8) -> Result<Granularity, crate::error::IndexError> {
-        Ok(match tag {
-            0 => Granularity::Offsets,
-            1 => Granularity::Records,
-            _ => {
-                return Err(crate::error::IndexError::bad_in(
-                    "unknown granularity tag",
-                    "params",
-                ))
-            }
-        })
+/// Check a stored granularity byte: 0 opens; 1, the retired record-level
+/// postings (ids and counts only), is refused by name; anything else is
+/// a format error.
+pub(crate) fn check_granularity(tag: u8) -> Result<(), IndexError> {
+    match tag {
+        OFFSET_GRANULARITY => Ok(()),
+        1 => Err(IndexError::UnsupportedFormat(
+            "record-granularity tag 1".to_string(),
+        )),
+        _ => Err(IndexError::bad_in("unknown granularity tag", "params")),
     }
 }
 
@@ -65,27 +46,17 @@ pub struct IndexParams {
     /// Optional index stopping policy (drop uninformative frequent
     /// intervals).
     pub stopping: Option<StopPolicy>,
-    /// Postings granularity.
-    pub granularity: Granularity,
 }
 
 impl IndexParams {
-    /// Overlapping intervals of length `k`, offset granularity, no
-    /// stopping.
+    /// Overlapping intervals of length `k`, no stopping.
     pub fn new(k: usize) -> IndexParams {
         assert!((1..=MAX_K).contains(&k), "interval length out of range");
         IndexParams {
             k,
             stride: 1,
             stopping: None,
-            granularity: Granularity::Offsets,
         }
-    }
-
-    /// Set the postings granularity.
-    pub fn with_granularity(mut self, granularity: Granularity) -> IndexParams {
-        self.granularity = granularity;
-        self
     }
 
     /// Set the stride.

@@ -73,7 +73,7 @@ pub use disk::{load_index, load_index_from, write_index, OnDiskIndex};
 pub use durable::{crc32, AtomicFile, CountingReader, Crc32};
 pub use error::{FormatViolation, IndexError};
 pub use fault::{FaultPlan, FaultyFile, FaultyReader};
-pub use interval::{Granularity, IndexParams};
+pub use interval::IndexParams;
 pub use manifest::{Manifest, SegmentMeta, MANIFEST_FILE};
 pub use merge::{apply_stopping, merge_indexes};
 pub use postings::{Posting, PostingsList};

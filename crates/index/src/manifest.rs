@@ -17,7 +17,7 @@
 //! ```text
 //! magic "NUCMAN01" | body_len u32le | body_crc32 u32le | body
 //! body: version vu64
-//!       k vu64 | stride vu64 | granularity u8 | codec u8 | storage u8
+//!       k vu64 | stride vu64 | granularity u8 (0) | codec u8 | storage u8
 //!       segment_count vu64
 //!       per segment: id vu64 | records vu64 | index_bytes vu64 | store_bytes vu64
 //! ```
@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 use crate::compress::ListCodec;
 use crate::durable::{crc32, read_exact_chunked, AtomicFile};
 use crate::error::IndexError;
-use crate::interval::Granularity;
+use crate::interval::{check_granularity, OFFSET_GRANULARITY};
 
 /// File name of the manifest inside a live directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -124,8 +124,6 @@ pub struct Manifest {
     pub k: usize,
     /// Extraction stride all segments were built with.
     pub stride: usize,
-    /// Postings granularity of all segments.
-    pub granularity: Granularity,
     /// List codec of all segments.
     pub codec: ListCodec,
     /// Storage-mode tag of all segment stores (opaque to this crate; the
@@ -138,18 +136,11 @@ pub struct Manifest {
 
 impl Manifest {
     /// An empty version-0 manifest for a new live directory.
-    pub fn new(
-        k: usize,
-        stride: usize,
-        granularity: Granularity,
-        codec: ListCodec,
-        storage: u8,
-    ) -> Manifest {
+    pub fn new(k: usize, stride: usize, codec: ListCodec, storage: u8) -> Manifest {
         Manifest {
             version: 0,
             k,
             stride,
-            granularity,
             codec,
             storage,
             segments: Vec::new(),
@@ -177,7 +168,7 @@ impl Manifest {
         put_vu64(&mut body, self.version);
         put_vu64(&mut body, self.k as u64);
         put_vu64(&mut body, self.stride as u64);
-        body.push(self.granularity.tag());
+        body.push(OFFSET_GRANULARITY);
         body.push(self.codec.tag());
         body.push(self.storage);
         put_vu64(&mut body, self.segments.len() as u64);
@@ -241,7 +232,7 @@ impl Manifest {
         if stride == 0 {
             return Err(IndexError::bad_in("manifest stride is zero", "manifest"));
         }
-        let granularity = Granularity::from_tag(take_u8(&mut cur)?)?;
+        check_granularity(take_u8(&mut cur)?)?;
         let codec = ListCodec::from_tag(take_u8(&mut cur)?)?;
         let storage = take_u8(&mut cur)?;
         let count = take_vu64(&mut cur)?;
@@ -288,7 +279,6 @@ impl Manifest {
             version,
             k: k as usize,
             stride: stride as usize,
-            granularity,
             codec,
             storage,
             segments,
@@ -412,7 +402,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Manifest {
-        let mut m = Manifest::new(8, 1, Granularity::Offsets, ListCodec::Block, 1);
+        let mut m = Manifest::new(8, 1, ListCodec::Block, 1);
         m.version = 7;
         m.segments = vec![
             SegmentMeta {

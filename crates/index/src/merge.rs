@@ -37,11 +37,6 @@ pub fn merge_indexes(
             "merge inputs must be unstopped; apply stopping after merging",
         ));
     }
-    if a.params().granularity != crate::interval::Granularity::Offsets {
-        return Err(IndexError::Unsupported(
-            "merging record-granularity indexes is not supported; rebuild instead",
-        ));
-    }
 
     let shift = a.num_records();
     let mut record_lens = a.record_lens().to_vec();

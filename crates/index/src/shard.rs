@@ -13,7 +13,7 @@
 //! ```text
 //! magic "NUCSHD01" | body_len u32le | body_crc32 u32le | body
 //! body: version vu64
-//!       k vu64 | stride vu64 | granularity u8 | codec u8 | storage u8
+//!       k vu64 | stride vu64 | granularity u8 (0) | codec u8 | storage u8
 //!       shard_count vu64
 //!       per shard: records vu64 | index_bytes vu64 | store_bytes vu64
 //! ```
@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 use crate::compress::ListCodec;
 use crate::durable::{crc32, read_exact_chunked, AtomicFile};
 use crate::error::IndexError;
-use crate::interval::Granularity;
+use crate::interval::{check_granularity, OFFSET_GRANULARITY};
 
 /// File name of the shard manifest inside a sharded root.
 pub const SHARD_MANIFEST_FILE: &str = "SHARDS";
@@ -69,8 +69,6 @@ pub struct ShardManifest {
     pub k: usize,
     /// Extraction stride all shards were built with.
     pub stride: usize,
-    /// Postings granularity of all shards.
-    pub granularity: Granularity,
     /// List codec of all shards.
     pub codec: ListCodec,
     /// Storage-mode tag of all shard stores (opaque to this crate).
@@ -82,18 +80,11 @@ pub struct ShardManifest {
 
 impl ShardManifest {
     /// An empty version-0 manifest for a new sharded root.
-    pub fn new(
-        k: usize,
-        stride: usize,
-        granularity: Granularity,
-        codec: ListCodec,
-        storage: u8,
-    ) -> ShardManifest {
+    pub fn new(k: usize, stride: usize, codec: ListCodec, storage: u8) -> ShardManifest {
         ShardManifest {
             version: 0,
             k,
             stride,
-            granularity,
             codec,
             storage,
             shards: Vec::new(),
@@ -120,7 +111,7 @@ impl ShardManifest {
         put_vu64(&mut body, self.version);
         put_vu64(&mut body, self.k as u64);
         put_vu64(&mut body, self.stride as u64);
-        body.push(self.granularity.tag());
+        body.push(OFFSET_GRANULARITY);
         body.push(self.codec.tag());
         body.push(self.storage);
         put_vu64(&mut body, self.shards.len() as u64);
@@ -189,7 +180,7 @@ impl ShardManifest {
                 "shards",
             ));
         }
-        let granularity = Granularity::from_tag(take_u8(&mut cur)?)?;
+        check_granularity(take_u8(&mut cur)?)?;
         let codec = ListCodec::from_tag(take_u8(&mut cur)?)?;
         let storage = take_u8(&mut cur)?;
         let count = take_vu64(&mut cur)?;
@@ -236,7 +227,6 @@ impl ShardManifest {
             version,
             k: k as usize,
             stride: stride as usize,
-            granularity,
             codec,
             storage,
             shards,
@@ -328,7 +318,7 @@ mod tests {
     use super::*;
 
     fn sample() -> ShardManifest {
-        let mut m = ShardManifest::new(8, 1, Granularity::Offsets, ListCodec::Block, 1);
+        let mut m = ShardManifest::new(8, 1, ListCodec::Block, 1);
         m.version = 3;
         m.shards = vec![
             ShardMeta {

@@ -4,8 +4,7 @@
 
 use nucdb_index::{
     decode_counts, decode_counts_with, decode_postings, decode_postings_with, encode_postings,
-    load_index, write_index, Granularity, IndexBuilder, IndexParams, ListCodec, Posting,
-    PostingsList,
+    load_index, write_index, IndexBuilder, IndexParams, ListCodec, Posting, PostingsList,
 };
 use nucdb_seq::{Base, DnaSeq};
 use proptest::prelude::*;
@@ -40,7 +39,7 @@ proptest! {
         prop_assume!(list.is_well_formed());
         let lens = vec![900u32; 500];
         for codec in CODECS {
-            let bytes = encode_postings(&list, 500, &lens, codec, Granularity::Offsets);
+            let bytes = encode_postings(&list, 500, &lens, codec);
             let back =
                 decode_postings(&bytes, list.df() as u32, 500, &lens, codec).unwrap();
             prop_assert_eq!(&back, &list, "{}", codec.name());
@@ -53,10 +52,10 @@ proptest! {
         let lens = vec![800u32; 400];
         let df = list.df() as u32;
         for codec in CODECS {
-            // Offset granularity: the streamed (record, offset) sequence
-            // must equal the flattened materialized decode, and the
-            // streamed (record, count) sequence its per-record grouping.
-            let bytes = encode_postings(&list, 400, &lens, codec, Granularity::Offsets);
+            // The streamed (record, offset) sequence must equal the flattened
+            // materialized decode, and the streamed (record, count) sequence its
+            // per-record grouping.
+            let bytes = encode_postings(&list, 400, &lens, codec);
             let materialized = decode_postings(&bytes, df, 400, &lens, codec).unwrap();
             let flat: Vec<(u32, u32)> = materialized
                 .entries
@@ -68,25 +67,13 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(&streamed, &flat, "postings {}", codec.name());
 
-            let counts = decode_counts(&bytes, df, 400, &lens, codec, Granularity::Offsets)
-                .unwrap();
+            let counts = decode_counts(&bytes, df, 400, &lens, codec).unwrap();
             let mut streamed_counts = Vec::new();
-            decode_counts_with(&bytes, df, 400, &lens, codec, Granularity::Offsets, |r, c| {
+            decode_counts_with(&bytes, df, 400, &lens, codec, |r, c| {
                 streamed_counts.push((r, c))
             })
             .unwrap();
-            prop_assert_eq!(&streamed_counts, &counts, "counts/offsets {}", codec.name());
-
-            // Record granularity: no offsets exist; only counts decode.
-            let rbytes = encode_postings(&list, 400, &lens, codec, Granularity::Records);
-            let rcounts = decode_counts(&rbytes, df, 400, &lens, codec, Granularity::Records)
-                .unwrap();
-            let mut rstreamed = Vec::new();
-            decode_counts_with(&rbytes, df, 400, &lens, codec, Granularity::Records, |r, c| {
-                rstreamed.push((r, c))
-            })
-            .unwrap();
-            prop_assert_eq!(&rstreamed, &rcounts, "counts/records {}", codec.name());
+            prop_assert_eq!(&streamed_counts, &counts, "counts {}", codec.name());
         }
     }
 
@@ -110,15 +97,14 @@ proptest! {
         prop_assume!(list.df() > 0);
         let lens = vec![500u32; 200];
         for codec in CODECS {
-            let bytes = encode_postings(&list, 200, &lens, codec, Granularity::Offsets);
+            let bytes = encode_postings(&list, 200, &lens, codec);
             let cut = ((bytes.len() as f64) * cut_frac) as usize;
             let _ = decode_postings(&bytes[..cut], list.df() as u32, 200, &lens, codec);
         }
     }
 
     /// Block codec, multi-block scale: lists wide enough to span several
-    /// 128-posting blocks round-trip at both granularities, and the
-    /// streamed sequences equal the materialized ones.
+    /// 128-posting blocks round-trip, as postings and as counts.
     #[test]
     fn block_codec_round_trips_multi_block_lists(
         records in prop::collection::btree_set(0u32..2_000, 120..400),
@@ -137,18 +123,14 @@ proptest! {
         prop_assume!(list.is_well_formed());
         let lens = vec![300u32; 2_000];
         let df = list.df() as u32;
-        for granularity in [Granularity::Offsets, Granularity::Records] {
-            let bytes = encode_postings(&list, 2_000, &lens, ListCodec::Block, granularity);
-            let counts =
-                decode_counts(&bytes, df, 2_000, &lens, ListCodec::Block, granularity).unwrap();
-            let expected: Vec<(u32, u32)> = list
-                .entries
-                .iter()
-                .map(|p| (p.record, p.offsets.len() as u32))
-                .collect();
-            prop_assert_eq!(&counts, &expected, "{:?}", granularity);
-        }
-        let bytes = encode_postings(&list, 2_000, &lens, ListCodec::Block, Granularity::Offsets);
+        let bytes = encode_postings(&list, 2_000, &lens, ListCodec::Block);
+        let counts = decode_counts(&bytes, df, 2_000, &lens, ListCodec::Block).unwrap();
+        let expected: Vec<(u32, u32)> = list
+            .entries
+            .iter()
+            .map(|p| (p.record, p.offsets.len() as u32))
+            .collect();
+        prop_assert_eq!(&counts, &expected);
         let back = decode_postings(&bytes, df, 2_000, &lens, ListCodec::Block).unwrap();
         prop_assert_eq!(&back, &list);
     }
@@ -169,7 +151,7 @@ proptest! {
         // Length table deliberately shorter than the record space:
         // records beyond it are unbounded (no per-record length cap).
         let lens = vec![1_000u32; 16];
-        let bytes = encode_postings(&list, u32::MAX, &lens, ListCodec::Block, Granularity::Offsets);
+        let bytes = encode_postings(&list, u32::MAX, &lens, ListCodec::Block);
         let back = decode_postings(&bytes, 1, u32::MAX, &lens, ListCodec::Block).unwrap();
         prop_assert_eq!(&back, &list);
     }

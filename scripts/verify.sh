@@ -14,6 +14,8 @@ cargo test -q --release -p nucdb-align --test proptests
 # coarse accumulate against theirs.
 cargo test -q --release -p nucdb-index -p nucdb --lib -- durable:: coarse::
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc warning-free: a doc link to a renamed or deleted item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # The benchmark harness (e2e/, its own workspace, so not in `cargo test`)
 # compiles against a frozen slice of the public API and gates every
 # timed section on answer identity against a joint build. Build it, run

@@ -4,8 +4,7 @@
 use nucdb::{coarse_rank, Database, DbConfig, SearchParams};
 use nucdb_align::{banded_sw_score, sw_score, ScoringScheme};
 use nucdb_index::{
-    load_index, write_index, CompressedIndex, Granularity, IndexBuilder, IndexParams, ListCodec,
-    StopPolicy,
+    load_index, write_index, CompressedIndex, IndexBuilder, IndexParams, ListCodec, StopPolicy,
 };
 use nucdb_seq::{DnaSeq, PackedSeq};
 use proptest::prelude::*;
@@ -17,10 +16,6 @@ fn dna_ascii(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
 
 fn any_codec() -> impl Strategy<Value = ListCodec> {
     prop::sample::select(vec![ListCodec::Paper, ListCodec::Block])
-}
-
-fn any_granularity() -> impl Strategy<Value = Granularity> {
-    prop::sample::select(vec![Granularity::Offsets, Granularity::Records])
 }
 
 fn any_stopping() -> impl Strategy<Value = Option<StopPolicy>> {
@@ -147,13 +142,12 @@ proptest! {
         k in 4usize..10,
         stride in 1usize..3,
         codec in any_codec(),
-        granularity in any_granularity(),
         stopping in any_stopping(),
     ) {
         // Whatever the build configuration, writing the index and
         // loading it back must reproduce it exactly — params (including
         // stopping), vocabulary, and blob bytes.
-        let mut params = IndexParams::new(k).with_stride(stride).with_granularity(granularity);
+        let mut params = IndexParams::new(k).with_stride(stride);
         if let Some(policy) = stopping {
             params = params.with_stopping(policy);
         }

@@ -15,8 +15,8 @@ use nucdb::{
     Database, IndexVariant, RecordSource, SearchParams, SequenceStore, StorageMode, StoreVariant,
 };
 use nucdb_index::{
-    load_index, write_index, CompressedIndex, FaultPlan, Granularity, IndexBuilder, IndexParams,
-    ListCodec, OnDiskIndex, StopPolicy, TRANSIENT_RETRY_LIMIT,
+    load_index, write_index, CompressedIndex, FaultPlan, IndexBuilder, IndexParams, ListCodec,
+    OnDiskIndex, StopPolicy, TRANSIENT_RETRY_LIMIT,
 };
 use nucdb_seq::random::{CollectionSpec, SyntheticCollection};
 use nucdb_seq::{DnaSeq, SeqError};
@@ -379,7 +379,7 @@ fn store_survives_every_truncation() {
 }
 
 // ---------------------------------------------------------------------
-// Format sweep: every codec x granularity x stopping combo round-trips
+// Format sweep: every codec x stopping combo round-trips
 // through the writer, and the retired generation is refused by name at
 // every door.
 // ---------------------------------------------------------------------
@@ -388,7 +388,6 @@ fn store_survives_every_truncation() {
 fn every_codec_granularity_stopping_combo_round_trips() {
     let coll = small_collection(905);
     let codecs = [ListCodec::Paper, ListCodec::Block];
-    let granularities = [Granularity::Offsets, Granularity::Records];
     let stoppings = [
         None,
         Some(StopPolicy::DfFraction(0.25)),
@@ -397,20 +396,18 @@ fn every_codec_granularity_stopping_combo_round_trips() {
     ];
     let dir = temp_dir("combos");
     for codec in codecs {
-        for granularity in granularities {
-            for stopping in stoppings {
-                let mut params = IndexParams::new(8).with_granularity(granularity);
-                if let Some(policy) = stopping {
-                    params = params.with_stopping(policy);
-                }
-                let index = build_index(&coll, params, codec);
-                let label = format!("{codec:?}/{granularity:?}/{stopping:?}");
-
-                let path = dir.join("combo.nucidx");
-                write_index(&index, &path).unwrap();
-                let loaded = load_index(&path).unwrap();
-                assert!(indexes_equal(&loaded, &index), "mismatch for {label}");
+        for stopping in stoppings {
+            let mut params = IndexParams::new(8);
+            if let Some(policy) = stopping {
+                params = params.with_stopping(policy);
             }
+            let index = build_index(&coll, params, codec);
+            let label = format!("{codec:?}/{stopping:?}");
+
+            let path = dir.join("combo.nucidx");
+            write_index(&index, &path).unwrap();
+            let loaded = load_index(&path).unwrap();
+            assert!(indexes_equal(&loaded, &index), "mismatch for {label}");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -3,7 +3,7 @@
 //!
 //! 1. **Explain is passive.** Turning `SearchParams::explain` on must
 //!    not change a single answer bit or cost counter, across every
-//!    postings codec and granularity, in memory and on disk.
+//!    postings codec, in memory and on disk.
 //! 2. **fsck finds what the durability suite breaks.** Every
 //!    single-byte flip injected into a `NUCIDX03`, `NUCIDX04`, or
 //!    `NUCSTO02` file must surface as an fsck finding naming the
@@ -15,9 +15,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use nucdb::{
     fsck_index, fsck_store, Database, DbConfig, FsckReport, FsckSeverity, IndexStatReport,
-    OnDiskStore, RankingScheme, SearchOutcome, SearchParams, SequenceStore, StorageMode,
+    OnDiskStore, SearchOutcome, SearchParams, SequenceStore, StorageMode,
 };
-use nucdb_index::{FaultPlan, Granularity, IndexParams, ListCodec, OnDiskIndex};
+use nucdb_index::{FaultPlan, IndexParams, ListCodec, OnDiskIndex};
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
 use nucdb_seq::DnaSeq;
 use proptest::prelude::*;
@@ -34,14 +34,10 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn build_db(
-    seed: u64,
-    codec: ListCodec,
-    granularity: Granularity,
-) -> (Database, SyntheticCollection) {
+fn build_db(seed: u64, codec: ListCodec) -> (Database, SyntheticCollection) {
     let coll = SyntheticCollection::generate(&CollectionSpec::tiny(seed));
     let config = DbConfig {
-        index: IndexParams::new(8).with_granularity(granularity),
+        index: IndexParams::new(8),
         codec,
         storage: StorageMode::DirectCoding,
     };
@@ -113,35 +109,21 @@ fn any_codec() -> impl Strategy<Value = ListCodec> {
     prop::sample::select(vec![ListCodec::Paper, ListCodec::Block])
 }
 
-fn any_granularity() -> impl Strategy<Value = Granularity> {
-    prop::sample::select(vec![Granularity::Offsets, Granularity::Records])
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     // Contract 1, memory variant: explain changes nothing, whatever the
-    // codec and granularity.
+    // codec.
     #[test]
     fn explain_is_passive_across_codecs_and_granularities(
         codec in any_codec(),
-        granularity in any_granularity(),
         seed in 1u64..64,
         survivors in prop::sample::select(vec![0.4f64, 0.6, 0.9]),
     ) {
-        let (db, coll) = build_db(seed, codec, granularity);
+        let (db, coll) = build_db(seed, codec);
         let family = (seed as usize) % coll.families.len();
         let query = coll.query_for_family(family, survivors, &MutationModel::standard(0.05));
-        // Frame ranking needs interval offsets; a record-granularity
-        // index ranks by plain hit count instead.
-        let params = match granularity {
-            Granularity::Offsets => SearchParams::default(),
-            Granularity::Records => SearchParams {
-                ranking: RankingScheme::Count,
-                ..SearchParams::default()
-            },
-        };
-        assert_explain_passive_with(&db, &query, params);
+        assert_explain_passive_with(&db, &query, SearchParams::default());
     }
 }
 
@@ -153,7 +135,7 @@ proptest! {
 fn explain_is_passive_on_disk() {
     for codec in [ListCodec::Paper, ListCodec::Block] {
         let dir = temp_dir("explain_disk");
-        let (db, coll) = build_db(11, codec, Granularity::Offsets);
+        let (db, coll) = build_db(11, codec);
         let db = db
             .with_disk_index(&dir.join("idx.nucidx"))
             .unwrap()

@@ -1,14 +1,11 @@
 //! Integration tests for the feature surface beyond the core pipeline:
-//! strand handling, masking, striding, granularity, and e-value
-//! statistics working together at collection scale.
+//! strand handling, masking, striding, and e-value statistics working
+//! together at collection scale.
 
 use std::collections::HashSet;
 
-use nucdb::{
-    recall_at, Database, DbConfig, FineMode, RankingScheme, RecordSource, SearchParams, Strand,
-};
+use nucdb::{recall_at, Database, DbConfig, FineMode, RecordSource, SearchParams, Strand};
 use nucdb_align::calibrate_gumbel;
-use nucdb_index::{Granularity, IndexParams};
 use nucdb_seq::random::{splice_repeat, CollectionSpec, MutationModel, SyntheticCollection};
 use nucdb_seq::{DnaSeq, DustParams};
 use rand::rngs::StdRng;
@@ -143,44 +140,6 @@ fn striding_keeps_recall_at_scale() {
         }
         let recall = recall / coll.families.len() as f64;
         assert!(recall >= 0.9, "stride {stride}: recall {recall}");
-    }
-}
-
-#[test]
-fn record_granularity_matches_offset_results_with_full_fine() {
-    let coll = collection(304);
-    let offsets_db = build(&coll, &DbConfig::default());
-    let records_db = build(
-        &coll,
-        &DbConfig {
-            index: IndexParams::new(8).with_granularity(Granularity::Records),
-            ..DbConfig::default()
-        },
-    );
-
-    // With count ranking, generous candidates, and full fine alignment
-    // both index granularities must return identical ranked answers.
-    let params = SearchParams::default()
-        .with_ranking(RankingScheme::Count)
-        .with_candidates(60)
-        .with_fine(FineMode::Full);
-    for f in 0..coll.families.len() {
-        let query = coll.query_for_family(f, 0.5, &MutationModel::standard(0.05));
-        let a: Vec<(u32, i32)> = offsets_db
-            .search(&query, &params)
-            .unwrap()
-            .results
-            .iter()
-            .map(|r| (r.record, r.score))
-            .collect();
-        let b: Vec<(u32, i32)> = records_db
-            .search(&query, &params)
-            .unwrap()
-            .results
-            .iter()
-            .map(|r| (r.record, r.score))
-            .collect();
-        assert_eq!(a, b, "family {f}");
     }
 }
 

@@ -4,7 +4,7 @@
 //! crash recovery between flush and manifest swap, orphan cleanup, and
 //! the core search contract — a multi-segment live database answers
 //! **bit-identically** to a single joint-build index over the same
-//! records, at any flush split, across codecs and both granularities,
+//! records, at any flush split, across codecs,
 //! before and after compaction, and across a reopen.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nucdb::{Database, DbConfig, LiveDatabase, LiveOptions, SearchParams};
-use nucdb_index::{Granularity, IndexParams, ListCodec, Manifest, MANIFEST_FILE};
+use nucdb_index::{IndexParams, ListCodec, Manifest, MANIFEST_FILE};
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
 use nucdb_seq::DnaSeq;
 use proptest::prelude::*;
@@ -225,7 +225,7 @@ fn missing_segment_file_fails_to_open_cleanly() {
 
 // ---------------------------------------------------------------------
 // The identity contract, pinned by proptest: for ANY record stream, ANY
-// flush split, ANY codec and granularity, a live database answers every
+// flush split, ANY codec, a live database answers every
 // query bit-identically to one joint-built index — from the memtable,
 // from multiple segments, after compaction, and across a reopen.
 // ---------------------------------------------------------------------
@@ -271,13 +271,11 @@ proptest! {
         flush_mask in prop::collection::vec(any::<bool>(), 24),
         memtable_max in 4usize..12,
         codec_pick in 0usize..2,
-        offsets in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let codec = [ListCodec::Paper, ListCodec::Block][codec_pick];
-        let granularity = if offsets { Granularity::Offsets } else { Granularity::Records };
         let config = DbConfig {
-            index: IndexParams::new(8).with_granularity(granularity),
+            index: IndexParams::new(8),
             codec,
             ..DbConfig::default()
         };
@@ -289,15 +287,7 @@ proptest! {
         // Queries: a few of the records themselves — guaranteed strong
         // local alignments, so result lists are non-trivial.
         let queries: Vec<DnaSeq> = records.iter().step_by(3).map(|(_, s)| s.clone()).collect();
-        // Frame ranking needs offset granularity; count works everywhere.
-        let params = SearchParams {
-            ranking: if offsets {
-                nucdb::RankingScheme::Frame { window: 16 }
-            } else {
-                nucdb::RankingScheme::Count
-            },
-            ..SearchParams::default()
-        };
+        let params = SearchParams::default();
         let joint = Database::build(records.clone(), &config);
         let want = answers(&joint, &queries, &params);
 

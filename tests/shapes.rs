@@ -248,12 +248,12 @@ fn a_shadowed_live_manifest_is_reopened_never_overwritten() {
     }
 }
 
-/// The codec tags 1–5 belonged to retired list codecs. An otherwise
-/// intact file carrying one — the tag rewritten and the CRC re-stamped,
-/// so nothing else is wrong — is refused by name through the one door,
-/// whichever file of whichever shape carries it: a plain directory's
-/// index header, a live directory's `MANIFEST`, a sharded root's
-/// `SHARDS`.
+/// The codec tags 1–5 belonged to retired list codecs, and granularity
+/// byte 1 to retired record-level postings. An otherwise intact file
+/// carrying one — the byte rewritten and the CRC re-stamped, so nothing
+/// else is wrong — is refused by name through the one door, whichever
+/// file of whichever shape carries it: a plain directory's index header,
+/// a live directory's `MANIFEST`, a sharded root's `SHARDS`.
 #[test]
 fn retired_codec_tags_are_refused_by_name_in_every_shape() {
     let coll = SyntheticCollection::generate(&CollectionSpec::tiny(13));
@@ -271,31 +271,34 @@ fn retired_codec_tags_are_refused_by_name_in_every_shape() {
     write_live(&root.join("live"), &records, &config);
     build_sharded_root(&root.join("sharded"), records, 2, &config).unwrap();
 
-    // All three files open `magic:8 body_len:u32 body_crc:u32 body`; the
-    // codec tag sits after `k stride stopping` in the index header and
-    // after `version k stride granularity` in both manifests.
-    for (name, file, codec_at) in [
-        ("plain", nucdb::INDEX_FILE, 16 + 3),
-        ("live", nucdb_index::MANIFEST_FILE, 16 + 4),
-        ("sharded", nucdb_index::SHARD_MANIFEST_FILE, 16 + 4),
+    // All three files open `magic:8 body_len:u32 body_crc:u32 body`. The
+    // index header holds `k stride stopping codec granularity`, both
+    // manifests `version k stride granularity codec`.
+    for (name, file, codec_at, granularity_at) in [
+        ("plain", nucdb::INDEX_FILE, 16 + 3, 16 + 4),
+        ("live", nucdb_index::MANIFEST_FILE, 16 + 4, 16 + 3),
+        ("sharded", nucdb_index::SHARD_MANIFEST_FILE, 16 + 4, 16 + 3),
     ] {
         let dir = root.join(name);
         let open = || Collection::open(&dir, &CollectionOptions::default()).map(drop);
         let good = std::fs::read(dir.join(file)).unwrap();
         assert_eq!(good[codec_at], 0, "{name}: not the paper codec's tag");
+        assert_eq!(good[granularity_at], 0, "{name}: not the offsets byte");
         let body_len = u32::from_le_bytes(good[8..12].try_into().unwrap()) as usize;
-        for tag in 1..=5u8 {
+        let retired = (1..=5u8)
+            .map(|tag| (codec_at, tag, format!("list codec tag {tag}")))
+            .chain([(granularity_at, 1, "record-granularity".to_string())]);
+        for (at, tag, named) in retired {
             let mut bytes = good.clone();
-            bytes[codec_at] = tag;
+            bytes[at] = tag;
             let crc = nucdb_index::crc32(&bytes[16..16 + body_len]);
             bytes[12..16].copy_from_slice(&crc.to_le_bytes());
             std::fs::write(dir.join(file), &bytes).unwrap();
             match open() {
-                Err(e @ nucdb_index::IndexError::UnsupportedFormat(_)) => assert!(
-                    e.to_string().contains(&format!("list codec tag {tag}")),
-                    "{name}: {e}"
-                ),
-                other => panic!("{name}, tag {tag}: {other:?}"),
+                Err(e @ nucdb_index::IndexError::UnsupportedFormat(_)) => {
+                    assert!(e.to_string().contains(&named), "{name}: {e}")
+                }
+                other => panic!("{name}, {named}: {other:?}"),
             }
         }
         std::fs::write(dir.join(file), &good).unwrap();

@@ -1,6 +1,6 @@
 //! The sharded search layer under test: scatter-gather answers must be
 //! **bit-identical** to a joint single-index build (ids, scores, order)
-//! for any corpus, any shard count, every codec and both granularities —
+//! for any corpus, any shard count and every codec —
 //! and a set with one shard down must keep answering, with `coverage`
 //! reporting the loss and the surviving shards' answers unchanged.
 
@@ -12,9 +12,7 @@ use nucdb::{
     build_sharded_root, Database, DbConfig, IndexVariant, LocalShard, SearchParams, Shard,
     ShardSet, ShardSetConfig, StoreVariant,
 };
-use nucdb_index::{
-    shard_dir_name, FaultPlan, Granularity, IndexParams, ListCodec, OnDiskIndex, ShardManifest,
-};
+use nucdb_index::{shard_dir_name, FaultPlan, IndexParams, ListCodec, OnDiskIndex, ShardManifest};
 use nucdb_obs::MetricsRegistry;
 use nucdb_seq::DnaSeq;
 use proptest::prelude::*;
@@ -120,7 +118,7 @@ fn sharded_answers(set: &ShardSet, queries: &[DnaSeq], params: &SearchParams) ->
 
 // ---------------------------------------------------------------------
 // The identity contract, pinned by proptest: for ANY record stream, ANY
-// shard count 1..=5, every codec × both granularities, both strands,
+// shard count 1..=5, every codec, both strands,
 // scatter-gather answers are bit-identical to a joint build.
 // ---------------------------------------------------------------------
 
@@ -132,14 +130,12 @@ proptest! {
         lens in prop::collection::vec(30usize..90, 6..24),
         num_shards in 1usize..=5,
         codec_pick in 0usize..2,
-        offsets in any::<bool>(),
         both_strands in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let codec = [ListCodec::Paper, ListCodec::Block][codec_pick];
-        let granularity = if offsets { Granularity::Offsets } else { Granularity::Records };
         let config = DbConfig {
-            index: IndexParams::new(8).with_granularity(granularity),
+            index: IndexParams::new(8),
             codec,
             ..DbConfig::default()
         };
@@ -150,11 +146,6 @@ proptest! {
             .collect();
         let queries: Vec<DnaSeq> = records.iter().step_by(3).map(|(_, s)| s.clone()).collect();
         let params = SearchParams {
-            ranking: if offsets {
-                nucdb::RankingScheme::Frame { window: 16 }
-            } else {
-                nucdb::RankingScheme::Count
-            },
             strand: if both_strands {
                 nucdb::Strand::Both
             } else {
