@@ -67,11 +67,10 @@ commands:
              [--trace-max-bytes N] [--flight-recorder N] [--slow-ms MS]
   serve      run a resident HTTP query server over one database
              --db DIR [--live] [--addr HOST:PORT] [--threads N] [--queue-depth N]
-             [--deadline-ms N] [--batch-window MS] [--batch-max N]
-             [--memtable-max-records N] [--max-segments N]
+             [--deadline-ms N] [--memtable-max-records N] [--max-segments N]
              [--compact-bytes-per-sec N]
              [--shard-deadline-ms N] [--shard-hedge-ms MS]
-             [--search-threads N] [--scrub-bytes-per-sec N] [--metrics FILE]
+             [--scrub-bytes-per-sec N] [--metrics FILE]
              [--metrics-format prometheus|json] [--trace FILE] [--trace-sample N]
              [--trace-max-bytes N] [--flight-recorder N] [--slow-ms MS]
   profile    aggregate a JSONL capture log or flight-recorder dump into a
@@ -225,9 +224,6 @@ is rejected over a sharded root (per-shard plans are not merged)"
   --threads N        worker threads handling connections (default 4)
   --queue-depth N    admission queue capacity; overflow is shed with 503
   --deadline-ms N    max queue wait before a request is dropped (default 5000)
-  --batch-window MS  micro-batch queries arriving within MS (0 = off)
-  --batch-max N      max queries per micro-batch (default 64)
-  --search-threads N threads per batched search (default 4)
   --metrics FILE     write a final metrics snapshot after draining
   --metrics-format F prometheus (default) or json
   --trace FILE       capture log: one JSON line per logged query
@@ -1297,9 +1293,6 @@ pub fn serve(raw: &[String]) -> CommandResult {
         "threads",
         "queue-depth",
         "deadline-ms",
-        "batch-window",
-        "batch-max",
-        "search-threads",
         "scrub-bytes-per-sec",
         "memtable-max-records",
         "max-segments",
@@ -1310,6 +1303,14 @@ pub fn serve(raw: &[String]) -> CommandResult {
     value_opts.extend(OBS_VALUE_OPTS);
     value_opts.extend(CAPTURE_VALUE_OPTS);
     let args = Args::parse("serve", raw, &value_opts, &["live"])?;
+    // A zero deadline expires every request (or fails every shard), and
+    // a zero thread count or queue depth is clamped to 1 while the
+    // startup line still prints 0: refuse them before opening anything.
+    for name in ["threads", "queue-depth", "deadline-ms", "shard-deadline-ms"] {
+        if args.get_or(name, 1u64)? == 0 {
+            return Err(UsageError(format!("--{name} must be positive")).into());
+        }
+    }
     let db_dir = PathBuf::from(args.required("db")?);
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878").to_string();
     let live_mode = args.flag("live");
@@ -1319,10 +1320,6 @@ pub fn serve(raw: &[String]) -> CommandResult {
     config.threads = args.get_or("threads", config.threads)?;
     config.queue_depth = args.get_or("queue-depth", config.queue_depth)?;
     config.deadline = std::time::Duration::from_millis(args.get_or("deadline-ms", 5_000u64)?);
-    let window_ms: u64 = args.get_or("batch-window", 0)?;
-    config.batch_window = (window_ms > 0).then(|| std::time::Duration::from_millis(window_ms));
-    config.batch_max_queries = args.get_or("batch-max", config.batch_max_queries)?;
-    config.search_threads = args.get_or("search-threads", config.search_threads)?;
     config.scrub_bytes_per_sec = args.get_or("scrub-bytes-per-sec", config.scrub_bytes_per_sec)?;
     config.compact_bytes_per_sec =
         args.get_or("compact-bytes-per-sec", config.compact_bytes_per_sec)?;
@@ -1390,14 +1387,10 @@ pub fn serve(raw: &[String]) -> CommandResult {
         config,
     )?;
     println!(
-        "serving on http://{} ({} workers, queue depth {}, batching {})",
+        "serving on http://{} ({} workers, queue depth {})",
         handle.addr(),
         handle.config().threads,
         handle.config().queue_depth,
-        match handle.config().batch_window {
-            Some(window) => format!("{} ms", window.as_millis()),
-            None => "off".to_string(),
-        },
     );
 
     while !nucdb_serve::termination_requested() {
@@ -2521,6 +2514,37 @@ mod tests {
             &["--trace", "t.jsonl", "--trace-max-bytes", "64"],
         ] {
             assert!(usage(search(&with_db(opts))), "search {opts:?}");
+        }
+    }
+
+    #[test]
+    fn serve_option_misuse_is_rejected_before_any_io() {
+        let dir = std::env::temp_dir().join(format!("nucdb_cli_serve_{}", std::process::id()));
+        let db = dir.join("db");
+        let s = |v: &[&str]| -> Vec<String> { v.iter().map(|x| x.to_string()).collect() };
+        let base = ["--db", db.to_str().unwrap(), "--addr", "127.0.0.1:0"];
+        for (opts, expect) in [
+            (
+                &["--deadline-ms", "0"][..],
+                "--deadline-ms must be positive",
+            ),
+            (
+                &["--shard-deadline-ms", "0"],
+                "--shard-deadline-ms must be positive",
+            ),
+            (&["--threads", "0"], "--threads must be positive"),
+            (&["--queue-depth", "0"], "--queue-depth must be positive"),
+            (&["--batch-window", "2"], "unknown option --batch-window"),
+            (&["--batch-max", "8"], "unknown option --batch-max"),
+            (
+                &["--search-threads", "2"],
+                "unknown option --search-threads",
+            ),
+        ] {
+            let err = serve(&s(&[&base[..], opts].concat())).unwrap_err();
+            let usage = &err.downcast_ref::<UsageError>().expect("a usage error").0;
+            assert!(usage.contains(expect), "{opts:?}: {usage}");
+            assert!(!dir.exists(), "{opts:?}: wrote before refusing");
         }
     }
 

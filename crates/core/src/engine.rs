@@ -197,10 +197,11 @@ pub(crate) fn io_err(e: nucdb_seq::SeqError) -> IndexError {
 /// # Concurrency
 ///
 /// The entire query path takes `&self`: [`Database::search`],
-/// [`Database::search_with`], and [`Database::search_batch_parallel`]
-/// never mutate the database, so a `Database` inside an
+/// [`Database::search_with`], and [`Database::search_with_id`] never
+/// mutate the database, so a `Database` inside an
 /// [`Arc`](std::sync::Arc) can serve any number of threads
-/// concurrently with no external lock. Per-query mutable state lives in
+/// concurrently with no external lock — `nucdb-serve`'s workers share
+/// one `Arc<Database>`, each with its own scratch. Per-query mutable state lives in
 /// the caller-owned [`CoarseScratch`]; everything the database itself
 /// touches during a query is either immutable (vocabulary, postings,
 /// stored sequences — on-disk variants use positional reads, so there
@@ -406,150 +407,6 @@ impl Database {
         request_id: Option<&str>,
     ) -> Result<SearchOutcome, IndexError> {
         driver::run_query(self, scratch, query, params, request_id)
-    }
-
-    /// Append new records to a memory-backed database: the batch is
-    /// indexed alone and merged into the existing index (the maintenance
-    /// path for a growing archive). Errors if the index is on disk or
-    /// was built with stopping (re-apply stopping after appending via
-    /// [`nucdb_index::apply_stopping`]).
-    pub fn append_records(
-        &mut self,
-        records: impl IntoIterator<Item = (String, DnaSeq)>,
-    ) -> Result<(), IndexError> {
-        let IndexVariant::Memory(existing) = &self.index else {
-            return Err(IndexError::Unsupported(
-                "append requires a memory-backed index; reopen the database in memory",
-            ));
-        };
-        let StoreVariant::Memory(store) = &mut self.store else {
-            return Err(IndexError::Unsupported(
-                "append requires a memory-backed store; reopen the database in memory",
-            ));
-        };
-        let mut builder = IndexBuilder::new(existing.params().clone()).with_codec(existing.codec());
-        let mut staged: Vec<(String, DnaSeq)> = Vec::new();
-        for (id, seq) in records {
-            builder.add_record(&seq.representative_bases());
-            staged.push((id, seq));
-        }
-        let merged = nucdb_index::merge_indexes(existing, &builder.finish())?;
-        for (id, seq) in staged {
-            store.add(id, &seq);
-        }
-        self.index = IndexVariant::Memory(merged);
-        debug_assert_eq!(
-            RecordSource::len(&self.store) as u32,
-            self.index.num_records()
-        );
-        Ok(())
-    }
-
-    /// Evaluate a batch of queries sequentially, reusing one coarse
-    /// scratch across the whole batch.
-    pub fn search_batch(
-        &self,
-        queries: &[DnaSeq],
-        params: &SearchParams,
-    ) -> Result<Vec<SearchOutcome>, IndexError> {
-        self.search_batch_with_ids(queries, None, params)
-    }
-
-    fn search_batch_with_ids(
-        &self,
-        queries: &[DnaSeq],
-        request_ids: Option<&[String]>,
-        params: &SearchParams,
-    ) -> Result<Vec<SearchOutcome>, IndexError> {
-        let mut scratch = CoarseScratch::new();
-        queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| {
-                let id = request_ids.map(|ids| ids[i].as_str());
-                self.search_with_id(q, params, &mut scratch, id)
-            })
-            .collect()
-    }
-
-    /// Evaluate a batch of queries across `num_threads` worker threads.
-    ///
-    /// The database is shared read-only and every stage is contention
-    /// free: each worker owns a private [`CoarseScratch`], and the
-    /// on-disk index and store serve concurrent positional reads without
-    /// a shared file cursor or lock. Output order matches `queries`.
-    /// Results are identical to [`Database::search_batch`].
-    pub fn search_batch_parallel(
-        &self,
-        queries: &[DnaSeq],
-        params: &SearchParams,
-        num_threads: usize,
-    ) -> Result<Vec<SearchOutcome>, IndexError> {
-        self.search_batch_parallel_with_ids(queries, None, params, num_threads)
-    }
-
-    /// [`Database::search_batch_parallel`] with per-query request ids
-    /// (parallel slice, same length as `queries`) threaded into spans,
-    /// trace lines, and flight-recorder entries. Results are identical
-    /// to the id-less form.
-    pub fn search_batch_parallel_with_ids(
-        &self,
-        queries: &[DnaSeq],
-        request_ids: Option<&[String]>,
-        params: &SearchParams,
-        num_threads: usize,
-    ) -> Result<Vec<SearchOutcome>, IndexError> {
-        if let Some(ids) = request_ids {
-            assert_eq!(
-                ids.len(),
-                queries.len(),
-                "request_ids must parallel queries"
-            );
-        }
-        let num_threads = num_threads.max(1).min(queries.len().max(1));
-        if num_threads <= 1 {
-            return self.search_batch_with_ids(queries, request_ids, params);
-        }
-        // Work-stealing by atomic counter; each worker returns its
-        // (index, outcome) pairs and the batch is reassembled in order.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let unordered: Vec<(usize, Result<SearchOutcome, IndexError>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..num_threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut scratch = CoarseScratch::new();
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                if i >= queries.len() {
-                                    break;
-                                }
-                                let id = request_ids.map(|ids| ids[i].as_str());
-                                local.push((
-                                    i,
-                                    self.search_with_id(&queries[i], params, &mut scratch, id),
-                                ));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("search worker panicked"))
-                    .collect()
-            });
-
-        let mut ordered: Vec<Option<Result<SearchOutcome, IndexError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        for (i, outcome) in unordered {
-            ordered[i] = Some(outcome);
-        }
-        ordered
-            .into_iter()
-            .map(|slot| slot.expect("every query evaluated"))
-            .collect()
     }
 }
 
@@ -787,61 +644,6 @@ mod tests {
         let outcome = db.search(&rc_query, &params).unwrap();
         assert!(outcome.results.iter().any(|r| r.record == member));
         assert!(outcome.results.iter().all(|r| r.strand == Strand::Reverse));
-    }
-
-    #[test]
-    fn append_equals_rebuild() {
-        let coll_a = SyntheticCollection::generate(&CollectionSpec::tiny(61));
-        let coll_b = SyntheticCollection::generate(&CollectionSpec::tiny(62));
-        let all: Vec<(String, DnaSeq)> = coll_a
-            .records
-            .iter()
-            .chain(&coll_b.records)
-            .map(|r| (r.id.clone(), r.seq.clone()))
-            .collect();
-
-        let mut incremental = Database::build(
-            coll_a.records.iter().map(|r| (r.id.clone(), r.seq.clone())),
-            &DbConfig::default(),
-        );
-        incremental
-            .append_records(coll_b.records.iter().map(|r| (r.id.clone(), r.seq.clone())))
-            .unwrap();
-
-        let rebuilt = Database::build(all, &DbConfig::default());
-        assert_eq!(incremental.len(), rebuilt.len());
-
-        // Queries against family 0 of the appended batch behave as if
-        // built jointly.
-        let query = coll_b.query_for_family(0, 0.6, &MutationModel::identity());
-        let params = SearchParams::default();
-        let a: Vec<(u32, i32)> = incremental
-            .search(&query, &params)
-            .unwrap()
-            .results
-            .iter()
-            .map(|r| (r.record, r.score))
-            .collect();
-        let b: Vec<(u32, i32)> = rebuilt
-            .search(&query, &params)
-            .unwrap()
-            .results
-            .iter()
-            .map(|r| (r.record, r.score))
-            .collect();
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn append_to_disk_index_rejected() {
-        let (_, db) = build_db(63);
-        let dir = std::env::temp_dir().join(format!("nucdb_append_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut db = db.with_disk_index(&dir.join("idx.nucidx")).unwrap();
-        let extra = DnaSeq::from_ascii(b"ACGTACGTACGTACGT").unwrap();
-        assert!(db.append_records([("x".to_string(), extra)]).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * [`MetricsRegistry`] — a registry of named metrics. Registration and
 //!   snapshotting take an internal lock (cold path); the handles it hands
 //!   out ([`Counter`], [`Gauge`], [`Histogram`]) touch only atomics, so
-//!   the hot path — including the concurrent workers of
-//!   `search_batch_parallel` — is lock-free and allocation-free.
+//!   the hot path — including the server's concurrent workers sharing
+//!   one database — is lock-free and allocation-free.
 //! * [`Histogram`] — log-bucketed (power-of-two exponent with 16 linear
 //!   sub-buckets, HDR-style) value recorder with ≤ 6.25 % relative bucket
 //!   width, built for nanosecond latencies but usable for any `u64`.

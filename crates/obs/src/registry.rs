@@ -3,7 +3,7 @@
 //! Registration and snapshotting take a `Mutex` — both are cold paths
 //! (startup and scrape time). The handles handed out are `Arc`-backed
 //! atomics: recording never locks, so any number of worker threads can
-//! write concurrently (the `search_batch_parallel` case). Handles from a
+//! write concurrently (the server's worker pool). Handles from a
 //! [`MetricsRegistry::disabled`] registry carry no storage at all, making
 //! the disabled mode provably free: one `Option` discriminant branch.
 

@@ -11,13 +11,13 @@
 //!   acceptor and a fixed worker pool. Overload is answered instantly
 //!   with `503 + Retry-After` instead of growing latency without bound,
 //!   and requests that out-waited their deadline are dropped at dequeue.
-//! * **Micro-batching** ([`server`]): an optional collector coalesces
-//!   queries that arrive within a small window into one
-//!   [`nucdb::Database::search_batch_parallel`] call, trading a bounded
-//!   latency increase for index-probe locality and parallel evaluation.
+//! * **One query path** ([`server`]): each worker answers its requests'
+//!   queries itself, on its own reusable coarse-search scratch, through
+//!   the same driver the CLI uses — for a plain, live, or sharded
+//!   collection alike.
 //! * **Graceful shutdown**: SIGTERM/ctrl-c stops the acceptor, drains
-//!   every admitted connection and pending batch, flushes the trace
-//!   sink, and exits cleanly.
+//!   every admitted connection, flushes the trace sink, and exits
+//!   cleanly.
 //!
 //! A background **scrubber** thread ([`scrub`]) continuously re-reads
 //! and checksum-verifies the on-disk index and store at a bounded I/O

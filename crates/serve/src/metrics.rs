@@ -1,7 +1,7 @@
 //! Server-side metric families, registered in the same
 //! [`MetricsRegistry`] the engine binds to, so one `GET /metrics`
 //! scrape exposes the whole stack: HTTP front-end, admission queue,
-//! batching, engine stages, and index/store I/O.
+//! engine stages, and index/store I/O.
 
 use nucdb_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
@@ -26,10 +26,6 @@ pub struct HttpMetrics {
     pub shed: Counter,
     /// Requests dropped at dequeue because their deadline had passed.
     pub expired: Counter,
-    /// Micro-batches evaluated.
-    pub batches: Counter,
-    /// Queries per evaluated micro-batch.
-    pub batch_size: Histogram,
 }
 
 impl HttpMetrics {
@@ -76,12 +72,6 @@ impl HttpMetrics {
                 "nucdb_http_expired_total",
                 "Requests dropped at dequeue because their queue deadline had passed",
             ),
-            batches: registry.counter(
-                "nucdb_http_batches_total",
-                "Micro-batches evaluated by the batching collector",
-            ),
-            batch_size: registry
-                .histogram("nucdb_http_batch_size", "Queries per evaluated micro-batch"),
         }
     }
 

@@ -1,5 +1,5 @@
 //! The server proper: acceptor, bounded admission queue, worker pool,
-//! optional micro-batching collector, and graceful shutdown.
+//! and graceful shutdown.
 //!
 //! # Threading model
 //!
@@ -12,36 +12,31 @@
 //! has given up is not worth serving), then runs the connection's
 //! keep-alive request loop to completion. Workers never spawn threads
 //! per connection: concurrency is bounded by `threads + queue_depth`.
-//!
-//! With a batching window configured, workers hand `/search` query
-//! batches to a single **collector** thread that coalesces everything
-//! arriving within the window into one
-//! [`Database::search_batch_parallel_with_ids`] call (grouped by identical
-//! parameters, so results stay bit-identical to sequential evaluation).
+//! Every `/search` query runs on its worker's own [`CoarseScratch`]
+//! through [`Collection::search_with_id`], whatever the collection's
+//! shape.
 //!
 //! Shutdown: a flag flips, the acceptor is woken by a self-connection
 //! and exits, the queue closes (already-admitted connections drain),
-//! workers finish and exit, the collector drains its pending batches,
-//! and the capture log is flushed. No request that was admitted is
-//! abandoned.
+//! workers finish and exit, and the capture log is flushed. No request
+//! that was admitted is abandoned.
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nucdb::{
-    build_info, CoarseScratch, Collection, Database, IndexVariant, LiveDatabase, SearchOutcome,
-    SearchParams, ShardSet,
+    build_info, CoarseScratch, Collection, Database, IndexVariant, LiveDatabase, SearchParams,
+    ShardSet,
 };
 use nucdb_align::calibrate_gumbel;
 use nucdb_obs::json::{num, Value};
 use nucdb_obs::{Counter, FlightEntry, Gauge, MetricsRegistry};
-use nucdb_seq::DnaSeq;
 
-use crate::api::{self, SearchRequest, Significance};
+use crate::api::{self, Significance};
 use crate::http::{self, Limits, Method, Request, Response};
 use crate::metrics::HttpMetrics;
 use crate::queue::BoundedQueue;
@@ -56,14 +51,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Maximum queue wait before a request is dropped at dequeue.
     pub deadline: Duration,
-    /// Micro-batching window; `None` evaluates queries directly on the
-    /// worker thread.
-    pub batch_window: Option<Duration>,
-    /// Stop collecting a batch once this many queries are pending, even
-    /// if the window has not elapsed.
-    pub batch_max_queries: usize,
-    /// Threads used inside one batched `search_batch_parallel` call.
-    pub search_threads: usize,
     /// Maximum queries accepted in one `/search` request.
     pub max_queries_per_request: usize,
     /// Idle timeout on a keep-alive connection.
@@ -84,9 +71,6 @@ impl Default for ServeConfig {
             threads: 4,
             queue_depth: 64,
             deadline: Duration::from_secs(5),
-            batch_window: None,
-            batch_max_queries: 64,
-            search_threads: 4,
             max_queries_per_request: 256,
             keep_alive_timeout: Duration::from_secs(5),
             limits: Limits::default(),
@@ -136,7 +120,7 @@ fn request_id_for(request: &Request) -> String {
         .unwrap_or_else(generate_request_id)
 }
 
-/// Everything the acceptor, workers, and collector share.
+/// Everything the acceptor and workers share.
 struct Shared {
     /// What queries are answered from; `/search` pins it per request.
     collection: Collection,
@@ -145,7 +129,6 @@ struct Shared {
     defaults: SearchParams,
     config: ServeConfig,
     shutdown: AtomicBool,
-    batcher: Option<Batcher>,
     started: Instant,
     scrub: ScrubState,
     /// `nucdb_flight_recent_entries`: occupancy of the recent ring,
@@ -165,7 +148,6 @@ pub struct ServerHandle {
     queue: Arc<BoundedQueue<TcpStream>>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    collector: Option<JoinHandle<()>>,
     scrubber: Option<JoinHandle<()>>,
     compactor: Option<JoinHandle<()>>,
 }
@@ -205,10 +187,10 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, drain every admitted
-    /// connection and pending batch, join all threads, flush the trace
-    /// sink. Returns once the server is fully stopped, handing back the
-    /// metrics registry (now quiescent) so the caller can write a final
-    /// snapshot that includes the drained tail.
+    /// connection, join all threads, flush the trace sink. Returns once
+    /// the server is fully stopped, handing back the metrics registry
+    /// (now quiescent) so the caller can write a final snapshot that
+    /// includes the drained tail.
     pub fn shutdown(mut self) -> Option<Arc<MetricsRegistry>> {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // The acceptor blocks in accept(); a throwaway connection wakes
@@ -221,14 +203,6 @@ impl ServerHandle {
         self.queue.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
-        }
-        // Workers are done, so no new batch jobs can arrive: drain the
-        // collector.
-        if let Some(batcher) = &self.shared.batcher {
-            batcher.close();
-        }
-        if let Some(collector) = self.collector.take() {
-            let _ = collector.join();
         }
         // The scrubber and compactor poll the shutdown flag between
         // units of work and inside every throttle sleep, so these joins
@@ -292,10 +266,9 @@ pub fn start_live(
 /// results and `coverage < 1` instead of a 500 — only a query *no*
 /// shard could answer errors. The registry must be the one the shard
 /// set was assembled with, so the per-shard `nucdb_shard_*` families
-/// land in this server's `/metrics` exposition. Micro-batching is
-/// forced off (the shard workers are the intra-query parallelism) and
-/// the scrubber is skipped (`nucdb fsck` audits sharded roots offline),
-/// so readiness is immediate. Request ids, `/debug/*`, and the flight
+/// land in this server's `/metrics` exposition. The scrubber is
+/// skipped (`nucdb fsck` audits sharded roots offline), so readiness is
+/// immediate. Request ids, `/debug/*`, and the flight
 /// gauges work as for any other shape: configure the recorder with
 /// [`ShardSet::set_forensics`] before sharing the set.
 pub fn start_sharded(
@@ -322,16 +295,12 @@ pub fn start_collection(
     collection: Collection,
     registry: Arc<MetricsRegistry>,
     defaults: SearchParams,
-    mut config: ServeConfig,
+    config: ServeConfig,
 ) -> std::io::Result<ServerHandle> {
-    if collection.as_sharded().is_some() {
-        config.batch_window = None;
-    }
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let metrics = HttpMetrics::new(&registry);
     build_info::register(&registry);
-    let batcher = config.batch_window.map(|_| Batcher::new());
     // The scrubber walks one fixed pair of on-disk files; a live
     // database's segment set changes underneath it, so live mode skips
     // it (per-segment checksums still verify on every query read).
@@ -359,7 +328,6 @@ pub fn start_collection(
         defaults,
         config,
         shutdown: AtomicBool::new(false),
-        batcher,
         started: Instant::now(),
         scrub,
         flight_recent_entries,
@@ -384,16 +352,6 @@ pub fn start_collection(
                 .spawn(move || worker_loop(&shared, &queue))
         })
         .collect::<std::io::Result<Vec<_>>>()?;
-    let collector = if shared.batcher.is_some() {
-        let shared = Arc::clone(&shared);
-        Some(
-            std::thread::Builder::new()
-                .name("nucdb-batch".to_string())
-                .spawn(move || collector_loop(&shared))?,
-        )
-    } else {
-        None
-    };
     let scrubber = match scrub_target {
         Some(db) => {
             let shared = Arc::clone(&shared);
@@ -434,7 +392,6 @@ pub fn start_collection(
         queue,
         acceptor: Some(acceptor),
         workers,
-        collector,
         scrubber,
         compactor,
     })
@@ -747,10 +704,6 @@ fn stats_json(shared: &Shared) -> Value {
             "uptime_seconds".to_string(),
             Value::Num(shared.started.elapsed().as_secs_f64()),
         ),
-        (
-            "batching".to_string(),
-            Value::Bool(shared.batcher.is_some()),
-        ),
         ("build_info".to_string(), build_info::as_json()),
         (
             "forensics".to_string(),
@@ -897,7 +850,12 @@ fn search_endpoint(
     // Degraded shard coverage still answers 200 — the per-query
     // `coverage` object tells the client how complete its answer is;
     // only a query *no* shard could answer becomes a 500.
-    let outcomes = match evaluate(shared, &view, &search, request_id, scratch) {
+    let outcomes: Result<Vec<_>, _> = search
+        .queries
+        .iter()
+        .map(|query| view.search_with_id(&query.seq, &search.params, scratch, Some(request_id)))
+        .collect();
+    let outcomes = match outcomes {
         Ok(outcomes) => outcomes,
         Err(error) => {
             return Response::new(500, "Internal Server Error")
@@ -943,229 +901,6 @@ fn search_endpoint(
         })
         .collect();
     Response::ok().json(api::response_to_json(per_query, request_id).render())
-}
-
-/// Evaluate a request's queries: through the batching collector when
-/// one is running, directly on the worker's scratch otherwise. Both
-/// paths produce identical outcomes.
-fn evaluate(
-    shared: &Shared,
-    view: &Collection,
-    search: &SearchRequest,
-    request_id: &str,
-    scratch: &mut CoarseScratch,
-) -> Result<Vec<SearchOutcome>, String> {
-    if let Some(batcher) = &shared.batcher {
-        let queries: Vec<DnaSeq> = search.queries.iter().map(|q| q.seq.clone()).collect();
-        if let Some(result) = batcher.submit(queries, search.params, request_id.to_string()) {
-            return result;
-        }
-        // Collector already closed (shutdown drain): fall through.
-    }
-    search
-        .queries
-        .iter()
-        .map(|query| {
-            view.search_with_id(&query.seq, &search.params, scratch, Some(request_id))
-                .map_err(|e| e.to_string())
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Micro-batching collector
-// ---------------------------------------------------------------------
-
-/// One submitted unit of work: a request's queries plus the slot its
-/// results are delivered through.
-struct BatchJob {
-    queries: Vec<DnaSeq>,
-    params: SearchParams,
-    /// The HTTP request's id, stamped onto each of its queries' traces.
-    request_id: String,
-    slot: Arc<Slot>,
-}
-
-/// A rendezvous cell: the submitting worker blocks on it until the
-/// collector deposits the batch's outcome.
-struct Slot {
-    result: Mutex<Option<Result<Vec<SearchOutcome>, String>>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn deliver(&self, value: Result<Vec<SearchOutcome>, String>) {
-        *self.result.lock().expect("slot poisoned") = Some(value);
-        self.ready.notify_one();
-    }
-
-    fn wait(&self) -> Result<Vec<SearchOutcome>, String> {
-        let mut guard = self.result.lock().expect("slot poisoned");
-        loop {
-            if let Some(value) = guard.take() {
-                return value;
-            }
-            guard = self.ready.wait(guard).expect("slot poisoned");
-        }
-    }
-}
-
-struct BatchState {
-    jobs: Vec<BatchJob>,
-    closed: bool,
-}
-
-/// The submission side of the micro-batching collector.
-struct Batcher {
-    state: Mutex<BatchState>,
-    arrived: Condvar,
-}
-
-impl Batcher {
-    fn new() -> Batcher {
-        Batcher {
-            state: Mutex::new(BatchState {
-                jobs: Vec::new(),
-                closed: false,
-            }),
-            arrived: Condvar::new(),
-        }
-    }
-
-    /// Queue `queries` and block until the collector evaluates them.
-    /// Returns `None` when the collector is closed (caller should
-    /// evaluate directly).
-    fn submit(
-        &self,
-        queries: Vec<DnaSeq>,
-        params: SearchParams,
-        request_id: String,
-    ) -> Option<Result<Vec<SearchOutcome>, String>> {
-        let slot = Slot::new();
-        {
-            let mut state = self.state.lock().expect("batcher poisoned");
-            if state.closed {
-                return None;
-            }
-            state.jobs.push(BatchJob {
-                queries,
-                params,
-                request_id,
-                slot: Arc::clone(&slot),
-            });
-        }
-        self.arrived.notify_all();
-        Some(slot.wait())
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("batcher poisoned").closed = true;
-        self.arrived.notify_all();
-    }
-}
-
-fn collector_loop(shared: &Shared) {
-    let batcher = shared.batcher.as_ref().expect("collector without batcher");
-    let window = shared
-        .config
-        .batch_window
-        .expect("collector without window");
-    loop {
-        // Phase 1: sleep until the first job (or closure).
-        {
-            let mut state = batcher.state.lock().expect("batcher poisoned");
-            while state.jobs.is_empty() && !state.closed {
-                state = batcher.arrived.wait(state).expect("batcher poisoned");
-            }
-            if state.jobs.is_empty() && state.closed {
-                return; // drained and closed: done
-            }
-        }
-        // Phase 2: keep the window open, coalescing arrivals, until it
-        // elapses or enough queries are pending.
-        let deadline = Instant::now() + window;
-        let jobs = loop {
-            let mut state = batcher.state.lock().expect("batcher poisoned");
-            let pending: usize = state.jobs.iter().map(|j| j.queries.len()).sum();
-            let now = Instant::now();
-            if pending >= shared.config.batch_max_queries || now >= deadline || state.closed {
-                break std::mem::take(&mut state.jobs);
-            }
-            let (next, _) = batcher
-                .arrived
-                .wait_timeout(state, deadline - now)
-                .expect("batcher poisoned");
-            drop(next);
-        };
-        evaluate_batch(shared, jobs);
-    }
-}
-
-/// Run one coalesced batch. Jobs are grouped by identical parameters;
-/// each group becomes a single parallel batch call, whose outcomes are
-/// split back to the submitting requests in order.
-fn evaluate_batch(shared: &Shared, mut jobs: Vec<BatchJob>) {
-    if jobs.is_empty() {
-        return;
-    }
-    let total: usize = jobs.iter().map(|j| j.queries.len()).sum();
-    shared.metrics.batches.inc();
-    shared.metrics.batch_size.record(total as u64);
-    // One view for the whole batch: every query in it sees the same
-    // record-id space, exactly like the static case.
-    let view = shared.collection.pinned();
-
-    while !jobs.is_empty() {
-        let params = jobs[0].params;
-        let (group, rest): (Vec<BatchJob>, Vec<BatchJob>) =
-            jobs.into_iter().partition(|j| j.params == params);
-        jobs = rest;
-
-        let flat: Vec<DnaSeq> = group.iter().flat_map(|j| j.queries.clone()).collect();
-        let flat_ids: Vec<String> = group
-            .iter()
-            .flat_map(|j| std::iter::repeat_n(j.request_id.clone(), j.queries.len()))
-            .collect();
-        // `start_collection` runs no collector over a shard set (its
-        // workers are its parallelism), so the pinned view is a single
-        // database here.
-        let outcomes = view
-            .as_static()
-            .ok_or(nucdb_index::IndexError::Unsupported(
-                "micro-batching over a shard set",
-            ))
-            .and_then(|db| {
-                db.search_batch_parallel_with_ids(
-                    &flat,
-                    Some(&flat_ids),
-                    &params,
-                    shared.config.search_threads,
-                )
-            });
-        match outcomes {
-            Ok(outcomes) => {
-                let mut cursor = outcomes.into_iter();
-                for job in &group {
-                    let share: Vec<SearchOutcome> =
-                        cursor.by_ref().take(job.queries.len()).collect();
-                    job.slot.deliver(Ok(share));
-                }
-            }
-            Err(error) => {
-                let message = error.to_string();
-                for job in &group {
-                    job.slot.deliver(Err(message.clone()));
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1220,18 +955,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Database>();
         assert_send_sync::<Shared>();
-    }
-
-    #[test]
-    fn slot_rendezvous_delivers_across_threads() {
-        let slot = Slot::new();
-        let waiter = {
-            let slot = Arc::clone(&slot);
-            std::thread::spawn(move || slot.wait())
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        slot.deliver(Ok(Vec::new()));
-        assert!(waiter.join().unwrap().is_ok());
     }
 
     #[test]

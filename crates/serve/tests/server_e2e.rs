@@ -6,7 +6,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use nucdb::{Database, DbConfig, SearchParams};
+use nucdb::{CoarseScratch, Database, DbConfig, SearchOutcome, SearchParams};
 use nucdb_obs::json::{self, Value};
 use nucdb_obs::MetricsRegistry;
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
@@ -116,6 +116,18 @@ fn answer_tuples(result: &Value) -> Vec<(String, u64, u64, u64, String)> {
         .collect()
 }
 
+/// The engine's own answers to `qs`, one query at a time on one scratch.
+fn search_each(
+    db: &Database,
+    qs: &[(String, DnaSeq)],
+    params: &SearchParams,
+) -> Vec<SearchOutcome> {
+    let mut scratch = CoarseScratch::new();
+    qs.iter()
+        .map(|(_, seq)| db.search_with(seq, params, &mut scratch).unwrap())
+        .collect()
+}
+
 #[test]
 fn concurrent_clients_match_direct_search_batch() {
     let coll = collection();
@@ -124,8 +136,7 @@ fn concurrent_clients_match_direct_search_batch() {
     let params = SearchParams::default();
 
     // What the engine says, computed directly.
-    let seqs: Vec<DnaSeq> = qs.iter().map(|(_, s)| s.clone()).collect();
-    let direct = reference.search_batch(&seqs, &params).unwrap();
+    let direct = search_each(&reference, &qs, &params);
     let expected: Vec<Vec<_>> = direct
         .iter()
         .map(|outcome| {
@@ -150,11 +161,9 @@ fn concurrent_clients_match_direct_search_batch() {
         })
         .collect();
 
-    // Serve an identical database, with micro-batching enabled so the
-    // batched path is what gets compared.
+    // Serve an identical database to 8 concurrent clients.
     let config = ServeConfig {
         threads: 4,
-        batch_window: Some(Duration::from_millis(2)),
         ..ServeConfig::default()
     };
     let handle = start(
@@ -473,8 +482,7 @@ fn shutdown_drains_admitted_connections() {
     let reference = build_db(&coll);
     let qs = queries(&coll, 2);
     let params = SearchParams::default();
-    let seqs: Vec<DnaSeq> = qs.iter().map(|(_, s)| s.clone()).collect();
-    let direct = reference.search_batch(&seqs, &params).unwrap();
+    let direct = search_each(&reference, &qs, &params);
 
     let handle = start(
         "127.0.0.1:0",

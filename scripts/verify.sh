@@ -31,9 +31,11 @@ e2e/run.sh --smoke --seconds 4
 # results/STAT.json as an artifact so index-shape drift is reviewable.
 # Then the capture pipeline through the same binary: bench with the
 # log, its stride, tail sampling and the ring on, and profile the log,
-# all inside the temporary directory.
+# all inside the temporary directory. Last, `serve` through the release
+# binary: one search over HTTP, then SIGTERM must drain and exit 0.
 health_dir=$(mktemp -d)
-trap 'rm -rf "$health_dir"' EXIT
+serve_pid=""
+trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; rm -rf "$health_dir"' EXIT
 NUCDB=(cargo run --quiet --release -p nucdb-cli --)
 "${NUCDB[@]}" generate --bases 200000 --out "$health_dir/coll.fasta" --seed 7 \
   --queries-out "$health_dir/q.fasta"
@@ -43,6 +45,37 @@ NUCDB=(cargo run --quiet --release -p nucdb-cli --)
 "${NUCDB[@]}" bench --db "$health_dir/db" --query "$health_dir/q.fasta" \
   --trace "$health_dir/t.jsonl" --trace-sample 4 --slow-ms 0.001 --flight-recorder 16
 "${NUCDB[@]}" profile --input "$health_dir/t.jsonl" --out "$health_dir"
+# Launched directly, not through `cargo run`, so that $! is the server.
+target/release/nucdb serve --db "$health_dir/db" --addr 127.0.0.1:0 \
+  --scrub-bytes-per-sec 0 >"$health_dir/serve.log" 2>&1 &
+serve_pid=$!
+port=""
+for _ in $(seq 300); do
+  port=$(sed -n 's|^serving on http://127\.0\.0\.1:\([0-9]*\) .*|\1|p' "$health_dir/serve.log")
+  [ -n "$port" ] && break
+  kill -0 "$serve_pid" 2>/dev/null || break
+  sleep 0.1
+done
+if [ -z "$port" ]; then
+  echo "serve printed no address within 30 s:" >&2
+  cat "$health_dir/serve.log" >&2
+  exit 1
+fi
+code=$(curl -sf -o "$health_dir/search.json" -w '%{http_code}' \
+  --data-binary @"$health_dir/q.fasta" "http://127.0.0.1:$port/search" || true)
+if [ "$code" != 200 ] || ! grep -q '"results":\[{' "$health_dir/search.json"; then
+  echo "serve /search answered $code without results" >&2
+  exit 1
+fi
+kill -TERM "$serve_pid"
+serve_status=0
+wait "$serve_pid" || serve_status=$?
+serve_pid=""
+if [ "$serve_status" != 0 ] || ! grep -q 'drained cleanly' "$health_dir/serve.log"; then
+  echo "serve exited with status $serve_status without a clean drain:" >&2
+  cat "$health_dir/serve.log" >&2
+  exit 1
+fi
 # The benchmark gate: the traced run's work counts must equal the
 # committed reference exactly; timings are report-only (see the
 # script's header).

@@ -2,6 +2,7 @@
 //! behaviourally identical to the in-memory reference.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nucdb::{
     CoarseScratch, Database, DbConfig, IndexVariant, RankingScheme, SearchParams, SequenceStore,
@@ -189,41 +190,63 @@ fn fully_on_disk_database_gives_identical_results() {
 
 #[test]
 fn parallel_batch_search_matches_sequential_on_disk_index() {
-    // Concurrent queries against the on-disk index (lock-free positional
-    // reads, per-worker scratch) must give exactly the sequential
-    // results, in order.
+    // Threads sharing one `&Database` over an on-disk index and store
+    // (lock-free positional reads, one scratch per thread) must give
+    // exactly the sequential results, in order.
     let coll = collection(206);
     let db = Database::build(
         coll.records.iter().map(|r| (r.id.clone(), r.seq.clone())),
         &DbConfig::default(),
     );
     let dir = temp_dir("parbatch");
-    let db = db.with_disk_index(&dir.join("idx.nucidx")).unwrap();
+    let db = db
+        .with_disk_index(&dir.join("idx.nucidx"))
+        .unwrap()
+        .with_disk_store(&dir.join("store.nucsto"))
+        .unwrap();
 
     let queries: Vec<_> = (0..coll.families.len())
         .map(|f| coll.query_for_family(f, 0.5, &MutationModel::standard(0.05)))
         .collect();
     let params = SearchParams::default();
+    let answer = |query, scratch: &mut CoarseScratch| -> Vec<(u32, i32)> {
+        db.search_with(query, &params, scratch)
+            .unwrap()
+            .results
+            .iter()
+            .map(|r| (r.record, r.score))
+            .collect()
+    };
 
-    let sequential = db.search_batch(&queries, &params).unwrap();
+    let mut scratch = CoarseScratch::new();
+    let sequential: Vec<_> = queries.iter().map(|q| answer(q, &mut scratch)).collect();
     for threads in [2usize, 4, 8] {
-        let parallel = db
-            .search_batch_parallel(&queries, &params, threads)
-            .unwrap();
-        assert_eq!(parallel.len(), sequential.len());
-        for (seq_outcome, par_outcome) in sequential.iter().zip(&parallel) {
-            let a: Vec<(u32, i32)> = seq_outcome
-                .results
-                .iter()
-                .map(|r| (r.record, r.score))
+        // Work-stealing over the queries; each thread keeps (index, answer).
+        let next = AtomicUsize::new(0);
+        let mut parallel: Vec<(usize, Vec<(u32, i32)>)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut scratch = CoarseScratch::new();
+                        let mut local = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(query) = queries.get(i) else {
+                                return local;
+                            };
+                            local.push((i, answer(query, &mut scratch)));
+                        }
+                    })
+                })
                 .collect();
-            let b: Vec<(u32, i32)> = par_outcome
-                .results
-                .iter()
-                .map(|r| (r.record, r.score))
-                .collect();
-            assert_eq!(a, b, "threads = {threads}");
-        }
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        parallel.sort_by_key(|&(i, _)| i);
+        let parallel: Vec<_> = parallel.into_iter().map(|(_, answer)| answer).collect();
+        assert_eq!(parallel, sequential, "threads = {threads}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
