@@ -186,7 +186,7 @@ fn main() {
     ]);
 
     let db = database(&coll, &DbConfig::default());
-    let IndexVariant::Memory(index) = db.index() else {
+    let IndexVariant::Disk(index) = db.index() else {
         unreachable!()
     };
     let records = RecordLists::from_index(index);
@@ -260,7 +260,7 @@ mod tests {
     fn record_lists_size_matches_the_retired_record_granularity_build() {
         let coll = SyntheticCollection::generate(&CollectionSpec::tiny(0xE12));
         let db = database(&coll, &DbConfig::default());
-        let IndexVariant::Memory(index) = db.index() else {
+        let IndexVariant::Disk(index) = db.index() else {
             unreachable!()
         };
         assert_eq!(RecordLists::from_index(index).index_bytes(), 22_204);

@@ -49,8 +49,8 @@ fn main() {
             },
         );
         let stats = match db.index() {
-            IndexVariant::Memory(i) => i.stats(),
-            _ => unreachable!("e4 builds in-memory indexes only"),
+            IndexVariant::Disk(i) => i.stats(),
+            _ => unreachable!("e4 builds one index, not segments"),
         };
 
         let params = SearchParams::default();

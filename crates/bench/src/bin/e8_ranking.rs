@@ -59,7 +59,7 @@ fn main() {
                 .with_ranking(ranking)
                 .with_candidates(30);
 
-            let IndexVariant::Memory(index) = db.index() else {
+            let IndexVariant::Disk(index) = db.index() else {
                 unreachable!()
             };
             let coarse = coarse_rank(index, &query.representative_bases(), &params).unwrap();

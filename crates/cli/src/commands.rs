@@ -14,7 +14,7 @@ use nucdb::{
 };
 use nucdb_align::calibrate_gumbel;
 use nucdb_index::{
-    build_chunked, IndexError, IndexParams, ListCodec, Manifest, OnDiskIndex, ShardManifest,
+    build_chunked, CompressedIndex, IndexError, IndexParams, ListCodec, Manifest, ShardManifest,
     StopPolicy,
 };
 use nucdb_obs::json::{num, Value};
@@ -1452,7 +1452,7 @@ pub fn stats(raw: &[String]) -> CommandResult {
     let args = Args::parse("stats", raw, &["db"], &[])?;
     let db_dir = PathBuf::from(args.required("db")?);
     let store = SequenceStore::read_from(&db_dir.join(STORE_FILE))?;
-    let index = OnDiskIndex::open(&db_dir.join(INDEX_FILE))?;
+    let index = CompressedIndex::open(&db_dir.join(INDEX_FILE))?;
 
     println!("store:");
     println!("  records        {}", store.len());
@@ -1700,11 +1700,11 @@ fn stat_part(part: &Part) -> Result<nucdb::StatReport, Box<dyn Error>> {
     let listed = part.records.is_some();
     Ok(nucdb::StatReport {
         index: (listed || part.index.exists())
-            .then(|| OnDiskIndex::open(&part.index))
+            .then(|| CompressedIndex::open(&part.index))
             .transpose()?
             .map(|index| nucdb::IndexStatReport::from_disk(&index)),
         store: (listed || part.store.exists())
-            .then(|| nucdb::OnDiskStore::open(&part.store))
+            .then(|| nucdb::SequenceStore::open(&part.store))
             .transpose()?
             .map(|store| nucdb::StoreStatReport::from_disk(&store)),
     })
@@ -1833,7 +1833,7 @@ fn fsck_walk(layout: &Layout, db_dir: &Path) -> Result<(i32, String, Value), Box
         let mut report = nucdb::FsckReport::default();
         let mut part_worst = 0;
         if listed || part.index.exists() {
-            match OnDiskIndex::open(&part.index) {
+            match CompressedIndex::open(&part.index) {
                 Ok(index) => {
                     if let Some(listed) = part.records.filter(|&n| n != index.num_records()) {
                         part_worst = 1;
@@ -1852,7 +1852,7 @@ fn fsck_walk(layout: &Layout, db_dir: &Path) -> Result<(i32, String, Value), Box
             }
         }
         if listed || part.store.exists() {
-            match nucdb::OnDiskStore::open(&part.store) {
+            match nucdb::SequenceStore::open(&part.store) {
                 Ok(store) => nucdb::fsck_store(&store, &mut report),
                 Err(e) => report
                     .findings
@@ -2311,6 +2311,18 @@ mod tests {
         let (code, text, _) = fsck_walk(&Layout::load(&db).unwrap(), &db).unwrap();
         assert_eq!(code, 2, "{text}");
         assert!(text.contains("record-granularity"), "{text}");
+        // A vocabulary whose second code gap runs the interval code past
+        // u64::MAX, CRC stamped: a typed finding, never a panic or wrap.
+        let mut header = vec![8u8, 1, 0, 0, 0, 1, 40, 2];
+        header.extend([0xFF; 9].into_iter().chain([0x01, 0, 0, 0, 3, 0, 0, 0, 0]));
+        let mut hostile = b"NUCIDX03".to_vec();
+        hostile.extend((header.len() as u32).to_le_bytes());
+        hostile.extend(nucdb_index::crc32(&header).to_le_bytes());
+        hostile.extend(header);
+        std::fs::write(db.join(INDEX_FILE), hostile).unwrap();
+        let (code, text, _) = fsck_walk(&Layout::load(&db).unwrap(), &db).unwrap();
+        assert_eq!(code, 2, "{text}");
+        assert!(text.contains("vocabulary"), "{text}");
         std::fs::write(db.join(INDEX_FILE), good).unwrap();
         assert_eq!(fsck(&s(&["--db", db_arg])).unwrap(), 0);
         let _ = std::fs::remove_dir_all(&dir);

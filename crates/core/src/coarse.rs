@@ -28,8 +28,7 @@
 //! and every block of every fetched list is verified and decoded.
 
 use nucdb_index::{
-    CompressedIndex, FetchStats, IndexError, IndexParams, OffsetSection, OnDiskIndex,
-    PostingsVisitor,
+    CompressedIndex, FetchStats, IndexError, IndexParams, OffsetSection, PostingsVisitor,
 };
 use nucdb_seq::Base;
 
@@ -40,12 +39,12 @@ use crate::params::SearchParams;
 /// bucketed.
 const BELOW_FLOOR: u32 = u32::MAX;
 
-/// Anything coarse search can fetch postings from (in-memory index,
-/// on-disk index, or the engine's variant wrapper).
+/// Anything coarse search can fetch postings from (an index, a
+/// segmented view over several, or the engine's variant wrapper).
 ///
 /// Fetching is visitor-driven: a source calls
 /// [`PostingsVisitor::visit`] per posting instead of materialising
-/// nested lists, reusing `io_buf` for the raw list bytes, and honours a
+/// nested lists (`io_buf` is scratch a source may use), and honours a
 /// visitor's [`PostingsVisitor::skip_block`] veto (coarse search vetoes
 /// none).
 pub trait PostingsSource {
@@ -111,38 +110,6 @@ impl PostingsSource for CompressedIndex {
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
         self.postings_stream(code, visitor)
-    }
-
-    fn fetch_append(
-        &self,
-        code: u64,
-        kept: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        self.append_stream(code, kept, visitor)
-    }
-}
-
-impl PostingsSource for OnDiskIndex {
-    fn num_records(&self) -> u32 {
-        OnDiskIndex::num_records(self)
-    }
-
-    fn record_lens(&self) -> &[u32] {
-        OnDiskIndex::record_lens(self)
-    }
-
-    fn index_params(&self) -> &IndexParams {
-        self.params()
-    }
-
-    fn fetch_stream(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        self.postings_stream(code, io_buf, visitor)
     }
 
     fn fetch_append(
@@ -1394,15 +1361,15 @@ mod tests {
         Ok(outcome)
     }
 
-    /// The tie-heavy collection as a memory index, an on-disk index and a
-    /// segmented index of one memory part and one disk part, all one
+    /// The tie-heavy collection as a built index, an opened index and a
+    /// segmented index of one built part and one opened part, all one
     /// codec. Returns the sources and the files to delete.
     fn three_sources(
         records: &[Vec<Base>],
         codec: nucdb_index::ListCodec,
         tag: &str,
     ) -> (Vec<crate::IndexVariant>, Vec<std::path::PathBuf>) {
-        use crate::segment::{SegmentIndexPart, SegmentedIndex};
+        use crate::segment::SegmentedIndex;
         use std::sync::Arc;
         let build = |records: &[Vec<Base>]| {
             let mut builder = IndexBuilder::new(IndexParams::new(6)).with_codec(codec);
@@ -1425,19 +1392,16 @@ mod tests {
         let split = records.len() / 2;
         nucdb_index::write_index(&build(&records[split..]), &tail).unwrap();
         let segmented = SegmentedIndex::new(vec![
-            (
-                "memtable".to_string(),
-                SegmentIndexPart::Memory(Arc::new(build(&records[..split]))),
-            ),
+            ("memtable".to_string(), Arc::new(build(&records[..split]))),
             (
                 "seg-000001".to_string(),
-                SegmentIndexPart::Disk(Arc::new(OnDiskIndex::open(&tail).unwrap())),
+                Arc::new(CompressedIndex::open(&tail).unwrap()),
             ),
         ])
         .unwrap();
         let sources = vec![
-            crate::IndexVariant::Memory(joint),
-            crate::IndexVariant::Disk(OnDiskIndex::open(&whole).unwrap()),
+            crate::IndexVariant::Disk(joint),
+            crate::IndexVariant::Disk(CompressedIndex::open(&whole).unwrap()),
             crate::IndexVariant::Segmented(segmented),
         ];
         (sources, vec![whole, tail])

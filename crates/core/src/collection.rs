@@ -14,7 +14,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use nucdb_index::{IndexError, Manifest, OnDiskIndex, ShardManifest};
+use nucdb_index::{CompressedIndex, IndexError, Manifest, ShardManifest};
 use nucdb_obs::{Forensics, MetricsRegistry};
 use nucdb_seq::DnaSeq;
 
@@ -23,7 +23,7 @@ use crate::engine::{io_err, Database, IndexVariant, SearchOutcome};
 use crate::params::SearchParams;
 use crate::segment::LiveDatabase;
 use crate::shard::{ShardCoverage, ShardSet, ShardSetConfig};
-use crate::store::{OnDiskStore, RecordSource, StoreVariant};
+use crate::store::{RecordSource, SequenceStore, StoreVariant};
 
 /// Index file of a plain database directory (and of each shard).
 pub const INDEX_FILE: &str = "index.nucidx";
@@ -69,8 +69,8 @@ pub(crate) fn has_live_manifest(dir: &Path) -> bool {
 /// postings lists and candidate records are both fetched per query —
 /// the paper's operating point.
 pub(crate) fn open_plain_dir(dir: &Path) -> Result<Database, IndexError> {
-    let store = OnDiskStore::open(&dir.join(STORE_FILE)).map_err(io_err)?;
-    let index = OnDiskIndex::open(&dir.join(INDEX_FILE))?;
+    let store = SequenceStore::open(&dir.join(STORE_FILE)).map_err(io_err)?;
+    let index = CompressedIndex::open(&dir.join(INDEX_FILE))?;
     Ok(Database::from_variants(
         StoreVariant::Disk(store),
         IndexVariant::Disk(index),

@@ -5,8 +5,7 @@ use std::path::Path;
 
 use nucdb_align::Alignment;
 use nucdb_index::{
-    CompressedIndex, FetchStats, IndexBuilder, IndexError, IndexParams, ListCodec, OnDiskIndex,
-    PostingsVisitor,
+    CompressedIndex, FetchStats, IndexBuilder, IndexError, IndexParams, ListCodec, PostingsVisitor,
 };
 use nucdb_seq::DnaSeq;
 
@@ -19,7 +18,7 @@ use crate::fine::{fine_search_traced, CandidateTiming, FineMode, FineResult};
 use crate::metrics::SearchMetrics;
 use crate::params::{SearchParams, Strand};
 use crate::shard::ShardCoverage;
-use crate::store::{OnDiskStore, RecordSource, SequenceStore, StorageMode, StoreVariant};
+use crate::store::{RecordSource, SequenceStore, StorageMode, StoreVariant};
 
 /// Build-time configuration of a database.
 #[derive(Debug, Clone)]
@@ -42,12 +41,11 @@ impl Default for DbConfig {
     }
 }
 
-/// The index backing a database: memory-resident or on disk.
+/// The index backing a database: one index, or a segmented view over
+/// several.
 pub enum IndexVariant {
-    /// Fully in-memory compressed index.
-    Memory(CompressedIndex),
-    /// On-disk index with per-list fetching.
-    Disk(OnDiskIndex),
+    /// One index (its file image, or one built in memory).
+    Disk(CompressedIndex),
     /// Ordered set of index parts (live ingestion segments + memtable).
     Segmented(crate::segment::SegmentedIndex),
 }
@@ -57,7 +55,6 @@ impl IndexVariant {
     /// forwards through this one `match`.
     fn source(&self) -> &dyn PostingsSource {
         match self {
-            IndexVariant::Memory(i) => i,
             IndexVariant::Disk(i) => i,
             IndexVariant::Segmented(i) => i,
         }
@@ -204,8 +201,8 @@ pub(crate) fn io_err(e: nucdb_seq::SeqError) -> IndexError {
 /// one `Arc<Database>`, each with its own scratch. Per-query mutable state lives in
 /// the caller-owned [`CoarseScratch`]; everything the database itself
 /// touches during a query is either immutable (vocabulary, postings,
-/// stored sequences — on-disk variants use positional reads, so there
-/// is no shared file cursor) or an interior atomic (the metric
+/// stored sequences — all slices of file images read at open, so a
+/// query does no file I/O) or an interior atomic (the metric
 /// counters, histograms, and I/O tallies behind [`SearchMetrics`],
 /// which are relaxed `AtomicU64`s designed for concurrent writers).
 ///
@@ -235,8 +232,8 @@ impl Database {
             builder.add_record(&bases);
         }
         Database {
-            store: StoreVariant::Memory(store),
-            index: IndexVariant::Memory(builder.finish()),
+            store: StoreVariant::Disk(store),
+            index: IndexVariant::Disk(builder.finish()),
             metrics: SearchMetrics::disabled(),
         }
     }
@@ -244,7 +241,7 @@ impl Database {
     /// Assemble from already-built parts. The index must cover exactly
     /// the store's records.
     pub fn from_parts(store: SequenceStore, index: IndexVariant) -> Database {
-        Database::from_variants(StoreVariant::Memory(store), index)
+        Database::from_variants(StoreVariant::Disk(store), index)
     }
 
     /// Assemble from any store/index variant combination.
@@ -261,15 +258,15 @@ impl Database {
         }
     }
 
-    /// Persist the index to `path` and reopen it in on-disk mode, so
-    /// postings are fetched per query (the paper's disk setting).
+    /// Persist the index to `path` and reopen it from there (the
+    /// paper's disk setting). A segmented index is left as it is.
     pub fn with_disk_index(self, path: &Path) -> Result<Database, IndexError> {
         let index = match self.index {
-            IndexVariant::Memory(index) => {
+            IndexVariant::Disk(index) => {
                 nucdb_index::write_index(&index, path)?;
-                IndexVariant::Disk(OnDiskIndex::open(path)?)
+                IndexVariant::Disk(CompressedIndex::open(path)?)
             }
-            other @ (IndexVariant::Disk(_) | IndexVariant::Segmented(_)) => other,
+            segmented @ IndexVariant::Segmented(_) => segmented,
         };
         Ok(Database {
             store: self.store,
@@ -278,16 +275,16 @@ impl Database {
         })
     }
 
-    /// Persist the sequence store to `path` and reopen it in on-disk
-    /// mode, so candidate records are fetched per query — completing the
-    /// paper's disk setting (index *and* collection on disk).
+    /// Persist the sequence store to `path` and reopen it from there —
+    /// completing the paper's disk setting (index *and* collection on
+    /// disk). A segmented store is left as it is.
     pub fn with_disk_store(self, path: &Path) -> Result<Database, IndexError> {
         let store = match self.store {
-            StoreVariant::Memory(store) => {
+            StoreVariant::Disk(store) => {
                 store.write_to(path).map_err(io_err)?;
-                StoreVariant::Disk(OnDiskStore::open(path).map_err(io_err)?)
+                StoreVariant::Disk(SequenceStore::open(path).map_err(io_err)?)
             }
-            other @ (StoreVariant::Disk(_) | StoreVariant::Segmented(_)) => other,
+            segmented @ StoreVariant::Segmented(_) => segmented,
         };
         Ok(Database {
             store,
@@ -297,8 +294,8 @@ impl Database {
     }
 
     /// Bind this database to a metrics registry: register the engine's
-    /// stage histograms and counters, and migrate the on-disk index and
-    /// store I/O counters onto registry-backed handles (their accumulated
+    /// stage histograms and counters, and migrate the index and store
+    /// I/O counters onto registry-backed handles (their accumulated
     /// values carry over). Call after the final
     /// [`Database::with_disk_index`] / [`Database::with_disk_store`]
     /// conversion; binding to [`MetricsRegistry::disabled`] detaches

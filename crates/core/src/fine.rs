@@ -178,8 +178,8 @@ pub fn fine_search_traced<S: RecordSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{SegmentStorePart, SegmentedStore};
-    use crate::store::{OnDiskStore, SequenceStore, StorageMode};
+    use crate::segment::SegmentedStore;
+    use crate::store::{SequenceStore, StorageMode};
     use std::sync::Arc;
 
     fn store_with(records: &[&[u8]]) -> SequenceStore {
@@ -369,10 +369,10 @@ mod tests {
         (records, hits)
     }
 
-    fn disk_store(records: &[DnaSeq], tag: &str) -> (std::path::PathBuf, OnDiskStore) {
+    fn disk_store(records: &[DnaSeq], tag: &str) -> (std::path::PathBuf, SequenceStore) {
         let path = std::env::temp_dir().join(format!("nucdb_fine_{tag}_{}", std::process::id()));
         memory_store(records).write_to(&path).unwrap();
-        let disk = OnDiskStore::open(&path).unwrap();
+        let disk = SequenceStore::open(&path).unwrap();
         (path, disk)
     }
 
@@ -401,10 +401,8 @@ mod tests {
 
         let (path, disk) = disk_store(&records, "all");
         let (head_path, head) = disk_store(&records[..9], "head");
-        let segmented = SegmentedStore::new(vec![
-            SegmentStorePart::Disk(Arc::new(head)),
-            SegmentStorePart::Memory(Arc::new(memory_store(&records[9..]))),
-        ]);
+        let segmented =
+            SegmentedStore::new(vec![Arc::new(head), Arc::new(memory_store(&records[9..]))]);
         let memory = memory_store(&records);
         let mode = FineMode::Banded { half_width };
         let answers = |found: Vec<FineResult>| -> Vec<(u32, i32)> {
@@ -454,6 +452,8 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[(offset + len as u64 - 1) as usize] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
+        // Queries read the image taken at open: reopen to read the flip.
+        let disk = SequenceStore::open(&path).unwrap();
         let found = fine_search(
             &disk,
             &query(),

@@ -9,23 +9,24 @@
 //! exit 2, payload damage (a list or record failing its checksum or
 //! decode) is exit 1, a clean walk is exit 0.
 //!
-//! All verification reads bypass the query I/O counters
-//! ([`OnDiskIndex::verify_list_at`], [`OnDiskStore::verify_record`]),
-//! so a background scrub never distorts `nucdb_index_bytes_read_total`
-//! or its store twin.
+//! The walk reads the files as they are on disk now, through the handles
+//! `open` kept ([`CompressedIndex::scrub`], [`SequenceStore::scrub`]),
+//! and bypasses the query I/O counters, so a background scrub never
+//! distorts `nucdb_index_bytes_read_total` or its store twin.
 
-use nucdb_index::{skip_table_len, IndexError, ListCodec, OnDiskIndex};
+use std::ops::ControlFlow;
+
+use nucdb_index::{skip_table_len, CompressedIndex, IndexError, ListCodec, WalkStep};
 use nucdb_obs::json::{num, Value};
 use nucdb_seq::SeqError;
 
-use crate::store::{OnDiskStore, StorageMode};
+use crate::store::{SequenceStore, StorageMode};
 
 /// How bad one fsck finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsckSeverity {
     /// A payload region (postings list, record blob) failed its
-    /// checksum or decode. The file opens; the damaged region errors
-    /// when touched. Exit code 1.
+    /// checksum or decode. Exit code 1.
     Payload,
     /// The header or TOC is unreadable: the file would not reopen.
     /// Exit code 2.
@@ -132,6 +133,35 @@ pub struct FsckReport {
 }
 
 impl FsckReport {
+    /// Record one step of an index walk: a failed header is structural
+    /// damage, a failed list payload damage. Never stops the walk.
+    pub fn note_index(
+        &mut self,
+        step: WalkStep,
+        outcome: Result<u64, IndexError>,
+    ) -> ControlFlow<()> {
+        self.lists_checked += u64::from(step != WalkStep::Header);
+        self.note(outcome.map_err(|e| FsckFinding::index(&e, severity(step))))
+    }
+
+    /// The store twin of [`FsckReport::note_index`].
+    pub fn note_store(
+        &mut self,
+        step: WalkStep,
+        outcome: Result<u64, SeqError>,
+    ) -> ControlFlow<()> {
+        self.records_checked += u64::from(step != WalkStep::Header);
+        self.note(outcome.map_err(|e| FsckFinding::store(&e, severity(step))))
+    }
+
+    fn note(&mut self, outcome: Result<u64, FsckFinding>) -> ControlFlow<()> {
+        match outcome {
+            Ok(bytes) => self.bytes_verified += bytes,
+            Err(finding) => self.findings.push(finding),
+        }
+        ControlFlow::Continue(())
+    }
+
     /// No damage found?
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
@@ -207,44 +237,24 @@ impl FsckReport {
     }
 }
 
-/// Walk every checksummed region of an on-disk index — header, then
-/// every postings list — collecting all damage into `report`.
-pub fn fsck_index(index: &OnDiskIndex, report: &mut FsckReport) {
-    match index.scrub_header() {
-        Ok(bytes) => report.bytes_verified += bytes,
-        Err(e) => report
-            .findings
-            .push(FsckFinding::index(&e, FsckSeverity::Structural)),
-    }
-    for idx in 0..index.vocab().len() {
-        report.lists_checked += 1;
-        match index.verify_list_at(idx) {
-            Ok(bytes) => report.bytes_verified += bytes,
-            Err(e) => report
-                .findings
-                .push(FsckFinding::index(&e, FsckSeverity::Payload)),
-        }
+fn severity(step: WalkStep) -> FsckSeverity {
+    match step {
+        WalkStep::Header => FsckSeverity::Structural,
+        WalkStep::Item(_) => FsckSeverity::Payload,
     }
 }
 
-/// Walk every checksummed region of an on-disk store — TOC, then every
-/// record blob — collecting all damage into `report`.
-pub fn fsck_store(store: &OnDiskStore, report: &mut FsckReport) {
-    match store.scrub_toc() {
-        Ok(bytes) => report.bytes_verified += bytes,
-        Err(e) => report
-            .findings
-            .push(FsckFinding::store(&e, FsckSeverity::Structural)),
-    }
-    for record in 0..store.num_records() as u32 {
-        report.records_checked += 1;
-        match store.verify_record(record) {
-            Ok(bytes) => report.bytes_verified += bytes,
-            Err(e) => report
-                .findings
-                .push(FsckFinding::store(&e, FsckSeverity::Payload)),
-        }
-    }
+/// Walk every checksummed region of an index file as it is on disk now
+/// — header, then every postings list — collecting all damage into
+/// `report`.
+pub fn fsck_index(index: &CompressedIndex, report: &mut FsckReport) {
+    index.scrub(|step, outcome| report.note_index(step, outcome));
+}
+
+/// Walk every checksummed region of a store file as it is on disk now
+/// — TOC, then every record blob — collecting all damage into `report`.
+pub fn fsck_store(store: &SequenceStore, report: &mut FsckReport) {
+    store.scrub(|step, outcome| report.note_store(step, outcome));
 }
 
 /// One bucket of a power-of-two histogram: `label` names the value
@@ -343,9 +353,9 @@ pub struct IndexStatReport {
 }
 
 impl IndexStatReport {
-    /// Compute the report from an open on-disk index (metadata only —
-    /// no postings I/O).
-    pub fn from_disk(index: &OnDiskIndex) -> IndexStatReport {
+    /// Compute the report from an open index (metadata only — no
+    /// postings fetch).
+    pub fn from_disk(index: &CompressedIndex) -> IndexStatReport {
         let vocab = index.vocab();
         let params = index.params();
         let postings_entries: u64 = vocab.iter().map(|e| e.df as u64).sum();
@@ -451,19 +461,14 @@ pub struct StoreStatReport {
 }
 
 impl StoreStatReport {
-    /// Compute the report from an open on-disk store (metadata only).
-    pub fn from_disk(store: &OnDiskStore) -> StoreStatReport {
-        let records = store.num_records() as u64;
+    /// Compute the report from an open store (metadata only).
+    pub fn from_disk(store: &SequenceStore) -> StoreStatReport {
+        let records = store.len() as u64;
         let lens: Vec<u64> = (0..records as u32)
-            .map(|r| {
-                use crate::store::RecordSource;
-                store.record_len(r) as u64
-            })
+            .map(|r| store.record_len(r) as u64)
             .collect();
-        let payload_bytes: u64 = (0..records as u32)
-            .map(|r| store.record_location(r).1 as u64)
-            .sum();
-        let toc_bytes = store.scrub_toc().unwrap_or_default();
+        let payload_bytes = store.stored_bytes() as u64;
+        let toc_bytes = store.payload_start();
         StoreStatReport {
             mode: match store.mode() {
                 StorageMode::Ascii => "ascii".to_string(),
@@ -586,7 +591,6 @@ impl StatReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::RecordSource;
     use crate::{Database, DbConfig};
     use nucdb_seq::DnaSeq;
 
@@ -606,24 +610,28 @@ mod tests {
             .collect()
     }
 
+    /// The sample records written as an index file and a store file.
+    fn written(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let (ipath, spath) = (
+            temp_path(&format!("{tag}_i")),
+            temp_path(&format!("{tag}_s")),
+        );
+        let db = Database::build(sample_records(), &DbConfig::default());
+        drop(
+            db.with_disk_index(&ipath)
+                .unwrap()
+                .with_disk_store(&spath)
+                .unwrap(),
+        );
+        (ipath, spath)
+    }
+
     #[test]
     fn clean_files_fsck_clean() {
-        let db = Database::build(sample_records(), &DbConfig::default());
-        let ipath = temp_path("fsck_i");
-        let spath = temp_path("fsck_s");
-        let db = db
-            .with_disk_index(&ipath)
-            .unwrap()
-            .with_disk_store(&spath)
-            .unwrap();
-        let (crate::IndexVariant::Disk(index), crate::store::StoreVariant::Disk(store)) =
-            (db.index(), db.store())
-        else {
-            panic!("expected disk variants");
-        };
+        let (ipath, spath) = written("fsck");
         let mut report = FsckReport::default();
-        fsck_index(index, &mut report);
-        fsck_store(store, &mut report);
+        fsck_index(&CompressedIndex::open(&ipath).unwrap(), &mut report);
+        fsck_store(&SequenceStore::open(&spath).unwrap(), &mut report);
         assert!(report.is_clean(), "{:?}", report.findings);
         assert_eq!(report.exit_code(), 0);
         assert!(report.lists_checked > 0);
@@ -636,21 +644,15 @@ mod tests {
 
     #[test]
     fn flipped_list_byte_is_found_with_offset() {
-        let db = Database::build(sample_records(), &DbConfig::default());
-        let ipath = temp_path("fsck_flip");
-        let db = db.with_disk_index(&ipath).unwrap();
-        let crate::IndexVariant::Disk(index) = db.index() else {
-            panic!("expected disk index");
-        };
-        let blob_start = index.blob_start();
-        drop(db);
+        let (ipath, spath) = written("fsck_flip");
+        let blob_start = CompressedIndex::open(&ipath).unwrap().blob_start();
 
         let mut bytes = std::fs::read(&ipath).unwrap();
         let target = blob_start as usize + (bytes.len() - blob_start as usize) / 2;
         bytes[target] ^= 0x40;
         std::fs::write(&ipath, &bytes).unwrap();
 
-        let index = nucdb_index::OnDiskIndex::open(&ipath).unwrap();
+        let index = CompressedIndex::open(&ipath).unwrap();
         let mut report = FsckReport::default();
         fsck_index(&index, &mut report);
         assert!(!report.is_clean());
@@ -661,46 +663,34 @@ mod tests {
         let text = report.render_text();
         assert!(text.contains("payload damage"), "{text}");
         let _ = std::fs::remove_file(&ipath);
+        let _ = std::fs::remove_file(&spath);
     }
 
     #[test]
     fn header_damage_is_structural() {
-        let db = Database::build(sample_records(), &DbConfig::default());
-        let ipath = temp_path("fsck_hdr");
-        let db = db.with_disk_index(&ipath).unwrap();
-        drop(db);
+        let (ipath, spath) = written("fsck_hdr");
         let mut bytes = std::fs::read(&ipath).unwrap();
         // Inside the checksummed header field region.
         bytes[20] ^= 0x01;
         std::fs::write(&ipath, &bytes).unwrap();
 
-        // The file no longer opens cleanly; fsck reaches the header
-        // via the fault-free open of the pristine structure. Use the
-        // fault shim so open() sees the original and the pread path
-        // sees the damage — the durability-suite entry point.
-        let index = nucdb_index::OnDiskIndex::open(&ipath);
+        // The file no longer opens: a CLI fsck reports the open
+        // failure as its structural finding.
+        let index = CompressedIndex::open(&ipath);
         assert!(index.is_err(), "open should reject header damage");
         let _ = std::fs::remove_file(&ipath);
+        let _ = std::fs::remove_file(&spath);
     }
 
     #[test]
     fn stat_reports_sane_shape() {
-        let db = Database::build(sample_records(), &DbConfig::default());
-        let ipath = temp_path("stat_i");
-        let spath = temp_path("stat_s");
-        let db = db
-            .with_disk_index(&ipath)
-            .unwrap()
-            .with_disk_store(&spath)
-            .unwrap();
-        let (crate::IndexVariant::Disk(index), crate::store::StoreVariant::Disk(store)) =
-            (db.index(), db.store())
-        else {
-            panic!("expected disk variants");
-        };
+        let (ipath, spath) = written("stat");
+        let store = SequenceStore::open(&spath).unwrap();
         let report = StatReport {
-            index: Some(IndexStatReport::from_disk(index)),
-            store: Some(StoreStatReport::from_disk(store)),
+            index: Some(IndexStatReport::from_disk(
+                &CompressedIndex::open(&ipath).unwrap(),
+            )),
+            store: Some(StoreStatReport::from_disk(&store)),
         };
         let index_stats = report.index.as_ref().unwrap();
         assert_eq!(index_stats.records, 12);

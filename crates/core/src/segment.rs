@@ -38,7 +38,7 @@ use std::time::Instant;
 use nucdb_index::manifest::{segment_index_file, segment_store_file, Manifest, SegmentMeta};
 use nucdb_index::{
     load_index, merge_indexes, write_index, CompressedIndex, FetchStats, IndexBuilder, IndexError,
-    IndexParams, OffsetSection, OnDiskIndex, PostingsVisitor, BLOCK_LEN,
+    IndexParams, OffsetSection, PostingsVisitor, BLOCK_LEN,
 };
 use nucdb_obs::{Counter, Forensics, Gauge, MetricsRegistry};
 use nucdb_seq::{Base, DnaSeq, SeqError};
@@ -47,40 +47,21 @@ use crate::coarse::PostingsSource;
 use crate::collection::{has_live_manifest, Shape};
 use crate::engine::{io_err, Database, DbConfig, IndexVariant};
 use crate::explain::SegmentExplain;
-use crate::store::{OnDiskStore, RecordSource, SequenceStore, StorageMode, StoreVariant};
+use crate::store::{RecordSource, SequenceStore, StorageMode, StoreVariant};
 
 // ---------------------------------------------------------------------------
 // Read side: segmented index and store
 // ---------------------------------------------------------------------------
-
-/// One index part of a [`SegmentedIndex`]: a memtable run (in memory) or
-/// an immutable on-disk segment. Parts are shared via `Arc` so an old
-/// query snapshot and the current one can reference the same bytes.
-#[derive(Clone)]
-pub enum SegmentIndexPart {
-    /// In-memory part (a memtable run, or a test-built index).
-    Memory(Arc<CompressedIndex>),
-    /// Immutable on-disk segment index.
-    Disk(Arc<OnDiskIndex>),
-}
-
-impl SegmentIndexPart {
-    /// The part as a [`PostingsSource`]: its metadata and its per-list
-    /// fetches alike forward through this one `match`.
-    fn source(&self) -> &dyn PostingsSource {
-        match self {
-            SegmentIndexPart::Memory(i) => i.as_ref(),
-            SegmentIndexPart::Disk(i) => i.as_ref(),
-        }
-    }
-}
 
 struct IndexPart {
     /// First global record id this part covers.
     base: u32,
     /// Human-readable name for explain plans (`seg-000003`, `memtable`).
     label: String,
-    inner: SegmentIndexPart,
+    /// A memtable run or an immutable segment, shared via `Arc` so an
+    /// old query snapshot and the current one can reference the same
+    /// bytes.
+    inner: Arc<CompressedIndex>,
 }
 
 /// A [`PostingsSource`] over an ordered set of index parts with disjoint,
@@ -101,13 +82,13 @@ impl SegmentedIndex {
     /// parts must agree on interval parameters and be unstopped (live
     /// directories never use stopping; a stopped segment would break
     /// merge identity).
-    pub fn new(parts: Vec<(String, SegmentIndexPart)>) -> Result<SegmentedIndex, IndexError> {
+    pub fn new(parts: Vec<(String, Arc<CompressedIndex>)>) -> Result<SegmentedIndex, IndexError> {
         let Some((_, first)) = parts.first() else {
             return Err(IndexError::Unsupported(
                 "a segmented index needs at least one part",
             ));
         };
-        let params = first.source().index_params().clone();
+        let params = first.params().clone();
         if params.stopping.is_some() {
             return Err(IndexError::Unsupported(
                 "segmented indexes must be unstopped",
@@ -117,20 +98,20 @@ impl SegmentedIndex {
         let mut assembled = Vec::with_capacity(parts.len());
         let mut base = 0u64;
         for (label, part) in parts {
-            let p = part.source().index_params();
+            let p = part.params();
             if p.k != params.k || p.stride != params.stride || p.stopping.is_some() {
                 return Err(IndexError::Unsupported(
                     "segment parts disagree on index parameters",
                 ));
             }
-            record_lens.extend_from_slice(part.source().record_lens());
+            record_lens.extend_from_slice(part.record_lens());
             assembled.push(IndexPart {
                 base: u32::try_from(base)
                     .map_err(|_| IndexError::OutOfRange("segmented index exceeds u32 records"))?,
                 label,
                 inner: part,
             });
-            base += u64::from(assembled.last().unwrap().inner.source().num_records());
+            base += u64::from(assembled.last().unwrap().inner.num_records());
         }
         if base > u64::from(u32::MAX) {
             return Err(IndexError::OutOfRange(
@@ -156,7 +137,7 @@ impl SegmentedIndex {
             .map(|p| SegmentExplain {
                 label: p.label.clone(),
                 base: p.base,
-                records: p.inner.source().num_records(),
+                records: p.inner.num_records(),
             })
             .collect()
     }
@@ -178,7 +159,7 @@ impl SegmentedIndex {
                 base: part.base,
                 inner: visitor,
             };
-            if let Some(stats) = fetch(part.inner.source(), &mut shifted)? {
+            if let Some(stats) = fetch(part.inner.as_ref(), &mut shifted)? {
                 total = Some(merge_stats(total, stats));
             }
         }
@@ -261,29 +242,9 @@ fn merge_stats(total: Option<FetchStats>, part: FetchStats) -> FetchStats {
     acc
 }
 
-/// One store part of a [`SegmentedStore`].
-#[derive(Clone)]
-pub enum SegmentStorePart {
-    /// In-memory part (a memtable run).
-    Memory(Arc<SequenceStore>),
-    /// Immutable on-disk segment store.
-    Disk(Arc<OnDiskStore>),
-}
-
-impl SegmentStorePart {
-    /// The part as a [`RecordSource`]: every lookup forwards through
-    /// this one `match`.
-    fn source(&self) -> &dyn RecordSource {
-        match self {
-            SegmentStorePart::Memory(s) => s.as_ref(),
-            SegmentStorePart::Disk(s) => s.as_ref(),
-        }
-    }
-}
-
 struct StorePart {
     base: u32,
-    inner: SegmentStorePart,
+    inner: Arc<SequenceStore>,
 }
 
 /// A [`RecordSource`] over an ordered set of store parts with
@@ -295,11 +256,11 @@ pub struct SegmentedStore {
 
 impl SegmentedStore {
     /// Compose parts in global record-id order.
-    pub fn new(parts: Vec<SegmentStorePart>) -> SegmentedStore {
+    pub fn new(parts: Vec<Arc<SequenceStore>>) -> SegmentedStore {
         let mut assembled = Vec::with_capacity(parts.len());
         let mut base = 0usize;
         for part in parts {
-            let len = part.source().len();
+            let len = part.len();
             assembled.push(StorePart {
                 base: base as u32,
                 inner: part,
@@ -314,13 +275,7 @@ impl SegmentedStore {
 
     /// Bytes the stored sequence payloads occupy across parts.
     pub fn stored_bytes(&self) -> usize {
-        self.parts
-            .iter()
-            .map(|p| match &p.inner {
-                SegmentStorePart::Memory(s) => s.stored_bytes(),
-                SegmentStorePart::Disk(s) => s.stored_bytes(),
-            })
-            .sum()
+        self.parts.iter().map(|p| p.inner.stored_bytes()).sum()
     }
 
     fn locate(&self, record: u32) -> (&dyn RecordSource, u32) {
@@ -330,7 +285,7 @@ impl SegmentedStore {
             .checked_sub(1)
             .expect("record id below first part base");
         let part = &self.parts[idx];
-        (part.inner.source(), record - part.base)
+        (part.inner.as_ref(), record - part.base)
     }
 }
 
@@ -365,10 +320,7 @@ impl RecordSource for SegmentedStore {
     }
 
     fn total_bases(&self) -> usize {
-        self.parts
-            .iter()
-            .map(|p| p.inner.source().total_bases())
-            .sum()
+        self.parts.iter().map(|p| p.inner.total_bases()).sum()
     }
 }
 
@@ -528,8 +480,8 @@ impl MemRun {
 /// One open on-disk segment.
 struct DiskSegment {
     meta: SegmentMeta,
-    index: Arc<OnDiskIndex>,
-    store: Arc<OnDiskStore>,
+    index: Arc<CompressedIndex>,
+    store: Arc<SequenceStore>,
 }
 
 struct LiveInner {
@@ -656,11 +608,8 @@ impl LiveDatabase {
         let mut store_parts = Vec::with_capacity(manifest.segments.len());
         for meta in &manifest.segments {
             let seg = open_segment(dir, meta, registry)?;
-            index_parts.push((
-                format!("seg-{:06}", meta.id),
-                SegmentIndexPart::Disk(seg.index),
-            ));
-            store_parts.push(SegmentStorePart::Disk(seg.store));
+            index_parts.push((format!("seg-{:06}", meta.id), seg.index));
+            store_parts.push(seg.store);
         }
         let mut db = Database::from_variants(
             StoreVariant::Segmented(SegmentedStore::new(store_parts)),
@@ -1049,18 +998,12 @@ impl LiveDatabase {
             let mut index_parts = Vec::new();
             let mut store_parts = Vec::new();
             for seg in &inner.segments {
-                index_parts.push((
-                    format!("seg-{:06}", seg.meta.id),
-                    SegmentIndexPart::Disk(seg.index.clone()),
-                ));
-                store_parts.push(SegmentStorePart::Disk(seg.store.clone()));
+                index_parts.push((format!("seg-{:06}", seg.meta.id), seg.index.clone()));
+                store_parts.push(seg.store.clone());
             }
             for run in &inner.runs {
-                index_parts.push((
-                    "memtable".to_string(),
-                    SegmentIndexPart::Memory(run.index.clone()),
-                ));
-                store_parts.push(SegmentStorePart::Memory(run.store.clone()));
+                index_parts.push(("memtable".to_string(), run.index.clone()));
+                store_parts.push(run.store.clone());
             }
             Database::from_variants(
                 StoreVariant::Segmented(SegmentedStore::new(store_parts)),
@@ -1083,9 +1026,9 @@ fn open_segment(
     meta: &SegmentMeta,
     registry: &MetricsRegistry,
 ) -> Result<DiskSegment, IndexError> {
-    let mut index = OnDiskIndex::open(&dir.join(meta.index_file()))?;
+    let mut index = CompressedIndex::open(&dir.join(meta.index_file()))?;
     index.bind_metrics(registry);
-    let mut store = OnDiskStore::open(&dir.join(meta.store_file())).map_err(io_err)?;
+    let mut store = SequenceStore::open(&dir.join(meta.store_file())).map_err(io_err)?;
     store.bind_metrics(registry);
     Ok(DiskSegment {
         meta: meta.clone(),
@@ -1172,11 +1115,8 @@ mod tests {
                 builder.add_record(&seq.representative_bases());
                 store.add(id.clone(), seq);
             }
-            parts.push((
-                format!("part-{}", parts.len()),
-                SegmentIndexPart::Memory(Arc::new(builder.finish())),
-            ));
-            stores.push(SegmentStorePart::Memory(Arc::new(store)));
+            parts.push((format!("part-{}", parts.len()), Arc::new(builder.finish())));
+            stores.push(Arc::new(store));
         }
         let segmented = Database::from_variants(
             StoreVariant::Segmented(SegmentedStore::new(stores)),

@@ -25,21 +25,27 @@
 //! ```
 //!
 //! Every byte of the file is covered by a checksum — the TOC by
-//! `toc_crc`, each payload blob by its `blob_crc` — so corruption is
-//! detected at load ([`SequenceStore::read_from`]) or, on the
-//! [`OnDiskStore`] pread path, the moment the affected record is
-//! fetched, as a typed [`SeqError::Corruption`]. The retired
+//! `toc_crc`, each payload blob by its `blob_crc`. A [`SequenceStore`]
+//! keeps one byte image of the file, read once by
+//! [`SequenceStore::open`], which refuses a truncated file. Every record
+//! fetch checks its blob's CRC and surfaces a mismatch as a typed
+//! [`SeqError::Corruption`]; the scrubber and `fsck` find later rot on
+//! disk with [`SequenceStore::walk`], the walk
+//! [`SequenceStore::read_from`] runs over the image. The retired
 //! checksum-free `NUCSTO01` is refused at open with
 //! [`SeqError::UnsupportedFormat`]. Files are written through
 //! [`AtomicFile`], so a crashed build never leaves a torn store.
 
 use std::fs::File;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
+use std::ops::ControlFlow;
 use std::path::Path;
 
-use nucdb_index::durable::{crc32, read_exact_chunked, AtomicFile, CountingReader};
-use nucdb_index::fault::{FaultPlan, FaultyFile};
-use nucdb_index::PositionalReader;
+use nucdb_index::durable::{
+    crc32, first_damage, read_exact_chunked, read_image, walk, AtomicFile, CountingReader,
+    KeptFile, WalkStep,
+};
+use nucdb_index::fault::{FaultPlan, FaultyReader};
 use nucdb_obs::{Counter, MetricsRegistry};
 use nucdb_seq::{Base, DnaSeq, PackedSeq, SeqError};
 
@@ -62,7 +68,7 @@ fn check_magic(magic: &[u8]) -> Result<(), SeqError> {
 }
 
 /// Anything fine search (and the exhaustive baselines) can read candidate
-/// records from: the in-memory store, the on-disk store, or the engine's
+/// records from: a store, a segmented view over stores, or the engine's
 /// variant wrapper.
 pub trait RecordSource {
     /// Number of records.
@@ -76,12 +82,12 @@ pub trait RecordSource {
     /// Record length in bases.
     fn record_len(&self, record: u32) -> usize;
     /// Representative-base view of a record (wildcards collapsed).
-    /// In-memory sources cannot fail; on-disk sources may panic on I/O
-    /// errors — query paths must use [`RecordSource::try_bases`].
+    /// Panics on a record that fails its checksum — query paths must use
+    /// [`RecordSource::try_bases`].
     fn bases(&self, record: u32) -> Vec<Base>;
-    /// Fallible variant of [`RecordSource::bases`]: surfaces read and
-    /// corruption errors from on-disk sources instead of panicking. This
-    /// is what the search engine calls.
+    /// Fallible variant of [`RecordSource::bases`]: surfaces corruption
+    /// errors instead of panicking. This is what the search engine
+    /// calls.
     fn try_bases(&self, record: u32) -> Result<Vec<Base>, SeqError> {
         Ok(self.bases(record))
     }
@@ -124,18 +130,49 @@ impl StorageMode {
     }
 }
 
-#[derive(Debug, Clone)]
-enum StoredSeq {
-    Ascii(Vec<u8>),
-    Packed(PackedSeq),
-}
-
-/// An in-memory store of named records supporting independent access.
-#[derive(Debug, Clone, Default)]
+/// A store of named records, each independently decodable: the TOC
+/// fields, the per-blob CRCs, and one byte image of the store file.
+///
+/// The image is what [`SequenceStore::write_to`] writes, read once by
+/// [`SequenceStore::open`]; a store built in memory with
+/// [`SequenceStore::add`] holds only the payload, its TOC being written
+/// from the fields. Every record fetch slices the image, checks the
+/// blob's CRC-32 at its absolute file offset, counts the bytes and the
+/// record as read, and decodes; a mismatch surfaces as
+/// [`SeqError::Corruption`] and no decoded (potentially wrong) sequence
+/// escapes.
+#[derive(Clone)]
 pub struct SequenceStore {
     mode: StorageMode,
     ids: Vec<String>,
-    seqs: Vec<StoredSeq>,
+    /// Per record: sequence length in bases.
+    lens: Vec<u32>,
+    /// Per record: offset of the payload blob in the image — for an
+    /// opened store, its absolute file offset — and its length.
+    blobs: Vec<(u64, u32)>,
+    /// Per record: CRC-32 of the payload blob.
+    crcs: Vec<u32>,
+    image: Vec<u8>,
+    /// Where the payload begins in the image: past the checksummed
+    /// prefix (magic + TOC) for an opened store, 0 for one built in
+    /// memory.
+    payload_start: u64,
+    /// The file the image was read from, kept for the scrub walk.
+    file: KeptFile,
+    /// I/O counters: standalone by default, swapped for registry-backed
+    /// handles by [`SequenceStore::bind_metrics`].
+    bytes_read: Counter,
+    records_read: Counter,
+}
+
+impl std::fmt::Debug for SequenceStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SequenceStore")
+            .field("mode", &self.mode)
+            .field("records", &self.ids.len())
+            .field("image_bytes", &self.image.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl SequenceStore {
@@ -144,29 +181,88 @@ impl SequenceStore {
         SequenceStore {
             mode,
             ids: Vec::new(),
-            seqs: Vec::new(),
+            lens: Vec::new(),
+            blobs: Vec::new(),
+            crcs: Vec::new(),
+            image: Vec::new(),
+            payload_start: 0,
+            file: KeptFile::default(),
+            bytes_read: Counter::new(),
+            records_read: Counter::new(),
         }
     }
 
     /// Append a record; returns its id (consecutive from 0).
     pub fn add(&mut self, id: impl Into<String>, seq: &DnaSeq) -> u32 {
-        let record = self.seqs.len() as u32;
+        let record = self.ids.len() as u32;
+        let blob = match self.mode {
+            StorageMode::Ascii => seq.to_ascii_vec(),
+            StorageMode::DirectCoding => PackedSeq::pack(seq).to_bytes(),
+        };
         self.ids.push(id.into());
-        self.seqs.push(match self.mode {
-            StorageMode::Ascii => StoredSeq::Ascii(seq.to_ascii_vec()),
-            StorageMode::DirectCoding => StoredSeq::Packed(PackedSeq::pack(seq)),
-        });
+        self.lens.push(seq.len() as u32);
+        self.blobs
+            .push((self.image.len() as u64, blob.len() as u32));
+        self.crcs.push(crc32(&blob));
+        self.image.extend_from_slice(&blob);
         record
+    }
+
+    /// Open a store file written by [`SequenceStore::write_to`]: read its
+    /// whole image once and parse the TOC. A file too short for the
+    /// payload its TOC declares is refused here as corruption. The blobs
+    /// are not verified at open; every fetch checks its blob's CRC.
+    pub fn open(path: &Path) -> Result<SequenceStore, SeqError> {
+        SequenceStore::open_with(path, None)
+    }
+
+    /// Open like [`SequenceStore::open`], but read the image through a
+    /// deterministic fault-injection shim: the TOC comes from the
+    /// pristine file, and `plan` applies to every byte after it, at
+    /// absolute offsets. This is the durability-test entry point.
+    pub fn open_faulty(path: &Path, plan: FaultPlan) -> Result<SequenceStore, SeqError> {
+        SequenceStore::open_with(path, Some(plan))
+    }
+
+    fn open_with(path: &Path, plan: Option<FaultPlan>) -> Result<SequenceStore, SeqError> {
+        let file = File::open(path)?;
+        let mut image = read_image(&file, file.metadata()?.len() as usize)?;
+        let mut store = read_toc(&mut CountingReader::new(&image[..]))?;
+        let payload_start = store.payload_start as usize;
+        if let Some(plan) = plan {
+            let faulty = read_image(FaultyReader::new(&image[..], plan), image.len())?;
+            image.truncate(payload_start);
+            image.extend_from_slice(faulty.get(payload_start..).unwrap_or_default());
+        }
+        let end = (store.blobs.last()).map_or(store.payload_start, |&(at, len)| at + len as u64);
+        if (image.len() as u64) < end {
+            return Err(SeqError::corrupt_at(
+                "store file truncated inside its payload",
+                "record",
+                image.len() as u64,
+            ));
+        }
+        image.truncate(end as usize);
+        store.image = image;
+        store.file = KeptFile::new(file);
+        Ok(store)
+    }
+
+    /// Open a store file and verify every byte of it before returning.
+    pub fn read_from(path: &Path) -> Result<SequenceStore, SeqError> {
+        let store = SequenceStore::open(path)?;
+        first_damage(|each| store.walk(&store.image[..], each))?;
+        Ok(store)
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.seqs.len()
+        self.ids.len()
     }
 
     /// Is the store empty?
     pub fn is_empty(&self) -> bool {
-        self.seqs.is_empty()
+        self.ids.is_empty()
     }
 
     /// Storage mode.
@@ -181,50 +277,71 @@ impl SequenceStore {
 
     /// Record length in bases.
     pub fn record_len(&self, record: u32) -> usize {
-        match &self.seqs[record as usize] {
-            StoredSeq::Ascii(a) => a.len(),
-            StoredSeq::Packed(p) => p.len(),
+        self.lens[record as usize] as usize
+    }
+
+    /// Check record `record`'s blob against its stored CRC-32; returns
+    /// the blob's offset, which errors name.
+    fn check_crc(&self, record: usize, blob: &[u8]) -> Result<u64, SeqError> {
+        let (offset, _) = self.blobs[record];
+        let (expected, actual) = (self.crcs[record], crc32(blob));
+        if actual != expected {
+            return Err(SeqError::checksum("record", offset, expected, actual));
         }
+        Ok(offset)
+    }
+
+    /// Fetch one record's blob, checked against its CRC and counted as
+    /// read, with its offset.
+    fn fetch(&self, record: u32) -> Result<(&[u8], u64), SeqError> {
+        let (offset, len) = self.blobs[record as usize];
+        let blob = &self.image[offset as usize..][..len as usize];
+        self.check_crc(record as usize, blob)?;
+        self.bytes_read.add(len as u64);
+        self.records_read.inc();
+        Ok((blob, offset))
     }
 
     /// Decode record `record` to representative bases (the alignment
-    /// view; wildcards collapse).
+    /// view; wildcards collapse). Panics if the record fails its
+    /// checksum; see [`RecordSource::try_bases`].
     pub fn bases(&self, record: u32) -> Vec<Base> {
-        match &self.seqs[record as usize] {
-            StoredSeq::Ascii(ascii) => ascii
-                .iter()
-                .map(|&b| {
-                    nucdb_seq::IupacCode::from_ascii(b)
-                        .expect("store contains only validated bases")
-                        .representative()
-                })
-                .collect(),
-            StoredSeq::Packed(packed) => packed.unpack_bases(),
-        }
+        self.try_bases(record)
+            .expect("caller chose the panicking accessor; use try_bases on query paths")
     }
 
     /// Decode record `record` losslessly (wildcards restored).
     pub fn sequence(&self, record: u32) -> Result<DnaSeq, SeqError> {
-        match &self.seqs[record as usize] {
-            StoredSeq::Ascii(ascii) => DnaSeq::from_ascii(ascii),
-            StoredSeq::Packed(packed) => Ok(packed.unpack()),
-        }
+        let (blob, offset) = self.fetch(record)?;
+        let decoded = match self.mode {
+            StorageMode::Ascii => DnaSeq::from_ascii(blob),
+            StorageMode::DirectCoding => PackedSeq::from_bytes(blob).map(|p| p.unpack()),
+        };
+        decoded.map_err(|e| e.located("record", offset))
     }
 
-    /// Bytes the stored sequences occupy (the quantity E6 compares).
+    /// Bytes the stored payload blobs occupy, in memory and in the file
+    /// alike (the quantity E6 compares).
     pub fn stored_bytes(&self) -> usize {
-        self.seqs
-            .iter()
-            .map(|s| match s {
-                StoredSeq::Ascii(a) => a.len(),
-                StoredSeq::Packed(p) => p.packed_bytes(),
-            })
-            .sum()
+        self.image.len() - self.payload_start as usize
     }
 
     /// Total bases across records.
     pub fn total_bases(&self) -> usize {
-        (0..self.len() as u32).map(|r| self.record_len(r)).sum()
+        self.lens.iter().map(|&l| l as usize).sum()
+    }
+
+    /// Byte offset and length of a record's payload blob (panics if out
+    /// of range) — for health reports that locate damage.
+    pub fn record_location(&self, record: u32) -> (u64, u32) {
+        self.blobs[record as usize]
+    }
+
+    /// Where the payload begins: the size of the checksummed prefix
+    /// (magic + TOC) of an opened store's file, 0 for a store built in
+    /// memory.
+    pub fn payload_start(&self) -> u64 {
+        self.payload_start
     }
 
     /// Append every record of `other` (re-encoding into this store's
@@ -238,28 +355,19 @@ impl SequenceStore {
         Ok(())
     }
 
-    fn record_blob(&self, record: usize) -> Vec<u8> {
-        match &self.seqs[record] {
-            StoredSeq::Ascii(a) => a.clone(),
-            StoredSeq::Packed(p) => p.to_bytes(),
-        }
-    }
-
-    /// Persist the store to `path` — see the
-    /// module docs for the layout. The write is atomic: staged in a temp
-    /// file, `fsync`ed, and renamed into place, so a crash mid-write
-    /// never leaves a torn store.
+    /// Persist the store to `path` — see the module docs for the layout.
+    /// The write is atomic: staged in a temp file, `fsync`ed, and renamed
+    /// into place, so a crash mid-write never leaves a torn store.
     pub fn write_to(&self, path: &Path) -> Result<(), SeqError> {
         let mut toc = Vec::new();
         toc.push(self.mode.tag());
-        write_vu64(&mut toc, self.seqs.len() as u64)?;
-        let blobs: Vec<Vec<u8>> = (0..self.seqs.len()).map(|r| self.record_blob(r)).collect();
-        for ((id, blob), record) in self.ids.iter().zip(&blobs).zip(0..) {
+        write_vu64(&mut toc, self.ids.len() as u64)?;
+        for (record, id) in self.ids.iter().enumerate() {
             write_vu64(&mut toc, id.len() as u64)?;
             toc.extend_from_slice(id.as_bytes());
-            write_vu64(&mut toc, self.record_len(record) as u64)?;
-            write_vu64(&mut toc, blob.len() as u64)?;
-            write_vu64(&mut toc, crc32(blob) as u64)?;
+            write_vu64(&mut toc, self.lens[record] as u64)?;
+            write_vu64(&mut toc, self.blobs[record].1 as u64)?;
+            write_vu64(&mut toc, self.crcs[record] as u64)?;
         }
         let toc_len = u32::try_from(toc.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "store TOC exceeds 4 GiB"))?;
@@ -269,58 +377,87 @@ impl SequenceStore {
         out.write_all(&toc_len.to_le_bytes())?;
         out.write_all(&crc32(&toc).to_le_bytes())?;
         out.write_all(&toc)?;
-        for blob in &blobs {
-            out.write_all(blob)?;
-        }
+        out.write_all(&self.image[self.payload_start as usize..])?;
         out.commit()?;
         Ok(())
     }
 
-    /// Load a store written by [`SequenceStore::write_to`]; every byte is
-    /// verified before the store is returned.
-    pub fn read_from(path: &Path) -> Result<SequenceStore, SeqError> {
-        let (toc, mut input) = open_toc(path)?;
-        let mut store = SequenceStore::new(toc.mode);
-        for (record, id) in toc.ids.into_iter().enumerate() {
-            let (offset, blob_len) = toc.blobs[record];
-            let blob = read_exact_chunked(&mut input, blob_len as usize)?;
-            let expected = toc.crcs[record];
-            let actual = crc32(&blob);
-            if actual != expected {
-                return Err(SeqError::checksum("record", offset, expected, actual));
-            }
-            let seq = decode_blob(toc.mode, &blob).map_err(|e| e.located("record", offset))?;
-            if seq_len(&seq) != toc.lens[record] as usize {
-                return Err(SeqError::corrupt_at(
+    /// The one verification walk over a copy of this store's file, read
+    /// from `input` in file order: the checksummed prefix (magic, stored
+    /// TOC CRC, full field structure), then every record blob — its CRC,
+    /// its structural decode, and its length against the TOC. Touches no
+    /// query I/O counter.
+    pub fn walk(
+        &self,
+        input: impl Read,
+        each: impl FnMut(WalkStep, Result<u64, SeqError>) -> ControlFlow<()>,
+    ) {
+        let toc = |bytes: &[u8]| read_toc(&mut CountingReader::new(bytes)).map(drop);
+        let blob = |record: usize, blob: &[u8]| {
+            let offset = self.check_crc(record, blob)?;
+            let decoded = match self.mode {
+                StorageMode::Ascii => DnaSeq::from_ascii(blob).map(|_| blob.len()),
+                StorageMode::DirectCoding => PackedSeq::from_bytes(blob).map(|p| p.len()),
+            };
+            match decoded.map_err(|e| e.located("record", offset))? {
+                n if n == self.lens[record] as usize => Ok(()),
+                _ => Err(SeqError::corrupt_at(
                     "record length disagrees with TOC",
                     "record",
                     offset,
-                ));
+                )),
             }
-            store.ids.push(id);
-            store.seqs.push(seq);
-        }
-        Ok(store)
+        };
+        let lens = self.blobs.iter().map(|&(_, len)| len);
+        walk(input, self.payload_start, toc, lens, blob, each)
+    }
+
+    /// [`SequenceStore::walk`] over the file as it is on disk now,
+    /// through the handle `open` kept — rot since open shows up here,
+    /// though queries never see it. A store that was never opened from
+    /// a file has nothing on disk to scrub: the walk is empty.
+    pub fn scrub(&self, each: impl FnMut(WalkStep, Result<u64, SeqError>) -> ControlFlow<()>) {
+        self.file.scrub(each, |file, each| self.walk(file, each));
+    }
+
+    /// Swap the I/O counters for handles registered in `registry`
+    /// (carrying over any already-accumulated values). After binding,
+    /// [`SequenceStore::bytes_read`] and friends read the registry series.
+    pub fn bind_metrics(&mut self, registry: &MetricsRegistry) {
+        let bytes_read = registry.counter(
+            "nucdb_store_bytes_read_total",
+            "Bytes fetched from the on-disk store",
+        );
+        let records_read = registry.counter(
+            "nucdb_store_records_read_total",
+            "Records fetched from the on-disk store",
+        );
+        bytes_read.add(self.bytes_read.get());
+        records_read.add(self.records_read.get());
+        self.bytes_read = bytes_read;
+        self.records_read = records_read;
+    }
+
+    /// Store bytes fetched since the last reset.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes_read.get()
+    }
+
+    /// Records fetched since the last reset.
+    pub fn records_read(&self) -> u64 {
+        self.records_read.get()
+    }
+
+    /// Reset the I/O counters.
+    pub fn reset_io_counters(&self) {
+        self.bytes_read.reset();
+        self.records_read.reset();
     }
 }
 
-/// Parse and validate one record blob into its stored form.
-fn decode_blob(mode: StorageMode, blob: &[u8]) -> Result<StoredSeq, SeqError> {
-    match mode {
-        StorageMode::Ascii => {
-            DnaSeq::from_ascii(blob)?;
-            Ok(StoredSeq::Ascii(blob.to_vec()))
-        }
-        StorageMode::DirectCoding => Ok(StoredSeq::Packed(PackedSeq::from_bytes(blob)?)),
-    }
-}
-
-fn seq_len(seq: &StoredSeq) -> usize {
-    match seq {
-        StoredSeq::Ascii(a) => a.len(),
-        StoredSeq::Packed(p) => p.len(),
-    }
-}
+/// The name the frozen benchmark harness still uses for the one store
+/// type.
+pub type OnDiskStore = SequenceStore;
 
 impl RecordSource for SequenceStore {
     fn len(&self) -> usize {
@@ -339,6 +476,21 @@ impl RecordSource for SequenceStore {
         SequenceStore::bases(self, record)
     }
 
+    fn try_bases(&self, record: u32) -> Result<Vec<Base>, SeqError> {
+        match self.mode {
+            StorageMode::Ascii => Ok(self.sequence(record)?.representative_bases()),
+            // The 2-bit payload already holds the representative base
+            // under every wildcard, so the exception list is validated
+            // but never applied: no `Vec<IupacCode>` in between.
+            StorageMode::DirectCoding => {
+                let (blob, offset) = self.fetch(record)?;
+                let packed =
+                    PackedSeq::from_bytes(blob).map_err(|e| e.located("record", offset))?;
+                Ok(packed.unpack_bases())
+            }
+        }
+    }
+
     fn sequence(&self, record: u32) -> Result<DnaSeq, SeqError> {
         SequenceStore::sequence(self, record)
     }
@@ -348,36 +500,13 @@ impl RecordSource for SequenceStore {
     }
 }
 
-/// Parsed table of contents — everything [`OnDiskStore`] keeps in memory.
-/// Blob offsets are absolute file offsets.
-struct TocV2 {
-    mode: StorageMode,
-    ids: Vec<String>,
-    /// Per record: sequence length in bases.
-    lens: Vec<u32>,
-    /// Per record: byte offset and length of the payload blob.
-    blobs: Vec<(u64, u32)>,
-    /// Per record: CRC-32 of the payload blob.
-    crcs: Vec<u32>,
-    /// Where the payload region begins: the end of the checksummed prefix.
-    payload_start: u64,
-}
-
-/// Open a store file, check its magic and parse its TOC, leaving the
-/// reader at the start of the payload.
-fn open_toc(path: &Path) -> Result<(TocV2, CountingReader<BufReader<File>>), SeqError> {
-    let mut input = BufReader::new(File::open(path)?);
+/// Check the magic and parse the v2 TOC into a store with no image yet,
+/// leaving `input` at the start of the payload. Blob offsets are
+/// absolute file offsets.
+fn read_toc<R: Read>(input: &mut CountingReader<R>) -> Result<SequenceStore, SeqError> {
     let mut magic = [0u8; 8];
     input.read_exact(&mut magic)?;
     check_magic(&magic)?;
-    let mut input = CountingReader::new(input);
-    let toc = read_toc_v2(&mut input)?;
-    Ok((toc, input))
-}
-
-/// Parse a v2 TOC. `input` is positioned just past the magic (absolute
-/// offset 8) and is left positioned at the start of the payload.
-fn read_toc_v2<R: Read>(input: &mut CountingReader<R>) -> Result<TocV2, SeqError> {
     let mut word = [0u8; 4];
     input.read_exact(&mut word)?;
     let toc_len = u32::from_le_bytes(word) as usize;
@@ -393,20 +522,13 @@ fn read_toc_v2<R: Read>(input: &mut CountingReader<R>) -> Result<TocV2, SeqError
     let at = |toc: &CountingReader<&[u8]>| V2_PREFIX_LEN + toc.pos();
     let mut mode_byte = [0u8; 1];
     toc.read_exact(&mut mode_byte)?;
-    let mode = StorageMode::from_tag(mode_byte[0], V2_PREFIX_LEN)?;
-    let count = read_vu64(&mut toc)? as usize;
-    // The TOC is checksum-verified, so `count` is trusted; the cap only
-    // guards against a writer bug producing absurd values.
-    let mut ids = Vec::with_capacity(count.min(1 << 20));
-    let mut lens = Vec::with_capacity(count.min(1 << 20));
-    let mut blobs = Vec::with_capacity(count.min(1 << 20));
-    let mut crcs = Vec::with_capacity(count.min(1 << 20));
-    let payload_start = V2_PREFIX_LEN + toc_len as u64;
-    let mut offset = payload_start;
-    for _ in 0..count {
+    let mut store = SequenceStore::new(StorageMode::from_tag(mode_byte[0], V2_PREFIX_LEN)?);
+    store.payload_start = V2_PREFIX_LEN + toc_len as u64;
+    let mut offset = store.payload_start;
+    for _ in 0..read_vu64(&mut toc)? {
         let id_len = read_vu64(&mut toc)? as usize;
         let id = read_exact_chunked(&mut toc, id_len)?;
-        ids.push(
+        store.ids.push(
             String::from_utf8(id)
                 .map_err(|_| SeqError::corrupt_at("record id is not UTF-8", "toc", at(&toc)))?,
         );
@@ -416,9 +538,9 @@ fn read_toc_v2<R: Read>(input: &mut CountingReader<R>) -> Result<TocV2, SeqError
             .map_err(|_| SeqError::corrupt_at("blob length overflow", "toc", at(&toc)))?;
         let crc = u32::try_from(read_vu64(&mut toc)?)
             .map_err(|_| SeqError::corrupt_at("blob checksum overflow", "toc", at(&toc)))?;
-        lens.push(len);
-        blobs.push((offset, blob_len));
-        crcs.push(crc);
+        store.lens.push(len);
+        store.blobs.push((offset, blob_len));
+        store.crcs.push(crc);
         offset += blob_len as u64;
     }
     if toc.pos() != toc_len as u64 {
@@ -428,253 +550,22 @@ fn read_toc_v2<R: Read>(input: &mut CountingReader<R>) -> Result<TocV2, SeqError
             at(&toc),
         ));
     }
-    Ok(TocV2 {
-        mode,
-        ids,
-        lens,
-        blobs,
-        crcs,
-        payload_start,
-    })
+    Ok(store)
 }
 
-/// A sequence store whose record payloads stay on disk: ids and byte
-/// locations are memory-resident, each record is fetched with a
-/// positioned read when fine search asks for it — the paper's operating
-/// point, where retrieving candidate sequences is disk traffic and the
-/// direct-coded store's 4× smaller reads are the win. Record fetches use
-/// lock-free positional reads, so concurrent searchers never serialise on
-/// a shared file cursor. Counts bytes read.
-///
-/// Every fetched blob is verified against its stored CRC-32; a mismatch
-/// surfaces as [`SeqError::Corruption`] naming the file
-/// offset, and no decoded (potentially wrong) sequence escapes.
-pub struct OnDiskStore {
-    file: PositionalReader,
-    mode: StorageMode,
-    ids: Vec<String>,
-    /// Per record: byte offset and length of the payload blob.
-    blobs: Vec<(u64, u32)>,
-    /// Per record: sequence length in bases.
-    lens: Vec<u32>,
-    /// Per-record blob CRC-32s.
-    crcs: Vec<u32>,
-    /// Absolute file offset where the payload region begins — the end of
-    /// the checksummed prefix a [`OnDiskStore::scrub_toc`] pass re-reads.
-    payload_start: u64,
-    /// I/O counters: standalone by default, swapped for registry-backed
-    /// handles by [`OnDiskStore::bind_metrics`]. The accessor methods
-    /// below are thin shims over these handles either way.
-    bytes_read: Counter,
-    records_read: Counter,
-}
-
-impl OnDiskStore {
-    /// Open a store file written by [`SequenceStore::write_to`], reading
-    /// only its table of contents.
-    pub fn open(path: &Path) -> Result<OnDiskStore, SeqError> {
-        let (toc, input) = open_toc(path)?;
-        let file = input.into_inner().into_inner();
-        Ok(OnDiskStore::from_toc(toc, PositionalReader::new(file)))
-    }
-
-    /// Open like [`OnDiskStore::open`], but serve all record reads
-    /// through a deterministic fault-injection shim. The TOC is parsed
-    /// from the pristine file; only the pread path sees `plan`'s faults.
-    /// This is the durability-test entry point.
-    pub fn open_faulty(path: &Path, plan: FaultPlan) -> Result<OnDiskStore, SeqError> {
-        let (toc, _) = open_toc(path)?;
-        let file = PositionalReader::faulty(FaultyFile::from_path(path, plan)?);
-        Ok(OnDiskStore::from_toc(toc, file))
-    }
-
-    fn from_toc(toc: TocV2, file: PositionalReader) -> OnDiskStore {
-        OnDiskStore {
-            file,
-            mode: toc.mode,
-            ids: toc.ids,
-            blobs: toc.blobs,
-            lens: toc.lens,
-            crcs: toc.crcs,
-            payload_start: toc.payload_start,
-            bytes_read: Counter::new(),
-            records_read: Counter::new(),
-        }
-    }
-
-    /// Swap the I/O counters for handles registered in `registry`
-    /// (carrying over any already-accumulated values). After binding,
-    /// [`OnDiskStore::bytes_read`] and friends read the registry series.
-    pub fn bind_metrics(&mut self, registry: &MetricsRegistry) {
-        let bytes_read = registry.counter(
-            "nucdb_store_bytes_read_total",
-            "Bytes fetched from the on-disk store",
-        );
-        let records_read = registry.counter(
-            "nucdb_store_records_read_total",
-            "Records fetched from the on-disk store",
-        );
-        bytes_read.add(self.bytes_read.get());
-        records_read.add(self.records_read.get());
-        self.bytes_read = bytes_read;
-        self.records_read = records_read;
-    }
-
-    /// Storage mode of the underlying file.
-    pub fn mode(&self) -> StorageMode {
-        self.mode
-    }
-
-    /// Read one record's blob and check it against its stored CRC-32.
-    fn read_verified(&self, record: u32) -> Result<Vec<u8>, SeqError> {
-        let (offset, len) = self.blobs[record as usize];
-        let mut bytes = vec![0u8; len as usize];
-        self.file.read_exact_at(&mut bytes, offset)?;
-        let expected = self.crcs[record as usize];
-        let actual = crc32(&bytes);
-        if actual != expected {
-            return Err(SeqError::checksum("record", offset, expected, actual));
-        }
-        Ok(bytes)
-    }
-
-    fn fetch_blob(&self, record: u32) -> Result<Vec<u8>, SeqError> {
-        let bytes = self.read_verified(record)?;
-        self.bytes_read.add(bytes.len() as u64);
-        self.records_read.inc();
-        Ok(bytes)
-    }
-
-    /// Store bytes fetched since the last reset.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.get()
-    }
-
-    /// Records fetched since the last reset.
-    pub fn records_read(&self) -> u64 {
-        self.records_read.get()
-    }
-
-    /// Reset the I/O counters.
-    pub fn reset_io_counters(&self) {
-        self.bytes_read.reset();
-        self.records_read.reset();
-    }
-
-    /// Number of records in the store.
-    pub fn num_records(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Bytes the stored sequence payload blobs occupy on disk.
-    pub fn stored_bytes(&self) -> usize {
-        self.blobs.iter().map(|&(_, len)| len as usize).sum()
-    }
-
-    /// Absolute byte offset and length of a record's payload blob
-    /// (panics if out of range) — for health reports that locate damage.
-    pub fn record_location(&self, record: u32) -> (u64, u32) {
-        self.blobs[record as usize]
-    }
-
-    /// Re-read the checksummed file prefix (magic + TOC) from disk and
-    /// re-verify it: magic, stored TOC CRC, and full field structure.
-    /// Returns the bytes verified. Reads through the live file
-    /// handle, so it observes damage that arrived after open (and
-    /// injected faults under [`OnDiskStore::open_faulty`]). Does not
-    /// touch the query I/O counters.
-    pub fn scrub_toc(&self) -> Result<u64, SeqError> {
-        let mut buf = vec![0u8; self.payload_start as usize];
-        self.file.read_exact_at(&mut buf, 0)?;
-        check_magic(&buf[..8])?;
-        let mut input = CountingReader::new(&buf[8..]);
-        read_toc_v2(&mut input)?;
-        Ok(self.payload_start)
-    }
-
-    /// Fetch and fully verify one record: stored CRC, structural
-    /// decode, and TOC length agreement. Returns the blob bytes
-    /// verified. Does not touch the query I/O counters, so a background
-    /// scrub never distorts `nucdb_store_bytes_read_total`.
-    pub fn verify_record(&self, record: u32) -> Result<u64, SeqError> {
-        let (offset, len) = self.blobs[record as usize];
-        let bytes = self.read_verified(record)?;
-        let seq = decode_blob(self.mode, &bytes).map_err(|e| e.located("record", offset))?;
-        if seq_len(&seq) != self.lens[record as usize] as usize {
-            return Err(SeqError::corrupt_at(
-                "record length disagrees with TOC",
-                "record",
-                offset,
-            ));
-        }
-        Ok(len as u64)
-    }
-}
-
-impl RecordSource for OnDiskStore {
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn id(&self, record: u32) -> &str {
-        &self.ids[record as usize]
-    }
-
-    fn record_len(&self, record: u32) -> usize {
-        self.lens[record as usize] as usize
-    }
-
-    fn bases(&self, record: u32) -> Vec<Base> {
-        self.try_bases(record)
-            .expect("caller chose the panicking accessor; use try_bases on query paths")
-    }
-
-    fn try_bases(&self, record: u32) -> Result<Vec<Base>, SeqError> {
-        match self.mode {
-            StorageMode::Ascii => Ok(self.sequence(record)?.representative_bases()),
-            // The 2-bit payload already holds the representative base
-            // under every wildcard, so the exception list is validated
-            // but never applied: no `Vec<IupacCode>` in between.
-            StorageMode::DirectCoding => {
-                let (offset, _) = self.blobs[record as usize];
-                let blob = self.fetch_blob(record)?;
-                let packed =
-                    PackedSeq::from_bytes(&blob).map_err(|e| e.located("record", offset))?;
-                Ok(packed.unpack_bases())
-            }
-        }
-    }
-
-    fn sequence(&self, record: u32) -> Result<DnaSeq, SeqError> {
-        let (offset, _) = self.blobs[record as usize];
-        let blob = self.fetch_blob(record)?;
-        let decoded = match self.mode {
-            StorageMode::Ascii => DnaSeq::from_ascii(&blob),
-            StorageMode::DirectCoding => PackedSeq::from_bytes(&blob).map(|p| p.unpack()),
-        };
-        decoded.map_err(|e| e.located("record", offset))
-    }
-
-    fn total_bases(&self) -> usize {
-        self.lens.iter().map(|&l| l as usize).sum()
-    }
-}
-
-/// The sequence store backing a database: memory-resident or on disk.
+/// The sequence store backing a database: one store, or a segmented
+/// view over several.
 pub enum StoreVariant {
-    /// Fully in-memory store.
-    Memory(SequenceStore),
-    /// On-disk store with per-record fetching.
-    Disk(OnDiskStore),
+    /// One store (its file image, or one built in memory).
+    Disk(SequenceStore),
     /// Ordered set of store parts (live ingestion segments + memtable).
     Segmented(crate::segment::SegmentedStore),
 }
 
 impl StoreVariant {
-    /// Bytes the stored sequence payloads occupy (in memory or on disk).
+    /// Bytes the stored sequence payloads occupy.
     pub fn stored_bytes(&self) -> usize {
         match self {
-            StoreVariant::Memory(s) => s.stored_bytes(),
             StoreVariant::Disk(s) => s.stored_bytes(),
             StoreVariant::Segmented(s) => s.stored_bytes(),
         }
@@ -684,7 +575,6 @@ impl StoreVariant {
     /// forwards through this one `match`.
     fn source(&self) -> &dyn RecordSource {
         match self {
-            StoreVariant::Memory(s) => s,
             StoreVariant::Disk(s) => s,
             StoreVariant::Segmented(s) => s,
         }
@@ -873,10 +763,10 @@ mod tests {
             other => panic!("expected record corruption, got {other:?}"),
         }
 
-        // The pread path opens fine (TOC intact) but must refuse the
-        // corrupt record the moment it is fetched — and keep serving
+        // Open reads the image without verifying blobs (TOC intact), but
+        // the fetch must refuse the corrupt record — and keep serving
         // intact records.
-        let disk = OnDiskStore::open(&path).unwrap();
+        let disk = SequenceStore::open(&path).unwrap();
         let last_record = (RecordSource::len(&disk) - 1) as u32;
         match RecordSource::sequence(&disk, last_record) {
             Err(SeqError::Corruption { section, .. }) => assert_eq!(section, "record"),
@@ -918,7 +808,7 @@ mod tests {
             }
             let path = temp_path(tag);
             store.write_to(&path).unwrap();
-            let disk = OnDiskStore::open(&path).unwrap();
+            let disk = SequenceStore::open(&path).unwrap();
             assert_eq!(disk.mode(), mode);
             assert_eq!(RecordSource::len(&disk), store.len());
             assert_eq!(RecordSource::total_bases(&disk), store.total_bases());
@@ -944,6 +834,24 @@ mod tests {
     }
 
     #[test]
+    fn stored_bytes_agree_before_write_and_after_open() {
+        for (tag, mode) in [
+            ("sba", StorageMode::Ascii),
+            ("sbp", StorageMode::DirectCoding),
+        ] {
+            let mut store = SequenceStore::new(mode);
+            for (id, seq) in sample() {
+                store.add(id, &seq);
+            }
+            let path = temp_path(tag);
+            store.write_to(&path).unwrap();
+            let opened = SequenceStore::open(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(opened.stored_bytes(), store.stored_bytes(), "mode {mode:?}");
+        }
+    }
+
+    #[test]
     fn on_disk_store_counts_io() {
         let mut store = SequenceStore::new(StorageMode::DirectCoding);
         for (id, seq) in sample() {
@@ -951,7 +859,7 @@ mod tests {
         }
         let path = temp_path("odio");
         store.write_to(&path).unwrap();
-        let disk = OnDiskStore::open(&path).unwrap();
+        let disk = SequenceStore::open(&path).unwrap();
         assert_eq!(disk.bytes_read(), 0);
         let _ = RecordSource::sequence(&disk, 0).unwrap();
         assert!(disk.bytes_read() > 0);
@@ -977,7 +885,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[3] = b'X';
         std::fs::write(&path, &bytes).unwrap();
-        assert!(OnDiskStore::open(&path).is_err());
+        assert!(SequenceStore::open(&path).is_err());
         let _ = std::fs::remove_file(&path);
     }
 

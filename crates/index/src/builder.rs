@@ -223,7 +223,11 @@ impl RunReader {
         if code_gap == 0 {
             return Err(IndexError::bad_in("zero code gap in run file", "run-file"));
         }
-        let code = self.prev_code + code_gap - 1;
+        let overflow = || IndexError::bad_in("run file value overflow", "run-file");
+        let code = self
+            .prev_code
+            .checked_add(code_gap - 1)
+            .ok_or_else(overflow)?;
         self.prev_code = code;
         let n = read_vu64(&mut self.input)?.ok_or(IndexError::bad_in(
             "run file truncated at pair count",
@@ -237,19 +241,23 @@ impl RunReader {
             let record_gap = read_vu64(&mut self.input)?.ok_or(IndexError::bad_in(
                 "run file truncated at record gap",
                 "run-file",
-            ))? as u32;
+            ))?;
             let stored = read_vu64(&mut self.input)?.ok_or(IndexError::bad_in(
                 "run file truncated at offset",
                 "run-file",
-            ))? as u32;
-            let record = prev_record + record_gap;
+            ))?;
+            let stored = u32::try_from(stored).map_err(|_| overflow())?;
+            let record = u32::try_from(record_gap)
+                .ok()
+                .and_then(|gap| prev_record.checked_add(gap))
+                .ok_or_else(overflow)?;
             if record_gap > 0 {
                 first_of_record = true;
             }
             let offset = if first_of_record || prev_offset == 0 {
                 stored
             } else {
-                prev_offset + stored
+                prev_offset.checked_add(stored).ok_or_else(overflow)?
             };
             pairs.push((record, offset));
             prev_record = record;

@@ -25,8 +25,10 @@
 //! E12 row the bench crate builds.
 
 use nucdb_codec::{BitReader, BitWriter, Gamma, Golomb, IntCodec};
+use nucdb_obs::{Counter, MetricsRegistry};
 
 use crate::block::{decode_block_stream, BlockDecodeStats, Emit, OffsetSection};
+use crate::durable::KeptFile;
 use crate::error::IndexError;
 use crate::interval::IndexParams;
 use crate::postings::{Posting, PostingsList};
@@ -387,22 +389,54 @@ pub struct VocabEntry {
     pub df: u32,
 }
 
-/// An in-memory compressed inverted index.
+/// A compressed inverted index: its vocabulary, the per-list CRCs, and
+/// one byte image of the index file — exactly what
+/// [`write_index`](crate::disk::write_index) writes, built in memory by
+/// [`crate::builder::IndexBuilder`] or read once by
+/// [`CompressedIndex::open`].
 ///
-/// Built by [`crate::builder::IndexBuilder`]; the on-disk variant with
-/// on-demand list fetching is [`crate::disk::OnDiskIndex`].
-#[derive(Debug, Clone)]
+/// Every fetch slices the image, checks the list against its stored
+/// CRC-32 at its absolute file offset (a block list over its skip table;
+/// each block payload is checked as it decodes), counts the bytes and
+/// the list as read, and decodes. A mismatch surfaces as
+/// [`IndexError::Corruption`] naming the offset, and no decoded
+/// (potentially wrong) postings escape. All methods take `&self`;
+/// concurrent fetches proceed without contention and the I/O counters
+/// are atomics.
+#[derive(Clone)]
 pub struct CompressedIndex {
-    params: IndexParams,
-    codec: ListCodec,
-    record_lens: Vec<u32>,
+    pub(crate) params: IndexParams,
+    pub(crate) codec: ListCodec,
+    pub(crate) record_lens: Vec<u32>,
     /// Sorted by code for binary-search lookup.
-    vocab: Vec<VocabEntry>,
+    pub(crate) vocab: Vec<VocabEntry>,
+    /// Per-list CRC-32s, parallel to `vocab`. A block list's covers only
+    /// its skip-table prefix (block payloads self-checksum).
+    pub(crate) list_crcs: Vec<u32>,
     /// Per-list maximum per-record occurrence count, parallel to `vocab`.
     /// Present only for the block codec, whose `NUCIDX04` header stores
     /// it.
-    max_counts: Option<Vec<u32>>,
-    blob: Vec<u8>,
+    pub(crate) max_counts: Option<Vec<u32>>,
+    /// The file's bytes: magic, header, then the postings blob.
+    pub(crate) image: Vec<u8>,
+    /// Where the blob begins in `image` (and in the file).
+    pub(crate) blob_start: u64,
+    /// The file the image was read from, kept for the scrub walk.
+    pub(crate) file: KeptFile,
+    pub(crate) bytes_read: Counter,
+    pub(crate) lists_read: Counter,
+}
+
+impl std::fmt::Debug for CompressedIndex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompressedIndex")
+            .field("params", &self.params)
+            .field("codec", &self.codec)
+            .field("records", &self.num_records())
+            .field("intervals", &self.vocab.len())
+            .field("image_bytes", &self.image.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl CompressedIndex {
@@ -446,35 +480,7 @@ impl CompressedIndex {
             }
             blob.extend_from_slice(&bytes);
         }
-        CompressedIndex {
-            params,
-            codec,
-            record_lens,
-            vocab,
-            max_counts,
-            blob,
-        }
-    }
-
-    /// Reassemble from parts (used by the on-disk reader).
-    /// `max_counts`, when present, must be parallel to `vocab`.
-    pub(crate) fn from_parts(
-        params: IndexParams,
-        codec: ListCodec,
-        record_lens: Vec<u32>,
-        vocab: Vec<VocabEntry>,
-        max_counts: Option<Vec<u32>>,
-        blob: Vec<u8>,
-    ) -> CompressedIndex {
-        debug_assert!(max_counts.as_ref().is_none_or(|m| m.len() == vocab.len()));
-        CompressedIndex {
-            params,
-            codec,
-            record_lens,
-            vocab,
-            max_counts,
-            blob,
-        }
+        CompressedIndex::from_parts(params, codec, record_lens, vocab, max_counts, blob)
     }
 
     /// Index parameters.
@@ -509,26 +515,74 @@ impl CompressedIndex {
 
     /// The concatenated compressed lists.
     pub fn blob(&self) -> &[u8] {
-        &self.blob
+        &self.image[self.blob_start as usize..]
     }
 
-    /// Document frequency of an interval, 0 if absent.
+    /// Document frequency of an interval, 0 if absent — answered from
+    /// the vocabulary, no fetch.
     pub fn df(&self, code: u64) -> u32 {
         self.entry(code).map_or(0, |e| e.df)
     }
 
     /// The vocabulary entry for `code`, if present.
     pub fn entry(&self, code: u64) -> Option<&VocabEntry> {
-        self.vocab
-            .binary_search_by_key(&code, |e| e.code)
-            .ok()
-            .map(|idx| &self.vocab[idx])
+        self.find(code).map(|idx| &self.vocab[idx])
+    }
+
+    fn find(&self, code: u64) -> Option<usize> {
+        self.vocab.binary_search_by_key(&code, |e| e.code).ok()
     }
 
     /// Per-list maximum per-record occurrence counts, parallel to the
     /// vocabulary — present only on block-codec indexes.
     pub fn max_counts(&self) -> Option<&[u32]> {
         self.max_counts.as_deref()
+    }
+
+    /// The stored bytes of one vocabulary entry's list, unchecked.
+    fn list_bytes(&self, entry: &VocabEntry) -> &[u8] {
+        &self.blob()[entry.offset as usize..][..entry.len as usize]
+    }
+
+    /// Fetch the list at vocabulary position `idx`: its bytes, checked
+    /// against the stored CRC at their absolute file offset and counted
+    /// as read.
+    fn fetch(&self, idx: usize) -> Result<(&VocabEntry, &[u8]), IndexError> {
+        let entry = &self.vocab[idx];
+        let list = self.list_bytes(entry);
+        let at = self.blob_start + entry.offset;
+        crate::disk::check_list_crc(self.codec, list, entry.df, self.list_crcs[idx], at)?;
+        self.bytes_read.add(entry.len as u64);
+        self.lists_read.inc();
+        Ok((entry, list))
+    }
+
+    /// Decode one fetched list through `visitor`, lifting corruption
+    /// offsets to the file.
+    fn stream(
+        &self,
+        entry: &VocabEntry,
+        list: &[u8],
+        emit: Emit,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<FetchStats, IndexError> {
+        let at = self.blob_start + entry.offset;
+        if self.codec == ListCodec::Block {
+            let (n, lens) = (self.num_records(), &self.record_lens);
+            let block = decode_block_stream(list, entry.df, n, lens, emit, visitor)
+                .map_err(|e| e.with_base_offset(at))?;
+            return Ok(FetchStats::block(entry, block));
+        }
+        decode_postings_with(
+            list,
+            entry.df,
+            self.num_records(),
+            &self.record_lens,
+            self.codec,
+            |record, offset| visitor.visit(record, offset),
+        )
+        .map_err(|e| e.with_base_offset(at))?;
+        Ok(FetchStats::paper(entry))
     }
 
     /// Streaming postings fetch driving a [`PostingsVisitor`] and
@@ -540,30 +594,11 @@ impl CompressedIndex {
         code: u64,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        let Some(entry) = self.entry(code) else {
+        let Some(idx) = self.find(code) else {
             return Ok(None);
         };
-        let bytes = self.list_bytes(entry);
-        if self.codec == ListCodec::Block {
-            let block = decode_block_stream(
-                bytes,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                Emit::Offsets,
-                visitor,
-            )?;
-            return Ok(Some(FetchStats::block(entry, block)));
-        }
-        decode_postings_with(
-            bytes,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-            |record, offset| visitor.visit(record, offset),
-        )?;
-        Ok(Some(FetchStats::paper(entry)))
+        let (entry, list) = self.fetch(idx)?;
+        self.stream(entry, list, Emit::Offsets, visitor).map(Some)
     }
 
     /// Coarse search's first pass over one list: append `code`'s list to
@@ -581,59 +616,84 @@ impl CompressedIndex {
         if self.codec != ListCodec::Block {
             return self.postings_stream(code, visitor);
         }
-        let Some(entry) = self.entry(code) else {
+        let Some(idx) = self.find(code) else {
             return Ok(None);
         };
+        let (entry, list) = self.fetch(idx)?;
         let list_at = buf.len();
-        buf.extend_from_slice(self.list_bytes(entry));
-        let block = decode_block_stream(
-            &buf[list_at..],
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            Emit::Counts { list_at },
-            visitor,
-        )?;
-        Ok(Some(FetchStats::block(entry, block)))
+        buf.extend_from_slice(list);
+        let emit = Emit::Counts { list_at };
+        self.stream(entry, &buf[list_at..], emit, visitor).map(Some)
     }
 
-    /// The stored bytes of one vocabulary entry's list.
-    fn list_bytes(&self, entry: &VocabEntry) -> &[u8] {
-        &self.blob[entry.offset as usize..(entry.offset + entry.len as u64) as usize]
-    }
-
-    /// Decode the postings list for `code`; `Ok(None)` if the interval is
-    /// absent (never indexed, or stopped).
+    /// Fetch and decode the postings list for `code`; `Ok(None)` if the
+    /// interval is absent (never indexed, or stopped).
     pub fn postings(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
-        let Some(entry) = self.entry(code) else {
+        let Some(idx) = self.find(code) else {
             return Ok(None);
         };
-        let bytes = &self.blob[entry.offset as usize..(entry.offset + entry.len as u64) as usize];
+        let (entry, list) = self.fetch(idx)?;
         decode_postings(
-            bytes,
+            list,
             entry.df,
             self.num_records(),
             &self.record_lens,
             self.codec,
         )
+        .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))
         .map(Some)
     }
 
-    /// Decode `(record, occurrence count)` pairs for `code`; `Ok(None)`
-    /// if the interval is absent.
+    /// Fetch and decode `(record, occurrence count)` pairs for `code`;
+    /// `Ok(None)` if the interval is absent.
     pub fn counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError> {
-        let Some(entry) = self.entry(code) else {
+        let Some(idx) = self.find(code) else {
             return Ok(None);
         };
-        let bytes = &self.blob[entry.offset as usize..(entry.offset + entry.len as u64) as usize];
+        let (entry, list) = self.fetch(idx)?;
         decode_counts(
-            bytes,
+            list,
             entry.df,
             self.num_records(),
             &self.record_lens,
             self.codec,
         )
+        .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))
         .map(Some)
+    }
+
+    /// Postings bytes fetched since the last reset.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes_read.get()
+    }
+
+    /// Lists fetched since the last reset.
+    pub fn lists_read(&self) -> u64 {
+        self.lists_read.get()
+    }
+
+    /// Reset the I/O counters (between experiment runs).
+    pub fn reset_io_counters(&self) {
+        self.bytes_read.reset();
+        self.lists_read.reset();
+    }
+
+    /// Re-home the I/O counters in `registry` so they appear in metric
+    /// snapshots. Counts accumulated so far carry over; the accessors
+    /// above keep working against the registered counters.
+    pub fn bind_metrics(&mut self, registry: &MetricsRegistry) {
+        let bytes_read = registry.counter(
+            "nucdb_index_bytes_read_total",
+            "Postings bytes fetched from the on-disk index",
+        );
+        let lists_read = registry.counter(
+            "nucdb_index_lists_read_total",
+            "Inverted lists fetched from the on-disk index",
+        );
+        bytes_read.add(self.bytes_read.get());
+        lists_read.add(self.lists_read.get());
+        self.bytes_read = bytes_read;
+        self.lists_read = lists_read;
     }
 
     /// Size accounting for the experiments.
@@ -641,10 +701,12 @@ impl CompressedIndex {
         let mut postings_entries = 0u64;
         let mut total_offsets = 0u64;
         // df is per-list; total occurrences require decoding, which stats
-        // callers accept (it is an offline measurement).
+        // callers accept (it is an offline measurement, not a fetch).
         for entry in &self.vocab {
             postings_entries += entry.df as u64;
-            if let Ok(Some(counts)) = self.counts(entry.code) {
+            let list = self.list_bytes(entry);
+            let (n, lens) = (self.num_records(), &self.record_lens);
+            if let Ok(counts) = decode_counts(list, entry.df, n, lens, self.codec) {
                 total_offsets += counts.iter().map(|&(_, c)| c as u64).sum::<u64>();
             }
         }
@@ -654,7 +716,7 @@ impl CompressedIndex {
             distinct_intervals: self.vocab.len() as u64,
             postings_entries,
             total_offsets,
-            blob_bytes: self.blob.len() as u64,
+            blob_bytes: self.blob().len() as u64,
             vocab_bytes: self.serialized_vocab_bytes(),
         }
     }

@@ -1,13 +1,12 @@
-//! The on-disk index format and the on-demand list reader.
+//! The index file format: writing it, opening it, and the verification
+//! walk.
 //!
 //! The paper's setting is explicit: the collection (and its index) live on
-//! disk, and *disk costs dominate query evaluation*. The on-disk layout
-//! therefore keeps the vocabulary and record-length table small enough to
-//! hold in memory, while postings lists are fetched individually — one
-//! seek + one contiguous read per query interval. [`OnDiskIndex`] counts
-//! the bytes it reads so experiments can report I/O volume alongside wall
-//! time (wall time alone understates the win on a machine whose page
-//! cache swallows the collection).
+//! disk, and *disk costs dominate query evaluation*. A
+//! [`CompressedIndex`] keeps the file's whole byte image — read once by
+//! [`CompressedIndex::open`] — and each fetch slices one list out of it,
+//! checks the list's CRC and counts the bytes it read, so experiments
+//! report the paper's I/O volume alongside wall time.
 //!
 //! `NUCIDX03`, written by [`write_index`] for [`ListCodec::Paper`] (`v` =
 //! LEB128-style varint):
@@ -39,29 +38,34 @@
 //! prefix by the header CRC's span, the header by `header_crc`, and the
 //! blob (whose cumulative list extents cover it exactly) by the per-list
 //! CRCs — in v4 the skip tables by the vocab CRCs and every block
-//! payload by its skip-entry CRC — so any single corrupted byte is
-//! detected at load, and on the pread path the moment the affected list
-//! (v4: block) is fetched and decoded. Files are written through
-//! [`AtomicFile`], so a crashed build never leaves a torn index.
+//! payload by its skip-entry CRC. Every byte is CRC-checked on every
+//! fetch; the image is read at open, where a truncated file is refused;
+//! the scrubber and `fsck` find later rot on disk with
+//! [`CompressedIndex::walk`], the same walk [`load_index`] runs over the
+//! image. Files are written through [`AtomicFile`], so a crashed build
+//! never leaves a torn index.
 
 use std::fs::File;
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
+use std::ops::ControlFlow;
 use std::path::Path;
 
-use nucdb_obs::{Counter, MetricsRegistry};
+use nucdb_obs::Counter;
 
-use crate::block::{decode_block_stream, skip_table_len, verify_block_list, Emit};
-use crate::compress::{
-    decode_postings, decode_postings_with, CompressedIndex, FetchStats, ListCodec, PostingsVisitor,
-    VocabEntry,
+use crate::block::{skip_table_len, verify_block_list};
+use crate::compress::{CompressedIndex, ListCodec, VocabEntry};
+use crate::durable::{
+    crc32, first_damage, read_exact_chunked, read_image, walk, AtomicFile, CountingReader,
+    KeptFile, WalkStep,
 };
-use crate::durable::{crc32, read_exact_chunked, AtomicFile, CountingReader};
 use crate::error::IndexError;
-use crate::fault::{FaultPlan, FaultyFile};
+use crate::fault::{FaultPlan, FaultyReader};
 use crate::interval::IndexParams;
-use crate::postings::PostingsList;
-use crate::pread::PositionalReader;
 use crate::stopping::StopPolicy;
+
+/// The name the frozen benchmark harness still uses for the one index
+/// type.
+pub type OnDiskIndex = CompressedIndex;
 
 const MAGIC_V4: &[u8; 8] = b"NUCIDX04";
 const MAGIC_V3: &[u8; 8] = b"NUCIDX03";
@@ -157,7 +161,11 @@ fn read_stopping<R: Read>(
 /// carries the CRC-32 of its list bytes; a [`ListCodec::Block`] entry's
 /// CRC covers only the skip-table prefix and is followed by the list's
 /// max count.
-fn encode_header_fields(out: &mut Vec<u8>, index: &CompressedIndex) -> Result<(), IndexError> {
+fn encode_header_fields(
+    out: &mut Vec<u8>,
+    index: &CompressedIndex,
+    blob_len: usize,
+) -> std::io::Result<()> {
     let params = index.params();
     out.push(params.k as u8);
     write_vu64(out, params.stride as u64)?;
@@ -171,73 +179,108 @@ fn encode_header_fields(out: &mut Vec<u8>, index: &CompressedIndex) -> Result<()
     }
 
     write_vu64(out, index.vocab().len() as u64)?;
-    let blob = index.blob();
     let mut prev_code = 0u64;
     for (idx, entry) in index.vocab().iter().enumerate() {
         write_vu64(out, entry.code - prev_code + 1)?;
         prev_code = entry.code;
         write_vu64(out, entry.len as u64)?;
         write_vu64(out, entry.df as u64)?;
-        let list = &blob[entry.offset as usize..][..entry.len as usize];
-        match index.codec() {
-            ListCodec::Paper => write_vu64(out, crc32(list) as u64)?,
-            ListCodec::Block => {
-                let skip_len = skip_table_len(entry.df).min(list.len());
-                write_vu64(out, crc32(&list[..skip_len]) as u64)?;
-                let max_counts = index.max_counts().expect("block indexes carry max counts");
-                write_vu64(out, max_counts[idx] as u64)?;
-            }
+        write_vu64(out, index.list_crcs[idx] as u64)?;
+        if let Some(max_counts) = index.max_counts() {
+            write_vu64(out, max_counts[idx] as u64)?;
         }
     }
 
-    write_vu64(out, blob.len() as u64)?;
-    Ok(())
+    write_vu64(out, blob_len as u64)
 }
 
-/// Serialize a [`CompressedIndex`] to `path`, atomically: the file is
-/// staged in a temp file, `fsync`ed, and renamed into place, so a crash
+impl CompressedIndex {
+    /// An index of these parts with no image yet.
+    fn bare(
+        params: IndexParams,
+        codec: ListCodec,
+        record_lens: Vec<u32>,
+        vocab: Vec<VocabEntry>,
+        list_crcs: Vec<u32>,
+        max_counts: Option<Vec<u32>>,
+    ) -> CompressedIndex {
+        CompressedIndex {
+            params,
+            codec,
+            record_lens,
+            vocab,
+            list_crcs,
+            max_counts,
+            image: Vec::new(),
+            blob_start: 0,
+            file: KeptFile::default(),
+            bytes_read: Counter::new(),
+            lists_read: Counter::new(),
+        }
+    }
+
+    /// Assemble an index from its parts and `blob`, the concatenated
+    /// lists: compute every list's CRC and lay out the file image
+    /// [`write_index`] writes. `max_counts`, when present, must be
+    /// parallel to `vocab`.
+    pub(crate) fn from_parts(
+        params: IndexParams,
+        codec: ListCodec,
+        record_lens: Vec<u32>,
+        vocab: Vec<VocabEntry>,
+        max_counts: Option<Vec<u32>>,
+        blob: Vec<u8>,
+    ) -> CompressedIndex {
+        debug_assert!(max_counts.as_ref().is_none_or(|m| m.len() == vocab.len()));
+        let list_crcs = vocab
+            .iter()
+            .map(|entry| {
+                let list = &blob[entry.offset as usize..][..entry.len as usize];
+                match codec {
+                    ListCodec::Paper => crc32(list),
+                    ListCodec::Block => crc32(&list[..skip_table_len(entry.df).min(list.len())]),
+                }
+            })
+            .collect();
+        let mut index =
+            CompressedIndex::bare(params, codec, record_lens, vocab, list_crcs, max_counts);
+        let mut header = Vec::new();
+        encode_header_fields(&mut header, &index, blob.len()).expect("writes to a Vec succeed");
+        // A header past 4 GiB cannot be framed; `write_index` refuses it.
+        let header_len = u32::try_from(header.len()).unwrap_or(u32::MAX);
+        let mut image = Vec::with_capacity(V3_PREFIX_LEN as usize + header.len() + blob.len());
+        image.extend_from_slice(match codec {
+            ListCodec::Paper => MAGIC_V3,
+            ListCodec::Block => MAGIC_V4,
+        });
+        image.extend_from_slice(&header_len.to_le_bytes());
+        image.extend_from_slice(&crc32(&header).to_le_bytes());
+        image.extend_from_slice(&header);
+        index.blob_start = image.len() as u64;
+        image.extend_from_slice(&blob);
+        index.image = image;
+        index
+    }
+}
+
+/// Write `index`'s file image to `path`, atomically: the file is staged
+/// in a temp file, `fsync`ed, and renamed into place, so a crash
 /// mid-write never leaves a torn index.
 ///
 /// Block-codec indexes are written as `NUCIDX04` (per-block CRCs, stored
 /// max counts), paper-codec indexes as `NUCIDX03`.
 pub fn write_index(index: &CompressedIndex, path: &Path) -> Result<(), IndexError> {
-    let magic = match index.codec() {
-        ListCodec::Paper => MAGIC_V3,
-        ListCodec::Block => MAGIC_V4,
-    };
-    let mut header = Vec::new();
-    encode_header_fields(&mut header, index)?;
-    let header_len = u32::try_from(header.len())
-        .map_err(|_| IndexError::Unsupported("index header exceeds 4 GiB"))?;
-
+    if index.blob_start - V3_PREFIX_LEN >= u64::from(u32::MAX) {
+        return Err(IndexError::Unsupported("index header exceeds 4 GiB"));
+    }
     let mut out = AtomicFile::create(path)?;
-    out.write_all(magic)?;
-    out.write_all(&header_len.to_le_bytes())?;
-    out.write_all(&crc32(&header).to_le_bytes())?;
-    out.write_all(&header)?;
-    out.write_all(index.blob())?;
+    out.write_all(&index.image)?;
     out.commit()?;
     Ok(())
 }
 
-/// Shared header contents (everything except the blob).
-struct Header {
-    params: IndexParams,
-    codec: ListCodec,
-    record_lens: Vec<u32>,
-    vocab: Vec<VocabEntry>,
-    /// Per-list CRC-32s, parallel to `vocab`. In v4 files each CRC
-    /// covers only the list's skip-table prefix (block payloads
-    /// self-checksum).
-    list_crcs: Vec<u32>,
-    /// Per-list max per-record occurrence counts (v4 only).
-    max_counts: Option<Vec<u32>>,
-    blob_len: u64,
-    /// Byte position of the blob within the file.
-    blob_start: u64,
-}
-
-/// Parse the header fields of a file whose magic promised `magic_codec`.
+/// Parse the header fields of a file whose magic promised `magic_codec`
+/// into an index with no image yet, and the blob length they declare.
 /// `base` is the absolute file offset of `input`'s first byte, used to
 /// locate violations. The returned header's `blob_start` is a
 /// placeholder the caller fills in.
@@ -245,7 +288,7 @@ fn read_header_fields<R: Read>(
     input: &mut CountingReader<R>,
     base: u64,
     magic_codec: ListCodec,
-) -> Result<Header, IndexError> {
+) -> Result<(CompressedIndex, u64), IndexError> {
     let mut small = [0u8; 1];
     input.read_exact(&mut small)?;
     let k = small[0] as usize;
@@ -312,7 +355,9 @@ fn read_header_fields<R: Read>(
                 base + input.pos(),
             ));
         }
-        let code = prev_code + gap - 1;
+        let code = prev_code.checked_add(gap - 1).ok_or_else(|| {
+            IndexError::bad_at("interval code overflow", "vocabulary", base + input.pos())
+        })?;
         prev_code = code;
         let len = u32::try_from(read_vu64(input, base, "vocabulary")?).map_err(|_| {
             IndexError::bad_at("list length overflow", "vocabulary", base + input.pos())
@@ -349,19 +394,15 @@ fn read_header_fields<R: Read>(
 
     let mut params = IndexParams::new(k).with_stride(stride);
     params.stopping = stopping;
-    Ok(Header {
-        params,
-        codec,
-        record_lens,
-        vocab,
-        list_crcs,
-        max_counts,
-        blob_len,
-        blob_start: 0,
-    })
+    let index = CompressedIndex::bare(params, codec, record_lens, vocab, list_crcs, max_counts);
+    Ok((index, blob_len))
 }
 
-fn read_header<R: Read>(input: &mut CountingReader<R>) -> Result<Header, IndexError> {
+/// Check the magic and the header CRC and parse the header: an index with
+/// no image yet, and the blob length.
+fn read_header<R: Read>(
+    input: &mut CountingReader<R>,
+) -> Result<(CompressedIndex, u64), IndexError> {
     let mut magic = [0u8; 8];
     input.read_exact(&mut magic)?;
     let magic_codec = match &magic {
@@ -390,7 +431,7 @@ fn read_header<R: Read>(input: &mut CountingReader<R>) -> Result<Header, IndexEr
     // The bytes are authenticated; parse errors past this point
     // would indicate a writer bug, but report them properly anyway.
     let mut fields = CountingReader::new(&header_bytes[..]);
-    let mut header = read_header_fields(&mut fields, V3_PREFIX_LEN, magic_codec)?;
+    let (mut index, blob_len) = read_header_fields(&mut fields, V3_PREFIX_LEN, magic_codec)?;
     if fields.pos() != header_len as u64 {
         return Err(IndexError::bad_at(
             "trailing bytes in header",
@@ -398,8 +439,8 @@ fn read_header<R: Read>(input: &mut CountingReader<R>) -> Result<Header, IndexEr
             V3_PREFIX_LEN + fields.pos(),
         ));
     }
-    header.blob_start = V3_PREFIX_LEN + header_len as u64;
-    Ok(header)
+    index.blob_start = V3_PREFIX_LEN + header_len as u64;
+    Ok((index, blob_len))
 }
 
 /// Check one fetched list against its vocabulary CRC. A paper list is
@@ -407,7 +448,7 @@ fn read_header<R: Read>(input: &mut CountingReader<R>) -> Result<Header, IndexEr
 /// block payload is verified against its own skip-entry CRC when it is
 /// decoded, so a corrupt block costs one block. `at` is the list's
 /// absolute file offset.
-fn check_list_crc(
+pub(crate) fn check_list_crc(
     codec: ListCodec,
     list: &[u8],
     df: u32,
@@ -427,344 +468,87 @@ fn check_list_crc(
     Ok(())
 }
 
-/// Verify every byte of one list: [`check_list_crc`], plus every block
-/// payload of a block list against its skip-entry CRC.
-fn verify_list(
-    codec: ListCodec,
-    list: &[u8],
-    df: u32,
-    expected: u32,
-    at: u64,
-) -> Result<(), IndexError> {
-    check_list_crc(codec, list, df, expected, at)?;
-    if codec == ListCodec::Block {
-        verify_block_list(list, df).map_err(|e| e.with_base_offset(at))?;
-    }
-    Ok(())
-}
-
-/// Verify every list in a fully loaded blob, so whole-file loads check
-/// every blob byte.
-fn verify_blob(header: &Header, blob: &[u8]) -> Result<(), IndexError> {
-    for (entry, &expected) in header.vocab.iter().zip(&header.list_crcs) {
-        let list = &blob[entry.offset as usize..][..entry.len as usize];
-        let at = header.blob_start + entry.offset;
-        verify_list(header.codec, list, entry.df, expected, at)?;
-    }
-    Ok(())
-}
-
-/// Load a whole index from any byte stream; every byte is
-/// checksum-verified before the index is returned.
-pub fn load_index_from(reader: impl Read) -> Result<CompressedIndex, IndexError> {
-    let mut input = CountingReader::new(reader);
-    let header = read_header(&mut input)?;
-    let blob = read_exact_chunked(&mut input, header.blob_len as usize)?;
-    verify_blob(&header, &blob)?;
-    Ok(CompressedIndex::from_parts(
-        header.params,
-        header.codec,
-        header.record_lens,
-        header.vocab,
-        header.max_counts,
-        blob,
-    ))
-}
-
-/// Load a whole index file into memory.
-pub fn load_index(path: &Path) -> Result<CompressedIndex, IndexError> {
-    load_index_from(BufReader::new(File::open(path)?))
-}
-
-/// An index whose postings stay on disk: the vocabulary and record-length
-/// table are memory-resident, each list is fetched with one positional
-/// read (`pread`-style, no shared cursor) when asked for. All methods take
-/// `&self` and concurrent fetches from multiple threads proceed without
-/// contention; the I/O counters are atomics.
-///
-/// Every fetched list is verified against its stored CRC-32; a mismatch
-/// surfaces as [`IndexError::Corruption`] naming the file
-/// offset, and no decoded (potentially wrong) postings escape.
-pub struct OnDiskIndex {
-    file: PositionalReader,
-    params: IndexParams,
-    codec: ListCodec,
-    record_lens: Vec<u32>,
-    vocab: Vec<VocabEntry>,
-    list_crcs: Vec<u32>,
-    blob_start: u64,
-    bytes_read: Counter,
-    lists_read: Counter,
-}
-
-impl OnDiskIndex {
-    /// Open an index file written by [`write_index`].
-    pub fn open(path: &Path) -> Result<OnDiskIndex, IndexError> {
-        let mut input = CountingReader::new(BufReader::new(File::open(path)?));
-        let header = read_header(&mut input)?;
-        let file = PositionalReader::new(input.into_inner().into_inner());
-        Ok(OnDiskIndex::from_header(header, file))
+impl CompressedIndex {
+    /// Open an index file written by [`write_index`]: read its whole
+    /// image once and parse the header. A file too short for the blob
+    /// its header declares is refused here as corruption. The lists are
+    /// not verified at open; every fetch checks its list's CRC.
+    pub fn open(path: &Path) -> Result<CompressedIndex, IndexError> {
+        CompressedIndex::open_with(path, None)
     }
 
-    /// Open like [`OnDiskIndex::open`], but serve all postings reads
-    /// through a deterministic fault-injection shim. The header is parsed
-    /// from the pristine file; only the pread path sees `plan`'s faults.
-    /// This is the durability-test entry point.
-    pub fn open_faulty(path: &Path, plan: FaultPlan) -> Result<OnDiskIndex, IndexError> {
-        let mut input = CountingReader::new(BufReader::new(File::open(path)?));
-        let header = read_header(&mut input)?;
-        let file = PositionalReader::faulty(FaultyFile::from_path(path, plan)?);
-        Ok(OnDiskIndex::from_header(header, file))
+    /// Open like [`CompressedIndex::open`], but read the image through a
+    /// deterministic fault-injection shim: the header comes from the
+    /// pristine file, and `plan` applies to every byte after it, at
+    /// absolute offsets. This is the durability-test entry point.
+    pub fn open_faulty(path: &Path, plan: FaultPlan) -> Result<CompressedIndex, IndexError> {
+        CompressedIndex::open_with(path, Some(plan))
     }
 
-    fn from_header(header: Header, file: PositionalReader) -> OnDiskIndex {
-        OnDiskIndex {
-            file,
-            params: header.params,
-            codec: header.codec,
-            record_lens: header.record_lens,
-            vocab: header.vocab,
-            list_crcs: header.list_crcs,
-            blob_start: header.blob_start,
-            bytes_read: Counter::new(),
-            lists_read: Counter::new(),
+    fn open_with(path: &Path, plan: Option<FaultPlan>) -> Result<CompressedIndex, IndexError> {
+        let file = File::open(path)?;
+        let image = read_image(&file, file.metadata()?.len() as usize)?;
+        let mut index = CompressedIndex::from_image(image, plan)?;
+        index.file = KeptFile::new(file);
+        Ok(index)
+    }
+
+    fn from_image(
+        mut image: Vec<u8>,
+        plan: Option<FaultPlan>,
+    ) -> Result<CompressedIndex, IndexError> {
+        let (mut index, blob_len) = read_header(&mut CountingReader::new(&image[..]))?;
+        let blob_start = index.blob_start as usize;
+        if let Some(plan) = plan {
+            let faulty = read_image(FaultyReader::new(&image[..], plan), image.len())?;
+            image.truncate(blob_start);
+            image.extend_from_slice(faulty.get(blob_start..).unwrap_or_default());
         }
-    }
-
-    /// Index parameters.
-    pub fn params(&self) -> &IndexParams {
-        &self.params
-    }
-
-    /// List codec.
-    pub fn codec(&self) -> ListCodec {
-        self.codec
-    }
-
-    /// Number of records indexed.
-    pub fn num_records(&self) -> u32 {
-        self.record_lens.len() as u32
-    }
-
-    /// Record length table.
-    pub fn record_lens(&self) -> &[u32] {
-        &self.record_lens
-    }
-
-    /// Number of distinct intervals.
-    pub fn distinct_intervals(&self) -> usize {
-        self.vocab.len()
-    }
-
-    /// Document frequency of `code` (0 if absent) — answered from the
-    /// in-memory vocabulary, no I/O.
-    pub fn df(&self, code: u64) -> u32 {
-        self.entry(code).map_or(0, |(_, e)| e.df)
-    }
-
-    fn entry(&self, code: u64) -> Option<(usize, &VocabEntry)> {
-        self.vocab
-            .binary_search_by_key(&code, |e| e.code)
-            .ok()
-            .map(|idx| (idx, &self.vocab[idx]))
-    }
-
-    /// Fetch the raw list bytes for a vocab entry into a caller-provided
-    /// buffer (one positional read, no lock, no allocation once the buffer
-    /// has grown to the working-set maximum), then verify them against the
-    /// stored checksum.
-    fn fetch_bytes_into(
-        &self,
-        idx: usize,
-        entry: &VocabEntry,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), IndexError> {
-        buf.clear();
-        self.append_bytes(idx, entry, buf)
-    }
-
-    /// [`OnDiskIndex::fetch_bytes_into`] without the clear: the list's
-    /// verified bytes land after whatever `buf` already holds.
-    fn append_bytes(
-        &self,
-        idx: usize,
-        entry: &VocabEntry,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), IndexError> {
-        let list_at = buf.len();
-        buf.resize(list_at + entry.len as usize, 0);
-        let list = &mut buf[list_at..];
-        let at = self.blob_start + entry.offset;
-        self.file.read_exact_at(list, at)?;
-        check_list_crc(self.codec, list, entry.df, self.list_crcs[idx], at)?;
-        self.bytes_read.add(entry.len as u64);
-        self.lists_read.inc();
-        Ok(())
-    }
-
-    /// Fetch the raw list bytes for a vocab entry (one positional read).
-    fn fetch_bytes(&self, idx: usize, entry: &VocabEntry) -> Result<Vec<u8>, IndexError> {
-        let mut bytes = Vec::new();
-        self.fetch_bytes_into(idx, entry, &mut bytes)?;
-        Ok(bytes)
-    }
-
-    /// Fetch and decode the list for `code`.
-    pub fn postings(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
-        let Some((idx, entry)) = self.entry(code) else {
-            return Ok(None);
-        };
-        let bytes = self.fetch_bytes(idx, entry)?;
-        decode_postings(
-            &bytes,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-        )
-        .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))
-        .map(Some)
-    }
-
-    /// Fetch and decode `(record, count)` pairs for `code`.
-    pub fn counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError> {
-        let Some((idx, entry)) = self.entry(code) else {
-            return Ok(None);
-        };
-        let bytes = self.fetch_bytes(idx, entry)?;
-        crate::compress::decode_counts(
-            &bytes,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-        )
-        .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))
-        .map(Some)
-    }
-
-    /// Streaming postings fetch driving a [`PostingsVisitor`], reporting
-    /// per-list work counters; on a block (v4) index the visitor's
-    /// `skip_block` may refuse blocks before they are verified or
-    /// unpacked. `Ok(None)` if the interval is absent.
-    pub fn postings_stream(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        let Some((idx, entry)) = self.entry(code) else {
-            return Ok(None);
-        };
-        self.fetch_bytes_into(idx, entry, io_buf)?;
-        if self.codec == ListCodec::Block {
-            return self.stream_block_list(io_buf, entry, Emit::Offsets, visitor);
+        let end = index.blob_start + blob_len;
+        if (image.len() as u64) < end {
+            return Err(IndexError::bad_at(
+                "index file truncated inside its blob",
+                "blob",
+                image.len() as u64,
+            ));
         }
-        decode_postings_with(
-            io_buf,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-            |record, offset| visitor.visit(record, offset),
-        )?;
-        Ok(Some(FetchStats::paper(entry)))
+        image.truncate(end as usize);
+        index.image = image;
+        Ok(index)
     }
 
-    /// Coarse search's first pass over one list: append `code`'s verified
-    /// list bytes to the end of `buf` and walk them as counts, one
-    /// [`PostingsVisitor::visit_block`] per decoded block with the
-    /// block's offsets located in `buf`. A Paper list, whose bit-serial
-    /// offsets cannot be stepped over, streams `(record, offset)` pairs as
-    /// [`OnDiskIndex::postings_stream`] does, and its bytes do not stay in
-    /// `buf`.
-    pub fn append_stream(
+    /// The one verification walk over a copy of this index's file, read
+    /// from `input` in file order: the header region (magic, stored
+    /// header CRC, full field structure), then every list against this
+    /// index's CRC for it, a block list's every block payload against
+    /// its skip-entry CRC too. Touches no query I/O counter.
+    pub fn walk(
         &self,
-        code: u64,
-        buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        let Some((idx, entry)) = self.entry(code) else {
-            return Ok(None);
+        input: impl Read,
+        each: impl FnMut(WalkStep, Result<u64, IndexError>) -> ControlFlow<()>,
+    ) {
+        let header = |bytes: &[u8]| read_header(&mut CountingReader::new(bytes)).map(drop);
+        let lens = self.vocab.iter().map(|e| e.len);
+        let list = |idx: usize, list: &[u8]| {
+            let entry = &self.vocab[idx];
+            let at = self.blob_start + entry.offset;
+            check_list_crc(self.codec, list, entry.df, self.list_crcs[idx], at)?;
+            match self.codec {
+                ListCodec::Paper => Ok(()),
+                ListCodec::Block => {
+                    verify_block_list(list, entry.df).map_err(|e| e.with_base_offset(at))
+                }
+            }
         };
-        let list_at = buf.len();
-        self.append_bytes(idx, entry, buf)?;
-        if self.codec == ListCodec::Block {
-            let emit = Emit::Counts { list_at };
-            return self.stream_block_list(&buf[list_at..], entry, emit, visitor);
-        }
-        decode_postings_with(
-            &buf[list_at..],
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-            |record, offset| visitor.visit(record, offset),
-        )?;
-        buf.truncate(list_at);
-        Ok(Some(FetchStats::paper(entry)))
+        walk(input, self.blob_start, header, lens, list, each)
     }
 
-    /// Decode one fetched block list, lifting corruption offsets to the
-    /// file.
-    fn stream_block_list(
-        &self,
-        list: &[u8],
-        entry: &VocabEntry,
-        emit: Emit,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        let block = decode_block_stream(
-            list,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            emit,
-            visitor,
-        )
-        .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))?;
-        Ok(Some(FetchStats::block(entry, block)))
-    }
-
-    /// Postings bytes fetched since the last reset.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.get()
-    }
-
-    /// Lists fetched since the last reset.
-    pub fn lists_read(&self) -> u64 {
-        self.lists_read.get()
-    }
-
-    /// Reset the I/O counters (between experiment runs).
-    pub fn reset_io_counters(&self) {
-        self.bytes_read.reset();
-        self.lists_read.reset();
-    }
-
-    /// Re-home the I/O counters in `registry` so they appear in metric
-    /// snapshots. Counts accumulated so far carry over; the legacy
-    /// accessors above keep working against the registered counters.
-    pub fn bind_metrics(&mut self, registry: &MetricsRegistry) {
-        let bytes_read = registry.counter(
-            "nucdb_index_bytes_read_total",
-            "Postings bytes fetched from the on-disk index",
-        );
-        let lists_read = registry.counter(
-            "nucdb_index_lists_read_total",
-            "Inverted lists fetched from the on-disk index",
-        );
-        bytes_read.add(self.bytes_read.get());
-        lists_read.add(self.lists_read.get());
-        self.bytes_read = bytes_read;
-        self.lists_read = lists_read;
-    }
-
-    /// The in-memory vocabulary, sorted by interval code. Exposed for
-    /// introspection (`nucdb stat`) and health walks (`nucdb fsck`, the
-    /// background scrubber); query paths go through the typed accessors.
-    pub fn vocab(&self) -> &[VocabEntry] {
-        &self.vocab
+    /// [`CompressedIndex::walk`] over the file as it is on disk now,
+    /// through the handle `open` kept — rot since open shows up here,
+    /// though queries never see it. An index that was never opened from
+    /// a file has nothing on disk to scrub: the walk is empty.
+    pub fn scrub(&self, each: impl FnMut(WalkStep, Result<u64, IndexError>) -> ControlFlow<()>) {
+        self.file.scrub(each, |file, each| self.walk(file, each));
     }
 
     /// On-disk format name, from the magic the file was opened with.
@@ -776,49 +560,35 @@ impl OnDiskIndex {
     }
 
     /// Byte offset where the postings blob begins — equivalently, the
-    /// size of the header region a [`OnDiskIndex::scrub_header`] pass
-    /// re-reads.
+    /// size of the header region the walk's first step verifies.
     pub fn blob_start(&self) -> u64 {
         self.blob_start
     }
+}
 
-    /// Re-read the header region (`[0, blob_start)`) from disk and
-    /// re-verify it: magic, stored header CRC, and full field
-    /// structure. Returns the bytes verified. Unlike
-    /// [`OnDiskIndex::open`] — which parses the header once — this reads
-    /// through the live file handle, so it observes damage that arrived
-    /// after open (and injected faults under
-    /// [`OnDiskIndex::open_faulty`]). Does not touch the query I/O
-    /// counters.
-    pub fn scrub_header(&self) -> Result<u64, IndexError> {
-        let mut buf = vec![0u8; self.blob_start as usize];
-        self.file.read_exact_at(&mut buf, 0)?;
-        let mut input = CountingReader::new(&buf[..]);
-        read_header(&mut input)?;
-        Ok(self.blob_start)
-    }
+/// Load a whole index from any byte stream; every byte is
+/// checksum-verified before the index is returned.
+pub fn load_index_from(reader: impl Read) -> Result<CompressedIndex, IndexError> {
+    verified(CompressedIndex::from_image(read_image(reader, 0)?, None)?)
+}
 
-    /// Fetch and fully verify the list at vocabulary position `idx`
-    /// (panics if out of range — callers iterate `0..vocab().len()`).
-    /// Checks the stored list CRC (v3), or the skip-table CRC plus every
-    /// block payload CRC (v4). Returns the list bytes verified.
-    /// Does not touch the query I/O counters, so a background scrub
-    /// never distorts `nucdb_index_bytes_read_total`.
-    pub fn verify_list_at(&self, idx: usize) -> Result<u64, IndexError> {
-        let entry = &self.vocab[idx];
-        let mut buf = vec![0u8; entry.len as usize];
-        let at = self.blob_start + entry.offset;
-        self.file.read_exact_at(&mut buf, at)?;
-        verify_list(self.codec, &buf, entry.df, self.list_crcs[idx], at)?;
-        Ok(entry.len as u64)
-    }
+/// Open an index file and verify every byte of it before returning.
+pub fn load_index(path: &Path) -> Result<CompressedIndex, IndexError> {
+    verified(CompressedIndex::open(path)?)
+}
+
+/// `index`, once the walk over its image finds no damage.
+fn verified(index: CompressedIndex) -> Result<CompressedIndex, IndexError> {
+    first_damage(|each| index.walk(&index.image[..], each))?;
+    Ok(index)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::IndexBuilder;
-    use crate::compress::FnVisitor;
+    use crate::compress::{FnVisitor, PostingsVisitor};
+    use crate::postings::PostingsList;
     use crate::stopping::StopPolicy;
     use nucdb_seq::random::{CollectionSpec, SyntheticCollection};
 
@@ -873,7 +643,7 @@ mod tests {
         let index = build_sample(43, IndexParams::new(8));
         let path = temp_path("od");
         write_index(&index, &path).unwrap();
-        let disk = OnDiskIndex::open(&path).unwrap();
+        let disk = CompressedIndex::open(&path).unwrap();
 
         assert_eq!(disk.num_records(), index.num_records());
         assert_eq!(disk.distinct_intervals(), index.distinct_intervals());
@@ -892,7 +662,7 @@ mod tests {
         let index = build_sample(44, IndexParams::new(8));
         let path = temp_path("ctr");
         write_index(&index, &path).unwrap();
-        let disk = OnDiskIndex::open(&path).unwrap();
+        let disk = CompressedIndex::open(&path).unwrap();
 
         assert_eq!(disk.bytes_read(), 0);
         let entry = index.vocab()[0];
@@ -912,18 +682,13 @@ mod tests {
         let index = build_sample(47, IndexParams::new(8));
         let path = temp_path("strm");
         write_index(&index, &path).unwrap();
-        let disk = OnDiskIndex::open(&path).unwrap();
+        let disk = CompressedIndex::open(&path).unwrap();
 
-        let mut io_buf = Vec::new();
         for entry in index.vocab().iter().step_by(13) {
             let materialized = disk.postings(entry.code).unwrap().unwrap();
             let mut streamed: Vec<(u32, u32)> = Vec::new();
             let stats = disk
-                .postings_stream(
-                    entry.code,
-                    &mut io_buf,
-                    &mut FnVisitor(|r, o| streamed.push((r, o))),
-                )
+                .postings_stream(entry.code, &mut FnVisitor(|r, o| streamed.push((r, o))))
                 .unwrap()
                 .unwrap();
             assert_eq!(stats.df, entry.df);
@@ -942,7 +707,7 @@ mod tests {
             assert_eq!(disk.counts(entry.code).unwrap().unwrap(), counts);
         }
         assert!(disk
-            .postings_stream(u64::MAX, &mut io_buf, &mut FnVisitor(|_, _| {}))
+            .postings_stream(u64::MAX, &mut FnVisitor(|_, _| {}))
             .unwrap()
             .is_none());
         let _ = std::fs::remove_file(&path);
@@ -953,7 +718,7 @@ mod tests {
         let index = build_sample(48, IndexParams::new(8));
         let path = temp_path("conc");
         write_index(&index, &path).unwrap();
-        let disk = OnDiskIndex::open(&path).unwrap();
+        let disk = CompressedIndex::open(&path).unwrap();
 
         let codes: Vec<u64> = index.vocab().iter().step_by(7).map(|e| e.code).collect();
         let expected: Vec<PostingsList> = codes
@@ -998,7 +763,7 @@ mod tests {
         assert_eq!(loaded.max_counts(), index.max_counts());
         assert!(loaded.max_counts().is_some());
 
-        let disk = OnDiskIndex::open(&path).unwrap();
+        let disk = CompressedIndex::open(&path).unwrap();
         for entry in index.vocab().iter().step_by(11) {
             assert_eq!(
                 disk.postings(entry.code).unwrap().unwrap(),
@@ -1052,9 +817,9 @@ mod tests {
             other => panic!("expected block corruption, got {other:?}"),
         }
 
-        // pread path: the skip table verifies at fetch, the corrupt
-        // payload is caught at decode.
-        let disk = OnDiskIndex::open(&path).unwrap();
+        // Opened: the skip table verifies at fetch, the corrupt payload
+        // is caught at decode.
+        let disk = CompressedIndex::open(&path).unwrap();
         match disk.postings(entry.code) {
             Err(IndexError::Corruption { section, .. }) => assert_eq!(section, "block"),
             other => panic!("expected fetch-time block corruption, got {other:?}"),
@@ -1083,7 +848,7 @@ mod tests {
             Err(IndexError::Corruption { section, .. }) => assert_eq!(section, "list"),
             other => panic!("expected list corruption, got {other:?}"),
         }
-        let disk = OnDiskIndex::open(&path).unwrap();
+        let disk = CompressedIndex::open(&path).unwrap();
         match disk.postings(entry.code) {
             Err(IndexError::Corruption { section, .. }) => assert_eq!(section, "list"),
             other => panic!("expected fetch-time list corruption, got {other:?}"),
@@ -1096,18 +861,17 @@ mod tests {
         let index = build_block_sample(66);
         let path = temp_path("v4strm");
         write_index(&index, &path).unwrap();
-        let disk = OnDiskIndex::open(&path).unwrap();
+        let disk = CompressedIndex::open(&path).unwrap();
         struct Collect(Vec<(u32, u32)>);
         impl PostingsVisitor for Collect {
             fn visit(&mut self, record: u32, value: u32) {
                 self.0.push((record, value));
             }
         }
-        let mut io_buf = Vec::new();
         for entry in index.vocab().iter().step_by(9) {
             let mut visitor = Collect(Vec::new());
             let stats = disk
-                .postings_stream(entry.code, &mut io_buf, &mut visitor)
+                .postings_stream(entry.code, &mut visitor)
                 .unwrap()
                 .unwrap();
             assert_eq!(stats.df, entry.df);
@@ -1178,9 +942,9 @@ mod tests {
             other => panic!("expected list corruption, got {other:?}"),
         }
 
-        // The pread path opens fine (header intact) but must refuse the
-        // corrupt list the moment it is fetched.
-        let disk = OnDiskIndex::open(&path).unwrap();
+        // Open succeeds (header intact) but must refuse the corrupt list
+        // the moment it is fetched.
+        let disk = CompressedIndex::open(&path).unwrap();
         let last_entry = index.vocab().last().unwrap();
         match disk.counts(last_entry.code) {
             Err(IndexError::Corruption { section, .. }) => assert_eq!(section, "list"),
@@ -1214,7 +978,7 @@ mod tests {
         let loaded = load_index(&path).unwrap();
         assert_eq!(loaded.num_records(), 0);
         assert_eq!(loaded.distinct_intervals(), 0);
-        let disk = OnDiskIndex::open(&path).unwrap();
+        let disk = CompressedIndex::open(&path).unwrap();
         assert!(disk.postings(0).unwrap().is_none());
         let _ = std::fs::remove_file(&path);
     }

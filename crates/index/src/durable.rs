@@ -13,15 +13,21 @@
 //!   violation without requiring `Seek`; chunked reading lets loaders
 //!   allocate from untrusted length fields without risking a
 //!   multi-gigabyte `Vec` from a corrupt 8-byte varint.
+//! - [`read_image`]: the one read of a whole file at open, with bounded
+//!   retry of transient errors; [`walk`], the verification walk that
+//!   loads, `fsck` and the scrubber share; and [`KeptFile`], the handle
+//!   the scrubber re-reads the disk through.
 //! - [`AtomicFile`]: write-to-temp + `fsync` + atomic-rename
 //!   persistence, so an interrupted build or append can never leave a
 //!   torn file at the destination path — readers see either the old
 //!   complete file or the new complete file, nothing in between.
 
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320)
@@ -160,11 +166,6 @@ impl<R: Read> CountingReader<R> {
     pub fn pos(&self) -> u64 {
         self.pos
     }
-
-    /// Unwrap the underlying reader.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
 }
 
 impl<R: Read> Read for CountingReader<R> {
@@ -191,6 +192,134 @@ pub fn read_exact_chunked<R: Read>(reader: &mut R, len: usize) -> io::Result<Vec
         reader.read_exact(&mut out[start..])?;
     }
     Ok(out)
+}
+
+/// Maximum number of transient-error retries absorbed while reading one
+/// file image before the error is surfaced.
+pub const TRANSIENT_RETRY_LIMIT: u32 = 8;
+
+/// Read `input` to its end: the image an index or store keeps from
+/// `open`. Transient errors (`Interrupted`, `WouldBlock`, `TimedOut`)
+/// are retried at most [`TRANSIENT_RETRY_LIMIT`] times in all, so a
+/// flaky device degrades to a typed error instead of hanging an open
+/// forever. `size_hint` presizes the buffer.
+pub fn read_image(mut input: impl Read, size_hint: usize) -> io::Result<Vec<u8>> {
+    const CHUNK: usize = 64 * 1024;
+    let mut image = Vec::with_capacity(size_hint + CHUNK);
+    let mut transient_retries = 0u32;
+    loop {
+        let filled = image.len();
+        image.resize(filled + CHUNK, 0);
+        let got = input.read(&mut image[filled..]);
+        image.truncate(filled + *got.as_ref().unwrap_or(&0));
+        match got {
+            Ok(0) => return Ok(image),
+            Ok(_) => {}
+            Err(e) if is_transient(&e) && transient_retries < TRANSIENT_RETRY_LIMIT => {
+                transient_retries += 1;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+fn is_transient(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// One step of the verification walk over an index or store file: its
+/// checksummed header (the index header, the store TOC), or the `n`th
+/// list or record after it, in file order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalkStep {
+    /// The magic and the header or TOC.
+    Header,
+    /// One postings list or record blob, by position.
+    Item(usize),
+}
+
+/// The one verification walk over a file read from `input` in file
+/// order: its first `header_len` bytes, checked by `header`, then one
+/// item per length in `items`, each checked by `item`. `each` hears
+/// every step's outcome — the bytes it verified, or the error locating
+/// the damage — and may stop the walk.
+pub fn walk<E: From<io::Error>>(
+    input: impl Read,
+    header_len: u64,
+    header: impl FnOnce(&[u8]) -> Result<(), E>,
+    items: impl IntoIterator<Item = u32>,
+    mut item: impl FnMut(usize, &[u8]) -> Result<(), E>,
+    mut each: impl FnMut(WalkStep, Result<u64, E>) -> ControlFlow<()>,
+) {
+    let mut input = BufReader::new(input);
+    let outcome = read_exact_chunked(&mut input, header_len as usize)
+        .map_err(E::from)
+        .and_then(|bytes| header(&bytes))
+        .map(|()| header_len);
+    if each(WalkStep::Header, outcome).is_break() {
+        return;
+    }
+    let mut bytes = Vec::new();
+    for (n, len) in items.into_iter().enumerate() {
+        bytes.resize(len as usize, 0);
+        let outcome = (input.read_exact(&mut bytes).map_err(E::from))
+            .and_then(|()| item(n, &bytes))
+            .map(|()| u64::from(len));
+        if each(WalkStep::Item(n), outcome).is_break() {
+            return;
+        }
+    }
+}
+
+/// Run `walk` to its first damage: that error, or `Ok` when every step
+/// verified.
+pub fn first_damage<E>(
+    walk: impl FnOnce(&mut dyn FnMut(WalkStep, Result<u64, E>) -> ControlFlow<()>),
+) -> Result<(), E> {
+    let mut verdict = Ok(());
+    walk(&mut |_, outcome| match outcome {
+        Ok(_) => ControlFlow::Continue(()),
+        Err(e) => {
+            verdict = Err(e);
+            ControlFlow::Break(())
+        }
+    });
+    verdict
+}
+
+/// The file an index or store image was read from, kept so the scrub
+/// walk can re-read what is on disk now. Empty for one built in memory.
+#[derive(Debug, Clone, Default)]
+pub struct KeptFile(Option<Arc<Mutex<File>>>);
+
+impl KeptFile {
+    /// Keep `file`.
+    pub fn new(file: File) -> KeptFile {
+        KeptFile(Some(Arc::new(Mutex::new(file))))
+    }
+
+    /// Hand `walk` the file rewound to its first byte, holding it for
+    /// the walk; a failed rewind is the header step's error. Nothing
+    /// happens when no file was kept.
+    pub fn scrub<E: From<io::Error>>(
+        &self,
+        mut each: impl FnMut(WalkStep, Result<u64, E>) -> ControlFlow<()>,
+        walk: impl FnOnce(&File, &mut dyn FnMut(WalkStep, Result<u64, E>) -> ControlFlow<()>),
+    ) {
+        let Some(file) = &self.0 else {
+            return;
+        };
+        let mut file = file.lock().unwrap_or_else(|e| e.into_inner());
+        match file.seek(SeekFrom::Start(0)) {
+            Ok(_) => walk(&file, &mut each),
+            Err(e) => {
+                let _ = each(WalkStep::Header, Err(e.into()));
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -286,6 +415,7 @@ impl Drop for AtomicFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, FaultyReader};
     use proptest::prelude::*;
 
     /// The byte-at-a-time loop the sliced one replaced: the oracle.
@@ -384,6 +514,41 @@ mod tests {
         // Multi-chunk length round-trips.
         let big = vec![9u8; 200_000];
         assert_eq!(read_exact_chunked(&mut &big[..], big.len()).unwrap(), big);
+    }
+
+    #[test]
+    fn faulty_backing_short_reads_are_reassembled() {
+        let payload: Vec<u8> = (0..200_000u32).map(|i| (i % 253) as u8).collect();
+        let reader = FaultyReader::new(&payload[..], FaultPlan::clean(21).with_short_reads(0.9));
+        assert_eq!(read_image(reader, 0).unwrap(), payload);
+    }
+
+    #[test]
+    fn bounded_retry_absorbs_transient_errors_within_budget() {
+        let payload = vec![42u8; 1024];
+        // Budget equals the retry limit: every injected error fits within
+        // the read's retry allowance, so the read must succeed.
+        let plan = FaultPlan::clean(4).with_transient_errors(1.0, TRANSIENT_RETRY_LIMIT);
+        let image = read_image(FaultyReader::new(&payload[..], plan), 1024).unwrap();
+        assert_eq!(image, payload);
+    }
+
+    #[test]
+    fn unbounded_transient_errors_eventually_surface() {
+        let payload = vec![42u8; 1024];
+        // More faults than the retry limit allows: the error must surface
+        // instead of spinning forever.
+        let plan = FaultPlan::clean(4).with_transient_errors(1.0, 1000);
+        let err = read_image(FaultyReader::new(&payload[..], plan), 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Interrupted);
+    }
+
+    #[test]
+    fn truncated_faulty_file_reports_a_short_image() {
+        let payload = vec![7u8; 512];
+        let plan = FaultPlan::clean(9).with_truncation(100);
+        let image = read_image(FaultyReader::new(&payload[..], plan), 512).unwrap();
+        assert_eq!(image, &payload[..100]);
     }
 
     #[test]

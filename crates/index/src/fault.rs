@@ -3,19 +3,18 @@
 //! Real storage fails in a handful of characteristic ways: reads return
 //! fewer bytes than asked (short reads), the kernel interrupts a call
 //! (transient `io::Error`s), media silently flips bits, and crashes
-//! truncate files mid-write. [`FaultyFile`] reproduces all four on the
-//! positional-read path used by [`OnDiskIndex`](crate::OnDiskIndex) and
-//! the on-disk store, and [`FaultyReader`] does the same for streaming
-//! loads — both driven by a [`FaultPlan`] seeded through the in-repo
-//! `rand` stand-in, so a failing run replays exactly from its seed.
+//! truncate files mid-write. [`FaultyReader`] reproduces all four on
+//! any byte stream — the read of a file image at open
+//! ([`CompressedIndex::open_faulty`](crate::CompressedIndex::open_faulty)
+//! and its store twin), streaming loads, and the verification walk —
+//! driven by a [`FaultPlan`] seeded through the in-repo `rand`
+//! stand-in, so a failing run replays exactly from its seed.
 //!
 //! The probabilistic decisions are derived from `(seed, call counter)`,
-//! which makes a single-threaded test fully deterministic: the same
-//! plan against the same access sequence injects the same faults.
+//! so the same plan against the same read sequence injects the same
+//! faults.
 
 use std::io::{self, Read};
-use std::path::Path;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -98,80 +97,8 @@ impl FaultPlan {
     }
 }
 
-/// An in-memory stand-in for a file on failing media, usable wherever
-/// the pread path accepts a [`PositionalReader`](crate::PositionalReader)
-/// (via [`PositionalReader::faulty`](crate::PositionalReader::faulty)).
-#[derive(Debug)]
-pub struct FaultyFile {
-    bytes: Vec<u8>,
-    plan: FaultPlan,
-    transient_used: AtomicU32,
-    calls: AtomicU64,
-}
-
-impl FaultyFile {
-    /// Wrap pristine `bytes` with `plan`.
-    pub fn new(bytes: Vec<u8>, plan: FaultPlan) -> FaultyFile {
-        FaultyFile {
-            bytes,
-            plan,
-            transient_used: AtomicU32::new(0),
-            calls: AtomicU64::new(0),
-        }
-    }
-
-    /// Load the pristine bytes from `path`, then serve them through
-    /// `plan`'s faults.
-    pub fn from_path(path: &Path, plan: FaultPlan) -> io::Result<FaultyFile> {
-        Ok(FaultyFile::new(std::fs::read(path)?, plan))
-    }
-
-    /// Transient errors injected so far.
-    pub fn transient_injected(&self) -> u32 {
-        self.transient_used.load(Ordering::Relaxed)
-    }
-
-    /// One positional read with faults applied: mirrors the semantics of
-    /// `pread(2)` (may return fewer bytes than requested; zero at EOF).
-    pub fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
-        let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        let mut rng =
-            StdRng::seed_from_u64(self.plan.seed ^ call.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-
-        if self.plan.transient_error_prob > 0.0
-            && rng.random_bool(self.plan.transient_error_prob)
-            && self
-                .transient_used
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
-                    (used < self.plan.transient_budget).then_some(used + 1)
-                })
-                .is_ok()
-        {
-            return Err(io::Error::new(
-                io::ErrorKind::Interrupted,
-                "injected transient I/O fault",
-            ));
-        }
-
-        let end = (self.bytes.len() as u64).min(self.plan.truncate_at.unwrap_or(u64::MAX));
-        if offset >= end || buf.is_empty() {
-            return Ok(0);
-        }
-        let available = (end - offset) as usize;
-        let mut n = buf.len().min(available);
-        if n > 1 && self.plan.short_read_prob > 0.0 && rng.random_bool(self.plan.short_read_prob) {
-            n = rng.random_range(1..n);
-        }
-        let src = &self.bytes[offset as usize..offset as usize + n];
-        buf[..n].copy_from_slice(src);
-        self.plan.apply_flips(&mut buf[..n], offset);
-        Ok(n)
-    }
-}
-
-/// A streaming [`Read`] wrapper that injects the same fault classes as
-/// [`FaultyFile`], for exercising sequential loaders
-/// (`load_index_from`, store parsing) against failing sources.
+/// A streaming [`Read`] wrapper that injects a [`FaultPlan`]'s faults
+/// at absolute offsets from the start of `inner`.
 #[derive(Debug)]
 pub struct FaultyReader<R> {
     inner: R,
@@ -240,39 +167,35 @@ mod tests {
         (0u32..4096).map(|i| (i * 31 + 7) as u8).collect()
     }
 
+    /// Every `read` call's length, and the bytes read, through `plan`.
+    fn read_all(data: &[u8], plan: FaultPlan, chunk: usize) -> (Vec<usize>, Vec<u8>) {
+        let mut reader = FaultyReader::new(data, plan);
+        let (mut sizes, mut out) = (Vec::new(), Vec::new());
+        let mut buf = vec![0u8; chunk];
+        loop {
+            match reader.read(&mut buf) {
+                Ok(0) => return (sizes, out),
+                Ok(n) => {
+                    sizes.push(n);
+                    out.extend_from_slice(&buf[..n]);
+                }
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::Interrupted),
+            }
+        }
+    }
+
     #[test]
     fn clean_plan_is_transparent() {
         let data = payload();
-        let f = FaultyFile::new(data.clone(), FaultPlan::clean(1));
-        let mut buf = vec![0u8; data.len()];
-        let mut filled = 0;
-        while filled < buf.len() {
-            let n = f.read_at(&mut buf[filled..], filled as u64).unwrap();
-            assert!(n > 0);
-            filled += n;
-        }
-        assert_eq!(buf, data);
-        assert_eq!(f.read_at(&mut [0u8; 8], data.len() as u64).unwrap(), 0);
+        assert_eq!(read_all(&data, FaultPlan::clean(1), 256).1, data);
     }
 
     #[test]
     fn short_reads_are_deterministic_per_seed() {
         let data = payload();
         let run = |seed| {
-            let f = FaultyFile::new(data.clone(), FaultPlan::clean(seed).with_short_reads(0.7));
-            let mut sizes = Vec::new();
-            let mut offset = 0u64;
-            while (offset as usize) < data.len() {
-                let mut buf = [0u8; 256];
-                let n = f.read_at(&mut buf, offset).unwrap();
-                assert_eq!(
-                    &buf[..n],
-                    &data[offset as usize..offset as usize + n],
-                    "short read must still return correct bytes"
-                );
-                sizes.push(n);
-                offset += n as u64;
-            }
+            let (sizes, out) = read_all(&data, FaultPlan::clean(seed).with_short_reads(0.7), 256);
+            assert_eq!(out, data, "short reads must still return correct bytes");
             sizes
         };
         assert_eq!(run(99), run(99));
@@ -283,47 +206,33 @@ mod tests {
     #[test]
     fn transient_budget_is_respected() {
         let data = payload();
-        let f = FaultyFile::new(
-            data.clone(),
-            FaultPlan::clean(5).with_transient_errors(1.0, 3),
-        );
+        let mut reader =
+            FaultyReader::new(&data[..], FaultPlan::clean(5).with_transient_errors(1.0, 3));
         let mut errors = 0;
         for _ in 0..10 {
             let mut buf = [0u8; 16];
-            match f.read_at(&mut buf, 0) {
+            match reader.read(&mut buf) {
                 Err(e) => {
                     assert_eq!(e.kind(), io::ErrorKind::Interrupted);
                     errors += 1;
                 }
-                Ok(n) => assert_eq!(&buf[..n], &data[..n]),
+                Ok(n) => assert!(n > 0),
             }
         }
         assert_eq!(errors, 3);
-        assert_eq!(f.transient_injected(), 3);
     }
 
     #[test]
     fn bit_flips_and_truncation_apply() {
         let data = payload();
-        let f = FaultyFile::new(
-            data.clone(),
-            FaultPlan::clean(2)
-                .with_bit_flips(vec![(10, 0xFF), (100, 0x01)])
-                .with_truncation(200),
-        );
-        let mut buf = vec![0u8; 300];
-        let mut filled = 0usize;
-        loop {
-            let n = f.read_at(&mut buf[filled..], filled as u64).unwrap();
-            if n == 0 {
-                break;
-            }
-            filled += n;
-        }
-        assert_eq!(filled, 200, "truncation should stop reads at 200");
-        assert_eq!(buf[10], data[10] ^ 0xFF);
-        assert_eq!(buf[100], data[100] ^ 0x01);
-        assert_eq!(buf[11], data[11]);
+        let plan = FaultPlan::clean(2)
+            .with_bit_flips(vec![(10, 0xFF), (100, 0x01)])
+            .with_truncation(200);
+        let out = read_all(&data, plan, 64).1;
+        assert_eq!(out.len(), 200, "truncation should stop reads at 200");
+        assert_eq!(out[10], data[10] ^ 0xFF);
+        assert_eq!(out[100], data[100] ^ 0x01);
+        assert_eq!(out[11], data[11]);
     }
 
     #[test]

@@ -29,13 +29,14 @@
 //! * [`shard`] — the `SHARDS` manifest describing a sharded database
 //!   root: per-shard record counts fix the record-id bases that make
 //!   scatter-gather answers bit-identical to a joint build.
-//! * [`disk`] — the on-disk index format and a reader that fetches lists
-//!   on demand with lock-free positional reads, tracking bytes read (the
+//! * [`disk`] — the index file format: [`write_index`] writes an index's
+//!   byte image, [`CompressedIndex::open`] reads it back once, and the
+//!   verification walk that loads, `fsck` and the scrubber share. Every
+//!   fetch checks its list's CRC and counts the bytes it read (the
 //!   paper's disk-cost story).
-//! * [`pread`] — the positional-read primitive shared by the on-disk
-//!   index and store, with bounded retry of transient errors.
 //! * [`durable`] — durability primitives: CRC-32, bounded streaming
-//!   reads, and write-to-temp + fsync + atomic-rename persistence.
+//!   reads, the open-time image read with bounded retry of transient
+//!   errors, and write-to-temp + fsync + atomic-rename persistence.
 //! * [`fault`] — deterministic I/O fault injection (short reads,
 //!   transient errors, bit flips, truncation) for durability tests.
 //! * [`stats`] — size accounting used by experiments E1/E4/E5.
@@ -58,7 +59,6 @@ pub mod interval;
 pub mod manifest;
 pub mod merge;
 pub mod postings;
-pub mod pread;
 pub mod shard;
 pub mod stats;
 pub mod stopping;
@@ -70,14 +70,15 @@ pub use compress::{
     CompressedIndex, FetchStats, ListCodec, PostingsVisitor, VocabEntry,
 };
 pub use disk::{load_index, load_index_from, write_index, OnDiskIndex};
-pub use durable::{crc32, AtomicFile, CountingReader, Crc32};
+pub use durable::{
+    crc32, read_image, AtomicFile, CountingReader, Crc32, WalkStep, TRANSIENT_RETRY_LIMIT,
+};
 pub use error::{FormatViolation, IndexError};
-pub use fault::{FaultPlan, FaultyFile, FaultyReader};
+pub use fault::{FaultPlan, FaultyReader};
 pub use interval::IndexParams;
 pub use manifest::{Manifest, SegmentMeta, MANIFEST_FILE};
 pub use merge::{apply_stopping, merge_indexes};
 pub use postings::{Posting, PostingsList};
-pub use pread::{PositionalReader, TRANSIENT_RETRY_LIMIT};
 pub use shard::{shard_dir_name, ShardManifest, ShardMeta, SHARD_MANIFEST_FILE};
 pub use stats::IndexStats;
 pub use stopping::StopPolicy;

@@ -1,12 +1,13 @@
 //! Background index/store scrubber.
 //!
 //! A long-lived server sits on on-disk files that can rot underneath it
-//! — a bad sector, a truncating copy, a stray write. The query path
-//! verifies checksums for the bytes a query touches, but cold regions
-//! of the index may go unread for days. The scrubber closes that gap:
+//! — a bad sector, a truncating copy, a stray write. Every query checks
+//! the CRCs of the bytes it touches, but it reads the images taken at
+//! open, not the disk. The scrubber closes that gap:
 //! one low-priority thread continuously re-reads every checksummed
-//! section through the live file handles and re-verifies it, at a
-//! bounded I/O rate so it never competes with query traffic.
+//! section through the file handles `open` kept and re-verifies it, at
+//! a bounded I/O rate so it never competes with query traffic. Rot that
+//! arrives after open never reaches an answer; the scrubber reports it.
 //!
 //! One **cycle** is: header + store TOC (the structural skeleton), then
 //! every postings list, then every record blob. Completing the first
@@ -16,18 +17,19 @@
 //! is counted and remembered but does not stop the scrubber — a single
 //! bad list must not hide damage elsewhere.
 //!
-//! The scrubber uses the counter-free verification methods
-//! ([`nucdb_index::OnDiskIndex::verify_list_at`],
-//! [`nucdb::OnDiskStore::verify_record`], and the `scrub_*` pair), so
-//! `nucdb_index_bytes_read_total` and friends keep meaning "bytes read
+//! The scrubber runs the counter-free verification walk
+//! ([`nucdb_index::CompressedIndex::scrub`], [`nucdb::SequenceStore::scrub`]),
+//! so `nucdb_index_bytes_read_total` and friends keep meaning "bytes read
 //! *for queries*" even with the scrubber running; scrub I/O is reported
 //! separately as `nucdb_scrub_bytes_total`.
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use nucdb::{Database, IndexVariant, StoreVariant};
+use nucdb_index::WalkStep;
 use nucdb_obs::json::{num, Value};
 use nucdb_obs::{Counter, Gauge, MetricsRegistry};
 
@@ -204,61 +206,83 @@ pub(crate) fn pause(total: Duration, shutdown: &AtomicBool) -> bool {
 
 /// The scrubber thread body: cycle over header/TOC, then every postings
 /// list, then every record, at `bytes_per_sec`, until `shutdown` flips.
-/// Memory-resident variants have no on-disk bytes to verify and are
-/// skipped; a fully in-memory database makes every cycle trivially
-/// complete (readiness still flips after the first pass).
+/// Each pass is the index's or store's verification walk over its file
+/// through the handle `open` kept. A segmented view, or a database built
+/// in memory, has no such file: every cycle then completes trivially
+/// (readiness still flips after the first pass).
 pub fn scrub_loop(db: &Database, state: &ScrubState, shutdown: &AtomicBool, bytes_per_sec: u64) {
     let mut throttle = Throttle::new(bytes_per_sec);
-    loop {
-        // Structural pass: prove the header and TOC readable through
-        // the live handles before declaring the server ready.
-        if let IndexVariant::Disk(index) = db.index() {
-            match index.scrub_header() {
-                Ok(n) => {
-                    state.bytes.add(n);
-                    if throttle.consume(n, shutdown) {
-                        return;
-                    }
-                }
-                Err(e) => state.note_error(format!("index header: {e}")),
+    let index = match db.index() {
+        IndexVariant::Disk(index) => Some(index),
+        _ => None,
+    };
+    let store = match db.store() {
+        StoreVariant::Disk(store) => Some(store),
+        _ => None,
+    };
+    // Count one walk step's verified bytes or note its error, then spend
+    // the step's bytes (at least `len`) of the budget; stop on shutdown.
+    let mut account = |outcome: Result<u64, String>, len: u64| {
+        let spent = match outcome {
+            Ok(n) => {
+                state.bytes.add(n);
+                n.max(len)
             }
+            Err(e) => {
+                state.note_error(e);
+                len
+            }
+        };
+        if throttle.consume(spent, shutdown) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
         }
-        if let StoreVariant::Disk(store) = db.store() {
-            match store.scrub_toc() {
-                Ok(n) => {
-                    state.bytes.add(n);
-                    if throttle.consume(n, shutdown) {
-                        return;
-                    }
-                }
-                Err(e) => state.note_error(format!("store toc: {e}")),
-            }
+    };
+    let down = || shutdown.load(Ordering::SeqCst);
+    loop {
+        // Structural pass: each walk's first step proves the header or
+        // TOC readable through the live handle before the server is
+        // declared ready.
+        if let Some(index) = index {
+            index.scrub(|_, outcome| {
+                let _ = account(outcome.map_err(|e| format!("index header: {e}")), 0);
+                ControlFlow::Break(())
+            });
+        }
+        if let (Some(store), false) = (store, down()) {
+            store.scrub(|_, outcome| {
+                let _ = account(outcome.map_err(|e| format!("store toc: {e}")), 0);
+                ControlFlow::Break(())
+            });
+        }
+        if down() {
+            return;
         }
         state.mark_ready();
 
-        // Payload pass: every postings list, then every record blob.
-        if let IndexVariant::Disk(index) = db.index() {
-            for i in 0..index.vocab().len() {
-                match index.verify_list_at(i) {
-                    Ok(n) => state.bytes.add(n),
-                    Err(e) => state.note_error(format!("index list {i}: {e}")),
-                }
-                if throttle.consume(index.vocab()[i].len as u64, shutdown) {
-                    return;
-                }
-            }
+        // Payload pass: every postings list, then every record blob
+        // (each walk re-reads its header uncounted).
+        if let Some(index) = index {
+            index.scrub(|step, outcome| match step {
+                WalkStep::Header => ControlFlow::Continue(()),
+                WalkStep::Item(i) => account(
+                    outcome.map_err(|e| format!("index list {i}: {e}")),
+                    u64::from(index.vocab()[i].len),
+                ),
+            });
         }
-        if let StoreVariant::Disk(store) = db.store() {
-            for record in 0..store.num_records() as u32 {
-                match store.verify_record(record) {
-                    Ok(n) => state.bytes.add(n),
-                    Err(e) => state.note_error(format!("store record {record}: {e}")),
-                }
-                let (_, len) = store.record_location(record);
-                if throttle.consume(u64::from(len), shutdown) {
-                    return;
-                }
-            }
+        if let (Some(store), false) = (store, down()) {
+            store.scrub(|step, outcome| match step {
+                WalkStep::Header => ControlFlow::Continue(()),
+                WalkStep::Item(r) => account(
+                    outcome.map_err(|e| format!("store record {r}: {e}")),
+                    u64::from(store.record_location(r as u32).1),
+                ),
+            });
+        }
+        if down() {
+            return;
         }
 
         state.complete_cycle();
@@ -336,8 +360,8 @@ mod tests {
         let registry = MetricsRegistry::new();
         let state = ScrubState::new(&registry, true);
         let shutdown = AtomicBool::new(false);
-        // Nothing to verify in a memory database, so the first cycle
-        // completes almost instantly; stop shortly after.
+        // A database built in memory has no file to walk, so the first
+        // cycle completes almost instantly; stop shortly after.
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 std::thread::sleep(Duration::from_millis(300));

@@ -732,11 +732,10 @@ fn stats_json(shared: &Shared) -> Value {
             shared.collection.as_live().map_or(Value::Null, live_json),
         ),
         (
-            // Shape and on-disk layout of the loaded index (`null` for
-            // a memory-resident index — `nucdb stat` covers that case
-            // offline — and for a segmented live view, whose `live`
-            // block above describes the segments instead). Computed per
-            // request from the in-memory vocab; no disk I/O.
+            // Shape and file layout of the loaded index (`null` for a
+            // segmented live view, whose `live` block above describes
+            // the segments instead). Computed per request from the
+            // vocabulary; no disk I/O.
             "index_stats".to_string(),
             match view.as_static().map(|db| db.index()) {
                 Some(IndexVariant::Disk(index)) => {

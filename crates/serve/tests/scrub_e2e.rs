@@ -10,8 +10,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use nucdb::{Database, DbConfig, IndexVariant, OnDiskStore, SearchParams, StoreVariant};
-use nucdb_index::OnDiskIndex;
+use nucdb::{Database, DbConfig, IndexVariant, SearchParams, SequenceStore, StoreVariant};
+use nucdb_index::CompressedIndex;
 use nucdb_obs::json::{self, Value};
 use nucdb_obs::{Forensics, ForensicsConfig, MetricsRegistry};
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
@@ -50,8 +50,8 @@ fn persist(coll: &SyntheticCollection, dir: &Path) -> (PathBuf, PathBuf) {
 
 fn open_disk_db(idx: &Path, sto: &Path) -> Database {
     Database::from_variants(
-        StoreVariant::Disk(OnDiskStore::open(sto).unwrap()),
-        IndexVariant::Disk(OnDiskIndex::open(idx).unwrap()),
+        StoreVariant::Disk(SequenceStore::open(sto).unwrap()),
+        IndexVariant::Disk(CompressedIndex::open(idx).unwrap()),
     )
 }
 
@@ -162,7 +162,7 @@ fn scrub_finds_corruption_the_query_path_has_not_touched() {
     // Damage one payload byte on disk, far from the header so open()
     // still succeeds — exactly the cold-region rot the scrubber exists
     // to find.
-    let blob_start = OnDiskIndex::open(&idx).unwrap().blob_start();
+    let blob_start = CompressedIndex::open(&idx).unwrap().blob_start();
     let mut bytes = std::fs::read(&idx).unwrap();
     let victim = blob_start as usize + (bytes.len() - blob_start as usize) / 2;
     bytes[victim] ^= 0x40;

@@ -6,7 +6,11 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use nucdb::{CoarseScratch, Database, DbConfig, SearchOutcome, SearchParams};
+use nucdb::{
+    CoarseScratch, Database, DbConfig, IndexVariant, SearchOutcome, SearchParams, SequenceStore,
+    StoreVariant,
+};
+use nucdb_index::CompressedIndex;
 use nucdb_obs::json::{self, Value};
 use nucdb_obs::MetricsRegistry;
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
@@ -378,29 +382,40 @@ fn overload_sheds_with_503_and_retry_after() {
 
 #[test]
 fn corrupt_store_degrades_to_500_and_server_stays_up() {
-    // The durability contract at the service boundary: when the on-disk
-    // store rots underneath a running server, queries that touch the
-    // corrupt bytes get a 500 (typed corruption error, counted in
-    // nucdb_io_corruption_total), the server itself never goes down, and
-    // once the bytes are repaired the same queries answer 200 with
-    // exactly the pre-corruption results.
+    // The durability contract at the service boundary: when the store a
+    // server opens holds a corrupt record, queries that touch it get a
+    // 500 (typed corruption error, counted in nucdb_io_corruption_total),
+    // the server itself never goes down, and once the file is repaired a
+    // restarted server answers the same queries 200 with exactly the
+    // pre-corruption results.
     let coll = collection();
     let dir = std::env::temp_dir().join(format!("nucdb_serve_corrupt_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let store_path = dir.join("coll.nucsto");
-
-    let registry = MetricsRegistry::new();
-    let mut db = build_db(&coll).with_disk_store(&store_path).unwrap();
-    db.bind_metrics(&registry);
-    let handle = start(
-        "127.0.0.1:0",
-        db,
-        registry,
-        SearchParams::default(),
-        ServeConfig::default(),
-    )
-    .unwrap();
-    let addr = handle.addr();
+    let (index_path, store_path) = (dir.join("coll.nucidx"), dir.join("coll.nucsto"));
+    drop(
+        build_db(&coll)
+            .with_disk_index(&index_path)
+            .unwrap()
+            .with_disk_store(&store_path)
+            .unwrap(),
+    );
+    // Each start opens the files as they are on disk at that moment.
+    let serve = || {
+        let registry = MetricsRegistry::new();
+        let mut db = Database::from_variants(
+            StoreVariant::Disk(SequenceStore::open(&store_path).unwrap()),
+            IndexVariant::Disk(CompressedIndex::open(&index_path).unwrap()),
+        );
+        db.bind_metrics(&registry);
+        start(
+            "127.0.0.1:0",
+            db,
+            registry,
+            SearchParams::default(),
+            ServeConfig::default(),
+        )
+        .unwrap()
+    };
 
     // A query that is record 0's own sequence: fine search must fetch
     // record 0 for it (it is the top candidate by construction).
@@ -413,7 +428,8 @@ fn corrupt_store_degrades_to_500_and_server_stays_up() {
             .collect();
         format!(">c\n{seq}\n")
     };
-    let (status, _, body) = post_search(addr, &record0_fasta).unwrap();
+    let handle = serve();
+    let (status, _, body) = post_search(handle.addr(), &record0_fasta).unwrap();
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
     let baseline = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
     let Some(Value::Arr(results)) = baseline.get("results") else {
@@ -421,11 +437,12 @@ fn corrupt_store_degrades_to_500_and_server_stays_up() {
     };
     let baseline_answers = answer_tuples(&results[0]);
     assert!(!baseline_answers.is_empty());
+    assert!(handle.shutdown().is_some());
 
-    // Corrupt record 0's payload in place. The v2 store layout is
-    // magic(8) | toc_len:u32le | toc_crc:u32le | toc | payload, and
-    // record 0's blob opens the payload; flipping its first bytes breaks
-    // its checksum without touching the TOC.
+    // Corrupt record 0's payload in place, then start a server on it.
+    // The v2 store layout is magic(8) | toc_len:u32le | toc_crc:u32le |
+    // toc | payload, and record 0's blob opens the payload; flipping its
+    // first bytes breaks its checksum without touching the TOC.
     let pristine = std::fs::read(&store_path).unwrap();
     let toc_len = u32::from_le_bytes(pristine[8..12].try_into().unwrap()) as usize;
     let payload_start = 16 + toc_len;
@@ -434,6 +451,8 @@ fn corrupt_store_degrades_to_500_and_server_stays_up() {
         *byte ^= 0xFF;
     }
     std::fs::write(&store_path, &corrupt).unwrap();
+    let handle = serve();
+    let addr = handle.addr();
 
     // The query touching the corrupt record: 500, not a crash, not
     // silently wrong ranks.
@@ -460,11 +479,13 @@ fn corrupt_store_degrades_to_500_and_server_stays_up() {
         .map(|(_, v)| v.parse().unwrap())
         .expect("nucdb_io_corruption_total missing from /metrics");
     assert!(corruption_count >= 1.0);
+    assert!(handle.shutdown().is_some());
 
-    // Repair the file: the same query must answer 200 again with the
-    // exact pre-corruption results — corruption never poisoned state.
+    // Repair the file and restart: the same query must answer 200 again
+    // with the exact pre-corruption results.
     std::fs::write(&store_path, &pristine).unwrap();
-    let (status, _, body) = post_search(addr, &record0_fasta).unwrap();
+    let handle = serve();
+    let (status, _, body) = post_search(handle.addr(), &record0_fasta).unwrap();
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
     let repaired = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
     let Some(Value::Arr(results)) = repaired.get("results") else {

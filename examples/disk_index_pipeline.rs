@@ -8,7 +8,7 @@
 //! ```
 
 use nucdb::{Database, IndexVariant, SearchParams, SequenceStore, StorageMode};
-use nucdb_index::{build_chunked, write_index, IndexParams, ListCodec, OnDiskIndex};
+use nucdb_index::{build_chunked, write_index, CompressedIndex, IndexParams, ListCodec};
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
 
 fn main() {
@@ -56,7 +56,7 @@ fn main() {
     // --- Persist and reopen on disk. ---
     let index_path = work_dir.join("collection.nucidx");
     write_index(&index, &index_path).expect("write index");
-    let on_disk = OnDiskIndex::open(&index_path).expect("open index");
+    let on_disk = CompressedIndex::open(&index_path).expect("open index");
     println!(
         "index file: {} bytes at {}",
         std::fs::metadata(&index_path).unwrap().len(),

@@ -40,8 +40,8 @@ fn main() {
         let build_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let index_bytes = match db.index() {
-            nucdb::IndexVariant::Memory(i) => i.stats().total_bytes(),
-            _ => unreachable!("built in memory"),
+            nucdb::IndexVariant::Disk(i) => i.stats().total_bytes(),
+            _ => unreachable!("built as one index"),
         };
 
         let params = SearchParams::default();

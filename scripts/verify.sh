@@ -13,6 +13,10 @@ cargo test -q --release -p nucdb-align --test proptests
 # Likewise the sliced CRC-32, the bounded coarse rank and the two-pass
 # coarse accumulate against theirs.
 cargo test -q --release -p nucdb-index -p nucdb --lib -- durable:: coarse::
+# The durability suite in release too: overflow-class bugs panic in
+# debug and wrap silently in release, and a hostile header must be a
+# typed error in both.
+cargo test -q --release -p nucdb --test durability
 cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc warning-free: a doc link to a renamed or deleted item fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

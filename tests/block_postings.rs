@@ -1,6 +1,6 @@
 //! Cross-layer acceptance tests for the NUCIDX04 block-postings tier:
-//! coarse search over a block-codec index — in memory and through the
-//! on-disk pread path — must return bit-identical ranks to the paper
+//! coarse search over a block-codec index — built in memory and opened
+//! from its file — must return bit-identical ranks to the paper
 //! (v3 bit-serial) codec build, and under floor pressure it still decodes
 //! every block of every list it fetches.
 
@@ -11,9 +11,7 @@ use nucdb::{
     coarse_rank, CoarseOutcome, Database, DbConfig, IndexVariant, SearchParams, SequenceStore,
     StorageMode, StoreVariant,
 };
-use nucdb_index::{
-    load_index, write_index, CompressedIndex, IndexBuilder, IndexParams, ListCodec, OnDiskIndex,
-};
+use nucdb_index::{load_index, write_index, CompressedIndex, IndexBuilder, IndexParams, ListCodec};
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
 use nucdb_seq::Base;
 
@@ -60,7 +58,7 @@ fn ranks(outcome: &CoarseOutcome) -> Vec<(u32, u32, u32, i64)> {
 
 /// The headline acceptance test: for a spread of queries and coarse
 /// floors, candidate ranks from the NUCIDX04 build equal the v3
-/// (paper codec) build bit for bit — in memory and via pread.
+/// (paper codec) build bit for bit — built and opened from disk.
 #[test]
 fn block_index_ranks_bit_identical_to_paper_codec() {
     let coll = collection(1203);
@@ -73,8 +71,8 @@ fn block_index_ranks_bit_identical_to_paper_codec() {
     write_index(&paper, &v3_path).unwrap();
     write_index(&block, &v4_path).unwrap();
     assert_eq!(&std::fs::read(&v4_path).unwrap()[..8], b"NUCIDX04");
-    let v3_disk = OnDiskIndex::open(&v3_path).unwrap();
-    let v4_disk = OnDiskIndex::open(&v4_path).unwrap();
+    let v3_disk = CompressedIndex::open(&v3_path).unwrap();
+    let v4_disk = CompressedIndex::open(&v4_path).unwrap();
 
     let model = MutationModel::identity();
     for family in 0..coll.families.len().min(4) {
@@ -155,7 +153,7 @@ fn high_floor_decodes_every_block_on_disk_and_preserves_answers() {
     let dir = temp_dir("skip");
     let path = dir.join("block.nucidx");
     write_index(&block, &path).unwrap();
-    let disk = OnDiskIndex::open(&path).unwrap();
+    let disk = CompressedIndex::open(&path).unwrap();
 
     let params = SearchParams {
         min_coarse_hits: 40,
@@ -221,8 +219,8 @@ fn engine_runs_on_a_v4_disk_index() {
     assert_eq!(loaded.codec(), ListCodec::Block);
 
     let db = Database::from_variants(
-        StoreVariant::Memory(store),
-        IndexVariant::Disk(OnDiskIndex::open(&path).unwrap()),
+        StoreVariant::Disk(store),
+        IndexVariant::Disk(CompressedIndex::open(&path).unwrap()),
     );
     let query = nucdb_seq::DnaSeq::from_ascii(
         b"ACGTAGCTAGCTGGATCCAATTGGCCAACCTGCATGCATTGCAACGGTACCTTAGGCATC",

@@ -100,11 +100,11 @@ fn chunked_and_parallel_builds_search_identically() {
     )
     .unwrap();
     let _ = std::fs::remove_dir_all(&dir);
-    let chunked_db = Database::from_parts(store.clone(), IndexVariant::Memory(chunked_index));
+    let chunked_db = Database::from_parts(store.clone(), IndexVariant::Disk(chunked_index));
     assert_eq!(results_of(&chunked_db, &coll), reference);
 
     let parallel_index = build_parallel(params, ListCodec::Paper, &records, 4);
-    let parallel_db = Database::from_parts(store, IndexVariant::Memory(parallel_index));
+    let parallel_db = Database::from_parts(store, IndexVariant::Disk(parallel_index));
     assert_eq!(results_of(&parallel_db, &coll), reference);
 }
 
@@ -143,12 +143,12 @@ fn disk_round_trip_through_separate_open() {
 
     let dir = temp_dir("reopen");
     let path = dir.join("standalone.nucidx");
-    let IndexVariant::Memory(index) = db.index() else {
+    let IndexVariant::Disk(index) = db.index() else {
         panic!("memory expected")
     };
     nucdb_index::write_index(index, &path).unwrap();
 
-    let reopened = nucdb_index::OnDiskIndex::open(&path).unwrap();
+    let reopened = nucdb_index::CompressedIndex::open(&path).unwrap();
     let mut store = SequenceStore::new(StorageMode::DirectCoding);
     for record in &coll.records {
         store.add(record.id.clone(), &record.seq);
@@ -191,7 +191,7 @@ fn fully_on_disk_database_gives_identical_results() {
 #[test]
 fn parallel_batch_search_matches_sequential_on_disk_index() {
     // Threads sharing one `&Database` over an on-disk index and store
-    // (lock-free positional reads, one scratch per thread) must give
+    // (lock-free slices of the file images, one scratch per thread) must give
     // exactly the sequential results, in order.
     let coll = collection(206);
     let db = Database::build(
@@ -308,7 +308,7 @@ fn loaded_index_equals_original() {
         coll.records.iter().map(|r| (r.id.clone(), r.seq.clone())),
         &DbConfig::default(),
     );
-    let IndexVariant::Memory(index) = db.index() else {
+    let IndexVariant::Disk(index) = db.index() else {
         panic!()
     };
 

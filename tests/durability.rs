@@ -5,7 +5,8 @@
 //! of a corrupted or truncated index / store file must either fail with a
 //! clean typed error or produce bit-identical results to the pristine
 //! file — it must **never** panic and never silently return wrong data.
-//! Transient I/O errors within the pread retry budget must be invisible.
+//! Transient I/O errors within the open-time retry budget must be
+//! invisible.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -16,7 +17,7 @@ use nucdb::{
 };
 use nucdb_index::{
     load_index, write_index, CompressedIndex, FaultPlan, IndexBuilder, IndexParams, ListCodec,
-    OnDiskIndex, StopPolicy, TRANSIENT_RETRY_LIMIT,
+    StopPolicy, TRANSIENT_RETRY_LIMIT,
 };
 use nucdb_seq::random::{CollectionSpec, SyntheticCollection};
 use nucdb_seq::{DnaSeq, SeqError};
@@ -267,8 +268,8 @@ fn block_point_corruption_costs_one_block_not_the_file() {
     bytes[last] ^= 0xFF;
     std::fs::write(&path, &bytes).unwrap();
 
-    // The pread reader opens fine (header and vocabulary are intact)…
-    let disk = OnDiskIndex::open(&path).unwrap();
+    // The index opens fine (header and vocabulary are intact)…
+    let disk = CompressedIndex::open(&path).unwrap();
     let mut failures = 0usize;
     let mut successes = 0usize;
     for entry in index.vocab() {
@@ -320,11 +321,11 @@ fn store_survives_every_single_byte_flip() {
             ),
         }
 
-        // Lazy pread path: open may succeed (payload corruption is only
-        // discoverable at fetch time), but every record fetch must then
-        // error or return the pristine sequence.
+        // Open may succeed (payload corruption is only discoverable at
+        // fetch time), but every record fetch must then error or return
+        // the pristine sequence.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let disk = nucdb::OnDiskStore::open(&path)?;
+            let disk = nucdb::SequenceStore::open(&path)?;
             for r in 0..RecordSource::len(&disk) as u32 {
                 // A typed error is acceptable; success must be pristine.
                 if let Ok(seq) = RecordSource::sequence(&disk, r) {
@@ -359,10 +360,10 @@ fn store_survives_every_truncation() {
             Err(_) => panic!("read_from panicked on truncation at {cut}"),
             Ok(result) => assert!(result.is_err(), "truncation at {cut} loaded successfully"),
         }
-        // The pread path may open if the TOC is intact, but record
-        // fetches beyond the cut must fail cleanly.
+        // Open refuses a cut past the TOC; whatever opens must fetch
+        // cleanly.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Ok(disk) = nucdb::OnDiskStore::open(&path) {
+            if let Ok(disk) = nucdb::SequenceStore::open(&path) {
                 for r in 0..RecordSource::len(&disk) as u32 {
                     if let Ok(seq) = RecordSource::sequence(&disk, r) {
                         assert_eq!(seq, store.sequence(r).unwrap());
@@ -444,7 +445,10 @@ fn retired_magics_are_refused_by_name_at_every_door() {
     std::fs::write(&idx, retired("NUCIDX02")).unwrap();
     for (door, result) in [
         ("load_index", load_index(&idx).map(drop)),
-        ("OnDiskIndex::open", OnDiskIndex::open(&idx).map(drop)),
+        (
+            "CompressedIndex::open",
+            CompressedIndex::open(&idx).map(drop),
+        ),
         ("Collection::open", open()),
     ] {
         match result {
@@ -459,8 +463,8 @@ fn retired_magics_are_refused_by_name_at_every_door() {
     for (door, result) in [
         ("read_from", SequenceStore::read_from(&sto).map(drop)),
         (
-            "OnDiskStore::open",
-            nucdb::OnDiskStore::open(&sto).map(drop),
+            "SequenceStore::open",
+            nucdb::SequenceStore::open(&sto).map(drop),
         ),
     ] {
         match result {
@@ -478,10 +482,10 @@ fn retired_magics_are_refused_by_name_at_every_door() {
 }
 
 // ---------------------------------------------------------------------
-// Fault injection on the pread path: transient errors within the retry
-// budget are invisible; bit flips surface as typed corruption and bump
-// the engine's corruption metric; the database never panics and keeps
-// answering clean queries.
+// Fault injection on the open-time read: transient errors within the
+// retry budget are invisible; bit flips surface as typed corruption at
+// fetch and bump the engine's corruption metric; the database never
+// panics and keeps answering clean queries.
 // ---------------------------------------------------------------------
 
 /// Build the collection on disk and return (dir, index path, store path).
@@ -503,8 +507,8 @@ fn persisted(seed: u64, name: &str) -> (PathBuf, PathBuf, PathBuf, SyntheticColl
 
 fn faulty_db(idx: &Path, sto: &Path, plan: FaultPlan) -> Database {
     Database::from_variants(
-        StoreVariant::Disk(nucdb::OnDiskStore::open_faulty(sto, plan.clone()).unwrap()),
-        IndexVariant::Disk(OnDiskIndex::open_faulty(idx, plan).unwrap()),
+        StoreVariant::Disk(nucdb::SequenceStore::open_faulty(sto, plan.clone()).unwrap()),
+        IndexVariant::Disk(CompressedIndex::open_faulty(idx, plan).unwrap()),
     )
 }
 
@@ -516,9 +520,10 @@ fn transient_errors_within_budget_are_invisible() {
     let baseline = clean.search(&query, &SearchParams::default()).unwrap();
     assert!(!baseline.results.is_empty());
 
-    // Every pread call fails with a transient error until the budget is
-    // spent — but the budget is within the retry limit, so searches must
-    // succeed with identical answers. Short reads ride along for free.
+    // Every read at open fails with a transient error until the budget
+    // is spent — but the budget is within the retry limit, so searches
+    // must succeed with identical answers. Short reads ride along for
+    // free.
     let plan = FaultPlan::clean(42)
         .with_transient_errors(1.0, TRANSIENT_RETRY_LIMIT)
         .with_short_reads(0.5);
@@ -575,30 +580,37 @@ fn bit_flips_surface_as_corruption_and_bump_the_metric() {
 }
 
 #[test]
-fn truncated_file_under_pread_errors_cleanly() {
-    let (dir, idx, sto, coll) = persisted(909, "preadtrunc");
-    // Truncate both files to 3/4 length at the pread layer only: opens
-    // succeed (headers parse from the pristine files), record and list
-    // fetches past the cut must fail with a typed error, not a panic.
+fn truncated_file_is_refused_at_open() {
+    let (dir, idx, sto, _) = persisted(909, "opentrunc");
+    // Truncate both files to 1/4 length as they are read: the header and
+    // TOC come from the pristine files, but the image stops short of the
+    // payload they declare, so open refuses it with a typed error rather
+    // than failing at the first fetch past the cut.
     let idx_len = std::fs::metadata(&idx).unwrap().len();
     let sto_len = std::fs::metadata(&sto).unwrap().len();
-    let db = Database::from_variants(
-        StoreVariant::Disk(
-            nucdb::OnDiskStore::open_faulty(&sto, FaultPlan::clean(3).with_truncation(sto_len / 4))
-                .unwrap(),
-        ),
-        IndexVariant::Disk(
-            OnDiskIndex::open_faulty(&idx, FaultPlan::clean(3).with_truncation(idx_len / 4))
-                .unwrap(),
-        ),
-    );
-    let query = coll.query_for_family(2, 0.6, &nucdb_seq::random::MutationModel::identity());
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        db.search(&query, &SearchParams::default())
+    let opened = catch_unwind(AssertUnwindSafe(|| {
+        let store = nucdb::SequenceStore::open_faulty(
+            &sto,
+            FaultPlan::clean(3).with_truncation(sto_len / 4),
+        );
+        let index =
+            CompressedIndex::open_faulty(&idx, FaultPlan::clean(3).with_truncation(idx_len / 4));
+        (store.map(drop), index.map(drop))
     }))
-    .expect("search must not panic on a truncated backing file");
-    let err = outcome.expect_err("search beyond the truncation point must fail");
-    assert!(err.is_corruption(), "unexpected error class: {err}");
+    .expect("open must not panic on a truncated file");
+    match opened {
+        (Err(store), Err(index)) => {
+            assert!(
+                index.is_corruption(),
+                "unexpected index error class: {index}"
+            );
+            assert!(
+                matches!(store, SeqError::CorruptPackedData { .. }),
+                "unexpected store error: {store}"
+            );
+        }
+        other => panic!("a truncated file opened: {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -721,8 +733,8 @@ fn query_error_does_not_poison_the_database() {
     std::fs::write(&sto, &bytes).unwrap();
 
     let db = Database::from_variants(
-        StoreVariant::Disk(nucdb::OnDiskStore::open(&sto).unwrap()),
-        IndexVariant::Disk(OnDiskIndex::open(&idx).unwrap()),
+        StoreVariant::Disk(nucdb::SequenceStore::open(&sto).unwrap()),
+        IndexVariant::Disk(CompressedIndex::open(&idx).unwrap()),
     );
     let last_record = (db.len() - 1) as u32;
 
@@ -822,7 +834,7 @@ fn flip_byte(path: &Path, at: u64) {
 fn explain_lists(path: &Path, query: &[nucdb_seq::Base]) -> Vec<nucdb::ListExplain> {
     let mut explain = nucdb::CoarseExplain::default();
     nucdb::coarse_rank_explain(
-        &OnDiskIndex::open(path).unwrap(),
+        &CompressedIndex::open(path).unwrap(),
         query,
         &floor_40(),
         &mut nucdb::CoarseScratch::new(),
@@ -842,7 +854,8 @@ fn flip_in_a_decoded_block_is_that_blocks_corruption_error() {
     for b in [0, 1] {
         let at = block_at(&path, &index, list.code, b);
         flip_byte(&path, at + 1);
-        let result = nucdb::coarse_rank(&OnDiskIndex::open(&path).unwrap(), &query, &floor_40());
+        let result =
+            nucdb::coarse_rank(&CompressedIndex::open(&path).unwrap(), &query, &floor_40());
         match result {
             Err(nucdb_index::IndexError::Corruption {
                 section, offset, ..
@@ -864,7 +877,7 @@ fn flip_in_a_decoded_block_is_that_blocks_corruption_error() {
 fn flip_in_a_block_no_survivor_holds_is_that_blocks_corruption_error() {
     let (dir, path, index, query) = shared_segment_index_on_disk("lastblockflip");
     let clean =
-        nucdb::coarse_rank(&OnDiskIndex::open(&path).unwrap(), &query, &floor_40()).unwrap();
+        nucdb::coarse_rank(&CompressedIndex::open(&path).unwrap(), &query, &floor_40()).unwrap();
     assert_eq!(clean.candidates.len(), 1);
     assert_eq!(clean.candidates[0].record, 0);
     let lists: Vec<_> = explain_lists(&path, &query)
@@ -876,7 +889,8 @@ fn flip_in_a_block_no_survivor_holds_is_that_blocks_corruption_error() {
         assert_eq!(list.blocks_decoded, list.df.div_ceil(128), "{}", list.code);
         let at = block_at(&path, &index, list.code, list.blocks_decoded as usize - 1);
         flip_byte(&path, at + 1);
-        let result = nucdb::coarse_rank(&OnDiskIndex::open(&path).unwrap(), &query, &floor_40());
+        let result =
+            nucdb::coarse_rank(&CompressedIndex::open(&path).unwrap(), &query, &floor_40());
         match result {
             Err(nucdb_index::IndexError::Corruption {
                 section, offset, ..
@@ -901,14 +915,115 @@ fn transient_faults_are_invisible_to_both_coarse_passes() {
         .with_transient_errors(1.0, TRANSIENT_RETRY_LIMIT)
         .with_short_reads(0.5);
     for params in [floor_40(), SearchParams::default()] {
-        let clean = nucdb::coarse_rank(&OnDiskIndex::open(&path).unwrap(), &query, &params);
-        let flaky = OnDiskIndex::open_faulty(&path, plan.clone()).unwrap();
+        let clean = nucdb::coarse_rank(&CompressedIndex::open(&path).unwrap(), &query, &params);
+        let flaky = CompressedIndex::open_faulty(&path, plan.clone()).unwrap();
         let faulty = nucdb::coarse_rank(&flaky, &query, &params);
         let (clean, faulty) = (clean.unwrap(), faulty.unwrap());
         assert!(!clean.candidates.is_empty());
         assert_eq!(faulty.candidates, clean.candidates);
         assert_eq!(faulty.total_hits, clean.total_hits);
         assert_eq!(faulty.postings_bytes_read, clean.postings_bytes_read);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Rot after open: queries read the image taken at open, so a byte that
+// rots on disk later never reaches an answer; fsck reads the disk and
+// reports it.
+// ---------------------------------------------------------------------
+
+#[test]
+fn rot_after_open_leaves_answers_alone_and_fsck_finds_it() {
+    let coll = small_collection(914);
+    let dir = temp_dir("rotafteropen");
+    let records = coll.records.iter().map(|r| (r.id.clone(), r.seq.clone()));
+    drop(
+        Database::build(records, &nucdb::DbConfig::default())
+            .with_disk_index(&dir.join("index.nucidx"))
+            .unwrap()
+            .with_disk_store(&dir.join("store.nucsto"))
+            .unwrap(),
+    );
+    let opened = nucdb::Collection::open(&dir, &nucdb::CollectionOptions::default()).unwrap();
+    let db = opened.as_static().unwrap();
+    let IndexVariant::Disk(index) = db.index() else {
+        panic!("a plain directory opens one index");
+    };
+    let query = coll.query_for_family(0, 0.6, &nucdb_seq::random::MutationModel::identity());
+    let params = SearchParams::default();
+    let tuples = |o: nucdb::SearchOutcome| -> Vec<(u32, i32)> {
+        o.results.iter().map(|r| (r.record, r.score)).collect()
+    };
+    let pristine = tuples(db.search(&query, &params).unwrap());
+    assert!(!pristine.is_empty());
+
+    // Flip the first byte of a list this query reads, on disk.
+    let mut explain = nucdb::CoarseExplain::default();
+    let bases = query.representative_bases();
+    let mut scratch = nucdb::CoarseScratch::new();
+    nucdb::coarse_rank_explain(index, &bases, &params, &mut scratch, Some(&mut explain)).unwrap();
+    let code = explain.lists.iter().find(|l| !l.absent).unwrap().code;
+    let at = index.blob_start() + index.entry(code).unwrap().offset;
+    flip_byte(&dir.join("index.nucidx"), at);
+
+    assert_eq!(tuples(db.search(&query, &params).unwrap()), pristine);
+    let mut report = nucdb::FsckReport::default();
+    nucdb::fsck_index(index, &mut report);
+    assert_eq!(report.exit_code(), 1, "{:?}", report.findings);
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.severity == nucdb::FsckSeverity::Payload && f.offset == Some(at)),
+        "no payload finding at {at}: {:?}",
+        report.findings
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// A hostile header: its CRC is valid, but a vocabulary code gap runs the
+// interval code past u64::MAX. Debug builds would panic on the overflow
+// and release builds would wrap into an unsorted vocabulary; both must
+// refuse the file with a typed error.
+// ---------------------------------------------------------------------
+
+/// An index file whose second vocabulary entry overflows the code.
+fn hostile_vocabulary_file() -> Vec<u8> {
+    // k=8, stride 1, no stopping, paper codec, offset granularity; one
+    // record of 40 bases; two empty lists.
+    let mut header = vec![8u8, 1, 0, 0, 0, 1, 40, 2];
+    // Code gap u64::MAX (a ten-byte varint): code u64::MAX - 1.
+    header.extend([0xFF; 9]);
+    header.extend([0x01, 0, 0, 0]);
+    // Code gap 3: past u64::MAX.
+    header.extend([3, 0, 0, 0]);
+    header.push(0); // blob length
+    let mut file = b"NUCIDX03".to_vec();
+    file.extend((header.len() as u32).to_le_bytes());
+    file.extend(nucdb_index::crc32(&header).to_le_bytes());
+    file.extend(header);
+    file
+}
+
+#[test]
+fn hostile_vocabulary_code_gap_is_a_typed_error() {
+    let dir = temp_dir("hostilevocab");
+    let path = dir.join("idx.nucidx");
+    std::fs::write(&path, hostile_vocabulary_file()).unwrap();
+    let outcomes = catch_unwind(AssertUnwindSafe(|| {
+        [
+            CompressedIndex::open(&path).map(drop),
+            load_index(&path).map(drop),
+        ]
+    }))
+    .expect("a hostile header must not panic");
+    for outcome in outcomes {
+        match outcome {
+            Err(nucdb_index::IndexError::BadFormat(v)) => assert_eq!(v.section, "vocabulary"),
+            other => panic!("expected a vocabulary format error, got {other:?}"),
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,9 +15,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use nucdb::{
     fsck_index, fsck_store, Database, DbConfig, FsckReport, FsckSeverity, IndexStatReport,
-    OnDiskStore, SearchOutcome, SearchParams, SequenceStore, StorageMode,
+    SearchOutcome, SearchParams, SequenceStore, StorageMode,
 };
-use nucdb_index::{FaultPlan, IndexParams, ListCodec, OnDiskIndex};
+use nucdb_index::{CompressedIndex, FaultPlan, FaultyReader, IndexParams, ListCodec};
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
 use nucdb_seq::DnaSeq;
 use proptest::prelude::*;
@@ -128,7 +128,7 @@ proptest! {
 }
 
 // Contract 1, disk variant: the plan's block-decode accounting rides on
-// the real pread path, so the identity must also hold with the index
+// the checked fetch from an opened file, so the identity must also hold with the index
 // and store both on disk — for the checksummed v3 tier and the
 // block-structured v4 tier.
 #[test]
@@ -183,11 +183,26 @@ fn persist_micro(dir: &Path, codec: ListCodec) -> (PathBuf, PathBuf) {
 }
 
 fn fsck_faulty(idx: &Path, sto: &Path, plan: FaultPlan) -> FsckReport {
-    let index = OnDiskIndex::open_faulty(idx, plan.clone()).unwrap();
-    let store = OnDiskStore::open_faulty(sto, plan).unwrap();
+    fsck_planned(idx, sto, plan.clone(), plan)
+}
+
+/// The fsck walk over each file as `plan` damages it on its way in.
+fn fsck_planned(
+    idx: &Path,
+    sto: &Path,
+    index_plan: FaultPlan,
+    store_plan: FaultPlan,
+) -> FsckReport {
+    let index = CompressedIndex::open(idx).unwrap();
+    let store = SequenceStore::open(sto).unwrap();
+    let file = |path: &Path, plan| FaultyReader::new(std::fs::File::open(path).unwrap(), plan);
     let mut report = FsckReport::default();
-    fsck_index(&index, &mut report);
-    fsck_store(&store, &mut report);
+    index.walk(file(idx, index_plan), |step, outcome| {
+        report.note_index(step, outcome)
+    });
+    store.walk(file(sto, store_plan), |step, outcome| {
+        report.note_store(step, outcome)
+    });
     report
 }
 
@@ -228,11 +243,7 @@ fn sweep_every_byte(
         } else {
             (FaultPlan::clean(1), plan)
         };
-        let index = OnDiskIndex::open_faulty(idx, index_plan).unwrap();
-        let store = OnDiskStore::open_faulty(sto, store_plan).unwrap();
-        let mut report = FsckReport::default();
-        fsck_index(&index, &mut report);
-        fsck_store(&store, &mut report);
+        let report = fsck_planned(idx, sto, index_plan, store_plan);
         assert!(
             !report.is_clean(),
             "{format}: flip at byte {offset} of {} went undetected",
@@ -269,7 +280,7 @@ fn sweep_every_byte(
 fn every_byte_flip_in_v3_index_is_found() {
     let dir = temp_dir("fsck_v3");
     let (idx, sto) = persist_micro(&dir, ListCodec::Paper);
-    let blob_start = OnDiskIndex::open(&idx).unwrap().blob_start();
+    let blob_start = CompressedIndex::open(&idx).unwrap().blob_start();
     sweep_every_byte(&idx, &sto, true, blob_start, "NUCIDX03");
 
     // The one single-bit flip that lands on another magic this code ever
@@ -286,7 +297,7 @@ fn every_byte_flip_in_v3_index_is_found() {
     let mut bytes = std::fs::read(&idx).unwrap();
     bytes[7] ^= 0x01;
     std::fs::write(&idx, &bytes).unwrap();
-    match OnDiskIndex::open(&idx).map(drop) {
+    match CompressedIndex::open(&idx).map(drop) {
         Err(nucdb_index::IndexError::UnsupportedFormat(what)) => assert_eq!(what, "NUCIDX02"),
         other => panic!("expected UnsupportedFormat(\"NUCIDX02\"), got {other:?}"),
     }
@@ -297,7 +308,7 @@ fn every_byte_flip_in_v3_index_is_found() {
 fn every_byte_flip_in_v4_index_is_found() {
     let dir = temp_dir("fsck_v4");
     let (idx, sto) = persist_micro(&dir, ListCodec::Block);
-    let opened = OnDiskIndex::open(&idx).unwrap();
+    let opened = CompressedIndex::open(&idx).unwrap();
     assert_eq!(opened.format(), "NUCIDX04");
     let blob_start = opened.blob_start();
     sweep_every_byte(&idx, &sto, true, blob_start, "NUCIDX04");
@@ -308,8 +319,8 @@ fn every_byte_flip_in_v4_index_is_found() {
 fn every_byte_flip_in_v2_store_is_found() {
     let dir = temp_dir("fsck_sto");
     let (idx, sto) = persist_micro(&dir, ListCodec::Paper);
-    let store = OnDiskStore::open(&sto).unwrap();
-    let payload_start = store.scrub_toc().unwrap();
+    let store = SequenceStore::open(&sto).unwrap();
+    let payload_start = store.payload_start();
     assert!(payload_start > 0);
     sweep_every_byte(&idx, &sto, false, payload_start, "NUCSTO02");
     let _ = std::fs::remove_dir_all(&dir);
@@ -319,7 +330,7 @@ fn every_byte_flip_in_v2_store_is_found() {
 fn findings_name_the_damaged_list_with_its_offset() {
     let dir = temp_dir("fsck_named");
     let (idx, sto) = persist_micro(&dir, ListCodec::Paper);
-    let blob_start = OnDiskIndex::open(&idx).unwrap().blob_start();
+    let blob_start = CompressedIndex::open(&idx).unwrap().blob_start();
     // Flip one byte a little into the postings blob: the finding must
     // name the "list" section and carry the damaged list's offset.
     let plan = FaultPlan::clean(1).with_bit_flips(vec![(blob_start + 5, 0x10)]);
@@ -346,15 +357,15 @@ fn findings_name_the_damaged_list_with_its_offset() {
 fn stat_and_fsck_agree_on_the_universe() {
     let dir = temp_dir("stat_agree");
     let (idx, sto) = persist_micro(&dir, ListCodec::Block);
-    let index = OnDiskIndex::open(&idx).unwrap();
-    let store = OnDiskStore::open(&sto).unwrap();
+    let index = CompressedIndex::open(&idx).unwrap();
+    let store = SequenceStore::open(&sto).unwrap();
     let stat = IndexStatReport::from_disk(&index);
     let mut report = FsckReport::default();
     fsck_index(&index, &mut report);
     fsck_store(&store, &mut report);
     assert!(report.is_clean());
     assert_eq!(report.lists_checked, stat.distinct_intervals);
-    assert_eq!(report.records_checked, store.num_records() as u64);
+    assert_eq!(report.records_checked, store.len() as u64);
     // fsck verified the header plus every list byte and every record
     // blob; the index part must equal the stat report's accounting.
     assert!(report.bytes_verified >= stat.header_bytes + stat.blob_bytes);

@@ -12,7 +12,9 @@ use nucdb::{
     build_sharded_root, Database, DbConfig, IndexVariant, LocalShard, SearchParams, Shard,
     ShardSet, ShardSetConfig, StoreVariant,
 };
-use nucdb_index::{shard_dir_name, FaultPlan, IndexParams, ListCodec, OnDiskIndex, ShardManifest};
+use nucdb_index::{
+    shard_dir_name, CompressedIndex, FaultPlan, IndexParams, ListCodec, ShardManifest,
+};
 use nucdb_obs::MetricsRegistry;
 use nucdb_seq::DnaSeq;
 use proptest::prelude::*;
@@ -195,7 +197,7 @@ fn disk_root_matches_the_joint_build() {
 
 // ---------------------------------------------------------------------
 // Degraded mode: one shard down — at open (truncated files) or at query
-// time (fault-injected preads) — must not take the set down. The
+// time (postings failing their checksums) — must not take the set down. The
 // surviving shards answer exactly as a set built from them alone,
 // coverage reports the loss, and the per-shard error metric bumps.
 // ---------------------------------------------------------------------
@@ -270,10 +272,9 @@ fn one_shard_down_sweep_keeps_surviving_answers() {
     }
 }
 
-/// Query-time corruption (the PR 4 machinery, per shard): a shard whose
-/// postings preads fail opens fine but fails queries that touch it; the
-/// set answers degraded and `nucdb_shard_errors_total` bumps for
-/// exactly that shard.
+/// Query-time corruption, per shard: a shard whose postings fail their
+/// checksums opens fine but fails queries that touch it; the set answers
+/// degraded and `nucdb_shard_errors_total` bumps for exactly that shard.
 #[test]
 fn query_time_shard_error_degrades_and_bumps_the_metric() {
     let records = corpus(18, 7);
@@ -288,14 +289,18 @@ fn query_time_shard_error_degrades_and_bumps_the_metric() {
         let idx = shard_dir.join("index.nucidx");
         let sto = shard_dir.join("store.nucsto");
         let index = if i == 1 {
-            // Shard 1's postings reads all fail: pread-level truncation
-            // to zero. The header parses from the pristine file, so the
-            // shard opens and dies only when a query touches it.
-            OnDiskIndex::open_faulty(&idx, FaultPlan::clean(1).with_truncation(0)).unwrap()
+            // Shard 1's postings all fail their checksums: a bit flip in
+            // every blob byte as the image is read. The header comes from
+            // the pristine file, so the shard opens and dies only when a
+            // query touches it.
+            let blob_start = CompressedIndex::open(&idx).unwrap().blob_start();
+            let len = std::fs::metadata(&idx).unwrap().len();
+            let flips = (blob_start..len).map(|at| (at, 0x01)).collect();
+            CompressedIndex::open_faulty(&idx, FaultPlan::clean(1).with_bit_flips(flips)).unwrap()
         } else {
-            OnDiskIndex::open(&idx).unwrap()
+            CompressedIndex::open(&idx).unwrap()
         };
-        let store = nucdb::OnDiskStore::open(&sto).unwrap();
+        let store = nucdb::SequenceStore::open(&sto).unwrap();
         let db = Database::from_variants(StoreVariant::Disk(store), IndexVariant::Disk(index));
         shards.push(Arc::new(LocalShard::new(shard_dir_name(i), db)));
     }
