@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use nucdb::{
     CoarseScratch, Collection, CollectionOptions, FineMode, FsckFinding, FsckSeverity,
-    IndexVariant, RankingScheme, SearchParams, SequenceStore, Shape, ShardSetConfig, StorageMode,
-    Strand, INDEX_FILE, STORE_FILE,
+    IndexVariant, RankingScheme, SearchParams, SequenceStore, Shape, StorageMode, Strand,
+    INDEX_FILE, STORE_FILE,
 };
 use nucdb_align::calibrate_gumbel;
 use nucdb_index::{
@@ -68,9 +68,7 @@ commands:
   serve      run a resident HTTP query server over one database
              --db DIR [--live] [--addr HOST:PORT] [--threads N] [--queue-depth N]
              [--deadline-ms N] [--memtable-max-records N] [--max-segments N]
-             [--compact-bytes-per-sec N]
-             [--shard-deadline-ms N] [--shard-hedge-ms MS]
-             [--scrub-bytes-per-sec N] [--metrics FILE]
+             [--compact-bytes-per-sec N] [--scrub-bytes-per-sec N] [--metrics FILE]
              [--metrics-format prometheus|json] [--trace FILE] [--trace-sample N]
              [--trace-max-bytes N] [--flight-recorder N] [--slow-ms MS]
   profile    aggregate a JSONL capture log or flight-recorder dump into a
@@ -234,19 +232,13 @@ is rejected over a sharded root (per-shard plans are not merged)"
                      failed ones, in the slow ring and the log
   --scrub-bytes-per-sec N background scrub I/O budget (default 4194304;
                      0 disables the scrubber)
-  --shard-deadline-ms N  sharded root: per-shard, per-phase deadline
-                     (default 10000); a shard missing it is dropped from
-                     the answer and coverage shrinks
-  --shard-hedge-ms MS    sharded root: re-dispatch a phase to the hedge
-                     worker after MS without an answer (default 250;
-                     0 disables hedging)
 
 A sharded root (SHARDS manifest from `nucdb build --shards N`) is
-detected automatically: queries scatter across per-shard workers, every
-per-query answer carries a coverage object, and failed shards degrade
-the answer instead of erroring it. /metrics gains per-shard
-nucdb_shard_* families; request ids, /debug/queries and /debug/slow work
-as for any database (a partial answer is filed with the errors).
+detected automatically: every per-query answer carries a coverage
+object, and failed shards degrade the answer instead of erroring it.
+/metrics gains per-shard nucdb_shard_* families; request ids,
+/debug/queries and /debug/slow work as for any database (a partial
+answer is filed with the errors).
 
 endpoints: POST /search (FASTA or JSON body; \"explain\": true returns the
 plan), GET /metrics (Prometheus), GET /healthz, GET /readyz (503 until the
@@ -779,14 +771,12 @@ impl ObsOptions {
         &self,
         dir: &Path,
         registry: &Arc<MetricsRegistry>,
-        shards: ShardSetConfig,
     ) -> Result<Collection, Box<dyn Error>> {
         let collection = Collection::open(
             dir,
             &CollectionOptions {
                 registry: Arc::clone(registry),
                 forensics: self.forensics()?,
-                shards,
             },
         )?;
         if let Some(set) = collection.as_sharded() {
@@ -919,7 +909,7 @@ pub fn search(raw: &[String]) -> CommandResult {
 
     let obs = ObsOptions::parse(&args)?;
     let registry = obs.registry();
-    let collection = obs.open(&db_dir, &registry, ShardSetConfig::default())?;
+    let collection = obs.open(&db_dir, &registry)?;
     // A parameter this shape refuses (`--explain` over a sharded root)
     // is a usage error, raised before any output.
     collection
@@ -1181,7 +1171,7 @@ pub fn bench(raw: &[String]) -> CommandResult {
 
     let obs = ObsOptions::parse(&args)?;
     let registry = obs.registry();
-    let collection = obs.open(&db_dir, &registry, ShardSetConfig::default())?;
+    let collection = obs.open(&db_dir, &registry)?;
     let metrics_out = obs.metrics_output(registry);
     // Per-query I/O tallies exist where there is one on-disk index.
     let disk_index = collection.as_static().and_then(|db| match db.index() {
@@ -1297,16 +1287,14 @@ pub fn serve(raw: &[String]) -> CommandResult {
         "memtable-max-records",
         "max-segments",
         "compact-bytes-per-sec",
-        "shard-deadline-ms",
-        "shard-hedge-ms",
     ];
     value_opts.extend(OBS_VALUE_OPTS);
     value_opts.extend(CAPTURE_VALUE_OPTS);
     let args = Args::parse("serve", raw, &value_opts, &["live"])?;
-    // A zero deadline expires every request (or fails every shard), and
-    // a zero thread count or queue depth is clamped to 1 while the
-    // startup line still prints 0: refuse them before opening anything.
-    for name in ["threads", "queue-depth", "deadline-ms", "shard-deadline-ms"] {
+    // A zero deadline expires every request, and a zero thread count or
+    // queue depth is clamped to 1 while the startup line still prints 0:
+    // refuse them before opening anything.
+    for name in ["threads", "queue-depth", "deadline-ms"] {
         if args.get_or(name, 1u64)? == 0 {
             return Err(UsageError(format!("--{name} must be positive")).into());
         }
@@ -1314,7 +1302,6 @@ pub fn serve(raw: &[String]) -> CommandResult {
     let db_dir = PathBuf::from(args.required("db")?);
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878").to_string();
     let live_mode = args.flag("live");
-    let sharded_mode = !live_mode && Shape::of(&db_dir) == Shape::Sharded;
 
     let mut config = nucdb_serve::ServeConfig::default();
     config.threads = args.get_or("threads", config.threads)?;
@@ -1326,13 +1313,6 @@ pub fn serve(raw: &[String]) -> CommandResult {
     for live_only in ["memtable-max-records", "max-segments"] {
         if !live_mode && args.get(live_only).is_some() {
             return Err(UsageError(format!("--{live_only} requires --live")).into());
-        }
-    }
-    for shard_only in ["shard-deadline-ms", "shard-hedge-ms"] {
-        if !sharded_mode && args.get(shard_only).is_some() {
-            return Err(
-                UsageError(format!("--{shard_only} requires a sharded database root")).into(),
-            );
         }
     }
 
@@ -1365,17 +1345,7 @@ pub fn serve(raw: &[String]) -> CommandResult {
         );
         Collection::Live(Arc::new(live))
     } else {
-        let hedge_ms: u64 = args.get_or("shard-hedge-ms", 250u64)?;
-        let collection = obs.open(
-            &db_dir,
-            &registry,
-            ShardSetConfig {
-                shard_deadline: std::time::Duration::from_millis(
-                    args.get_or("shard-deadline-ms", 10_000u64)?,
-                ),
-                hedge_after: (hedge_ms > 0).then(|| std::time::Duration::from_millis(hedge_ms)),
-            },
-        )?;
+        let collection = obs.open(&db_dir, &registry)?;
         println!("{}", describe(&collection));
         collection
     };
@@ -2542,7 +2512,11 @@ mod tests {
             ),
             (
                 &["--shard-deadline-ms", "0"],
-                "--shard-deadline-ms must be positive",
+                "unknown option --shard-deadline-ms",
+            ),
+            (
+                &["--shard-hedge-ms", "100"],
+                "unknown option --shard-hedge-ms",
             ),
             (&["--threads", "0"], "--threads must be positive"),
             (&["--queue-depth", "0"], "--queue-depth must be positive"),

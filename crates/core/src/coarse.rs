@@ -262,10 +262,13 @@ impl CoarseScratch {
     }
 
     /// Start a query over `num_records` records: bump the generation and
-    /// clear the per-query arenas. O(1) amortised — the stamp table is
-    /// only rebuilt when the index size changes or the generation wraps.
+    /// clear the per-query arenas. O(1) amortised — the per-record
+    /// tables grow to the largest index served and are only rebuilt when
+    /// a larger one arrives or the generation wraps, so one scratch
+    /// serves indexes of different sizes (the shards of a set, in turn)
+    /// without clearing.
     fn begin(&mut self, num_records: usize) {
-        if self.stamp.len() != num_records {
+        if self.stamp.len() < num_records {
             self.stamp.clear();
             self.stamp.resize(num_records, 0);
             self.counts.clear();
@@ -1076,6 +1079,32 @@ mod tests {
                 baseline.candidates, fresh.candidates,
                 "floor {min_coarse_hits}"
             );
+        }
+        // Indexes of different record counts (the shards of one set, one
+        // record apart or far apart) interleaved on one scratch: its
+        // per-record tables only grow, and what a larger index left in
+        // them must never reach a smaller one's ranking.
+        let n = records.len();
+        let sized = [
+            build_with(&records, 8, ListCodec::Block),
+            build_with(&records[1..], 8, ListCodec::Block),
+            build_with(&records[..n - 1], 8, ListCodec::Paper),
+            build_with(&records[n / 2..], 8, ListCodec::Block),
+        ];
+        for (i, index) in sized.iter().chain(sized.iter().rev()).enumerate() {
+            for min_coarse_hits in [1, 40] {
+                let p = SearchParams {
+                    min_coarse_hits,
+                    max_candidates: 500,
+                    ..SearchParams::default()
+                };
+                let fresh = coarse_rank(index, &query, &p).unwrap();
+                let reused = coarse_rank_with(index, &query, &p, &mut scratch).unwrap();
+                assert_eq!(
+                    fresh.candidates, reused.candidates,
+                    "step {i}, floor {min_coarse_hits}"
+                );
+            }
         }
     }
 

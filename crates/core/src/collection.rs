@@ -9,7 +9,9 @@
 //! observe a [`Collection`] without asking which shape it is, and reach
 //! for [`Collection::as_static`] / [`Collection::as_live`] /
 //! [`Collection::as_sharded`] only for what one shape alone can do
-//! (scrub; insert, flush, compact; per-shard rows).
+//! (scrub; insert, flush, compact; per-shard rows). Every shape answers
+//! a query on the caller's thread with the caller's [`CoarseScratch`]:
+//! a shard set is a list of plain databases searched one after another.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -77,15 +79,13 @@ pub(crate) fn open_plain_dir(dir: &Path) -> Result<Database, IndexError> {
     ))
 }
 
-/// Observability handles and dispatch tuning for [`Collection::open`].
+/// Observability handles for [`Collection::open`].
 #[derive(Clone)]
 pub struct CollectionOptions {
     /// Registry the engine, I/O, and per-shard metrics register in.
     pub registry: Arc<MetricsRegistry>,
     /// Query capture: flight recorder, tail sampling, capture log.
     pub forensics: Forensics,
-    /// Per-shard deadline and hedging (sharded roots only).
-    pub shards: ShardSetConfig,
 }
 
 impl Default for CollectionOptions {
@@ -93,7 +93,6 @@ impl Default for CollectionOptions {
         CollectionOptions {
             registry: Arc::new(MetricsRegistry::disabled()),
             forensics: Forensics::disabled(),
-            shards: ShardSetConfig::default(),
         }
     }
 }
@@ -108,7 +107,8 @@ pub enum Collection {
     /// A live database accepting inserts; every query runs on its
     /// current snapshot.
     Live(Arc<LiveDatabase>),
-    /// A shard set; every query scatters and gathers.
+    /// A shard set; every query runs each shard in turn on the caller's
+    /// thread and merges their answers.
     Sharded(Arc<ShardSet>),
 }
 
@@ -121,7 +121,7 @@ impl Collection {
     pub fn open(dir: &Path, opts: &CollectionOptions) -> Result<Collection, IndexError> {
         let mut db = match Shape::of(dir) {
             Shape::Sharded => {
-                let mut set = ShardSet::open_root(dir, opts.shards.clone(), &opts.registry)?;
+                let mut set = ShardSet::open_root(dir, ShardSetConfig, &opts.registry)?;
                 set.set_forensics(opts.forensics.clone());
                 return Ok(Collection::Sharded(Arc::new(set)));
             }
@@ -148,7 +148,7 @@ impl Collection {
     }
 
     /// Evaluate one query. `scratch` is the caller's reusable coarse
-    /// working memory (a shard set's workers own theirs and ignore it);
+    /// working memory (a shard set lends it to each shard in turn);
     /// `request_id` flows into every span, trace line, and
     /// flight-recorder entry. A sharded answer carries its
     /// [`ShardCoverage`] in [`SearchOutcome::coverage`].
@@ -165,7 +165,7 @@ impl Collection {
                 .snapshot()
                 .search_with_id(query, params, scratch, request_id),
             Collection::Sharded(set) => {
-                let outcome = set.search_with_id(query, params, request_id)?;
+                let outcome = set.search_with_id(query, params, scratch, request_id)?;
                 Ok(SearchOutcome {
                     results: outcome.results,
                     stats: outcome.stats,
@@ -180,7 +180,7 @@ impl Collection {
     }
 
     /// Can this collection evaluate `params` at all? A shard set
-    /// refuses explain plans and accumulator limiting (see
+    /// refuses explain plans (see
     /// [`ShardSet::supports`]); front ends ask before producing output
     /// so the refusal reads as a parameter error, not a failed query.
     pub fn supports(&self, params: &SearchParams) -> Result<(), IndexError> {

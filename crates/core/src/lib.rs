@@ -81,7 +81,7 @@ pub use segment::{
     SegmentedStore,
 };
 pub use shard::{
-    build_sharded_root, open_shard_dir, Coverage, LocalShard, Shard, ShardCoverage, ShardFailure,
-    ShardSet, ShardSetConfig, ShardWork, ShardedOutcome,
+    build_sharded_root, Coverage, ShardCoverage, ShardFailure, ShardSet, ShardSetConfig, ShardWork,
+    ShardedOutcome,
 };
 pub use store::{OnDiskStore, RecordSource, SequenceStore, StorageMode, StoreVariant};

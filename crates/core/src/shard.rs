@@ -1,13 +1,17 @@
-//! Scatter-gather sharded search: the query driver's fan-out backend.
+//! Scatter-gather sharded search: the query driver's shard-set backend.
 //!
 //! A [`ShardSet`] partitions a collection into N shards, each an
-//! independent index + store holding a contiguous slice of the record-id
+//! independent [`Database`] over a contiguous slice of the record-id
 //! space. The set is a backend of the one query driver
-//! (`crate::driver`): its coarse phase fans out across a per-shard
-//! worker pool and merges the per-shard top-C candidates globally, its
-//! fine phase aligns only the global winners on the shards that own
-//! them, and the strand loop, strand merge, spans, and flight-recorder
-//! capture are the driver's — the same code a single database runs.
+//! (`crate::driver`): its coarse phase ranks each shard in turn on the
+//! request's own thread, with the caller's [`CoarseScratch`], and merges
+//! the per-shard top-C candidates globally; its fine phase aligns only
+//! the global winners on the shards that own them; and the strand loop,
+//! strand merge, spans, and flight-recorder capture are the driver's —
+//! the same code a single database runs. A lone query therefore costs
+//! what it costs on the joint database plus each shard's per-query
+//! overhead; concurrency comes from the caller's threads (the server's
+//! workers), as for every other shape.
 //!
 //! ## Merge proof obligation
 //!
@@ -33,9 +37,9 @@
 //!
 //! ## Degraded mode
 //!
-//! A shard that cannot be opened (dead at open), fails a query
-//! (corruption), or misses its deadline is dropped from the answer; the
-//! query still succeeds with the surviving shards and a
+//! A shard that cannot be opened (dead at open) or whose phase returns
+//! an error (corruption) is dropped from the answer; a slow shard never
+//! is. The query still succeeds with the surviving shards and a
 //! [`Coverage`] of `shards_ok / shards_total`. Results from a shard
 //! that failed *any* phase are discarded entirely, so a degraded answer
 //! equals the answer of a `ShardSet` over the surviving shards alone.
@@ -43,16 +47,14 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use nucdb_index::{shard_dir_name, IndexError, IndexParams, ShardManifest, ShardMeta};
+use nucdb_index::{shard_dir_name, IndexError, ShardManifest, ShardMeta};
 use nucdb_obs::{Counter, Forensics, Histogram, MetricsRegistry};
 use nucdb_seq::{Base, DnaSeq};
 
 use crate::coarse::{coarse_rank_explain, CoarseHit, CoarseOutcome, CoarseScratch};
+use crate::collection::open_plain_dir;
 use crate::driver::{self, Backend, Merged};
 use crate::engine::{io_err, Database, DbConfig, QueryStats, SearchResult};
 use crate::explain::CoarseExplain;
@@ -157,140 +159,10 @@ pub struct ShardedOutcome {
     pub work: Vec<ShardWork>,
 }
 
-/// The search surface one shard must expose. Object-safe and free of
-/// local-filesystem assumptions, so a follow-up can put a remote
-/// (HTTP) shard behind it; [`LocalShard`] is the in-process
-/// implementation.
-pub trait Shard: Send + Sync {
-    /// Shard name (its directory name for local shards).
-    fn name(&self) -> &str;
-    /// Number of records in the shard.
-    fn num_records(&self) -> u32;
-    /// The shard's index parameters (must agree across the set).
-    fn index_params(&self) -> IndexParams;
-    /// Run coarse ranking for one strand orientation. `query_bases` is
-    /// the strand-oriented representative-base view of the query;
-    /// `scratch` is the calling worker thread's reusable working memory
-    /// (answers are independent of its history).
-    fn coarse(
-        &self,
-        query_bases: &[Base],
-        params: &SearchParams,
-        scratch: &mut CoarseScratch,
-    ) -> Result<CoarseOutcome, IndexError>;
-    /// Run fine alignment on `candidates` (shard-local record ids).
-    fn fine(
-        &self,
-        query: &DnaSeq,
-        candidates: &[CoarseHit],
-        mode: FineMode,
-        params: &SearchParams,
-    ) -> Result<Vec<FineResult>, IndexError>;
-    /// External identifier of a shard-local record.
-    fn record_id(&self, local: u32) -> String;
-    /// Length in bases of a shard-local record.
-    fn record_len(&self, local: u32) -> usize;
-    /// Total bases stored in the shard.
-    fn total_bases(&self) -> u64;
-}
-
-/// An in-process shard: a [`Database`] slice of the collection.
-pub struct LocalShard {
-    name: String,
-    db: Database,
-    /// Summed once at construction: a shard's records never change.
-    total_bases: u64,
-}
-
-impl LocalShard {
-    /// Wrap a database as a shard named `name`.
-    pub fn new(name: impl Into<String>, db: Database) -> LocalShard {
-        let total_bases = (0..db.len() as u32)
-            .map(|r| db.store().record_len(r) as u64)
-            .sum();
-        LocalShard {
-            name: name.into(),
-            db,
-            total_bases,
-        }
-    }
-}
-
-impl Shard for LocalShard {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn num_records(&self) -> u32 {
-        self.db.len() as u32
-    }
-
-    fn index_params(&self) -> IndexParams {
-        use crate::coarse::PostingsSource;
-        self.db.index().index_params().clone()
-    }
-
-    fn coarse(
-        &self,
-        query_bases: &[Base],
-        params: &SearchParams,
-        scratch: &mut CoarseScratch,
-    ) -> Result<CoarseOutcome, IndexError> {
-        coarse_rank_explain(self.db.index(), query_bases, params, scratch, None)
-    }
-
-    fn fine(
-        &self,
-        query: &DnaSeq,
-        candidates: &[CoarseHit],
-        mode: FineMode,
-        params: &SearchParams,
-    ) -> Result<Vec<FineResult>, IndexError> {
-        fine_search_traced(
-            self.db.store(),
-            query,
-            candidates,
-            mode,
-            &params.scheme,
-            params.min_score,
-            None,
-        )
-        .map_err(io_err)
-    }
-
-    fn record_id(&self, local: u32) -> String {
-        self.db.store().id(local).to_string()
-    }
-
-    fn record_len(&self, local: u32) -> usize {
-        self.db.store().record_len(local)
-    }
-
-    fn total_bases(&self) -> u64 {
-        self.total_bases
-    }
-}
-
-/// Dispatch tuning for a [`ShardSet`].
-#[derive(Debug, Clone)]
-pub struct ShardSetConfig {
-    /// Per-phase, per-shard deadline. A shard that has not answered a
-    /// phase within this long is marked failed for the query.
-    pub shard_deadline: Duration,
-    /// After this long without an answer, re-dispatch the phase to the
-    /// hedge worker (tail-latency insurance against a stuck shard
-    /// thread). `None` disables hedging.
-    pub hedge_after: Option<Duration>,
-}
-
-impl Default for ShardSetConfig {
-    fn default() -> ShardSetConfig {
-        ShardSetConfig {
-            shard_deadline: Duration::from_secs(10),
-            hedge_after: Some(Duration::from_millis(250)),
-        }
-    }
-}
+/// Options for [`ShardSet::open_root`]. There are none: every shard
+/// runs on the calling thread, so there is no dispatch to tune.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ShardSetConfig;
 
 /// Per-shard metric handles (`nucdb_shard_*` families, labeled by
 /// shard name). Disabled handles when no registry is bound.
@@ -298,9 +170,6 @@ impl Default for ShardSetConfig {
 struct ShardMetrics {
     queries: Counter,
     errors: Counter,
-    timeouts: Counter,
-    hedges: Counter,
-    hedge_wins: Counter,
     latency: Histogram,
 }
 
@@ -315,22 +184,7 @@ impl ShardMetrics {
             ),
             errors: registry.counter_with(
                 "nucdb_shard_errors_total",
-                "Queries this shard failed (error or timeout)",
-                labels,
-            ),
-            timeouts: registry.counter_with(
-                "nucdb_shard_timeouts_total",
-                "Phase deadlines this shard missed",
-                labels,
-            ),
-            hedges: registry.counter_with(
-                "nucdb_shard_hedges_total",
-                "Hedged re-dispatches triggered by this shard's slowness",
-                labels,
-            ),
-            hedge_wins: registry.counter_with(
-                "nucdb_shard_hedge_wins_total",
-                "Phases where the hedge replica answered first",
+                "Queries this shard failed",
                 labels,
             ),
             latency: registry.histogram_with(
@@ -342,105 +196,18 @@ impl ShardMetrics {
     }
 }
 
-/// A phase of work for one shard, with the query in the form that phase
-/// consumes (strand-oriented either way).
-enum JobKind {
-    Coarse {
-        query_bases: Arc<Vec<Base>>,
-    },
-    Fine {
-        query: Arc<DnaSeq>,
-        candidates: Arc<Vec<CoarseHit>>,
-        mode: FineMode,
-    },
-}
-
-enum PhaseOutput {
-    Coarse(CoarseOutcome),
-    Fine(Vec<FineResult>),
-}
-
-struct Job {
-    shard: Arc<dyn Shard>,
-    slot: usize,
-    params: SearchParams,
-    kind: JobKind,
-    seq: u64,
-    hedged: bool,
-    delay: Arc<AtomicU64>,
-    reply: mpsc::Sender<Reply>,
-}
-
-struct Reply {
-    slot: usize,
-    seq: u64,
-    hedged: bool,
-    nanos: u64,
-    output: Result<PhaseOutput, IndexError>,
-}
-
-fn run_job(job: Job, scratch: &mut CoarseScratch) {
-    // Injected delay (tests) applies only to a shard's primary worker,
-    // never to the hedge — so a hedged re-dispatch provably overtakes a
-    // delayed straggler with a bit-identical answer.
-    if !job.hedged {
-        let ns = job.delay.load(Ordering::Relaxed);
-        if ns > 0 {
-            std::thread::sleep(Duration::from_nanos(ns));
-        }
-    }
-    let start = Instant::now();
-    let output = match &job.kind {
-        JobKind::Coarse { query_bases } => job
-            .shard
-            .coarse(query_bases, &job.params, scratch)
-            .map(PhaseOutput::Coarse),
-        JobKind::Fine {
-            query,
-            candidates,
-            mode,
-        } => job
-            .shard
-            .fine(query, candidates, *mode, &job.params)
-            .map(PhaseOutput::Fine),
-    };
-    // The dispatcher may have moved on (deadline, or the other replica
-    // answered); a dropped receiver is not an error.
-    let _ = job.reply.send(Reply {
-        slot: job.slot,
-        seq: job.seq,
-        hedged: job.hedged,
-        nanos: start.elapsed().as_nanos() as u64,
-        output,
-    });
-}
-
-fn spawn_worker(name: String, rx: mpsc::Receiver<Job>) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || {
-            // One scratch for the worker's lifetime: after warm-up a
-            // coarse phase allocates nothing.
-            let mut scratch = CoarseScratch::new();
-            while let Ok(job) = rx.recv() {
-                run_job(job, &mut scratch);
-            }
-        })
-        .expect("spawn shard worker")
-}
-
-/// One shard slot: the shard (when it opened), its record-id base, and
-/// its dispatch plumbing. Dead-at-open shards keep their slot — their
-/// record count, and therefore every later shard's id base, comes from
-/// the shard manifest.
+/// One shard slot: its database (or why it did not open) and its
+/// record-id base. Dead-at-open shards keep their slot — their record
+/// count, and therefore every later shard's id base, comes from the
+/// shard manifest.
 struct ShardSlot {
     name: String,
     base: u32,
     records: u32,
-    shard: Option<Arc<dyn Shard>>,
-    dead: Option<String>,
-    tx: Option<mpsc::Sender<Job>>,
-    delay: Arc<AtomicU64>,
+    db: Result<Database, String>,
+    /// Stored bases, summed once at open (0 for a dead slot): a shard's
+    /// records never change.
+    total_bases: u64,
     metrics: ShardMetrics,
 }
 
@@ -448,51 +215,23 @@ struct ShardSlot {
 /// the identity argument and degraded-mode contract.
 pub struct ShardSet {
     slots: Vec<ShardSlot>,
-    config: ShardSetConfig,
-    hedge_tx: Option<mpsc::Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    seq: AtomicU64,
     degraded_queries: Counter,
-    /// Stored bases across live shards, summed once at assembly.
-    total_bases: u64,
     /// The driver's observability handles: query metrics bound to the
     /// registry the set was opened with; capture disabled until
     /// [`ShardSet::set_forensics`].
     metrics: SearchMetrics,
 }
 
-/// One shard slot before assembly: name, manifest record count, the
-/// opened shard (or `None` for a dead slot), and the dead-slot error.
-type ShardEntry = (String, u32, Option<Arc<dyn Shard>>, Option<String>);
+/// One shard slot before assembly: name, manifest record count, and the
+/// opened database or the reason it is dead.
+type ShardEntry = (String, u32, Result<Database, String>);
 
 impl ShardSet {
-    /// Assemble a set from already-opened shards. `dead` carries
-    /// placeholder entries for shards that failed to open:
-    /// `(name, records-from-manifest, error)` — their record counts
-    /// keep the id bases of later shards correct.
-    pub fn assemble(
-        shards: Vec<Arc<dyn Shard>>,
-        dead: Vec<(String, u32, Option<String>)>,
-        config: ShardSetConfig,
-        registry: &MetricsRegistry,
-    ) -> Result<ShardSet, IndexError> {
-        let mut entries: Vec<ShardEntry> = Vec::new();
-        for shard in shards {
-            let records = shard.num_records();
-            entries.push((shard.name().to_string(), records, Some(shard), None));
-        }
-        for (name, records, err) in dead {
-            entries.push((name, records, None, err));
-        }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        ShardSet::from_entries(entries, config, registry)
-    }
-
     fn from_entries(
         entries: Vec<ShardEntry>,
-        config: ShardSetConfig,
         registry: &MetricsRegistry,
     ) -> Result<ShardSet, IndexError> {
+        use crate::coarse::PostingsSource;
         if entries.is_empty() {
             return Err(IndexError::Unsupported(
                 "a shard set needs at least one shard",
@@ -500,36 +239,18 @@ impl ShardSet {
         }
         // All live shards must agree on index parameters: coarse scores
         // are only comparable across shards built the same way.
-        let mut params: Option<IndexParams> = None;
-        for (_, _, shard, _) in &entries {
-            if let Some(shard) = shard {
-                let p = shard.index_params();
-                match &params {
-                    None => params = Some(p),
-                    Some(first) if *first != p => {
-                        return Err(IndexError::Unsupported(
-                            "shards disagree on index parameters",
-                        ))
-                    }
-                    Some(_) => {}
-                }
+        let mut live = entries.iter().filter_map(|(_, _, db)| db.as_ref().ok());
+        if let Some(first) = live.next() {
+            let params = first.index().index_params();
+            if live.any(|db| db.index().index_params() != params) {
+                return Err(IndexError::Unsupported(
+                    "shards disagree on index parameters",
+                ));
             }
         }
         let mut slots = Vec::with_capacity(entries.len());
-        let mut workers = Vec::new();
         let mut base: u64 = 0;
-        let mut total_bases = 0u64;
-        for (name, records, shard, dead_err) in entries {
-            total_bases += shard.as_ref().map_or(0, |s| s.total_bases());
-            let delay = Arc::new(AtomicU64::new(0));
-            let (tx, dead) = match (&shard, dead_err) {
-                (Some(_), _) => {
-                    let (tx, rx) = mpsc::channel();
-                    workers.push(spawn_worker(format!("nucdb-{name}"), rx));
-                    (Some(tx), None)
-                }
-                (None, err) => (None, Some(err.unwrap_or_else(|| "failed to open".into()))),
-            };
+        for (name, records, db) in entries {
             if base + u64::from(records) > u64::from(u32::MAX) {
                 return Err(IndexError::Unsupported(
                     "total shard records overflow the u32 id space",
@@ -540,31 +261,17 @@ impl ShardSet {
                 name,
                 base: base as u32,
                 records,
-                shard,
-                dead,
-                tx,
-                delay,
+                total_bases: db.as_ref().map_or(0, |db| db.store().total_bases() as u64),
+                db,
             });
             base += u64::from(records);
         }
-        let hedge_tx = if config.hedge_after.is_some() {
-            let (tx, rx) = mpsc::channel();
-            workers.push(spawn_worker("nucdb-shard-hedge".into(), rx));
-            Some(tx)
-        } else {
-            None
-        };
         Ok(ShardSet {
             slots,
-            config,
-            hedge_tx,
-            workers,
-            seq: AtomicU64::new(0),
             degraded_queries: registry.counter(
                 "nucdb_shard_degraded_queries_total",
                 "Queries answered with partial shard coverage",
             ),
-            total_bases,
             metrics: SearchMetrics::new(registry),
         })
     }
@@ -573,15 +280,14 @@ impl ShardSet {
     /// is named `shard-00i`.
     pub fn from_databases(
         dbs: Vec<Database>,
-        config: ShardSetConfig,
         registry: &MetricsRegistry,
     ) -> Result<ShardSet, IndexError> {
-        let shards = dbs
+        let entries = dbs
             .into_iter()
             .enumerate()
-            .map(|(i, db)| Arc::new(LocalShard::new(shard_dir_name(i), db)) as Arc<dyn Shard>)
+            .map(|(i, db)| (shard_dir_name(i), db.len() as u32, Ok(db)))
             .collect();
-        ShardSet::assemble(shards, Vec::new(), config, registry)
+        ShardSet::from_entries(entries, registry)
     }
 
     /// Open a sharded root written by [`build_sharded_root`] (or
@@ -591,31 +297,26 @@ impl ShardSet {
     /// the manifest so every other shard's id base stays correct.
     pub fn open_root(
         root: &Path,
-        config: ShardSetConfig,
+        _config: ShardSetConfig,
         registry: &MetricsRegistry,
     ) -> Result<ShardSet, IndexError> {
         let manifest = ShardManifest::load(root)?;
-        let mut entries: Vec<ShardEntry> = Vec::new();
-        for (i, meta) in manifest.shards.iter().enumerate() {
-            let name = shard_dir_name(i);
-            let dir = root.join(&name);
-            match open_shard_dir(&dir, &name) {
-                Ok(shard) => {
-                    if shard.num_records() != meta.records {
-                        entries.push((
-                            name,
-                            meta.records,
-                            None,
-                            Some("shard record count disagrees with SHARDS manifest".into()),
-                        ));
-                    } else {
-                        entries.push((name, meta.records, Some(shard), None));
+        let entries = manifest
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, meta)| {
+                let name = shard_dir_name(i);
+                let db = match open_plain_dir(&root.join(&name)) {
+                    Ok(db) if db.len() != meta.records as usize => {
+                        Err("shard record count disagrees with SHARDS manifest".into())
                     }
-                }
-                Err(e) => entries.push((name, meta.records, None, Some(e.to_string()))),
-            }
-        }
-        ShardSet::from_entries(entries, config, registry)
+                    opened => opened.map_err(|e| e.to_string()),
+                };
+                (name, meta.records, db)
+            })
+            .collect();
+        ShardSet::from_entries(entries, registry)
     }
 
     /// Number of shards (including dead ones).
@@ -628,7 +329,14 @@ impl ShardSet {
     pub fn shard_rows(&self) -> Vec<(String, u32, u32, Option<String>)> {
         self.slots
             .iter()
-            .map(|s| (s.name.clone(), s.base, s.records, s.dead.clone()))
+            .map(|s| {
+                (
+                    s.name.clone(),
+                    s.base,
+                    s.records,
+                    s.db.as_ref().err().cloned(),
+                )
+            })
             .collect()
     }
 
@@ -644,7 +352,7 @@ impl ShardSet {
 
     /// Total stored bases across *live* shards.
     pub fn total_bases(&self) -> u64 {
-        self.total_bases
+        self.slots.iter().map(|s| s.total_bases).sum()
     }
 
     /// Attach the query capture handle (flight recorder, tail sampling,
@@ -661,21 +369,14 @@ impl ShardSet {
     /// External id of a global record (empty for records on dead shards).
     pub fn record_id(&self, global: u32) -> String {
         self.live_slot_of(global)
-            .map(|(shard, local)| shard.record_id(local))
+            .map(|(db, local)| db.store().id(local).to_string())
             .unwrap_or_default()
     }
 
     /// Length of a global record in bases (0 for records on dead shards).
     pub fn record_len(&self, global: u32) -> usize {
         self.live_slot_of(global)
-            .map_or(0, |(shard, local)| shard.record_len(local))
-    }
-
-    /// Inject a fixed service delay into one shard's primary worker
-    /// (tests): the hedge replica is never delayed, so a delayed shard
-    /// deterministically loses the race once `hedge_after` elapses.
-    pub fn inject_delay_ns(&self, shard: usize, ns: u64) {
-        self.slots[shard].delay.store(ns, Ordering::Relaxed);
+            .map_or(0, |(db, local)| db.store().record_len(local))
     }
 
     /// Index of the slot whose id range holds `global`. Bases ascend, so
@@ -687,138 +388,60 @@ impl ShardSet {
             .saturating_sub(1)
     }
 
-    fn live_slot_of(&self, global: u32) -> Option<(&Arc<dyn Shard>, u32)> {
+    fn live_slot_of(&self, global: u32) -> Option<(&Database, u32)> {
         let slot = &self.slots[self.slot_index_of(global)];
         let local = global - slot.base;
-        slot.shard
+        slot.db
             .as_ref()
+            .ok()
             .filter(|_| local < slot.records)
-            .map(|shard| (shard, local))
+            .map(|db| (db, local))
     }
 
-    /// Fan one phase out to `targets` (live slot indexes) and gather
-    /// replies under the per-shard deadline, hedging stragglers. Returns
-    /// the outputs of the shards that answered, in arrival order (both
-    /// phases merge order-independently); a shard that errored or timed
-    /// out is charged and entered in `failures`.
-    fn run_phase(
+    /// Run one phase on one live shard, on the calling thread. A shard
+    /// that errors is charged and entered in `failures`, and gives
+    /// `None`; so does a dead one (already a failure).
+    fn run_phase<T>(
         &self,
         failures: &mut BTreeMap<usize, String>,
-        targets: &[usize],
-        make_kind: impl Fn(usize) -> JobKind,
-        params: &SearchParams,
-    ) -> Vec<(usize, PhaseOutput)> {
-        let mut outputs: Vec<(usize, PhaseOutput)> = Vec::with_capacity(targets.len());
-        if targets.is_empty() {
-            return outputs;
-        }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-        let job = |slot_idx: usize, shard: &Arc<dyn Shard>, hedged: bool| Job {
-            shard: Arc::clone(shard),
-            slot: slot_idx,
-            params: *params,
-            kind: make_kind(slot_idx),
-            seq,
-            hedged,
-            delay: Arc::clone(&self.slots[slot_idx].delay),
-            reply: reply_tx.clone(),
-        };
-        let mut fail = |slot_idx: usize, error: String| {
-            self.slots[slot_idx].metrics.errors.inc();
-            failures.insert(slot_idx, error);
-        };
+        slot_idx: usize,
+        phase: impl FnOnce(&Database) -> Result<T, IndexError>,
+    ) -> Option<T> {
+        let slot = &self.slots[slot_idx];
+        let db = slot.db.as_ref().ok()?;
+        slot.metrics.queries.inc();
         let start = Instant::now();
-        let mut pending: Vec<usize> = Vec::new();
-        for &slot_idx in targets {
-            let slot = &self.slots[slot_idx];
-            let (Some(shard), Some(tx)) = (&slot.shard, &slot.tx) else {
-                continue; // dead shard: already a failure
-            };
-            slot.metrics.queries.inc();
-            match tx.send(job(slot_idx, shard, false)) {
-                Ok(()) => pending.push(slot_idx),
-                Err(_) => fail(slot_idx, "shard worker exited".into()),
-            }
-        }
-
-        let deadline = self.config.shard_deadline;
-        let mut hedged = false;
-        while !pending.is_empty() {
-            let elapsed = start.elapsed();
-            if elapsed >= deadline {
-                break;
-            }
-            let mut wait = deadline - elapsed;
-            if let (Some(after), false) = (self.config.hedge_after, hedged) {
-                if elapsed >= after {
-                    // Straggler(s): re-dispatch every unanswered shard to
-                    // the hedge worker. First answer per shard wins; the
-                    // loser's reply is dropped on the closed channel.
-                    hedged = true;
-                    if let Some(hedge_tx) = &self.hedge_tx {
-                        for &slot_idx in &pending {
-                            let slot = &self.slots[slot_idx];
-                            let Some(shard) = &slot.shard else { continue };
-                            slot.metrics.hedges.inc();
-                            let _ = hedge_tx.send(job(slot_idx, shard, true));
-                        }
-                    }
-                    continue;
+        let output = phase(db);
+        slot.metrics
+            .latency
+            .record(start.elapsed().as_nanos() as u64);
+        output
+            .map_err(|e| {
+                // A corrupt shard degrades the answer instead of failing
+                // the query, so the driver never sees the error: count
+                // the corruption here.
+                if e.is_corruption() {
+                    self.metrics.io_corruption.inc();
                 }
-                wait = wait.min(after - elapsed);
-            }
-            match reply_rx.recv_timeout(wait) {
-                Ok(reply) => {
-                    if reply.seq != seq {
-                        continue; // stale reply from an earlier phase
-                    }
-                    let Some(pos) = pending.iter().position(|&i| i == reply.slot) else {
-                        continue; // both replicas answered; first won
-                    };
-                    pending.swap_remove(pos);
-                    let slot = &self.slots[reply.slot];
-                    slot.metrics.latency.record(reply.nanos);
-                    if reply.hedged {
-                        slot.metrics.hedge_wins.inc();
-                    }
-                    match reply.output {
-                        Ok(output) => outputs.push((reply.slot, output)),
-                        Err(e) => {
-                            // A corrupt shard degrades the answer instead
-                            // of failing the query, so the driver never
-                            // sees the error: count the corruption here.
-                            if e.is_corruption() {
-                                self.metrics.io_corruption.inc();
-                            }
-                            fail(reply.slot, e.to_string());
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        for slot_idx in pending {
-            let slot = &self.slots[slot_idx];
-            slot.metrics.timeouts.inc();
-            fail(
-                slot_idx,
-                format!("shard {} missed the {:?} deadline", slot.name, deadline),
-            );
-        }
-        outputs
+                slot.metrics.errors.inc();
+                failures.insert(slot_idx, e.to_string());
+            })
+            .ok()
     }
 
     /// Evaluate a query across all shards. Bit-identical to a joint
     /// build at full coverage; partial results plus `coverage < 1`
     /// when shards fail; an error only when *no* shard answers.
+    ///
+    /// Allocates fresh coarse working memory, as [`Database::search`]
+    /// does; batch callers hold a [`CoarseScratch`] and use
+    /// [`ShardSet::search_with_id`].
     pub fn search(
         &self,
         query: &DnaSeq,
         params: &SearchParams,
     ) -> Result<ShardedOutcome, IndexError> {
-        self.search_with_id(query, params, None)
+        self.search_with_id(query, params, &mut CoarseScratch::new(), None)
     }
 
     /// The one place sharded search refuses a parameter. Every query
@@ -834,13 +457,16 @@ impl ShardSet {
         Ok(())
     }
 
-    /// [`ShardSet::search`] carrying a caller-assigned request id into
-    /// every span, trace line, and flight-recorder entry the query
-    /// produces (see [`Database::search_with_id`]).
+    /// [`ShardSet::search`] with caller-provided coarse working memory,
+    /// which every shard's coarse phase reuses in turn, carrying a
+    /// caller-assigned request id into every span, trace line, and
+    /// flight-recorder entry the query produces (see
+    /// [`Database::search_with_id`]).
     pub fn search_with_id(
         &self,
         query: &DnaSeq,
         params: &SearchParams,
+        scratch: &mut CoarseScratch,
         request_id: Option<&str>,
     ) -> Result<ShardedOutcome, IndexError> {
         self.supports(params)?;
@@ -849,11 +475,14 @@ impl ShardSet {
                 .slots
                 .iter()
                 .enumerate()
-                .filter_map(|(i, slot)| Some((i, slot.dead.clone()?)))
+                .filter_map(|(i, slot)| Some((i, slot.db.as_ref().err()?.clone())))
                 .collect(),
             work: BTreeMap::new(),
+            scratch: std::mem::take(scratch),
         };
-        let outcome = driver::run_query(self, &mut state, query, params, request_id)?;
+        let outcome = driver::run_query(self, &mut state, query, params, request_id);
+        *scratch = std::mem::take(&mut state.scratch);
+        let outcome = outcome?;
         let ShardCoverage { coverage, failures } = self.coverage_of(&state);
         Ok(ShardedOutcome {
             results: outcome.results,
@@ -895,11 +524,12 @@ impl ShardSet {
 }
 
 /// One query's cross-phase state: which shards have failed so far (dead
-/// at open, errored, or timed out — by slot index) and what each live
-/// shard has done.
+/// at open or errored — by slot index), what each live shard has done,
+/// and the caller's coarse working memory, lent for the query.
 pub(crate) struct ShardQuery {
     failures: BTreeMap<usize, String>,
     work: BTreeMap<usize, ShardWork>,
+    scratch: CoarseScratch,
 }
 
 impl Backend for ShardSet {
@@ -910,9 +540,10 @@ impl Backend for ShardSet {
         &self.metrics
     }
 
-    /// Coarse everywhere, then merge the per-shard candidate lists to
-    /// the global top-C exactly as joint coarse ranking would. Work
-    /// counters (and the per-shard stage times) are summed over shards.
+    /// Coarse on every shard still answering, one after another, then
+    /// merge the per-shard candidate lists to the global top-C exactly
+    /// as joint coarse ranking would. Work counters (and the per-shard
+    /// stage times) are summed over shards.
     fn coarse(
         &self,
         state: &mut ShardQuery,
@@ -921,24 +552,17 @@ impl Backend for ShardSet {
         _explain: Option<&mut CoarseExplain>,
     ) -> Result<CoarseOutcome, IndexError> {
         self.ensure_alive(state)?;
-        let live: Vec<usize> = (0..self.slots.len())
-            .filter(|i| !state.failures.contains_key(i))
-            .collect();
-        let query_bases = Arc::new(query_bases.to_vec());
-        let outputs = self.run_phase(
-            &mut state.failures,
-            &live,
-            |_| JobKind::Coarse {
-                query_bases: Arc::clone(&query_bases),
-            },
-            params,
-        );
         let mut total = CoarseOutcome::default();
-        for (slot_idx, output) in outputs {
-            let PhaseOutput::Coarse(coarse) = output else {
-                unreachable!("coarse phase returned fine output")
+        for (slot_idx, slot) in self.slots.iter().enumerate() {
+            if state.failures.contains_key(&slot_idx) {
+                continue;
+            }
+            let scratch = &mut state.scratch;
+            let Some(coarse) = self.run_phase(&mut state.failures, slot_idx, |db| {
+                coarse_rank_explain(db.index(), query_bases, params, scratch, None)
+            }) else {
+                continue;
             };
-            let slot = &self.slots[slot_idx];
             total.intervals_looked_up += coarse.intervals_looked_up;
             total.lists_fetched += coarse.lists_fetched;
             total.postings_decoded += coarse.postings_decoded;
@@ -994,26 +618,21 @@ impl Backend for ShardSet {
                 ..*hit
             });
         }
-        let targets: Vec<usize> = per_shard.keys().copied().collect();
-        let batches: BTreeMap<usize, Arc<Vec<CoarseHit>>> = per_shard
-            .into_iter()
-            .map(|(slot_idx, hits)| (slot_idx, Arc::new(hits)))
-            .collect();
-        let query = Arc::new(query.clone());
-        let outputs = self.run_phase(
-            &mut state.failures,
-            &targets,
-            |slot_idx| JobKind::Fine {
-                query: Arc::clone(&query),
-                candidates: Arc::clone(&batches[&slot_idx]),
-                mode,
-            },
-            params,
-        );
         let mut results = Vec::with_capacity(candidates.len());
-        for (slot_idx, output) in outputs {
-            let PhaseOutput::Fine(fine) = output else {
-                unreachable!("fine phase returned coarse output")
+        for (slot_idx, hits) in per_shard {
+            let Some(fine) = self.run_phase(&mut state.failures, slot_idx, |db| {
+                fine_search_traced(
+                    db.store(),
+                    query,
+                    &hits,
+                    mode,
+                    &params.scheme,
+                    params.min_score,
+                    None,
+                )
+                .map_err(io_err)
+            }) else {
+                continue;
             };
             let base = self.slots[slot_idx].base;
             results.extend(fine.into_iter().map(|mut r| {
@@ -1048,25 +667,6 @@ impl Backend for ShardSet {
             self.coverage_of(state)
         )))
     }
-}
-
-impl Drop for ShardSet {
-    fn drop(&mut self) {
-        for slot in &mut self.slots {
-            slot.tx = None; // close the channel so the worker exits
-        }
-        self.hedge_tx = None;
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// Open one shard directory (`index.nucidx` + `store.nucsto`) as a
-/// [`LocalShard`].
-pub fn open_shard_dir(dir: &Path, name: &str) -> Result<Arc<dyn Shard>, IndexError> {
-    let db = crate::collection::open_plain_dir(dir)?;
-    Ok(Arc::new(LocalShard::new(name, db)) as Arc<dyn Shard>)
 }
 
 /// Partition `records` into `num_shards` contiguous slices and write a

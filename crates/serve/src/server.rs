@@ -258,9 +258,10 @@ pub fn start_live(
     start_collection(addr, Collection::Live(live), registry, defaults, config)
 }
 
-/// Bind `addr` and serve a [`ShardSet`]: every `/search` query scatters
-/// across the set's per-shard worker pool and gathers one globally
-/// merged answer, bit-identical to a joint build at full coverage. Each
+/// Bind `addr` and serve a [`ShardSet`]: the worker that takes a
+/// `/search` request runs each query over the shards one after another,
+/// on its own thread and scratch, and merges one global answer,
+/// bit-identical to a joint build at full coverage. Each
 /// per-query response document carries a `coverage` object; when shards
 /// fail (at open or at query time) the server answers with partial
 /// results and `coverage < 1` instead of a 500 — only a query *no*

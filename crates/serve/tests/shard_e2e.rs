@@ -1,6 +1,6 @@
 //! End-to-end tests for serving a sharded root: bit-identity of the
-//! scatter-gather HTTP answer against the joint engine, hedged dispatch
-//! overtaking an injected straggler, degraded mode answering 200 with
+//! scatter-gather HTTP answer against the joint engine, degraded mode
+//! answering 200 with
 //! partial coverage (never a 500) when a shard is corrupt, and the
 //! request id / flight recorder path a shard set shares with every
 //! other shape.
@@ -198,29 +198,22 @@ fn coverage_of(result: &Value) -> (u64, u64, Vec<String>) {
     (ok, total, failed)
 }
 
-/// A straggling shard is overtaken by the hedge: answers over HTTP stay
-/// bit-identical to the joint build at full coverage, the hedge and
-/// hedge-win counters move, and the per-shard latency histograms fill.
+/// Answers over HTTP are bit-identical to the joint build at full
+/// coverage, and the per-shard query counters and latency histograms
+/// fill.
 #[test]
-fn hedged_sharded_server_is_bit_identical_to_joint_build() {
+fn sharded_server_is_bit_identical_to_joint_build() {
     let coll = collection();
     let qs = queries(&coll, 4);
     let params = SearchParams::default();
     let expected = joint_tuples(&coll, &qs, &params);
 
-    let root = temp_dir("hedge");
+    let root = temp_dir("identity");
     nucdb::build_sharded_root(&root, records(&coll), 3, &DbConfig::default()).unwrap();
     let registry = Arc::new(MetricsRegistry::new());
-    let shard_config = ShardSetConfig {
-        shard_deadline: Duration::from_secs(30),
-        hedge_after: Some(Duration::from_millis(30)),
-    };
-    let mut set = ShardSet::open_root(&root, shard_config, &registry).unwrap();
+    let mut set = ShardSet::open_root(&root, ShardSetConfig, &registry).unwrap();
     set.set_forensics(Forensics::new(ForensicsConfig::default()));
     let set = Arc::new(set);
-    // Shard 1's primary worker sleeps 300 ms per phase; the hedge fires
-    // at 30 ms and is never delayed, so it deterministically wins.
-    set.inject_delay_ns(1, 300_000_000);
 
     let handle = start_sharded(
         "127.0.0.1:0",
@@ -267,7 +260,7 @@ fn hedged_sharded_server_is_bit_identical_to_joint_build() {
     for (i, result) in results.iter().enumerate() {
         assert_eq!(answer_tuples(result), expected[i], "query {i}");
         let (ok, total, failed) = coverage_of(result);
-        assert_eq!((ok, total), (3, 3), "hedged query {i} lost coverage");
+        assert_eq!((ok, total), (3, 3), "query {i} lost coverage");
         assert!(failed.is_empty());
     }
 
@@ -283,9 +276,8 @@ fn hedged_sharded_server_is_bit_identical_to_joint_build() {
     assert!(String::from_utf8_lossy(&refusal).contains("explain"));
     assert_eq!(debug_entries(addr, "/debug/queries").len(), qs.len());
 
-    // The per-shard metric families are in the exposition: the straggler
-    // was hedged (and the hedge won), and every shard's latency
-    // histogram recorded phases.
+    // The per-shard metric families are in the exposition: every shard
+    // ran phases and its latency histogram recorded them.
     let (status, metrics) = get(addr, "/metrics");
     assert_eq!(status, 200);
     let text = String::from_utf8(metrics).unwrap();
@@ -300,8 +292,6 @@ fn hedged_sharded_server_is_bit_identical_to_joint_build() {
             .parse()
             .unwrap()
     };
-    assert!(counter("nucdb_shard_hedges_total", "shard-001") >= 1);
-    assert!(counter("nucdb_shard_hedge_wins_total", "shard-001") >= 1);
     for shard in ["shard-000", "shard-001", "shard-002"] {
         assert!(counter("nucdb_shard_queries_total", shard) >= 1);
         assert!(
@@ -331,7 +321,7 @@ fn corrupt_shard_degrades_to_partial_coverage_not_500() {
     std::fs::write(&victim, &full[..8]).unwrap();
 
     let registry = Arc::new(MetricsRegistry::new());
-    let mut set = ShardSet::open_root(&root, ShardSetConfig::default(), &registry).unwrap();
+    let mut set = ShardSet::open_root(&root, ShardSetConfig, &registry).unwrap();
     set.set_forensics(Forensics::new(ForensicsConfig::default()));
     let set = Arc::new(set);
     let handle = start_sharded(

@@ -36,7 +36,9 @@ e2e/run.sh --smoke --seconds 4
 # Then the capture pipeline through the same binary: bench with the
 # log, its stride, tail sampling and the ring on, and profile the log,
 # all inside the temporary directory. Last, `serve` through the release
-# binary: one search over HTTP, then SIGTERM must drain and exit 0.
+# binary, over the plain database and over a 2-shard root of the same
+# collection: one search over HTTP each, then SIGTERM must drain and
+# exit 0.
 health_dir=$(mktemp -d)
 serve_pid=""
 trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; rm -rf "$health_dir"' EXIT
@@ -44,42 +46,53 @@ NUCDB=(cargo run --quiet --release -p nucdb-cli --)
 "${NUCDB[@]}" generate --bases 200000 --out "$health_dir/coll.fasta" --seed 7 \
   --queries-out "$health_dir/q.fasta"
 "${NUCDB[@]}" build --collection "$health_dir/coll.fasta" --db "$health_dir/db" --codec block
+"${NUCDB[@]}" build --collection "$health_dir/coll.fasta" --db "$health_dir/shards" --shards 2
 "${NUCDB[@]}" fsck --db "$health_dir/db"
 "${NUCDB[@]}" stat --db "$health_dir/db" --out results
 "${NUCDB[@]}" bench --db "$health_dir/db" --query "$health_dir/q.fasta" \
   --trace "$health_dir/t.jsonl" --trace-sample 4 --slow-ms 0.001 --flight-recorder 16
 "${NUCDB[@]}" profile --input "$health_dir/t.jsonl" --out "$health_dir"
-# Launched directly, not through `cargo run`, so that $! is the server.
-target/release/nucdb serve --db "$health_dir/db" --addr 127.0.0.1:0 \
-  --scrub-bytes-per-sec 0 >"$health_dir/serve.log" 2>&1 &
-serve_pid=$!
-port=""
-for _ in $(seq 300); do
-  port=$(sed -n 's|^serving on http://127\.0\.0\.1:\([0-9]*\) .*|\1|p' "$health_dir/serve.log")
-  [ -n "$port" ] && break
-  kill -0 "$serve_pid" 2>/dev/null || break
-  sleep 0.1
-done
-if [ -z "$port" ]; then
-  echo "serve printed no address within 30 s:" >&2
-  cat "$health_dir/serve.log" >&2
-  exit 1
-fi
-code=$(curl -sf -o "$health_dir/search.json" -w '%{http_code}' \
-  --data-binary @"$health_dir/q.fasta" "http://127.0.0.1:$port/search" || true)
-if [ "$code" != 200 ] || ! grep -q '"results":\[{' "$health_dir/search.json"; then
-  echo "serve /search answered $code without results" >&2
-  exit 1
-fi
-kill -TERM "$serve_pid"
-serve_status=0
-wait "$serve_pid" || serve_status=$?
-serve_pid=""
-if [ "$serve_status" != 0 ] || ! grep -q 'drained cleanly' "$health_dir/serve.log"; then
-  echo "serve exited with status $serve_status without a clean drain:" >&2
-  cat "$health_dir/serve.log" >&2
-  exit 1
-fi
+# serve_round_trip DB NAME [PATTERN]: serve DB on port 0, POST q.fasta
+# once (200, non-empty `results`, and PATTERN in the body if given),
+# then SIGTERM must give exit 0 and a clean drain.
+serve_round_trip() {
+  local db=$1 log="$health_dir/serve-$2.log" body="$health_dir/search-$2.json"
+  # Launched directly, not through `cargo run`, so that $! is the server.
+  target/release/nucdb serve --db "$db" --addr 127.0.0.1:0 \
+    --scrub-bytes-per-sec 0 >"$log" 2>&1 &
+  serve_pid=$!
+  local port=""
+  for _ in $(seq 300); do
+    port=$(sed -n 's|^serving on http://127\.0\.0\.1:\([0-9]*\) .*|\1|p' "$log")
+    [ -n "$port" ] && break
+    kill -0 "$serve_pid" 2>/dev/null || break
+    sleep 0.1
+  done
+  if [ -z "$port" ]; then
+    echo "serve ($2) printed no address within 30 s:" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+  local code
+  code=$(curl -sf -o "$body" -w '%{http_code}' \
+    --data-binary @"$health_dir/q.fasta" "http://127.0.0.1:$port/search" || true)
+  if [ "$code" != 200 ] || ! grep -q '"results":\[{' "$body" \
+    || { [ -n "${3:-}" ] && ! grep -qF "$3" "$body"; }; then
+    echo "serve ($2) /search answered $code without results${3:+ or $3}" >&2
+    exit 1
+  fi
+  kill -TERM "$serve_pid"
+  local status=0
+  wait "$serve_pid" || status=$?
+  serve_pid=""
+  if [ "$status" != 0 ] || ! grep -q 'drained cleanly' "$log"; then
+    echo "serve ($2) exited with status $status without a clean drain:" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+}
+serve_round_trip "$health_dir/db" plain
+serve_round_trip "$health_dir/shards" sharded '"shards_ok":2'
 # The benchmark gate: the traced run's work counts must equal the
 # committed reference exactly; timings are report-only (see the
 # script's header).

@@ -100,7 +100,6 @@ fn every_shape_answers_identically_and_traces_through_one_driver() {
             &CollectionOptions {
                 registry: Arc::new(MetricsRegistry::new()),
                 forensics: forensics.clone(),
-                ..CollectionOptions::default()
             },
         )
         .unwrap();

@@ -9,13 +9,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nucdb::{
-    build_sharded_root, Database, DbConfig, IndexVariant, LocalShard, SearchParams, Shard,
+    build_sharded_root, CoarseScratch, Collection, Database, DbConfig, IndexVariant, SearchParams,
     ShardSet, ShardSetConfig, StoreVariant,
 };
 use nucdb_index::{
     shard_dir_name, CompressedIndex, FaultPlan, IndexParams, ListCodec, ShardManifest,
 };
-use nucdb_obs::MetricsRegistry;
+use nucdb_obs::{Forensics, ForensicsConfig, MetricsRegistry, SpanNode};
 use nucdb_seq::DnaSeq;
 use proptest::prelude::*;
 
@@ -68,7 +68,7 @@ fn sharded_set(records: &[(String, DnaSeq)], n: usize, config: &DbConfig) -> Sha
         .into_iter()
         .map(|chunk| Database::build(chunk, config))
         .collect();
-    ShardSet::from_databases(dbs, ShardSetConfig::default(), &MetricsRegistry::disabled()).unwrap()
+    ShardSet::from_databases(dbs, &MetricsRegistry::disabled()).unwrap()
 }
 
 type Answer = Vec<(u32, String, i32, f64, u32)>;
@@ -182,7 +182,7 @@ fn disk_root_matches_the_joint_build() {
     assert_eq!(manifest.total_records(), 20);
 
     let registry = MetricsRegistry::new();
-    let set = ShardSet::open_root(&dir, ShardSetConfig::default(), &registry).unwrap();
+    let set = ShardSet::open_root(&dir, ShardSetConfig, &registry).unwrap();
     assert_eq!(set.len(), 20);
 
     let joint = Database::build(records.clone(), &config);
@@ -224,7 +224,7 @@ fn one_shard_down_sweep_keeps_surviving_answers() {
             std::fs::write(&victim, &bytes[..8]).unwrap();
 
             let registry = MetricsRegistry::new();
-            let set = ShardSet::open_root(&root, ShardSetConfig::default(), &registry).unwrap();
+            let set = ShardSet::open_root(&root, ShardSetConfig, &registry).unwrap();
 
             // The expected degraded answer: a joint build over every
             // record the surviving shards hold.
@@ -283,7 +283,7 @@ fn query_time_shard_error_degrades_and_bumps_the_metric() {
     build_sharded_root(&dir, records.clone(), 3, &config).unwrap();
 
     let registry = MetricsRegistry::new();
-    let mut shards: Vec<Arc<dyn Shard>> = Vec::new();
+    let mut dbs = Vec::new();
     for i in 0..3usize {
         let shard_dir = dir.join(shard_dir_name(i));
         let idx = shard_dir.join("index.nucidx");
@@ -301,10 +301,12 @@ fn query_time_shard_error_degrades_and_bumps_the_metric() {
             CompressedIndex::open(&idx).unwrap()
         };
         let store = nucdb::SequenceStore::open(&sto).unwrap();
-        let db = Database::from_variants(StoreVariant::Disk(store), IndexVariant::Disk(index));
-        shards.push(Arc::new(LocalShard::new(shard_dir_name(i), db)));
+        dbs.push(Database::from_variants(
+            StoreVariant::Disk(store),
+            IndexVariant::Disk(index),
+        ));
     }
-    let set = ShardSet::assemble(shards, Vec::new(), ShardSetConfig::default(), &registry).unwrap();
+    let set = ShardSet::from_databases(dbs, &registry).unwrap();
 
     // A query that IS a record of the faulted shard: its own intervals
     // are in that shard's vocabulary, so coarse search must fetch there
@@ -366,79 +368,140 @@ fn all_shards_down_is_an_error() {
         std::fs::write(&victim, &bytes[..4]).unwrap();
     }
     let registry = MetricsRegistry::new();
-    let set = ShardSet::open_root(&dir, ShardSetConfig::default(), &registry).unwrap();
+    let set = ShardSet::open_root(&dir, ShardSetConfig, &registry).unwrap();
     assert!(set.search(&dna(60, 1), &SearchParams::default()).is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Hedging at the planner level: a delayed primary worker loses the
-/// race to the undelayed hedge replica, answers stay bit-identical, and
-/// the hedge counters tick.
+/// A sharded query's span tree nests like a single database's: the
+/// shards' coarse stage times are summed into one `coarse` span, so
+/// they must add up to no more than that span's wall time, and every
+/// child must end within it.
 #[test]
-fn hedge_overtakes_a_delayed_shard_bit_identically() {
-    let records = corpus(16, 21);
-    let config = DbConfig::default();
-    let queries: Vec<DnaSeq> = records.iter().step_by(4).map(|(_, s)| s.clone()).collect();
-    let params = SearchParams::default();
-    let joint = Database::build(records.clone(), &config);
-    let want = joint_answers(&joint, &queries, &params);
-
-    let registry = MetricsRegistry::new();
+fn sharded_coarse_spans_nest_within_their_parent() {
+    let records = corpus(120, 5);
+    let queries: Vec<DnaSeq> = records.iter().step_by(10).map(|(_, s)| s.clone()).collect();
     let dbs = split(&records, 2)
         .into_iter()
-        .map(|chunk| Database::build(chunk, &config))
+        .map(|chunk| Database::build(chunk, &DbConfig::default()))
         .collect();
-    let set_config = ShardSetConfig {
-        hedge_after: Some(std::time::Duration::from_millis(20)),
-        ..ShardSetConfig::default()
-    };
-    let set = ShardSet::from_databases(dbs, set_config, &registry).unwrap();
-    // Shard 0's primary sleeps 400ms per phase; the hedge fires at 20ms
-    // and answers identically long before the primary wakes.
-    set.inject_delay_ns(0, 400_000_000);
+    let mut set = ShardSet::from_databases(dbs, &MetricsRegistry::disabled()).unwrap();
+    let forensics = Forensics::new(ForensicsConfig::default());
+    set.set_forensics(forensics.clone());
+    for query in &queries {
+        set.search(query, &SearchParams::default()).unwrap();
+    }
 
-    assert_eq!(sharded_answers(&set, &queries, &params), want);
-
-    let hedges = registry
-        .counter_with("nucdb_shard_hedges_total", "", &[("shard", "shard-000")])
-        .get();
-    assert!(hedges >= 1, "no hedge was dispatched for the slow shard");
-    let wins = registry
-        .counter_with(
-            "nucdb_shard_hedge_wins_total",
-            "",
-            &[("shard", "shard-000")],
-        )
-        .get();
-    assert!(wins >= 1, "the hedge replica never won the race");
+    fn check(node: &SpanNode, coarse_spans: &mut usize) {
+        if node.name == "coarse" {
+            *coarse_spans += 1;
+            let end = node.start_ns + node.dur_ns;
+            let children: u64 = node.children.iter().map(|c| c.dur_ns).sum();
+            assert!(
+                children <= node.dur_ns,
+                "coarse children sum to {children} ns > span {} ns",
+                node.dur_ns
+            );
+            for child in &node.children {
+                assert!(
+                    child.start_ns >= node.start_ns && child.start_ns + child.dur_ns <= end,
+                    "{} [{}, +{}] outside coarse [{}, {end}]",
+                    child.name,
+                    child.start_ns,
+                    child.dur_ns,
+                    node.start_ns
+                );
+            }
+        }
+        for child in &node.children {
+            check(child, coarse_spans);
+        }
+    }
+    let entries = forensics.recent();
+    assert_eq!(entries.len(), queries.len());
+    let mut coarse_spans = 0;
+    for entry in &entries {
+        check(&entry.trace.root, &mut coarse_spans);
+    }
+    // One per query: the default params search the forward strand.
+    assert_eq!(coarse_spans, queries.len());
 }
 
-/// A shard past its per-phase deadline is dropped from the answer with
-/// a timeout failure; the survivors still answer.
+/// Four threads share one set, each with its own scratch, through the
+/// front ends' entry point: the calls overlap, every answer equals the
+/// joint build's, and the per-shard phase counter misses no phase.
 #[test]
-fn deadline_expiry_degrades_instead_of_hanging() {
-    let records = corpus(12, 33);
+fn concurrent_callers_on_one_set_match_the_joint_build() {
+    const THREADS: u64 = 4;
+    let records = corpus(60, 17);
     let config = DbConfig::default();
+    let queries: Vec<DnaSeq> = records.iter().step_by(3).map(|(_, s)| s.clone()).collect();
+    let params = SearchParams::default();
+    let joint = Database::build(records.clone(), &config);
+    let want: Vec<Vec<(u32, i32)>> = joint_answers(&joint, &queries, &params)
+        .into_iter()
+        .map(|answer| answer.into_iter().map(|(r, _, s, _, _)| (r, s)).collect())
+        .collect();
+
     let registry = MetricsRegistry::new();
     let dbs = split(&records, 2)
         .into_iter()
         .map(|chunk| Database::build(chunk, &config))
         .collect();
-    let set_config = ShardSetConfig {
-        shard_deadline: std::time::Duration::from_millis(50),
-        hedge_after: None, // no hedge: the delay must hit the deadline
+    let collection =
+        Collection::Sharded(Arc::new(ShardSet::from_databases(dbs, &registry).unwrap()));
+    let phases = || -> u64 {
+        (0..2)
+            .map(|i| {
+                registry
+                    .counter_with(
+                        "nucdb_shard_queries_total",
+                        "",
+                        &[("shard", &shard_dir_name(i))],
+                    )
+                    .get()
+            })
+            .sum()
     };
-    let set = ShardSet::from_databases(dbs, set_config, &registry).unwrap();
-    set.inject_delay_ns(1, 400_000_000);
+    let run_all = |scratch: &mut CoarseScratch| -> Vec<Vec<(u32, i32)>> {
+        queries
+            .iter()
+            .map(|q| {
+                let outcome = collection
+                    .search_with_id(q, &params, scratch, None)
+                    .unwrap();
+                assert!(outcome.coverage.unwrap().coverage.is_full());
+                outcome
+                    .results
+                    .iter()
+                    .map(|r| (r.record, r.score))
+                    .collect()
+            })
+            .collect()
+    };
 
-    let outcome = set.search(&records[0].1, &SearchParams::default()).unwrap();
-    assert_eq!(outcome.coverage.shards_ok, 1);
-    assert_eq!(outcome.coverage.shards_total, 2);
-    assert!(outcome.failures[0].error.contains("deadline"));
-    let timeouts = registry
-        .counter_with("nucdb_shard_timeouts_total", "", &[("shard", "shard-001")])
-        .get();
-    assert!(timeouts >= 1, "timeout counter not bumped");
+    // One pass alone fixes how many phases the query list dispatches:
+    // coarse on both shards, fine on the shards owning winners.
+    assert_eq!(run_all(&mut CoarseScratch::new()), want);
+    let per_pass = phases();
+    assert!(per_pass > 2 * queries.len() as u64, "{per_pass}");
+
+    let start = std::sync::Barrier::new(THREADS as usize);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut scratch = CoarseScratch::new();
+                    start.wait();
+                    run_all(&mut scratch)
+                })
+            })
+            .collect();
+        for handle in handles {
+            assert_eq!(handle.join().unwrap(), want);
+        }
+    });
+    assert_eq!(phases(), (THREADS + 1) * per_pass);
 }
 
 fn copy_tree(from: &Path, to: &Path) {
