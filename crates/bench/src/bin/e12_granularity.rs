@@ -7,20 +7,21 @@
 //! whose fine stage must align whole records. Size, per-stage time, and
 //! recall for both, on the same collection and queries.
 //!
-//! The engine indexes offsets only. The record-level rows are built here
-//! from `nucdb-codec`: each list of the offsets build re-coded as the
-//! paper's layout without its offsets (Golomb record gaps fitted to
-//! `(N, df)`, gamma `count − 1`, byte-aligned), ranked by `count × qlen`
-//! over those lists, and every candidate fully aligned.
+//! The engine indexes offsets only and ranks by the frame score. The
+//! other rows are built here. The count row over offsets ranks with
+//! [`rank_by_hits`] and aligns banded, as the engine would. The
+//! record-level rows come from `nucdb-codec`: each list of the offsets
+//! build re-coded as the paper's layout without its offsets (Golomb
+//! record gaps fitted to `(N, df)`, gamma `count − 1`, byte-aligned),
+//! ranked by `count × qlen` over those lists, and every candidate fully
+//! aligned.
 
 use std::time::Duration;
 
-use nucdb::{
-    fine_search, recall_at, CoarseHit, Database, DbConfig, FineMode, IndexVariant, RankingScheme,
-    SearchParams,
-};
+use nucdb::{fine_search, recall_at, CoarseHit, DbConfig, FineMode, IndexVariant, SearchParams};
 use nucdb_bench::{
-    banner, bytes, collection, database, family_queries, family_relevant, time, Table,
+    banner, bytes, collection, database, family_queries, family_relevant, rank_by_hits, time,
+    HitScore, Table,
 };
 use nucdb_codec::{BitReader, BitWriter, Gamma, Golomb, IntCodec};
 use nucdb_index::{CompressedIndex, IndexParams};
@@ -83,7 +84,7 @@ impl RecordLists {
     /// `min_coarse_hits` (at least 1) drop out, and the top C are kept in
     /// score-descending, record-ascending order. No offsets, so no
     /// diagonal.
-    fn coarse(&self, query: &DnaSeq, params: &SearchParams) -> Vec<CoarseHit> {
+    fn coarse(&self, query: &DnaSeq, params: &SearchParams, score: HitScore) -> Vec<CoarseHit> {
         let mut codes: Vec<u64> = self
             .params
             .extract(&query.representative_bases())
@@ -112,62 +113,29 @@ impl RecordLists {
                 *total = total.saturating_add(count.saturating_mul(qlen));
             }
         }
-        let mut candidates: Vec<CoarseHit> = touched
-            .into_iter()
+        let candidates = (touched.into_iter())
             .map(|record| (record, totals[record as usize]))
             .filter(|&(_, hits)| hits >= params.min_coarse_hits.max(1))
             .map(|(record, hits)| CoarseHit {
                 record,
-                score: match params.ranking {
-                    RankingScheme::Proportional => {
-                        hits as f64 / self.record_lens[record as usize].max(1) as f64
-                    }
-                    _ => hits as f64,
-                },
                 hits,
                 frame_hits: 0,
                 best_diagonal: 0,
             })
             .collect();
-        candidates.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .expect("finite scores")
-                .then(a.record.cmp(&b.record))
-        });
-        candidates.truncate(params.max_candidates);
-        candidates
+        score.top(candidates, &self.record_lens, params.max_candidates)
     }
+}
 
-    /// Coarse rank, full alignment of every candidate, and the answer in
-    /// the engine's order (score descending, record ascending). Returns
-    /// the ranked records and the two stage times.
-    fn search(
-        &self,
-        db: &Database,
-        query: &DnaSeq,
-        params: &SearchParams,
-    ) -> (Vec<u32>, Duration, Duration) {
-        let (candidates, coarse) = time(|| self.coarse(query, params));
-        let (mut results, fine) = time(|| {
-            fine_search(
-                db.store(),
-                query,
-                &candidates,
-                FineMode::Full,
-                &params.scheme,
-                params.min_score,
-            )
-            .unwrap()
-        });
-        results.sort_by(|a, b| b.score.cmp(&a.score).then(a.record.cmp(&b.record)));
-        let ranked = results
-            .iter()
-            .take(params.max_results)
-            .map(|r| r.record)
-            .collect();
-        (ranked, coarse, fine)
-    }
+/// Where a row's coarse candidates come from.
+#[derive(Clone, Copy)]
+enum Coarse {
+    /// The engine: frame score over offsets.
+    Engine,
+    /// [`rank_by_hits`] over the offsets index, fine search banded.
+    Offsets(HitScore),
+    /// [`RecordLists::coarse`], every candidate fully aligned.
+    Records(HitScore),
 }
 
 fn main() {
@@ -190,23 +158,23 @@ fn main() {
         unreachable!()
     };
     let records = RecordLists::from_index(index);
-    let count = RankingScheme::Count;
     let rows = [
-        ("offsets + frame + banded", RankingScheme::default(), false),
-        ("offsets + count + banded", count, false),
-        ("records + count + full fine", count, true),
+        ("offsets + frame + banded", Coarse::Engine),
+        ("offsets + count + banded", Coarse::Offsets(HitScore::Count)),
+        (
+            "records + count + full fine",
+            Coarse::Records(HitScore::Count),
+        ),
         (
             "records + proportional + full fine",
-            RankingScheme::Proportional,
-            true,
+            Coarse::Records(HitScore::Proportional),
         ),
     ];
-    for (label, ranking, record_level) in rows {
-        let params = SearchParams::default().with_ranking(ranking);
-        let index_bytes = if record_level {
-            records.index_bytes()
-        } else {
-            index.stats().total_bytes()
+    let params = SearchParams::default();
+    for (label, source) in rows {
+        let index_bytes = match source {
+            Coarse::Records(_) => records.index_bytes(),
+            _ => index.stats().total_bytes(),
         };
 
         let mut coarse = Duration::ZERO;
@@ -214,18 +182,44 @@ fn main() {
         let mut recall = 0.0;
         let mut total = Duration::ZERO;
         for (f, query) in &queries {
-            let ranked: Vec<u32> = if record_level {
-                let ((ranked, c, fi), took) = time(|| records.search(&db, query, &params));
-                total += took;
-                (coarse, fine) = (coarse + c, fine + fi);
-                ranked
-            } else {
-                let (outcome, took) = time(|| db.search(query, &params).unwrap());
-                total += took;
-                coarse += Duration::from_nanos(outcome.stats.coarse_nanos);
-                fine += Duration::from_nanos(outcome.stats.fine_nanos);
-                outcome.results.iter().map(|r| r.record).collect()
+            let start = std::time::Instant::now();
+            let (candidates, mode) = match source {
+                Coarse::Engine => (None, params.fine),
+                Coarse::Offsets(score) => {
+                    let (hits, c) =
+                        time(|| rank_by_hits(index, &query.representative_bases(), &params, score));
+                    coarse += c;
+                    (Some(hits.unwrap()), params.fine)
+                }
+                Coarse::Records(score) => {
+                    let (hits, c) = time(|| records.coarse(query, &params, score));
+                    coarse += c;
+                    (Some(hits), FineMode::Full)
+                }
             };
+            let ranked: Vec<u32> = match candidates {
+                None => {
+                    let outcome = db.search(query, &params).unwrap();
+                    coarse += Duration::from_nanos(outcome.stats.coarse_nanos);
+                    fine += Duration::from_nanos(outcome.stats.fine_nanos);
+                    outcome.results.iter().map(|r| r.record).collect()
+                }
+                Some(candidates) => {
+                    let (scheme, min_score) = (&params.scheme, params.min_score);
+                    let (results, fi) = time(|| {
+                        fine_search(db.store(), query, &candidates, mode, scheme, min_score)
+                    });
+                    fine += fi;
+                    // Already in the engine's order: score desc, record asc.
+                    let results = results.unwrap();
+                    results
+                        .iter()
+                        .take(params.max_results)
+                        .map(|r| r.record)
+                        .collect()
+                }
+            };
+            total += start.elapsed();
             recall += recall_at(&ranked, &family_relevant(&coll, *f), 10);
         }
         let n = queries.len() as f64;

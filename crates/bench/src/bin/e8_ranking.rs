@@ -7,10 +7,25 @@
 //! intervals (hit counting cannot tell it from a member) but has no long
 //! common diagonal (no good local alignment exists). Diagonal-structured
 //! ranking should demote decoys; counting should not.
+//!
+//! The engine ranks by the frame score only; the count and proportional
+//! rows rank with [`rank_by_hits`] here. Every row fine-searches its
+//! candidates as the engine would.
 
-use nucdb::{coarse_rank, recall_at, DbConfig, IndexVariant, RankingScheme, SearchParams};
-use nucdb_bench::{banner, database, family_queries, family_relevant, Table};
+use nucdb::{coarse_rank, fine_search, recall_at, DbConfig, IndexVariant, SearchParams};
+use nucdb_bench::{
+    banner, database, family_queries, family_relevant, rank_by_hits, HitScore, Table,
+};
 use nucdb_seq::random::{CollectionSpec, SyntheticCollection};
+
+/// What a row ranks coarse candidates by.
+#[derive(Clone, Copy)]
+enum Ranking {
+    /// A hit score, ranked in this binary.
+    Hits(HitScore),
+    /// The engine's frame score over a window of this many bases.
+    Frame(u32),
+}
 
 fn main() {
     banner("E8", "coarse ranking schemes vs shuffled-block decoys");
@@ -32,13 +47,17 @@ fn main() {
             .sum::<usize>()
     );
 
-    let schemes: &[(&str, RankingScheme)] = &[
-        ("count", RankingScheme::Count),
-        ("proportional", RankingScheme::Proportional),
-        ("frame w=4", RankingScheme::Frame { window: 4 }),
-        ("frame w=16", RankingScheme::Frame { window: 16 }),
-        ("frame w=64", RankingScheme::Frame { window: 64 }),
+    let schemes = [
+        ("count", Ranking::Hits(HitScore::Count)),
+        ("proportional", Ranking::Hits(HitScore::Proportional)),
+        ("frame w=4", Ranking::Frame(4)),
+        ("frame w=16", Ranking::Frame(16)),
+        ("frame w=64", Ranking::Frame(64)),
     ];
+    let IndexVariant::Disk(index) = db.index() else {
+        unreachable!()
+    };
+    let params = SearchParams::default().with_candidates(30);
 
     let mut table = Table::new(&[
         "ranking",
@@ -47,7 +66,7 @@ fn main() {
         "recall@10 (end-to-end)",
     ]);
 
-    for &(label, ranking) in schemes {
+    for (label, ranking) in schemes {
         let mut member5 = 0.0;
         let mut decoy5 = 0.0;
         let mut recall = 0.0;
@@ -55,20 +74,27 @@ fn main() {
             let family = family_relevant(&coll, *f);
             let decoys: std::collections::HashSet<u32> =
                 coll.families[*f].decoy_ids.iter().copied().collect();
-            let params = SearchParams::default()
-                .with_ranking(ranking)
-                .with_candidates(30);
-
-            let IndexVariant::Disk(index) = db.index() else {
-                unreachable!()
+            let bases = query.representative_bases();
+            let candidates = match ranking {
+                Ranking::Hits(score) => rank_by_hits(index, &bases, &params, score).unwrap(),
+                Ranking::Frame(frame_window) => {
+                    let params = SearchParams {
+                        frame_window,
+                        ..params
+                    };
+                    coarse_rank(index, &bases, &params).unwrap().candidates
+                }
             };
-            let coarse = coarse_rank(index, &query.representative_bases(), &params).unwrap();
-            let top5: Vec<u32> = coarse.candidates.iter().take(5).map(|c| c.record).collect();
+            let top5: Vec<u32> = candidates.iter().take(5).map(|c| c.record).collect();
             member5 += top5.iter().filter(|r| family.contains(r)).count() as f64;
             decoy5 += top5.iter().filter(|r| decoys.contains(r)).count() as f64;
 
-            let outcome = db.search(query, &params).unwrap();
-            let ranked: Vec<u32> = outcome.results.iter().map(|r| r.record).collect();
+            let (mode, scheme, floor) = (params.fine, &params.scheme, params.min_score);
+            let results = fine_search(db.store(), query, &candidates, mode, scheme, floor);
+            let results = results.unwrap();
+            let ranked: Vec<u32> = (results.iter().take(params.max_results))
+                .map(|r| r.record)
+                .collect();
             recall += recall_at(&ranked, &family, 10);
         }
         let n = queries.len() as f64;

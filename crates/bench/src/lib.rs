@@ -7,12 +7,14 @@
 
 #![warn(missing_docs)]
 
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use nucdb::{Database, DbConfig};
+use nucdb::{CoarseHit, Database, DbConfig, PostingsSource, RecordSource, SearchParams};
+use nucdb_index::{IndexError, PostingsVisitor};
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
-use nucdb_seq::DnaSeq;
+use nucdb_seq::{Base, DnaSeq, SeqError};
 
 /// Standard workload: a synthetic collection of roughly `total_bases`
 /// bases with planted homolog families and a realistic dose of
@@ -55,6 +57,182 @@ pub fn family_queries(
 /// The planted relevant set for family `f`.
 pub fn family_relevant(coll: &SyntheticCollection, f: usize) -> HashSet<u32> {
     coll.families[f].member_ids.iter().copied().collect()
+}
+
+/// A coarse score the engine does not rank by: E8's and E12's ablation
+/// rows against the frame score.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HitScore {
+    /// Total interval hits.
+    Count,
+    /// Hits divided by record length.
+    Proportional,
+}
+
+impl HitScore {
+    /// Order `candidates` by this score descending, then record
+    /// ascending, and keep the first `keep`.
+    pub fn top(self, mut candidates: Vec<CoarseHit>, lens: &[u32], keep: usize) -> Vec<CoarseHit> {
+        let value = |c: &CoarseHit| match self {
+            HitScore::Count => f64::from(c.hits),
+            HitScore::Proportional => f64::from(c.hits) / f64::from(lens[c.record as usize].max(1)),
+        };
+        candidates.sort_by(|a, b| value(b).total_cmp(&value(a)).then(a.record.cmp(&b.record)));
+        candidates.truncate(keep);
+        candidates
+    }
+}
+
+/// The diagonal window the count and proportional rows seed fine search
+/// with: the engine's default frame window.
+const SEED_WINDOW: i64 = 16;
+
+/// Rank the records of `index` for `query` by `score` instead of the
+/// frame score. Each distinct query interval is fetched once through
+/// [`PostingsSource::fetch_stream`], and every posting charges its
+/// record one hit `offset − qpos` per query position of that interval.
+/// Every interval is looked up: E8 and E12 run no query stride or mask,
+/// and `params` must ask for none. Records below
+/// `min_coarse_hits` drop out. Each candidate's `best_diagonal` is the
+/// median of its first widest diagonal window of width 16, as the engine
+/// seeds fine search. Returns the top `max_candidates` by (score
+/// descending, record ascending).
+pub fn rank_by_hits<S: PostingsSource>(
+    index: &S,
+    query: &[Base],
+    params: &SearchParams,
+    score: HitScore,
+) -> Result<Vec<CoarseHit>, IndexError> {
+    assert!(
+        params.query_stride <= 1 && params.mask.is_none(),
+        "rank_by_hits looks up every query interval"
+    );
+    let mut codes: Vec<(u64, u32)> = (index.index_params().extract(query))
+        .map(|(qpos, code)| (code, qpos))
+        .collect();
+    codes.sort_unstable();
+
+    struct Charge<'a> {
+        run: &'a [(u64, u32)],
+        diagonals: &'a mut [Vec<i64>],
+    }
+    impl PostingsVisitor for Charge<'_> {
+        fn visit(&mut self, record: u32, offset: u32) {
+            let diagonals = &mut self.diagonals[record as usize];
+            diagonals.extend(
+                self.run
+                    .iter()
+                    .map(|&(_, qpos)| offset as i64 - qpos as i64),
+            );
+        }
+    }
+    let mut diagonals = vec![Vec::new(); index.num_records() as usize];
+    let mut io_buf = Vec::new();
+    for run in codes.chunk_by(|a, b| a.0 == b.0) {
+        let mut charge = Charge {
+            run,
+            diagonals: &mut diagonals,
+        };
+        index.fetch_stream(run[0].0, &mut io_buf, &mut charge)?;
+    }
+
+    let mut candidates = Vec::new();
+    for (record, diags) in diagonals.iter_mut().enumerate() {
+        let hits = diags.len() as u32;
+        if diags.is_empty() || hits < params.min_coarse_hits {
+            continue;
+        }
+        diags.sort_unstable();
+        let (mut width, mut start, mut lo) = (0, 0, 0);
+        for hi in 0..diags.len() {
+            while diags[hi] - diags[lo] > SEED_WINDOW {
+                lo += 1;
+            }
+            if hi - lo + 1 > width {
+                (width, start) = (hi - lo + 1, lo);
+            }
+        }
+        candidates.push(CoarseHit {
+            record: record as u32,
+            hits,
+            frame_hits: width as u32,
+            best_diagonal: diags[start + width / 2],
+        });
+    }
+    Ok(score.top(candidates, index.record_lens(), params.max_candidates))
+}
+
+/// E6's ASCII baseline store: one byte per base, the records' blobs in
+/// one image. Like [`nucdb::SequenceStore`], every fetch checks its blob
+/// against a CRC-32 and counts the bytes and the record read, so E6
+/// compares encodings and not checks.
+#[derive(Default)]
+pub struct AsciiStore {
+    ids: Vec<String>,
+    /// Per record: offset of its blob in `image`, and its CRC-32.
+    blobs: Vec<(usize, u32)>,
+    image: Vec<u8>,
+    /// Bytes and records fetched so far.
+    pub reads: Cell<(u64, u64)>,
+}
+
+impl AsciiStore {
+    /// Store every record of a collection, in record order.
+    pub fn new(coll: &SyntheticCollection) -> AsciiStore {
+        let mut store = AsciiStore::default();
+        for record in &coll.records {
+            let blob = record.seq.to_ascii_vec();
+            store.ids.push(record.id.clone());
+            let crc = nucdb_index::crc32(&blob);
+            store.blobs.push((store.image.len(), crc));
+            store.image.extend_from_slice(&blob);
+        }
+        store
+    }
+
+    /// Bytes the stored blobs occupy.
+    pub fn stored_bytes(&self) -> usize {
+        self.image.len()
+    }
+
+    fn blob(&self, record: u32) -> (&[u8], u64) {
+        let (offset, _) = self.blobs[record as usize];
+        let end = (self.blobs.get(record as usize + 1)).map_or(self.image.len(), |b| b.0);
+        (&self.image[offset..end], offset as u64)
+    }
+}
+
+impl RecordSource for AsciiStore {
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn id(&self, record: u32) -> &str {
+        &self.ids[record as usize]
+    }
+
+    fn record_len(&self, record: u32) -> usize {
+        self.blob(record).0.len()
+    }
+
+    fn bases(&self, record: u32) -> Vec<Base> {
+        self.try_bases(record).expect("record passes its checksum")
+    }
+
+    fn try_bases(&self, record: u32) -> Result<Vec<Base>, SeqError> {
+        Ok(self.sequence(record)?.representative_bases())
+    }
+
+    fn sequence(&self, record: u32) -> Result<DnaSeq, SeqError> {
+        let (blob, offset) = self.blob(record);
+        let (expected, actual) = (self.blobs[record as usize].1, nucdb_index::crc32(blob));
+        if actual != expected {
+            return Err(SeqError::checksum("record", offset, expected, actual));
+        }
+        let (bytes, records) = self.reads.get();
+        self.reads.set((bytes + blob.len() as u64, records + 1));
+        DnaSeq::from_ascii(blob).map_err(|e| e.located("record", offset))
+    }
 }
 
 /// Time a closure.
@@ -297,6 +475,90 @@ mod tests {
         // Balanced braces/brackets — structurally parseable.
         assert_eq!(rendered.matches('{').count(), rendered.matches('}').count());
         assert_eq!(rendered.matches('[').count(), rendered.matches(']').count());
+    }
+
+    fn bases(ascii: &[u8]) -> Vec<Base> {
+        DnaSeq::from_ascii(ascii).unwrap().representative_bases()
+    }
+
+    #[test]
+    fn proportional_corrects_length_bias() {
+        // A short record with one shared interval vs a long record with
+        // two: proportional prefers the short one, count the long one.
+        let short = b"ACGTAGCTAGCT"; // 12 bases, hits once
+        let mut long = b"ACGTAGCTAGCTACGTAGCTAGCT".to_vec(); // hits more
+        long.extend(std::iter::repeat_n(b'G', 400));
+        let mut builder = nucdb_index::IndexBuilder::new(nucdb_index::IndexParams::new(12));
+        builder.add_record(&bases(short));
+        builder.add_record(&bases(&long));
+        let index = builder.finish();
+        let query = bases(b"ACGTAGCTAGCT");
+        let params = SearchParams {
+            min_coarse_hits: 1,
+            ..SearchParams::default()
+        };
+        let rank = |score| rank_by_hits(&index, &query, &params, score).unwrap();
+        assert_eq!(rank(HitScore::Count)[0].record, 1);
+        assert_eq!(rank(HitScore::Proportional)[0].record, 0);
+    }
+
+    /// A frame wider than any diagonal span scores a record by all its
+    /// hits, so the engine then ranks as the count row does.
+    #[test]
+    fn count_rank_matches_the_engine_with_an_unbounded_window() {
+        let coll = collection(105, 300_000);
+        let db = database(&coll, &DbConfig::default());
+        let nucdb::IndexVariant::Disk(index) = db.index() else {
+            unreachable!()
+        };
+        let params = SearchParams {
+            frame_window: 1 << 20,
+            ..SearchParams::default()
+        };
+        let order =
+            |hits: &[CoarseHit]| hits.iter().map(|c| (c.record, c.hits)).collect::<Vec<_>>();
+        for f in 0..coll.families.len() {
+            let query = coll.query_for_family(f, 0.5, &MutationModel::standard(0.05));
+            let query = query.representative_bases();
+            let engine = nucdb::coarse_rank(index, &query, &params).unwrap();
+            let count = rank_by_hits(index, &query, &params, HitScore::Count).unwrap();
+            assert!(!count.is_empty(), "family {f}");
+            assert_eq!(order(&count), order(&engine.candidates), "family {f}");
+        }
+    }
+
+    #[test]
+    fn ascii_and_packed_stores_give_identical_results() {
+        let coll = collection(106, 300_000);
+        let db = database(&coll, &DbConfig::default());
+        let mut ascii = AsciiStore::new(&coll);
+        let params = SearchParams::default();
+        let (mut records, mut bytes) = (0, 0);
+        for f in 0..coll.families.len() {
+            let query = coll.query_for_family(f, 0.5, &MutationModel::standard(0.05));
+            let coarse = nucdb::coarse_rank(db.index(), &query.representative_bases(), &params);
+            let candidates = coarse.unwrap().candidates;
+            let (mode, scheme) = (params.fine, &params.scheme);
+            let plain = nucdb::fine_search(&ascii, &query, &candidates, mode, scheme, 1);
+            let packed = nucdb::fine_search(db.store(), &query, &candidates, mode, scheme, 1);
+            let answer = |r: Vec<nucdb::FineResult>| r.into_iter().map(|r| (r.record, r.score));
+            assert!(
+                answer(plain.unwrap()).eq(answer(packed.unwrap())),
+                "family {f}"
+            );
+            records += candidates.len() as u64;
+            bytes += (candidates.iter())
+                .map(|c| coll.records[c.record as usize].seq.len() as u64)
+                .sum::<u64>();
+        }
+        // Every fetch is counted, at one byte a base.
+        assert_eq!(ascii.reads.get(), (bytes, records));
+        // And checked: a flipped byte fails its record's CRC.
+        ascii.image[0] ^= 0x20;
+        assert!(matches!(
+            ascii.sequence(0),
+            Err(SeqError::Corruption { offset: 0, .. })
+        ));
     }
 
     #[test]

@@ -9,8 +9,7 @@ use std::sync::Arc;
 
 use nucdb::{
     CoarseScratch, Collection, CollectionOptions, FineMode, FsckFinding, FsckSeverity,
-    IndexVariant, RankingScheme, SearchParams, SequenceStore, Shape, StorageMode, Strand,
-    INDEX_FILE, STORE_FILE,
+    IndexVariant, SearchParams, SequenceStore, Shape, StorageMode, Strand, INDEX_FILE, STORE_FILE,
 };
 use nucdb_align::calibrate_gumbel;
 use nucdb_index::{
@@ -39,15 +38,15 @@ commands:
              [--repeat-prob F] [--queries-out FILE] [--divergence F]
   build      build an on-disk database (index + sequence store) from FASTA
              --collection FILE --db DIR [--k N] [--stride N] [--stop-fraction F]
-             [--codec paper|block] [--chunk N] [--ascii-store] [--shards N]
+             [--codec paper|block] [--chunk N] [--shards N]
   ingest     stream FASTA records into a live (segmented) database
              --collection FILE --db DIR [--batch N] [--memtable-max-records N]
              [--max-segments N] [--compact] [--k N] [--stride N]
-             [--codec paper|block] [--ascii-store]
+             [--codec paper|block]
   search     run homology queries (each FASTA record is one query)
-             --db DIR --query FILE [--candidates N] [--ranking count|prop|frame:W]
-             [--fine banded:W|full|trace] [--both-strands] [--max-results N]
-             [--min-score N] [--evalue] [--mask] [--query-stride N] [--explain]
+             --db DIR --query FILE [--candidates N] [--fine banded:W|full|trace]
+             [--both-strands] [--max-results N] [--min-score N] [--evalue] [--mask]
+             [--query-stride N] [--explain]
              [--metrics FILE] [--metrics-format prometheus|json]
              [--trace FILE] [--trace-sample N]
   merge      merge two databases into one (record ids of B follow A's)
@@ -114,7 +113,6 @@ pub fn usage_for(command: &str) -> Option<&'static str> {
   --codec NAME       postings codec: paper|block
                      (block = NUCIDX04 fast-decode tier with skip pointers)
   --chunk N          records per in-memory build chunk (default 2048)
-  --ascii-store      store sequences as ASCII instead of 2-bit packed
   --shards N         partition the collection into N shards (a SHARDS
                      manifest plus one database directory per shard;
                      search/serve/stat/fsck detect the layout). Answers
@@ -125,7 +123,6 @@ pub fn usage_for(command: &str) -> Option<&'static str> {
   --db DIR           database directory (from `nucdb build`)
   --query FILE       FASTA of queries (each record is one query)
   --candidates N     coarse candidates to align finely
-  --ranking R        coarse ranking: count|prop|frame[:W]
   --fine M           fine alignment: banded[:W]|full|trace
   --max-results N    answers to keep per query (default 20)
   --min-score N      drop answers scoring below N
@@ -159,8 +156,7 @@ is rejected over a sharded root (per-shard plans are not merged)"
   --compact          run compaction to quiescence after the final flush
   --k N              interval (k-mer) length, 1..=32 (default 8)
   --stride N         sampling stride across each record, 1 or more (default 1)
-  --codec NAME       postings codec: paper|block
-  --ascii-store      store sequences as ASCII instead of 2-bit packed"
+  --codec NAME       postings codec: paper|block"
         }
         "merge" => {
             "usage: nucdb merge --db-a DIR --db-b DIR --out DIR
@@ -382,18 +378,13 @@ pub fn build(raw: &[String]) -> CommandResult {
             "chunk",
             "shards",
         ],
-        &["ascii-store"],
+        &[],
     )?;
     let collection = PathBuf::from(args.required("collection")?);
     let db_dir = PathBuf::from(args.required("db")?);
     let mut params = interval_params(&args)?;
     let codec = parse_codec(args.get("codec").unwrap_or("paper"))?;
     let chunk: usize = args.get_or("chunk", 2048)?;
-    let storage = if args.flag("ascii-store") {
-        StorageMode::Ascii
-    } else {
-        StorageMode::DirectCoding
-    };
 
     if let Some(frac) = args.get("stop-fraction") {
         let frac: f64 = frac
@@ -413,7 +404,7 @@ pub fn build(raw: &[String]) -> CommandResult {
             nucdb::DbConfig {
                 index: params,
                 codec,
-                storage,
+                ..nucdb::DbConfig::default()
             },
         );
     }
@@ -423,7 +414,7 @@ pub fn build(raw: &[String]) -> CommandResult {
 
     // Stream the FASTA once, filling the store; the index build re-reads
     // record bases from the store (bounded memory via the chunked build).
-    let mut store = SequenceStore::new(storage);
+    let mut store = SequenceStore::new(StorageMode::DirectCoding);
     let reader = FastaReader::new(BufReader::new(File::open(&collection)?));
     for record in reader {
         let record = record?;
@@ -522,7 +513,7 @@ pub fn ingest(raw: &[String]) -> CommandResult {
             "memtable-max-records",
             "max-segments",
         ],
-        &["ascii-store", "compact"],
+        &["compact"],
     )?;
     let collection = PathBuf::from(args.required("collection")?);
     let db_dir = PathBuf::from(args.required("db")?);
@@ -536,11 +527,7 @@ pub fn ingest(raw: &[String]) -> CommandResult {
     let config = nucdb::DbConfig {
         index: interval_params(&args)?,
         codec: parse_codec(args.get("codec").unwrap_or("paper"))?,
-        storage: if args.flag("ascii-store") {
-            StorageMode::Ascii
-        } else {
-            StorageMode::DirectCoding
-        },
+        ..nucdb::DbConfig::default()
     };
 
     let mut opts = nucdb::LiveOptions::default();
@@ -821,28 +808,6 @@ fn strand_symbol(strand: Strand) -> char {
     }
 }
 
-fn parse_ranking(spec: &str) -> Result<RankingScheme, UsageError> {
-    if spec == "count" {
-        return Ok(RankingScheme::Count);
-    }
-    if spec == "prop" || spec == "proportional" {
-        return Ok(RankingScheme::Proportional);
-    }
-    if let Some(rest) = spec.strip_prefix("frame") {
-        let window = match rest.strip_prefix(':') {
-            None if rest.is_empty() => 16,
-            Some(w) => w
-                .parse()
-                .map_err(|_| UsageError(format!("--ranking frame:{w}: bad window")))?,
-            _ => return Err(UsageError(format!("bad ranking spec {spec:?}"))),
-        };
-        return Ok(RankingScheme::Frame { window });
-    }
-    Err(UsageError(format!(
-        "unknown ranking {spec:?} (expected count|prop|frame[:W])"
-    )))
-}
-
 fn parse_fine(spec: &str) -> Result<FineMode, UsageError> {
     if spec == "full" {
         return Ok(FineMode::Full);
@@ -871,7 +836,6 @@ pub fn search(raw: &[String]) -> CommandResult {
         "db",
         "query",
         "candidates",
-        "ranking",
         "fine",
         "max-results",
         "min-score",
@@ -892,9 +856,6 @@ pub fn search(raw: &[String]) -> CommandResult {
     params.max_candidates = args.get_or("candidates", params.max_candidates)?;
     params.max_results = args.get_or("max-results", 20)?;
     params.min_score = args.get_or("min-score", params.min_score)?;
-    if let Some(spec) = args.get("ranking") {
-        params.ranking = parse_ranking(spec)?;
-    }
     if let Some(spec) = args.get("fine") {
         params.fine = parse_fine(spec)?;
     }
@@ -1428,7 +1389,7 @@ pub fn stats(raw: &[String]) -> CommandResult {
     println!("  records        {}", store.len());
     println!("  total bases    {}", store.total_bases());
     println!("  stored bytes   {}", store.stored_bytes());
-    println!("  mode           {:?}", store.mode());
+    println!("  mode           {:?}", StorageMode::DirectCoding);
     println!("index:");
     println!("  interval k     {}", index.params().k);
     println!("  stride         {}", index.params().stride);
@@ -1861,22 +1822,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ranking_specs() {
-        assert_eq!(parse_ranking("count").unwrap(), RankingScheme::Count);
-        assert_eq!(parse_ranking("prop").unwrap(), RankingScheme::Proportional);
-        assert_eq!(
-            parse_ranking("frame").unwrap(),
-            RankingScheme::Frame { window: 16 }
-        );
-        assert_eq!(
-            parse_ranking("frame:4").unwrap(),
-            RankingScheme::Frame { window: 4 }
-        );
-        assert!(parse_ranking("frame:x").is_err());
-        assert!(parse_ranking("bogus").is_err());
-    }
-
-    #[test]
     fn fine_specs() {
         assert_eq!(parse_fine("full").unwrap(), FineMode::Full);
         assert_eq!(parse_fine("trace").unwrap(), FineMode::FullWithTraceback);
@@ -2281,6 +2226,21 @@ mod tests {
         let (code, text, _) = fsck_walk(&Layout::load(&db).unwrap(), &db).unwrap();
         assert_eq!(code, 2, "{text}");
         assert!(text.contains("record-granularity"), "{text}");
+        std::fs::write(db.join(INDEX_FILE), &good).unwrap();
+        // An intact store TOC declaring the retired ASCII mode (mode byte
+        // 0, CRC re-stamped).
+        let good_store = std::fs::read(db.join(STORE_FILE)).unwrap();
+        let mut ascii = good_store.clone();
+        let toc_len = u32::from_le_bytes(good_store[8..12].try_into().unwrap()) as usize;
+        assert_eq!(ascii[16], 1);
+        ascii[16] = 0;
+        let crc = nucdb_index::crc32(&ascii[16..16 + toc_len]);
+        ascii[12..16].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(db.join(STORE_FILE), ascii).unwrap();
+        let (code, text, _) = fsck_walk(&Layout::load(&db).unwrap(), &db).unwrap();
+        assert_eq!(code, 2, "{text}");
+        assert!(text.contains("ASCII store mode 0"), "{text}");
+        std::fs::write(db.join(STORE_FILE), good_store).unwrap();
         // A vocabulary whose second code gap runs the interval code past
         // u64::MAX, CRC stamped: a typed finding, never a panic or wrap.
         let mut header = vec![8u8, 1, 0, 0, 0, 1, 40, 2];
@@ -2497,6 +2457,19 @@ mod tests {
         ] {
             assert!(usage(search(&with_db(opts))), "search {opts:?}");
         }
+
+        // Retired options are refused by name, before any I/O.
+        let names = |result: CommandResult, option: &str| {
+            let err = result.unwrap_err();
+            err.is::<UsageError>() && err.to_string().contains(option)
+        };
+        assert!(names(
+            search(&with_db(&["--ranking", "count"])),
+            "--ranking"
+        ));
+        let collection = s(&["--collection", "y", "--db", "x", "--ascii-store"]);
+        assert!(names(build(&collection), "--ascii-store"));
+        assert!(names(ingest(&collection), "--ascii-store"));
     }
 
     #[test]
@@ -2561,7 +2534,7 @@ mod tests {
 
         // Drop a record from the store: verify must now fail.
         let store = SequenceStore::read_from(&db.join(STORE_FILE)).unwrap();
-        let mut truncated = SequenceStore::new(store.mode());
+        let mut truncated = SequenceStore::new(StorageMode::DirectCoding);
         for record in 0..store.len() as u32 - 1 {
             truncated.add(
                 store.id(record).to_string(),

@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn empty_store_yields_no_hits() {
-        let store = SequenceStore::new(StorageMode::Ascii);
+        let store = SequenceStore::new(StorageMode::DirectCoding);
         let qb = DnaSeq::from_ascii(b"ACGTACGTACGTACGT")
             .unwrap()
             .representative_bases();

@@ -2,18 +2,13 @@
 //!
 //! Every interval of the query is looked up in the inverted index; each
 //! posting contributes a *hit* `(record, diagonal)`, where the diagonal is
-//! the record offset minus the query position. Records are then scored by
-//! one of three schemes (ablated in experiment **E8**):
-//!
-//! * [`RankingScheme::Count`] — raw hit count. Cheap, but long records
-//!   accumulate accidental hits.
-//! * [`RankingScheme::Proportional`] — hit count normalised by record
-//!   length, correcting the length bias.
-//! * [`RankingScheme::Frame`] — the paper family's key insight: hits that
-//!   belong to a real local alignment share (nearly) one diagonal, so the
-//!   score is the maximum number of hits within a diagonal window whose
-//!   width tolerates small indels. Accidental hits scatter across
-//!   diagonals and stop mattering.
+//! the record offset minus the query position. Records are ranked by the
+//! paper family's *frame score*: hits that belong to a real local
+//! alignment share (nearly) one diagonal, so a record scores the most
+//! hits within any diagonal window of `frame_window` bases, a width that
+//! tolerates small indels. Accidental hits scatter across diagonals and
+//! stop mattering. (Experiment **E8** sets the frame score against raw
+//! and length-normalised hit counts, built in its bench binary.)
 //!
 //! The winning diagonal is reported with each candidate, seeding the
 //! banded alignment of fine search.
@@ -50,8 +45,7 @@ const BELOW_FLOOR: u32 = u32::MAX;
 pub trait PostingsSource {
     /// Number of records the index covers.
     fn num_records(&self) -> u32;
-    /// Per-record lengths (needed for proportional ranking and offset
-    /// decoding).
+    /// Per-record lengths (needed for offset decoding).
     fn record_lens(&self) -> &[u32];
     /// The index parameters (interval length, stride, stopping).
     fn index_params(&self) -> &IndexParams;
@@ -122,38 +116,15 @@ impl PostingsSource for CompressedIndex {
     }
 }
 
-/// Coarse ranking scheme.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RankingScheme {
-    /// Total interval hits.
-    Count,
-    /// Hits divided by record length.
-    Proportional,
-    /// Most hits within any diagonal window of the given width (in
-    /// bases); the window tolerates indels of up to that many bases
-    /// inside one local alignment.
-    Frame {
-        /// Diagonal window width.
-        window: u32,
-    },
-}
-
-impl Default for RankingScheme {
-    fn default() -> RankingScheme {
-        RankingScheme::Frame { window: 16 }
-    }
-}
-
 /// One coarse candidate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoarseHit {
     /// Record id.
     pub record: u32,
-    /// Score under the chosen ranking scheme (higher is better).
-    pub score: f64,
     /// Total interval hits for the record.
     pub hits: u32,
-    /// Hits within the best diagonal window.
+    /// Hits within the best diagonal window: the frame score the
+    /// candidates are ranked by (higher is better).
     pub frame_hits: u32,
     /// Centre of the best diagonal window (record offset − query
     /// position); seeds the fine-search band.
@@ -163,7 +134,7 @@ pub struct CoarseHit {
 /// The result of coarse search, with the cost counters experiments report.
 #[derive(Debug, Clone, Default)]
 pub struct CoarseOutcome {
-    /// Top candidates, descending score.
+    /// Top candidates, descending frame score.
     pub candidates: Vec<CoarseHit>,
     /// Distinct query intervals looked up.
     pub intervals_looked_up: u64,
@@ -548,7 +519,7 @@ pub fn coarse_rank_explain<S: PostingsSource>(
     push_survivor_hits(index, params, scratch)?;
     outcome.accumulate_nanos = accumulate_start.elapsed().as_nanos() as u64;
     if !scratch.hits.is_empty() {
-        rank_offsets(index, params, scratch, &mut outcome, explain);
+        rank_offsets(params, scratch, &mut outcome, explain);
     }
     Ok(outcome)
 }
@@ -593,8 +564,7 @@ fn extract_codes(
 /// Rank the accumulated records: scatter the survivors' hits into
 /// diagonals, frame-score the records that can still place and keep the
 /// top C.
-fn rank_offsets<S: PostingsSource>(
-    index: &S,
+fn rank_offsets(
     params: &SearchParams,
     scratch: &mut CoarseScratch,
     outcome: &mut CoarseOutcome,
@@ -617,13 +587,8 @@ fn rank_offsets<S: PostingsSource>(
     // sort over the known per-record totals — records below the floor
     // get no bucket and their hits are passed over — then find each
     // scored record's best diagonal window (two-pointer over its sorted
-    // diagonals). Frame ranking scores by the window; the other schemes
-    // still need the diagonal to seed fine search.
-    let window = match params.ranking {
-        RankingScheme::Frame { window } => window as i64,
-        // A modest default tolerance when frames are not the ranking.
-        _ => 16,
-    };
+    // diagonals).
+    let window = i64::from(params.frame_window);
     cursor.clear();
     order.clear();
     let mut running = 0u32;
@@ -655,27 +620,21 @@ fn rank_offsets<S: PostingsSource>(
         }
     }
 
-    // Bounded top-C: under Frame (frame hits ≤ hits) and Count (score =
-    // hits) a record's score never exceeds its hit count, so walking in
-    // descending hits can stop once the next record's hits fall strictly
-    // below the C-th best score kept so far. Equal hits are still scored:
-    // they can win on record id. Proportional walks every record. The
-    // buffer is cut back to C whenever it reaches 2C.
-    let bounded = !matches!(params.ranking, RankingScheme::Proportional);
-    if bounded {
-        order.sort_unstable_by(|a, b| b.cmp(a));
-    }
+    // Bounded top-C: a record's frame hits never exceed its hits, so
+    // walking in descending hits can stop once the next record's hits
+    // fall strictly below the C-th best frame score kept so far. Equal
+    // hits are still scored: they can win on record id. The buffer is
+    // cut back to C whenever it reaches 2C.
+    order.sort_unstable_by(|a, b| b.cmp(a));
     let cut_at = keep.saturating_mul(2);
-    let mut kth_best: Option<f64> = None;
-    let record_lens = index.record_lens();
+    let mut kth_best: Option<u32> = None;
     candidates.clear();
     for &entry in order.iter() {
         let total = (entry >> 32) as u32;
-        if bounded && kth_best.is_some_and(|kth| f64::from(total) < kth) {
+        if kth_best.is_some_and(|kth| total < kth) {
             break;
         }
         let s = entry as u32 as usize;
-        let record = touched[s];
         // cursor[s] advanced to the bucket end during the scatter.
         let end = cursor[s] as usize;
         let diags = &mut diagonals[end - total as usize..end];
@@ -693,26 +652,15 @@ fn rank_offsets<S: PostingsSource>(
                 best_lo = lo;
             }
         }
-        let window_slice = &diags[best_lo..best_lo + best_count];
-        let best_diagonal = window_slice[window_slice.len() / 2];
-
-        let score = match params.ranking {
-            RankingScheme::Count => total as f64,
-            RankingScheme::Proportional => {
-                total as f64 / (record_lens[record as usize].max(1) as f64)
-            }
-            RankingScheme::Frame { .. } => best_count as f64,
-        };
         candidates.push(CoarseHit {
-            record,
-            score,
+            record: touched[s],
             hits: total,
             frame_hits: best_count as u32,
-            best_diagonal,
+            best_diagonal: diags[best_lo + best_count / 2],
         });
         if candidates.len() >= cut_at {
             keep_best(candidates, keep);
-            kth_best = candidates.last().map(|c| c.score);
+            kth_best = candidates.last().map(|c| c.frame_hits);
         }
     }
     keep_best(candidates, keep);
@@ -724,12 +672,12 @@ fn rank_offsets<S: PostingsSource>(
     outcome.rank_nanos = rank_start.elapsed().as_nanos() as u64;
 }
 
-/// The candidate order: score descending, then record ascending. Record
-/// ids are unique, so it is total and the top C is one set in one order.
+/// The candidate order: frame hits descending, then record ascending.
+/// Record ids are unique, so it is total and the top C is one set in one
+/// order.
 fn rank_order(a: &CoarseHit, b: &CoarseHit) -> std::cmp::Ordering {
-    b.score
-        .partial_cmp(&a.score)
-        .expect("coarse scores are finite")
+    b.frame_hits
+        .cmp(&a.frame_hits)
         .then(a.record.cmp(&b.record))
 }
 
@@ -772,7 +720,7 @@ fn record_survivors(explain: &mut CoarseExplain, candidates: &[CoarseHit]) {
         .survivors
         .extend(candidates.iter().map(|hit| SurvivorExplain {
             record: hit.record,
-            score: hit.score,
+            score: f64::from(hit.frame_hits),
             hits: hit.hits,
             frame_hits: hit.frame_hits,
             best_diagonal: hit.best_diagonal,
@@ -797,9 +745,13 @@ mod tests {
         builder.finish()
     }
 
-    fn params(ranking: RankingScheme) -> SearchParams {
+    /// A frame wider than any diagonal span of these collections: frame
+    /// hits equal hits, so candidates rank by raw hit count.
+    const COUNT_ORDER: u32 = 1 << 20;
+
+    fn params(frame_window: u32) -> SearchParams {
         SearchParams {
-            ranking,
+            frame_window,
             min_coarse_hits: 1,
             ..SearchParams::default()
         }
@@ -816,14 +768,10 @@ mod tests {
             8,
         );
         let query = bases(b"ACGTAGCTAGCTGGATCC");
-        for ranking in [
-            RankingScheme::Count,
-            RankingScheme::Proportional,
-            RankingScheme::Frame { window: 8 },
-        ] {
-            let outcome = coarse_rank(&index, &query, &params(ranking)).unwrap();
-            assert!(!outcome.candidates.is_empty(), "{ranking:?}");
-            assert_eq!(outcome.candidates[0].record, 1, "{ranking:?}");
+        for window in [8, 16, COUNT_ORDER] {
+            let outcome = coarse_rank(&index, &query, &params(window)).unwrap();
+            assert!(!outcome.candidates.is_empty(), "window {window}");
+            assert_eq!(outcome.candidates[0].record, 1, "window {window}");
         }
     }
 
@@ -832,8 +780,7 @@ mod tests {
         // Query matches record 0 at offset 6 → diagonal +6.
         let index = build(&[b"CCCCCCACGTAGCTAGCTGGATCCAAAA"], 8);
         let query = bases(b"ACGTAGCTAGCTGGATCC");
-        let outcome =
-            coarse_rank(&index, &query, &params(RankingScheme::Frame { window: 4 })).unwrap();
+        let outcome = coarse_rank(&index, &query, &params(4)).unwrap();
         assert_eq!(outcome.candidates.len(), 1);
         assert_eq!(outcome.candidates[0].best_diagonal, 6);
         // All hits of an exact embedded match share one diagonal.
@@ -844,7 +791,7 @@ mod tests {
     fn frame_beats_count_on_scattered_hits() {
         // Record 0 shares many intervals with the query but scattered
         // (shuffled blocks); record 1 embeds a contiguous fragment.
-        // Count ranks 0 first or equal; Frame must rank 1 first.
+        // Frame must rank 1 first.
         let query = bases(b"AACCGGTTACGTAGCTTGCATGCAAACCGGTT");
         // Blocks of the query reordered and repeated: many hits, no
         // common diagonal.
@@ -852,34 +799,11 @@ mod tests {
         let contiguous = b"TTTTTTACGTAGCTTGCATGCATTTTTTTTTT"; // one fragment
         let index = build(&[scattered, contiguous], 8);
 
-        let frame =
-            coarse_rank(&index, &query, &params(RankingScheme::Frame { window: 4 })).unwrap();
+        let frame = coarse_rank(&index, &query, &params(4)).unwrap();
         assert_eq!(
             frame.candidates[0].record, 1,
             "frame should prefer the contiguous match"
         );
-
-        let count = coarse_rank(&index, &query, &params(RankingScheme::Count)).unwrap();
-        assert_eq!(
-            count.candidates[0].record, 0,
-            "count should prefer the scattered record"
-        );
-    }
-
-    #[test]
-    fn proportional_corrects_length_bias() {
-        // A short record with one shared interval vs a long record with
-        // two: proportional prefers the short one, count the long one.
-        let short = b"ACGTAGCTAGCT"; // 12 bases, hits once
-        let mut long = b"ACGTAGCTAGCTACGTAGCTAGCT".to_vec(); // hits more
-        long.extend(std::iter::repeat_n(b'G', 400));
-        let index = build(&[short, &long], 12);
-        let query = bases(b"ACGTAGCTAGCT");
-
-        let count = coarse_rank(&index, &query, &params(RankingScheme::Count)).unwrap();
-        assert_eq!(count.candidates[0].record, 1);
-        let prop = coarse_rank(&index, &query, &params(RankingScheme::Proportional)).unwrap();
-        assert_eq!(prop.candidates[0].record, 0);
     }
 
     #[test]
@@ -921,7 +845,7 @@ mod tests {
         assert_eq!(outcome.candidates.len(), 5);
         // Scores descend.
         for pair in outcome.candidates.windows(2) {
-            assert!(pair[0].score >= pair[1].score);
+            assert!(pair[0].frame_hits >= pair[1].frame_hits);
         }
     }
 
@@ -929,7 +853,7 @@ mod tests {
     fn short_query_yields_empty_outcome() {
         let index = build(&[b"ACGTACGTACGTACGT"], 8);
         let query = bases(b"ACGT"); // shorter than k
-        let outcome = coarse_rank(&index, &query, &params(RankingScheme::Count)).unwrap();
+        let outcome = coarse_rank(&index, &query, &params(COUNT_ORDER)).unwrap();
         assert!(outcome.candidates.is_empty());
         assert_eq!(outcome.intervals_looked_up, 0);
     }
@@ -938,8 +862,8 @@ mod tests {
     fn query_stride_reduces_lookups() {
         let index = build(&[b"ACGTAGCTAGCTGGATCCTTACGGATCCAT"], 8);
         let query = bases(b"ACGTAGCTAGCTGGATCCTTACGGATCC");
-        let all = coarse_rank(&index, &query, &params(RankingScheme::Count)).unwrap();
-        let mut strided = params(RankingScheme::Count);
+        let all = coarse_rank(&index, &query, &params(COUNT_ORDER)).unwrap();
+        let mut strided = params(COUNT_ORDER);
         strided.query_stride = 4;
         let sampled = coarse_rank(&index, &query, &strided).unwrap();
         assert!(sampled.intervals_looked_up < all.intervals_looked_up);
@@ -964,13 +888,13 @@ mod tests {
         query_ascii.extend(vec![b'A'; 120]); // contamination
         let query = bases(&query_ascii);
 
-        let unmasked = coarse_rank(&index, &query, &params(RankingScheme::Count)).unwrap();
+        let unmasked = coarse_rank(&index, &query, &params(COUNT_ORDER)).unwrap();
         assert!(
             unmasked.candidates.iter().any(|c| c.record == 0),
             "repeat record should flood the unmasked ranking"
         );
 
-        let mut masked_params = params(RankingScheme::Count);
+        let mut masked_params = params(COUNT_ORDER);
         masked_params.mask = Some(nucdb_seq::DustParams::default());
         let masked = coarse_rank(&index, &query, &masked_params).unwrap();
         assert!(masked.total_hits < unmasked.total_hits / 4);
@@ -988,7 +912,7 @@ mod tests {
     fn cost_counters_are_plausible() {
         let index = build(&[b"ACGTACGTACGTACGT", b"ACGTACGTACGTACGT"], 8);
         let query = bases(b"ACGTACGTACGT");
-        let outcome = coarse_rank(&index, &query, &params(RankingScheme::Count)).unwrap();
+        let outcome = coarse_rank(&index, &query, &params(COUNT_ORDER)).unwrap();
         assert!(outcome.intervals_looked_up > 0);
         assert!(outcome.lists_fetched <= outcome.intervals_looked_up);
         assert!(outcome.total_hits >= outcome.postings_decoded);
@@ -1162,16 +1086,9 @@ mod tests {
     /// The rank as it was before bounding, as the oracle: from the
     /// accumulated state a query left in `scratch`, score every touched
     /// record that clears the floor and sort them all (callers truncate).
-    fn reference_rank(
-        scratch: &CoarseScratch,
-        record_lens: &[u32],
-        p: &SearchParams,
-    ) -> Vec<CoarseHit> {
+    fn reference_rank(scratch: &CoarseScratch, p: &SearchParams) -> Vec<CoarseHit> {
         let floor = p.min_coarse_hits;
-        let window = match p.ranking {
-            RankingScheme::Frame { window } => window as i64,
-            _ => 16,
-        };
+        let window = i64::from(p.frame_window);
         let mut per_record: std::collections::HashMap<u32, Vec<i64>> = Default::default();
         for &(record, diagonal) in &scratch.hits {
             per_record.entry(record).or_default().push(diagonal);
@@ -1195,26 +1112,16 @@ mod tests {
                     (width, start) = (n, lo);
                 }
             }
-            let (frame_hits, best_diagonal) = (width as u32, diags[start + width / 2]);
-            let score = match p.ranking {
-                RankingScheme::Count => hits as f64,
-                RankingScheme::Proportional => {
-                    hits as f64 / record_lens[record as usize].max(1) as f64
-                }
-                RankingScheme::Frame { .. } => frame_hits as f64,
-            };
             all.push(CoarseHit {
                 record,
-                score,
                 hits,
-                frame_hits,
-                best_diagonal,
+                frame_hits: width as u32,
+                best_diagonal: diags[start + width / 2],
             });
         }
         all.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap()
+            b.frame_hits
+                .cmp(&a.frame_hits)
                 .then(a.record.cmp(&b.record))
         });
         all
@@ -1240,16 +1147,15 @@ mod tests {
         ))]
 
         // The bounded walk, the floor-aware scatter and select + sort
-        // return exactly the full ranking's candidates, for every scheme,
-        // floor, cutoff and codec, through fresh and reused
-        // scratch — and the rank never touches a work counter.
+        // return exactly the full ranking's candidates, for every frame
+        // window, floor, cutoff and codec, through fresh and reused
+        // scratch — and the rank never touches a work counter. A window
+        // of 1 << 20 ranks by raw hits, the tie-heaviest order.
         #[test]
         fn bounded_rank_matches_the_full_ranking(seed in proptest::prelude::any::<u64>()) {
             use nucdb_index::ListCodec;
             let (records, query) = tie_heavy_collection(seed);
             let mut reused = CoarseScratch::new();
-            let frame = RankingScheme::Frame { window: [4, 16][seed as usize % 2] };
-            let rankings = [frame, RankingScheme::Count, RankingScheme::Proportional];
             for codec in [ListCodec::Paper, ListCodec::Block] {
                 let mut builder = IndexBuilder::new(IndexParams::new(6)).with_codec(codec);
                 for r in &records {
@@ -1258,7 +1164,6 @@ mod tests {
                 let index = builder.finish();
                 // Floors across 0..=N, N the largest hit count.
                 let open = SearchParams {
-                    ranking: RankingScheme::Count,
                     min_coarse_hits: 0,
                     max_candidates: usize::MAX,
                     ..SearchParams::default()
@@ -1272,12 +1177,12 @@ mod tests {
                 floors.dedup();
                 for floor in floors {
                     let mut floor_work = None;
-                    for ranking in rankings {
+                    for frame_window in [0, 4, 16, 1 << 20] {
                         let mut full: Option<Vec<CoarseHit>> = None;
                         // usize::MAX first: its run's state feeds the oracle.
                         for max_candidates in [usize::MAX, 0, 1, 2, 7, 30] {
                             let p = SearchParams {
-                                ranking,
+                                frame_window,
                                 min_coarse_hits: floor,
                                 max_candidates,
                                 ..open
@@ -1286,10 +1191,10 @@ mod tests {
                             let a = coarse_rank_with(&index, &query, &p, &mut fresh).unwrap();
                             let b = coarse_rank_with(&index, &query, &p, &mut reused).unwrap();
                             let full = full.get_or_insert_with(|| {
-                                reference_rank(&fresh, index.record_lens(), &p)
+                                reference_rank(&fresh, &p)
                             });
                             let expected = &full[..full.len().min(max_candidates)];
-                            let case = format!("{codec:?} floor {floor} {ranking:?} C {max_candidates}");
+                            let case = format!("{codec:?} floor {floor} window {frame_window} C {max_candidates}");
                             proptest::prop_assert_eq!(&a.candidates[..], expected, "{}", case);
                             proptest::prop_assert_eq!(&b.candidates[..], expected, "{}", case);
                             let w = *floor_work.get_or_insert(work(&a));
@@ -1385,7 +1290,7 @@ mod tests {
         }
         outcome.total_hits = hits.len() as u64;
         if !hits.is_empty() {
-            rank_offsets(index, p, scratch, &mut outcome, None);
+            rank_offsets(p, scratch, &mut outcome, None);
         }
         Ok(outcome)
     }
@@ -1450,17 +1355,13 @@ mod tests {
         fn two_pass_accumulate_matches_the_single_pass_oracle(seed in proptest::prelude::any::<u64>()) {
             use nucdb_index::ListCodec;
             let (records, query) = tie_heavy_collection(seed);
-            let ranking = [
-                RankingScheme::Frame { window: 8 },
-                RankingScheme::Count,
-                RankingScheme::Proportional,
-            ][seed as usize % 3];
+            let frame_window = [0, 4, 16, 1 << 20][seed as usize % 4];
             let mut reused = CoarseScratch::new();
             for codec in [ListCodec::Paper, ListCodec::Block] {
                 let (sources, files) = three_sources(&records, codec, &seed.to_string());
                 for (s, source) in sources.iter().enumerate() {
                     let open = SearchParams {
-                        ranking,
+                        frame_window,
                         min_coarse_hits: 0,
                         max_candidates: usize::MAX,
                         ..SearchParams::default()

@@ -20,8 +20,7 @@ use nucdb_seq::{Base, DnaSeq};
 use crate::coarse::{CoarseHit, CoarseOutcome};
 use crate::engine::{QueryStats, SearchOutcome, SearchResult};
 use crate::explain::{
-    fine_mode_name, ranking_name, CandidateExplain, CoarseExplain, ExplainPlan, SegmentExplain,
-    StrandExplain,
+    fine_mode_name, CandidateExplain, CoarseExplain, ExplainPlan, SegmentExplain, StrandExplain,
 };
 use crate::fine::{CandidateTiming, FineMode, FineResult};
 use crate::metrics::SearchMetrics;
@@ -198,7 +197,7 @@ pub(crate) fn run_query<B: Backend>(
             record: r.record,
             id: backend.record_id(r.record),
             score: r.score,
-            coarse_score: r.coarse.score,
+            coarse_score: f64::from(r.coarse.frame_hits),
             coarse_hits: r.coarse.hits,
             strand,
             alignment: r.alignment,
@@ -210,7 +209,7 @@ pub(crate) fn run_query<B: Backend>(
 
     let plan = strand_plans.map(|strands| ExplainPlan {
         query_len: query.len(),
-        ranking: ranking_name(params.ranking),
+        ranking: format!("frame:{}", params.frame_window),
         max_candidates: params.max_candidates,
         min_score: params.min_score,
         segments: backend.segment_rows(),

@@ -102,7 +102,7 @@ pub struct SearchResult {
     pub id: String,
     /// Local alignment score from fine search.
     pub score: i32,
-    /// Coarse score that promoted the record.
+    /// Coarse (frame) score that promoted the record: its frame hits.
     pub coarse_score: f64,
     /// Total coarse interval hits.
     pub coarse_hits: u32,
@@ -459,7 +459,6 @@ impl Backend for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coarse::RankingScheme;
     use crate::fine::FineMode;
     use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
 
@@ -551,21 +550,20 @@ mod tests {
     #[test]
     fn all_rankings_find_exact_member() {
         let (coll, db) = build_db(55);
-        // An exact fragment of a stored record must be found by every
-        // ranking scheme.
+        // An exact fragment of a stored record must be found under every
+        // frame window E8 sweeps.
         let member = coll.families[2].member_ids[0];
         let range = coll.families[2].embedded_ranges[0].clone();
         let query = coll.records[member as usize].seq.subseq(range);
-        for ranking in [
-            RankingScheme::Count,
-            RankingScheme::Proportional,
-            RankingScheme::Frame { window: 16 },
-        ] {
-            let params = SearchParams::default().with_ranking(ranking);
+        for frame_window in [4, 16, 64] {
+            let params = SearchParams {
+                frame_window,
+                ..SearchParams::default()
+            };
             let outcome = db.search(&query, &params).unwrap();
             assert!(
                 outcome.results.iter().any(|r| r.record == member),
-                "{ranking:?} missed the exact member"
+                "frame window {frame_window} missed the exact member"
             );
         }
     }
@@ -591,7 +589,7 @@ mod tests {
     #[should_panic(expected = "disagree on record count")]
     fn mismatched_parts_rejected() {
         let (_, db) = build_db(57);
-        let store = SequenceStore::new(crate::store::StorageMode::Ascii);
+        let store = SequenceStore::new(StorageMode::DirectCoding);
         let Database { index, .. } = db;
         let _ = Database::from_parts(store, index);
     }

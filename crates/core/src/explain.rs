@@ -53,7 +53,7 @@ pub struct ListExplain {
 pub struct SurvivorExplain {
     /// Record id.
     pub record: u32,
-    /// Coarse score under the active ranking scheme.
+    /// Coarse score: the frame hits, as a float.
     pub score: f64,
     /// Total interval hits.
     pub hits: u32,
@@ -114,7 +114,8 @@ pub struct StrandExplain {
 pub struct ExplainPlan {
     /// Query length in bases.
     pub query_len: usize,
-    /// The ranking scheme, rendered (`"count"`, `"prop"`, `"frame:16"`).
+    /// The coarse ranking, rendered as `"frame:W"` for a frame window of
+    /// W bases.
     pub ranking: String,
     /// Candidate cutoff (`max_candidates`).
     pub max_candidates: usize,
@@ -146,17 +147,6 @@ pub fn fine_mode_name(mode: FineMode) -> String {
         FineMode::Banded { half_width } => format!("banded:{half_width}"),
         FineMode::Full => "full".to_string(),
         FineMode::FullWithTraceback => "trace".to_string(),
-        FineMode::FullIupac => "iupac".to_string(),
-    }
-}
-
-/// Render a [`RankingScheme`](crate::RankingScheme) the way the CLI
-/// spells it.
-pub fn ranking_name(ranking: crate::RankingScheme) -> String {
-    match ranking {
-        crate::RankingScheme::Count => "count".to_string(),
-        crate::RankingScheme::Proportional => "prop".to_string(),
-        crate::RankingScheme::Frame { window } => format!("frame:{window}"),
     }
 }
 
@@ -573,10 +563,5 @@ mod tests {
             "banded:24"
         );
         assert_eq!(fine_mode_name(FineMode::Full), "full");
-        assert_eq!(ranking_name(crate::RankingScheme::Count), "count");
-        assert_eq!(
-            ranking_name(crate::RankingScheme::Frame { window: 8 }),
-            "frame:8"
-        );
     }
 }

@@ -8,8 +8,7 @@
 use std::time::Instant;
 
 use nucdb_align::{
-    banded_sw_scores, sw_align, sw_score, sw_score_iupac, Alignment, BandScratch, ScoringScheme,
-    LANES,
+    banded_sw_scores, sw_align, sw_score, Alignment, BandScratch, ScoringScheme, LANES,
 };
 use nucdb_seq::{DnaSeq, SeqError};
 
@@ -29,10 +28,6 @@ pub enum FineMode {
     /// Full Smith–Waterman with traceback: slowest, but results carry
     /// complete alignments.
     FullWithTraceback,
-    /// Full Smith–Waterman over the lossless IUPAC sequences: ambiguity
-    /// codes score by set overlap instead of collapsing to representative
-    /// bases — the accurate mode for wildcard-heavy records.
-    FullIupac,
 }
 
 impl Default for FineMode {
@@ -156,17 +151,12 @@ pub fn fine_search_traced<S: RecordSource>(
     } else {
         for &coarse in candidates {
             let start_ns = now();
-            let (score, alignment) = if mode == FineMode::FullIupac {
-                let target = store.sequence(coarse.record)?;
-                (sw_score_iupac(query, &target, scheme), None)
+            let target = store.try_bases(coarse.record)?;
+            let (score, alignment) = if mode == FineMode::FullWithTraceback {
+                let alignment = sw_align(&query_bases, &target, scheme);
+                (alignment.as_ref().map_or(0, |a| a.score), alignment)
             } else {
-                let target = store.try_bases(coarse.record)?;
-                if mode == FineMode::FullWithTraceback {
-                    let alignment = sw_align(&query_bases, &target, scheme);
-                    (alignment.as_ref().map_or(0, |a| a.score), alignment)
-                } else {
-                    (sw_score(&query_bases, &target, scheme), None)
-                }
+                (sw_score(&query_bases, &target, scheme), None)
             };
             scored(coarse, score, alignment, start_ns, now() - start_ns);
         }
@@ -201,7 +191,6 @@ mod tests {
     fn hit(record: u32, diagonal: i64) -> CoarseHit {
         CoarseHit {
             record,
-            score: 1.0,
             hits: 1,
             frame_hits: 1,
             best_diagonal: diagonal,
@@ -248,24 +237,6 @@ mod tests {
         let alignment = traced[0].alignment.as_ref().unwrap();
         assert_eq!(alignment.score, traced[0].score);
         assert!(alignment.is_consistent());
-    }
-
-    #[test]
-    fn iupac_mode_scores_wildcards_fairly() {
-        // Target has Ns where the query has real bases. Representative
-        // collapsing turns the Ns into As (mismatching the query's Cs);
-        // IUPAC-aware alignment scores them as partial matches instead.
-        let store = store_with(&[b"ACGTAGNNNNGGATCCAAAA"]);
-        let q = DnaSeq::from_ascii(b"ACGTAGCCCCGGATCC").unwrap();
-        let scheme = ScoringScheme::blastn();
-        let collapsed = fine_search(&store, &q, &[hit(0, 0)], FineMode::Full, &scheme, 1).unwrap();
-        let iupac = fine_search(&store, &q, &[hit(0, 0)], FineMode::FullIupac, &scheme, 1).unwrap();
-        assert!(
-            iupac[0].score > collapsed[0].score,
-            "iupac {} <= collapsed {}",
-            iupac[0].score,
-            collapsed[0].score
-        );
     }
 
     #[test]

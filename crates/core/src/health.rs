@@ -20,7 +20,7 @@ use nucdb_index::{skip_table_len, CompressedIndex, IndexError, ListCodec, WalkSt
 use nucdb_obs::json::{num, Value};
 use nucdb_seq::SeqError;
 
-use crate::store::{SequenceStore, StorageMode};
+use crate::store::SequenceStore;
 
 /// How bad one fsck finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -444,7 +444,7 @@ impl IndexStatReport {
 /// Per-store statistics behind `nucdb stat`.
 #[derive(Debug, Clone)]
 pub struct StoreStatReport {
-    /// Storage mode ("ascii" or "direct").
+    /// Storage mode: always "direct" (2-bit direct coding).
     pub mode: String,
     /// Records stored.
     pub records: u64,
@@ -470,10 +470,7 @@ impl StoreStatReport {
         let payload_bytes = store.stored_bytes() as u64;
         let toc_bytes = store.payload_start();
         StoreStatReport {
-            mode: match store.mode() {
-                StorageMode::Ascii => "ascii".to_string(),
-                StorageMode::DirectCoding => "direct".to_string(),
-            },
+            mode: "direct".to_string(),
             records,
             total_bases: lens.iter().sum(),
             payload_bytes,

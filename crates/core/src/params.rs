@@ -2,7 +2,6 @@
 
 use nucdb_align::ScoringScheme;
 
-use crate::coarse::RankingScheme;
 use crate::fine::FineMode;
 
 /// Which strands of the query to search.
@@ -25,8 +24,11 @@ pub enum Strand {
 /// Everything a query evaluation needs besides the query itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchParams {
-    /// Coarse ranking scheme.
-    pub ranking: RankingScheme,
+    /// Width in bases of the diagonal window coarse search ranks by: a
+    /// record scores the most hits within any window this wide, which
+    /// tolerates indels of up to that many bases inside one local
+    /// alignment (experiment E8 sweeps it).
+    pub frame_window: u32,
     /// Which strands to evaluate.
     pub strand: Strand,
     /// Number of coarse candidates passed to fine search (the paper's
@@ -62,7 +64,7 @@ pub struct SearchParams {
 impl Default for SearchParams {
     fn default() -> SearchParams {
         SearchParams {
-            ranking: RankingScheme::default(),
+            frame_window: 16,
             strand: Strand::Forward,
             max_candidates: 30,
             query_stride: 1,
@@ -81,12 +83,6 @@ impl SearchParams {
     /// Convenience: set the candidate cutoff.
     pub fn with_candidates(mut self, max_candidates: usize) -> SearchParams {
         self.max_candidates = max_candidates;
-        self
-    }
-
-    /// Convenience: set the ranking scheme.
-    pub fn with_ranking(mut self, ranking: RankingScheme) -> SearchParams {
-        self.ranking = ranking;
         self
     }
 
@@ -111,10 +107,8 @@ mod tests {
     fn builders_apply() {
         let p = SearchParams::default()
             .with_candidates(7)
-            .with_ranking(RankingScheme::Count)
             .with_fine(FineMode::Full);
         assert_eq!(p.max_candidates, 7);
-        assert_eq!(p.ranking, RankingScheme::Count);
         assert_eq!(p.fine, FineMode::Full);
     }
 

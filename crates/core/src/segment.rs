@@ -328,23 +328,6 @@ impl RecordSource for SegmentedStore {
 // Write side: the live database
 // ---------------------------------------------------------------------------
 
-/// Map a [`StorageMode`] to the opaque byte the manifest carries.
-pub(crate) fn storage_tag(mode: StorageMode) -> u8 {
-    match mode {
-        StorageMode::Ascii => 0,
-        StorageMode::DirectCoding => 1,
-    }
-}
-
-/// Inverse of [`storage_tag`].
-pub(crate) fn storage_from_tag(tag: u8) -> Result<StorageMode, IndexError> {
-    match tag {
-        0 => Ok(StorageMode::Ascii),
-        1 => Ok(StorageMode::DirectCoding),
-        _ => Err(IndexError::bad_in("unknown storage mode tag", "manifest")),
-    }
-}
-
 /// Observability and tuning knobs for a [`LiveDatabase`]. Handles are
 /// fixed at construction (segments bind their I/O counters as they are
 /// opened), matching the engine's configure-then-share pattern.
@@ -551,12 +534,7 @@ impl LiveDatabase {
                 "a sharded root cannot be made live",
             ));
         }
-        let manifest = Manifest::new(
-            config.index.k,
-            config.index.stride,
-            config.codec,
-            storage_tag(config.storage),
-        );
+        let manifest = Manifest::new(config.index.k, config.index.stride, config.codec);
         manifest.save(dir)?;
         LiveDatabase::assemble(dir, config.clone(), manifest, opts, 0)
     }
@@ -574,7 +552,7 @@ impl LiveDatabase {
                 stopping: None,
             },
             codec: manifest.codec,
-            storage: storage_from_tag(manifest.storage)?,
+            storage: StorageMode::DirectCoding,
         };
         let mut removed = 0u64;
         for orphan in manifest.orphans_in(dir)? {
@@ -599,7 +577,7 @@ impl LiveDatabase {
                 stopping: None,
             },
             codec: manifest.codec,
-            storage: storage_from_tag(manifest.storage)?,
+            storage: StorageMode::DirectCoding,
         };
         if manifest.segments.is_empty() {
             return Ok(Database::build(std::iter::empty(), &config));

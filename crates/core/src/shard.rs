@@ -18,14 +18,14 @@
 //! Sharded answers must be **bit-identical** to a joint single-index
 //! build (pinned by `tests/sharding.rs`). The argument:
 //!
-//! * Every coarse score is a function of one record alone — `Count` is
-//!   the record's hit count, `Proportional` divides by the record's own
-//!   length, `Frame` windows the record's own diagonal histogram. No
+//! * The coarse score is a function of one record alone: the frame
+//!   score windows the record's own diagonal histogram. No
 //!   collection-global statistic enters, so a record scores the same in
 //!   its shard as in the joint index.
 //! * Shards hold *contiguous* id ranges (shard `s` covers
 //!   `[base_s, base_s + n_s)`), so adding `base_s` to a local id
-//!   preserves the joint `(score desc, record asc)` tie-break order.
+//!   preserves the joint `(frame hits desc, record asc)` tie-break
+//!   order.
 //! * Any member of the joint top-C has fewer than C records ahead of it
 //!   globally, hence fewer than C within its own shard: it survives the
 //!   per-shard `top-C` truncation. Merging the per-shard lists and
@@ -586,15 +586,12 @@ impl Backend for ShardSet {
                     hit
                 }));
         }
-        // The joint candidate order: score desc, global record asc.
+        // The joint candidate order: frame hits desc, global record asc.
         // Globalised ids preserve the joint tie-break because shards
         // hold contiguous, ordered id ranges.
-        total.candidates.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .expect("coarse scores are finite")
-                .then(a.record.cmp(&b.record))
-        });
+        total
+            .candidates
+            .sort_by(|a, b| (b.frame_hits.cmp(&a.frame_hits)).then(a.record.cmp(&b.record)));
         total.candidates.truncate(params.max_candidates);
         Ok(total)
     }
@@ -707,12 +704,7 @@ pub fn build_sharded_root(
             .map(|h| h.join().expect("shard build thread panicked"))
             .collect()
     });
-    let mut manifest = ShardManifest::new(
-        config.index.k,
-        config.index.stride,
-        config.codec,
-        crate::segment::storage_tag(config.storage),
-    );
+    let mut manifest = ShardManifest::new(config.index.k, config.index.stride, config.codec);
     let mut counts = Vec::with_capacity(num_shards);
     for result in results {
         let (records, index_bytes, store_bytes) = result?;

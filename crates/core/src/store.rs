@@ -2,15 +2,12 @@
 //!
 //! The paper's system keeps the collection itself alongside the index, and
 //! fine search retrieves candidate records *in relevance order* — so
-//! records must be independently decodable. Two storage modes exist so
-//! experiment **E6** can reproduce the direct-coding comparison:
-//!
-//! * [`StorageMode::Ascii`] — one byte per base, the uncompressed
-//!   baseline (what a FASTA-backed store effectively costs).
-//! * [`StorageMode::DirectCoding`] — the 2-bit packed representation with
-//!   a wildcard exception list ([`nucdb_seq::PackedSeq`]); a quarter the
-//!   space and faster to hand to alignment, which is why the CAFE system
-//!   reported >20% faster retrieval after adopting it.
+//! records must be independently decodable. Every record is stored in
+//! 2-bit direct coding with a wildcard exception list
+//! ([`nucdb_seq::PackedSeq`]): a quarter the space of ASCII and faster to
+//! hand to alignment, which is why the CAFE system reported >20% faster
+//! retrieval after adopting it. (Experiment **E6** compares it with an
+//! ASCII store built in its bench binary.)
 //!
 //! On-disk format, `NUCSTO02`, written by [`SequenceStore::write_to`]
 //! (`v` = LEB128-style varint):
@@ -19,7 +16,7 @@
 //! magic "NUCSTO02"
 //! toc_len:u32le  toc_crc:u32le      — IEEE CRC-32 of the TOC bytes
 //! toc:
-//!   mode:u8  count:v
+//!   mode:u8 (1)  count:v
 //!   (id_len:v  id  seq_len:v  blob_len:v  blob_crc:v)*
 //! payload: record blobs, concatenated in record order
 //! ```
@@ -32,8 +29,8 @@
 //! [`SeqError::Corruption`]; the scrubber and `fsck` find later rot on
 //! disk with [`SequenceStore::walk`], the walk
 //! [`SequenceStore::read_from`] runs over the image. The retired
-//! checksum-free `NUCSTO01` is refused at open with
-//! [`SeqError::UnsupportedFormat`]. Files are written through
+//! checksum-free `NUCSTO01` and the retired ASCII mode byte 0 are refused
+//! at open with [`SeqError::UnsupportedFormat`]. Files are written through
 //! [`AtomicFile`], so a crashed build never leaves a torn store.
 
 use std::fs::File;
@@ -46,6 +43,7 @@ use nucdb_index::durable::{
     KeptFile, WalkStep,
 };
 use nucdb_index::fault::{FaultPlan, FaultyReader};
+use nucdb_index::{check_storage, IndexError, DIRECT_CODING_STORAGE};
 use nucdb_obs::{Counter, MetricsRegistry};
 use nucdb_seq::{Base, DnaSeq, PackedSeq, SeqError};
 
@@ -99,35 +97,13 @@ pub trait RecordSource {
     }
 }
 
-/// How record sequences are stored.
+/// How record sequences are stored: the one mode every store and every
+/// header's mode byte names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageMode {
-    /// One ASCII byte per base.
-    Ascii,
     /// 2-bit direct coding with wildcard exceptions (the paper's choice).
     #[default]
     DirectCoding,
-}
-
-impl StorageMode {
-    fn tag(self) -> u8 {
-        match self {
-            StorageMode::Ascii => 0,
-            StorageMode::DirectCoding => 1,
-        }
-    }
-
-    fn from_tag(tag: u8, offset: u64) -> Result<StorageMode, SeqError> {
-        match tag {
-            0 => Ok(StorageMode::Ascii),
-            1 => Ok(StorageMode::DirectCoding),
-            _ => Err(SeqError::corrupt_at(
-                "unknown storage mode",
-                "store-header",
-                offset,
-            )),
-        }
-    }
 }
 
 /// A store of named records, each independently decodable: the TOC
@@ -143,7 +119,6 @@ impl StorageMode {
 /// escapes.
 #[derive(Clone)]
 pub struct SequenceStore {
-    mode: StorageMode,
     ids: Vec<String>,
     /// Per record: sequence length in bases.
     lens: Vec<u32>,
@@ -168,7 +143,6 @@ pub struct SequenceStore {
 impl std::fmt::Debug for SequenceStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SequenceStore")
-            .field("mode", &self.mode)
             .field("records", &self.ids.len())
             .field("image_bytes", &self.image.len())
             .finish_non_exhaustive()
@@ -176,10 +150,10 @@ impl std::fmt::Debug for SequenceStore {
 }
 
 impl SequenceStore {
-    /// An empty store.
+    /// An empty store in `mode`, the one storage mode.
     pub fn new(mode: StorageMode) -> SequenceStore {
+        let StorageMode::DirectCoding = mode;
         SequenceStore {
-            mode,
             ids: Vec::new(),
             lens: Vec::new(),
             blobs: Vec::new(),
@@ -195,10 +169,7 @@ impl SequenceStore {
     /// Append a record; returns its id (consecutive from 0).
     pub fn add(&mut self, id: impl Into<String>, seq: &DnaSeq) -> u32 {
         let record = self.ids.len() as u32;
-        let blob = match self.mode {
-            StorageMode::Ascii => seq.to_ascii_vec(),
-            StorageMode::DirectCoding => PackedSeq::pack(seq).to_bytes(),
-        };
+        let blob = PackedSeq::pack(seq).to_bytes();
         self.ids.push(id.into());
         self.lens.push(seq.len() as u32);
         self.blobs
@@ -265,11 +236,6 @@ impl SequenceStore {
         self.ids.is_empty()
     }
 
-    /// Storage mode.
-    pub fn mode(&self) -> StorageMode {
-        self.mode
-    }
-
     /// The external identifier of record `record`.
     pub fn id(&self, record: u32) -> &str {
         &self.ids[record as usize]
@@ -312,12 +278,13 @@ impl SequenceStore {
 
     /// Decode record `record` losslessly (wildcards restored).
     pub fn sequence(&self, record: u32) -> Result<DnaSeq, SeqError> {
+        self.packed(record).map(|packed| packed.unpack())
+    }
+
+    /// Fetch record `record` and parse its 2-bit blob.
+    fn packed(&self, record: u32) -> Result<PackedSeq, SeqError> {
         let (blob, offset) = self.fetch(record)?;
-        let decoded = match self.mode {
-            StorageMode::Ascii => DnaSeq::from_ascii(blob),
-            StorageMode::DirectCoding => PackedSeq::from_bytes(blob).map(|p| p.unpack()),
-        };
-        decoded.map_err(|e| e.located("record", offset))
+        PackedSeq::from_bytes(blob).map_err(|e| e.located("record", offset))
     }
 
     /// Bytes the stored payload blobs occupy, in memory and in the file
@@ -344,9 +311,8 @@ impl SequenceStore {
         self.payload_start
     }
 
-    /// Append every record of `other` (re-encoding into this store's
-    /// mode if the modes differ). Record ids of the appended records
-    /// follow the existing ones.
+    /// Append every record of `other`, decoded and re-encoded. Record ids
+    /// of the appended records follow the existing ones.
     pub fn extend_from_store(&mut self, other: &SequenceStore) -> Result<(), SeqError> {
         for record in 0..other.len() as u32 {
             let seq = other.sequence(record)?;
@@ -360,7 +326,7 @@ impl SequenceStore {
     /// into place, so a crash mid-write never leaves a torn store.
     pub fn write_to(&self, path: &Path) -> Result<(), SeqError> {
         let mut toc = Vec::new();
-        toc.push(self.mode.tag());
+        toc.push(DIRECT_CODING_STORAGE);
         write_vu64(&mut toc, self.ids.len() as u64)?;
         for (record, id) in self.ids.iter().enumerate() {
             write_vu64(&mut toc, id.len() as u64)?;
@@ -395,10 +361,7 @@ impl SequenceStore {
         let toc = |bytes: &[u8]| read_toc(&mut CountingReader::new(bytes)).map(drop);
         let blob = |record: usize, blob: &[u8]| {
             let offset = self.check_crc(record, blob)?;
-            let decoded = match self.mode {
-                StorageMode::Ascii => DnaSeq::from_ascii(blob).map(|_| blob.len()),
-                StorageMode::DirectCoding => PackedSeq::from_bytes(blob).map(|p| p.len()),
-            };
+            let decoded = PackedSeq::from_bytes(blob).map(|p| p.len());
             match decoded.map_err(|e| e.located("record", offset))? {
                 n if n == self.lens[record] as usize => Ok(()),
                 _ => Err(SeqError::corrupt_at(
@@ -476,19 +439,11 @@ impl RecordSource for SequenceStore {
         SequenceStore::bases(self, record)
     }
 
+    /// The 2-bit payload already holds the representative base under
+    /// every wildcard, so the exception list is validated but never
+    /// applied: no `Vec<IupacCode>` in between.
     fn try_bases(&self, record: u32) -> Result<Vec<Base>, SeqError> {
-        match self.mode {
-            StorageMode::Ascii => Ok(self.sequence(record)?.representative_bases()),
-            // The 2-bit payload already holds the representative base
-            // under every wildcard, so the exception list is validated
-            // but never applied: no `Vec<IupacCode>` in between.
-            StorageMode::DirectCoding => {
-                let (blob, offset) = self.fetch(record)?;
-                let packed =
-                    PackedSeq::from_bytes(blob).map_err(|e| e.located("record", offset))?;
-                Ok(packed.unpack_bases())
-            }
-        }
+        self.packed(record).map(|packed| packed.unpack_bases())
     }
 
     fn sequence(&self, record: u32) -> Result<DnaSeq, SeqError> {
@@ -522,7 +477,11 @@ fn read_toc<R: Read>(input: &mut CountingReader<R>) -> Result<SequenceStore, Seq
     let at = |toc: &CountingReader<&[u8]>| V2_PREFIX_LEN + toc.pos();
     let mut mode_byte = [0u8; 1];
     toc.read_exact(&mut mode_byte)?;
-    let mut store = SequenceStore::new(StorageMode::from_tag(mode_byte[0], V2_PREFIX_LEN)?);
+    check_storage(mode_byte[0]).map_err(|e| match e {
+        IndexError::UnsupportedFormat(what) => SeqError::UnsupportedFormat(what),
+        _ => SeqError::corrupt_at("unknown storage mode", "store-header", V2_PREFIX_LEN),
+    })?;
+    let mut store = SequenceStore::new(StorageMode::DirectCoding);
     store.payload_start = V2_PREFIX_LEN + toc_len as u64;
     let mut offset = store.payload_start;
     for _ in 0..read_vu64(&mut toc)? {
@@ -644,43 +603,44 @@ mod tests {
         ]
     }
 
+    fn sample_store() -> SequenceStore {
+        let mut store = SequenceStore::new(StorageMode::DirectCoding);
+        for (id, seq) in sample() {
+            store.add(id, &seq);
+        }
+        store
+    }
+
     #[test]
     fn both_modes_round_trip() {
-        for mode in [StorageMode::Ascii, StorageMode::DirectCoding] {
-            let mut store = SequenceStore::new(mode);
-            for (id, seq) in sample() {
-                store.add(id, &seq);
-            }
-            assert_eq!(store.len(), 3);
-            for (record, (id, seq)) in sample().into_iter().enumerate() {
-                let record = record as u32;
-                assert_eq!(store.id(record), id);
-                assert_eq!(store.record_len(record), seq.len());
-                assert_eq!(store.sequence(record).unwrap(), seq, "mode {mode:?}");
-                assert_eq!(store.bases(record), seq.representative_bases());
-            }
+        let store = sample_store();
+        assert_eq!(store.len(), 3);
+        for (record, (id, seq)) in sample().into_iter().enumerate() {
+            let record = record as u32;
+            assert_eq!(store.id(record), id);
+            assert_eq!(store.record_len(record), seq.len());
+            assert_eq!(store.sequence(record).unwrap(), seq);
+            assert_eq!(store.bases(record), seq.representative_bases());
         }
     }
 
     #[test]
     fn direct_coding_is_smaller() {
         // On realistic record lengths the 2-bit payload dominates the
-        // exception list: close to 4x smaller than ASCII.
+        // exception list: close to 4x smaller than ASCII's byte a base.
         let mut body = vec![b'A'; 2000];
         body[100] = b'N';
         body[1500] = b'R';
         let seq = DnaSeq::from_ascii(&body).unwrap();
-        let mut ascii = SequenceStore::new(StorageMode::Ascii);
         let mut packed = SequenceStore::new(StorageMode::DirectCoding);
-        ascii.add("x", &seq);
         packed.add("x", &seq);
         assert!(
-            packed.stored_bytes() * 3 < ascii.stored_bytes(),
+            packed.stored_bytes() * 3 < body.len(),
             "packed {} vs ascii {}",
             packed.stored_bytes(),
-            ascii.stored_bytes()
+            body.len()
         );
-        assert_eq!(ascii.total_bases(), packed.total_bases());
+        assert_eq!(packed.total_bases(), body.len());
     }
 
     #[test]
@@ -697,33 +657,24 @@ mod tests {
 
     #[test]
     fn persistence_round_trip_both_modes() {
-        for (tag, mode) in [("a", StorageMode::Ascii), ("p", StorageMode::DirectCoding)] {
-            let mut store = SequenceStore::new(mode);
-            for (id, seq) in sample() {
-                store.add(id, &seq);
-            }
-            let path = temp_path(tag);
-            store.write_to(&path).unwrap();
-            let loaded = SequenceStore::read_from(&path).unwrap();
-            let _ = std::fs::remove_file(&path);
-            assert_eq!(loaded.mode(), mode);
-            assert_eq!(loaded.len(), store.len());
-            for record in 0..store.len() as u32 {
-                assert_eq!(loaded.id(record), store.id(record));
-                assert_eq!(
-                    loaded.sequence(record).unwrap(),
-                    store.sequence(record).unwrap()
-                );
-            }
+        let store = sample_store();
+        let path = temp_path("p");
+        store.write_to(&path).unwrap();
+        let loaded = SequenceStore::read_from(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(loaded.len(), store.len());
+        for record in 0..store.len() as u32 {
+            assert_eq!(loaded.id(record), store.id(record));
+            assert_eq!(
+                loaded.sequence(record).unwrap(),
+                store.sequence(record).unwrap()
+            );
         }
     }
 
     #[test]
     fn persistence_rejects_corruption() {
-        let mut store = SequenceStore::new(StorageMode::DirectCoding);
-        for (id, seq) in sample() {
-            store.add(id, &seq);
-        }
+        let store = sample_store();
         let path = temp_path("corrupt");
         store.write_to(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -742,10 +693,7 @@ mod tests {
 
     #[test]
     fn corrupt_payload_detected_with_offset() {
-        let mut store = SequenceStore::new(StorageMode::DirectCoding);
-        for (id, seq) in sample() {
-            store.add(id, &seq);
-        }
+        let store = sample_store();
         let path = temp_path("crc");
         store.write_to(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -784,79 +732,58 @@ mod tests {
     fn extend_from_store_appends_and_reencodes() {
         let mut packed = SequenceStore::new(StorageMode::DirectCoding);
         packed.add("p0", &DnaSeq::from_ascii(b"ACGT").unwrap());
-        let mut ascii = SequenceStore::new(StorageMode::Ascii);
-        ascii.add("a0", &DnaSeq::from_ascii(b"TTNN").unwrap());
-        ascii.add("a1", &DnaSeq::from_ascii(b"GGGG").unwrap());
+        let mut other = SequenceStore::new(StorageMode::DirectCoding);
+        other.add("a0", &DnaSeq::from_ascii(b"TTNN").unwrap());
+        other.add("a1", &DnaSeq::from_ascii(b"GGGG").unwrap());
 
-        packed.extend_from_store(&ascii).unwrap();
+        packed.extend_from_store(&other).unwrap();
         assert_eq!(packed.len(), 3);
         assert_eq!(packed.id(1), "a0");
         assert_eq!(packed.sequence(1).unwrap().to_ascii_vec(), b"TTNN");
         assert_eq!(packed.sequence(2).unwrap().to_ascii_vec(), b"GGGG");
-        assert_eq!(packed.mode(), StorageMode::DirectCoding);
     }
 
     #[test]
     fn on_disk_store_matches_memory() {
-        for (tag, mode) in [
-            ("oda", StorageMode::Ascii),
-            ("odp", StorageMode::DirectCoding),
-        ] {
-            let mut store = SequenceStore::new(mode);
-            for (id, seq) in sample() {
-                store.add(id, &seq);
-            }
-            let path = temp_path(tag);
-            store.write_to(&path).unwrap();
-            let disk = SequenceStore::open(&path).unwrap();
-            assert_eq!(disk.mode(), mode);
-            assert_eq!(RecordSource::len(&disk), store.len());
-            assert_eq!(RecordSource::total_bases(&disk), store.total_bases());
-            for record in 0..store.len() as u32 {
-                assert_eq!(RecordSource::id(&disk, record), store.id(record));
-                assert_eq!(
-                    RecordSource::record_len(&disk, record),
-                    store.record_len(record)
-                );
-                assert_eq!(
-                    RecordSource::sequence(&disk, record).unwrap(),
-                    store.sequence(record).unwrap(),
-                    "mode {mode:?} record {record}"
-                );
-                assert_eq!(RecordSource::bases(&disk, record), store.bases(record));
-                assert_eq!(
-                    RecordSource::try_bases(&disk, record).unwrap(),
-                    store.bases(record)
-                );
-            }
-            let _ = std::fs::remove_file(&path);
+        let store = sample_store();
+        let path = temp_path("odp");
+        store.write_to(&path).unwrap();
+        let disk = SequenceStore::open(&path).unwrap();
+        assert_eq!(RecordSource::len(&disk), store.len());
+        assert_eq!(RecordSource::total_bases(&disk), store.total_bases());
+        for record in 0..store.len() as u32 {
+            assert_eq!(RecordSource::id(&disk, record), store.id(record));
+            assert_eq!(
+                RecordSource::record_len(&disk, record),
+                store.record_len(record)
+            );
+            assert_eq!(
+                RecordSource::sequence(&disk, record).unwrap(),
+                store.sequence(record).unwrap(),
+                "record {record}"
+            );
+            assert_eq!(RecordSource::bases(&disk, record), store.bases(record));
+            assert_eq!(
+                RecordSource::try_bases(&disk, record).unwrap(),
+                store.bases(record)
+            );
         }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn stored_bytes_agree_before_write_and_after_open() {
-        for (tag, mode) in [
-            ("sba", StorageMode::Ascii),
-            ("sbp", StorageMode::DirectCoding),
-        ] {
-            let mut store = SequenceStore::new(mode);
-            for (id, seq) in sample() {
-                store.add(id, &seq);
-            }
-            let path = temp_path(tag);
-            store.write_to(&path).unwrap();
-            let opened = SequenceStore::open(&path).unwrap();
-            let _ = std::fs::remove_file(&path);
-            assert_eq!(opened.stored_bytes(), store.stored_bytes(), "mode {mode:?}");
-        }
+        let store = sample_store();
+        let path = temp_path("sbp");
+        store.write_to(&path).unwrap();
+        let opened = SequenceStore::open(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(opened.stored_bytes(), store.stored_bytes());
     }
 
     #[test]
     fn on_disk_store_counts_io() {
-        let mut store = SequenceStore::new(StorageMode::DirectCoding);
-        for (id, seq) in sample() {
-            store.add(id, &seq);
-        }
+        let store = sample_store();
         let path = temp_path("odio");
         store.write_to(&path).unwrap();
         let disk = SequenceStore::open(&path).unwrap();
@@ -876,10 +803,7 @@ mod tests {
 
     #[test]
     fn on_disk_store_rejects_corruption() {
-        let mut store = SequenceStore::new(StorageMode::DirectCoding);
-        for (id, seq) in sample() {
-            store.add(id, &seq);
-        }
+        let store = sample_store();
         let path = temp_path("odbad");
         store.write_to(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -891,12 +815,11 @@ mod tests {
 
     #[test]
     fn empty_store_persists() {
-        let store = SequenceStore::new(StorageMode::Ascii);
+        let store = SequenceStore::new(StorageMode::DirectCoding);
         let path = temp_path("empty");
         store.write_to(&path).unwrap();
         let loaded = SequenceStore::read_from(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert!(loaded.is_empty());
-        assert_eq!(loaded.mode(), StorageMode::Ascii);
     }
 }

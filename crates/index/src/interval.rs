@@ -34,6 +34,22 @@ pub(crate) fn check_granularity(tag: u8) -> Result<(), IndexError> {
     }
 }
 
+/// The storage-mode byte every `MANIFEST`, `SHARDS` and store TOC
+/// carries. Stores always hold 2-bit direct coding, written as 1.
+pub const DIRECT_CODING_STORAGE: u8 = 1;
+
+/// Check a stored storage-mode byte: 1 opens; 0, the retired ASCII
+/// store, is refused by name; anything else is a format error.
+pub fn check_storage(tag: u8) -> Result<(), IndexError> {
+    match tag {
+        DIRECT_CODING_STORAGE => Ok(()),
+        0 => Err(IndexError::UnsupportedFormat(
+            "ASCII store mode 0".to_string(),
+        )),
+        _ => Err(IndexError::bad_in("unknown storage mode", "params")),
+    }
+}
+
 /// Parameters fixed at index-build time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexParams {
@@ -103,6 +119,14 @@ mod tests {
 
     fn bases(ascii: &[u8]) -> Vec<Base> {
         DnaSeq::from_ascii(ascii).unwrap().representative_bases()
+    }
+
+    #[test]
+    fn storage_byte_opens_direct_coding_only() {
+        assert!(check_storage(DIRECT_CODING_STORAGE).is_ok());
+        let ascii = check_storage(0).unwrap_err();
+        assert!(matches!(ascii, IndexError::UnsupportedFormat(w) if w == "ASCII store mode 0"));
+        assert!(matches!(check_storage(200), Err(IndexError::BadFormat(_))));
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub use durable::{
 };
 pub use error::{FormatViolation, IndexError};
 pub use fault::{FaultPlan, FaultyReader};
-pub use interval::IndexParams;
+pub use interval::{check_storage, IndexParams, DIRECT_CODING_STORAGE};
 pub use manifest::{Manifest, SegmentMeta, MANIFEST_FILE};
 pub use merge::{apply_stopping, merge_indexes};
 pub use postings::{Posting, PostingsList};

@@ -17,7 +17,7 @@
 //! ```text
 //! magic "NUCMAN01" | body_len u32le | body_crc32 u32le | body
 //! body: version vu64
-//!       k vu64 | stride vu64 | granularity u8 (0) | codec u8 | storage u8
+//!       k vu64 | stride vu64 | granularity u8 (0) | codec u8 | storage u8 (1)
 //!       segment_count vu64
 //!       per segment: id vu64 | records vu64 | index_bytes vu64 | store_bytes vu64
 //! ```
@@ -37,7 +37,9 @@ use std::path::{Path, PathBuf};
 use crate::compress::ListCodec;
 use crate::durable::{crc32, read_exact_chunked, AtomicFile};
 use crate::error::IndexError;
-use crate::interval::{check_granularity, OFFSET_GRANULARITY};
+use crate::interval::{
+    check_granularity, check_storage, DIRECT_CODING_STORAGE, OFFSET_GRANULARITY,
+};
 
 /// File name of the manifest inside a live directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -126,9 +128,6 @@ pub struct Manifest {
     pub stride: usize,
     /// List codec of all segments.
     pub codec: ListCodec,
-    /// Storage-mode tag of all segment stores (opaque to this crate; the
-    /// engine layer maps it to its `StorageMode`).
-    pub storage: u8,
     /// The segments, in record-id order: segment `i` holds the records
     /// whose global ids start at the sum of earlier segments' `records`.
     pub segments: Vec<SegmentMeta>,
@@ -136,13 +135,12 @@ pub struct Manifest {
 
 impl Manifest {
     /// An empty version-0 manifest for a new live directory.
-    pub fn new(k: usize, stride: usize, codec: ListCodec, storage: u8) -> Manifest {
+    pub fn new(k: usize, stride: usize, codec: ListCodec) -> Manifest {
         Manifest {
             version: 0,
             k,
             stride,
             codec,
-            storage,
             segments: Vec::new(),
         }
     }
@@ -170,7 +168,7 @@ impl Manifest {
         put_vu64(&mut body, self.stride as u64);
         body.push(OFFSET_GRANULARITY);
         body.push(self.codec.tag());
-        body.push(self.storage);
+        body.push(DIRECT_CODING_STORAGE);
         put_vu64(&mut body, self.segments.len() as u64);
         for seg in &self.segments {
             put_vu64(&mut body, seg.id);
@@ -234,7 +232,7 @@ impl Manifest {
         }
         check_granularity(take_u8(&mut cur)?)?;
         let codec = ListCodec::from_tag(take_u8(&mut cur)?)?;
-        let storage = take_u8(&mut cur)?;
+        check_storage(take_u8(&mut cur)?)?;
         let count = take_vu64(&mut cur)?;
         // Each segment entry takes at least 4 bytes; bound count by the
         // remaining body so a corrupt count can't drive a huge allocation.
@@ -280,7 +278,6 @@ impl Manifest {
             k: k as usize,
             stride: stride as usize,
             codec,
-            storage,
             segments,
         })
     }
@@ -402,7 +399,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Manifest {
-        let mut m = Manifest::new(8, 1, ListCodec::Block, 1);
+        let mut m = Manifest::new(8, 1, ListCodec::Block);
         m.version = 7;
         m.segments = vec![
             SegmentMeta {

@@ -13,7 +13,7 @@
 //! ```text
 //! magic "NUCSHD01" | body_len u32le | body_crc32 u32le | body
 //! body: version vu64
-//!       k vu64 | stride vu64 | granularity u8 (0) | codec u8 | storage u8
+//!       k vu64 | stride vu64 | granularity u8 (0) | codec u8 | storage u8 (1)
 //!       shard_count vu64
 //!       per shard: records vu64 | index_bytes vu64 | store_bytes vu64
 //! ```
@@ -32,7 +32,9 @@ use std::path::{Path, PathBuf};
 use crate::compress::ListCodec;
 use crate::durable::{crc32, read_exact_chunked, AtomicFile};
 use crate::error::IndexError;
-use crate::interval::{check_granularity, OFFSET_GRANULARITY};
+use crate::interval::{
+    check_granularity, check_storage, DIRECT_CODING_STORAGE, OFFSET_GRANULARITY,
+};
 
 /// File name of the shard manifest inside a sharded root.
 pub const SHARD_MANIFEST_FILE: &str = "SHARDS";
@@ -71,8 +73,6 @@ pub struct ShardManifest {
     pub stride: usize,
     /// List codec of all shards.
     pub codec: ListCodec,
-    /// Storage-mode tag of all shard stores (opaque to this crate).
-    pub storage: u8,
     /// The shards, in record-id order: shard `i` holds the records whose
     /// global ids start at the sum of earlier shards' `records`.
     pub shards: Vec<ShardMeta>,
@@ -80,13 +80,12 @@ pub struct ShardManifest {
 
 impl ShardManifest {
     /// An empty version-0 manifest for a new sharded root.
-    pub fn new(k: usize, stride: usize, codec: ListCodec, storage: u8) -> ShardManifest {
+    pub fn new(k: usize, stride: usize, codec: ListCodec) -> ShardManifest {
         ShardManifest {
             version: 0,
             k,
             stride,
             codec,
-            storage,
             shards: Vec::new(),
         }
     }
@@ -113,7 +112,7 @@ impl ShardManifest {
         put_vu64(&mut body, self.stride as u64);
         body.push(OFFSET_GRANULARITY);
         body.push(self.codec.tag());
-        body.push(self.storage);
+        body.push(DIRECT_CODING_STORAGE);
         put_vu64(&mut body, self.shards.len() as u64);
         for shard in &self.shards {
             put_vu64(&mut body, u64::from(shard.records));
@@ -182,7 +181,7 @@ impl ShardManifest {
         }
         check_granularity(take_u8(&mut cur)?)?;
         let codec = ListCodec::from_tag(take_u8(&mut cur)?)?;
-        let storage = take_u8(&mut cur)?;
+        check_storage(take_u8(&mut cur)?)?;
         let count = take_vu64(&mut cur)?;
         // Each shard entry takes at least 3 bytes; bound count by the
         // remaining body so a corrupt count can't drive a huge allocation.
@@ -228,7 +227,6 @@ impl ShardManifest {
             k: k as usize,
             stride: stride as usize,
             codec,
-            storage,
             shards,
         })
     }
@@ -318,7 +316,7 @@ mod tests {
     use super::*;
 
     fn sample() -> ShardManifest {
-        let mut m = ShardManifest::new(8, 1, ListCodec::Block, 1);
+        let mut m = ShardManifest::new(8, 1, ListCodec::Block);
         m.version = 3;
         m.shards = vec![
             ShardMeta {

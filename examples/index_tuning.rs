@@ -1,6 +1,7 @@
 //! Index tuning: sweep the interval length, codec, and stopping policy and
 //! print the size/speed/accuracy consequences — a miniature of experiments
-//! E1/E4/E8 for interactive exploration.
+//! E1/E4 for interactive exploration (E8's binary sweeps the coarse
+//! ranking).
 //!
 //! ```sh
 //! cargo run --release -p nucdb --example index_tuning
@@ -9,7 +10,7 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use nucdb::{recall_at, Database, DbConfig, RankingScheme, SearchParams};
+use nucdb::{recall_at, Database, DbConfig, SearchParams};
 use nucdb_index::{IndexParams, ListCodec, StopPolicy};
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
 
@@ -92,29 +93,5 @@ fn main() {
             ..DbConfig::default()
         };
         evaluate(&config, label);
-    }
-
-    println!("\n--- ranking sweep (k = 8) ---");
-    let db = Database::build(
-        coll.records.iter().map(|r| (r.id.clone(), r.seq.clone())),
-        &DbConfig::default(),
-    );
-    for (label, ranking) in [
-        ("count", RankingScheme::Count),
-        ("proportional", RankingScheme::Proportional),
-        ("frame (window 16)", RankingScheme::Frame { window: 16 }),
-    ] {
-        let params = SearchParams::default().with_ranking(ranking);
-        let mut recall_sum = 0.0;
-        for (f, query) in queries.iter().enumerate() {
-            let outcome = db.search(query, &params).unwrap();
-            let ranked: Vec<u32> = outcome.results.iter().map(|r| r.record).collect();
-            let relevant: HashSet<u32> = coll.families[f].member_ids.iter().copied().collect();
-            recall_sum += recall_at(&ranked, &relevant, 10);
-        }
-        println!(
-            "{label:<20} recall@10 {:.3}",
-            recall_sum / queries.len() as f64
-        );
     }
 }

@@ -5,8 +5,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nucdb::{
-    CoarseScratch, Database, DbConfig, IndexVariant, RankingScheme, SearchParams, SequenceStore,
-    StorageMode, Strand,
+    CoarseScratch, Database, DbConfig, IndexVariant, SearchParams, SequenceStore, StorageMode,
+    Strand,
 };
 use nucdb_index::{build_chunked, build_parallel, IndexParams, ListCodec};
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
@@ -272,8 +272,14 @@ fn reused_scratch_gives_identical_results() {
 
     let param_sets = [
         SearchParams::default(),
-        SearchParams::default().with_ranking(RankingScheme::Count),
-        SearchParams::default().with_ranking(RankingScheme::Proportional),
+        SearchParams {
+            frame_window: 4,
+            ..SearchParams::default()
+        },
+        SearchParams {
+            frame_window: 64,
+            ..SearchParams::default()
+        },
         SearchParams::default().with_strand(Strand::Both),
         SearchParams {
             query_stride: 3,

@@ -90,8 +90,8 @@ fn build_index(
     builder.finish()
 }
 
-fn build_store(coll: &SyntheticCollection, mode: StorageMode) -> SequenceStore {
-    let mut store = SequenceStore::new(mode);
+fn build_store(coll: &SyntheticCollection) -> SequenceStore {
+    let mut store = SequenceStore::new(StorageMode::DirectCoding);
     for record in &coll.records {
         store.add(record.id.clone(), &record.seq);
     }
@@ -108,7 +108,6 @@ fn indexes_equal(a: &CompressedIndex, b: &CompressedIndex) -> bool {
 
 fn stores_equal(a: &SequenceStore, b: &SequenceStore) -> bool {
     a.len() == b.len()
-        && a.mode() == b.mode()
         && (0..a.len() as u32)
             .all(|r| a.id(r) == b.id(r) && a.sequence(r).unwrap() == b.sequence(r).unwrap())
 }
@@ -430,9 +429,7 @@ fn retired_magics_are_refused_by_name_at_every_door() {
         &idx,
     )
     .unwrap();
-    build_store(&coll, StorageMode::DirectCoding)
-        .write_to(&sto)
-        .unwrap();
+    build_store(&coll).write_to(&sto).unwrap();
     let open = || nucdb::Collection::open(&dir, &nucdb::CollectionOptions::default()).map(drop);
     open().unwrap();
     let retired = |magic: &str| [magic.as_bytes(), &[8, 1, 0, 0, 0, 1, 40, 0][..]].concat();
@@ -499,9 +496,7 @@ fn persisted(seed: u64, name: &str) -> (PathBuf, PathBuf, PathBuf, SyntheticColl
         &idx,
     )
     .unwrap();
-    build_store(&coll, StorageMode::DirectCoding)
-        .write_to(&sto)
-        .unwrap();
+    build_store(&coll).write_to(&sto).unwrap();
     (dir, idx, sto, coll)
 }
 
@@ -624,7 +619,7 @@ fn writers_leave_no_temp_files() {
     let coll = small_collection(910);
     let dir = temp_dir("atomic");
     let index = build_index(&coll, IndexParams::new(8), ListCodec::Paper);
-    let store = build_store(&coll, StorageMode::DirectCoding);
+    let store = build_store(&coll);
 
     write_index(&index, &dir.join("idx.nucidx")).unwrap();
     store.write_to(&dir.join("sto.nucsto")).unwrap();
@@ -660,7 +655,7 @@ fn failed_write_preserves_previous_file() {
     // file untouched.
     let coll = small_collection(911);
     let dir = temp_dir("preserve");
-    let store = build_store(&coll, StorageMode::DirectCoding);
+    let store = build_store(&coll);
     let path = dir.join("sto.nucsto");
     store.write_to(&path).unwrap();
     let before = std::fs::read(&path).unwrap();
@@ -718,7 +713,7 @@ fn query_error_does_not_poison_the_database() {
     let dir = temp_dir("poison");
     let sto = dir.join("coll.nucsto");
     let idx = dir.join("idx.nucidx");
-    let store = build_store(&coll, StorageMode::DirectCoding);
+    let store = build_store(&coll);
     store.write_to(&sto).unwrap();
     write_index(
         &build_index(&coll, IndexParams::new(8), ListCodec::Paper),

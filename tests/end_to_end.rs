@@ -6,8 +6,7 @@
 use std::collections::HashSet;
 
 use nucdb::{
-    average_precision, exhaustive_sw, recall_at, Database, DbConfig, FineMode, RankingScheme,
-    SearchParams,
+    average_precision, exhaustive_sw, recall_at, Database, DbConfig, FineMode, SearchParams,
 };
 use nucdb_align::ScoringScheme;
 use nucdb_index::{IndexParams, StopPolicy};
@@ -159,40 +158,18 @@ fn all_rankings_work_end_to_end() {
     let query = coll.query_for_family(2, 0.5, &MutationModel::identity());
     let relevant: HashSet<u32> = coll.families[2].member_ids.iter().copied().collect();
 
-    for ranking in [
-        RankingScheme::Count,
-        RankingScheme::Proportional,
-        RankingScheme::Frame { window: 16 },
-    ] {
-        let params = SearchParams::default()
-            .with_ranking(ranking)
-            .with_candidates(50);
+    for frame_window in [4, 16, 64] {
+        let params = SearchParams {
+            frame_window,
+            ..SearchParams::default().with_candidates(50)
+        };
         let outcome = db.search(&query, &params).unwrap();
         let ranked: Vec<u32> = outcome.results.iter().map(|r| r.record).collect();
         let recall = recall_at(&ranked, &relevant, 10);
-        assert!(recall >= 0.75, "{ranking:?}: recall {recall}");
-    }
-}
-
-#[test]
-fn ascii_and_packed_stores_give_identical_results() {
-    let coll = medium_collection(106);
-    let packed = build(&coll, &DbConfig::default());
-    let ascii = build(
-        &coll,
-        &DbConfig {
-            storage: nucdb::StorageMode::Ascii,
-            ..DbConfig::default()
-        },
-    );
-    let params = SearchParams::default();
-    for f in 0..coll.families.len() {
-        let query = coll.query_for_family(f, 0.5, &MutationModel::standard(0.05));
-        let a = packed.search(&query, &params).unwrap();
-        let b = ascii.search(&query, &params).unwrap();
-        let ra: Vec<(u32, i32)> = a.results.iter().map(|r| (r.record, r.score)).collect();
-        let rb: Vec<(u32, i32)> = b.results.iter().map(|r| (r.record, r.score)).collect();
-        assert_eq!(ra, rb, "family {f}");
+        assert!(
+            recall >= 0.75,
+            "frame window {frame_window}: recall {recall}"
+        );
     }
 }
 

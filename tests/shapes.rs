@@ -303,5 +303,40 @@ fn retired_codec_tags_are_refused_by_name_in_every_shape() {
         std::fs::write(dir.join(file), &good).unwrap();
         open().unwrap();
     }
+
+    // The storage byte: 1 opens, 0 (the retired ASCII store) is refused
+    // by name, anything else is damage. Both manifests carry it after
+    // the codec byte; the plain store's TOC, framed like a manifest,
+    // opens with it.
+    for (name, file, at) in [
+        ("plain", nucdb::STORE_FILE, 16),
+        ("live", nucdb_index::MANIFEST_FILE, 16 + 5),
+        ("sharded", nucdb_index::SHARD_MANIFEST_FILE, 16 + 5),
+    ] {
+        let dir = root.join(name);
+        let open = || Collection::open(&dir, &CollectionOptions::default()).map(drop);
+        let good = std::fs::read(dir.join(file)).unwrap();
+        assert_eq!(good[at], 1, "{name}: not the direct-coding byte");
+        let body_len = u32::from_le_bytes(good[8..12].try_into().unwrap()) as usize;
+        for tag in [0, 200] {
+            let mut bytes = good.clone();
+            bytes[at] = tag;
+            let crc = nucdb_index::crc32(&bytes[16..16 + body_len]);
+            bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(dir.join(file), &bytes).unwrap();
+            match (tag, open()) {
+                (0, Err(e @ nucdb_index::IndexError::UnsupportedFormat(_))) => {
+                    assert!(e.to_string().contains("ASCII store mode 0"), "{name}: {e}")
+                }
+                (200, Err(e)) => assert!(
+                    !matches!(e, nucdb_index::IndexError::UnsupportedFormat(_)),
+                    "{name}: {e}"
+                ),
+                (_, other) => panic!("{name}, storage byte {tag}: {other:?}"),
+            }
+        }
+        std::fs::write(dir.join(file), &good).unwrap();
+        open().unwrap();
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
