@@ -8,6 +8,14 @@
 //! are decoded repeatedly under the paper codec and the block codec,
 //! and the headline number is ids/second for each, plus the ratio.
 //!
+//! Two more views of the block tier follow. The counts row walks every
+//! list of a block-codec index the way coarse search's first pass does —
+//! ids and counts only, offsets stepped over — on lists already verified
+//! by an earlier walk, so it times the unpack kernel and the structural
+//! checks and no CRC. The width rows time the unpack kernel alone, in
+//! ns per value at every bit width, so a kernel regression shows at the
+//! width it hits.
+//!
 //! CI runs this with a reduced collection via `DECODE_RATE_BASES`;
 //! results land in `results/BENCH_decode.json` next to the other
 //! benchmark artifacts.
@@ -16,9 +24,82 @@ use std::time::{Duration, Instant};
 
 use nucdb_bench::json::Value;
 use nucdb_bench::{banner, bytes, collection, results_path, Table};
-use nucdb_index::{decode_postings_with, encode_postings, IndexBuilder, IndexParams, ListCodec};
+use nucdb_index::{
+    decode_postings_with, encode_postings, pack_group, unpack_group, CompressedIndex, IndexBuilder,
+    IndexParams, ListCodec, OffsetSection, PostingsVisitor, VocabCursor,
+};
 
 const REPEATS: usize = 5;
+/// Groups per width row: 4096 × 32 values.
+const WIDTH_GROUPS: usize = 4096;
+
+/// Folds every id and count of a counts walk, so none is optimised away.
+struct Fold(u64);
+
+impl PostingsVisitor for Fold {
+    fn visit(&mut self, record: u32, value: u32) {
+        self.0 = self.0.wrapping_add(u64::from(record ^ value));
+    }
+
+    fn visit_block(&mut self, records: &[u32], counts: &[u32], _offsets: OffsetSection) {
+        for (&record, &count) in records.iter().zip(counts) {
+            self.visit(record, count);
+        }
+    }
+}
+
+/// Best-of-REPEATS seconds for one counts walk over every list of
+/// `index`, ascending code, after one untimed walk that verifies them.
+fn counts_walk_best(index: &CompressedIndex) -> Duration {
+    let mut fold = Fold(0);
+    let mut walk = || {
+        let start = Instant::now();
+        let mut cursor = VocabCursor::default();
+        for entry in index.vocab() {
+            index
+                .counts_stream(entry.code, &mut cursor, &mut fold)
+                .expect("counts walk");
+        }
+        start.elapsed()
+    };
+    walk();
+    let best = (0..REPEATS).map(|_| walk()).min().expect("REPEATS > 0");
+    std::hint::black_box(fold.0);
+    best
+}
+
+/// Best-of-REPEATS ns per value unpacking [`WIDTH_GROUPS`] groups of
+/// pseudo-random values packed at `width`.
+fn unpack_ns_per_value(width: u8) -> f64 {
+    let mask = ((1u64 << width) - 1) as u32;
+    let mut packed = Vec::new();
+    let mut state = 0x9E37_79B9_u32;
+    for _ in 0..WIDTH_GROUPS {
+        let values: [u32; 32] = std::array::from_fn(|_| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            state & mask
+        });
+        pack_group(width, &values, &mut packed);
+    }
+    let group_bytes = usize::from(width) * 4;
+    let mut lanes = [0u32; 32];
+    let mut sink = 0u32;
+    let mut best = Duration::MAX;
+    for _ in 0..REPEATS {
+        let start = Instant::now();
+        for g in 0..WIDTH_GROUPS {
+            unpack_group(
+                std::hint::black_box(width),
+                &packed[g * group_bytes..],
+                &mut lanes,
+            );
+            sink = sink.wrapping_add(lanes[g % 32]);
+        }
+        best = best.min(start.elapsed());
+    }
+    std::hint::black_box(sink);
+    best.as_secs_f64() * 1e9 / (WIDTH_GROUPS * 32) as f64
+}
 
 fn main() {
     banner(
@@ -56,9 +137,11 @@ fn main() {
             .collect();
         let encoded_bytes: u64 = encoded.iter().map(|b| b.len() as u64).sum();
 
-        // Best-of-REPEATS full-corpus decode through the streaming path
-        // (the one coarse search uses); the visitor only folds, so the
-        // measured work is the decoder, not downstream bookkeeping.
+        // Best-of-REPEATS full-corpus decode through the free streaming
+        // decode, offsets included (a block list's CRCs are checked
+        // first, as on an index's first fetch); the visitor only folds,
+        // so the measured work is the decoder, not downstream
+        // bookkeeping.
         let mut best = Duration::MAX;
         let mut sink = 0u64;
         for _ in 0..REPEATS {
@@ -99,6 +182,32 @@ fn main() {
     let ratio = rates[1] / rates[0];
     println!("\nblock decode rate is {ratio:.1}x the bit-serial Golomb decoder");
 
+    let mut builder = IndexBuilder::new(IndexParams::new(8)).with_codec(ListCodec::Block);
+    for r in &coll.records {
+        builder.add_record(&r.seq.representative_bases());
+    }
+    let block_index = builder.finish();
+    let counts_best = counts_walk_best(&block_index);
+    let counts_rate = total_ids as f64 / counts_best.as_secs_f64();
+    println!(
+        "\ncounts walk (pass one, verified lists): {:.2} ms, {:.1} M ids/s",
+        counts_best.as_secs_f64() * 1e3,
+        counts_rate / 1e6
+    );
+
+    let mut widths = Table::new(&["width", "unpack ns/value"]);
+    let mut width_rows: Vec<Value> = Vec::new();
+    for width in 0..=32u8 {
+        let ns = unpack_ns_per_value(width);
+        widths.row(vec![width.to_string(), format!("{ns:.3}")]);
+        width_rows.push(Value::Obj(vec![
+            ("width", Value::Int(u64::from(width))),
+            ("unpack_ns_per_value", Value::Num(ns)),
+        ]));
+    }
+    println!();
+    widths.print();
+
     let out = Value::Obj(vec![
         ("experiment", Value::Str("decode_rate".into())),
         (
@@ -114,6 +223,25 @@ fn main() {
         ("repeats_best_of", Value::Int(REPEATS as u64)),
         ("codecs", Value::Arr(rows)),
         ("block_vs_bit_serial_speedup", Value::Num(ratio)),
+        (
+            "counts_walk",
+            Value::Obj(vec![
+                (
+                    "description",
+                    Value::Str(
+                        "ids and counts of every block-codec list through the coarse \
+                         pass-one walk, on lists verified by an earlier walk"
+                            .into(),
+                    ),
+                ),
+                (
+                    "decode_ms_best",
+                    Value::Num(counts_best.as_secs_f64() * 1e3),
+                ),
+                ("ids_per_sec", Value::Num(counts_rate)),
+            ]),
+        ),
+        ("unpack_widths", Value::Arr(width_rows)),
     ]);
     let path = results_path("BENCH_decode.json");
     std::fs::write(&path, out.render() + "\n").expect("write BENCH_decode.json");

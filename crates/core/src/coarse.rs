@@ -14,25 +14,23 @@
 //! banded alignment of fine search.
 //!
 //! A query takes two passes over the same verified bytes. Pass one
-//! fetches each list once and accumulates per-record counts from block
-//! ids and counts alone; pass two decodes offsets, and so diagonals, only
-//! for the records whose counts cleared `min_coarse_hits` — the only
-//! records rank ever scores.
+//! fetches each list once and adds block ids and counts alone into one
+//! dense per-record count table; pass two decodes offsets, and so
+//! diagonals, only for the records whose counts cleared
+//! `min_coarse_hits` — the only records rank ever scores.
 //!
 //! Accumulation prunes nothing: every record a list touches is tracked,
-//! and every block of every fetched list is verified and decoded.
+//! and every block of every fetched list is decoded (each list is
+//! verified on its first fetch).
 
 use nucdb_index::{
     CompressedIndex, FetchStats, IndexError, IndexParams, OffsetSection, PostingsVisitor,
+    VocabCursor,
 };
 use nucdb_seq::Base;
 
 use crate::explain::{CoarseExplain, ListExplain, SurvivorExplain};
 use crate::params::SearchParams;
-
-/// Scatter cursor of a record below `min_coarse_hits`: its hits are not
-/// bucketed.
-const BELOW_FLOOR: u32 = u32::MAX;
 
 /// Anything coarse search can fetch postings from (an index, a
 /// segmented view over several, or the engine's variant wrapper).
@@ -61,27 +59,36 @@ pub trait PostingsSource {
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError>;
 
-    /// Coarse search's first pass over `code`'s list: append its
-    /// verified bytes to the end of `kept` and walk them as counts,
+    /// Coarse search's first pass over `code`'s list: look it up
+    /// forward from this query's `cursors` (one per index part, added on
+    /// first use; codes arrive ascending) and walk the list as counts,
     /// [`PostingsVisitor::visit_block`] once per decoded block with the
-    /// block's offsets located in `kept`, readable there until the caller
-    /// changes `kept`. Lists that cannot step over their offsets (the
-    /// Paper codec's bit-serial gaps) stream `visit(record, offset)` as
-    /// [`fetch_stream`] does. Same skip hook and stats as
-    /// [`fetch_stream`].
-    ///
-    /// The default streams every list through [`fetch_stream`].
-    ///
-    /// [`fetch_stream`]: PostingsSource::fetch_stream
-    fn fetch_append(
+    /// block's offsets located in
+    /// [`section_bytes`](PostingsSource::section_bytes) of the section's
+    /// part. Lists that cannot step over their offsets (the Paper codec's
+    /// bit-serial gaps) stream `visit(record, offset)` as
+    /// [`fetch_stream`](PostingsSource::fetch_stream) does. Same skip
+    /// hook and stats as `fetch_stream`.
+    fn fetch_counts(
         &self,
         code: u64,
-        kept: &mut Vec<u8>,
+        cursors: &mut Vec<VocabCursor>,
         visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        let _ = kept;
-        self.fetch_stream(code, &mut Vec::new(), visitor)
+    ) -> Result<Option<FetchStats>, IndexError>;
+
+    /// The bytes that the offset sections [`fetch_counts`] tags with
+    /// part `part` are located in.
+    ///
+    /// [`fetch_counts`]: PostingsSource::fetch_counts
+    fn section_bytes(&self, part: u32) -> &[u8];
+}
+
+/// Part `part`'s cursor among a query's `cursors`, added on first use.
+pub(crate) fn part_cursor(cursors: &mut Vec<VocabCursor>, part: usize) -> &mut VocabCursor {
+    if cursors.len() <= part {
+        cursors.resize(part + 1, VocabCursor::default());
     }
+    &mut cursors[part]
 }
 
 impl PostingsSource for CompressedIndex {
@@ -106,13 +113,17 @@ impl PostingsSource for CompressedIndex {
         self.postings_stream(code, visitor)
     }
 
-    fn fetch_append(
+    fn fetch_counts(
         &self,
         code: u64,
-        kept: &mut Vec<u8>,
+        cursors: &mut Vec<VocabCursor>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        self.append_stream(code, kept, visitor)
+        self.counts_stream(code, part_cursor(cursors, 0), visitor)
+    }
+
+    fn section_bytes(&self, _part: u32) -> &[u8] {
+        self.blob()
     }
 }
 
@@ -164,7 +175,9 @@ pub struct CoarseOutcome {
 /// One block pass one kept for pass two.
 #[derive(Debug, Clone, Copy)]
 struct KeptBlock {
-    /// Where the block's packed offsets sit in `CoarseScratch::lists`.
+    /// Where the block's packed offsets sit: a part of the source and a
+    /// byte position in that part's
+    /// [`section_bytes`](PostingsSource::section_bytes).
     offsets: OffsetSection,
     /// The block's postings: its share of `CoarseScratch::kept`.
     postings: u32,
@@ -174,50 +187,43 @@ struct KeptBlock {
 
 /// Reusable working memory for coarse search.
 ///
-/// A fresh query costs zero allocation once a scratch has warmed up: the
-/// per-record accumulators are *generation-stamped* (a record's counter is
-/// valid only when its stamp equals the current generation, so starting a
-/// query is a single integer increment instead of an `O(num_records)`
-/// zeroing), the query's block lists stay in one reusable byte buffer
-/// between the two passes, survivors' hits land in a reusable arena, and
-/// per-record diagonal buckets are placed by counting sort over the
-/// already-known per-record hit counts.
+/// A fresh query costs no allocation once a scratch has warmed up. Pass
+/// one adds into one dense per-record count table, zeroed at the start
+/// of each query over the index's records; the records it touched are
+/// recovered by one scan of the table after the last list. Kept blocks
+/// point into the index's own bytes rather than a copy, survivors' hits
+/// land in a reusable arena, and per-record diagonal buckets are placed
+/// by counting sort over the already-known per-record hit counts.
 ///
 /// One scratch serves any number of sequential queries (and both strands
-/// of each); results are identical whether a scratch is fresh or reused.
-/// Scratches are not `Sync` — give each worker thread its own.
+/// of each), over indexes of any size in turn; results are identical
+/// whether a scratch is fresh or reused. Scratches are not `Sync` — give
+/// each worker thread its own.
 #[derive(Debug, Default)]
 pub struct CoarseScratch {
-    /// Current query generation; `stamp[r] == generation` marks record
-    /// `r`'s entries in `counts`/`slot` as live.
-    generation: u32,
-    stamp: Vec<u32>,
-    /// Per-record accumulated hit count (valid under the stamp).
+    /// Per-record accumulated hit count over the current index's
+    /// records; zero for a record no list touched.
     counts: Vec<u32>,
-    /// Per-record index into `touched` (valid under the stamp).
-    slot: Vec<u32>,
-    /// Records hit this query, in first-touch order.
+    /// Records hit this query, ascending: the nonzero entries of
+    /// `counts`, found after pass one.
     touched: Vec<u32>,
     /// Hit arena: `(record, diagonal)` in arrival order — Paper lists'
     /// hits from pass one, then the survivors' hits from pass two.
     hits: Vec<(u32, i64)>,
-    /// Pass one's verified block-list bytes, in fetch order.
-    lists: Vec<u8>,
+    /// This query's vocabulary cursors, one per index part.
+    cursors: Vec<VocabCursor>,
     /// Every posting of every kept block, `(record, count)`, in fetch
     /// order.
     kept: Vec<(u32, u32)>,
     /// The kept blocks, in fetch order.
     blocks: Vec<KeptBlock>,
-    /// Bit `r` set: record `r` cleared the floor, so pass two decodes its
-    /// offsets. Lazily cleared via `touched`.
-    survivors: Vec<u64>,
-    /// Diagonal buckets, grouped per touched record by counting sort.
+    /// Diagonal buckets, grouped per scored record by counting sort.
     diagonals: Vec<i64>,
-    /// Per-touched-record scatter cursors (prefix sums, then bucket
-    /// ends); [`BELOW_FLOOR`] for records the floor drops.
+    /// Per-record scatter cursors (prefix sums, then bucket ends), valid
+    /// for the records that cleared the floor.
     cursor: Vec<u32>,
-    /// Floor-passing records as `hits << 32 | touched slot`, the rank
-    /// walk's order.
+    /// Floor-passing records as `hits << 32 | record`, the rank walk's
+    /// order.
     order: Vec<u64>,
     /// The query's `(interval code, query position)` pairs, sorted — runs
     /// of one code replace the old per-query hash map.
@@ -232,60 +238,44 @@ impl CoarseScratch {
         CoarseScratch::default()
     }
 
-    /// Start a query over `num_records` records: bump the generation and
-    /// clear the per-query arenas. O(1) amortised — the per-record
-    /// tables grow to the largest index served and are only rebuilt when
-    /// a larger one arrives or the generation wraps, so one scratch
-    /// serves indexes of different sizes (the shards of a set, in turn)
-    /// without clearing.
+    /// Start a query over `num_records` records: zero the count table
+    /// over them and clear the per-query arenas.
     fn begin(&mut self, num_records: usize) {
-        if self.stamp.len() < num_records {
-            self.stamp.clear();
-            self.stamp.resize(num_records, 0);
-            self.counts.clear();
-            self.counts.resize(num_records, 0);
-            self.slot.clear();
-            self.slot.resize(num_records, 0);
-            self.survivors.clear();
-            self.survivors.resize(num_records.div_ceil(64), 0);
-            self.generation = 0;
-        }
-        if self.generation == u32::MAX {
-            self.stamp.fill(0);
-            self.generation = 0;
-        }
-        // Lazily reset the survivor bits: only words holding a record the
-        // *previous* query touched can be nonzero.
-        for &record in &self.touched {
-            if let Some(w) = self.survivors.get_mut(record as usize >> 6) {
-                *w = 0;
-            }
-        }
-        self.generation += 1;
+        self.counts.clear();
+        self.counts.resize(num_records, 0);
         self.touched.clear();
         self.hits.clear();
-        self.lists.clear();
+        self.cursors.clear();
         self.kept.clear();
         self.blocks.clear();
     }
 }
 
-/// Pass one's accumulator: per-record counts under the generation stamp
+/// Recover the records pass one touched, ascending, from the count
+/// table: every touched record holds at least one hit.
+fn collect_touched(counts: &[u32], touched: &mut Vec<u32>) {
+    touched.clear();
+    touched.extend(
+        counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count != 0)
+            .map(|(record, _)| record as u32),
+    );
+}
+
+/// Pass one's accumulator: per-record counts in the dense table
 /// (`count × qlen` per posting) and `total_hits`, plus what pass two
 /// needs: every block's `(record, count)` postings and where its offsets
 /// sit. A per-posting `visit` carries an offset (a Paper list, whose hits
 /// are pushed at once).
 struct Accumulator<'a> {
-    generation: u32,
     /// The current run's `(code, query position)` pairs.
     qrun: &'a [(u64, u32)],
     /// The current run as a range of `CoarseScratch::codes`.
     run: (u32, u32),
     total_hits: u64,
-    stamp: &'a mut [u32],
     counts: &'a mut [u32],
-    slot: &'a mut [u32],
-    touched: &'a mut Vec<u32>,
     hits: &'a mut Vec<(u32, i64)>,
     kept: &'a mut Vec<(u32, u32)>,
     blocks: &'a mut Vec<KeptBlock>,
@@ -299,18 +289,11 @@ impl Accumulator<'_> {
     /// every smaller one.
     fn add(&mut self, records: &[u32], counts: &[u32]) {
         let qlen = self.qrun.len() as u32;
-        let generation = self.generation;
-        let (stamp, totals) = (&mut *self.stamp, &mut *self.counts);
+        let totals = &mut *self.counts;
         let mut occurrences = 0u64;
         for (&record, &count) in records.iter().zip(counts) {
-            let r = record as usize;
-            if stamp[r] != generation {
-                stamp[r] = generation;
-                totals[r] = 0;
-                self.slot[r] = self.touched.len() as u32;
-                self.touched.push(record);
-            }
-            totals[r] = totals[r].saturating_add(count.saturating_mul(qlen));
+            let total = &mut totals[record as usize];
+            *total = total.saturating_add(count.saturating_mul(qlen));
             occurrences += u64::from(count);
         }
         self.total_hits += occurrences * u64::from(qlen);
@@ -338,9 +321,10 @@ impl PostingsVisitor for Accumulator<'_> {
 }
 
 /// Pass one: fetch each of the query's lists once (ascending code) and
-/// accumulate per-record counts. Block lists land in `scratch.lists` and
-/// their postings in `scratch.kept` for pass two; Paper lists push their
-/// hits at once.
+/// accumulate per-record counts, then recover the touched records. Block
+/// lists' postings land in `scratch.kept` and their blocks, pointing into
+/// the source's bytes, in `scratch.blocks` for pass two; Paper lists push
+/// their hits at once.
 fn accumulate<S: PostingsSource>(
     index: &S,
     scratch: &mut CoarseScratch,
@@ -349,13 +333,10 @@ fn accumulate<S: PostingsSource>(
 ) -> Result<(), IndexError> {
     scratch.begin(index.num_records() as usize);
     let CoarseScratch {
-        generation,
-        stamp,
         counts,
-        slot,
         touched,
         hits,
-        lists,
+        cursors,
         kept,
         blocks,
         codes,
@@ -363,14 +344,10 @@ fn accumulate<S: PostingsSource>(
     } = scratch;
     let codes = &codes[..];
     let mut acc = Accumulator {
-        generation: *generation,
         qrun: &[],
         run: (0, 0),
         total_hits: 0,
-        stamp,
         counts,
-        slot,
-        touched,
         hits,
         kept,
         blocks,
@@ -386,7 +363,7 @@ fn accumulate<S: PostingsSource>(
         acc.run = (run_start as u32, run_end as u32);
         run_start = run_end;
 
-        let fetched = index.fetch_append(code, lists, &mut acc)?;
+        let fetched = index.fetch_counts(code, cursors, &mut acc)?;
         if let Some(stats) = &fetched {
             outcome.lists_fetched += 1;
             outcome.postings_decoded += stats.ids_decoded;
@@ -399,40 +376,30 @@ fn accumulate<S: PostingsSource>(
         }
     }
     outcome.total_hits = acc.total_hits;
+    collect_touched(counts, touched);
     Ok(())
 }
 
-/// Pass two: mark the records whose counts cleared `min_coarse_hits`,
-/// then walk the kept postings and push the hits of those records alone,
-/// unpacking only the offset groups their offsets sit in. Rank scores
-/// exactly these records, so no other record's offsets are ever decoded.
+/// Pass two: walk the kept postings and push the hits of the records
+/// whose counts cleared `min_coarse_hits` alone, unpacking only the
+/// offset groups their offsets sit in. Rank scores exactly these
+/// records, so no other record's offsets are ever decoded.
 fn push_survivor_hits<S: PostingsSource>(
     index: &S,
     params: &SearchParams,
     scratch: &mut CoarseScratch,
 ) -> Result<(), IndexError> {
     let CoarseScratch {
-        counts: totals,
+        counts,
         touched,
         hits,
         codes,
-        lists,
         kept,
         blocks,
-        survivors,
         ..
     } = scratch;
-    if blocks.is_empty() {
-        return Ok(());
-    }
-    let mut any = false;
-    for &record in touched.iter() {
-        if totals[record as usize] >= params.min_coarse_hits {
-            survivors[record as usize >> 6] |= 1 << (record & 63);
-            any = true;
-        }
-    }
-    if !any {
+    let floor = params.min_coarse_hits;
+    if blocks.is_empty() || !touched.iter().any(|&r| counts[r as usize] >= floor) {
         return Ok(());
     }
     let record_lens = index.record_lens();
@@ -442,10 +409,10 @@ fn push_survivor_hits<S: PostingsSource>(
         postings = rest;
         let qrun = &codes[block.run.0 as usize..block.run.1 as usize];
         block.offsets.visit_offsets(
-            lists,
+            index.section_bytes(block.offsets.part()),
             block_postings,
             record_lens,
-            |record| survivors[record as usize >> 6] >> (record & 63) & 1 != 0,
+            |record| counts[record as usize] >= floor,
             |record, offset| {
                 for &(_, qpos) in qrun {
                     hits.push((record, offset as i64 - qpos as i64));
@@ -572,7 +539,6 @@ fn rank_offsets(
 ) {
     let CoarseScratch {
         counts,
-        slot,
         touched,
         hits,
         diagonals,
@@ -588,18 +554,19 @@ fn rank_offsets(
     // get no bucket and their hits are passed over — then find each
     // scored record's best diagonal window (two-pointer over its sorted
     // diagonals).
+    let floor = params.min_coarse_hits;
     let window = i64::from(params.frame_window);
-    cursor.clear();
+    if cursor.len() < counts.len() {
+        cursor.resize(counts.len(), 0);
+    }
     order.clear();
     let mut running = 0u32;
-    for (s, &record) in touched.iter().enumerate() {
+    for &record in touched.iter() {
         let total = counts[record as usize];
-        if total < params.min_coarse_hits {
-            cursor.push(BELOW_FLOOR);
-        } else {
-            cursor.push(running);
+        if total >= floor {
+            cursor[record as usize] = running;
             running += total;
-            order.push(u64::from(total) << 32 | s as u64);
+            order.push(u64::from(total) << 32 | u64::from(record));
         }
     }
     let keep = params.max_candidates;
@@ -611,11 +578,11 @@ fn rank_offsets(
         diagonals.clear();
         diagonals.resize(running as usize, 0);
         for &(record, diagonal) in hits.iter() {
-            let s = slot[record as usize] as usize;
-            let c = cursor[s];
-            if c != BELOW_FLOOR {
+            let r = record as usize;
+            if counts[r] >= floor {
+                let c = cursor[r];
                 diagonals[c as usize] = diagonal;
-                cursor[s] = c + 1;
+                cursor[r] = c + 1;
             }
         }
     }
@@ -634,9 +601,9 @@ fn rank_offsets(
         if kth_best.is_some_and(|kth| total < kth) {
             break;
         }
-        let s = entry as u32 as usize;
-        // cursor[s] advanced to the bucket end during the scatter.
-        let end = cursor[s] as usize;
+        let record = entry as u32;
+        // cursor[record] advanced to the bucket end during the scatter.
+        let end = cursor[record as usize] as usize;
         let diags = &mut diagonals[end - total as usize..end];
         diags.sort_unstable();
         // Two-pointer max window.
@@ -653,7 +620,7 @@ fn rank_offsets(
             }
         }
         candidates.push(CoarseHit {
-            record: touched[s],
+            record,
             hits: total,
             frame_hits: best_count as u32,
             best_diagonal: diags[best_lo + best_count / 2],
@@ -1214,25 +1181,14 @@ mod tests {
     /// oracle: every posting's offsets decoded during the fetch and every
     /// hit pushed, below the floor or not.
     struct HitAccumulator<'a> {
-        generation: u32,
         qrun: &'a [(u64, u32)],
-        stamp: &'a mut [u32],
         counts: &'a mut [u32],
-        slot: &'a mut [u32],
-        touched: &'a mut Vec<u32>,
         hits: &'a mut Vec<(u32, i64)>,
     }
 
     impl PostingsVisitor for HitAccumulator<'_> {
         fn visit(&mut self, record: u32, offset: u32) {
-            let r = record as usize;
-            if self.stamp[r] != self.generation {
-                self.stamp[r] = self.generation;
-                self.counts[r] = 0;
-                self.slot[r] = self.touched.len() as u32;
-                self.touched.push(record);
-            }
-            self.counts[r] += self.qrun.len() as u32;
+            self.counts[record as usize] += self.qrun.len() as u32;
             for &(_, qpos) in self.qrun {
                 self.hits.push((record, offset as i64 - qpos as i64));
             }
@@ -1254,10 +1210,7 @@ mod tests {
         }
         scratch.begin(index.num_records() as usize);
         let CoarseScratch {
-            generation,
-            stamp,
             counts,
-            slot,
             touched,
             hits,
             codes,
@@ -1272,12 +1225,8 @@ mod tests {
                 run_end += 1;
             }
             let mut acc = HitAccumulator {
-                generation: *generation,
                 qrun: &codes[run_start..run_end],
-                stamp: stamp.as_mut_slice(),
                 counts: counts.as_mut_slice(),
-                slot: slot.as_mut_slice(),
-                touched: &mut *touched,
                 hits: &mut *hits,
             };
             run_start = run_end;
@@ -1289,6 +1238,7 @@ mod tests {
             }
         }
         outcome.total_hits = hits.len() as u64;
+        collect_touched(counts, touched);
         if !hits.is_empty() {
             rank_offsets(p, scratch, &mut outcome, None);
         }
@@ -1417,18 +1367,14 @@ mod tests {
         // count × qlen = 70 000² > u32::MAX, as a 70 kb poly-A query
         // against a 70 kb poly-A record makes.
         let qrun: Vec<(u64, u32)> = (0..70_000).map(|qpos| (0, qpos)).collect();
-        let (mut stamp, mut counts, mut slot) = (vec![0u32; 2], vec![0u32; 2], vec![0u32; 2]);
+        let mut counts = vec![0u32; 2];
         let (mut touched, mut hits, mut kept, mut blocks) =
             (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let mut acc = Accumulator {
-            generation: 1,
             qrun: &qrun,
             run: (0, qrun.len() as u32),
             total_hits: 0,
-            stamp: &mut stamp,
             counts: &mut counts,
-            slot: &mut slot,
-            touched: &mut touched,
             hits: &mut hits,
             kept: &mut kept,
             blocks: &mut blocks,
@@ -1436,6 +1382,7 @@ mod tests {
         acc.add(&[0, 1], &[70_000, 1]);
         acc.visit(0, 1);
         assert_eq!(acc.total_hits, 70_000 * 70_000 + 70_000 * 2);
+        collect_touched(&counts, &mut touched);
         assert_eq!(counts, [u32::MAX, 70_000]);
         assert_eq!(touched, [0, 1]);
     }

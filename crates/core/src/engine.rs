@@ -6,6 +6,7 @@ use std::path::Path;
 use nucdb_align::Alignment;
 use nucdb_index::{
     CompressedIndex, FetchStats, IndexBuilder, IndexError, IndexParams, ListCodec, PostingsVisitor,
+    VocabCursor,
 };
 use nucdb_seq::DnaSeq;
 
@@ -83,13 +84,17 @@ impl PostingsSource for IndexVariant {
         self.source().fetch_stream(code, io_buf, visitor)
     }
 
-    fn fetch_append(
+    fn fetch_counts(
         &self,
         code: u64,
-        kept: &mut Vec<u8>,
+        cursors: &mut Vec<VocabCursor>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        self.source().fetch_append(code, kept, visitor)
+        self.source().fetch_counts(code, cursors, visitor)
+    }
+
+    fn section_bytes(&self, part: u32) -> &[u8] {
+        self.source().section_bytes(part)
     }
 }
 

@@ -38,7 +38,7 @@ pub struct ListExplain {
     pub ids_decoded: u64,
     /// Compressed bytes fetched for the list.
     pub bytes_read: u64,
-    /// Blocks checksummed and unpacked (block codec only).
+    /// Blocks unpacked (block codec only).
     pub blocks_decoded: u32,
     /// Blocks left undecoded: always zero, since coarse search decodes
     /// every block of every list it fetches.

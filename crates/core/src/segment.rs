@@ -38,12 +38,12 @@ use std::time::Instant;
 use nucdb_index::manifest::{segment_index_file, segment_store_file, Manifest, SegmentMeta};
 use nucdb_index::{
     load_index, merge_indexes, write_index, CompressedIndex, FetchStats, IndexBuilder, IndexError,
-    IndexParams, OffsetSection, PostingsVisitor, BLOCK_LEN,
+    IndexParams, OffsetSection, PostingsVisitor, VocabCursor, BLOCK_LEN,
 };
 use nucdb_obs::{Counter, Forensics, Gauge, MetricsRegistry};
 use nucdb_seq::{Base, DnaSeq, SeqError};
 
-use crate::coarse::PostingsSource;
+use crate::coarse::{part_cursor, PostingsSource};
 use crate::collection::{has_live_manifest, Shape};
 use crate::engine::{io_err, Database, DbConfig, IndexVariant};
 use crate::explain::SegmentExplain;
@@ -130,6 +130,12 @@ impl SegmentedIndex {
         self.parts.len()
     }
 
+    /// The parts' indexes, in record-id order (the order of
+    /// [`SegmentedIndex::explain_rows`]).
+    pub fn part_indexes(&self) -> impl Iterator<Item = &CompressedIndex> {
+        self.parts.iter().map(|p| p.inner.as_ref())
+    }
+
     /// Explain-plan rows: one per part, in record-id order.
     pub fn explain_rows(&self) -> Vec<SegmentExplain> {
         self.parts
@@ -143,23 +149,26 @@ impl SegmentedIndex {
     }
 
     /// Run one per-list `fetch` on every part in ascending base order,
-    /// each part's record ids shifted to global ones, and sum the parts'
-    /// stats (`None` when no part holds the list).
+    /// each part's record ids shifted to global ones and its offset
+    /// sections tagged with its position, and sum the parts' stats
+    /// (`None` when no part holds the list).
     fn fetch_parts(
         &self,
         visitor: &mut dyn PostingsVisitor,
         mut fetch: impl FnMut(
-            &dyn PostingsSource,
+            usize,
+            &CompressedIndex,
             &mut dyn PostingsVisitor,
         ) -> Result<Option<FetchStats>, IndexError>,
     ) -> Result<Option<FetchStats>, IndexError> {
         let mut total: Option<FetchStats> = None;
-        for part in &self.parts {
+        for (i, part) in self.parts.iter().enumerate() {
             let mut shifted = ShiftVisitor {
                 base: part.base,
+                part: i as u32,
                 inner: visitor,
             };
-            if let Some(stats) = fetch(part.inner.as_ref(), &mut shifted)? {
+            if let Some(stats) = fetch(i, &part.inner, &mut shifted)? {
                 total = Some(merge_stats(total, stats));
             }
         }
@@ -171,9 +180,10 @@ impl SegmentedIndex {
 /// before forwarding, including the block-skip consultation — the skip
 /// decision is made by the real visitor on global ids, so it is exactly
 /// the decision it would make on the joint index. Whole blocks are
-/// forwarded whole, with their offset sections untouched.
+/// forwarded whole, their offset sections tagged with the part.
 struct ShiftVisitor<'a> {
     base: u32,
+    part: u32,
     inner: &'a mut dyn PostingsVisitor,
 }
 
@@ -192,7 +202,8 @@ impl PostingsVisitor for ShiftVisitor<'_> {
         for (global, &local) in shifted.iter_mut().zip(records) {
             *global = local + self.base;
         }
-        self.inner.visit_block(shifted, counts, offsets);
+        self.inner
+            .visit_block(shifted, counts, offsets.in_part(self.part));
     }
 }
 
@@ -215,20 +226,24 @@ impl PostingsSource for SegmentedIndex {
         io_buf: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        self.fetch_parts(visitor, |part, shifted| {
+        self.fetch_parts(visitor, |_, part, shifted| {
             part.fetch_stream(code, io_buf, shifted)
         })
     }
 
-    fn fetch_append(
+    fn fetch_counts(
         &self,
         code: u64,
-        kept: &mut Vec<u8>,
+        cursors: &mut Vec<VocabCursor>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        self.fetch_parts(visitor, |part, shifted| {
-            part.fetch_append(code, kept, shifted)
+        self.fetch_parts(visitor, |i, part, shifted| {
+            part.counts_stream(code, part_cursor(cursors, i), shifted)
         })
+    }
+
+    fn section_bytes(&self, part: u32) -> &[u8] {
+        self.parts[part as usize].inner.blob()
     }
 }
 

@@ -28,12 +28,16 @@
 //! touching the ones before it. Offsets are gap-coded per record exactly
 //! like the bit-serial codecs.
 //!
-//! Decoding verifies each block's CRC just before unpacking it, so a
-//! point corruption costs one block, not the list. A visitor may still
-//! refuse a block through `skip_block`; such a block is never
-//! checksummed. Coarse search refuses none. The unpack kernel is one
-//! monomorphised straight-line loop per width — shifts and masks over
-//! word loads, no per-bit work, no data-dependent branches.
+//! Verification checks every block's CRC, so a point corruption names
+//! one block. The decoder itself checks no CRC: it unpacks bytes that
+//! have already been verified (an index verifies a list on its first
+//! fetch; the free decode functions verify first), and keeps only the
+//! structural checks that make a verified list's values safe to use.
+//! A visitor may still refuse a block through
+//! `skip_block`; coarse search refuses none. The unpack kernel is one
+//! monomorphised straight-line loop per width: per lane one unaligned
+//! 8-byte load, a shift and a mask, out of a window whose length is
+//! checked once per group.
 //!
 //! A counts decode hands each block to the visitor whole, with the
 //! position of its offset section in the caller's buffer
@@ -51,6 +55,9 @@ pub const BLOCK_LEN: usize = 128;
 pub const SKIP_ENTRY_BYTES: usize = 12;
 /// Values per packed group (one group occupies `width` u32 words).
 const LANES: usize = 32;
+/// Bytes one group unpack may load: the group's `4 * width <= 128`
+/// bytes plus the slack of one 8-byte load.
+const WINDOW: usize = 4 * LANES + 8;
 
 /// Byte length of the skip table fronting a block-coded list of `df`
 /// postings.
@@ -63,13 +70,9 @@ pub fn skip_table_len(df: u32) -> usize {
 pub(crate) enum Emit {
     /// `visit(record, offset)` per occurrence.
     Offsets,
-    /// One [`PostingsVisitor::visit_block`] per decoded block. The list
-    /// starts at byte `list_at` of the caller's buffer, and offset
-    /// sections are located in that buffer.
-    Counts {
-        /// Position of the list's first byte in the caller's buffer.
-        list_at: usize,
-    },
+    /// One [`PostingsVisitor::visit_block`] per decoded block, its
+    /// offset section located in the buffer the list was decoded from.
+    Counts,
 }
 
 /// Where one decoded block's packed offsets sit in the buffer its list
@@ -77,15 +80,30 @@ pub(crate) enum Emit {
 /// per-record gaps in posting order, 32 values to a group of `width`
 /// little-endian words, so one posting's offsets unpack from the group
 /// or two they fall in.
+///
+/// A source made of several indexes tags each section with the `part`
+/// whose buffer it lies in; a single index leaves it 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OffsetSection {
     /// Byte position of the section's first group in the buffer.
     start: usize,
     /// Bit width of every packed gap.
     width: u8,
+    /// Which part's buffer the section lies in.
+    part: u32,
 }
 
 impl OffsetSection {
+    /// This section, tagged as lying in part `part`'s buffer.
+    pub fn in_part(self, part: u32) -> OffsetSection {
+        OffsetSection { part, ..self }
+    }
+
+    /// The part whose buffer the section lies in.
+    pub fn part(self) -> u32 {
+        self.part
+    }
+
     /// Walk the postings of this section's block, `(record, count)` in
     /// block order, and call `visit(record, offset)` for every offset of
     /// the postings `wanted` accepts, ascending per posting. Only the
@@ -116,7 +134,7 @@ impl OffsetSection {
                     let group = i / LANES;
                     if group != unpacked {
                         let at = self.start + group * group_bytes;
-                        unpack_group_dyn(self.width, &buf[at..], &mut lanes);
+                        unpack_group(self.width, &buf[at..], &mut lanes);
                         unpacked = group;
                     }
                     let off = prev_off + 1 + lanes[i % LANES] as i64;
@@ -138,7 +156,7 @@ impl OffsetSection {
 pub(crate) struct BlockDecodeStats {
     /// Record ids actually unpacked (skipped blocks excluded).
     pub ids_decoded: u64,
-    /// Blocks CRC-verified and unpacked.
+    /// Blocks unpacked.
     pub blocks_decoded: u32,
     /// Blocks refused by the visitor's `skip_block`.
     pub blocks_skipped: u32,
@@ -154,8 +172,9 @@ fn packed_len(width: u8, n: u64) -> u64 {
     n.div_ceil(LANES as u64) * width as u64 * 4
 }
 
-/// Pack 32 `width`-bit values into `width` little-endian u32 words.
-fn pack_group(width: u8, values: &[u32; LANES], out: &mut Vec<u8>) {
+/// Pack 32 `width`-bit values into `width` little-endian u32 words, the
+/// layout [`unpack_group`] reads.
+pub fn pack_group(width: u8, values: &[u32; LANES], out: &mut Vec<u8>) {
     let width = width as u64;
     let mut acc = 0u64;
     let mut bits = 0u64;
@@ -181,39 +200,71 @@ fn pack_values(width: u8, values: &[u32], out: &mut Vec<u8>) {
     }
 }
 
-/// Unpack one 32-value group packed at constant width `W` from `4*W`
-/// bytes. With `W` a compile-time constant the loop fully unrolls into
-/// straight-line shifts and masks over unaligned word loads — every
-/// `if` below is decided per-lane at compile time, so the generated code
-/// is branchless and autovectorisable.
-fn unpack_group<const W: u32>(bytes: &[u8], out: &mut [u32; LANES]) {
-    if W == 0 {
-        out.fill(0);
-        return;
-    }
-    let mask: u32 = if W == 32 { u32::MAX } else { (1u32 << W) - 1 };
-    let bytes = &bytes[..4 * W as usize];
-    let word = |i: usize| u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap());
-    for (i, lane) in out.iter_mut().enumerate() {
-        let bit = i * W as usize;
-        let w = bit >> 5;
-        let s = (bit & 31) as u32;
-        let mut v = word(w) >> s;
-        if s + W > 32 {
-            v |= word(w + 1) << (32 - s);
-        }
-        *lane = v & mask;
+/// Unpack one 32-value group packed at constant width `W` from the
+/// front of `bytes`, which must hold the group's `4 * W` bytes. The
+/// window is length-checked once: from a full [`WINDOW`] each lane is
+/// one unaligned 8-byte load at its first byte, a shift and a mask —
+/// with `W` a compile-time constant the loop unrolls into straight-line
+/// code with no bounds checks. Lanes may load bytes past the group;
+/// the mask drops them. Only the last group of a buffer, with fewer
+/// than [`WINDOW`] bytes left, is copied into a zeroed window first.
+fn unpack_width<const W: u32>(bytes: &[u8], out: &mut [u32; LANES]) {
+    match bytes.first_chunk::<WINDOW>() {
+        Some(window) => unpack_window::<W>(window, out),
+        None => unpack_tail::<W>(bytes, out),
     }
 }
 
-/// Width dispatch for [`unpack_group`]: one monomorphised unpacker per
-/// width, selected by a single match.
-fn unpack_group_dyn(width: u8, bytes: &[u8], out: &mut [u32; LANES]) {
+/// [`unpack_width`] for a group with fewer than [`WINDOW`] bytes left in
+/// its buffer, out of line: it runs once per buffer at most.
+#[cold]
+#[inline(never)]
+fn unpack_tail<const W: u32>(bytes: &[u8], out: &mut [u32; LANES]) {
+    assert!(
+        bytes.len() >= 4 * W as usize,
+        "group of width {W} cut short"
+    );
+    let mut window = [0u8; WINDOW];
+    window[..bytes.len()].copy_from_slice(bytes);
+    unpack_window::<W>(&window, out);
+}
+
+#[inline(always)]
+fn unpack_window<const W: u32>(window: &[u8; WINDOW], out: &mut [u32; LANES]) {
+    // Written out lane by lane: the compiler unrolls a 32-lane loop only
+    // at some widths, and every lane's offset and shift are constants.
+    macro_rules! lanes {
+        ($($i:literal)*) => {$(
+            out[$i] = lane::<W>(window, $i);
+        )*};
+    }
+    lanes!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31);
+}
+
+/// Lane `i` of a group packed at width `W`: the 8 bytes from its first
+/// byte, shifted and masked.
+#[inline(always)]
+fn lane<const W: u32>(window: &[u8; WINDOW], i: usize) -> u32 {
+    let bit = i * W as usize;
+    let at = bit / 8;
+    let word = u64::from_le_bytes(window[at..at + 8].try_into().unwrap());
+    (word >> (bit % 8)) as u32 & ((1u64 << W) - 1) as u32
+}
+
+/// Unpack one 32-value group packed at `width` bits from the front of
+/// `bytes`, which must hold its `4 * width` bytes: one monomorphised
+/// kernel per width, selected by a single match. Bytes past the group
+/// are read but do not change the result.
+///
+/// # Panics
+///
+/// If `width` exceeds 32, or `bytes` is shorter than the group.
+pub fn unpack_group(width: u8, bytes: &[u8], out: &mut [u32; LANES]) {
     macro_rules! dispatch {
         ($($w:literal)*) => {
             match width as u32 {
-                $($w => unpack_group::<$w>(bytes, out),)*
-                _ => unreachable!("width validated <= 32"),
+                $($w => unpack_width::<$w>(bytes, out),)*
+                _ => panic!("bit width {width} exceeds 32"),
             }
         };
     }
@@ -229,7 +280,7 @@ fn unpack_values(width: u8, bytes: &[u8], n: usize, out: &mut [u32; BLOCK_LEN]) 
         let lanes: &mut [u32; LANES] = (&mut out[g * LANES..(g + 1) * LANES])
             .try_into()
             .expect("LANES-sized chunk");
-        unpack_group_dyn(width, &bytes[g * group_bytes..], lanes);
+        unpack_group(width, &bytes[g * group_bytes..], lanes);
     }
 }
 
@@ -262,7 +313,7 @@ impl<'a> GroupReader<'a> {
     fn next(&mut self) -> u32 {
         if self.pos == LANES {
             let start = self.group * self.width as usize * 4;
-            unpack_group_dyn(self.width, &self.bytes[start..], &mut self.lanes);
+            unpack_group(self.width, &self.bytes[start..], &mut self.lanes);
             self.group += 1;
             self.pos = 0;
         }
@@ -326,15 +377,22 @@ fn read_skip_entry(bytes: &[u8], b: usize) -> (u32, usize, u32) {
     )
 }
 
-/// Stream one block-coded list through `visitor`.
+/// Stream one block-coded list through `visitor`. The list is
+/// `buf[list]`; its bytes must already have passed
+/// [`verify_block_list`], for no CRC is checked here. The rest of `buf`
+/// only widens the unpack windows of the list's last groups.
 ///
 /// With [`Emit::Offsets`] the visitor sees `(record, offset)` per
 /// occurrence. With [`Emit::Counts`] it sees each block's ids and counts
 /// in one `visit_block` call — and the offset sections are *not unpacked
 /// at all*: the length-delimited layout just steps over them and reports
-/// where each one sits. The visitor's `skip_block(lo, hi)` is consulted
-/// per block before CRC verification and unpacking; `lo..=hi` bounds
-/// every record id the block can hold.
+/// where each one sits in `buf`. The visitor's `skip_block(lo, hi)` is
+/// consulted per block before unpacking; `lo..=hi` bounds every record
+/// id the block can hold.
+///
+/// Ids are not range-checked one by one: they ascend strictly from the
+/// previous skip entry's max record, and the last must equal this
+/// block's, which is below `num_records`, so every one is too.
 ///
 /// Corruption offsets in errors are relative to the list's first byte;
 /// callers that know the list's file position rebase them (see
@@ -342,7 +400,8 @@ fn read_skip_entry(bytes: &[u8], b: usize) -> (u32, usize, u32) {
 /// shorter than the id space (synthetic full-universe tests); counts and
 /// offsets are validated whenever a length is known.
 pub(crate) fn decode_block_stream(
-    bytes: &[u8],
+    buf: &[u8],
+    list: std::ops::Range<usize>,
     df: u32,
     num_records: u32,
     record_lens: &[u32],
@@ -350,6 +409,7 @@ pub(crate) fn decode_block_stream(
     visitor: &mut dyn PostingsVisitor,
 ) -> Result<BlockDecodeStats, IndexError> {
     let mut stats = BlockDecodeStats::default();
+    let bytes = &buf[list.clone()];
     let num_blocks = (df as usize).div_ceil(BLOCK_LEN);
     let skip_len = num_blocks * SKIP_ENTRY_BYTES;
     if bytes.len() < skip_len {
@@ -363,7 +423,8 @@ pub(crate) fn decode_block_stream(
         }
         return Ok(stats);
     }
-    let payload = &bytes[skip_len..];
+    let payload_at = list.start + skip_len;
+    let payload_len = bytes.len() - skip_len;
     const WIDTH_BYTES: usize = 3;
 
     let mut idbuf = [0u32; BLOCK_LEN];
@@ -373,11 +434,11 @@ pub(crate) fn decode_block_stream(
     let mut block_start = 0usize;
     let mut remaining = df as usize;
     for b in 0..num_blocks {
-        let (max_record, end, expected_crc) = read_skip_entry(bytes, b);
-        if end <= block_start || end > payload.len() {
+        let (max_record, end, _) = read_skip_entry(bytes, b);
+        if end <= block_start || end > payload_len {
             return Err(IndexError::bad_format("block extent out of order"));
         }
-        if b + 1 == num_blocks && end != payload.len() {
+        if b + 1 == num_blocks && end != payload_len {
             return Err(IndexError::bad_format("trailing bytes after last block"));
         }
         if max_record as u64 >= num_records as u64 || max_record as i64 <= prev_record {
@@ -392,41 +453,30 @@ pub(crate) fn decode_block_stream(
             continue;
         }
 
-        let blk = &payload[block_start..end];
-        let actual_crc = crc32(blk);
-        if actual_crc != expected_crc {
-            return Err(IndexError::checksum(
-                "block",
-                (skip_len + block_start) as u64,
-                expected_crc,
-                actual_crc,
-            ));
-        }
-        if blk.len() < WIDTH_BYTES {
+        let blk_at = payload_at + block_start;
+        let blk_len = end - block_start;
+        if blk_len < WIDTH_BYTES {
             return Err(IndexError::bad_format("block too short for its widths"));
         }
-        let (id_w, count_w, off_w) = (blk[0], blk[1], blk[2]);
+        let (id_w, count_w, off_w) = (buf[blk_at], buf[blk_at + 1], buf[blk_at + 2]);
         if id_w > 32 || count_w > 32 || off_w > 32 {
             return Err(IndexError::bad_format("block width exceeds 32 bits"));
         }
         let id_bytes = packed_len(id_w, n as u64) as usize;
         let count_bytes = packed_len(count_w, n as u64) as usize;
         let fixed = WIDTH_BYTES + id_bytes + count_bytes;
-        if blk.len() < fixed {
+        if blk_len < fixed {
             return Err(IndexError::bad_format(
                 "block shorter than its packed sections",
             ));
         }
 
-        unpack_values(id_w, &blk[WIDTH_BYTES..], n, &mut idbuf);
+        // The windows run on past the block into the rest of `buf`.
+        unpack_values(id_w, &buf[blk_at + WIDTH_BYTES..], n, &mut idbuf);
         let mut prev = prev_record;
         for gap in idbuf.iter_mut().take(n) {
-            let record = prev + 1 + *gap as i64;
-            if record >= num_records as i64 {
-                return Err(IndexError::bad_format("decoded record id out of range"));
-            }
-            *gap = record as u32;
-            prev = record;
+            prev += 1 + i64::from(*gap);
+            *gap = prev as u32;
         }
         if prev != max_record as i64 {
             return Err(IndexError::bad_format(
@@ -434,7 +484,12 @@ pub(crate) fn decode_block_stream(
             ));
         }
 
-        unpack_values(count_w, &blk[WIDTH_BYTES + id_bytes..], n, &mut countbuf);
+        unpack_values(
+            count_w,
+            &buf[blk_at + WIDTH_BYTES + id_bytes..],
+            n,
+            &mut countbuf,
+        );
         let mut total_offs = 0u64;
         for i in 0..n {
             let count = countbuf[i] as u64 + 1;
@@ -449,12 +504,12 @@ pub(crate) fn decode_block_stream(
             total_offs += count;
         }
 
-        if blk.len() as u64 != fixed as u64 + packed_len(off_w, total_offs) {
+        if blk_len as u64 != fixed as u64 + packed_len(off_w, total_offs) {
             return Err(IndexError::bad_format("block offset section missized"));
         }
         match emit {
             Emit::Offsets => {
-                let mut reader = GroupReader::new(off_w, &blk[fixed..]);
+                let mut reader = GroupReader::new(off_w, &buf[blk_at + fixed..]);
                 for i in 0..n {
                     let record = idbuf[i];
                     let len = record_lens
@@ -472,12 +527,13 @@ pub(crate) fn decode_block_stream(
                     }
                 }
             }
-            Emit::Counts { list_at } => visitor.visit_block(
+            Emit::Counts => visitor.visit_block(
                 &idbuf[..n],
                 &countbuf[..n],
                 OffsetSection {
-                    start: list_at + skip_len + block_start + fixed,
+                    start: blk_at + fixed,
                     width: off_w,
+                    part: 0,
                 },
             ),
         }
@@ -488,6 +544,21 @@ pub(crate) fn decode_block_stream(
         block_start = end;
     }
     Ok(stats)
+}
+
+/// [`verify_block_list`], then [`decode_block_stream`] over the list
+/// alone: the decode for bytes that no index has verified.
+pub(crate) fn verify_and_decode(
+    bytes: &[u8],
+    df: u32,
+    num_records: u32,
+    record_lens: &[u32],
+    emit: Emit,
+    visitor: &mut dyn PostingsVisitor,
+) -> Result<BlockDecodeStats, IndexError> {
+    verify_block_list(bytes, df)?;
+    let list = 0..bytes.len();
+    decode_block_stream(bytes, list, df, num_records, record_lens, emit, visitor)
 }
 
 /// Verify a block list's structure and every block CRC without unpacking
@@ -580,8 +651,49 @@ mod tests {
             pack_group(width, &values, &mut packed);
             assert_eq!(packed.len(), width as usize * 4, "width {width}");
             let mut back = [0u32; LANES];
-            unpack_group_dyn(width, &packed, &mut back);
+            unpack_group(width, &packed, &mut back);
             assert_eq!(back, values, "width {width}");
+        }
+    }
+
+    /// Value `i` of a group packed at `width`, read one bit at a time.
+    fn reference_lane(bytes: &[u8], width: u8, i: usize) -> u32 {
+        (0..width as usize).fold(0, |value, j| {
+            let bit = i * width as usize + j;
+            value | u32::from(bytes[bit / 8] >> (bit % 8) & 1) << j
+        })
+    }
+
+    proptest::proptest! {
+        // Every width, random values, the group starting at every byte
+        // alignment, and both paths: a full window behind the group, and
+        // a buffer that ends with the group or one byte after it (the
+        // copied tail).
+        #[test]
+        fn unpack_group_matches_a_bit_at_a_time_reference(seed in proptest::prelude::any::<u64>()) {
+            use rand::{rngs::StdRng, RngExt, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            for width in 0u8..=32 {
+                let mask = ((1u64 << width) - 1) as u32;
+                let values: [u32; LANES] = std::array::from_fn(|_| rng.random::<u32>() & mask);
+                let mut group = Vec::new();
+                pack_group(width, &values, &mut group);
+                for align in 0..8 {
+                    for trailing in [0, 1, WINDOW] {
+                        let mut buf: Vec<u8> = (0..align).map(|_| rng.random()).collect();
+                        buf.extend_from_slice(&group);
+                        buf.extend((0..trailing).map(|_| rng.random::<u8>()));
+                        let at = &buf[align..];
+                        let reference: [u32; LANES] =
+                            std::array::from_fn(|i| reference_lane(at, width, i));
+                        let mut out = [u32::MAX; LANES];
+                        unpack_group(width, at, &mut out);
+                        let case = format!("width {width} align {align} trailing {trailing}");
+                        proptest::prop_assert_eq!(out, reference, "{}", case);
+                        proptest::prop_assert_eq!(out, values, "{}", case);
+                    }
+                }
+            }
         }
     }
 
@@ -606,7 +718,7 @@ mod tests {
             assert!(bytes.len() >= skip_table_len(df as u32), "df {df}");
             let mut v = Collect(Vec::new());
             let stats =
-                decode_block_stream(&bytes, df as u32, num_records, &lens, Emit::Offsets, &mut v)
+                verify_and_decode(&bytes, df as u32, num_records, &lens, Emit::Offsets, &mut v)
                     .unwrap();
             let expect: Vec<(u32, u32)> = list
                 .entries
@@ -626,15 +738,7 @@ mod tests {
         let lens = vec![1024u32; 4096];
         let bytes = encode_block_postings(&list);
         let mut v = Collect(Vec::new());
-        decode_block_stream(
-            &bytes,
-            300,
-            4096,
-            &lens,
-            Emit::Counts { list_at: 0 },
-            &mut v,
-        )
-        .unwrap();
+        verify_and_decode(&bytes, 300, 4096, &lens, Emit::Counts, &mut v).unwrap();
         let expect: Vec<(u32, u32)> = list
             .entries
             .iter()
@@ -662,15 +766,8 @@ mod tests {
         let mut buf = vec![0xAB; 5];
         buf.extend(encode_block_postings(&list));
         let mut v = Blocks(Vec::new());
-        decode_block_stream(
-            &buf[5..],
-            300,
-            4096,
-            &lens,
-            Emit::Counts { list_at: 5 },
-            &mut v,
-        )
-        .unwrap();
+        verify_block_list(&buf[5..], 300).unwrap();
+        decode_block_stream(&buf, 5..buf.len(), 300, 4096, &lens, Emit::Counts, &mut v).unwrap();
         assert_eq!(v.0.len(), 3);
         let mut seen = 0;
         for (records, counts, section) in &v.0 {
@@ -725,7 +822,7 @@ mod tests {
             seen: Vec::new(),
             skip_above: boundary,
         };
-        let stats = decode_block_stream(&bytes, 400, 4096, &lens, Emit::Offsets, &mut v).unwrap();
+        let stats = verify_and_decode(&bytes, 400, 4096, &lens, Emit::Offsets, &mut v).unwrap();
         assert_eq!(stats.blocks_skipped, 2);
         assert_eq!(stats.blocks_decoded, 2);
         assert_eq!(stats.ids_decoded, 2 * BLOCK_LEN as u64);
@@ -749,7 +846,7 @@ mod tests {
         let victim = skip_len + first_end + 4;
         bytes[victim] ^= 0x10;
         let mut v = Collect(Vec::new());
-        match decode_block_stream(&bytes, 300, 4096, &lens, Emit::Offsets, &mut v) {
+        match verify_and_decode(&bytes, 300, 4096, &lens, Emit::Offsets, &mut v) {
             Err(IndexError::Corruption {
                 section, offset, ..
             }) => {
@@ -758,8 +855,8 @@ mod tests {
             }
             other => panic!("expected block corruption, got {other:?}"),
         }
-        // The first block's postings were already streamed (callers must
-        // treat visited data as void on Err) — and verify rejects too.
+        // Verification refuses the list before any posting is visited.
+        assert!(v.0.is_empty());
         assert!(verify_block_list(&bytes, 300).is_err());
     }
 
@@ -770,8 +867,9 @@ mod tests {
         let bytes = encode_block_postings(&list);
         for cut in 0..bytes.len() {
             let mut v = Collect(Vec::new());
+            let cut_bytes = &bytes[..cut];
             let result =
-                decode_block_stream(&bytes[..cut], 260, 4096, &lens, Emit::Offsets, &mut v);
+                decode_block_stream(cut_bytes, 0..cut, 260, 4096, &lens, Emit::Offsets, &mut v);
             assert!(result.is_err(), "cut {cut} decoded");
             assert!(verify_block_list(&bytes[..cut], 260).is_err(), "cut {cut}");
         }
@@ -796,7 +894,7 @@ mod tests {
         };
         let bytes = encode_block_postings(&list);
         let mut v = Collect(Vec::new());
-        decode_block_stream(&bytes, 2, u32::MAX, &[16, 16], Emit::Offsets, &mut v).unwrap();
+        verify_and_decode(&bytes, 2, u32::MAX, &[16, 16], Emit::Offsets, &mut v).unwrap();
         assert_eq!(v.0, vec![(0, 0), (0, 3), (u32::MAX - 1, 7)]);
     }
 }

@@ -27,7 +27,12 @@
 use nucdb_codec::{BitReader, BitWriter, Gamma, Golomb, IntCodec};
 use nucdb_obs::{Counter, MetricsRegistry};
 
-use crate::block::{decode_block_stream, BlockDecodeStats, Emit, OffsetSection};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::block::{
+    decode_block_stream, verify_and_decode, verify_block_list, BlockDecodeStats, Emit,
+    OffsetSection,
+};
 use crate::durable::KeptFile;
 use crate::error::IndexError;
 use crate::interval::IndexParams;
@@ -90,7 +95,7 @@ pub struct FetchStats {
     pub bytes_read: u64,
     /// Record ids actually decoded (skipped blocks excluded).
     pub ids_decoded: u64,
-    /// Blocks CRC-verified and unpacked (block codec only).
+    /// Blocks unpacked (block codec only).
     pub blocks_decoded: u32,
     /// Blocks refused by the visitor's skip callback (block codec only).
     pub blocks_skipped: u32,
@@ -136,7 +141,7 @@ impl FetchStats {
 /// `visit_block` instead.
 ///
 /// On a block-coded list, `skip_block(lo, hi)` is consulted before each
-/// block is checksummed or unpacked: `lo..=hi` bounds every record id
+/// block is unpacked: `lo..=hi` bounds every record id
 /// the block can contain, and returning `true` skips the block entirely.
 /// Non-block codecs never call it — implementations must stay correct
 /// when every block is visited.
@@ -231,7 +236,7 @@ pub fn decode_postings_with<F: FnMut(u32, u32)>(
 ) -> Result<(), IndexError> {
     if codec == ListCodec::Block {
         let mut visitor = FnVisitor(&mut visit);
-        decode_block_stream(
+        verify_and_decode(
             bytes,
             df,
             num_records,
@@ -285,12 +290,12 @@ pub fn decode_counts_with<F: FnMut(u32, u32)>(
 ) -> Result<(), IndexError> {
     if codec == ListCodec::Block {
         let mut visitor = FnVisitor(&mut visit);
-        decode_block_stream(
+        verify_and_decode(
             bytes,
             df,
             num_records,
             record_lens,
-            Emit::Counts { list_at: 0 },
+            Emit::Counts,
             &mut visitor,
         )?;
         return Ok(());
@@ -338,19 +343,22 @@ pub fn decode_postings(
         num_records,
         record_lens,
         codec,
-        |record, offset| {
-            // Counts are >= 1, so every record's first offset arrives before
-            // any of its later ones and grouping on the tail entry is exact.
-            match entries.last_mut() {
-                Some(posting) if posting.record == record => posting.offsets.push(offset),
-                _ => entries.push(Posting {
-                    record,
-                    offsets: vec![offset],
-                }),
-            }
-        },
+        |record, offset| group_offset(&mut entries, record, offset),
     )?;
     Ok(PostingsList { entries })
+}
+
+/// Add one streamed `(record, offset)` to `entries`. Counts are >= 1, so
+/// every record's first offset arrives before any of its later ones and
+/// grouping on the tail entry is exact.
+fn group_offset(entries: &mut Vec<Posting>, record: u32, offset: u32) {
+    match entries.last_mut() {
+        Some(posting) if posting.record == record => posting.offsets.push(offset),
+        _ => entries.push(Posting {
+            record,
+            offsets: vec![offset],
+        }),
+    }
 }
 
 /// Decode `(record, occurrence count)` pairs from a blob, its offsets
@@ -395,14 +403,17 @@ pub struct VocabEntry {
 /// [`crate::builder::IndexBuilder`] or read once by
 /// [`CompressedIndex::open`].
 ///
-/// Every fetch slices the image, checks the list against its stored
-/// CRC-32 at its absolute file offset (a block list over its skip table;
-/// each block payload is checked as it decodes), counts the bytes and
-/// the list as read, and decodes. A mismatch surfaces as
-/// [`IndexError::Corruption`] naming the offset, and no decoded
-/// (potentially wrong) postings escape. All methods take `&self`;
-/// concurrent fetches proceed without contention and the I/O counters
-/// are atomics.
+/// Every fetch slices the image, counts the bytes and the list as read,
+/// and decodes. A list's first fetch also checks it against every CRC
+/// that covers it, at its absolute file offset: the vocabulary CRC (a
+/// block list's covers its skip table) and each block payload's own.
+/// A list that passes is marked verified and is never checksummed
+/// again; the image does not change after open, so the mark stays
+/// true. A mismatch surfaces as [`IndexError::Corruption`] naming the
+/// offset, no decoded (potentially wrong) postings escape, and the list
+/// stays unmarked, so every later fetch of it fails the same way. All
+/// methods take `&self`; concurrent fetches proceed without contention,
+/// and the verified marks and I/O counters are atomics.
 #[derive(Clone)]
 pub struct CompressedIndex {
     pub(crate) params: IndexParams,
@@ -413,6 +424,8 @@ pub struct CompressedIndex {
     /// Per-list CRC-32s, parallel to `vocab`. A block list's covers only
     /// its skip-table prefix (block payloads self-checksum).
     pub(crate) list_crcs: Vec<u32>,
+    /// Which lists have passed their CRCs, parallel to `vocab`.
+    pub(crate) verified: VerifiedLists,
     /// Per-list maximum per-record occurrence count, parallel to `vocab`.
     /// Present only for the block codec, whose `NUCIDX04` header stores
     /// it.
@@ -426,6 +439,54 @@ pub struct CompressedIndex {
     pub(crate) bytes_read: Counter,
     pub(crate) lists_read: Counter,
 }
+
+/// One bit per vocabulary entry, set once that list has passed every CRC
+/// covering it. A bit publishes nothing but itself (the bytes it vouches
+/// for never change), so relaxed atomics suffice; two threads verifying
+/// one list at once both check it and both set the bit.
+#[derive(Debug)]
+pub(crate) struct VerifiedLists(Vec<AtomicU64>);
+
+impl VerifiedLists {
+    /// No list verified, for a vocabulary of `lists` entries.
+    pub(crate) fn new(lists: usize) -> VerifiedLists {
+        VerifiedLists((0..lists.div_ceil(64)).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    fn get(&self, idx: usize) -> bool {
+        self.0[idx / 64].load(Ordering::Relaxed) >> (idx % 64) & 1 != 0
+    }
+
+    fn set(&self, idx: usize) {
+        self.0[idx / 64].fetch_or(1 << (idx % 64), Ordering::Relaxed);
+    }
+
+    fn count(&self) -> usize {
+        let ones = |word: &AtomicU64| word.load(Ordering::Relaxed).count_ones() as usize;
+        self.0.iter().map(ones).sum()
+    }
+}
+
+impl Clone for VerifiedLists {
+    fn clone(&self) -> VerifiedLists {
+        VerifiedLists(
+            self.0
+                .iter()
+                .map(|word| AtomicU64::new(word.load(Ordering::Relaxed)))
+                .collect(),
+        )
+    }
+}
+
+/// Where a run of ascending-code lookups stands in one index's
+/// vocabulary: the position just past the previous lookup, from which
+/// the next one searches forward. Coarse search looks a query's codes up
+/// in ascending order, so each lookup gallops over the short gap to its
+/// entry instead of binary-searching the whole vocabulary. A fresh
+/// cursor starts at the front; a lookup below the cursor still finds its
+/// entry, by a whole-vocabulary search.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct VocabCursor(usize);
 
 impl std::fmt::Debug for CompressedIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -533,6 +594,37 @@ impl CompressedIndex {
         self.vocab.binary_search_by_key(&code, |e| e.code).ok()
     }
 
+    /// [`find`](Self::find) for the next of a run of ascending codes: an
+    /// exponential search forward from `cursor`, which then moves just
+    /// past `code`'s position.
+    fn find_from(&self, code: u64, cursor: &mut VocabCursor) -> Option<usize> {
+        let vocab = &self.vocab[..];
+        let start = cursor.0.min(vocab.len());
+        let (lo, end) = if start > 0 && vocab[start - 1].code >= code {
+            (0, start)
+        } else {
+            // Every entry before `lo` is below `code`; probe at
+            // start, start + 1, start + 3, start + 7, ...
+            let (mut lo, mut probe, mut step) = (start, start, 1);
+            while probe < vocab.len() && vocab[probe].code < code {
+                lo = probe + 1;
+                probe += step;
+                step *= 2;
+            }
+            (lo, (probe + 1).min(vocab.len()))
+        };
+        match vocab[lo..end].binary_search_by_key(&code, |e| e.code) {
+            Ok(i) => {
+                cursor.0 = lo + i + 1;
+                Some(lo + i)
+            }
+            Err(i) => {
+                cursor.0 = lo + i;
+                None
+            }
+        }
+    }
+
     /// Per-list maximum per-record occurrence counts, parallel to the
     /// vocabulary — present only on block-codec indexes.
     pub fn max_counts(&self) -> Option<&[u32]> {
@@ -544,45 +636,57 @@ impl CompressedIndex {
         &self.blob()[entry.offset as usize..][..entry.len as usize]
     }
 
-    /// Fetch the list at vocabulary position `idx`: its bytes, checked
-    /// against the stored CRC at their absolute file offset and counted
-    /// as read.
-    fn fetch(&self, idx: usize) -> Result<(&VocabEntry, &[u8]), IndexError> {
+    /// Fetch the list at vocabulary position `idx`, counted as read. On
+    /// its first fetch the list is checked against its vocabulary CRC
+    /// and, a block list, every block CRC, at their absolute file
+    /// offsets, and marked verified if all pass.
+    fn fetch(&self, idx: usize) -> Result<&VocabEntry, IndexError> {
         let entry = &self.vocab[idx];
-        let list = self.list_bytes(entry);
-        let at = self.blob_start + entry.offset;
-        crate::disk::check_list_crc(self.codec, list, entry.df, self.list_crcs[idx], at)?;
+        let verified = self.verified.get(idx);
+        let (list, at) = (self.list_bytes(entry), self.blob_start + entry.offset);
+        if !verified {
+            crate::disk::check_list_crc(self.codec, list, entry.df, self.list_crcs[idx], at)?;
+        }
         self.bytes_read.add(entry.len as u64);
         self.lists_read.inc();
-        Ok((entry, list))
+        if !verified {
+            if self.codec == ListCodec::Block {
+                verify_block_list(list, entry.df).map_err(|e| e.with_base_offset(at))?;
+            }
+            self.verified.set(idx);
+        }
+        Ok(entry)
     }
 
     /// Decode one fetched list through `visitor`, lifting corruption
-    /// offsets to the file.
+    /// offsets to the file. A block list's offset sections are located
+    /// in [`CompressedIndex::blob`]; a Paper list's counts walk visits
+    /// `(record, count)` pairs.
     fn stream(
         &self,
         entry: &VocabEntry,
-        list: &[u8],
         emit: Emit,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<FetchStats, IndexError> {
-        let at = self.blob_start + entry.offset;
-        if self.codec == ListCodec::Block {
-            let (n, lens) = (self.num_records(), &self.record_lens);
-            let block = decode_block_stream(list, entry.df, n, lens, emit, visitor)
-                .map_err(|e| e.with_base_offset(at))?;
-            return Ok(FetchStats::block(entry, block));
-        }
-        decode_postings_with(
-            list,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-            |record, offset| visitor.visit(record, offset),
-        )
-        .map_err(|e| e.with_base_offset(at))?;
-        Ok(FetchStats::paper(entry))
+        let (n, lens) = (self.num_records(), &self.record_lens[..]);
+        let (df, list) = (entry.df, self.list_bytes(entry));
+        let mut visit = |record, value| visitor.visit(record, value);
+        let decoded = match (self.codec, emit) {
+            (ListCodec::Block, _) => {
+                let list = entry.offset as usize..(entry.offset + u64::from(entry.len)) as usize;
+                decode_block_stream(self.blob(), list, df, n, lens, emit, visitor)
+                    .map(|block| FetchStats::block(entry, block))
+            }
+            (ListCodec::Paper, Emit::Offsets) => {
+                decode_postings_with(list, df, n, lens, self.codec, &mut visit)
+                    .map(|()| FetchStats::paper(entry))
+            }
+            (ListCodec::Paper, Emit::Counts) => {
+                decode_counts_with(list, df, n, lens, self.codec, &mut visit)
+                    .map(|()| FetchStats::paper(entry))
+            }
+        };
+        decoded.map_err(|e| e.with_base_offset(self.blob_start + entry.offset))
     }
 
     /// Streaming postings fetch driving a [`PostingsVisitor`] and
@@ -597,33 +701,32 @@ impl CompressedIndex {
         let Some(idx) = self.find(code) else {
             return Ok(None);
         };
-        let (entry, list) = self.fetch(idx)?;
-        self.stream(entry, list, Emit::Offsets, visitor).map(Some)
+        let entry = self.fetch(idx)?;
+        self.stream(entry, Emit::Offsets, visitor).map(Some)
     }
 
-    /// Coarse search's first pass over one list: append `code`'s list to
-    /// the end of `buf` and walk it as counts, one
+    /// Coarse search's first pass over one list: look `code` up forward
+    /// from `cursor` and walk its list as counts, one
     /// [`PostingsVisitor::visit_block`] per decoded block with the
-    /// block's offsets located in `buf`. A Paper list, whose bit-serial
-    /// offsets cannot be stepped over, streams `(record, offset)` pairs as
-    /// [`CompressedIndex::postings_stream`] does and leaves `buf` alone.
-    pub fn append_stream(
+    /// block's offsets located in [`CompressedIndex::blob`]. A Paper
+    /// list, whose bit-serial offsets cannot be stepped over, streams
+    /// `(record, offset)` pairs as [`CompressedIndex::postings_stream`]
+    /// does.
+    pub fn counts_stream(
         &self,
         code: u64,
-        buf: &mut Vec<u8>,
+        cursor: &mut VocabCursor,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        if self.codec != ListCodec::Block {
-            return self.postings_stream(code, visitor);
-        }
-        let Some(idx) = self.find(code) else {
+        let Some(idx) = self.find_from(code, cursor) else {
             return Ok(None);
         };
-        let (entry, list) = self.fetch(idx)?;
-        let list_at = buf.len();
-        buf.extend_from_slice(list);
-        let emit = Emit::Counts { list_at };
-        self.stream(entry, &buf[list_at..], emit, visitor).map(Some)
+        let entry = self.fetch(idx)?;
+        let emit = match self.codec {
+            ListCodec::Paper => Emit::Offsets,
+            ListCodec::Block => Emit::Counts,
+        };
+        self.stream(entry, emit, visitor).map(Some)
     }
 
     /// Fetch and decode the postings list for `code`; `Ok(None)` if the
@@ -632,16 +735,11 @@ impl CompressedIndex {
         let Some(idx) = self.find(code) else {
             return Ok(None);
         };
-        let (entry, list) = self.fetch(idx)?;
-        decode_postings(
-            list,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-        )
-        .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))
-        .map(Some)
+        let entry = self.fetch(idx)?;
+        let mut entries = Vec::with_capacity(entry.df as usize);
+        let mut visitor = FnVisitor(|record, offset| group_offset(&mut entries, record, offset));
+        self.stream(entry, Emit::Offsets, &mut visitor)?;
+        Ok(Some(PostingsList { entries }))
     }
 
     /// Fetch and decode `(record, occurrence count)` pairs for `code`;
@@ -650,16 +748,17 @@ impl CompressedIndex {
         let Some(idx) = self.find(code) else {
             return Ok(None);
         };
-        let (entry, list) = self.fetch(idx)?;
-        decode_counts(
-            list,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-        )
-        .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))
-        .map(Some)
+        let entry = self.fetch(idx)?;
+        let mut out = Vec::with_capacity(entry.df as usize);
+        let mut visitor = FnVisitor(|record, count| out.push((record, count)));
+        self.stream(entry, Emit::Counts, &mut visitor)?;
+        Ok(Some(out))
+    }
+
+    /// Lists that have passed their CRCs so far: a list is checked on its
+    /// first fetch only, and one that fails is never counted.
+    pub fn verified_lists(&self) -> usize {
+        self.verified.count()
     }
 
     /// Postings bytes fetched since the last reset.
@@ -961,6 +1060,121 @@ mod tests {
         assert_eq!(stats.ids_decoded, 4);
         assert_eq!(stats.blocks_decoded, 0);
         assert_eq!(streamed, expect);
+    }
+
+    /// Keeps every block a counts walk hands over.
+    struct KeepBlocks(Vec<(Vec<u32>, Vec<u32>, OffsetSection)>);
+    impl PostingsVisitor for KeepBlocks {
+        fn visit(&mut self, _record: u32, _value: u32) {
+            panic!("a block list's counts walk hands over whole blocks");
+        }
+        fn visit_block(&mut self, records: &[u32], counts: &[u32], offsets: OffsetSection) {
+            self.0.push((records.to_vec(), counts.to_vec(), offsets));
+        }
+    }
+
+    proptest::proptest! {
+        // Random lists of one to three blocks at assorted widths. The
+        // last list's last groups sit within one unpack window of the
+        // end of the blob, so they take the copied-tail path; every list
+        // must decode to what was built, through `postings`, `counts`
+        // and the pass-one walk with its offsets read back.
+        #[test]
+        fn lists_at_the_end_of_the_blob_decode_through_every_path(seed in proptest::prelude::any::<u64>()) {
+            use rand::{rngs::StdRng, RngExt, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let num_records = 3000u32;
+            let lens: Vec<u32> = (0..num_records).map(|_| rng.random_range(1..2000u32)).collect();
+            let lists: Vec<(u64, PostingsList)> = (0..rng.random_range(1..5u64))
+                .map(|code| {
+                    let df = rng.random_range(1..300usize);
+                    let mut records: Vec<u32> =
+                        (0..df).map(|_| rng.random_range(0..num_records)).collect();
+                    records.sort_unstable();
+                    records.dedup();
+                    let entries = records
+                        .into_iter()
+                        .map(|record| {
+                            let len = lens[record as usize];
+                            let mut offsets: Vec<u32> = (0..rng.random_range(1..6u32))
+                                .map(|_| rng.random_range(0..len))
+                                .collect();
+                            offsets.sort_unstable();
+                            offsets.dedup();
+                            Posting { record, offsets }
+                        })
+                        .collect();
+                    (code * 7, PostingsList { entries })
+                })
+                .collect();
+            let index = CompressedIndex::from_sorted_lists(
+                IndexParams::new(4),
+                ListCodec::Block,
+                lens.clone(),
+                lists.clone().into_iter(),
+            );
+            let mut cursor = VocabCursor::default();
+            for (code, list) in &lists {
+                let counts: Vec<(u32, u32)> = list
+                    .entries
+                    .iter()
+                    .map(|p| (p.record, p.offsets.len() as u32))
+                    .collect();
+                proptest::prop_assert_eq!(index.postings(*code).unwrap().as_ref(), Some(list));
+                proptest::prop_assert_eq!(index.counts(*code).unwrap(), Some(counts.clone()));
+                let mut walk = KeepBlocks(Vec::new());
+                index.counts_stream(*code, &mut cursor, &mut walk).unwrap().unwrap();
+                let (mut walked, mut offsets) = (Vec::new(), Vec::new());
+                for (records, block_counts, section) in &walk.0 {
+                    let postings: Vec<(u32, u32)> =
+                        records.iter().copied().zip(block_counts.iter().copied()).collect();
+                    section
+                        .visit_offsets(index.blob(), &postings, &lens, |_| true, |r, o| offsets.push((r, o)))
+                        .unwrap();
+                    walked.extend(postings);
+                }
+                let expect: Vec<(u32, u32)> = list
+                    .entries
+                    .iter()
+                    .flat_map(|p| p.offsets.iter().map(|&o| (p.record, o)))
+                    .collect();
+                proptest::prop_assert_eq!(walked, counts);
+                proptest::prop_assert_eq!(offsets, expect);
+            }
+        }
+    }
+
+    #[test]
+    fn ascending_lookups_gallop_and_any_lookup_still_finds_its_list() {
+        let lens = vec![16u32; 4];
+        let list = |record| PostingsList {
+            entries: vec![Posting {
+                record,
+                offsets: vec![1],
+            }],
+        };
+        let codes: Vec<u64> = (0..300).map(|i| i * 3 + 1).collect();
+        let index = CompressedIndex::from_sorted_lists(
+            IndexParams::new(4),
+            ListCodec::Block,
+            lens,
+            codes.iter().map(|&code| (code, list((code % 4) as u32))),
+        );
+        let mut found = Vec::new();
+        let mut visitor = FnVisitor(|record, count| found.push((record, count)));
+        // Ascending, with absent codes between present ones, then codes
+        // below the cursor, then past the last entry.
+        let mut cursor = VocabCursor::default();
+        let lookups = (0..910).chain([4, 1, 0, 899, 2000, 7]);
+        let is_present = |code: u64| code % 3 == 1 && code < 900;
+        for code in lookups.clone() {
+            let hit = index
+                .counts_stream(code, &mut cursor, &mut visitor)
+                .unwrap();
+            assert_eq!(hit.is_some(), is_present(code), "code {code}");
+            assert_eq!(hit.is_some(), index.entry(code).is_some(), "code {code}");
+        }
+        assert_eq!(found.len(), lookups.filter(|&c| is_present(c)).count());
     }
 
     #[test]

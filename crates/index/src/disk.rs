@@ -53,7 +53,7 @@ use std::path::Path;
 use nucdb_obs::Counter;
 
 use crate::block::{skip_table_len, verify_block_list};
-use crate::compress::{CompressedIndex, ListCodec, VocabEntry};
+use crate::compress::{CompressedIndex, ListCodec, VerifiedLists, VocabEntry};
 use crate::durable::{
     crc32, first_damage, read_exact_chunked, read_image, walk, AtomicFile, CountingReader,
     KeptFile, WalkStep,
@@ -208,6 +208,7 @@ impl CompressedIndex {
             params,
             codec,
             record_lens,
+            verified: VerifiedLists::new(vocab.len()),
             vocab,
             list_crcs,
             max_counts,
@@ -472,7 +473,8 @@ impl CompressedIndex {
     /// Open an index file written by [`write_index`]: read its whole
     /// image once and parse the header. A file too short for the blob
     /// its header declares is refused here as corruption. The lists are
-    /// not verified at open; every fetch checks its list's CRC.
+    /// not verified at open: each list's CRCs are checked on its first
+    /// fetch (see [`CompressedIndex`]).
     pub fn open(path: &Path) -> Result<CompressedIndex, IndexError> {
         CompressedIndex::open_with(path, None)
     }

@@ -32,8 +32,8 @@
 //! * [`disk`] — the index file format: [`write_index`] writes an index's
 //!   byte image, [`CompressedIndex::open`] reads it back once, and the
 //!   verification walk that loads, `fsck` and the scrubber share. Every
-//!   fetch checks its list's CRC and counts the bytes it read (the
-//!   paper's disk-cost story).
+//!   fetch counts the bytes it read (the paper's disk-cost story); a
+//!   list's CRCs are checked on its first fetch.
 //! * [`durable`] — durability primitives: CRC-32, bounded streaming
 //!   reads, the open-time image read with bounded retry of transient
 //!   errors, and write-to-temp + fsync + atomic-rename persistence.
@@ -63,11 +63,13 @@ pub mod shard;
 pub mod stats;
 pub mod stopping;
 
-pub use block::{skip_table_len, OffsetSection, BLOCK_LEN, SKIP_ENTRY_BYTES};
+pub use block::{
+    pack_group, skip_table_len, unpack_group, OffsetSection, BLOCK_LEN, SKIP_ENTRY_BYTES,
+};
 pub use builder::{build_chunked, build_parallel, IndexBuilder};
 pub use compress::{
     decode_counts, decode_counts_with, decode_postings, decode_postings_with, encode_postings,
-    CompressedIndex, FetchStats, ListCodec, PostingsVisitor, VocabEntry,
+    CompressedIndex, FetchStats, ListCodec, PostingsVisitor, VocabCursor, VocabEntry,
 };
 pub use disk::{load_index, load_index_from, write_index, OnDiskIndex};
 pub use durable::{

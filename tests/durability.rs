@@ -923,6 +923,138 @@ fn transient_faults_are_invisible_to_both_coarse_passes() {
 }
 
 // ---------------------------------------------------------------------
+// Each list is verified once, on its first fetch. A list that fails is
+// never marked verified, so it fails every fetch; lists first fetched
+// by several threads at once are verified by each and answer alike; an
+// in-memory memtable part is verified the same way.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_flipped_byte_fails_every_fetch_of_its_list() {
+    let (dir, path, index, query) = shared_segment_index_on_disk("everyfetch");
+    let list = explain_lists(&path, &query)
+        .into_iter()
+        .find(|l| !l.absent && l.df > 128)
+        .expect("a multi-block list");
+    let at = block_at(&path, &index, list.code, 1);
+    flip_byte(&path, at + 1);
+    let damaged = CompressedIndex::open(&path).unwrap();
+    let is_that_block = |e: &nucdb_index::IndexError| {
+        matches!(e, nucdb_index::IndexError::Corruption { section, offset, .. }
+            if *section == "block" && *offset == at)
+    };
+    for round in 0..3 {
+        let err = nucdb::coarse_rank(&damaged, &query, &floor_40()).unwrap_err();
+        assert!(is_that_block(&err), "round {round}: {err:?}");
+        let err = damaged.postings(list.code).unwrap_err();
+        assert!(is_that_block(&err), "round {round}: {err:?}");
+        let err = damaged.counts(list.code).unwrap_err();
+        assert!(is_that_block(&err), "round {round}: {err:?}");
+    }
+    // Every other list still answers, and is verified once.
+    for entry in index.vocab().iter().filter(|e| e.code != list.code) {
+        assert_eq!(
+            damaged.postings(entry.code).unwrap(),
+            index.postings(entry.code).unwrap()
+        );
+    }
+    assert_eq!(damaged.verified_lists(), index.vocab().len() - 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_first_fetches_agree_and_raise_no_false_error() {
+    for codec in [ListCodec::Paper, ListCodec::Block] {
+        let coll = small_collection(916);
+        let index = build_index(&coll, IndexParams::new(8), codec);
+        let dir = temp_dir("concurrentverify");
+        let path = dir.join("idx.nucidx");
+        write_index(&index, &path).unwrap();
+        let opened = CompressedIndex::open(&path).unwrap();
+        let query = coll
+            .query_for_family(0, 0.6, &nucdb_seq::random::MutationModel::identity())
+            .representative_bases();
+        let params = SearchParams::default();
+        let expected = nucdb::coarse_rank(&index, &query, &params).unwrap();
+        let codes: Vec<u64> = index.vocab().iter().map(|e| e.code).collect();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (opened, start, codes) = (&opened, &start, &codes);
+                let (index, query, params) = (&index, &query, &params);
+                let expected = &expected.candidates;
+                scope.spawn(move || {
+                    start.wait();
+                    // Each thread walks the lists from its own starting
+                    // point, so first fetches of one list overlap.
+                    let n = codes.len();
+                    for i in 0..n {
+                        let code = codes[(i + t * n / 4) % n];
+                        assert_eq!(
+                            opened.postings(code).unwrap(),
+                            index.postings(code).unwrap(),
+                            "{codec:?} thread {t} code {code}"
+                        );
+                    }
+                    let outcome = nucdb::coarse_rank(opened, query, params).unwrap();
+                    assert_eq!(&outcome.candidates, expected, "{codec:?} thread {t}");
+                });
+            }
+        });
+        assert_eq!(opened.verified_lists(), codes.len(), "{codec:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_live_memtable_part_is_verified_on_first_fetch() {
+    for codec in [ListCodec::Paper, ListCodec::Block] {
+        let coll = small_collection(917);
+        let dir = temp_dir("memtableverify");
+        let config = nucdb::DbConfig {
+            codec,
+            ..nucdb::DbConfig::default()
+        };
+        let opts = nucdb::LiveOptions {
+            memtable_max_records: usize::MAX,
+            ..nucdb::LiveOptions::default()
+        };
+        let live = nucdb::LiveDatabase::create(&dir, &config, opts).unwrap();
+        let records = coll.records.iter().map(|r| (r.id.clone(), r.seq.clone()));
+        live.insert_batch(records.collect()).unwrap();
+        let snapshot = live.snapshot();
+        let IndexVariant::Segmented(index) = snapshot.index() else {
+            panic!("a live database reads through a segmented view");
+        };
+        let rows = index.explain_rows();
+        assert_eq!(rows.len(), 1, "{codec:?}");
+        assert_eq!(rows[0].label, "memtable", "{codec:?}");
+        let memtable = index.part_indexes().next().unwrap();
+        assert_eq!(memtable.verified_lists(), 0, "{codec:?}");
+
+        let query = coll
+            .query_for_family(0, 0.6, &nucdb_seq::random::MutationModel::identity())
+            .representative_bases();
+        let params = SearchParams::default();
+        let mut explain = nucdb::CoarseExplain::default();
+        let mut scratch = nucdb::CoarseScratch::new();
+        let first =
+            nucdb::coarse_rank_explain(index, &query, &params, &mut scratch, Some(&mut explain))
+                .unwrap();
+        let fetched = explain.lists.iter().filter(|l| !l.absent).count();
+        assert!(fetched > 0, "{codec:?}");
+        assert_eq!(memtable.verified_lists(), fetched, "{codec:?}");
+        // Later fetches verify nothing new and answer the same.
+        let again = nucdb::coarse_rank_with(index, &query, &params, &mut scratch).unwrap();
+        assert_eq!(again.candidates, first.candidates, "{codec:?}");
+        assert_eq!(memtable.verified_lists(), fetched, "{codec:?}");
+        drop(snapshot);
+        drop(live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Rot after open: queries read the image taken at open, so a byte that
 // rots on disk later never reaches an answer; fsck reads the disk and
 // reports it.
