@@ -10,9 +10,9 @@
 //!
 //! Two more views of the block tier follow. The counts row walks every
 //! list of a block-codec index the way coarse search's first pass does —
-//! ids and counts only, offsets stepped over — on lists already verified
-//! by an earlier walk, so it times the unpack kernel and the structural
-//! checks and no CRC. The width rows time the unpack kernel alone, in
+//! ids and counts only, offsets stepped over — on lists verified when
+//! the index was opened, so it times the unpack kernel and the
+//! structural checks and no CRC. The width rows time the unpack kernel alone, in
 //! ns per value at every bit width, so a kernel regression shows at the
 //! width it hits.
 //!
@@ -139,7 +139,7 @@ fn main() {
 
         // Best-of-REPEATS full-corpus decode through the free streaming
         // decode, offsets included (a block list's CRCs are checked
-        // first, as on an index's first fetch); the visitor only folds,
+        // first, as when an index is opened); the visitor only folds,
         // so the measured work is the decoder, not downstream
         // bookkeeping.
         let mut best = Duration::MAX;

@@ -10,9 +10,10 @@
 //! The engine stores direct coding only; the ASCII store is
 //! [`AsciiStore`], built here. Both rows run the same queries: coarse
 //! search over the direct-coded database's index, then fine search over
-//! the row's store. Both stores are byte images in memory that check a
-//! CRC-32 on every fetch, so the table measures fetch, check and decode,
-//! not disk reads.
+//! the row's store. Both stores are byte images in memory whose fetches
+//! compute no checksum (the direct-coded store's file was verified when
+//! it was opened), so the table measures fetch and decode, not disk
+//! reads.
 
 use nucdb::{
     coarse_rank_with, fine_search, CoarseScratch, Database, DbConfig, RecordSource, SearchParams,

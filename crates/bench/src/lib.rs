@@ -163,14 +163,14 @@ pub fn rank_by_hits<S: PostingsSource>(
 }
 
 /// E6's ASCII baseline store: one byte per base, the records' blobs in
-/// one image. Like [`nucdb::SequenceStore`], every fetch checks its blob
-/// against a CRC-32 and counts the bytes and the record read, so E6
-/// compares encodings and not checks.
+/// one image. Like [`nucdb::SequenceStore`], every fetch counts the
+/// bytes and the record read and computes no checksum, so E6 compares
+/// encodings and not checks.
 #[derive(Default)]
 pub struct AsciiStore {
     ids: Vec<String>,
-    /// Per record: offset of its blob in `image`, and its CRC-32.
-    blobs: Vec<(usize, u32)>,
+    /// Per record: offset of its blob in `image`.
+    blobs: Vec<usize>,
     image: Vec<u8>,
     /// Bytes and records fetched so far.
     pub reads: Cell<(u64, u64)>,
@@ -183,8 +183,7 @@ impl AsciiStore {
         for record in &coll.records {
             let blob = record.seq.to_ascii_vec();
             store.ids.push(record.id.clone());
-            let crc = nucdb_index::crc32(&blob);
-            store.blobs.push((store.image.len(), crc));
+            store.blobs.push(store.image.len());
             store.image.extend_from_slice(&blob);
         }
         store
@@ -196,8 +195,8 @@ impl AsciiStore {
     }
 
     fn blob(&self, record: u32) -> (&[u8], u64) {
-        let (offset, _) = self.blobs[record as usize];
-        let end = (self.blobs.get(record as usize + 1)).map_or(self.image.len(), |b| b.0);
+        let offset = self.blobs[record as usize];
+        let end = (self.blobs.get(record as usize + 1)).map_or(self.image.len(), |&b| b);
         (&self.image[offset..end], offset as u64)
     }
 }
@@ -216,7 +215,7 @@ impl RecordSource for AsciiStore {
     }
 
     fn bases(&self, record: u32) -> Vec<Base> {
-        self.try_bases(record).expect("record passes its checksum")
+        self.try_bases(record).expect("record decodes")
     }
 
     fn try_bases(&self, record: u32) -> Result<Vec<Base>, SeqError> {
@@ -225,10 +224,6 @@ impl RecordSource for AsciiStore {
 
     fn sequence(&self, record: u32) -> Result<DnaSeq, SeqError> {
         let (blob, offset) = self.blob(record);
-        let (expected, actual) = (self.blobs[record as usize].1, nucdb_index::crc32(blob));
-        if actual != expected {
-            return Err(SeqError::checksum("record", offset, expected, actual));
-        }
         let (bytes, records) = self.reads.get();
         self.reads.set((bytes + blob.len() as u64, records + 1));
         DnaSeq::from_ascii(blob).map_err(|e| e.located("record", offset))
@@ -531,7 +526,7 @@ mod tests {
     fn ascii_and_packed_stores_give_identical_results() {
         let coll = collection(106, 300_000);
         let db = database(&coll, &DbConfig::default());
-        let mut ascii = AsciiStore::new(&coll);
+        let ascii = AsciiStore::new(&coll);
         let params = SearchParams::default();
         let (mut records, mut bytes) = (0, 0);
         for f in 0..coll.families.len() {
@@ -553,12 +548,6 @@ mod tests {
         }
         // Every fetch is counted, at one byte a base.
         assert_eq!(ascii.reads.get(), (bytes, records));
-        // And checked: a flipped byte fails its record's CRC.
-        ascii.image[0] ^= 0x20;
-        assert!(matches!(
-            ascii.sequence(0),
-            Err(SeqError::Corruption { offset: 0, .. })
-        ));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The thirteen subcommands: generate / build / ingest / search / merge /
-//! stats / stat / fsck / verify / bench / serve / profile / version.
+//! The twelve subcommands: generate / build / ingest / search / merge /
+//! stat / fsck / verify / bench / serve / profile / version.
 
 use std::error::Error;
 use std::fs::File;
@@ -8,8 +8,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use nucdb::{
-    CoarseScratch, Collection, CollectionOptions, FineMode, FsckFinding, FsckSeverity,
-    IndexVariant, SearchParams, SequenceStore, Shape, StorageMode, Strand, INDEX_FILE, STORE_FILE,
+    CoarseScratch, Collection, CollectionOptions, FineMode, IndexVariant, SearchParams,
+    SequenceStore, Shape, StorageMode, Strand, INDEX_FILE, STORE_FILE,
 };
 use nucdb_align::calibrate_gumbel;
 use nucdb_index::{
@@ -51,8 +51,6 @@ commands:
              [--trace FILE] [--trace-sample N]
   merge      merge two databases into one (record ids of B follow A's)
              --db-a DIR --db-b DIR --out DIR
-  stats      print index and store statistics
-             --db DIR
   stat       per-index health statistics report (text + JSON under results/)
              --db DIR [--out DIR]
   fsck       walk every stored checksum and report damage (exit 0 clean,
@@ -162,14 +160,11 @@ is rejected over a sharded root (per-shard plans are not merged)"
             "usage: nucdb merge --db-a DIR --db-b DIR --out DIR
   record ids of B follow A's in the merged database"
         }
-        "stats" => {
-            "usage: nucdb stats --db DIR
-  print store and index statistics plus the heaviest postings lists"
-        }
         "stat" => {
             "usage: nucdb stat --db DIR [--out DIR]
   per-index health statistics: list-length / bits-per-posting / skew
-  histograms, skip-table density, codec tier, and bytes by section.
+  histograms, the ten heaviest intervals (candidates for stopping),
+  skip-table density, codec tier, and bytes by section.
   Prints text and writes STAT.txt + STAT.json under --out (default
   results/). A live directory (segment manifest present) gets a manifest
   summary plus the same report for every segment; a sharded root (SHARDS
@@ -1013,12 +1008,12 @@ pub fn merge(raw: &[String]) -> CommandResult {
     let dir_b = PathBuf::from(args.required("db-b")?);
     let out = PathBuf::from(args.required("out")?);
 
-    let index_a = nucdb_index::load_index(&dir_a.join(INDEX_FILE))?;
-    let index_b = nucdb_index::load_index(&dir_b.join(INDEX_FILE))?;
+    let index_a = CompressedIndex::open(&dir_a.join(INDEX_FILE))?;
+    let index_b = CompressedIndex::open(&dir_b.join(INDEX_FILE))?;
     let merged = nucdb_index::merge_indexes(&index_a, &index_b)?;
 
-    let mut store = SequenceStore::read_from(&dir_a.join(STORE_FILE))?;
-    let store_b = SequenceStore::read_from(&dir_b.join(STORE_FILE))?;
+    let mut store = SequenceStore::open(&dir_a.join(STORE_FILE))?;
+    let store_b = SequenceStore::open(&dir_b.join(STORE_FILE))?;
     store.extend_from_store(&store_b)?;
 
     std::fs::create_dir_all(&out)?;
@@ -1040,8 +1035,8 @@ pub fn verify(raw: &[String]) -> CommandResult {
     let db_dir = PathBuf::from(args.required("db")?);
     let sample: usize = args.get_or("sample", 25)?;
 
-    let store = SequenceStore::read_from(&db_dir.join(STORE_FILE))?;
-    let index = nucdb_index::load_index(&db_dir.join(INDEX_FILE))?;
+    let store = SequenceStore::open(&db_dir.join(STORE_FILE))?;
+    let index = CompressedIndex::open(&db_dir.join(INDEX_FILE))?;
     let mut problems = 0usize;
 
     // 1. Store and index agree on the record set.
@@ -1375,49 +1370,6 @@ pub fn profile(raw: &[String]) -> CommandResult {
 pub fn version(raw: &[String]) -> CommandResult {
     Args::parse("version", raw, &[], &[])?;
     println!("{}", nucdb::build_info::human());
-    Ok(())
-}
-
-/// `nucdb stats`
-pub fn stats(raw: &[String]) -> CommandResult {
-    let args = Args::parse("stats", raw, &["db"], &[])?;
-    let db_dir = PathBuf::from(args.required("db")?);
-    let store = SequenceStore::read_from(&db_dir.join(STORE_FILE))?;
-    let index = CompressedIndex::open(&db_dir.join(INDEX_FILE))?;
-
-    println!("store:");
-    println!("  records        {}", store.len());
-    println!("  total bases    {}", store.total_bases());
-    println!("  stored bytes   {}", store.stored_bytes());
-    println!("  mode           {:?}", StorageMode::DirectCoding);
-    println!("index:");
-    println!("  interval k     {}", index.params().k);
-    println!("  stride         {}", index.params().stride);
-    println!("  stopping       {:?}", index.params().stopping);
-    println!("  codec          {}", index.codec().name());
-    println!("  distinct       {}", index.distinct_intervals());
-    println!(
-        "  file bytes     {}",
-        std::fs::metadata(db_dir.join(INDEX_FILE))?.len()
-    );
-
-    // The heaviest postings lists: candidates for stopping.
-    let loaded = nucdb_index::load_index(&db_dir.join(INDEX_FILE))?;
-    let mut entries: Vec<_> = loaded.vocab().to_vec();
-    entries.sort_by_key(|e| std::cmp::Reverse(e.df));
-    println!("most frequent intervals (df = records containing):");
-    let k = loaded.params().k;
-    for entry in entries.iter().take(10) {
-        let interval: String = nucdb_seq::unpack_kmer(entry.code, k)
-            .into_iter()
-            .map(|b| b.to_ascii() as char)
-            .collect();
-        println!(
-            "  {interval}  df {:>8}  ({:.2}% of records)",
-            entry.df,
-            entry.df as f64 * 100.0 / loaded.num_records().max(1) as f64
-        );
-    }
     Ok(())
 }
 
@@ -1764,31 +1716,20 @@ fn fsck_walk(layout: &Layout, db_dir: &Path) -> Result<(i32, String, Value), Box
         let mut report = nucdb::FsckReport::default();
         let mut part_worst = 0;
         if listed || part.index.exists() {
-            match CompressedIndex::open(&part.index) {
-                Ok(index) => {
-                    if let Some(listed) = part.records.filter(|&n| n != index.num_records()) {
-                        part_worst = 1;
-                        eprintln!(
-                            "fsck: {} holds {} records but the {} says {listed}",
-                            part.label,
-                            index.num_records(),
-                            manifest_name(Shape::of(db_dir)),
-                        );
-                    }
-                    nucdb::fsck_index(&index, &mut report);
+            let records = nucdb::fsck_index(&part.index, &mut report);
+            if let (Some(records), Some(listed)) = (records, part.records) {
+                if records != listed {
+                    part_worst = 1;
+                    eprintln!(
+                        "fsck: {} holds {records} records but the {} says {listed}",
+                        part.label,
+                        manifest_name(Shape::of(db_dir)),
+                    );
                 }
-                Err(e) => report
-                    .findings
-                    .push(FsckFinding::index(&e, FsckSeverity::Structural)),
             }
         }
         if listed || part.store.exists() {
-            match nucdb::SequenceStore::open(&part.store) {
-                Ok(store) => nucdb::fsck_store(&store, &mut report),
-                Err(e) => report
-                    .findings
-                    .push(FsckFinding::store(&e, FsckSeverity::Structural)),
-            }
+            nucdb::fsck_store(&part.store, &mut report);
         }
         part_worst = part_worst.max(report.exit_code());
         worst = worst.max(part_worst);
@@ -1917,8 +1858,8 @@ mod tests {
 
         // The merged database answers queries spanning both halves.
         let db = Collection::open(&dir.join("ab"), &CollectionOptions::default()).unwrap();
-        let a = SequenceStore::read_from(&dir.join("a").join(STORE_FILE)).unwrap();
-        let b = SequenceStore::read_from(&dir.join("b").join(STORE_FILE)).unwrap();
+        let a = SequenceStore::open(&dir.join("a").join(STORE_FILE)).unwrap();
+        let b = SequenceStore::open(&dir.join("b").join(STORE_FILE)).unwrap();
         assert_eq!(db.len(), a.len() + b.len());
         for (store, offset) in [(&a, 0u32), (&b, a.len() as u32)] {
             let probe = store.sequence(3).unwrap();
@@ -2074,7 +2015,16 @@ mod tests {
         ]))
         .unwrap();
 
-        stats(&s(&["--db", db.to_str().unwrap()])).unwrap();
+        let stat_dir = dir.join("stat");
+        stat(&s(&[
+            "--db",
+            db.to_str().unwrap(),
+            "--out",
+            stat_dir.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let text = std::fs::read_to_string(stat_dir.join("STAT.txt")).unwrap();
+        assert!(text.contains("most frequent intervals"), "{text}");
         verify(&s(&["--db", db.to_str().unwrap(), "--sample", "10"])).unwrap();
         bench(&s(&[
             "--db",
@@ -2533,7 +2483,7 @@ mod tests {
         verify(&s(&["--db", db.to_str().unwrap()])).unwrap();
 
         // Drop a record from the store: verify must now fail.
-        let store = SequenceStore::read_from(&db.join(STORE_FILE)).unwrap();
+        let store = SequenceStore::open(&db.join(STORE_FILE)).unwrap();
         let mut truncated = SequenceStore::new(StorageMode::DirectCoding);
         for record in 0..store.len() as u32 - 1 {
             truncated.add(

@@ -5,7 +5,7 @@
 //! nucdb build    --collection coll.fasta --db DIR [--k 8] [--stride 1] ...
 //! nucdb search   --db DIR --query q.fasta [--candidates 30] [--both-strands] ...
 //! nucdb serve    --db DIR [--addr 127.0.0.1:7878] [--threads 4] ...
-//! nucdb stats    --db DIR
+//! nucdb stat     --db DIR [--out results]
 //! ```
 //!
 //! `nucdb CMD --help` (or `nucdb help CMD`) prints per-subcommand usage.
@@ -44,7 +44,6 @@ fn main() -> ExitCode {
         "ingest" => commands::ingest(rest),
         "search" => commands::search(rest),
         "merge" => commands::merge(rest),
-        "stats" => commands::stats(rest),
         "stat" => commands::stat(rest),
         "verify" => commands::verify(rest),
         "bench" => commands::bench(rest),

@@ -20,8 +20,8 @@
 //! `min_coarse_hits` — the only records rank ever scores.
 //!
 //! Accumulation prunes nothing: every record a list touches is tracked,
-//! and every block of every fetched list is decoded (each list is
-//! verified on its first fetch).
+//! and every block of every fetched list is decoded (every list was
+//! verified when its index was opened).
 
 use nucdb_index::{
     CompressedIndex, FetchStats, IndexError, IndexParams, OffsetSection, PostingsVisitor,

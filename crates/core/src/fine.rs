@@ -423,24 +423,55 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[(offset + len as u64 - 1) as usize] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        // Queries read the image taken at open: reopen to read the flip.
-        let disk = SequenceStore::open(&path).unwrap();
-        let found = fine_search(
-            &disk,
-            &query(),
-            &hits,
-            FineMode::default(),
-            &ScoringScheme::blastn(),
-            1,
-        );
-        let _ = std::fs::remove_file(&path);
-        match found {
+        // Open checks every record: the flip is the record's checksum
+        // error at its offset.
+        match SequenceStore::open(&path) {
             Err(SeqError::Corruption {
                 section,
                 offset: at,
                 ..
             }) => assert_eq!((section, at), ("record", offset)),
             other => panic!("expected the record's checksum error, got {other:?}"),
+        }
+        let _ = std::fs::remove_file(&path);
+
+        // A source whose record 5 fails its read: the batch holding it
+        // fails the search with that error.
+        struct Failing(SequenceStore);
+        impl RecordSource for Failing {
+            fn len(&self) -> usize {
+                self.0.len()
+            }
+            fn id(&self, record: u32) -> &str {
+                self.0.id(record)
+            }
+            fn record_len(&self, record: u32) -> usize {
+                self.0.record_len(record)
+            }
+            fn bases(&self, record: u32) -> Vec<nucdb_seq::Base> {
+                self.try_bases(record).unwrap()
+            }
+            fn try_bases(&self, record: u32) -> Result<Vec<nucdb_seq::Base>, SeqError> {
+                match record {
+                    5 => Err(SeqError::checksum("record", 5, 0, 1)),
+                    _ => RecordSource::try_bases(&self.0, record),
+                }
+            }
+            fn sequence(&self, record: u32) -> Result<DnaSeq, SeqError> {
+                self.0.sequence(record)
+            }
+        }
+        let found = fine_search(
+            &Failing(memory_store(&records)),
+            &query(),
+            &hits,
+            FineMode::default(),
+            &ScoringScheme::blastn(),
+            1,
+        );
+        match found {
+            Err(SeqError::Corruption { offset: 5, .. }) => {}
+            other => panic!("expected record 5's error, got {other:?}"),
         }
     }
 

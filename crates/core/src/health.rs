@@ -9,12 +9,18 @@
 //! exit 2, payload damage (a list or record failing its checksum or
 //! decode) is exit 1, a clean walk is exit 0.
 //!
-//! The walk reads the files as they are on disk now, through the handles
-//! `open` kept ([`CompressedIndex::scrub`], [`SequenceStore::scrub`]),
-//! and bypasses the query I/O counters, so a background scrub never
-//! distorts `nucdb_index_bytes_read_total` or its store twin.
+//! The walk reads each file as it is on disk now, through the door that
+//! parses its header or TOC without stopping at the first damaged list
+//! or record ([`CompressedIndex::fsck`], [`SequenceStore::fsck`]); a file
+//! whose header will not parse, or whose length disagrees with it, is a
+//! structural finding. The scrubber walks the files an open database
+//! keeps ([`CompressedIndex::scrub`], [`SequenceStore::scrub`]) through
+//! the same per-list and per-record checks. Neither touches the query
+//! I/O counters, so a background scrub never distorts
+//! `nucdb_index_bytes_read_total` or its store twin.
 
 use std::ops::ControlFlow;
+use std::path::Path;
 
 use nucdb_index::{skip_table_len, CompressedIndex, IndexError, ListCodec, WalkStep};
 use nucdb_obs::json::{num, Value};
@@ -244,17 +250,26 @@ fn severity(step: WalkStep) -> FsckSeverity {
     }
 }
 
-/// Walk every checksummed region of an index file as it is on disk now
-/// — header, then every postings list — collecting all damage into
-/// `report`.
-pub fn fsck_index(index: &CompressedIndex, report: &mut FsckReport) {
-    index.scrub(|step, outcome| report.note_index(step, outcome));
+/// Walk every checksummed region of the index file at `path` — header,
+/// then every postings list — collecting all damage into `report`.
+/// Returns the record count the header declares, or `None` when the file
+/// will not open, which is a structural finding.
+pub fn fsck_index(path: &Path, report: &mut FsckReport) -> Option<u32> {
+    match CompressedIndex::fsck(path, |step, outcome| report.note_index(step, outcome)) {
+        Ok(records) => Some(records),
+        Err(e) => {
+            (report.findings).push(FsckFinding::index(&e, FsckSeverity::Structural));
+            None
+        }
+    }
 }
 
-/// Walk every checksummed region of a store file as it is on disk now
-/// — TOC, then every record blob — collecting all damage into `report`.
-pub fn fsck_store(store: &SequenceStore, report: &mut FsckReport) {
-    store.scrub(|step, outcome| report.note_store(step, outcome));
+/// Walk every checksummed region of the store file at `path` — TOC,
+/// then every record blob — collecting all damage into `report`.
+pub fn fsck_store(path: &Path, report: &mut FsckReport) {
+    if let Err(e) = SequenceStore::fsck(path, |step, outcome| report.note_store(step, outcome)) {
+        (report.findings).push(FsckFinding::store(&e, FsckSeverity::Structural));
+    }
 }
 
 /// One bucket of a power-of-two histogram: `label` names the value
@@ -345,6 +360,9 @@ pub struct IndexStatReport {
     /// Fraction of all postings held by the 10 longest lists — the
     /// skew measure that motivates index stopping.
     pub top10_df_share: f64,
+    /// Those 10 longest lists, longest first: each interval spelled out,
+    /// with its df — the candidates for stopping.
+    pub heaviest: Vec<(String, u32)>,
     /// List-length distribution (power-of-two buckets).
     pub df_histogram: Vec<HistBucket>,
     /// Compressed bits-per-posting distribution across lists
@@ -365,9 +383,14 @@ impl IndexStatReport {
         } else {
             0
         };
-        let mut dfs: Vec<u64> = vocab.iter().map(|e| e.df as u64).collect();
-        dfs.sort_unstable_by(|a, b| b.cmp(a));
-        let top10: u64 = dfs.iter().take(10).sum();
+        let mut heaviest: Vec<_> = vocab.iter().collect();
+        heaviest.sort_by_key(|e| std::cmp::Reverse(e.df));
+        heaviest.truncate(10);
+        let top10: u64 = heaviest.iter().map(|e| e.df as u64).sum();
+        let spell = |code| {
+            let bases = nucdb_seq::unpack_kmer(code, params.k).into_iter();
+            bases.map(|b| b.to_ascii() as char).collect()
+        };
         IndexStatReport {
             format: index.format().to_string(),
             codec: index.codec().name().to_string(),
@@ -391,6 +414,7 @@ impl IndexStatReport {
             } else {
                 top10 as f64 / postings_entries as f64
             },
+            heaviest: heaviest.iter().map(|e| (spell(e.code), e.df)).collect(),
             df_histogram: log2_histogram(vocab.iter().map(|e| e.df as u64)),
             bits_per_posting_histogram: log2_histogram(
                 vocab
@@ -428,6 +452,19 @@ impl IndexStatReport {
             (
                 "top10_df_share".to_string(),
                 Value::Num(self.top10_df_share),
+            ),
+            (
+                "heaviest_intervals".to_string(),
+                Value::Arr(
+                    (self.heaviest.iter())
+                        .map(|(interval, df)| {
+                            Value::Obj(vec![
+                                ("interval".to_string(), Value::Str(interval.clone())),
+                                ("df".to_string(), num(u64::from(*df))),
+                            ])
+                        })
+                        .collect(),
+                ),
             ),
             (
                 "df_histogram".to_string(),
@@ -560,6 +597,13 @@ impl StatReport {
                 index.mean_df,
                 index.top10_df_share * 100.0
             ));
+            out.push_str("  most frequent intervals (df = records containing):\n");
+            for (interval, df) in &index.heaviest {
+                out.push_str(&format!(
+                    "    {interval}  df {df:>8}  ({:.2}% of records)\n",
+                    f64::from(*df) * 100.0 / index.records.max(1) as f64
+                ));
+            }
             histogram(&mut out, "list length (df)", &index.df_histogram);
             histogram(
                 &mut out,
@@ -627,8 +671,8 @@ mod tests {
     fn clean_files_fsck_clean() {
         let (ipath, spath) = written("fsck");
         let mut report = FsckReport::default();
-        fsck_index(&CompressedIndex::open(&ipath).unwrap(), &mut report);
-        fsck_store(&SequenceStore::open(&spath).unwrap(), &mut report);
+        assert_eq!(fsck_index(&ipath, &mut report), Some(12));
+        fsck_store(&spath, &mut report);
         assert!(report.is_clean(), "{:?}", report.findings);
         assert_eq!(report.exit_code(), 0);
         assert!(report.lists_checked > 0);
@@ -649,9 +693,8 @@ mod tests {
         bytes[target] ^= 0x40;
         std::fs::write(&ipath, &bytes).unwrap();
 
-        let index = CompressedIndex::open(&ipath).unwrap();
         let mut report = FsckReport::default();
-        fsck_index(&index, &mut report);
+        assert_eq!(fsck_index(&ipath, &mut report), Some(12));
         assert!(!report.is_clean());
         assert_eq!(report.exit_code(), 1);
         let finding = &report.findings[0];
@@ -671,10 +714,13 @@ mod tests {
         bytes[20] ^= 0x01;
         std::fs::write(&ipath, &bytes).unwrap();
 
-        // The file no longer opens: a CLI fsck reports the open
-        // failure as its structural finding.
-        let index = CompressedIndex::open(&ipath);
-        assert!(index.is_err(), "open should reject header damage");
+        // The file no longer opens: fsck reports that as its structural
+        // finding.
+        assert!(CompressedIndex::open(&ipath).is_err());
+        let mut report = FsckReport::default();
+        assert_eq!(fsck_index(&ipath, &mut report), None);
+        assert_eq!(report.exit_code(), 2);
+        assert_eq!(report.findings[0].severity, FsckSeverity::Structural);
         let _ = std::fs::remove_file(&ipath);
         let _ = std::fs::remove_file(&spath);
     }
@@ -697,6 +743,12 @@ mod tests {
         assert!(index_stats.top10_df_share > 0.0 && index_stats.top10_df_share <= 1.0);
         let df_total: u64 = index_stats.df_histogram.iter().map(|b| b.count).sum();
         assert_eq!(df_total, index_stats.distinct_intervals);
+        let heaviest = &index_stats.heaviest;
+        let shown = index_stats.distinct_intervals.min(10) as usize;
+        assert_eq!(heaviest.len(), shown);
+        assert_eq!(heaviest[0].1, index_stats.max_df);
+        assert!(heaviest.windows(2).all(|w| w[0].1 >= w[1].1));
+        assert!(heaviest.iter().all(|(interval, _)| interval.len() == 8));
 
         let store_stats = report.store.as_ref().unwrap();
         assert_eq!(store_stats.records, 12);
@@ -707,9 +759,14 @@ mod tests {
         assert!(text.contains("index:"), "{text}");
         assert!(text.contains("store:"), "{text}");
         assert!(text.contains("list length"), "{text}");
+        assert!(text.contains("most frequent intervals"), "{text}");
         let json = report.to_value().render();
         let parsed = nucdb_obs::json::parse(&json).unwrap();
-        assert!(parsed.get("index").is_some());
+        let index_json = parsed.get("index").unwrap();
+        match index_json.get("heaviest_intervals") {
+            Some(Value::Arr(rows)) => assert_eq!(rows.len(), shown),
+            other => panic!("no heaviest_intervals array: {other:?}"),
+        }
         assert!(parsed.get("store").is_some());
         let _ = std::fs::remove_file(&ipath);
         let _ = std::fs::remove_file(&spath);

@@ -37,8 +37,8 @@ use std::time::Instant;
 
 use nucdb_index::manifest::{segment_index_file, segment_store_file, Manifest, SegmentMeta};
 use nucdb_index::{
-    load_index, merge_indexes, write_index, CompressedIndex, FetchStats, IndexBuilder, IndexError,
-    IndexParams, OffsetSection, PostingsVisitor, VocabCursor, BLOCK_LEN,
+    merge_indexes, write_index, CompressedIndex, FetchStats, IndexBuilder, IndexError, IndexParams,
+    OffsetSection, PostingsVisitor, VocabCursor, BLOCK_LEN,
 };
 use nucdb_obs::{Counter, Forensics, Gauge, MetricsRegistry};
 use nucdb_seq::{Base, DnaSeq, SeqError};
@@ -476,6 +476,7 @@ impl MemRun {
 }
 
 /// One open on-disk segment.
+#[derive(Clone)]
 struct DiskSegment {
     meta: SegmentMeta,
     index: Arc<CompressedIndex>,
@@ -861,8 +862,8 @@ impl LiveDatabase {
             inner.next_id += 1;
             (
                 pos,
-                inner.manifest.segments[pos].clone(),
-                inner.manifest.segments[pos + 1].clone(),
+                inner.segments[pos].clone(),
+                inner.segments[pos + 1].clone(),
                 new_id,
             )
         };
@@ -874,22 +875,20 @@ impl LiveDatabase {
     fn compact_pair(
         &self,
         pos: usize,
-        a: &SegmentMeta,
-        b: &SegmentMeta,
+        a: &DiskSegment,
+        b: &DiskSegment,
         new_id: u64,
     ) -> Result<Option<CompactionRun>, IndexError> {
         let started = Instant::now();
 
-        // Merge outside the lock: load both segments fully, merge, write
-        // the replacement files (atomically, under the reserved id).
-        let store_a = SequenceStore::read_from(&self.dir.join(a.store_file())).map_err(io_err)?;
-        let store_b = SequenceStore::read_from(&self.dir.join(b.store_file())).map_err(io_err)?;
+        // Merge outside the lock the pair as it was opened — verified
+        // then, so no file is read again — and write the replacement
+        // files (atomically, under the reserved id).
         let mut merged_store = SequenceStore::new(self.config.storage);
-        merged_store.extend_from_store(&store_a).map_err(io_err)?;
-        merged_store.extend_from_store(&store_b).map_err(io_err)?;
-        let index_a = load_index(&self.dir.join(a.index_file()))?;
-        let index_b = load_index(&self.dir.join(b.index_file()))?;
-        let merged_index = merge_indexes(&index_a, &index_b)?;
+        merged_store.extend_from_store(&a.store).map_err(io_err)?;
+        merged_store.extend_from_store(&b.store).map_err(io_err)?;
+        let merged_index = merge_indexes(&a.index, &b.index)?;
+        let (a, b) = (&a.meta, &b.meta);
 
         let index_path = self.dir.join(segment_index_file(new_id));
         let store_path = self.dir.join(segment_store_file(new_id));

@@ -24,11 +24,12 @@
 //! Every byte of the file is covered by a checksum — the TOC by
 //! `toc_crc`, each payload blob by its `blob_crc`. A [`SequenceStore`]
 //! keeps one byte image of the file, read once by
-//! [`SequenceStore::open`], which refuses a truncated file. Every record
-//! fetch checks its blob's CRC and surfaces a mismatch as a typed
-//! [`SeqError::Corruption`]; the scrubber and `fsck` find later rot on
-//! disk with [`SequenceStore::walk`], the walk
-//! [`SequenceStore::read_from`] runs over the image. The retired
+//! [`SequenceStore::open`], which checks every blob (its CRC, its decode,
+//! its length against the TOC) and refuses a truncated file, a file
+//! longer than its TOC declares, or any damaged record with a typed
+//! error; no record fetch computes a checksum. The scrubber and `fsck`
+//! find rot on disk after that with [`SequenceStore::walk`], whose
+//! per-record check is the one `open` runs over the image. The retired
 //! checksum-free `NUCSTO01` and the retired ASCII mode byte 0 are refused
 //! at open with [`SeqError::UnsupportedFormat`]. Files are written through
 //! [`AtomicFile`], so a crashed build never leaves a torn store.
@@ -39,8 +40,7 @@ use std::ops::ControlFlow;
 use std::path::Path;
 
 use nucdb_index::durable::{
-    crc32, first_damage, read_exact_chunked, read_image, walk, AtomicFile, CountingReader,
-    KeptFile, WalkStep,
+    crc32, read_exact_chunked, read_image, walk, AtomicFile, CountingReader, KeptFile, WalkStep,
 };
 use nucdb_index::fault::{FaultPlan, FaultyReader};
 use nucdb_index::{check_storage, IndexError, DIRECT_CODING_STORAGE};
@@ -80,7 +80,7 @@ pub trait RecordSource {
     /// Record length in bases.
     fn record_len(&self, record: u32) -> usize;
     /// Representative-base view of a record (wildcards collapsed).
-    /// Panics on a record that fails its checksum — query paths must use
+    /// Panics on a record that fails its decode — query paths must use
     /// [`RecordSource::try_bases`].
     fn bases(&self, record: u32) -> Vec<Base>;
     /// Fallible variant of [`RecordSource::bases`]: surfaces corruption
@@ -112,11 +112,9 @@ pub enum StorageMode {
 /// The image is what [`SequenceStore::write_to`] writes, read once by
 /// [`SequenceStore::open`]; a store built in memory with
 /// [`SequenceStore::add`] holds only the payload, its TOC being written
-/// from the fields. Every record fetch slices the image, checks the
-/// blob's CRC-32 at its absolute file offset, counts the bytes and the
-/// record as read, and decodes; a mismatch surfaces as
-/// [`SeqError::Corruption`] and no decoded (potentially wrong) sequence
-/// escapes.
+/// from the fields. Every record fetch slices the image, counts the
+/// bytes and the record as read, and decodes; the blob was checked
+/// against its CRC-32 when the file was opened.
 #[derive(Clone)]
 pub struct SequenceStore {
     ids: Vec<String>,
@@ -180,9 +178,10 @@ impl SequenceStore {
     }
 
     /// Open a store file written by [`SequenceStore::write_to`]: read its
-    /// whole image once and parse the TOC. A file too short for the
-    /// payload its TOC declares is refused here as corruption. The blobs
-    /// are not verified at open; every fetch checks its blob's CRC.
+    /// whole image once, parse the TOC, and check every record blob. The
+    /// first damage is the typed error: a file truncated inside its
+    /// payload or longer than its TOC declares, or a blob failing its
+    /// CRC, its decode or its TOC length, at its absolute file offset.
     pub fn open(path: &Path) -> Result<SequenceStore, SeqError> {
         SequenceStore::open_with(path, None)
     }
@@ -196,34 +195,57 @@ impl SequenceStore {
     }
 
     fn open_with(path: &Path, plan: Option<FaultPlan>) -> Result<SequenceStore, SeqError> {
+        let store = SequenceStore::read(path, plan)?;
+        for record in 0..store.len() {
+            store.check_record(record, store.blob(record as u32).0)?;
+        }
+        Ok(store)
+    }
+
+    /// Read the file's image and parse its TOC, checking no record.
+    fn read(path: &Path, plan: Option<FaultPlan>) -> Result<SequenceStore, SeqError> {
         let file = File::open(path)?;
         let mut image = read_image(&file, file.metadata()?.len() as usize)?;
-        let mut store = read_toc(&mut CountingReader::new(&image[..]))?;
+        let mut store = read_toc(&image)?;
         let payload_start = store.payload_start as usize;
         if let Some(plan) = plan {
             let faulty = read_image(FaultyReader::new(&image[..], plan), image.len())?;
             image.truncate(payload_start);
             image.extend_from_slice(faulty.get(payload_start..).unwrap_or_default());
         }
+        let len = image.len() as u64;
         let end = (store.blobs.last()).map_or(store.payload_start, |&(at, len)| at + len as u64);
-        if (image.len() as u64) < end {
+        if len < end {
             return Err(SeqError::corrupt_at(
                 "store file truncated inside its payload",
                 "record",
-                image.len() as u64,
+                len,
             ));
         }
-        image.truncate(end as usize);
+        if len > end {
+            return Err(SeqError::corrupt_at(
+                "trailing bytes past the payload's declared end",
+                "record",
+                end,
+            ));
+        }
         store.image = image;
         store.file = KeptFile::new(file);
         Ok(store)
     }
 
-    /// Open a store file and verify every byte of it before returning.
-    pub fn read_from(path: &Path) -> Result<SequenceStore, SeqError> {
-        let store = SequenceStore::open(path)?;
-        first_damage(|each| store.walk(&store.image[..], each))?;
-        Ok(store)
+    /// `fsck`'s door: read the file at `path` and hand `each` every step
+    /// of [`SequenceStore::walk`] over it, damaged or not, instead of
+    /// stopping at the first damage as [`SequenceStore::open`] does. The
+    /// error is what keeps the file from opening at all (its TOC, or a
+    /// length that disagrees with it), when no record is walked.
+    pub fn fsck(
+        path: &Path,
+        each: impl FnMut(WalkStep, Result<u64, SeqError>) -> ControlFlow<()>,
+    ) -> Result<(), SeqError> {
+        let store = SequenceStore::read(path, None)?;
+        store.walk(&store.image[..], each);
+        Ok(())
     }
 
     /// Number of records.
@@ -246,31 +268,45 @@ impl SequenceStore {
         self.lens[record as usize] as usize
     }
 
-    /// Check record `record`'s blob against its stored CRC-32; returns
-    /// the blob's offset, which errors name.
-    fn check_crc(&self, record: usize, blob: &[u8]) -> Result<u64, SeqError> {
-        let (offset, _) = self.blobs[record];
+    /// Record `record`'s blob and its offset, not counted as read.
+    fn blob(&self, record: u32) -> (&[u8], u64) {
+        let (offset, len) = self.blobs[record as usize];
+        (&self.image[offset as usize..][..len as usize], offset)
+    }
+
+    /// Fetch one record's blob, counted as read, with its offset.
+    fn fetch(&self, record: u32) -> (&[u8], u64) {
+        self.bytes_read.add(self.blobs[record as usize].1 as u64);
+        self.records_read.inc();
+        self.blob(record)
+    }
+
+    /// Parse one record's 2-bit blob, locating a failure at its offset.
+    fn parse((blob, offset): (&[u8], u64)) -> Result<PackedSeq, SeqError> {
+        PackedSeq::from_bytes(blob).map_err(|e| e.located("record", offset))
+    }
+
+    /// Check record `record`'s blob against its stored CRC-32, its decode
+    /// and its TOC length, at its offset.
+    fn check_record(&self, record: usize, blob: &[u8]) -> Result<(), SeqError> {
+        let offset = self.blobs[record].0;
         let (expected, actual) = (self.crcs[record], crc32(blob));
         if actual != expected {
             return Err(SeqError::checksum("record", offset, expected, actual));
         }
-        Ok(offset)
-    }
-
-    /// Fetch one record's blob, checked against its CRC and counted as
-    /// read, with its offset.
-    fn fetch(&self, record: u32) -> Result<(&[u8], u64), SeqError> {
-        let (offset, len) = self.blobs[record as usize];
-        let blob = &self.image[offset as usize..][..len as usize];
-        self.check_crc(record as usize, blob)?;
-        self.bytes_read.add(len as u64);
-        self.records_read.inc();
-        Ok((blob, offset))
+        match SequenceStore::parse((blob, offset))?.len() {
+            n if n == self.lens[record] as usize => Ok(()),
+            _ => Err(SeqError::corrupt_at(
+                "record length disagrees with TOC",
+                "record",
+                offset,
+            )),
+        }
     }
 
     /// Decode record `record` to representative bases (the alignment
     /// view; wildcards collapse). Panics if the record fails its
-    /// checksum; see [`RecordSource::try_bases`].
+    /// decode; see [`RecordSource::try_bases`].
     pub fn bases(&self, record: u32) -> Vec<Base> {
         self.try_bases(record)
             .expect("caller chose the panicking accessor; use try_bases on query paths")
@@ -283,8 +319,7 @@ impl SequenceStore {
 
     /// Fetch record `record` and parse its 2-bit blob.
     fn packed(&self, record: u32) -> Result<PackedSeq, SeqError> {
-        let (blob, offset) = self.fetch(record)?;
-        PackedSeq::from_bytes(blob).map_err(|e| e.located("record", offset))
+        SequenceStore::parse(self.fetch(record))
     }
 
     /// Bytes the stored payload blobs occupy, in memory and in the file
@@ -312,10 +347,12 @@ impl SequenceStore {
     }
 
     /// Append every record of `other`, decoded and re-encoded. Record ids
-    /// of the appended records follow the existing ones.
+    /// of the appended records follow the existing ones. `other`'s reads
+    /// are not counted, so a compaction never shows in a live store's
+    /// query counters.
     pub fn extend_from_store(&mut self, other: &SequenceStore) -> Result<(), SeqError> {
         for record in 0..other.len() as u32 {
-            let seq = other.sequence(record)?;
+            let seq = SequenceStore::parse(other.blob(record))?.unpack();
             self.add(other.id(record).to_string(), &seq);
         }
         Ok(())
@@ -350,27 +387,16 @@ impl SequenceStore {
 
     /// The one verification walk over a copy of this store's file, read
     /// from `input` in file order: the checksummed prefix (magic, stored
-    /// TOC CRC, full field structure), then every record blob — its CRC,
-    /// its structural decode, and its length against the TOC. Touches no
-    /// query I/O counter.
+    /// TOC CRC, full field structure), then every record blob through
+    /// the check [`SequenceStore::open`] runs. Touches no query I/O
+    /// counter.
     pub fn walk(
         &self,
         input: impl Read,
         each: impl FnMut(WalkStep, Result<u64, SeqError>) -> ControlFlow<()>,
     ) {
-        let toc = |bytes: &[u8]| read_toc(&mut CountingReader::new(bytes)).map(drop);
-        let blob = |record: usize, blob: &[u8]| {
-            let offset = self.check_crc(record, blob)?;
-            let decoded = PackedSeq::from_bytes(blob).map(|p| p.len());
-            match decoded.map_err(|e| e.located("record", offset))? {
-                n if n == self.lens[record] as usize => Ok(()),
-                _ => Err(SeqError::corrupt_at(
-                    "record length disagrees with TOC",
-                    "record",
-                    offset,
-                )),
-            }
-        };
+        let toc = |bytes: &[u8]| read_toc(bytes).map(drop);
+        let blob = |record: usize, blob: &[u8]| self.check_record(record, blob);
         let lens = self.blobs.iter().map(|&(_, len)| len);
         walk(input, self.payload_start, toc, lens, blob, each)
     }
@@ -455,25 +481,26 @@ impl RecordSource for SequenceStore {
     }
 }
 
-/// Check the magic and parse the v2 TOC into a store with no image yet,
-/// leaving `input` at the start of the payload. Blob offsets are
-/// absolute file offsets.
-fn read_toc<R: Read>(input: &mut CountingReader<R>) -> Result<SequenceStore, SeqError> {
-    let mut magic = [0u8; 8];
-    input.read_exact(&mut magic)?;
-    check_magic(&magic)?;
-    let mut word = [0u8; 4];
-    input.read_exact(&mut word)?;
-    let toc_len = u32::from_le_bytes(word) as usize;
-    input.read_exact(&mut word)?;
-    let expected = u32::from_le_bytes(word);
-    let toc_bytes = read_exact_chunked(input, toc_len)?;
-    let actual = crc32(&toc_bytes);
+/// Check the magic and the TOC CRC at the front of `bytes` (a file
+/// image, or its prefix and TOC) and parse the v2 TOC into a store with
+/// no image yet. Blob offsets are absolute file offsets. `bytes` too
+/// short for the magic, the prefix or the TOC it frames is refused at
+/// its end.
+fn read_toc(bytes: &[u8]) -> Result<SequenceStore, SeqError> {
+    let cut = |section| SeqError::corrupt_at("store file truncated", section, bytes.len() as u64);
+    check_magic(bytes.get(..8).ok_or_else(|| cut("magic"))?)?;
+    let prefix = bytes
+        .get(..V2_PREFIX_LEN as usize)
+        .ok_or_else(|| cut("toc"))?;
+    let word = |at: usize| u32::from_le_bytes(prefix[at..at + 4].try_into().expect("4 bytes"));
+    let toc_len = word(8) as usize;
+    let toc_bytes = (bytes[prefix.len()..].get(..toc_len)).ok_or_else(|| cut("toc"))?;
+    let (expected, actual) = (word(12), crc32(toc_bytes));
     if actual != expected {
         return Err(SeqError::checksum("toc", V2_PREFIX_LEN, expected, actual));
     }
 
-    let mut toc = CountingReader::new(&toc_bytes[..]);
+    let mut toc = CountingReader::new(toc_bytes);
     let at = |toc: &CountingReader<&[u8]>| V2_PREFIX_LEN + toc.pos();
     let mut mode_byte = [0u8; 1];
     toc.read_exact(&mut mode_byte)?;
@@ -660,7 +687,7 @@ mod tests {
         let store = sample_store();
         let path = temp_path("p");
         store.write_to(&path).unwrap();
-        let loaded = SequenceStore::read_from(&path).unwrap();
+        let loaded = SequenceStore::open(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(loaded.len(), store.len());
         for record in 0..store.len() as u32 {
@@ -680,14 +707,14 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[0] = b'X'; // magic
         std::fs::write(&path, &bytes).unwrap();
-        assert!(SequenceStore::read_from(&path).is_err());
+        assert!(SequenceStore::open(&path).is_err());
         // Truncation must also fail, not panic.
         let good = {
             bytes[0] = b'N';
             bytes
         };
         std::fs::write(&path, &good[..good.len() / 2]).unwrap();
-        assert!(SequenceStore::read_from(&path).is_err());
+        assert!(SequenceStore::open(&path).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -701,7 +728,7 @@ mod tests {
         bytes[last] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
 
-        match SequenceStore::read_from(&path) {
+        match SequenceStore::open(&path) {
             Err(SeqError::Corruption {
                 section, offset, ..
             }) => {
@@ -710,21 +737,6 @@ mod tests {
             }
             other => panic!("expected record corruption, got {other:?}"),
         }
-
-        // Open reads the image without verifying blobs (TOC intact), but
-        // the fetch must refuse the corrupt record — and keep serving
-        // intact records.
-        let disk = SequenceStore::open(&path).unwrap();
-        let last_record = (RecordSource::len(&disk) - 1) as u32;
-        match RecordSource::sequence(&disk, last_record) {
-            Err(SeqError::Corruption { section, .. }) => assert_eq!(section, "record"),
-            other => panic!("expected fetch-time corruption, got {other:?}"),
-        }
-        assert!(RecordSource::try_bases(&disk, last_record).is_err());
-        assert_eq!(
-            RecordSource::sequence(&disk, 0).unwrap(),
-            store.sequence(0).unwrap()
-        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -818,7 +830,7 @@ mod tests {
         let store = SequenceStore::new(StorageMode::DirectCoding);
         let path = temp_path("empty");
         store.write_to(&path).unwrap();
-        let loaded = SequenceStore::read_from(&path).unwrap();
+        let loaded = SequenceStore::open(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert!(loaded.is_empty());
     }

@@ -27,12 +27,7 @@
 use nucdb_codec::{BitReader, BitWriter, Gamma, Golomb, IntCodec};
 use nucdb_obs::{Counter, MetricsRegistry};
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::block::{
-    decode_block_stream, verify_and_decode, verify_block_list, BlockDecodeStats, Emit,
-    OffsetSection,
-};
+use crate::block::{decode_block_stream, verify_and_decode, BlockDecodeStats, Emit, OffsetSection};
 use crate::durable::KeptFile;
 use crate::error::IndexError;
 use crate::interval::IndexParams;
@@ -401,19 +396,15 @@ pub struct VocabEntry {
 /// one byte image of the index file — exactly what
 /// [`write_index`](crate::disk::write_index) writes, built in memory by
 /// [`crate::builder::IndexBuilder`] or read once by
-/// [`CompressedIndex::open`].
+/// [`CompressedIndex::open`], which checks every list against every CRC
+/// covering it before it returns.
 ///
 /// Every fetch slices the image, counts the bytes and the list as read,
-/// and decodes. A list's first fetch also checks it against every CRC
-/// that covers it, at its absolute file offset: the vocabulary CRC (a
-/// block list's covers its skip table) and each block payload's own.
-/// A list that passes is marked verified and is never checksummed
-/// again; the image does not change after open, so the mark stays
-/// true. A mismatch surfaces as [`IndexError::Corruption`] naming the
-/// offset, no decoded (potentially wrong) postings escape, and the list
-/// stays unmarked, so every later fetch of it fails the same way. All
+/// and decodes; no fetch computes a checksum. A list whose bytes break
+/// the codec's structure fails its decode with a typed error naming the
+/// offset, and no decoded (potentially wrong) postings escape. All
 /// methods take `&self`; concurrent fetches proceed without contention,
-/// and the verified marks and I/O counters are atomics.
+/// and the I/O counters are atomics.
 #[derive(Clone)]
 pub struct CompressedIndex {
     pub(crate) params: IndexParams,
@@ -424,8 +415,6 @@ pub struct CompressedIndex {
     /// Per-list CRC-32s, parallel to `vocab`. A block list's covers only
     /// its skip-table prefix (block payloads self-checksum).
     pub(crate) list_crcs: Vec<u32>,
-    /// Which lists have passed their CRCs, parallel to `vocab`.
-    pub(crate) verified: VerifiedLists,
     /// Per-list maximum per-record occurrence count, parallel to `vocab`.
     /// Present only for the block codec, whose `NUCIDX04` header stores
     /// it.
@@ -438,44 +427,6 @@ pub struct CompressedIndex {
     pub(crate) file: KeptFile,
     pub(crate) bytes_read: Counter,
     pub(crate) lists_read: Counter,
-}
-
-/// One bit per vocabulary entry, set once that list has passed every CRC
-/// covering it. A bit publishes nothing but itself (the bytes it vouches
-/// for never change), so relaxed atomics suffice; two threads verifying
-/// one list at once both check it and both set the bit.
-#[derive(Debug)]
-pub(crate) struct VerifiedLists(Vec<AtomicU64>);
-
-impl VerifiedLists {
-    /// No list verified, for a vocabulary of `lists` entries.
-    pub(crate) fn new(lists: usize) -> VerifiedLists {
-        VerifiedLists((0..lists.div_ceil(64)).map(|_| AtomicU64::new(0)).collect())
-    }
-
-    fn get(&self, idx: usize) -> bool {
-        self.0[idx / 64].load(Ordering::Relaxed) >> (idx % 64) & 1 != 0
-    }
-
-    fn set(&self, idx: usize) {
-        self.0[idx / 64].fetch_or(1 << (idx % 64), Ordering::Relaxed);
-    }
-
-    fn count(&self) -> usize {
-        let ones = |word: &AtomicU64| word.load(Ordering::Relaxed).count_ones() as usize;
-        self.0.iter().map(ones).sum()
-    }
-}
-
-impl Clone for VerifiedLists {
-    fn clone(&self) -> VerifiedLists {
-        VerifiedLists(
-            self.0
-                .iter()
-                .map(|word| AtomicU64::new(word.load(Ordering::Relaxed)))
-                .collect(),
-        )
-    }
 }
 
 /// Where a run of ascending-code lookups stands in one index's
@@ -631,31 +582,17 @@ impl CompressedIndex {
         self.max_counts.as_deref()
     }
 
-    /// The stored bytes of one vocabulary entry's list, unchecked.
-    fn list_bytes(&self, entry: &VocabEntry) -> &[u8] {
+    /// The stored bytes of one vocabulary entry's list.
+    pub(crate) fn list_bytes(&self, entry: &VocabEntry) -> &[u8] {
         &self.blob()[entry.offset as usize..][..entry.len as usize]
     }
 
-    /// Fetch the list at vocabulary position `idx`, counted as read. On
-    /// its first fetch the list is checked against its vocabulary CRC
-    /// and, a block list, every block CRC, at their absolute file
-    /// offsets, and marked verified if all pass.
-    fn fetch(&self, idx: usize) -> Result<&VocabEntry, IndexError> {
+    /// Fetch the list at vocabulary position `idx`, counted as read.
+    fn fetch(&self, idx: usize) -> &VocabEntry {
         let entry = &self.vocab[idx];
-        let verified = self.verified.get(idx);
-        let (list, at) = (self.list_bytes(entry), self.blob_start + entry.offset);
-        if !verified {
-            crate::disk::check_list_crc(self.codec, list, entry.df, self.list_crcs[idx], at)?;
-        }
         self.bytes_read.add(entry.len as u64);
         self.lists_read.inc();
-        if !verified {
-            if self.codec == ListCodec::Block {
-                verify_block_list(list, entry.df).map_err(|e| e.with_base_offset(at))?;
-            }
-            self.verified.set(idx);
-        }
-        Ok(entry)
+        entry
     }
 
     /// Decode one fetched list through `visitor`, lifting corruption
@@ -701,7 +638,7 @@ impl CompressedIndex {
         let Some(idx) = self.find(code) else {
             return Ok(None);
         };
-        let entry = self.fetch(idx)?;
+        let entry = self.fetch(idx);
         self.stream(entry, Emit::Offsets, visitor).map(Some)
     }
 
@@ -721,7 +658,7 @@ impl CompressedIndex {
         let Some(idx) = self.find_from(code, cursor) else {
             return Ok(None);
         };
-        let entry = self.fetch(idx)?;
+        let entry = self.fetch(idx);
         let emit = match self.codec {
             ListCodec::Paper => Emit::Offsets,
             ListCodec::Block => Emit::Counts,
@@ -735,11 +672,20 @@ impl CompressedIndex {
         let Some(idx) = self.find(code) else {
             return Ok(None);
         };
-        let entry = self.fetch(idx)?;
+        self.fetch(idx);
+        self.list(idx).map(Some)
+    }
+
+    /// Decode the list at vocabulary position `idx`, not counted as
+    /// read: the whole-index rewrites (merge, stopping) read every list
+    /// this way, so a compaction never shows in a live index's query
+    /// counters.
+    pub(crate) fn list(&self, idx: usize) -> Result<PostingsList, IndexError> {
+        let entry = &self.vocab[idx];
         let mut entries = Vec::with_capacity(entry.df as usize);
         let mut visitor = FnVisitor(|record, offset| group_offset(&mut entries, record, offset));
         self.stream(entry, Emit::Offsets, &mut visitor)?;
-        Ok(Some(PostingsList { entries }))
+        Ok(PostingsList { entries })
     }
 
     /// Fetch and decode `(record, occurrence count)` pairs for `code`;
@@ -748,17 +694,11 @@ impl CompressedIndex {
         let Some(idx) = self.find(code) else {
             return Ok(None);
         };
-        let entry = self.fetch(idx)?;
+        let entry = self.fetch(idx);
         let mut out = Vec::with_capacity(entry.df as usize);
         let mut visitor = FnVisitor(|record, count| out.push((record, count)));
         self.stream(entry, Emit::Counts, &mut visitor)?;
         Ok(Some(out))
-    }
-
-    /// Lists that have passed their CRCs so far: a list is checked on its
-    /// first fetch only, and one that fails is never counted.
-    pub fn verified_lists(&self) -> usize {
-        self.verified.count()
     }
 
     /// Postings bytes fetched since the last reset.

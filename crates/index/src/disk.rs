@@ -3,10 +3,10 @@
 //!
 //! The paper's setting is explicit: the collection (and its index) live on
 //! disk, and *disk costs dominate query evaluation*. A
-//! [`CompressedIndex`] keeps the file's whole byte image — read once by
-//! [`CompressedIndex::open`] — and each fetch slices one list out of it,
-//! checks the list's CRC and counts the bytes it read, so experiments
-//! report the paper's I/O volume alongside wall time.
+//! [`CompressedIndex`] keeps the file's whole byte image — read and
+//! verified once by [`CompressedIndex::open`] — and each fetch slices one
+//! list out of it and counts the bytes it read, so experiments report the
+//! paper's I/O volume alongside wall time.
 //!
 //! `NUCIDX03`, written by [`write_index`] for [`ListCodec::Paper`] (`v` =
 //! LEB128-style varint):
@@ -38,12 +38,14 @@
 //! prefix by the header CRC's span, the header by `header_crc`, and the
 //! blob (whose cumulative list extents cover it exactly) by the per-list
 //! CRCs — in v4 the skip tables by the vocab CRCs and every block
-//! payload by its skip-entry CRC. Every byte is CRC-checked on every
-//! fetch; the image is read at open, where a truncated file is refused;
-//! the scrubber and `fsck` find later rot on disk with
-//! [`CompressedIndex::walk`], the same walk [`load_index`] runs over the
-//! image. Files are written through [`AtomicFile`], so a crashed build
-//! never leaves a torn index.
+//! payload by its skip-entry CRC. Every byte a query can read is checked
+//! once, when [`CompressedIndex::open`] reads the image: a file that is
+//! truncated, longer than its header declares, or fails any CRC is
+//! refused there with a typed error, and no fetch computes a checksum.
+//! The scrubber and `fsck` find rot on disk after that with
+//! [`CompressedIndex::walk`], whose per-list check is the one `open` runs
+//! over the image. Files are written through [`AtomicFile`], so a crashed
+//! build never leaves a torn index.
 
 use std::fs::File;
 use std::io::{Read, Write};
@@ -53,11 +55,8 @@ use std::path::Path;
 use nucdb_obs::Counter;
 
 use crate::block::{skip_table_len, verify_block_list};
-use crate::compress::{CompressedIndex, ListCodec, VerifiedLists, VocabEntry};
-use crate::durable::{
-    crc32, first_damage, read_exact_chunked, read_image, walk, AtomicFile, CountingReader,
-    KeptFile, WalkStep,
-};
+use crate::compress::{CompressedIndex, ListCodec, VocabEntry};
+use crate::durable::{crc32, read_image, walk, AtomicFile, CountingReader, KeptFile, WalkStep};
 use crate::error::IndexError;
 use crate::fault::{FaultPlan, FaultyReader};
 use crate::interval::IndexParams;
@@ -208,7 +207,6 @@ impl CompressedIndex {
             params,
             codec,
             record_lens,
-            verified: VerifiedLists::new(vocab.len()),
             vocab,
             list_crcs,
             max_counts,
@@ -399,14 +397,13 @@ fn read_header_fields<R: Read>(
     Ok((index, blob_len))
 }
 
-/// Check the magic and the header CRC and parse the header: an index with
-/// no image yet, and the blob length.
-fn read_header<R: Read>(
-    input: &mut CountingReader<R>,
-) -> Result<(CompressedIndex, u64), IndexError> {
-    let mut magic = [0u8; 8];
-    input.read_exact(&mut magic)?;
-    let magic_codec = match &magic {
+/// Check the magic and the header CRC at the front of `bytes` (a file
+/// image, or its header region) and parse the header: an index with no
+/// image yet, and the blob length. `bytes` too short for the magic, the
+/// prefix or the header it frames is refused at its end.
+fn read_header(bytes: &[u8]) -> Result<(CompressedIndex, u64), IndexError> {
+    let cut = |section| IndexError::bad_at("index file truncated", section, bytes.len() as u64);
+    let magic_codec = match bytes.get(..8).ok_or_else(|| cut("magic"))? {
         m if m == MAGIC_V3 => ListCodec::Paper,
         m if m == MAGIC_V4 => ListCodec::Block,
         m if m == RETIRED_MAGIC_V2.as_bytes() => {
@@ -414,13 +411,13 @@ fn read_header<R: Read>(
         }
         _ => return Err(IndexError::bad_at("bad magic", "magic", 0)),
     };
-    let mut word = [0u8; 4];
-    input.read_exact(&mut word)?;
-    let header_len = u32::from_le_bytes(word) as usize;
-    input.read_exact(&mut word)?;
-    let expected = u32::from_le_bytes(word);
-    let header_bytes = read_exact_chunked(input, header_len)?;
-    let actual = crc32(&header_bytes);
+    let prefix = bytes
+        .get(..V3_PREFIX_LEN as usize)
+        .ok_or_else(|| cut("header"))?;
+    let word = |at: usize| u32::from_le_bytes(prefix[at..at + 4].try_into().expect("4 bytes"));
+    let header_len = word(8) as usize;
+    let header_bytes = (bytes[prefix.len()..].get(..header_len)).ok_or_else(|| cut("header"))?;
+    let (expected, actual) = (word(12), crc32(header_bytes));
     if actual != expected {
         return Err(IndexError::checksum(
             "header",
@@ -431,7 +428,7 @@ fn read_header<R: Read>(
     }
     // The bytes are authenticated; parse errors past this point
     // would indicate a writer bug, but report them properly anyway.
-    let mut fields = CountingReader::new(&header_bytes[..]);
+    let mut fields = CountingReader::new(header_bytes);
     let (mut index, blob_len) = read_header_fields(&mut fields, V3_PREFIX_LEN, magic_codec)?;
     if fields.pos() != header_len as u64 {
         return Err(IndexError::bad_at(
@@ -444,37 +441,13 @@ fn read_header<R: Read>(
     Ok((index, blob_len))
 }
 
-/// Check one fetched list against its vocabulary CRC. A paper list is
-/// covered whole; a block list only over its skip-table prefix — each
-/// block payload is verified against its own skip-entry CRC when it is
-/// decoded, so a corrupt block costs one block. `at` is the list's
-/// absolute file offset.
-pub(crate) fn check_list_crc(
-    codec: ListCodec,
-    list: &[u8],
-    df: u32,
-    expected: u32,
-    at: u64,
-) -> Result<(), IndexError> {
-    let covered = match codec {
-        ListCodec::Paper => list,
-        ListCodec::Block => list
-            .get(..skip_table_len(df))
-            .ok_or_else(|| IndexError::bad_at("list shorter than its skip table", "list", at))?,
-    };
-    let actual = crc32(covered);
-    if actual != expected {
-        return Err(IndexError::checksum("list", at, expected, actual));
-    }
-    Ok(())
-}
-
 impl CompressedIndex {
     /// Open an index file written by [`write_index`]: read its whole
-    /// image once and parse the header. A file too short for the blob
-    /// its header declares is refused here as corruption. The lists are
-    /// not verified at open: each list's CRCs are checked on its first
-    /// fetch (see [`CompressedIndex`]).
+    /// image once, parse the header, and check every list against every
+    /// CRC covering it. The first damage is the typed error: a file
+    /// truncated inside its blob or longer than its header declares, a
+    /// list failing its vocabulary CRC, or a block failing its own, each
+    /// at its absolute file offset.
     pub fn open(path: &Path) -> Result<CompressedIndex, IndexError> {
         CompressedIndex::open_with(path, None)
     }
@@ -488,60 +461,97 @@ impl CompressedIndex {
     }
 
     fn open_with(path: &Path, plan: Option<FaultPlan>) -> Result<CompressedIndex, IndexError> {
-        let file = File::open(path)?;
-        let image = read_image(&file, file.metadata()?.len() as usize)?;
-        let mut index = CompressedIndex::from_image(image, plan)?;
-        index.file = KeptFile::new(file);
+        let index = CompressedIndex::read(path, plan)?;
+        for (idx, entry) in index.vocab.iter().enumerate() {
+            index.check_list(idx, index.list_bytes(entry))?;
+        }
         Ok(index)
     }
 
-    fn from_image(
-        mut image: Vec<u8>,
-        plan: Option<FaultPlan>,
-    ) -> Result<CompressedIndex, IndexError> {
-        let (mut index, blob_len) = read_header(&mut CountingReader::new(&image[..]))?;
+    /// Read the file's image and parse its header, checking no list.
+    fn read(path: &Path, plan: Option<FaultPlan>) -> Result<CompressedIndex, IndexError> {
+        let file = File::open(path)?;
+        let mut image = read_image(&file, file.metadata()?.len() as usize)?;
+        let (mut index, blob_len) = read_header(&image)?;
         let blob_start = index.blob_start as usize;
         if let Some(plan) = plan {
             let faulty = read_image(FaultyReader::new(&image[..], plan), image.len())?;
             image.truncate(blob_start);
             image.extend_from_slice(faulty.get(blob_start..).unwrap_or_default());
         }
-        let end = index.blob_start + blob_len;
-        if (image.len() as u64) < end {
+        let (len, end) = (image.len() as u64, index.blob_start + blob_len);
+        if len < end {
             return Err(IndexError::bad_at(
                 "index file truncated inside its blob",
                 "blob",
-                image.len() as u64,
+                len,
             ));
         }
-        image.truncate(end as usize);
+        if len > end {
+            return Err(IndexError::bad_at(
+                "trailing bytes past the blob's declared end",
+                "blob",
+                end,
+            ));
+        }
         index.image = image;
+        index.file = KeptFile::new(file);
         Ok(index)
+    }
+
+    /// `fsck`'s door: read the file at `path` and hand `each` every step
+    /// of [`CompressedIndex::walk`] over it, damaged or not, instead of
+    /// stopping at the first damage as [`CompressedIndex::open`] does.
+    /// Returns the record count the header declares, or the error that
+    /// keeps the file from opening at all (its header, or a length that
+    /// disagrees with it), when no list is walked.
+    pub fn fsck(
+        path: &Path,
+        each: impl FnMut(WalkStep, Result<u64, IndexError>) -> ControlFlow<()>,
+    ) -> Result<u32, IndexError> {
+        let index = CompressedIndex::read(path, None)?;
+        index.walk(&index.image[..], each);
+        Ok(index.num_records())
+    }
+
+    /// Check list `idx` against every CRC covering it: the vocabulary CRC
+    /// (a paper list whole, a block list over its skip-table prefix), and
+    /// a block list's every block payload against its skip-entry CRC, at
+    /// their absolute file offsets.
+    fn check_list(&self, idx: usize, list: &[u8]) -> Result<(), IndexError> {
+        let entry = &self.vocab[idx];
+        let at = self.blob_start + entry.offset;
+        let covered = match self.codec {
+            ListCodec::Paper => list,
+            ListCodec::Block => list.get(..skip_table_len(entry.df)).ok_or_else(|| {
+                IndexError::bad_at("list shorter than its skip table", "list", at)
+            })?,
+        };
+        let (expected, actual) = (self.list_crcs[idx], crc32(covered));
+        if actual != expected {
+            return Err(IndexError::checksum("list", at, expected, actual));
+        }
+        match self.codec {
+            ListCodec::Paper => Ok(()),
+            ListCodec::Block => {
+                verify_block_list(list, entry.df).map_err(|e| e.with_base_offset(at))
+            }
+        }
     }
 
     /// The one verification walk over a copy of this index's file, read
     /// from `input` in file order: the header region (magic, stored
-    /// header CRC, full field structure), then every list against this
-    /// index's CRC for it, a block list's every block payload against
-    /// its skip-entry CRC too. Touches no query I/O counter.
+    /// header CRC, full field structure), then every list through the
+    /// check [`CompressedIndex::open`] runs. Touches no query I/O
+    /// counter.
     pub fn walk(
         &self,
         input: impl Read,
         each: impl FnMut(WalkStep, Result<u64, IndexError>) -> ControlFlow<()>,
     ) {
-        let header = |bytes: &[u8]| read_header(&mut CountingReader::new(bytes)).map(drop);
+        let header = |bytes: &[u8]| read_header(bytes).map(drop);
         let lens = self.vocab.iter().map(|e| e.len);
-        let list = |idx: usize, list: &[u8]| {
-            let entry = &self.vocab[idx];
-            let at = self.blob_start + entry.offset;
-            check_list_crc(self.codec, list, entry.df, self.list_crcs[idx], at)?;
-            match self.codec {
-                ListCodec::Paper => Ok(()),
-                ListCodec::Block => {
-                    verify_block_list(list, entry.df).map_err(|e| e.with_base_offset(at))
-                }
-            }
-        };
+        let list = |idx: usize, list: &[u8]| self.check_list(idx, list);
         walk(input, self.blob_start, header, lens, list, each)
     }
 
@@ -566,23 +576,6 @@ impl CompressedIndex {
     pub fn blob_start(&self) -> u64 {
         self.blob_start
     }
-}
-
-/// Load a whole index from any byte stream; every byte is
-/// checksum-verified before the index is returned.
-pub fn load_index_from(reader: impl Read) -> Result<CompressedIndex, IndexError> {
-    verified(CompressedIndex::from_image(read_image(reader, 0)?, None)?)
-}
-
-/// Open an index file and verify every byte of it before returning.
-pub fn load_index(path: &Path) -> Result<CompressedIndex, IndexError> {
-    verified(CompressedIndex::open(path)?)
-}
-
-/// `index`, once the walk over its image finds no damage.
-fn verified(index: CompressedIndex) -> Result<CompressedIndex, IndexError> {
-    first_damage(|each| index.walk(&index.image[..], each))?;
-    Ok(index)
 }
 
 #[cfg(test)]
@@ -612,7 +605,7 @@ mod tests {
         let index = build_sample(41, IndexParams::new(8));
         let path = temp_path("rt");
         write_index(&index, &path).unwrap();
-        let loaded = load_index(&path).unwrap();
+        let loaded = CompressedIndex::open(&path).unwrap();
         let _ = std::fs::remove_file(&path);
 
         assert_eq!(loaded.params(), index.params());
@@ -633,7 +626,7 @@ mod tests {
         let index = builder.finish();
         let path = temp_path("meta");
         write_index(&index, &path).unwrap();
-        let loaded = load_index(&path).unwrap();
+        let loaded = CompressedIndex::open(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(loaded.params().stopping, Some(StopPolicy::DfFraction(0.25)));
         assert_eq!(loaded.codec(), ListCodec::Block);
@@ -757,7 +750,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[..8], MAGIC_V4);
 
-        let loaded = load_index(&path).unwrap();
+        let loaded = CompressedIndex::open(&path).unwrap();
         assert_eq!(loaded.params(), index.params());
         assert_eq!(loaded.codec(), ListCodec::Block);
         assert_eq!(loaded.vocab(), index.vocab());
@@ -765,10 +758,9 @@ mod tests {
         assert_eq!(loaded.max_counts(), index.max_counts());
         assert!(loaded.max_counts().is_some());
 
-        let disk = CompressedIndex::open(&path).unwrap();
         for entry in index.vocab().iter().step_by(11) {
             assert_eq!(
-                disk.postings(entry.code).unwrap().unwrap(),
+                loaded.postings(entry.code).unwrap().unwrap(),
                 index.postings(entry.code).unwrap().unwrap()
             );
         }
@@ -804,33 +796,30 @@ mod tests {
         bytes[victim] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 
-        // Whole-file load: rejected, naming the block at its absolute
-        // file offset.
-        match load_index(&path) {
+        // Open refuses it, naming the block at its absolute file offset.
+        let at = (blob_start + entry.offset as usize + skip_len) as u64;
+        match CompressedIndex::open(&path) {
             Err(IndexError::Corruption {
                 section, offset, ..
             }) => {
                 assert_eq!(section, "block");
-                assert_eq!(
-                    offset,
-                    (blob_start + entry.offset as usize + skip_len) as u64
-                );
+                assert_eq!(offset, at);
             }
             other => panic!("expected block corruption, got {other:?}"),
         }
-
-        // Opened: the skip table verifies at fetch, the corrupt payload
-        // is caught at decode.
-        let disk = CompressedIndex::open(&path).unwrap();
-        match disk.postings(entry.code) {
-            Err(IndexError::Corruption { section, .. }) => assert_eq!(section, "block"),
-            other => panic!("expected fetch-time block corruption, got {other:?}"),
-        }
-        // Other lists are unaffected.
-        let other = index.vocab().iter().find(|e| e.code != entry.code).unwrap();
-        assert_eq!(
-            disk.postings(other.code).unwrap(),
-            index.postings(other.code).unwrap()
+        // The fsck walk names that block and verifies every other list.
+        let mut findings = Vec::new();
+        let records = CompressedIndex::fsck(&path, |step, outcome| {
+            findings.extend(outcome.err().map(|e| (step, e.to_string())));
+            ControlFlow::Continue(())
+        });
+        assert_eq!(records.unwrap(), index.num_records());
+        let list = index.vocab().iter().position(|e| e.code == entry.code);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].0, WalkStep::Item(list.unwrap()));
+        assert!(
+            findings[0].1.contains(&format!("byte {at}")),
+            "{findings:?}"
         );
         let _ = std::fs::remove_file(&path);
     }
@@ -846,14 +835,14 @@ mod tests {
         // First byte of the first skip entry.
         bytes[blob_start + entry.offset as usize] ^= 0x02;
         std::fs::write(&path, &bytes).unwrap();
-        match load_index(&path) {
-            Err(IndexError::Corruption { section, .. }) => assert_eq!(section, "list"),
+        match CompressedIndex::open(&path) {
+            Err(IndexError::Corruption {
+                section, offset, ..
+            }) => {
+                assert_eq!(section, "list");
+                assert_eq!(offset, (blob_start + entry.offset as usize) as u64);
+            }
             other => panic!("expected list corruption, got {other:?}"),
-        }
-        let disk = CompressedIndex::open(&path).unwrap();
-        match disk.postings(entry.code) {
-            Err(IndexError::Corruption { section, .. }) => assert_eq!(section, "list"),
-            other => panic!("expected fetch-time list corruption, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -904,7 +893,10 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[0] = b'X';
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(load_index(&path), Err(IndexError::BadFormat(_))));
+        assert!(matches!(
+            CompressedIndex::open(&path),
+            Err(IndexError::BadFormat(_))
+        ));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -917,7 +909,7 @@ mod tests {
         // First header byte (after the 16-byte prefix) is `k`.
         bytes[16] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        match load_index(&path) {
+        match CompressedIndex::open(&path) {
             Err(IndexError::Corruption { section, .. }) => assert_eq!(section, "header"),
             other => panic!("expected header corruption, got {other:?}"),
         }
@@ -934,7 +926,7 @@ mod tests {
         bytes[last] ^= 0x80;
         std::fs::write(&path, &bytes).unwrap();
 
-        match load_index(&path) {
+        match CompressedIndex::open(&path) {
             Err(IndexError::Corruption {
                 section, offset, ..
             }) => {
@@ -944,20 +936,20 @@ mod tests {
             other => panic!("expected list corruption, got {other:?}"),
         }
 
-        // Open succeeds (header intact) but must refuse the corrupt list
-        // the moment it is fetched.
+        // A list whose bytes break the codec under intact CRCs opens,
+        // and its fetch fails the decode instead of answering: here the
+        // header says a record the list holds past offset 0 is one base
+        // long.
+        let longest = index.vocab().iter().max_by_key(|e| e.df).unwrap();
+        let list = index.postings(longest.code).unwrap().unwrap();
+        let held = list.entries.iter().find(|p| p.offsets.last() > Some(&0));
+        write_index(&index, &path).unwrap();
+        crate::fault::forge_short_record(&path, held.unwrap().record).unwrap();
         let disk = CompressedIndex::open(&path).unwrap();
-        let last_entry = index.vocab().last().unwrap();
-        match disk.counts(last_entry.code) {
-            Err(IndexError::Corruption { section, .. }) => assert_eq!(section, "list"),
-            other => panic!("expected fetch-time corruption, got {other:?}"),
+        match disk.postings(longest.code) {
+            Err(IndexError::BadFormat(v)) => assert_eq!(v.section, "postings"),
+            other => panic!("expected a fetch-time decode error, got {other:?}"),
         }
-        // Untouched lists still fetch and decode.
-        let first_entry = index.vocab().first().unwrap();
-        assert_eq!(
-            disk.counts(first_entry.code).unwrap(),
-            index.counts(first_entry.code).unwrap()
-        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -968,7 +960,7 @@ mod tests {
         write_index(&index, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(load_index(&path).is_err());
+        assert!(CompressedIndex::open(&path).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -977,7 +969,7 @@ mod tests {
         let index = IndexBuilder::new(IndexParams::new(8)).finish();
         let path = temp_path("empty");
         write_index(&index, &path).unwrap();
-        let loaded = load_index(&path).unwrap();
+        let loaded = CompressedIndex::open(&path).unwrap();
         assert_eq!(loaded.num_records(), 0);
         assert_eq!(loaded.distinct_intervals(), 0);
         let disk = CompressedIndex::open(&path).unwrap();

@@ -15,8 +15,8 @@
 //!   multi-gigabyte `Vec` from a corrupt 8-byte varint.
 //! - [`read_image`]: the one read of a whole file at open, with bounded
 //!   retry of transient errors; [`walk`], the verification walk that
-//!   loads, `fsck` and the scrubber share; and [`KeptFile`], the handle
-//!   the scrubber re-reads the disk through.
+//!   `fsck` and the scrubber share; and [`KeptFile`], the handle the
+//!   scrubber re-reads the disk through.
 //! - [`AtomicFile`]: write-to-temp + `fsync` + atomic-rename
 //!   persistence, so an interrupted build or append can never leave a
 //!   torn file at the destination path — readers see either the old
@@ -272,22 +272,6 @@ pub fn walk<E: From<io::Error>>(
             return;
         }
     }
-}
-
-/// Run `walk` to its first damage: that error, or `Ok` when every step
-/// verified.
-pub fn first_damage<E>(
-    walk: impl FnOnce(&mut dyn FnMut(WalkStep, Result<u64, E>) -> ControlFlow<()>),
-) -> Result<(), E> {
-    let mut verdict = Ok(());
-    walk(&mut |_, outcome| match outcome {
-        Ok(_) => ControlFlow::Continue(()),
-        Err(e) => {
-            verdict = Err(e);
-            ControlFlow::Break(())
-        }
-    });
-    verdict
 }
 
 /// The file an index or store image was read from, kept so the scrub

@@ -13,8 +13,19 @@
 //! The probabilistic decisions are derived from `(seed, call counter)`,
 //! so the same plan against the same read sequence injects the same
 //! faults.
+//!
+//! A flipped bit or a cut fails a checksum or the length check, and so
+//! fails at open. [`forge_short_record`] makes damage that passes them
+//! all — a header whose CRC is valid but whose record lengths contradict
+//! the lists — so tests can reach the decode-time error paths a query
+//! still has.
 
 use std::io::{self, Read};
+use std::path::Path;
+
+use crate::compress::CompressedIndex;
+use crate::disk::write_index;
+use crate::error::IndexError;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -95,6 +106,25 @@ impl FaultPlan {
             buf[(offset - base) as usize] ^= mask;
         }
     }
+}
+
+/// Rewrite the index file at `path` so that its header says record
+/// `record` is one base long, restamping every checksum: the file still
+/// opens, and a list holding the record at an offset past 0 fails its
+/// decode with a typed error when fetched.
+pub fn forge_short_record(path: &Path, record: u32) -> Result<(), IndexError> {
+    let index = CompressedIndex::open(path)?;
+    let mut record_lens = index.record_lens().to_vec();
+    record_lens[record as usize] = 1;
+    let forged = CompressedIndex::from_parts(
+        index.params().clone(),
+        index.codec(),
+        record_lens,
+        index.vocab().to_vec(),
+        index.max_counts().map(<[u32]>::to_vec),
+        index.blob().to_vec(),
+    );
+    write_index(&forged, path)
 }
 
 /// A streaming [`Read`] wrapper that injects a [`FaultPlan`]'s faults

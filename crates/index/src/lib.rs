@@ -30,15 +30,16 @@
 //!   root: per-shard record counts fix the record-id bases that make
 //!   scatter-gather answers bit-identical to a joint build.
 //! * [`disk`] — the index file format: [`write_index`] writes an index's
-//!   byte image, [`CompressedIndex::open`] reads it back once, and the
-//!   verification walk that loads, `fsck` and the scrubber share. Every
-//!   fetch counts the bytes it read (the paper's disk-cost story); a
-//!   list's CRCs are checked on its first fetch.
+//!   byte image, [`CompressedIndex::open`] reads it back once and checks
+//!   every list's CRCs, and the verification walk that `fsck` and the
+//!   scrubber run over the file on disk. Every fetch counts the bytes it
+//!   read (the paper's disk-cost story) and computes no checksum.
 //! * [`durable`] — durability primitives: CRC-32, bounded streaming
 //!   reads, the open-time image read with bounded retry of transient
 //!   errors, and write-to-temp + fsync + atomic-rename persistence.
 //! * [`fault`] — deterministic I/O fault injection (short reads,
-//!   transient errors, bit flips, truncation) for durability tests.
+//!   transient errors, bit flips, truncation) and a forged header that
+//!   every checksum passes, for durability tests.
 //! * [`stats`] — size accounting used by experiments E1/E4/E5.
 //!
 //! Decoding comes in two shapes: materialising (`decode_postings`,
@@ -71,12 +72,12 @@ pub use compress::{
     decode_counts, decode_counts_with, decode_postings, decode_postings_with, encode_postings,
     CompressedIndex, FetchStats, ListCodec, PostingsVisitor, VocabCursor, VocabEntry,
 };
-pub use disk::{load_index, load_index_from, write_index, OnDiskIndex};
+pub use disk::{write_index, OnDiskIndex};
 pub use durable::{
     crc32, read_image, AtomicFile, CountingReader, Crc32, WalkStep, TRANSIENT_RETRY_LIMIT,
 };
 pub use error::{FormatViolation, IndexError};
-pub use fault::{FaultPlan, FaultyReader};
+pub use fault::{forge_short_record, FaultPlan, FaultyReader};
 pub use interval::{check_storage, IndexParams, DIRECT_CODING_STORAGE};
 pub use manifest::{Manifest, SegmentMeta, MANIFEST_FILE};
 pub use merge::{apply_stopping, merge_indexes};

@@ -53,8 +53,8 @@ pub fn merge_indexes(
         let cb = vb.get(ib).map(|e| e.code);
         match (ca, cb) {
             (Some(code_a), Some(code_b)) if code_a == code_b => {
-                let mut list = a.postings(code_a)?.expect("vocab entry decodes");
-                let tail = b.postings(code_b)?.expect("vocab entry decodes");
+                let mut list = a.list(ia)?;
+                let tail = b.list(ib)?;
                 list.entries
                     .extend(tail.entries.into_iter().map(|p| Posting {
                         record: p.record + shift,
@@ -65,11 +65,11 @@ pub fn merge_indexes(
                 ib += 1;
             }
             (Some(code_a), cb) if cb.is_none() || code_a < cb.unwrap() => {
-                lists.push((code_a, a.postings(code_a)?.expect("vocab entry decodes")));
+                lists.push((code_a, a.list(ia)?));
                 ia += 1;
             }
             (_, Some(code_b)) => {
-                let tail = b.postings(code_b)?.expect("vocab entry decodes");
+                let tail = b.list(ib)?;
                 let shifted = PostingsList {
                     entries: tail
                         .entries
@@ -106,16 +106,9 @@ pub fn apply_stopping(
         return Err(IndexError::Unsupported("index is already stopped"));
     }
     let limit = policy.df_limit(index.num_records(), index.vocab().iter().map(|e| e.df));
-    let lists: Vec<(u64, PostingsList)> = index
-        .vocab()
-        .iter()
-        .filter(|e| e.df <= limit)
-        .map(|e| {
-            Ok((
-                e.code,
-                index.postings(e.code)?.expect("vocab entry decodes"),
-            ))
-        })
+    let lists: Vec<(u64, PostingsList)> = (index.vocab().iter().enumerate())
+        .filter(|(_, e)| e.df <= limit)
+        .map(|(idx, e)| Ok((e.code, index.list(idx)?)))
         .collect::<Result<_, IndexError>>()?;
     let params = index.params().clone().with_stopping(policy);
     Ok(CompressedIndex::from_sorted_lists(

@@ -4,7 +4,7 @@
 
 use nucdb_index::{
     decode_counts, decode_counts_with, decode_postings, decode_postings_with, encode_postings,
-    load_index, write_index, IndexBuilder, IndexParams, ListCodec, Posting, PostingsList,
+    write_index, CompressedIndex, IndexBuilder, IndexParams, ListCodec, Posting, PostingsList,
 };
 use nucdb_seq::{Base, DnaSeq};
 use proptest::prelude::*;
@@ -178,7 +178,7 @@ proptest! {
             k
         ));
         write_index(&index, &path).unwrap();
-        let loaded = load_index(&path).unwrap();
+        let loaded = CompressedIndex::open(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         prop_assert_eq!(loaded.num_records(), index.num_records());
         prop_assert_eq!(loaded.decode_all().unwrap(), index.decode_all().unwrap());

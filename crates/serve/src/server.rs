@@ -304,7 +304,7 @@ pub fn start_collection(
     build_info::register(&registry);
     // The scrubber walks one fixed pair of on-disk files; a live
     // database's segment set changes underneath it, so live mode skips
-    // it (per-segment checksums still verify on every query read).
+    // it (each segment's files were verified when they were opened).
     let scrub_target = collection
         .as_static()
         .filter(|_| config.scrub_bytes_per_sec > 0)

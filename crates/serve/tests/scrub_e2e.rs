@@ -159,16 +159,17 @@ fn scrub_finds_corruption_the_query_path_has_not_touched() {
     let dir = temp_dir("corrupt");
     let (idx, sto) = persist(&coll, &dir);
 
-    // Damage one payload byte on disk, far from the header so open()
-    // still succeeds — exactly the cold-region rot the scrubber exists
-    // to find.
+    // Open the database, then damage one payload byte on disk: open
+    // verified the file, so this is rot after open — exactly what the
+    // scrubber exists to find.
+    let db = open_disk_db(&idx, &sto);
     let blob_start = CompressedIndex::open(&idx).unwrap().blob_start();
     let mut bytes = std::fs::read(&idx).unwrap();
     let victim = blob_start as usize + (bytes.len() - blob_start as usize) / 2;
     bytes[victim] ^= 0x40;
     std::fs::write(&idx, &bytes).unwrap();
 
-    let handle = start_server(open_disk_db(&idx, &sto), 256 << 20);
+    let handle = start_server(db, 256 << 20);
     wait_until(
         "scrubber to find the flipped byte",
         Duration::from_secs(30),

@@ -10,7 +10,7 @@ use nucdb::{
     CoarseScratch, Database, DbConfig, IndexVariant, SearchOutcome, SearchParams, SequenceStore,
     StoreVariant,
 };
-use nucdb_index::CompressedIndex;
+use nucdb_index::{forge_short_record, CompressedIndex};
 use nucdb_obs::json::{self, Value};
 use nucdb_obs::MetricsRegistry;
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
@@ -381,13 +381,15 @@ fn overload_sheds_with_503_and_retry_after() {
 }
 
 #[test]
-fn corrupt_store_degrades_to_500_and_server_stays_up() {
-    // The durability contract at the service boundary: when the store a
-    // server opens holds a corrupt record, queries that touch it get a
-    // 500 (typed corruption error, counted in nucdb_io_corruption_total),
-    // the server itself never goes down, and once the file is repaired a
-    // restarted server answers the same queries 200 with exactly the
-    // pre-corruption results.
+fn corrupt_postings_degrade_to_500_and_server_stays_up() {
+    // The durability contract at the service boundary: every file a
+    // server opens was verified then, so what a query can still trip
+    // over is damage under intact checksums. When the index a server
+    // opens holds postings that fail their decode, queries that touch
+    // them get a 500 (typed corruption error, counted in
+    // nucdb_io_corruption_total), the server itself never goes down, and
+    // once the file is repaired a restarted server answers the same
+    // queries 200 with exactly the pre-corruption results.
     let coll = collection();
     let dir = std::env::temp_dir().join(format!("nucdb_serve_corrupt_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -439,29 +441,22 @@ fn corrupt_store_degrades_to_500_and_server_stays_up() {
     assert!(!baseline_answers.is_empty());
     assert!(handle.shutdown().is_some());
 
-    // Corrupt record 0's payload in place, then start a server on it.
-    // The v2 store layout is magic(8) | toc_len:u32le | toc_crc:u32le |
-    // toc | payload, and record 0's blob opens the payload; flipping its
-    // first bytes breaks its checksum without touching the TOC.
-    let pristine = std::fs::read(&store_path).unwrap();
-    let toc_len = u32::from_le_bytes(pristine[8..12].try_into().unwrap()) as usize;
-    let payload_start = 16 + toc_len;
-    let mut corrupt = pristine.clone();
-    for byte in &mut corrupt[payload_start..payload_start + 8] {
-        *byte ^= 0xFF;
-    }
-    std::fs::write(&store_path, &corrupt).unwrap();
+    // Forge the index header to say record 0 is one base long, with
+    // every checksum restamped: the server opens it, and any list holding
+    // record 0 past its first base fails its decode.
+    let pristine = std::fs::read(&index_path).unwrap();
+    forge_short_record(&index_path, 0).unwrap();
     let handle = serve();
     let addr = handle.addr();
 
-    // The query touching the corrupt record: 500, not a crash, not
-    // silently wrong ranks.
+    // The query touching the damaged postings: 500, not a crash, not
+    // silently wrong ranks, and the body names the format violation.
     let (status, _, body) = post_search(addr, &record0_fasta).unwrap();
     assert_eq!(status, 500, "{}", String::from_utf8_lossy(&body));
     let message = String::from_utf8_lossy(&body).to_lowercase();
     assert!(
-        message.contains("corrupt"),
-        "500 body does not name corruption: {message}"
+        message.contains("bad index format"),
+        "500 body does not name the damage: {message}"
     );
 
     // The server is still healthy and the corruption counter is visible
@@ -483,7 +478,7 @@ fn corrupt_store_degrades_to_500_and_server_stays_up() {
 
     // Repair the file and restart: the same query must answer 200 again
     // with the exact pre-corruption results.
-    std::fs::write(&store_path, &pristine).unwrap();
+    std::fs::write(&index_path, &pristine).unwrap();
     let handle = serve();
     let (status, _, body) = post_search(handle.addr(), &record0_fasta).unwrap();
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));

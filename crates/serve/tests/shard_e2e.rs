@@ -314,11 +314,13 @@ fn corrupt_shard_degrades_to_partial_coverage_not_500() {
 
     let root = temp_dir("degraded");
     nucdb::build_sharded_root(&root, records(&coll), 3, &DbConfig::default()).unwrap();
-    // Truncate shard 1's index below its header: the shard is dead at
-    // open, but the SHARDS manifest keeps every other shard's id base.
+    // Flip the last byte of shard 1's index, inside its last list: open
+    // checks every list, so the shard is dead at open, but the SHARDS
+    // manifest keeps every other shard's id base.
     let victim = root.join("shard-001").join("index.nucidx");
-    let full = std::fs::read(&victim).unwrap();
-    std::fs::write(&victim, &full[..8]).unwrap();
+    let mut bytes = std::fs::read(&victim).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x5A;
+    std::fs::write(&victim, &bytes).unwrap();
 
     let registry = Arc::new(MetricsRegistry::new());
     let mut set = ShardSet::open_root(&root, ShardSetConfig, &registry).unwrap();

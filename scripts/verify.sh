@@ -37,10 +37,11 @@ e2e/run.sh --smoke --seconds 4
 # results/STAT.json as an artifact so index-shape drift is reviewable.
 # Then the capture pipeline through the same binary: bench with the
 # log, its stride, tail sampling and the ring on, and profile the log,
-# all inside the temporary directory. Last, `serve` through the release
+# all inside the temporary directory. Then `serve` through the release
 # binary, over the plain database and over a 2-shard root of the same
 # collection: one search over HTTP each, then SIGTERM must drain and
-# exit 0.
+# exit 0. Last, one flipped blob byte: fsck must exit 1, and search
+# must refuse the database at open with an error naming the corruption.
 health_dir=$(mktemp -d)
 serve_pid=""
 trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; rm -rf "$health_dir"' EXIT
@@ -95,6 +96,29 @@ serve_round_trip() {
 }
 serve_round_trip "$health_dir/db" plain
 serve_round_trip "$health_dir/shards" sharded '"shards_ok":2'
+# The index's last byte lies in its last list's last block payload.
+index="$health_dir/db/index.nucidx"
+last=$(($(stat -c %s "$index") - 1))
+byte=$(od -An -tu1 -j "$last" -N1 "$index" | tr -d ' ')
+printf "\\x$(printf %02x $((byte ^ 0xFF)))" |
+  dd of="$index" bs=1 seek="$last" conv=notrunc status=none
+fsck_status=0
+target/release/nucdb fsck --db "$health_dir/db" >"$health_dir/fsck-rot.txt" || fsck_status=$?
+if [ "$fsck_status" != 1 ]; then
+  echo "fsck of a flipped blob byte exited $fsck_status, not 1:" >&2
+  cat "$health_dir/fsck-rot.txt" >&2
+  exit 1
+fi
+if target/release/nucdb search --db "$health_dir/db" --query "$health_dir/q.fasta" \
+  >"$health_dir/search-rot.txt" 2>&1; then
+  echo "search opened a database with a flipped blob byte" >&2
+  exit 1
+fi
+if ! grep -qi corruption "$health_dir/search-rot.txt"; then
+  echo "search refused the damaged database without naming the corruption:" >&2
+  cat "$health_dir/search-rot.txt" >&2
+  exit 1
+fi
 # The benchmark gate: the traced run's work counts must equal the
 # committed reference exactly; timings are report-only (see the
 # script's header).

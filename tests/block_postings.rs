@@ -11,7 +11,7 @@ use nucdb::{
     coarse_rank, CoarseOutcome, Database, DbConfig, IndexVariant, SearchParams, SequenceStore,
     StorageMode, StoreVariant,
 };
-use nucdb_index::{load_index, write_index, CompressedIndex, IndexBuilder, IndexParams, ListCodec};
+use nucdb_index::{write_index, CompressedIndex, IndexBuilder, IndexParams, ListCodec};
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
 use nucdb_seq::Base;
 
@@ -215,13 +215,10 @@ fn engine_runs_on_a_v4_disk_index() {
     let path = dir.join("idx.nucidx");
     let index = builder.finish();
     write_index(&index, &path).unwrap();
-    let loaded = load_index(&path).unwrap();
+    let loaded = CompressedIndex::open(&path).unwrap();
     assert_eq!(loaded.codec(), ListCodec::Block);
 
-    let db = Database::from_variants(
-        StoreVariant::Disk(store),
-        IndexVariant::Disk(CompressedIndex::open(&path).unwrap()),
-    );
+    let db = Database::from_variants(StoreVariant::Disk(store), IndexVariant::Disk(loaded));
     let query = nucdb_seq::DnaSeq::from_ascii(
         b"ACGTAGCTAGCTGGATCCAATTGGCCAACCTGCATGCATTGCAACGGTACCTTAGGCATC",
     )

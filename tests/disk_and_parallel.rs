@@ -321,7 +321,7 @@ fn loaded_index_equals_original() {
     let dir = temp_dir("load");
     let path = dir.join("idx.nucidx");
     nucdb_index::write_index(index, &path).unwrap();
-    let loaded = nucdb_index::load_index(&path).unwrap();
+    let loaded = nucdb_index::CompressedIndex::open(&path).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(loaded.num_records(), index.num_records());

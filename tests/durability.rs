@@ -1,10 +1,12 @@
 //! Durability suite: the on-disk formats under byte-level corruption,
 //! truncation, and injected I/O faults.
 //!
-//! The contract under test, from the durability layer's design: any read
-//! of a corrupted or truncated index / store file must either fail with a
-//! clean typed error or produce bit-identical results to the pristine
-//! file — it must **never** panic and never silently return wrong data.
+//! The contract under test, from the durability layer's design: every
+//! byte a query can read was checked when its file was opened, so opening
+//! a corrupted, truncated or overlong index / store file fails with a
+//! typed error locating the damage — it must **never** panic and never
+//! open. Damage no checksum can see (a forged header) fails the query
+//! that decodes it, with a typed error, and leaves the database serving.
 //! Transient I/O errors within the open-time retry budget must be
 //! invisible.
 
@@ -12,12 +14,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nucdb::{
-    Database, IndexVariant, RecordSource, SearchParams, SequenceStore, StorageMode, StoreVariant,
-};
+use nucdb::{Database, IndexVariant, SearchParams, SequenceStore, StorageMode, StoreVariant};
 use nucdb_index::{
-    load_index, write_index, CompressedIndex, FaultPlan, IndexBuilder, IndexParams, ListCodec,
-    StopPolicy, TRANSIENT_RETRY_LIMIT,
+    forge_short_record, write_index, CompressedIndex, FaultPlan, IndexBuilder, IndexError,
+    IndexParams, ListCodec, StopPolicy, TRANSIENT_RETRY_LIMIT,
 };
 use nucdb_seq::random::{CollectionSpec, SyntheticCollection};
 use nucdb_seq::{DnaSeq, SeqError};
@@ -113,118 +113,160 @@ fn stores_equal(a: &SequenceStore, b: &SequenceStore) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Tentpole satellite 1: exhaustive byte fuzz. Every single-byte flip and
-// every truncation prefix of a v3 index and a v2 store must produce a
-// clean typed error or bit-identical results — and must never panic.
+// Exhaustive byte fuzz. Every single-byte flip and every truncation
+// prefix of a NUCIDX03 index, a NUCIDX04 index and a NUCSTO02 store makes
+// `open` refuse the file with a typed error naming a section and a file
+// offset — and never panic.
 // ---------------------------------------------------------------------
+
+/// The section and file offset an index error locates its damage at.
+fn index_locus(e: &IndexError) -> Option<(&'static str, u64)> {
+    match e {
+        IndexError::Corruption {
+            section, offset, ..
+        } => Some((section, *offset)),
+        IndexError::BadFormat(v) => v.offset.map(|offset| (v.section, offset)),
+        _ => None,
+    }
+}
+
+/// The store twin of [`index_locus`].
+fn store_locus(e: &SeqError) -> Option<(&'static str, u64)> {
+    match e {
+        SeqError::Corruption {
+            section, offset, ..
+        } => Some((section, *offset)),
+        SeqError::CorruptPackedData {
+            section, offset, ..
+        } => offset.map(|offset| (*section, offset)),
+        _ => None,
+    }
+}
+
+fn flipped(bytes: &[u8], at: usize) -> Vec<u8> {
+    let mut bytes = bytes.to_vec();
+    bytes[at] ^= 0xFF;
+    bytes
+}
+
+fn cut(bytes: &[u8], at: usize) -> Vec<u8> {
+    bytes[..at].to_vec()
+}
+
+/// Write `damage` of the pristine file at `path` once per byte offset
+/// and open it: every open must fail, without panicking, with an error
+/// `locus` locates; `located` hears each offset with the section and
+/// file offset the error names. The pristine file is restored after.
+fn every_damage_is_located<E: std::fmt::Debug>(
+    path: &Path,
+    damage: fn(&[u8], usize) -> Vec<u8>,
+    open: impl Fn(&Path) -> Result<(), E>,
+    locus: fn(&E) -> Option<(&'static str, u64)>,
+    mut located: impl FnMut(usize, &'static str, u64),
+) {
+    let pristine = std::fs::read(path).unwrap();
+    for at in 0..pristine.len() {
+        std::fs::write(path, damage(&pristine, at)).unwrap();
+        let err = match catch_unwind(AssertUnwindSafe(|| open(path))) {
+            Err(_) => panic!("open panicked with damage at byte {at}"),
+            Ok(Ok(())) => panic!("damage at byte {at} opened"),
+            Ok(Err(e)) => e,
+        };
+        let Some((section, offset)) = locus(&err) else {
+            panic!("damage at byte {at}: the error locates nothing: {err:?}")
+        };
+        located(at, section, offset);
+    }
+    std::fs::write(path, pristine).unwrap();
+}
+
+fn open_index(path: &Path) -> Result<(), IndexError> {
+    CompressedIndex::open(path).map(drop)
+}
+
+fn open_store(path: &Path) -> Result<(), SeqError> {
+    SequenceStore::open(path).map(drop)
+}
+
+/// Every flip of an index file: a flip before the blob names the magic
+/// or the header, a flip in the blob names the list or block holding
+/// it, at or before the flipped byte. Returns the flips named as blocks.
+fn index_flips_are_located(path: &Path) -> usize {
+    let blob_start = CompressedIndex::open(path).unwrap().blob_start();
+    let mut blocks = 0;
+    every_damage_is_located(
+        path,
+        flipped,
+        open_index,
+        index_locus,
+        |at, section, offset| {
+            let at = at as u64;
+            if at < blob_start {
+                assert!(
+                    ["magic", "header"].contains(&section),
+                    "byte {at}: {section}"
+                );
+            } else {
+                assert!(["list", "block"].contains(&section), "byte {at}: {section}");
+                assert!(
+                    (blob_start..=at).contains(&offset),
+                    "byte {at}: offset {offset}"
+                );
+                blocks += usize::from(section == "block");
+            }
+        },
+    );
+    blocks
+}
+
+/// Every cut of a file is refused at the cut.
+fn cuts_are_located_at_the_cut<E: std::fmt::Debug>(
+    path: &Path,
+    open: impl Fn(&Path) -> Result<(), E>,
+    locus: fn(&E) -> Option<(&'static str, u64)>,
+) {
+    every_damage_is_located(path, cut, open, locus, |at, section, offset| {
+        assert_eq!(offset, at as u64, "cut at {at} located in {section}");
+    });
+}
 
 #[test]
 fn index_survives_every_single_byte_flip() {
-    let index = micro_index();
     let dir = temp_dir("idxflip");
     let path = dir.join("idx.nucidx");
-    write_index(&index, &path).unwrap();
-    let pristine = std::fs::read(&path).unwrap();
-
-    for offset in 0..pristine.len() {
-        let mut mutated = pristine.clone();
-        mutated[offset] ^= 0xFF;
-        std::fs::write(&path, &mutated).unwrap();
-        let outcome = catch_unwind(AssertUnwindSafe(|| load_index(&path)));
-        match outcome {
-            Err(_) => panic!("load_index panicked with byte {offset} flipped"),
-            Ok(Err(_)) => {} // clean typed error: acceptable
-            Ok(Ok(loaded)) => {
-                // A load that still succeeds must be bit-identical in
-                // effect (possible only if the flip misses all covered
-                // content, which checksummed v3 rules out).
-                assert!(
-                    indexes_equal(&loaded, &index),
-                    "byte {offset} flip loaded successfully but changed the index"
-                );
-            }
-        }
-    }
+    write_index(&micro_index(), &path).unwrap();
+    assert_eq!(
+        index_flips_are_located(&path),
+        0,
+        "a paper list has no blocks"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn index_survives_every_truncation() {
-    let index = micro_index();
     let dir = temp_dir("idxtrunc");
     let path = dir.join("idx.nucidx");
-    write_index(&index, &path).unwrap();
-    let pristine = std::fs::read(&path).unwrap();
-
-    for cut in 0..pristine.len() {
-        std::fs::write(&path, &pristine[..cut]).unwrap();
-        let outcome = catch_unwind(AssertUnwindSafe(|| load_index(&path)));
-        match outcome {
-            Err(_) => panic!("load_index panicked on truncation at {cut}"),
-            Ok(result) => assert!(
-                result.is_err(),
-                "truncation at {cut} of {} loaded successfully",
-                pristine.len()
-            ),
-        }
-    }
+    write_index(&micro_index(), &path).unwrap();
+    cuts_are_located_at_the_cut(&path, open_index, index_locus);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
 // NUCIDX04 (block codec): the same exhaustive sweeps, plus the format's
 // sharper promise — a point corruption in a list payload is pinned to
-// one block (section "block"), and only that list becomes unreadable.
+// one block (section "block").
 // ---------------------------------------------------------------------
 
 #[test]
 fn block_index_survives_every_single_byte_flip() {
-    let index = micro_index_with(ListCodec::Block);
     let dir = temp_dir("v4flip");
     let path = dir.join("idx.nucidx");
-    write_index(&index, &path).unwrap();
-    let pristine = std::fs::read(&path).unwrap();
-    assert_eq!(&pristine[..8], b"NUCIDX04");
-
-    let mut block_sections = 0usize;
-    for offset in 0..pristine.len() {
-        let mut mutated = pristine.clone();
-        mutated[offset] ^= 0xFF;
-        std::fs::write(&path, &mutated).unwrap();
-        let outcome = catch_unwind(AssertUnwindSafe(|| load_index(&path)));
-        match outcome {
-            Err(_) => panic!("load_index panicked with byte {offset} flipped"),
-            Ok(Err(e)) => {
-                if let nucdb_index::IndexError::Corruption {
-                    section,
-                    offset: reported,
-                    ..
-                } = &e
-                {
-                    if *section == "block" {
-                        block_sections += 1;
-                        // A block corruption names the byte range of the
-                        // flipped payload: the reported offset is the
-                        // block's start, at or before the flipped byte.
-                        assert!(
-                            *reported <= offset as u64,
-                            "block corruption at byte {offset} reported downstream \
-                             offset {reported}"
-                        );
-                    }
-                }
-            }
-            Ok(Ok(loaded)) => {
-                assert!(
-                    indexes_equal(&loaded, &index),
-                    "byte {offset} flip loaded successfully but changed the index"
-                );
-            }
-        }
-    }
+    write_index(&micro_index_with(ListCodec::Block), &path).unwrap();
+    assert_eq!(&std::fs::read(&path).unwrap()[..8], b"NUCIDX04");
     // Payload flips must have been attributed to blocks, not whole lists.
     assert!(
-        block_sections > 0,
+        index_flips_are_located(&path) > 0,
         "no flip surfaced a block-level corruption error"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -232,24 +274,10 @@ fn block_index_survives_every_single_byte_flip() {
 
 #[test]
 fn block_index_survives_every_truncation() {
-    let index = micro_index_with(ListCodec::Block);
     let dir = temp_dir("v4trunc");
     let path = dir.join("idx.nucidx");
-    write_index(&index, &path).unwrap();
-    let pristine = std::fs::read(&path).unwrap();
-
-    for cut in 0..pristine.len() {
-        std::fs::write(&path, &pristine[..cut]).unwrap();
-        let outcome = catch_unwind(AssertUnwindSafe(|| load_index(&path)));
-        match outcome {
-            Err(_) => panic!("load_index panicked on truncation at {cut}"),
-            Ok(result) => assert!(
-                result.is_err(),
-                "truncation at {cut} of {} loaded successfully",
-                pristine.len()
-            ),
-        }
-    }
+    write_index(&micro_index_with(ListCodec::Block), &path).unwrap();
+    cuts_are_located_at_the_cut(&path, open_index, index_locus);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -267,114 +295,113 @@ fn block_point_corruption_costs_one_block_not_the_file() {
     bytes[last] ^= 0xFF;
     std::fs::write(&path, &bytes).unwrap();
 
-    // The index opens fine (header and vocabulary are intact)…
-    let disk = CompressedIndex::open(&path).unwrap();
-    let mut failures = 0usize;
-    let mut successes = 0usize;
-    for entry in index.vocab() {
-        match disk.postings(entry.code) {
-            Ok(Some(list)) => {
-                successes += 1;
-                assert_eq!(Some(list), index.postings(entry.code).unwrap());
-            }
-            Ok(None) => panic!("vocab entry {} vanished", entry.code),
-            Err(e) => {
-                failures += 1;
-                assert!(
-                    matches!(
-                        &e,
-                        nucdb_index::IndexError::Corruption { section, .. }
-                        if *section == "block"
-                    ),
-                    "expected a block-level corruption, got {e}"
-                );
-            }
-        }
+    // Open refuses the file, naming the block…
+    match CompressedIndex::open(&path) {
+        Err(IndexError::Corruption { section, .. }) => assert_eq!(section, "block"),
+        other => panic!("expected a block-level corruption, got {other:?}"),
     }
-    // Exactly one list is damaged; every other list still answers.
-    assert_eq!(failures, 1, "one corrupt byte must cost exactly one list");
-    assert!(successes > 0);
+    // …and fsck's walk pins the byte to that one block: every other list
+    // verifies.
+    let mut findings = Vec::new();
+    let mut verified = 0usize;
+    let records = CompressedIndex::fsck(&path, |step, outcome| {
+        match (step, outcome) {
+            (nucdb_index::WalkStep::Item(_), Ok(_)) => verified += 1,
+            (_, Ok(_)) => {}
+            (step, Err(e)) => findings.push((step, e)),
+        }
+        std::ops::ControlFlow::Continue(())
+    });
+    assert_eq!(records.unwrap(), index.num_records());
+    assert_eq!(
+        findings.len(),
+        1,
+        "one corrupt byte must cost exactly one list"
+    );
+    let (step, e) = &findings[0];
+    assert_eq!(*step, nucdb_index::WalkStep::Item(index.vocab().len() - 1));
+    assert!(
+        matches!(e, IndexError::Corruption { section, .. } if *section == "block"),
+        "expected a block-level corruption, got {e}"
+    );
+    assert_eq!(verified, index.vocab().len() - 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn store_survives_every_single_byte_flip() {
-    let store = micro_store();
     let dir = temp_dir("stoflip");
     let path = dir.join("coll.nucsto");
-    store.write_to(&path).unwrap();
-    let pristine = std::fs::read(&path).unwrap();
-
-    for offset in 0..pristine.len() {
-        let mut mutated = pristine.clone();
-        mutated[offset] ^= 0xFF;
-        std::fs::write(&path, &mutated).unwrap();
-
-        // Eager load path.
-        match catch_unwind(AssertUnwindSafe(|| SequenceStore::read_from(&path))) {
-            Err(_) => panic!("read_from panicked with byte {offset} flipped"),
-            Ok(Err(_)) => {}
-            Ok(Ok(loaded)) => assert!(
-                stores_equal(&loaded, &store),
-                "byte {offset} flip loaded successfully but changed the store"
-            ),
-        }
-
-        // Open may succeed (payload corruption is only discoverable at
-        // fetch time), but every record fetch must then error or return
-        // the pristine sequence.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let disk = nucdb::SequenceStore::open(&path)?;
-            for r in 0..RecordSource::len(&disk) as u32 {
-                // A typed error is acceptable; success must be pristine.
-                if let Ok(seq) = RecordSource::sequence(&disk, r) {
-                    assert_eq!(
-                        seq,
-                        store.sequence(r).unwrap(),
-                        "byte {offset} flip changed record {r} silently"
-                    );
-                }
+    micro_store().write_to(&path).unwrap();
+    let payload_start = SequenceStore::open(&path).unwrap().payload_start();
+    every_damage_is_located(
+        &path,
+        flipped,
+        open_store,
+        store_locus,
+        |at, section, offset| {
+            let at = at as u64;
+            if at < payload_start {
+                assert!(["magic", "toc"].contains(&section), "byte {at}: {section}");
+            } else {
+                assert_eq!(section, "record", "byte {at}");
+                assert!(
+                    (payload_start..=at).contains(&offset),
+                    "byte {at}: offset {offset}"
+                );
             }
-            Ok::<(), SeqError>(())
-        }));
-        assert!(
-            outcome.is_ok(),
-            "on-disk store panicked with byte {offset} flipped"
-        );
-    }
+        },
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn store_survives_every_truncation() {
-    let store = micro_store();
     let dir = temp_dir("stotrunc");
     let path = dir.join("coll.nucsto");
-    store.write_to(&path).unwrap();
-    let pristine = std::fs::read(&path).unwrap();
+    micro_store().write_to(&path).unwrap();
+    cuts_are_located_at_the_cut(&path, open_store, store_locus);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    for cut in 0..pristine.len() {
-        std::fs::write(&path, &pristine[..cut]).unwrap();
-        match catch_unwind(AssertUnwindSafe(|| SequenceStore::read_from(&path))) {
-            Err(_) => panic!("read_from panicked on truncation at {cut}"),
-            Ok(result) => assert!(result.is_err(), "truncation at {cut} loaded successfully"),
-        }
-        // Open refuses a cut past the TOC; whatever opens must fetch
-        // cleanly.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Ok(disk) = nucdb::SequenceStore::open(&path) {
-                for r in 0..RecordSource::len(&disk) as u32 {
-                    if let Ok(seq) = RecordSource::sequence(&disk, r) {
-                        assert_eq!(seq, store.sequence(r).unwrap());
-                    }
-                }
-            }
-        }));
-        assert!(
-            outcome.is_ok(),
-            "on-disk store panicked at truncation {cut}"
-        );
+/// A file longer than its header or TOC declares is refused at open,
+/// located at the declared end, and is a structural fsck finding.
+#[test]
+fn trailing_bytes_are_refused_at_open_and_structural_in_fsck() {
+    let dir = temp_dir("trailing");
+    let (idx, sto) = (dir.join(nucdb::INDEX_FILE), dir.join(nucdb::STORE_FILE));
+    write_index(&micro_index(), &idx).unwrap();
+    micro_store().write_to(&sto).unwrap();
+    let ends = [idx.as_path(), sto.as_path()].map(|path| {
+        let mut bytes = std::fs::read(path).unwrap();
+        let end = bytes.len() as u64;
+        bytes.extend_from_slice(b"appended");
+        std::fs::write(path, bytes).unwrap();
+        end
+    });
+    match CompressedIndex::open(&idx) {
+        Err(e) => assert_eq!(index_locus(&e), Some(("blob", ends[0])), "{e}"),
+        Ok(_) => panic!("an overlong index opened"),
     }
+    match SequenceStore::open(&sto) {
+        Err(e) => assert_eq!(store_locus(&e), Some(("record", ends[1])), "{e}"),
+        Ok(_) => panic!("an overlong store opened"),
+    }
+    let mut report = nucdb::FsckReport::default();
+    assert_eq!(nucdb::fsck_index(&idx, &mut report), None);
+    nucdb::fsck_store(&sto, &mut report);
+    assert_eq!(report.exit_code(), 2);
+    let found: Vec<_> = (report.findings.iter())
+        .map(|f| (f.file, f.severity, f.offset))
+        .collect();
+    let structural = nucdb::FsckSeverity::Structural;
+    assert_eq!(
+        found,
+        [
+            ("index", structural, Some(ends[0])),
+            ("store", structural, Some(ends[1]))
+        ]
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -406,7 +433,7 @@ fn every_codec_granularity_stopping_combo_round_trips() {
 
             let path = dir.join("combo.nucidx");
             write_index(&index, &path).unwrap();
-            let loaded = load_index(&path).unwrap();
+            let loaded = CompressedIndex::open(&path).unwrap();
             assert!(indexes_equal(&loaded, &index), "mismatch for {label}");
         }
     }
@@ -441,7 +468,6 @@ fn retired_magics_are_refused_by_name_at_every_door() {
     let good = std::fs::read(&idx).unwrap();
     std::fs::write(&idx, retired("NUCIDX02")).unwrap();
     for (door, result) in [
-        ("load_index", load_index(&idx).map(drop)),
         (
             "CompressedIndex::open",
             CompressedIndex::open(&idx).map(drop),
@@ -457,17 +483,9 @@ fn retired_magics_are_refused_by_name_at_every_door() {
 
     let good = std::fs::read(&sto).unwrap();
     std::fs::write(&sto, retired("NUCSTO01")).unwrap();
-    for (door, result) in [
-        ("read_from", SequenceStore::read_from(&sto).map(drop)),
-        (
-            "SequenceStore::open",
-            nucdb::SequenceStore::open(&sto).map(drop),
-        ),
-    ] {
-        match result {
-            Err(e @ SeqError::UnsupportedFormat(_)) => names(&e, "NUCSTO01", door),
-            other => panic!("{door}: {other:?}"),
-        }
+    match nucdb::SequenceStore::open(&sto) {
+        Err(e @ SeqError::UnsupportedFormat(_)) => names(&e, "NUCSTO01", "SequenceStore::open"),
+        other => panic!("SequenceStore::open: {other:?}"),
     }
     match open() {
         Err(e @ IndexError::UnsupportedFormat(_)) => names(&e, "NUCSTO01", "Collection::open"),
@@ -481,8 +499,9 @@ fn retired_magics_are_refused_by_name_at_every_door() {
 // ---------------------------------------------------------------------
 // Fault injection on the open-time read: transient errors within the
 // retry budget are invisible; bit flips surface as typed corruption at
-// fetch and bump the engine's corruption metric; the database never
-// panics and keeps answering clean queries.
+// open. Damage under intact checksums surfaces at the query that decodes
+// it and bumps the engine's corruption metric; the database never panics
+// and keeps answering clean queries.
 // ---------------------------------------------------------------------
 
 /// Build the collection on disk and return (dir, index path, store path).
@@ -534,43 +553,40 @@ fn transient_errors_within_budget_are_invisible() {
 #[test]
 fn bit_flips_surface_as_corruption_and_bump_the_metric() {
     let (dir, idx, sto, coll) = persisted(908, "bitflip");
-    // Flip bits throughout both files' payload regions (past the 16-byte
-    // prefix, which is read during open from the pristine file anyway).
-    let flips: Vec<(u64, u8)> = (0..64u64).map(|i| (64 + i * 37, 1u8 << (i % 8))).collect();
-    let plan = FaultPlan::clean(7).with_bit_flips(flips);
-    let mut db = faulty_db(&idx, &sto, plan);
+    // Flip bits spread over each whole file (those in its header or TOC
+    // miss: open reads those from the pristine file): open refuses both.
+    let flips = |path: &Path| {
+        let len = std::fs::metadata(path).unwrap().len();
+        let flips = (0..64u64).map(|i| (len * i / 64, 1u8 << (i % 8))).collect();
+        FaultPlan::clean(7).with_bit_flips(flips)
+    };
+    let index = CompressedIndex::open_faulty(&idx, flips(&idx)).map(drop);
+    assert!(index.is_err_and(|e| index_locus(&e).is_some()));
+    let store = nucdb::SequenceStore::open_faulty(&sto, flips(&sto)).map(drop);
+    assert!(store.is_err_and(|e| store_locus(&e).is_some()));
+
+    // A header that says one of family 0's members is one base long
+    // passes every checksum; the query that decodes its lists fails.
+    forge_short_record(&idx, coll.families[0].member_ids[0]).unwrap();
+    let mut db = faulty_db(&idx, &sto, FaultPlan::clean(1));
     let registry = nucdb_obs::MetricsRegistry::new();
     db.bind_metrics(&registry);
-
     let query = coll.query_for_family(0, 0.6, &nucdb_seq::random::MutationModel::identity());
     let result = catch_unwind(AssertUnwindSafe(|| {
         db.search(&query, &SearchParams::default())
     }));
-    let result = result.expect("search must not panic on flipped bits");
-    match result {
-        Err(e) => {
-            assert!(e.is_corruption(), "expected corruption error, got {e}");
-            assert!(
-                db.metrics().io_corruption.get() >= 1,
-                "corruption metric not bumped"
-            );
-            let text = registry.snapshot().to_prometheus();
-            assert!(
-                text.contains("nucdb_io_corruption_total"),
-                "metric missing from exposition:\n{text}"
-            );
-        }
-        Ok(outcome) => {
-            // The flips may all land outside the bytes this query touches;
-            // then answers must match the clean database exactly.
-            let clean = faulty_db(&idx, &sto, FaultPlan::clean(1));
-            let baseline = clean.search(&query, &SearchParams::default()).unwrap();
-            let tuples = |o: &nucdb::SearchOutcome| -> Vec<(u32, i32)> {
-                o.results.iter().map(|r| (r.record, r.score)).collect()
-            };
-            assert_eq!(tuples(&outcome), tuples(&baseline));
-        }
-    }
+    let e = (result.expect("search must not panic on a forged header"))
+        .expect_err("a query decoding the forged record's lists must fail");
+    assert!(e.is_corruption(), "expected corruption error, got {e}");
+    assert!(
+        db.metrics().io_corruption.get() >= 1,
+        "corruption metric not bumped"
+    );
+    let text = registry.snapshot().to_prometheus();
+    assert!(
+        text.contains("nucdb_io_corruption_total"),
+        "metric missing from exposition:\n{text}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -579,8 +595,7 @@ fn truncated_file_is_refused_at_open() {
     let (dir, idx, sto, _) = persisted(909, "opentrunc");
     // Truncate both files to 1/4 length as they are read: the header and
     // TOC come from the pristine files, but the image stops short of the
-    // payload they declare, so open refuses it with a typed error rather
-    // than failing at the first fetch past the cut.
+    // payload they declare, so open refuses it with a typed error.
     let idx_len = std::fs::metadata(&idx).unwrap().len();
     let sto_len = std::fs::metadata(&sto).unwrap().len();
     let opened = catch_unwind(AssertUnwindSafe(|| {
@@ -637,11 +652,11 @@ fn writers_leave_no_temp_files() {
 
     // And what was renamed into place is complete and valid.
     assert!(indexes_equal(
-        &load_index(&dir.join("idx.nucidx")).unwrap(),
+        &CompressedIndex::open(&dir.join("idx.nucidx")).unwrap(),
         &index
     ));
     assert!(stores_equal(
-        &SequenceStore::read_from(&dir.join("sto.nucsto")).unwrap(),
+        &SequenceStore::open(&dir.join("sto.nucsto")).unwrap(),
         &store
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -668,47 +683,38 @@ fn failed_write_preserves_previous_file() {
 }
 
 // ---------------------------------------------------------------------
-// Streaming loads through the fault-injecting reader: short reads are
-// harmless, flips and truncation produce typed errors.
+// Open-time reads through the fault-injecting reader: short reads are
+// harmless, flips produce typed errors.
 // ---------------------------------------------------------------------
 
 #[test]
 fn streaming_index_load_survives_short_reads() {
-    use std::io::Read;
     let coll = small_collection(912);
     let index = build_index(&coll, IndexParams::new(8), ListCodec::Paper);
     let dir = temp_dir("stream");
     let path = dir.join("idx.nucidx");
     write_index(&index, &path).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
 
-    // Short reads only: the loader must reassemble the exact index.
-    let reader =
-        nucdb_index::FaultyReader::new(&bytes[..], FaultPlan::clean(5).with_short_reads(0.9));
-    let loaded = nucdb_index::load_index_from(reader).unwrap();
+    // Short reads only: open must reassemble the exact index.
+    let plan = FaultPlan::clean(5).with_short_reads(0.9);
+    let loaded = CompressedIndex::open_faulty(&path, plan).unwrap();
     assert!(indexes_equal(&loaded, &index));
 
-    // A flipped byte inside the checksummed region must be caught even
-    // through a streaming read.
-    let mut flipped = nucdb_index::FaultyReader::new(
-        &bytes[..],
-        FaultPlan::clean(5).with_bit_flips(vec![(40, 0x10)]),
-    );
-    let mut buffered = Vec::new();
-    flipped.read_to_end(&mut buffered).unwrap();
-    assert!(load_index_from_slice(&buffered).is_err());
+    // A flipped bit in the blob must be caught even through short reads.
+    let flip = vec![(index.blob_start() + 5, 0x10)];
+    let plan = FaultPlan::clean(5)
+        .with_short_reads(0.9)
+        .with_bit_flips(flip);
+    assert!(CompressedIndex::open_faulty(&path, plan).is_err());
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-fn load_index_from_slice(bytes: &[u8]) -> Result<CompressedIndex, nucdb_index::IndexError> {
-    nucdb_index::load_index_from(bytes)
 }
 
 #[test]
 fn query_error_does_not_poison_the_database() {
-    // One record's payload is corrupt on disk. Queries whose candidates
-    // include it fail with a typed error; the same database keeps
-    // answering queries that avoid it — degraded service, not an outage.
+    // One record's postings are damaged under intact checksums. Queries
+    // that decode them fail with a typed error; the same database keeps
+    // answering queries that avoid them — degraded service, not an
+    // outage.
     let coll = small_collection(913);
     let dir = temp_dir("poison");
     let sto = dir.join("coll.nucsto");
@@ -721,20 +727,18 @@ fn query_error_does_not_poison_the_database() {
     )
     .unwrap();
 
-    // Corrupt the last record's payload bytes directly in the file.
-    let mut bytes = std::fs::read(&sto).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xFF;
-    std::fs::write(&sto, &bytes).unwrap();
+    // The index header says the last record is one base long: every list
+    // holding it past offset 0 fails its decode.
+    let last_record = (coll.records.len() - 1) as u32;
+    forge_short_record(&idx, last_record).unwrap();
 
     let db = Database::from_variants(
         StoreVariant::Disk(nucdb::SequenceStore::open(&sto).unwrap()),
         IndexVariant::Disk(CompressedIndex::open(&idx).unwrap()),
     );
-    let last_record = (db.len() - 1) as u32;
 
-    // Query the corrupt record by its own sequence: fine search must
-    // fetch it and fail cleanly.
+    // Query the damaged record by its own sequence: coarse search must
+    // decode its lists and fail cleanly.
     let corrupt_query = coll.records[last_record as usize].seq.clone();
     let err = db
         .search(&corrupt_query, &SearchParams::default())
@@ -759,16 +763,16 @@ fn query_error_does_not_poison_the_database() {
             .iter()
             .all(|r| r.record != last_record || r.score >= 0));
     }
-    // (If the healthy query's coarse candidates happen to include the
-    // corrupt record, the error is still the typed kind.)
+    // (If the healthy query's lists happen to hold the damaged record,
+    // the error is still the typed kind.)
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
-// Coarse search's two passes read only verified bytes. Pass one fetches
-// each list and checksums every block of it; pass two unpacks the
-// survivors' offsets out of those same bytes. So a flipped byte in any
-// block of a fetched list is that block's corruption error.
+// Coarse search's two passes read only bytes verified at open. So a
+// flipped byte in any block of any list — one a query would decode or
+// one no survivor of pass one holds — is that block's corruption error
+// at open, at its file offset.
 // ---------------------------------------------------------------------
 
 /// 401 records share a 30-base segment (so its lists span four blocks)
@@ -849,9 +853,7 @@ fn flip_in_a_decoded_block_is_that_blocks_corruption_error() {
     for b in [0, 1] {
         let at = block_at(&path, &index, list.code, b);
         flip_byte(&path, at + 1);
-        let result =
-            nucdb::coarse_rank(&CompressedIndex::open(&path).unwrap(), &query, &floor_40());
-        match result {
+        match CompressedIndex::open(&path) {
             Err(nucdb_index::IndexError::Corruption {
                 section, offset, ..
             }) => {
@@ -866,8 +868,8 @@ fn flip_in_a_decoded_block_is_that_blocks_corruption_error() {
 }
 
 /// The last block of every multi-block list holds only records that
-/// cannot reach floor 40, yet no fetched byte goes unchecked: a flip
-/// there is still that block's corruption error at its file offset.
+/// cannot reach floor 40, yet no byte goes unchecked: a flip there is
+/// still that block's corruption error at its file offset.
 #[test]
 fn flip_in_a_block_no_survivor_holds_is_that_blocks_corruption_error() {
     let (dir, path, index, query) = shared_segment_index_on_disk("lastblockflip");
@@ -884,9 +886,7 @@ fn flip_in_a_block_no_survivor_holds_is_that_blocks_corruption_error() {
         assert_eq!(list.blocks_decoded, list.df.div_ceil(128), "{}", list.code);
         let at = block_at(&path, &index, list.code, list.blocks_decoded as usize - 1);
         flip_byte(&path, at + 1);
-        let result =
-            nucdb::coarse_rank(&CompressedIndex::open(&path).unwrap(), &query, &floor_40());
-        match result {
+        match CompressedIndex::open(&path) {
             Err(nucdb_index::IndexError::Corruption {
                 section, offset, ..
             }) => {
@@ -920,138 +920,6 @@ fn transient_faults_are_invisible_to_both_coarse_passes() {
         assert_eq!(faulty.postings_bytes_read, clean.postings_bytes_read);
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------
-// Each list is verified once, on its first fetch. A list that fails is
-// never marked verified, so it fails every fetch; lists first fetched
-// by several threads at once are verified by each and answer alike; an
-// in-memory memtable part is verified the same way.
-// ---------------------------------------------------------------------
-
-#[test]
-fn a_flipped_byte_fails_every_fetch_of_its_list() {
-    let (dir, path, index, query) = shared_segment_index_on_disk("everyfetch");
-    let list = explain_lists(&path, &query)
-        .into_iter()
-        .find(|l| !l.absent && l.df > 128)
-        .expect("a multi-block list");
-    let at = block_at(&path, &index, list.code, 1);
-    flip_byte(&path, at + 1);
-    let damaged = CompressedIndex::open(&path).unwrap();
-    let is_that_block = |e: &nucdb_index::IndexError| {
-        matches!(e, nucdb_index::IndexError::Corruption { section, offset, .. }
-            if *section == "block" && *offset == at)
-    };
-    for round in 0..3 {
-        let err = nucdb::coarse_rank(&damaged, &query, &floor_40()).unwrap_err();
-        assert!(is_that_block(&err), "round {round}: {err:?}");
-        let err = damaged.postings(list.code).unwrap_err();
-        assert!(is_that_block(&err), "round {round}: {err:?}");
-        let err = damaged.counts(list.code).unwrap_err();
-        assert!(is_that_block(&err), "round {round}: {err:?}");
-    }
-    // Every other list still answers, and is verified once.
-    for entry in index.vocab().iter().filter(|e| e.code != list.code) {
-        assert_eq!(
-            damaged.postings(entry.code).unwrap(),
-            index.postings(entry.code).unwrap()
-        );
-    }
-    assert_eq!(damaged.verified_lists(), index.vocab().len() - 1);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn concurrent_first_fetches_agree_and_raise_no_false_error() {
-    for codec in [ListCodec::Paper, ListCodec::Block] {
-        let coll = small_collection(916);
-        let index = build_index(&coll, IndexParams::new(8), codec);
-        let dir = temp_dir("concurrentverify");
-        let path = dir.join("idx.nucidx");
-        write_index(&index, &path).unwrap();
-        let opened = CompressedIndex::open(&path).unwrap();
-        let query = coll
-            .query_for_family(0, 0.6, &nucdb_seq::random::MutationModel::identity())
-            .representative_bases();
-        let params = SearchParams::default();
-        let expected = nucdb::coarse_rank(&index, &query, &params).unwrap();
-        let codes: Vec<u64> = index.vocab().iter().map(|e| e.code).collect();
-        let start = std::sync::Barrier::new(4);
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let (opened, start, codes) = (&opened, &start, &codes);
-                let (index, query, params) = (&index, &query, &params);
-                let expected = &expected.candidates;
-                scope.spawn(move || {
-                    start.wait();
-                    // Each thread walks the lists from its own starting
-                    // point, so first fetches of one list overlap.
-                    let n = codes.len();
-                    for i in 0..n {
-                        let code = codes[(i + t * n / 4) % n];
-                        assert_eq!(
-                            opened.postings(code).unwrap(),
-                            index.postings(code).unwrap(),
-                            "{codec:?} thread {t} code {code}"
-                        );
-                    }
-                    let outcome = nucdb::coarse_rank(opened, query, params).unwrap();
-                    assert_eq!(&outcome.candidates, expected, "{codec:?} thread {t}");
-                });
-            }
-        });
-        assert_eq!(opened.verified_lists(), codes.len(), "{codec:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-#[test]
-fn a_live_memtable_part_is_verified_on_first_fetch() {
-    for codec in [ListCodec::Paper, ListCodec::Block] {
-        let coll = small_collection(917);
-        let dir = temp_dir("memtableverify");
-        let config = nucdb::DbConfig {
-            codec,
-            ..nucdb::DbConfig::default()
-        };
-        let opts = nucdb::LiveOptions {
-            memtable_max_records: usize::MAX,
-            ..nucdb::LiveOptions::default()
-        };
-        let live = nucdb::LiveDatabase::create(&dir, &config, opts).unwrap();
-        let records = coll.records.iter().map(|r| (r.id.clone(), r.seq.clone()));
-        live.insert_batch(records.collect()).unwrap();
-        let snapshot = live.snapshot();
-        let IndexVariant::Segmented(index) = snapshot.index() else {
-            panic!("a live database reads through a segmented view");
-        };
-        let rows = index.explain_rows();
-        assert_eq!(rows.len(), 1, "{codec:?}");
-        assert_eq!(rows[0].label, "memtable", "{codec:?}");
-        let memtable = index.part_indexes().next().unwrap();
-        assert_eq!(memtable.verified_lists(), 0, "{codec:?}");
-
-        let query = coll
-            .query_for_family(0, 0.6, &nucdb_seq::random::MutationModel::identity())
-            .representative_bases();
-        let params = SearchParams::default();
-        let mut explain = nucdb::CoarseExplain::default();
-        let mut scratch = nucdb::CoarseScratch::new();
-        let first =
-            nucdb::coarse_rank_explain(index, &query, &params, &mut scratch, Some(&mut explain))
-                .unwrap();
-        let fetched = explain.lists.iter().filter(|l| !l.absent).count();
-        assert!(fetched > 0, "{codec:?}");
-        assert_eq!(memtable.verified_lists(), fetched, "{codec:?}");
-        // Later fetches verify nothing new and answer the same.
-        let again = nucdb::coarse_rank_with(index, &query, &params, &mut scratch).unwrap();
-        assert_eq!(again.candidates, first.candidates, "{codec:?}");
-        assert_eq!(memtable.verified_lists(), fetched, "{codec:?}");
-        drop(snapshot);
-        drop(live);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1096,7 +964,7 @@ fn rot_after_open_leaves_answers_alone_and_fsck_finds_it() {
 
     assert_eq!(tuples(db.search(&query, &params).unwrap()), pristine);
     let mut report = nucdb::FsckReport::default();
-    nucdb::fsck_index(index, &mut report);
+    nucdb::fsck_index(&dir.join("index.nucidx"), &mut report);
     assert_eq!(report.exit_code(), 1, "{:?}", report.findings);
     assert!(
         report
@@ -1139,18 +1007,11 @@ fn hostile_vocabulary_code_gap_is_a_typed_error() {
     let dir = temp_dir("hostilevocab");
     let path = dir.join("idx.nucidx");
     std::fs::write(&path, hostile_vocabulary_file()).unwrap();
-    let outcomes = catch_unwind(AssertUnwindSafe(|| {
-        [
-            CompressedIndex::open(&path).map(drop),
-            load_index(&path).map(drop),
-        ]
-    }))
-    .expect("a hostile header must not panic");
-    for outcome in outcomes {
-        match outcome {
-            Err(nucdb_index::IndexError::BadFormat(v)) => assert_eq!(v.section, "vocabulary"),
-            other => panic!("expected a vocabulary format error, got {other:?}"),
-        }
+    let outcome = catch_unwind(AssertUnwindSafe(|| CompressedIndex::open(&path).map(drop)))
+        .expect("a hostile header must not panic");
+    match outcome {
+        Err(IndexError::BadFormat(v)) => assert_eq!(v.section, "vocabulary"),
+        other => panic!("expected a vocabulary format error, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

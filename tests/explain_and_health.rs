@@ -361,8 +361,8 @@ fn stat_and_fsck_agree_on_the_universe() {
     let store = SequenceStore::open(&sto).unwrap();
     let stat = IndexStatReport::from_disk(&index);
     let mut report = FsckReport::default();
-    fsck_index(&index, &mut report);
-    fsck_store(&store, &mut report);
+    assert_eq!(fsck_index(&idx, &mut report), Some(index.num_records()));
+    fsck_store(&sto, &mut report);
     assert!(report.is_clean());
     assert_eq!(report.lists_checked, stat.distinct_intervals);
     assert_eq!(report.records_checked, store.len() as u64);

@@ -13,7 +13,7 @@ use nucdb::{
     ShardSet, ShardSetConfig, StoreVariant,
 };
 use nucdb_index::{
-    shard_dir_name, CompressedIndex, FaultPlan, IndexParams, ListCodec, ShardManifest,
+    forge_short_record, shard_dir_name, CompressedIndex, IndexParams, ListCodec, ShardManifest,
 };
 use nucdb_obs::{Forensics, ForensicsConfig, MetricsRegistry, SpanNode};
 use nucdb_seq::DnaSeq;
@@ -197,7 +197,7 @@ fn disk_root_matches_the_joint_build() {
 
 // ---------------------------------------------------------------------
 // Degraded mode: one shard down — at open (truncated files) or at query
-// time (postings failing their checksums) — must not take the set down. The
+// time (postings failing their decode) — must not take the set down. The
 // surviving shards answer exactly as a set built from them alone,
 // coverage reports the loss, and the per-shard error metric bumps.
 // ---------------------------------------------------------------------
@@ -273,8 +273,9 @@ fn one_shard_down_sweep_keeps_surviving_answers() {
 }
 
 /// Query-time corruption, per shard: a shard whose postings fail their
-/// checksums opens fine but fails queries that touch it; the set answers
-/// degraded and `nucdb_shard_errors_total` bumps for exactly that shard.
+/// decode under intact checksums opens fine but fails queries that touch
+/// them; the set answers degraded and `nucdb_shard_errors_total` bumps
+/// for exactly that shard.
 #[test]
 fn query_time_shard_error_degrades_and_bumps_the_metric() {
     let records = corpus(18, 7);
@@ -288,18 +289,13 @@ fn query_time_shard_error_degrades_and_bumps_the_metric() {
         let shard_dir = dir.join(shard_dir_name(i));
         let idx = shard_dir.join("index.nucidx");
         let sto = shard_dir.join("store.nucsto");
-        let index = if i == 1 {
-            // Shard 1's postings all fail their checksums: a bit flip in
-            // every blob byte as the image is read. The header comes from
-            // the pristine file, so the shard opens and dies only when a
-            // query touches it.
-            let blob_start = CompressedIndex::open(&idx).unwrap().blob_start();
-            let len = std::fs::metadata(&idx).unwrap().len();
-            let flips = (blob_start..len).map(|at| (at, 0x01)).collect();
-            CompressedIndex::open_faulty(&idx, FaultPlan::clean(1).with_bit_flips(flips)).unwrap()
-        } else {
-            CompressedIndex::open(&idx).unwrap()
-        };
+        if i == 1 {
+            // Shard 1's header says its record 1 (global record 7) is
+            // one base long, under restamped checksums: the shard opens,
+            // and dies only when a query decodes that record's lists.
+            forge_short_record(&idx, 1).unwrap();
+        }
+        let index = CompressedIndex::open(&idx).unwrap();
         let store = nucdb::SequenceStore::open(&sto).unwrap();
         dbs.push(Database::from_variants(
             StoreVariant::Disk(store),
