@@ -45,7 +45,6 @@ fn main() -> ExitCode {
         "search" => commands::search(rest),
         "merge" => commands::merge(rest),
         "stat" => commands::stat(rest),
-        "verify" => commands::verify(rest),
         "bench" => commands::bench(rest),
         "serve" => commands::serve(rest),
         "profile" => commands::profile(rest),

@@ -681,7 +681,8 @@ fn list_explain(code: u64, qlen: u32, stats: Option<&FetchStats>) -> ListExplain
     }
 }
 
-fn record_survivors(explain: &mut CoarseExplain, candidates: &[CoarseHit]) {
+/// Set `explain`'s survivors to `candidates`, in their order.
+pub(crate) fn record_survivors(explain: &mut CoarseExplain, candidates: &[CoarseHit]) {
     explain.survivors.clear();
     explain
         .survivors

@@ -6,12 +6,14 @@
 //! a `SHARDS` manifest. [`Shape::of`] is the one place that probes and
 //! [`Collection::open`] turns the answer into something searchable.
 //! Callers above this module — the server, the CLI — search, size, and
-//! observe a [`Collection`] without asking which shape it is, and reach
-//! for [`Collection::as_static`] / [`Collection::as_live`] /
-//! [`Collection::as_sharded`] only for what one shape alone can do
-//! (scrub; insert, flush, compact; per-shard rows). Every shape answers
-//! a query on the caller's thread with the caller's [`CoarseScratch`]:
-//! a shard set is a list of plain databases searched one after another.
+//! observe a [`Collection`] without asking which shape it is — search,
+//! explain, and the (index, store) pairs a view holds open
+//! ([`Collection::parts`], what the scrubber walks) — and reach for
+//! [`Collection::as_live`] / [`Collection::as_sharded`] only for what
+//! one shape alone can do (insert, flush, compact; per-shard rows).
+//! Every shape answers a query on the caller's thread with the caller's
+//! [`CoarseScratch`]: a shard set is a list of plain databases searched
+//! one after another.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -169,24 +171,13 @@ impl Collection {
                 Ok(SearchOutcome {
                     results: outcome.results,
                     stats: outcome.stats,
-                    explain: None,
+                    explain: outcome.explain,
                     coverage: Some(ShardCoverage {
                         coverage: outcome.coverage,
                         failures: outcome.failures,
                     }),
                 })
             }
-        }
-    }
-
-    /// Can this collection evaluate `params` at all? A shard set
-    /// refuses explain plans (see
-    /// [`ShardSet::supports`]); front ends ask before producing output
-    /// so the refusal reads as a parameter error, not a failed query.
-    pub fn supports(&self, params: &SearchParams) -> Result<(), IndexError> {
-        match self {
-            Collection::Sharded(set) => set.supports(params),
-            _ => Ok(()),
         }
     }
 
@@ -234,12 +225,15 @@ impl Collection {
         }
     }
 
-    /// The immutable database, when that is what this is (the scrubber
-    /// walks one fixed pair of files).
-    pub fn as_static(&self) -> Option<&Arc<Database>> {
+    /// Every (index, store) pair this view holds open, named, in id
+    /// order: a plain database's one unnamed pair, a live view's parts
+    /// (`seg-000003`, `memtable`), each shard that opened (`shard-001`).
+    /// A live handle names none: pin it first ([`Collection::pinned`]).
+    pub fn parts(&self) -> Vec<(&str, &CompressedIndex, &SequenceStore)> {
         match self {
-            Collection::Static(db) => Some(db),
-            _ => None,
+            Collection::Static(db) => db.parts(),
+            Collection::Live(_) => Vec::new(),
+            Collection::Sharded(set) => set.parts(),
         }
     }
 

@@ -42,17 +42,12 @@ pub(crate) trait Backend {
     /// Per-query mutable state threaded through both phases.
     type State;
 
-    /// Can [`Backend::coarse`] fill in an explain plan? When `false` the
-    /// driver never asks for one (tail sampling included).
-    const EXPLAINS: bool;
-
     /// Observability handles queries record into.
     fn metrics(&self) -> &SearchMetrics;
 
-    /// Per-part rows for explain plans.
-    fn segment_rows(&self) -> Vec<SegmentExplain> {
-        Vec::new()
-    }
+    /// Per-part rows for explain plans: a live database's segments, a
+    /// shard set's shards, none for one plain database.
+    fn segment_rows(&self) -> Vec<SegmentExplain>;
 
     /// Coarse-rank one strand orientation of the query: the top-C
     /// candidates in `(score desc, record asc)` order plus work counters.
@@ -116,7 +111,7 @@ pub(crate) fn run_query<B: Backend>(
     // Ask the recorder up front whether it wants spans and a plan; an
     // explain plan is also collected when the caller asks for one.
     let capture = metrics.forensics.begin();
-    let want_plan = params.explain || (capture.plan && B::EXPLAINS);
+    let want_plan = params.explain || capture.plan;
 
     // Deterministic latency injection for tail-sampler tests; only a
     // sleep, so results are bit-identical with or without it. The clock

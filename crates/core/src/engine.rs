@@ -330,11 +330,16 @@ impl Database {
         &self.metrics.forensics
     }
 
-    /// Per-part rows for explain plans: empty unless this database is a
-    /// segmented (live ingestion) view.
-    pub fn segment_rows(&self) -> Vec<crate::explain::SegmentExplain> {
-        match &self.index {
-            IndexVariant::Segmented(i) => i.explain_rows(),
+    /// The (index, store) pairs this database holds open, named as its
+    /// explain rows name them (see [`crate::Collection::parts`]).
+    pub fn parts(&self) -> Vec<(&str, &CompressedIndex, &SequenceStore)> {
+        match (&self.index, &self.store) {
+            (IndexVariant::Disk(index), StoreVariant::Disk(store)) => vec![("", index, store)],
+            (IndexVariant::Segmented(index), StoreVariant::Segmented(store)) => index
+                .parts()
+                .zip(store.parts())
+                .map(|((label, index), store)| (label, index, store))
+                .collect(),
             _ => Vec::new(),
         }
     }
@@ -415,14 +420,17 @@ impl Database {
 impl Backend for Database {
     /// The caller's coarse working memory.
     type State = CoarseScratch;
-    const EXPLAINS: bool = true;
 
     fn metrics(&self) -> &SearchMetrics {
         &self.metrics
     }
 
+    /// Empty unless this database is a segmented (live ingestion) view.
     fn segment_rows(&self) -> Vec<crate::explain::SegmentExplain> {
-        Database::segment_rows(self)
+        match &self.index {
+            IndexVariant::Segmented(i) => i.explain_rows(),
+            _ => Vec::new(),
+        }
     }
 
     fn coarse(

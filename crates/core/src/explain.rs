@@ -125,15 +125,16 @@ pub struct ExplainPlan {
     pub strands: Vec<StrandExplain>,
     /// Results after the strand merge.
     pub results: usize,
-    /// The segments a segmented (live) database consulted, in record-id
-    /// order. Empty for a monolithic database.
+    /// The parts consulted, in record-id order: a live database's
+    /// segments or a shard set's shards. Empty for one plain database.
     pub segments: Vec<SegmentExplain>,
 }
 
-/// One segment row of a segmented database's plan.
+/// One part row of a live database's or a shard set's plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentExplain {
-    /// Human-readable part name (`seg-000003` or `memtable`).
+    /// Human-readable part name (`seg-000003`, `memtable` or
+    /// `shard-001`).
     pub label: String,
     /// First global record id the segment covers.
     pub base: u32,

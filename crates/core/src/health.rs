@@ -7,7 +7,8 @@
 //! block does not hide a second one further in. Severity maps to the
 //! CLI exit code — structural damage (header or TOC unreadable) is
 //! exit 2, payload damage (a list or record failing its checksum or
-//! decode) is exit 1, a clean walk is exit 0.
+//! decode, or an index and store that disagree about their records) is
+//! exit 1, a clean walk is exit 0.
 //!
 //! The walk reads each file as it is on disk now, through the door that
 //! parses its header or TOC without stopping at the first damaged list
@@ -51,7 +52,9 @@ impl FsckSeverity {
 /// One piece of damage the fsck walk found.
 #[derive(Debug, Clone)]
 pub struct FsckFinding {
-    /// Which file: `"index"` or `"store"`.
+    /// Which file: `"index"` or `"store"`. A store/index disagreement
+    /// ([`fsck_cross_check`]) is the index's: it is built from the
+    /// store.
     pub file: &'static str,
     /// The file section the error names ("header", "list", "record",
     /// "toc", …).
@@ -269,6 +272,60 @@ pub fn fsck_index(path: &Path, report: &mut FsckReport) -> Option<u32> {
 pub fn fsck_store(path: &Path, report: &mut FsckReport) {
     if let Err(e) = SequenceStore::fsck(path, |step, outcome| report.note_store(step, outcome)) {
         (report.findings).push(FsckFinding::store(&e, FsckSeverity::Structural));
+    }
+}
+
+/// Records whose intervals [`fsck_cross_check`] samples.
+const CROSS_CHECK_RECORDS: usize = 25;
+
+/// The last phase of fsck, for a part whose two files walked clean: open
+/// both and check that they describe the same records. The record counts
+/// and every record's length must agree, and every 97th interval of
+/// 25 (`CROSS_CHECK_RECORDS`) stored records, spread over the store, must
+/// list its record in the index (unless a stopping policy may have
+/// dropped it). Each disagreement is a payload finding.
+pub fn fsck_cross_check(index: &Path, store: &Path, report: &mut FsckReport) {
+    // Both files walked clean just now, so both open.
+    let (Ok(index), Ok(store)) = (CompressedIndex::open(index), SequenceStore::open(store)) else {
+        return;
+    };
+    let disagree = |detail: String| FsckFinding {
+        file: "index",
+        section: "cross-check".to_string(),
+        offset: None,
+        severity: FsckSeverity::Payload,
+        detail,
+    };
+    let findings = &mut report.findings;
+    let (lens, stored) = (index.record_lens(), store.len());
+    if stored != lens.len() {
+        let indexed = lens.len();
+        findings.push(disagree(format!(
+            "store holds {stored} records but the index {indexed}"
+        )));
+    }
+    let records = stored.min(lens.len()) as u32;
+    for (record, &indexed) in (0..records).zip(lens) {
+        let stored = store.record_len(record);
+        if stored != indexed as usize {
+            findings.push(disagree(format!(
+                "record {record} is {stored} bases in the store but {indexed} in the index"
+            )));
+        }
+    }
+    let stopped = index.params().stopping.is_some();
+    let step = (records as usize / CROSS_CHECK_RECORDS).max(1);
+    for record in (0..records).step_by(step) {
+        for (offset, code) in index.params().extract(&store.bases(record)).step_by(97) {
+            match index.counts(code) {
+                Ok(Some(counts)) if counts.iter().any(|&(r, _)| r == record) => {}
+                Ok(_) if stopped => {} // possibly stopped; absence is legal
+                Ok(_) => findings.push(disagree(format!(
+                    "record {record} offset {offset}: interval {code} missing from the index"
+                ))),
+                Err(e) => findings.push(FsckFinding::index(&e, FsckSeverity::Payload)),
+            }
+        }
     }
 }
 

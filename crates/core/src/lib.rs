@@ -71,8 +71,8 @@ pub use explain::{
 };
 pub use fine::{fine_search, fine_search_traced, CandidateTiming, FineMode, FineResult};
 pub use health::{
-    fsck_index, fsck_store, FsckFinding, FsckReport, FsckSeverity, HistBucket, IndexStatReport,
-    StatReport, StoreStatReport,
+    fsck_cross_check, fsck_index, fsck_store, FsckFinding, FsckReport, FsckSeverity, HistBucket,
+    IndexStatReport, StatReport, StoreStatReport,
 };
 pub use metrics::SearchMetrics;
 pub use params::{SearchParams, Strand};

@@ -125,15 +125,12 @@ impl SegmentedIndex {
         })
     }
 
-    /// Number of parts.
-    pub fn num_parts(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// The parts' indexes, in record-id order (the order of
+    /// The parts' names and indexes, in record-id order (the order of
     /// [`SegmentedIndex::explain_rows`]).
-    pub fn part_indexes(&self) -> impl Iterator<Item = &CompressedIndex> {
-        self.parts.iter().map(|p| p.inner.as_ref())
+    pub fn parts(&self) -> impl Iterator<Item = (&str, &CompressedIndex)> {
+        self.parts
+            .iter()
+            .map(|p| (p.label.as_str(), p.inner.as_ref()))
     }
 
     /// Explain-plan rows: one per part, in record-id order.
@@ -286,6 +283,11 @@ impl SegmentedStore {
             parts: assembled,
             total: base,
         }
+    }
+
+    /// The parts' stores, in record-id order.
+    pub fn parts(&self) -> impl Iterator<Item = &SequenceStore> {
+        self.parts.iter().map(|p| p.inner.as_ref())
     }
 
     /// Bytes the stored sequence payloads occupy across parts.

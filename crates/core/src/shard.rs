@@ -32,8 +32,10 @@
 //!   truncating to C therefore reproduces the joint candidate list
 //!   exactly — same set, same order.
 //!
-//! No engine knob breaks this argument. [`ShardSet::search_with_id`]
-//! refuses only explain plans: per-shard plans are not merged into one.
+//! No engine knob breaks this argument, so a shard set refuses no
+//! parameter. An explain plan is the driver's one plan: each shard's
+//! coarse evidence is folded into its strand's plan list by list, and
+//! the survivors are the merged global candidates.
 //!
 //! ## Degraded mode
 //!
@@ -49,15 +51,17 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use nucdb_index::{shard_dir_name, IndexError, ShardManifest, ShardMeta};
+use nucdb_index::{shard_dir_name, CompressedIndex, IndexError, ShardManifest, ShardMeta};
 use nucdb_obs::{Counter, Forensics, Histogram, MetricsRegistry};
 use nucdb_seq::{Base, DnaSeq};
 
-use crate::coarse::{coarse_rank_explain, CoarseHit, CoarseOutcome, CoarseScratch};
+use crate::coarse::{
+    coarse_rank_explain, record_survivors, CoarseHit, CoarseOutcome, CoarseScratch,
+};
 use crate::collection::open_plain_dir;
 use crate::driver::{self, Backend, Merged};
 use crate::engine::{io_err, Database, DbConfig, QueryStats, SearchResult};
-use crate::explain::CoarseExplain;
+use crate::explain::{CoarseExplain, ExplainPlan, SegmentExplain};
 use crate::fine::{fine_search_traced, CandidateTiming, FineMode, FineResult};
 use crate::metrics::SearchMetrics;
 use crate::params::SearchParams;
@@ -157,6 +161,9 @@ pub struct ShardedOutcome {
     /// Per-shard work attribution, one entry per *live* shard that
     /// completed coarse search.
     pub work: Vec<ShardWork>,
+    /// The query plan, when [`SearchParams::explain`] asked for one: one
+    /// segment row per shard, each strand's lists folded over the shards.
+    pub explain: Option<ExplainPlan>,
 }
 
 /// Options for [`ShardSet::open_root`]. There are none: every shard
@@ -340,6 +347,16 @@ impl ShardSet {
             .collect()
     }
 
+    /// The (index, store) pair of every shard that opened, named by its
+    /// shard, in id order. A dead shard has none.
+    pub fn parts(&self) -> Vec<(&str, &CompressedIndex, &SequenceStore)> {
+        self.slots
+            .iter()
+            .filter_map(|slot| Some((slot.name.as_str(), slot.db.as_ref().ok()?)))
+            .flat_map(|(name, db)| db.parts().into_iter().map(move |(_, i, s)| (name, i, s)))
+            .collect()
+    }
+
     /// Total records across all shards (the joint id space).
     pub fn len(&self) -> usize {
         self.slots.iter().map(|s| s.records as usize).sum()
@@ -444,19 +461,6 @@ impl ShardSet {
         self.search_with_id(query, params, &mut CoarseScratch::new(), None)
     }
 
-    /// The one place sharded search refuses a parameter. Every query
-    /// passes through here; front ends call it ahead of time to turn the
-    /// refusal into a usage error (CLI) or a 400 (server).
-    pub fn supports(&self, params: &SearchParams) -> Result<(), IndexError> {
-        if params.explain {
-            // Per-shard plans are not merged into one.
-            return Err(IndexError::Unsupported(
-                "explain is not supported over a sharded root",
-            ));
-        }
-        Ok(())
-    }
-
     /// [`ShardSet::search`] with caller-provided coarse working memory,
     /// which every shard's coarse phase reuses in turn, carrying a
     /// caller-assigned request id into every span, trace line, and
@@ -469,7 +473,6 @@ impl ShardSet {
         scratch: &mut CoarseScratch,
         request_id: Option<&str>,
     ) -> Result<ShardedOutcome, IndexError> {
-        self.supports(params)?;
         let mut state = ShardQuery {
             failures: self
                 .slots
@@ -490,6 +493,7 @@ impl ShardSet {
             coverage,
             failures,
             work: state.work.into_values().collect(),
+            explain: outcome.explain,
         })
     }
 
@@ -534,22 +538,32 @@ pub(crate) struct ShardQuery {
 
 impl Backend for ShardSet {
     type State = ShardQuery;
-    const EXPLAINS: bool = false;
 
     fn metrics(&self) -> &SearchMetrics {
         &self.metrics
     }
 
+    /// One row per shard, dead ones included.
+    fn segment_rows(&self) -> Vec<SegmentExplain> {
+        let row = |(label, base, records, _)| SegmentExplain {
+            label,
+            base,
+            records,
+        };
+        self.shard_rows().into_iter().map(row).collect()
+    }
+
     /// Coarse on every shard still answering, one after another, then
     /// merge the per-shard candidate lists to the global top-C exactly
     /// as joint coarse ranking would. Work counters (and the per-shard
-    /// stage times) are summed over shards.
+    /// stage times) are summed over shards, and so is each list of an
+    /// explain plan, over the shards whose coarse phase succeeded.
     fn coarse(
         &self,
         state: &mut ShardQuery,
         query_bases: &[Base],
         params: &SearchParams,
-        _explain: Option<&mut CoarseExplain>,
+        mut explain: Option<&mut CoarseExplain>,
     ) -> Result<CoarseOutcome, IndexError> {
         self.ensure_alive(state)?;
         let mut total = CoarseOutcome::default();
@@ -558,11 +572,21 @@ impl Backend for ShardSet {
                 continue;
             }
             let scratch = &mut state.scratch;
+            let mut shard_plan = explain.is_some().then(CoarseExplain::default);
             let Some(coarse) = self.run_phase(&mut state.failures, slot_idx, |db| {
-                coarse_rank_explain(db.index(), query_bases, params, scratch, None)
+                coarse_rank_explain(
+                    db.index(),
+                    query_bases,
+                    params,
+                    scratch,
+                    shard_plan.as_mut(),
+                )
             }) else {
                 continue;
             };
+            if let (Some(plan), Some(shard_plan)) = (explain.as_deref_mut(), shard_plan) {
+                fold_plan(plan, shard_plan);
+            }
             total.intervals_looked_up += coarse.intervals_looked_up;
             total.lists_fetched += coarse.lists_fetched;
             total.postings_decoded += coarse.postings_decoded;
@@ -593,6 +617,9 @@ impl Backend for ShardSet {
             .candidates
             .sort_by(|a, b| (b.frame_hits.cmp(&a.frame_hits)).then(a.record.cmp(&b.record)));
         total.candidates.truncate(params.max_candidates);
+        if let Some(plan) = explain {
+            record_survivors(plan, &total.candidates);
+        }
         Ok(total)
     }
 
@@ -605,8 +632,9 @@ impl Backend for ShardSet {
         candidates: &[CoarseHit],
         mode: FineMode,
         params: &SearchParams,
-        _timings: Option<&mut Vec<CandidateTiming>>,
+        mut timings: Option<&mut Vec<CandidateTiming>>,
     ) -> Result<Vec<FineResult>, IndexError> {
+        let stage_start = Instant::now();
         let mut per_shard: BTreeMap<usize, Vec<CoarseHit>> = BTreeMap::new();
         for hit in candidates {
             let slot_idx = self.slot_index_of(hit.record);
@@ -617,7 +645,10 @@ impl Backend for ShardSet {
         }
         let mut results = Vec::with_capacity(candidates.len());
         for (slot_idx, hits) in per_shard {
-            let Some(fine) = self.run_phase(&mut state.failures, slot_idx, |db| {
+            let base = self.slots[slot_idx].base;
+            let first = timings.as_ref().map_or(0, |t| t.len());
+            let start_ns = stage_start.elapsed().as_nanos() as u64;
+            let fine = self.run_phase(&mut state.failures, slot_idx, |db| {
                 fine_search_traced(
                     db.store(),
                     query,
@@ -625,13 +656,15 @@ impl Backend for ShardSet {
                     mode,
                     &params.scheme,
                     params.min_score,
-                    None,
+                    timings.as_deref_mut(),
                 )
                 .map_err(io_err)
-            }) else {
-                continue;
-            };
-            let base = self.slots[slot_idx].base;
+            });
+            // This shard's timings, in global ids and stage time.
+            for t in timings.iter_mut().flat_map(|t| t[first..].iter_mut()) {
+                (t.record, t.start_ns) = (t.record + base, t.start_ns + start_ns);
+            }
+            let Some(fine) = fine else { continue };
             results.extend(fine.into_iter().map(|mut r| {
                 r.record += base;
                 r.coarse.record += base;
@@ -663,6 +696,28 @@ impl Backend for ShardSet {
             "partial answer from {}",
             self.coverage_of(state)
         )))
+    }
+}
+
+/// Fold one shard's coarse plan into its strand's: lists matched by
+/// code, with their work summed and `absent` only where every shard
+/// lacks the list. The survivors are set once, from the merged cut.
+fn fold_plan(plan: &mut CoarseExplain, shard: CoarseExplain) {
+    plan.k = shard.k;
+    plan.stopping = shard.stopping;
+    plan.floor = plan.floor.max(shard.floor);
+    for list in shard.lists {
+        match plan.lists.binary_search_by_key(&list.code, |l| l.code) {
+            Ok(i) => {
+                let into = &mut plan.lists[i];
+                into.df += list.df;
+                into.ids_decoded += list.ids_decoded;
+                into.bytes_read += list.bytes_read;
+                into.blocks_decoded += list.blocks_decoded;
+                into.absent &= list.absent;
+            }
+            Err(i) => plan.lists.insert(i, list),
+        }
     }
 }
 

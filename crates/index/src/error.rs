@@ -105,10 +105,13 @@ impl IndexError {
         }
     }
 
-    /// Rebase a [`IndexError::Corruption`] offset by `base`: decode-layer
-    /// checks report offsets relative to the byte slice they were handed,
-    /// and callers that know the slice's file position lift them to
-    /// absolute file offsets. Other variants pass through unchanged.
+    /// Locate a list's decode-layer error in the file: decode-layer
+    /// checks report offsets relative to the list they were handed (or
+    /// none), and the caller that knows the list's file position `base`
+    /// lifts them to absolute file offsets. A violation with no offset,
+    /// or a bit stream that failed to decode, is placed at `base`, the
+    /// list's first byte, which is where `fsck` names the same damage.
+    /// Other variants pass through unchanged.
     pub fn with_base_offset(self, base: u64) -> IndexError {
         match self {
             IndexError::Corruption {
@@ -122,6 +125,16 @@ impl IndexError {
                 expected,
                 actual,
             },
+            IndexError::BadFormat(violation) => IndexError::BadFormat(FormatViolation {
+                offset: Some(violation.offset.map_or(base, |offset| base + offset)),
+                ..violation
+            }),
+            IndexError::Codec(CodecError::Malformed(what)) => {
+                IndexError::bad_at(what, "postings", base)
+            }
+            IndexError::Codec(CodecError::UnexpectedEnd) => {
+                IndexError::bad_at("postings bit stream ended unexpectedly", "postings", base)
+            }
             other => other,
         }
     }
@@ -214,6 +227,11 @@ mod tests {
         assert!(text.contains("zero stride"), "{text}");
         assert!(text.contains("header"), "{text}");
         assert!(text.contains("17"), "{text}");
+        // A list's decode errors are located at the list's file offset.
+        let located = IndexError::bad_format("x").with_base_offset(4096);
+        assert!(located.to_string().contains("byte 4096"), "{located}");
+        let located = IndexError::from(CodecError::UnexpectedEnd).with_base_offset(70);
+        assert!(located.is_corruption() && located.to_string().contains("byte 70"));
     }
 
     #[test]

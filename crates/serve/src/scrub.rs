@@ -1,21 +1,24 @@
 //! Background index/store scrubber.
 //!
 //! A long-lived server sits on on-disk files that can rot underneath it
-//! — a bad sector, a truncating copy, a stray write. Every query checks
-//! the CRCs of the bytes it touches, but it reads the images taken at
-//! open, not the disk. The scrubber closes that gap:
+//! — a bad sector, a truncating copy, a stray write. `open` checks the
+//! CRC of every list and record once, and queries then read the images
+//! taken at open, not the disk. The scrubber closes that gap:
 //! one low-priority thread continuously re-reads every checksummed
 //! section through the file handles `open` kept and re-verifies it, at
 //! a bounded I/O rate so it never competes with query traffic. Rot that
 //! arrives after open never reaches an answer; the scrubber reports it.
 //!
-//! One **cycle** is: header + store TOC (the structural skeleton), then
-//! every postings list, then every record blob. Completing the first
-//! header/TOC pass flips the server's readiness (`GET /readyz`): from
-//! that point the structural metadata has been proven readable *through
-//! the live handles*, not just at `open()` time. Damage found mid-cycle
-//! is counted and remembered but does not stop the scrubber — a single
-//! bad list must not hide damage elsewhere.
+//! The scrubber runs on every shape: each cycle walks the (index, store)
+//! pairs of one pinned view ([`nucdb::Collection::parts`]) — a plain
+//! database's pair, a live snapshot's segments, a shard set's shards.
+//! One **cycle** is, per pair: header + store TOC (the structural
+//! skeleton), then every postings list, then every record blob.
+//! Completing the first header/TOC pass flips the server's readiness
+//! (`GET /readyz`): from that point the structural metadata has been
+//! proven readable *through the live handles*, not just at `open()`
+//! time. Damage found mid-cycle is counted and remembered but does not
+//! stop the scrubber — a single bad list must not hide damage elsewhere.
 //!
 //! The scrubber runs the counter-free verification walk
 //! ([`nucdb_index::CompressedIndex::scrub`], [`nucdb::SequenceStore::scrub`]),
@@ -28,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use nucdb::{Database, IndexVariant, StoreVariant};
+use nucdb::Collection;
 use nucdb_index::WalkStep;
 use nucdb_obs::json::{num, Value};
 use nucdb_obs::{Counter, Gauge, MetricsRegistry};
@@ -150,10 +153,13 @@ impl ScrubState {
     }
 }
 
-/// Leaky-bucket throttle: after verifying `n` bytes the scrubber sleeps
-/// until elapsed wall time covers `consumed / bytes_per_sec`, so the
-/// long-run scrub read rate never exceeds the budget. The window resets
-/// once a second so a long stall does not bank an unbounded burst.
+/// Leaky-bucket throttle: once the scrubber has verified a whole
+/// [`SLEEP_SLICE`] of budget ahead of wall time, it sleeps until elapsed
+/// time covers `consumed / bytes_per_sec`, so the long-run scrub read
+/// rate never exceeds the budget. Sleeping only a slice at a time keeps
+/// the thread from waking after every small list, thousands of times a
+/// second, on the CPUs queries run on. The window resets once a second,
+/// when not ahead, so a long stall does not bank an unbounded burst.
 pub(crate) struct Throttle {
     bytes_per_sec: u64,
     window_start: Instant,
@@ -177,14 +183,17 @@ impl Throttle {
         }
         self.consumed = self.consumed.saturating_add(n);
         let target = Duration::from_secs_f64(self.consumed as f64 / self.bytes_per_sec as f64);
-        while self.window_start.elapsed() < target {
-            if shutdown.load(Ordering::SeqCst) {
-                return true;
+        if target.saturating_sub(self.window_start.elapsed()) >= SLEEP_SLICE {
+            while self.window_start.elapsed() < target {
+                if shutdown.load(Ordering::SeqCst) {
+                    return true;
+                }
+                let remaining = target.saturating_sub(self.window_start.elapsed());
+                std::thread::sleep(remaining.min(SLEEP_SLICE));
             }
-            let remaining = target.saturating_sub(self.window_start.elapsed());
-            std::thread::sleep(remaining.min(SLEEP_SLICE));
         }
-        if self.window_start.elapsed() >= Duration::from_secs(1) {
+        let elapsed = self.window_start.elapsed();
+        if elapsed >= Duration::from_secs(1) && elapsed >= target {
             self.window_start = Instant::now();
             self.consumed = 0;
         }
@@ -206,20 +215,17 @@ pub(crate) fn pause(total: Duration, shutdown: &AtomicBool) -> bool {
 
 /// The scrubber thread body: cycle over header/TOC, then every postings
 /// list, then every record, at `bytes_per_sec`, until `shutdown` flips.
-/// Each pass is the index's or store's verification walk over its file
-/// through the handle `open` kept. A segmented view, or a database built
-/// in memory, has no such file: every cycle then completes trivially
-/// (readiness still flips after the first pass).
-pub fn scrub_loop(db: &Database, state: &ScrubState, shutdown: &AtomicBool, bytes_per_sec: u64) {
+/// Each cycle pins a view of `collection` and walks every (index, store)
+/// pair it holds open ([`Collection::parts`]), each file through the
+/// handle `open` kept: a memtable run has none and walks nothing, and
+/// compaction cannot take a pinned segment's file away mid-cycle.
+pub fn scrub_loop(
+    collection: &Collection,
+    state: &ScrubState,
+    shutdown: &AtomicBool,
+    bytes_per_sec: u64,
+) {
     let mut throttle = Throttle::new(bytes_per_sec);
-    let index = match db.index() {
-        IndexVariant::Disk(index) => Some(index),
-        _ => None,
-    };
-    let store = match db.store() {
-        StoreVariant::Disk(store) => Some(store),
-        _ => None,
-    };
     // Count one walk step's verified bytes or note its error, then spend
     // the step's bytes (at least `len`) of the budget; stop on shutdown.
     let mut account = |outcome: Result<u64, String>, len: u64| {
@@ -241,48 +247,49 @@ pub fn scrub_loop(db: &Database, state: &ScrubState, shutdown: &AtomicBool, byte
     };
     let down = || shutdown.load(Ordering::SeqCst);
     loop {
-        // Structural pass: each walk's first step proves the header or
-        // TOC readable through the live handle before the server is
-        // declared ready.
-        if let Some(index) = index {
-            index.scrub(|_, outcome| {
-                let _ = account(outcome.map_err(|e| format!("index header: {e}")), 0);
-                ControlFlow::Break(())
-            });
-        }
-        if let (Some(store), false) = (store, down()) {
-            store.scrub(|_, outcome| {
-                let _ = account(outcome.map_err(|e| format!("store toc: {e}")), 0);
-                ControlFlow::Break(())
-            });
-        }
-        if down() {
-            return;
-        }
-        state.mark_ready();
-
-        // Payload pass: every postings list, then every record blob
-        // (each walk re-reads its header uncounted).
-        if let Some(index) = index {
-            index.scrub(|step, outcome| match step {
-                WalkStep::Header => ControlFlow::Continue(()),
-                WalkStep::Item(i) => account(
-                    outcome.map_err(|e| format!("index list {i}: {e}")),
-                    u64::from(index.vocab()[i].len),
-                ),
-            });
-        }
-        if let (Some(store), false) = (store, down()) {
-            store.scrub(|step, outcome| match step {
-                WalkStep::Header => ControlFlow::Continue(()),
-                WalkStep::Item(r) => account(
-                    outcome.map_err(|e| format!("store record {r}: {e}")),
-                    u64::from(store.record_location(r as u32).1),
-                ),
-            });
-        }
-        if down() {
-            return;
+        let view = collection.pinned();
+        // `shard-001 index list 3: …`; a plain database's pair is unnamed.
+        let parts: Vec<_> = (view.parts().into_iter())
+            .map(|(label, index, store)| {
+                (format!("{label} ").trim_start().to_string(), index, store)
+            })
+            .collect();
+        // The structural pass — each walk's first step proves the header
+        // or TOC readable through the live handle — declares the server
+        // ready; the payload pass then verifies every postings list and
+        // every record blob (each walk re-reads its header uncounted).
+        for payload in [false, true] {
+            for (at, index, store) in &parts {
+                index.scrub(|step, outcome| match step {
+                    WalkStep::Header if payload => ControlFlow::Continue(()),
+                    WalkStep::Header => {
+                        let _ = account(outcome.map_err(|e| format!("{at}index header: {e}")), 0);
+                        ControlFlow::Break(())
+                    }
+                    WalkStep::Item(i) => account(
+                        outcome.map_err(|e| format!("{at}index list {i}: {e}")),
+                        u64::from(index.vocab()[i].len),
+                    ),
+                });
+                if down() {
+                    return;
+                }
+                store.scrub(|step, outcome| match step {
+                    WalkStep::Header if payload => ControlFlow::Continue(()),
+                    WalkStep::Header => {
+                        let _ = account(outcome.map_err(|e| format!("{at}store toc: {e}")), 0);
+                        ControlFlow::Break(())
+                    }
+                    WalkStep::Item(r) => account(
+                        outcome.map_err(|e| format!("{at}store record {r}: {e}")),
+                        u64::from(store.record_location(r as u32).1),
+                    ),
+                });
+                if down() {
+                    return;
+                }
+            }
+            state.mark_ready();
         }
 
         state.complete_cycle();
@@ -360,6 +367,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let state = ScrubState::new(&registry, true);
         let shutdown = AtomicBool::new(false);
+        let db = Collection::Static(std::sync::Arc::new(db));
         // A database built in memory has no file to walk, so the first
         // cycle completes almost instantly; stop shortly after.
         std::thread::scope(|scope| {

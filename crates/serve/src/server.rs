@@ -29,8 +29,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nucdb::{
-    build_info, CoarseScratch, Collection, Database, IndexVariant, LiveDatabase, SearchParams,
-    ShardSet,
+    build_info, CoarseScratch, Collection, Database, LiveDatabase, SearchParams, ShardSet,
 };
 use nucdb_align::calibrate_gumbel;
 use nucdb_obs::json::{num, Value};
@@ -168,11 +167,6 @@ impl ServerHandle {
         self.shared.metrics.requests_for(200)
     }
 
-    /// Has shutdown been requested?
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Is the server ready (`GET /readyz` would answer 200)? True once
     /// the first scrub pass over the header and TOC completes, or
     /// immediately when the scrubber is disabled.
@@ -258,19 +252,14 @@ pub fn start_live(
     start_collection(addr, Collection::Live(live), registry, defaults, config)
 }
 
-/// Bind `addr` and serve a [`ShardSet`]: the worker that takes a
-/// `/search` request runs each query over the shards one after another,
-/// on its own thread and scratch, and merges one global answer,
-/// bit-identical to a joint build at full coverage. Each
-/// per-query response document carries a `coverage` object; when shards
-/// fail (at open or at query time) the server answers with partial
-/// results and `coverage < 1` instead of a 500 — only a query *no*
-/// shard could answer errors. The registry must be the one the shard
-/// set was assembled with, so the per-shard `nucdb_shard_*` families
-/// land in this server's `/metrics` exposition. The scrubber is
-/// skipped (`nucdb fsck` audits sharded roots offline), so readiness is
-/// immediate. Request ids, `/debug/*`, and the flight
-/// gauges work as for any other shape: configure the recorder with
+/// Bind `addr` and serve a [`ShardSet`]: each query runs over the
+/// shards one after another on its worker's thread and merges one
+/// global answer, bit-identical to a joint build at full coverage. Each
+/// per-query response carries a `coverage` object; failed shards
+/// degrade the answer (`coverage < 1`), and only a query *no* shard
+/// could answer is a 500. The registry must be the one the shard set
+/// was assembled with, so the per-shard `nucdb_shard_*` families land in
+/// this server's `/metrics`. Configure the flight recorder with
 /// [`ShardSet::set_forensics`] before sharing the set.
 pub fn start_sharded(
     addr: impl ToSocketAddrs,
@@ -302,14 +291,7 @@ pub fn start_collection(
     let addr = listener.local_addr()?;
     let metrics = HttpMetrics::new(&registry);
     build_info::register(&registry);
-    // The scrubber walks one fixed pair of on-disk files; a live
-    // database's segment set changes underneath it, so live mode skips
-    // it (each segment's files were verified when they were opened).
-    let scrub_target = collection
-        .as_static()
-        .filter(|_| config.scrub_bytes_per_sec > 0)
-        .cloned();
-    let scrub = ScrubState::new(&registry, scrub_target.is_some());
+    let scrub = ScrubState::new(&registry, config.scrub_bytes_per_sec > 0);
     let flight_recent_entries = registry.gauge(
         "nucdb_flight_recent_entries",
         "Entries currently retained in the flight recorder's recent ring",
@@ -353,23 +335,22 @@ pub fn start_collection(
                 .spawn(move || worker_loop(&shared, &queue))
         })
         .collect::<std::io::Result<Vec<_>>>()?;
-    let scrubber = match scrub_target {
-        Some(db) => {
-            let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("nucdb-scrub".to_string())
-                    .spawn(move || {
-                        scrub_loop(
-                            &db,
-                            &shared.scrub,
-                            &shared.shutdown,
-                            shared.config.scrub_bytes_per_sec,
-                        );
-                    })?,
-            )
-        }
-        None => None,
+    let scrubber = if shared.scrub.enabled {
+        let shared = Arc::clone(&shared);
+        Some(
+            std::thread::Builder::new()
+                .name("nucdb-scrub".to_string())
+                .spawn(move || {
+                    scrub_loop(
+                        &shared.collection,
+                        &shared.scrub,
+                        &shared.shutdown,
+                        shared.config.scrub_bytes_per_sec,
+                    );
+                })?,
+        )
+    } else {
+        None
     };
     let compactor = match (
         shared.collection.as_live(),
@@ -738,10 +719,8 @@ fn stats_json(shared: &Shared) -> Value {
             // the segments instead). Computed per request from the
             // vocabulary; no disk I/O.
             "index_stats".to_string(),
-            match view.as_static().map(|db| db.index()) {
-                Some(IndexVariant::Disk(index)) => {
-                    nucdb::IndexStatReport::from_disk(index).to_value()
-                }
+            match view.parts()[..] {
+                [("", index, _)] => nucdb::IndexStatReport::from_disk(index).to_value(),
                 _ => Value::Null,
             },
         ),
@@ -842,11 +821,6 @@ fn search_endpoint(
     // inputs, and the target lengths see the same record-id space, so
     // live-mode inserts are reflected immediately and never mid-request.
     let view = shared.collection.pinned();
-    // A parameter this collection cannot honour (`explain` over a shard
-    // set) is the client's error, not a failed query.
-    if let Err(error) = view.supports(&search.params) {
-        return Response::new(400, "Bad Request").text(format!("{error} (request {request_id})\n"));
-    }
     // Degraded shard coverage still answers 200 — the per-query
     // `coverage` object tells the client how complete its answer is;
     // only a query *no* shard could answer becomes a 500.

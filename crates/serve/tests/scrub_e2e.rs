@@ -1,8 +1,10 @@
 //! End-to-end tests for the background scrubber and readiness gate:
 //! `/readyz` flips only after the first structural scrub pass, injected
-//! on-disk corruption bumps `nucdb_scrub_errors_total`, search answers
-//! are bit-identical with the scrubber on and off, and the
-//! flight-recorder occupancy gauges appear on `/metrics`.
+//! on-disk corruption bumps `nucdb_scrub_errors_total` — in a plain
+//! database, a shard, or a live segment — a clean live server scrubs
+//! clean through inserts, flushes and compaction, search answers are
+//! bit-identical with the scrubber on and off, and the flight-recorder
+//! occupancy gauges appear on `/metrics`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -10,12 +12,17 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use nucdb::{Database, DbConfig, IndexVariant, SearchParams, SequenceStore, StoreVariant};
+use std::sync::Arc;
+
+use nucdb::{
+    build_sharded_root, Database, DbConfig, IndexVariant, LiveDatabase, LiveOptions, SearchParams,
+    SequenceStore, ShardSet, ShardSetConfig, StoreVariant,
+};
 use nucdb_index::CompressedIndex;
 use nucdb_obs::json::{self, Value};
 use nucdb_obs::{Forensics, ForensicsConfig, MetricsRegistry};
 use nucdb_seq::random::{CollectionSpec, MutationModel, SyntheticCollection};
-use nucdb_serve::{start, ServeConfig, ServerHandle};
+use nucdb_serve::{start, start_live, start_sharded, ServeConfig, ServerHandle};
 
 static DIR_NONCE: AtomicU64 = AtomicU64::new(0);
 
@@ -203,6 +210,147 @@ fn scrub_finds_corruption_the_query_path_has_not_touched() {
         "unhelpful last_error: {}",
         last_error.render()
     );
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Flip one byte in the middle of the postings blob of the index file at
+/// `idx`, in place: rot after open, which only the scrubber can see.
+fn flip_a_list_byte(idx: &Path) {
+    let blob_start = CompressedIndex::open(idx).unwrap().blob_start() as usize;
+    let mut bytes = std::fs::read(idx).unwrap();
+    let victim = blob_start + (bytes.len() - blob_start) / 2;
+    bytes[victim] ^= 0x40;
+    std::fs::write(idx, &bytes).unwrap();
+}
+
+/// The scrubber's `last_error`, once it has found something.
+fn scrub_finding(handle: &ServerHandle) -> String {
+    wait_until(
+        "scrubber to find the flipped byte",
+        Duration::from_secs(30),
+        || handle.scrub_errors() > 0,
+    );
+    let (_, body) = get(handle.addr(), "/stats");
+    let stats = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+    let scrub = stats.get("scrub").expect("no scrub block in /stats");
+    match scrub.get("last_error") {
+        Some(Value::Str(error)) => error.clone(),
+        other => panic!("no last_error: {other:?}"),
+    }
+}
+
+#[test]
+fn scrub_finds_a_flip_in_a_shards_list_and_in_a_live_segments_list() {
+    let coll = collection();
+    let records: Vec<_> = (coll.records.iter())
+        .map(|r| (r.id.clone(), r.seq.clone()))
+        .collect();
+    let config = ServeConfig {
+        threads: 1,
+        scrub_bytes_per_sec: 256 << 20,
+        compact_bytes_per_sec: 0,
+        ..ServeConfig::default()
+    };
+
+    let root = temp_dir("shards");
+    build_sharded_root(&root, records.clone(), 2, &DbConfig::default()).unwrap();
+    let registry = Arc::new(MetricsRegistry::new());
+    let set = ShardSet::open_root(&root, ShardSetConfig, &registry).unwrap();
+    flip_a_list_byte(&root.join("shard-001").join(nucdb::INDEX_FILE));
+    let handle = start_sharded(
+        "127.0.0.1:0",
+        Arc::new(set),
+        registry,
+        SearchParams::default(),
+        config.clone(),
+    )
+    .unwrap();
+    let error = scrub_finding(&handle);
+    assert!(error.starts_with("shard-001 index list"), "{error}");
+    handle.shutdown();
+
+    let dir = temp_dir("live");
+    let registry = Arc::new(MetricsRegistry::new());
+    let options = LiveOptions {
+        registry: Arc::clone(&registry),
+        ..LiveOptions::default()
+    };
+    let live = LiveDatabase::create(&dir, &DbConfig::default(), options).unwrap();
+    let half = records.len() / 2;
+    for chunk in [&records[..half], &records[half..]] {
+        live.insert_batch(chunk.to_vec()).unwrap();
+        assert!(live.flush().unwrap());
+    }
+    let segment = live.status().segments[1].index_file();
+    flip_a_list_byte(&dir.join(&segment));
+    let handle = start_live(
+        "127.0.0.1:0",
+        Arc::new(live),
+        registry,
+        SearchParams::default(),
+        config,
+    )
+    .unwrap();
+    let error = scrub_finding(&handle);
+    assert!(error.starts_with("seg-000001 index list"), "{error}");
+    handle.shutdown();
+    for dir in [root, dir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_clean_live_server_scrubs_clean_through_insert_flush_and_compaction() {
+    let coll = collection();
+    let records: Vec<_> = (coll.records.iter())
+        .map(|r| (r.id.clone(), r.seq.clone()))
+        .collect();
+    let dir = temp_dir("live_clean");
+    let registry = Arc::new(MetricsRegistry::new());
+    let options = LiveOptions {
+        memtable_max_records: 8,
+        registry: Arc::clone(&registry),
+        ..LiveOptions::default()
+    };
+    let live = Arc::new(LiveDatabase::create(&dir, &DbConfig::default(), options).unwrap());
+    let config = ServeConfig {
+        threads: 1,
+        scrub_bytes_per_sec: 64 << 20,
+        compact_bytes_per_sec: 64 << 20,
+        ..ServeConfig::default()
+    };
+    let handle = start_live(
+        "127.0.0.1:0",
+        Arc::clone(&live),
+        registry,
+        SearchParams::default(),
+        config,
+    )
+    .unwrap();
+    // Inserts auto-flush every eight records, and the compactor merges
+    // the segments behind the scrubber's pinned snapshots.
+    for chunk in records.chunks(5) {
+        live.insert_batch(chunk.to_vec()).unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    live.flush().unwrap();
+    wait_until("a compaction run", Duration::from_secs(30), || {
+        live.status().compaction_runs > 0
+    });
+    // Two more full cycles over the settled segments.
+    let (_, body) = get(handle.addr(), "/stats");
+    let cycles = |body: &[u8]| -> f64 {
+        let stats = json::parse(std::str::from_utf8(body).unwrap()).unwrap();
+        let scrub = stats.get("scrub").expect("no scrub block").clone();
+        scrub.get("cycles_total").and_then(Value::as_f64).unwrap()
+    };
+    let settled = cycles(&body);
+    wait_until("two more scrub cycles", Duration::from_secs(30), || {
+        cycles(&get(handle.addr(), "/stats").1) >= settled + 2.0
+    });
+    assert_eq!(handle.scrub_errors(), 0);
+    assert_eq!(get(handle.addr(), "/readyz").0, 200);
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -458,6 +458,13 @@ fn corrupt_postings_degrade_to_500_and_server_stays_up() {
         message.contains("bad index format"),
         "500 body does not name the damage: {message}"
     );
+    // …and where it is: the failing list's file offset, as fsck names it.
+    let index = CompressedIndex::open(&index_path).unwrap();
+    assert!(
+        (index.vocab().iter())
+            .any(|entry| message.contains(&format!("byte {})", index.blob_start() + entry.offset))),
+        "500 body does not locate the damage: {message}"
+    );
 
     // The server is still healthy and the corruption counter is visible
     // in the exposition.

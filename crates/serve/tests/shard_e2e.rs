@@ -264,17 +264,28 @@ fn sharded_server_is_bit_identical_to_joint_build() {
         assert!(failed.is_empty());
     }
 
-    // An explain plan is a parameter a shard set cannot honour: the
-    // client's error (400, naming the parameter), not a failed query,
-    // and nothing new lands in the rings.
+    // An explain plan over a shard set is the driver's one plan: one
+    // segment row per shard, with the same answers as without it.
     let body = format!(
         r#"{{"queries":[{{"id":"x","seq":"{}"}}],"params":{{"explain":true}}}}"#,
         to_fasta(&qs[..1]).lines().nth(1).unwrap()
     );
-    let (status, refusal) = post_search(addr, &body);
-    assert_eq!(status, 400);
-    assert!(String::from_utf8_lossy(&refusal).contains("explain"));
-    assert_eq!(debug_entries(addr, "/debug/queries").len(), qs.len());
+    let (status, body) = post_search(addr, &body);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    let response = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+    let Some(Value::Arr(explained)) = response.get("results") else {
+        panic!("bad response shape: {}", response.render());
+    };
+    assert_eq!(answer_tuples(&explained[0]), expected[0]);
+    let plan = explained[0].get("plan").expect("no plan in the response");
+    let Some(Value::Arr(rows)) = plan.get("segments") else {
+        panic!("no segment rows in {}", plan.render());
+    };
+    let names: Vec<&str> = rows
+        .iter()
+        .filter_map(|row| row.get("segment").and_then(Value::as_str))
+        .collect();
+    assert_eq!(names, ["shard-000", "shard-001", "shard-002"]);
 
     // The per-shard metric families are in the exposition: every shard
     // ran phases and its latency histogram recorded them.
@@ -336,8 +347,13 @@ fn corrupt_shard_degrades_to_partial_coverage_not_500() {
     .unwrap();
     let addr = handle.addr();
 
-    // Ready immediately (no scrubber in sharded mode), and every query
-    // answers 200 — degraded, never a 500.
+    // Ready once the scrubber has walked the live shards' headers, and
+    // every query answers 200 — degraded, never a 500.
+    let start = std::time::Instant::now();
+    while !handle.is_ready() {
+        assert!(start.elapsed() < Duration::from_secs(10), "never ready");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let (status, _) = get(addr, "/readyz");
     assert_eq!(status, 200);
     let (status, body) = post_search(addr, &to_fasta(&qs));

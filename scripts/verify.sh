@@ -32,8 +32,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 e2e/run.sh --test
 e2e/run.sh --smoke --seconds 4
 # Index health end to end on a real corpus: build a block-codec
-# database, fsck it (clean files must exit 0 — any other exit code
-# fails the run via set -e), and write the stat report; CI uploads
+# database and a 2-shard root, fsck both (clean files must exit 0 — any
+# other exit code fails the run via set -e), explain a search over the
+# shards (one plan row per shard), and write the stat report; CI uploads
 # results/STAT.json as an artifact so index-shape drift is reviewable.
 # Then the capture pipeline through the same binary: bench with the
 # log, its stride, tail sampling and the ring on, and profile the log,
@@ -51,6 +52,16 @@ NUCDB=(cargo run --quiet --release -p nucdb-cli --)
 "${NUCDB[@]}" build --collection "$health_dir/coll.fasta" --db "$health_dir/db" --codec block
 "${NUCDB[@]}" build --collection "$health_dir/coll.fasta" --db "$health_dir/shards" --shards 2
 "${NUCDB[@]}" fsck --db "$health_dir/db"
+"${NUCDB[@]}" fsck --db "$health_dir/shards"
+"${NUCDB[@]}" search --db "$health_dir/shards" --query "$health_dir/q.fasta" --explain \
+  >"$health_dir/explain-shards.txt"
+for shard in shard-000 shard-001; do
+  if ! grep -q "$shard" "$health_dir/explain-shards.txt"; then
+    echo "search --explain over the 2-shard root printed no $shard row:" >&2
+    cat "$health_dir/explain-shards.txt" >&2
+    exit 1
+  fi
+done
 "${NUCDB[@]}" stat --db "$health_dir/db" --out results
 "${NUCDB[@]}" bench --db "$health_dir/db" --query "$health_dir/q.fasta" \
   --trace "$health_dir/t.jsonl" --trace-sample 4 --slow-ms 0.001 --flight-recorder 16

@@ -744,6 +744,18 @@ fn query_error_does_not_poison_the_database() {
         .search(&corrupt_query, &SearchParams::default())
         .expect_err("query touching the corrupt record must fail");
     assert!(err.is_corruption());
+    // The error names the failing list's file offset, as fsck would.
+    let index = CompressedIndex::open(&idx).unwrap();
+    let list_starts: Vec<u64> = (index.vocab().iter())
+        .map(|entry| index.blob_start() + entry.offset)
+        .collect();
+    match &err {
+        IndexError::BadFormat(v) => assert!(
+            v.offset.is_some_and(|at| list_starts.contains(&at)),
+            "{err}"
+        ),
+        other => panic!("expected a format violation, got {other}"),
+    }
 
     // A query for a family that does not contain the corrupt record
     // still succeeds afterwards.
@@ -941,8 +953,7 @@ fn rot_after_open_leaves_answers_alone_and_fsck_finds_it() {
             .unwrap(),
     );
     let opened = nucdb::Collection::open(&dir, &nucdb::CollectionOptions::default()).unwrap();
-    let db = opened.as_static().unwrap();
-    let IndexVariant::Disk(index) = db.index() else {
+    let [("", index, _)] = opened.parts()[..] else {
         panic!("a plain directory opens one index");
     };
     let query = coll.query_for_family(0, 0.6, &nucdb_seq::random::MutationModel::identity());
@@ -950,7 +961,8 @@ fn rot_after_open_leaves_answers_alone_and_fsck_finds_it() {
     let tuples = |o: nucdb::SearchOutcome| -> Vec<(u32, i32)> {
         o.results.iter().map(|r| (r.record, r.score)).collect()
     };
-    let pristine = tuples(db.search(&query, &params).unwrap());
+    let search = || opened.search_with_id(&query, &params, &mut nucdb::CoarseScratch::new(), None);
+    let pristine = tuples(search().unwrap());
     assert!(!pristine.is_empty());
 
     // Flip the first byte of a list this query reads, on disk.
@@ -962,7 +974,7 @@ fn rot_after_open_leaves_answers_alone_and_fsck_finds_it() {
     let at = index.blob_start() + index.entry(code).unwrap().offset;
     flip_byte(&dir.join("index.nucidx"), at);
 
-    assert_eq!(tuples(db.search(&query, &params).unwrap()), pristine);
+    assert_eq!(tuples(search().unwrap()), pristine);
     let mut report = nucdb::FsckReport::default();
     nucdb::fsck_index(&dir.join("index.nucidx"), &mut report);
     assert_eq!(report.exit_code(), 1, "{:?}", report.findings);

@@ -166,34 +166,119 @@ fn every_shape_answers_identically_and_traces_through_one_driver() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Explain plans over a sharded root are refused by a typed error,
-/// whichever door the query came through.
+/// One strand's plan reduced to what must not depend on partitioning:
+/// per list `(code, qlen, df, ids_decoded, absent)`, and the survivors.
+type StrandPlan = (Vec<(u64, u32, u32, u64, bool)>, Vec<(u32, u32, u32, i64)>);
+
+fn strand_plans(plan: &nucdb::ExplainPlan) -> Vec<StrandPlan> {
+    plan.strands
+        .iter()
+        .map(|strand| {
+            let c = &strand.coarse;
+            (
+                (c.lists.iter())
+                    .map(|l| (l.code, l.qlen, l.df, l.ids_decoded, l.absent))
+                    .collect(),
+                (c.survivors.iter())
+                    .map(|s| (s.record, s.hits, s.frame_hits, s.best_diagonal))
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+/// Explain over a shard set is the driver's one plan: each strand's
+/// lists, summed over the shards, and its survivors, the merged global
+/// candidates, equal the joint build's; there is one segment row per
+/// shard; and answers are bit-identical with explain on and off, clean
+/// or degraded by a shard whose lists fail their decode.
 #[test]
-fn sharded_roots_reject_explain() {
-    let coll = SyntheticCollection::generate(&CollectionSpec::tiny(9));
+fn sharded_plans_match_the_joint_plan() {
+    let coll = SyntheticCollection::generate(&CollectionSpec {
+        seed: 2044,
+        num_background: 40,
+        num_families: 3,
+        family_size: 3,
+        ..CollectionSpec::default()
+    });
     let records: Vec<(String, DnaSeq)> = coll
         .records
         .iter()
         .map(|r| (r.id.clone(), r.seq.clone()))
         .collect();
-    let dir = temp_dir("reject");
-    build_sharded_root(&dir, records, 2, &DbConfig::default()).unwrap();
-    let collection = Collection::open(&dir, &CollectionOptions::default()).unwrap();
-    let query = coll.query_for_family(0, 0.5, &MutationModel::identity());
-    let params = SearchParams {
+    let config = DbConfig::default();
+    let root = temp_dir("plans");
+    let (plain, sharded) = (root.join("plain"), root.join("shards"));
+    std::fs::create_dir_all(&plain).unwrap();
+    write_plain(&plain, &records, &config);
+    let counts = build_sharded_root(&sharded, records.clone(), 2, &config).unwrap();
+    let open = |dir: &Path| Collection::open(dir, &CollectionOptions::default()).unwrap();
+    let (joint, set) = (open(&plain), open(&sharded));
+
+    let explain = SearchParams {
+        strand: Strand::Both,
         explain: true,
         ..SearchParams::default()
     };
-    let err = collection
-        .search_with_id(&query, &params, &mut CoarseScratch::new(), None)
-        .unwrap_err();
-    assert!(matches!(err, nucdb_index::IndexError::Unsupported(_)));
-    assert!(err.to_string().contains("explain"), "{err}");
-    // Front ends ask ahead of the query and get the same refusal.
-    let asked = collection.supports(&params).unwrap_err();
-    assert_eq!(asked.to_string(), err.to_string());
-    assert!(collection.supports(&SearchParams::default()).is_ok());
-    let _ = std::fs::remove_dir_all(&dir);
+    let quiet = SearchParams {
+        explain: false,
+        ..explain
+    };
+    let answer = |collection: &Collection, query: &DnaSeq, params: &SearchParams| {
+        let outcome = collection
+            .search_with_id(query, params, &mut CoarseScratch::new(), None)
+            .unwrap();
+        let results: Answer = (outcome.results.iter())
+            .map(|r| (r.record, r.id.clone(), r.score, r.strand))
+            .collect();
+        (results, outcome.explain)
+    };
+    // A family query, and a stored record of each shard verbatim.
+    let queries = [
+        coll.query_for_family(0, 0.5, &MutationModel::standard(0.05)),
+        records[1].1.clone(),
+        records[records.len() - 2].1.clone(),
+    ];
+    for query in &queries {
+        let (want, joint_plan) = answer(&joint, query, &explain);
+        let (got, plan) = answer(&set, query, &explain);
+        assert!(!want.is_empty());
+        assert_eq!(got, want);
+        assert_eq!(answer(&set, query, &quiet), (want, None));
+        let (joint_plan, plan) = (joint_plan.unwrap(), plan.unwrap());
+        assert_eq!(strand_plans(&plan), strand_plans(&joint_plan));
+        assert!(plan.strands.iter().all(|s| !s.coarse.survivors.is_empty()));
+        let rows: Vec<(&str, u32, u32)> = (plan.segments.iter())
+            .map(|row| (row.label.as_str(), row.base, row.records))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("shard-000", 0, counts[0]),
+                ("shard-001", counts[0], counts[1])
+            ]
+        );
+    }
+
+    // Shard 1's lists holding its record 1 now fail their decode: the
+    // set degrades, and explain changes nothing about the answer.
+    nucdb_index::forge_short_record(&sharded.join("shard-001").join(nucdb::INDEX_FILE), 1).unwrap();
+    let set = open(&sharded);
+    let query = records[counts[0] as usize + 1].1.clone();
+    let outcome = |params: &SearchParams| {
+        set.search_with_id(&query, params, &mut CoarseScratch::new(), None)
+            .unwrap()
+    };
+    let (on, off) = (outcome(&explain), outcome(&quiet));
+    assert_eq!(on.coverage.as_ref().unwrap().coverage.shards_ok, 1);
+    let tuples = |o: &nucdb::SearchOutcome| -> Vec<(u32, i32)> {
+        o.results.iter().map(|r| (r.record, r.score)).collect()
+    };
+    assert_eq!(tuples(&on), tuples(&off));
+    let plan = on.explain.unwrap();
+    assert_eq!(plan.segments.len(), 2);
+    assert_eq!(plan.results, on.results.len());
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A `MANIFEST` shadowed by a `SHARDS` file (a state `serve --live` over

@@ -314,6 +314,14 @@ fn query_time_shard_error_degrades_and_bumps_the_metric() {
     assert!(outcome.coverage.fraction() < 1.0);
     assert_eq!(outcome.failures.len(), 1);
     assert_eq!(outcome.failures[0].shard, "shard-001");
+    // The failure names the list's file offset in the shard's index.
+    let index = CompressedIndex::open(&dir.join("shard-001").join("index.nucidx")).unwrap();
+    let error = &outcome.failures[0].error;
+    assert!(
+        (index.vocab().iter())
+            .any(|entry| error.contains(&format!("byte {})", index.blob_start() + entry.offset))),
+        "{error}"
+    );
 
     let errors = registry
         .counter_with("nucdb_shard_errors_total", "", &[("shard", "shard-001")])
