@@ -135,12 +135,11 @@ pub fn usage_for(command: &str) -> Option<&'static str> {
   --trace FILE       capture log: one JSON line per logged query
   --trace-sample N   log every Nth query (default 1)
 
---db may also be a sharded root (from `nucdb build --shards N`): queries
-scatter across the shards and gather one merged answer, bit-identical to
-an unsharded build; a warning names any shard that failed to answer.
+--db may also be a sharded root (from `nucdb build --shards N`): the
+shards are searched as the parts of one view, bit-identical to an
+unsharded build; a warning names any shard that failed to answer.
 --explain, --trace, --metrics and request ids work as for any database
-(a sharded plan has one segment row per shard, and each strand's lists
-summed over the shards)"
+(a sharded plan has one segment row per shard)"
         }
         "ingest" => {
             "usage: nucdb ingest --collection FILE --db DIR [options]
@@ -224,8 +223,9 @@ summed over the shards)"
                      0 disables the scrubber)
 
 A sharded root (SHARDS manifest from `nucdb build --shards N`) is
-detected automatically: every per-query answer carries a coverage
-object, and failed shards degrade the answer instead of erroring it.
+detected automatically and searched as one view of its shards: every
+per-query answer carries a coverage object, and failed shards degrade
+the answer instead of erroring it.
 /metrics gains per-shard nucdb_shard_* families; request ids,
 /debug/queries and /debug/slow work as for any database (a partial
 answer is filed with the errors).

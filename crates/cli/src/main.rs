@@ -13,9 +13,35 @@
 mod args;
 mod commands;
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::process::ExitCode;
 
+/// Is this panic `print!` finding stdout closed, as when the output is
+/// piped to `head`? The reader has all it wanted: not an error.
+fn is_closed_stdout(payload: &(dyn Any + Send)) -> bool {
+    payload
+        .downcast_ref::<String>()
+        .is_some_and(|m| m.starts_with("failed printing to stdout") && m.contains("Broken pipe"))
+}
+
+/// Run the command; a closed stdout ends it quietly with success.
 fn main() -> ExitCode {
+    let report = panic::take_hook();
+    panic::set_hook(Box::new(move |info| {
+        if !is_closed_stdout(info.payload()) {
+            report(info);
+        }
+    }));
+    panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        if !is_closed_stdout(payload.as_ref()) {
+            panic::resume_unwind(payload);
+        }
+        ExitCode::SUCCESS
+    })
+}
+
+fn run() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = argv.split_first() else {
         eprintln!("{}", commands::USAGE);

@@ -61,7 +61,8 @@ pub trait PostingsSource {
 
     /// Coarse search's first pass over `code`'s list: look it up
     /// forward from this query's `cursors` (one per index part, added on
-    /// first use; codes arrive ascending) and walk the list as counts,
+    /// first use; codes arrive ascending), charge each part's fetch to
+    /// its cursor, and walk the list as counts,
     /// [`PostingsVisitor::visit_block`] once per decoded block with the
     /// block's offsets located in
     /// [`section_bytes`](PostingsSource::section_bytes) of the section's
@@ -72,7 +73,7 @@ pub trait PostingsSource {
     fn fetch_counts(
         &self,
         code: u64,
-        cursors: &mut Vec<VocabCursor>,
+        cursors: &mut Vec<PartCursor>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError>;
 
@@ -83,10 +84,54 @@ pub trait PostingsSource {
     fn section_bytes(&self, part: u32) -> &[u8];
 }
 
+/// One index part's state within a query (a plain index is one part, a
+/// segmented view has one per segment or shard): where its vocabulary
+/// lookup stands, reset for each strand, and the work the query did in
+/// the part, summed over the query's strands.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PartCursor {
+    vocab: VocabCursor,
+    /// The part's first global record id.
+    base: u32,
+    work: PartWork,
+}
+
+/// The work one query did in one index part.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PartWork {
+    /// Postings entries decoded from the part's lists.
+    pub ids_decoded: u64,
+    /// Compressed postings bytes read from the part.
+    pub bytes_read: u64,
+    /// Candidates of the query's cuts that the part holds.
+    pub candidates: u64,
+}
+
+impl PartCursor {
+    /// Look `code` up in `index`, the part at global id `base`, forward
+    /// from this cursor, walk its list as counts, and charge the fetch to
+    /// the part.
+    pub(crate) fn fetch_counts(
+        &mut self,
+        index: &CompressedIndex,
+        base: u32,
+        code: u64,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError> {
+        self.base = base;
+        let fetched = index.counts_stream(code, &mut self.vocab, visitor)?;
+        if let Some(stats) = &fetched {
+            self.work.ids_decoded += stats.ids_decoded;
+            self.work.bytes_read += stats.bytes_read;
+        }
+        Ok(fetched)
+    }
+}
+
 /// Part `part`'s cursor among a query's `cursors`, added on first use.
-pub(crate) fn part_cursor(cursors: &mut Vec<VocabCursor>, part: usize) -> &mut VocabCursor {
+pub(crate) fn part_cursor(cursors: &mut Vec<PartCursor>, part: usize) -> &mut PartCursor {
     if cursors.len() <= part {
-        cursors.resize(part + 1, VocabCursor::default());
+        cursors.resize(part + 1, PartCursor::default());
     }
     &mut cursors[part]
 }
@@ -116,10 +161,10 @@ impl PostingsSource for CompressedIndex {
     fn fetch_counts(
         &self,
         code: u64,
-        cursors: &mut Vec<VocabCursor>,
+        cursors: &mut Vec<PartCursor>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        self.counts_stream(code, part_cursor(cursors, 0), visitor)
+        part_cursor(cursors, 0).fetch_counts(self, 0, code, visitor)
     }
 
     fn section_bytes(&self, _part: u32) -> &[u8] {
@@ -210,8 +255,8 @@ pub struct CoarseScratch {
     /// Hit arena: `(record, diagonal)` in arrival order — Paper lists'
     /// hits from pass one, then the survivors' hits from pass two.
     hits: Vec<(u32, i64)>,
-    /// This query's vocabulary cursors, one per index part.
-    cursors: Vec<VocabCursor>,
+    /// This query's part cursors, one per index part.
+    cursors: Vec<PartCursor>,
     /// Every posting of every kept block, `(record, count)`, in fetch
     /// order.
     kept: Vec<(u32, u32)>,
@@ -238,16 +283,40 @@ impl CoarseScratch {
         CoarseScratch::default()
     }
 
-    /// Start a query over `num_records` records: zero the count table
-    /// over them and clear the per-query arenas.
+    /// Start a strand over `num_records` records: zero the count table
+    /// over them, rewind the vocabulary cursors and clear the per-strand
+    /// arenas. The parts' work tallies run on until
+    /// [`CoarseScratch::begin_query`].
     fn begin(&mut self, num_records: usize) {
         self.counts.clear();
         self.counts.resize(num_records, 0);
         self.touched.clear();
         self.hits.clear();
-        self.cursors.clear();
+        for cursor in &mut self.cursors {
+            cursor.vocab = VocabCursor::default();
+        }
         self.kept.clear();
         self.blocks.clear();
+    }
+
+    /// Start a query: forget the last query's parts and their work.
+    pub(crate) fn begin_query(&mut self) {
+        self.cursors.clear();
+    }
+
+    /// Charge each of a strand's `candidates` to the part holding it.
+    pub(crate) fn charge_candidates(&mut self, candidates: &[CoarseHit]) {
+        for hit in candidates {
+            // Parts ascend by base; an empty part shares its successor's.
+            let part = self.cursors.partition_point(|c| c.base <= hit.record) - 1;
+            self.cursors[part].work.candidates += 1;
+        }
+    }
+
+    /// The work this query has done in each index part, in part order
+    /// (parts the query never reached are missing from the end).
+    pub(crate) fn part_work(&self) -> impl Iterator<Item = PartWork> + '_ {
+        self.cursors.iter().map(|cursor| cursor.work)
     }
 }
 
@@ -682,7 +751,7 @@ fn list_explain(code: u64, qlen: u32, stats: Option<&FetchStats>) -> ListExplain
 }
 
 /// Set `explain`'s survivors to `candidates`, in their order.
-pub(crate) fn record_survivors(explain: &mut CoarseExplain, candidates: &[CoarseHit]) {
+fn record_survivors(explain: &mut CoarseExplain, candidates: &[CoarseHit]) {
     explain.survivors.clear();
     explain
         .survivors

@@ -12,8 +12,8 @@
 //! [`Collection::as_live`] / [`Collection::as_sharded`] only for what
 //! one shape alone can do (insert, flush, compact; per-shard rows).
 //! Every shape answers a query on the caller's thread with the caller's
-//! [`CoarseScratch`]: a shard set is a list of plain databases searched
-//! one after another.
+//! [`CoarseScratch`], through the one query driver: a shard set is one
+//! segmented view whose parts are its shards.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -109,8 +109,8 @@ pub enum Collection {
     /// A live database accepting inserts; every query runs on its
     /// current snapshot.
     Live(Arc<LiveDatabase>),
-    /// A shard set; every query runs each shard in turn on the caller's
-    /// thread and merges their answers.
+    /// A shard set; every query runs on one segmented view of its
+    /// shards and reports which shards answered.
     Sharded(Arc<ShardSet>),
 }
 
@@ -150,9 +150,8 @@ impl Collection {
     }
 
     /// Evaluate one query. `scratch` is the caller's reusable coarse
-    /// working memory (a shard set lends it to each shard in turn);
-    /// `request_id` flows into every span, trace line, and
-    /// flight-recorder entry. A sharded answer carries its
+    /// working memory; `request_id` flows into every span, trace line,
+    /// and flight-recorder entry. A sharded answer carries its
     /// [`ShardCoverage`] in [`SearchOutcome::coverage`].
     pub fn search_with_id(
         &self,

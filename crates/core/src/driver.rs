@@ -1,91 +1,30 @@
 //! The query driver: the paper's one algorithm — coarse-rank the
 //! interval index, fine-align the top C, merge strands — written once.
 //!
-//! A [`Backend`] is a place that algorithm runs: a single
-//! [`Database`](crate::Database) (memory, disk, or segmented), or a
-//! [`ShardSet`](crate::ShardSet) that fans each phase out and merges the
-//! per-shard answers back into joint order. The driver owns everything
-//! that is not the two phases themselves: the strand loop, cost
-//! counters, explain-plan and span collection, the strand merge, result
-//! assembly, metrics, and capture into the flight recorder and its log
-//! (including failed queries). It is generic and monomorphised, so a
-//! `Database` query compiles to the same code it always was.
+//! It runs on a [`Database`] of any shape: one index and store, or a
+//! segmented view over several parts (a live database's segments, a
+//! shard set's shards). The driver owns everything around the two
+//! phases: the strand loop, cost counters, explain-plan and span
+//! collection, the strand merge, result assembly, metrics, and capture
+//! into the flight recorder and its log (including failed queries).
 
 use std::time::Instant;
 
 use nucdb_index::IndexError;
 use nucdb_obs::{CaptureReason, QueryTrace, SpanNode};
-use nucdb_seq::{Base, DnaSeq};
+use nucdb_seq::DnaSeq;
 
-use crate::coarse::{CoarseHit, CoarseOutcome};
-use crate::engine::{QueryStats, SearchOutcome, SearchResult};
-use crate::explain::{
-    fine_mode_name, CandidateExplain, CoarseExplain, ExplainPlan, SegmentExplain, StrandExplain,
-};
-use crate::fine::{CandidateTiming, FineMode, FineResult};
-use crate::metrics::SearchMetrics;
+use crate::coarse::{coarse_rank_explain, CoarseScratch};
+use crate::engine::{io_err, Database, IndexVariant, QueryStats, SearchOutcome, SearchResult};
+use crate::explain::{fine_mode_name, CandidateExplain, CoarseExplain, ExplainPlan, StrandExplain};
+use crate::fine::{fine_search_traced, CandidateTiming, FineResult};
 use crate::params::{SearchParams, Strand};
+use crate::store::RecordSource;
 
 /// Cap on per-candidate child spans under a `fine` span, so one query
 /// with a huge candidate list cannot bloat a trace (and therefore the
 /// flight recorder's memory bound). The slowest candidates are kept.
 const MAX_CANDIDATE_SPANS: usize = 8;
-
-/// Fine results of every strand searched, each tagged with its strand:
-/// the strand merge's input.
-pub(crate) type Merged = Vec<(Strand, FineResult)>;
-
-/// The two phases of partitioned search, plus what the driver needs to
-/// turn their output into an answer. Record ids crossing this boundary
-/// are always *global* (collection-wide).
-pub(crate) trait Backend {
-    /// Per-query mutable state threaded through both phases.
-    type State;
-
-    /// Observability handles queries record into.
-    fn metrics(&self) -> &SearchMetrics;
-
-    /// Per-part rows for explain plans: a live database's segments, a
-    /// shard set's shards, none for one plain database.
-    fn segment_rows(&self) -> Vec<SegmentExplain>;
-
-    /// Coarse-rank one strand orientation of the query: the top-C
-    /// candidates in `(score desc, record asc)` order plus work counters.
-    fn coarse(
-        &self,
-        state: &mut Self::State,
-        query_bases: &[Base],
-        params: &SearchParams,
-        explain: Option<&mut CoarseExplain>,
-    ) -> Result<CoarseOutcome, IndexError>;
-
-    /// Fine-align `candidates` against `query` (already oriented). Order
-    /// of the returned results is irrelevant: the strand merge sorts.
-    fn fine(
-        &self,
-        state: &mut Self::State,
-        query: &DnaSeq,
-        candidates: &[CoarseHit],
-        mode: FineMode,
-        params: &SearchParams,
-        timings: Option<&mut Vec<CandidateTiming>>,
-    ) -> Result<Vec<FineResult>, IndexError>;
-
-    /// External identifier of a record.
-    fn record_id(&self, record: u32) -> String;
-
-    /// Last word before the strand merge: a backend may drop results
-    /// (a shard that failed any phase contributes nothing) or fail the
-    /// query. A returned note marks the answer as partial; the flight
-    /// recorder files such a query with the errors.
-    fn finish(
-        &self,
-        _state: &mut Self::State,
-        _merged: &mut Merged,
-    ) -> Result<Option<String>, IndexError> {
-        Ok(None)
-    }
-}
 
 /// What one query accumulates besides its results.
 struct Capture {
@@ -97,17 +36,21 @@ struct Capture {
     strand_plans: Option<Vec<StrandExplain>>,
 }
 
-/// Evaluate one query on `backend`. A query that trips over on-disk
-/// corruption fails with a typed error and increments
-/// `nucdb_io_corruption_total`; the backend itself stays healthy.
-pub(crate) fn run_query<B: Backend>(
-    backend: &B,
-    state: &mut B::State,
+/// Evaluate one query on `db`, with `scratch` as its coarse working
+/// memory. A query that trips over on-disk corruption fails with a typed
+/// error and increments `nucdb_io_corruption_total`; the database itself
+/// stays healthy. A `partial` note marks the answer as partial (a shard
+/// set answering without some of its shards): the flight recorder files
+/// such a query with the note as its error.
+pub(crate) fn run_query(
+    db: &Database,
+    scratch: &mut CoarseScratch,
     query: &DnaSeq,
     params: &SearchParams,
     request_id: Option<&str>,
+    partial: Option<String>,
 ) -> Result<SearchOutcome, IndexError> {
-    let metrics = backend.metrics();
+    let metrics = db.metrics();
     // Ask the recorder up front whether it wants spans and a plan; an
     // explain plan is also collected when the caller asks for one.
     let capture = metrics.forensics.begin();
@@ -128,8 +71,9 @@ pub(crate) fn run_query<B: Backend>(
         spans: capture.spans.then(Vec::new),
         strand_plans: want_plan.then(Vec::new),
     };
-    let strands = (|| -> Result<(Merged, Option<String>), IndexError> {
-        let mut merged = Merged::new();
+    scratch.begin_query();
+    let strands = (|| -> Result<Vec<(Strand, FineResult)>, IndexError> {
+        let mut merged = Vec::new();
         for strand in [Strand::Forward, Strand::Reverse] {
             if params.strand != strand && params.strand != Strand::Both {
                 continue;
@@ -141,11 +85,10 @@ pub(crate) fn run_query<B: Backend>(
             } else {
                 query
             };
-            let fine = search_strand(backend, state, oriented, params, strand, &mut cap)?;
+            let fine = search_strand(db, scratch, oriented, params, strand, &mut cap)?;
             merged.extend(fine.into_iter().map(|r| (strand, r)));
         }
-        let partial = backend.finish(state, &mut merged)?;
-        Ok((merged, partial))
+        Ok(merged)
     })();
     let Capture {
         query_start,
@@ -153,7 +96,7 @@ pub(crate) fn run_query<B: Backend>(
         spans,
         strand_plans,
     } = cap;
-    let (mut merged, partial) = match strands {
+    let mut merged = match strands {
         Ok(done) => done,
         Err(e) => {
             if e.is_corruption() {
@@ -190,7 +133,7 @@ pub(crate) fn run_query<B: Backend>(
         .take(params.max_results)
         .map(|(strand, r)| SearchResult {
             record: r.record,
-            id: backend.record_id(r.record),
+            id: db.store().id(r.record).to_string(),
             score: r.score,
             coarse_score: f64::from(r.coarse.frame_hits),
             coarse_hits: r.coarse.hits,
@@ -207,7 +150,10 @@ pub(crate) fn run_query<B: Backend>(
         ranking: format!("frame:{}", params.frame_window),
         max_candidates: params.max_candidates,
         min_score: params.min_score,
-        segments: backend.segment_rows(),
+        segments: match db.index() {
+            IndexVariant::Segmented(index) => index.explain_rows(),
+            IndexVariant::Disk(_) => Vec::new(),
+        },
         strands,
         results: results.len(),
     });
@@ -248,9 +194,9 @@ pub(crate) fn run_query<B: Backend>(
 /// captured, a `coarse` span (children `extract`/`accumulate`/`rank`)
 /// and a `fine` span (children: the slowest candidates) are appended,
 /// each carrying its work counters.
-fn search_strand<B: Backend>(
-    backend: &B,
-    state: &mut B::State,
+fn search_strand(
+    db: &Database,
+    scratch: &mut CoarseScratch,
     query: &DnaSeq,
     params: &SearchParams,
     strand: Strand,
@@ -261,7 +207,14 @@ fn search_strand<B: Backend>(
     let mut coarse_explain = cap.strand_plans.is_some().then(CoarseExplain::default);
     let coarse_offset = cap.query_start.elapsed().as_nanos() as u64;
     let coarse_start = Instant::now();
-    let coarse = backend.coarse(state, &query_bases, params, coarse_explain.as_mut())?;
+    let coarse = coarse_rank_explain(
+        db.index(),
+        &query_bases,
+        params,
+        scratch,
+        coarse_explain.as_mut(),
+    )?;
+    scratch.charge_candidates(&coarse.candidates);
     let coarse_nanos = coarse_start.elapsed().as_nanos() as u64;
     stats.coarse_nanos += coarse_nanos;
     stats.extract_nanos += coarse.extract_nanos;
@@ -279,14 +232,16 @@ fn search_strand<B: Backend>(
     let fine_offset = cap.query_start.elapsed().as_nanos() as u64;
     let fine_start = Instant::now();
     let mut timings: Vec<CandidateTiming> = Vec::new();
-    let fine = backend.fine(
-        state,
+    let fine = fine_search_traced(
+        db.store(),
         query,
         &coarse.candidates,
         params.fine,
-        params,
+        &params.scheme,
+        params.min_score,
         (cap.spans.is_some() || cap.strand_plans.is_some()).then_some(&mut timings),
-    );
+    )
+    .map_err(io_err);
     let fine_nanos = fine_start.elapsed().as_nanos() as u64;
     stats.fine_nanos += fine_nanos;
 

@@ -6,16 +6,14 @@ use std::path::Path;
 use nucdb_align::Alignment;
 use nucdb_index::{
     CompressedIndex, FetchStats, IndexBuilder, IndexError, IndexParams, ListCodec, PostingsVisitor,
-    VocabCursor,
 };
 use nucdb_seq::DnaSeq;
 
 use nucdb_obs::{Forensics, MetricsRegistry};
 
-use crate::coarse::{coarse_rank_explain, CoarseHit, CoarseOutcome, CoarseScratch, PostingsSource};
-use crate::driver::{self, Backend};
-use crate::explain::{CoarseExplain, ExplainPlan};
-use crate::fine::{fine_search_traced, CandidateTiming, FineMode, FineResult};
+use crate::coarse::{CoarseScratch, PartCursor, PostingsSource};
+use crate::driver;
+use crate::explain::ExplainPlan;
 use crate::metrics::SearchMetrics;
 use crate::params::{SearchParams, Strand};
 use crate::shard::ShardCoverage;
@@ -87,7 +85,7 @@ impl PostingsSource for IndexVariant {
     fn fetch_counts(
         &self,
         code: u64,
-        cursors: &mut Vec<VocabCursor>,
+        cursors: &mut Vec<PartCursor>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
         self.source().fetch_counts(code, cursors, visitor)
@@ -263,6 +261,16 @@ impl Database {
         }
     }
 
+    /// The store and index, taken apart again.
+    pub(crate) fn into_variants(self) -> (StoreVariant, IndexVariant) {
+        (self.store, self.index)
+    }
+
+    /// This database answering under `metrics` (another view's handles).
+    pub(crate) fn with_metrics(self, metrics: SearchMetrics) -> Database {
+        Database { metrics, ..self }
+    }
+
     /// Persist the index to `path` and reopen it from there (the
     /// paper's disk setting). A segmented index is left as it is.
     pub fn with_disk_index(self, path: &Path) -> Result<Database, IndexError> {
@@ -413,59 +421,7 @@ impl Database {
         scratch: &mut CoarseScratch,
         request_id: Option<&str>,
     ) -> Result<SearchOutcome, IndexError> {
-        driver::run_query(self, scratch, query, params, request_id)
-    }
-}
-
-impl Backend for Database {
-    /// The caller's coarse working memory.
-    type State = CoarseScratch;
-
-    fn metrics(&self) -> &SearchMetrics {
-        &self.metrics
-    }
-
-    /// Empty unless this database is a segmented (live ingestion) view.
-    fn segment_rows(&self) -> Vec<crate::explain::SegmentExplain> {
-        match &self.index {
-            IndexVariant::Segmented(i) => i.explain_rows(),
-            _ => Vec::new(),
-        }
-    }
-
-    fn coarse(
-        &self,
-        scratch: &mut CoarseScratch,
-        query_bases: &[nucdb_seq::Base],
-        params: &SearchParams,
-        explain: Option<&mut CoarseExplain>,
-    ) -> Result<CoarseOutcome, IndexError> {
-        coarse_rank_explain(&self.index, query_bases, params, scratch, explain)
-    }
-
-    fn fine(
-        &self,
-        _scratch: &mut CoarseScratch,
-        query: &DnaSeq,
-        candidates: &[CoarseHit],
-        mode: FineMode,
-        params: &SearchParams,
-        timings: Option<&mut Vec<CandidateTiming>>,
-    ) -> Result<Vec<FineResult>, IndexError> {
-        fine_search_traced(
-            &self.store,
-            query,
-            candidates,
-            mode,
-            &params.scheme,
-            params.min_score,
-            timings,
-        )
-        .map_err(io_err)
-    }
-
-    fn record_id(&self, record: u32) -> String {
-        self.store.id(record).to_string()
+        driver::run_query(self, scratch, query, params, request_id, None)
     }
 }
 

@@ -60,7 +60,7 @@ pub mod store;
 pub use baseline::{exhaustive_blast, exhaustive_fasta, exhaustive_sw};
 pub use coarse::{
     coarse_rank, coarse_rank_explain, coarse_rank_with, CoarseHit, CoarseOutcome, CoarseScratch,
-    PostingsSource,
+    PartCursor, PostingsSource,
 };
 pub use collection::{Collection, CollectionOptions, Shape, INDEX_FILE, STORE_FILE};
 pub use engine::{Database, DbConfig, IndexVariant, QueryStats, SearchOutcome, SearchResult};

@@ -38,12 +38,12 @@ use std::time::Instant;
 use nucdb_index::manifest::{segment_index_file, segment_store_file, Manifest, SegmentMeta};
 use nucdb_index::{
     merge_indexes, write_index, CompressedIndex, FetchStats, IndexBuilder, IndexError, IndexParams,
-    OffsetSection, PostingsVisitor, VocabCursor, BLOCK_LEN,
+    OffsetSection, PostingsVisitor, BLOCK_LEN,
 };
 use nucdb_obs::{Counter, Forensics, Gauge, MetricsRegistry};
 use nucdb_seq::{Base, DnaSeq, SeqError};
 
-use crate::coarse::{part_cursor, PostingsSource};
+use crate::coarse::{part_cursor, PartCursor, PostingsSource};
 use crate::collection::{has_live_manifest, Shape};
 use crate::engine::{io_err, Database, DbConfig, IndexVariant};
 use crate::explain::SegmentExplain;
@@ -79,9 +79,9 @@ pub struct SegmentedIndex {
 
 impl SegmentedIndex {
     /// Compose parts (in global record-id order) into one index view. All
-    /// parts must agree on interval parameters and be unstopped (live
-    /// directories never use stopping; a stopped segment would break
-    /// merge identity).
+    /// parts must agree on interval length, stride and stopping. A live
+    /// directory's parts are never stopped (its manifest cannot say so);
+    /// a sharded root's shards may all be, each stopped on its own lists.
     pub fn new(parts: Vec<(String, Arc<CompressedIndex>)>) -> Result<SegmentedIndex, IndexError> {
         let Some((_, first)) = parts.first() else {
             return Err(IndexError::Unsupported(
@@ -89,17 +89,12 @@ impl SegmentedIndex {
             ));
         };
         let params = first.params().clone();
-        if params.stopping.is_some() {
-            return Err(IndexError::Unsupported(
-                "segmented indexes must be unstopped",
-            ));
-        }
         let mut record_lens = Vec::new();
         let mut assembled = Vec::with_capacity(parts.len());
         let mut base = 0u64;
         for (label, part) in parts {
             let p = part.params();
-            if p.k != params.k || p.stride != params.stride || p.stopping.is_some() {
+            if p.k != params.k || p.stride != params.stride || p.stopping != params.stopping {
                 return Err(IndexError::Unsupported(
                     "segment parts disagree on index parameters",
                 ));
@@ -154,7 +149,7 @@ impl SegmentedIndex {
         visitor: &mut dyn PostingsVisitor,
         mut fetch: impl FnMut(
             usize,
-            &CompressedIndex,
+            &IndexPart,
             &mut dyn PostingsVisitor,
         ) -> Result<Option<FetchStats>, IndexError>,
     ) -> Result<Option<FetchStats>, IndexError> {
@@ -165,7 +160,7 @@ impl SegmentedIndex {
                 part: i as u32,
                 inner: visitor,
             };
-            if let Some(stats) = fetch(i, &part.inner, &mut shifted)? {
+            if let Some(stats) = fetch(i, part, &mut shifted)? {
                 total = Some(merge_stats(total, stats));
             }
         }
@@ -224,18 +219,18 @@ impl PostingsSource for SegmentedIndex {
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
         self.fetch_parts(visitor, |_, part, shifted| {
-            part.fetch_stream(code, io_buf, shifted)
+            part.inner.fetch_stream(code, io_buf, shifted)
         })
     }
 
     fn fetch_counts(
         &self,
         code: u64,
-        cursors: &mut Vec<VocabCursor>,
+        cursors: &mut Vec<PartCursor>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
         self.fetch_parts(visitor, |i, part, shifted| {
-            part.counts_stream(code, part_cursor(cursors, i), shifted)
+            part_cursor(cursors, i).fetch_counts(&part.inner, part.base, code, shifted)
         })
     }
 

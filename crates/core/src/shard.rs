@@ -1,76 +1,59 @@
-//! Scatter-gather sharded search: the query driver's shard-set backend.
+//! Sharded search: N shards answering as the parts of one view.
 //!
 //! A [`ShardSet`] partitions a collection into N shards, each an
-//! independent [`Database`] over a contiguous slice of the record-id
-//! space. The set is a backend of the one query driver
-//! (`crate::driver`): its coarse phase ranks each shard in turn on the
-//! request's own thread, with the caller's [`CoarseScratch`], and merges
-//! the per-shard top-C candidates globally; its fine phase aligns only
-//! the global winners on the shards that own them; and the strand loop,
-//! strand merge, spans, and flight-recorder capture are the driver's —
-//! the same code a single database runs. A lone query therefore costs
-//! what it costs on the joint database plus each shard's per-query
-//! overhead; concurrency comes from the caller's threads (the server's
-//! workers), as for every other shape.
+//! ordinary index + store pair over a contiguous slice of the record-id
+//! space. Opened, the shards become the parts of one segmented
+//! [`Database`] view (`shard-000`, `shard-001`, … at their manifest id
+//! bases), and a query runs the one query driver on that view: one
+//! coarse pass over every record of the joint id space, one top-C cut,
+//! fine alignment of the winners, the driver's strand merge, spans and
+//! capture. Answers are bit-identical to a joint build for the reason a
+//! live database's are: a segmented view visits postings part by part
+//! with ids shifted to global ones, so every score and every tie-break
+//! is the joint build's.
 //!
-//! ## Merge proof obligation
+//! What is left to the set is what only a partitioned answer has:
 //!
-//! Sharded answers must be **bit-identical** to a joint single-index
-//! build (pinned by `tests/sharding.rs`). The argument:
-//!
-//! * The coarse score is a function of one record alone: the frame
-//!   score windows the record's own diagonal histogram. No
-//!   collection-global statistic enters, so a record scores the same in
-//!   its shard as in the joint index.
-//! * Shards hold *contiguous* id ranges (shard `s` covers
-//!   `[base_s, base_s + n_s)`), so adding `base_s` to a local id
-//!   preserves the joint `(frame hits desc, record asc)` tie-break
-//!   order.
-//! * Any member of the joint top-C has fewer than C records ahead of it
-//!   globally, hence fewer than C within its own shard: it survives the
-//!   per-shard `top-C` truncation. Merging the per-shard lists and
-//!   truncating to C therefore reproduces the joint candidate list
-//!   exactly — same set, same order.
-//!
-//! No engine knob breaks this argument, so a shard set refuses no
-//! parameter. An explain plan is the driver's one plan: each shard's
-//! coarse evidence is folded into its strand's plan list by list, and
-//! the survivors are the merged global candidates.
-//!
-//! ## Degraded mode
-//!
-//! A shard that cannot be opened (dead at open) or whose phase returns
-//! an error (corruption) is dropped from the answer; a slow shard never
-//! is. The query still succeeds with the surviving shards and a
-//! [`Coverage`] of `shards_ok / shards_total`. Results from a shard
-//! that failed *any* phase are discarded entirely, so a degraded answer
-//! equals the answer of a `ShardSet` over the surviving shards alone.
-//! Only when every shard fails does the query error.
+//! * **Holes.** A shard that is dead at open keeps its manifest id range
+//!   as an empty placeholder part — its records have no postings and no
+//!   bases — so no candidate can land in it, every other shard keeps its
+//!   id base, and its explain and `/stats` rows remain.
+//! * **Degraded retry.** When a query over the view fails, the set runs
+//!   it on each live shard alone; the shards that fail are charged an
+//!   error, become holes, and the query is answered once more over the
+//!   rest. The answer carries a [`Coverage`] of `shards_ok /
+//!   shards_total` and equals the answer of the surviving shards alone.
+//!   If no shard fails alone the original error stands, and a query with
+//!   no shard left errors.
+//! * **Per-shard work.** The query's per-part cursors tally each part's
+//!   postings work and its share of the candidate cut, reported as
+//!   [`ShardWork`] and in the `nucdb_shard_*` metric families.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::sync::Arc;
 
-use nucdb_index::{shard_dir_name, CompressedIndex, IndexError, ShardManifest, ShardMeta};
-use nucdb_obs::{Counter, Forensics, Histogram, MetricsRegistry};
-use nucdb_seq::{Base, DnaSeq};
-
-use crate::coarse::{
-    coarse_rank_explain, record_survivors, CoarseHit, CoarseOutcome, CoarseScratch,
+use nucdb_index::{
+    shard_dir_name, CompressedIndex, IndexBuilder, IndexError, IndexParams, ListCodec,
+    ShardManifest, ShardMeta,
 };
+use nucdb_obs::{Counter, Forensics, MetricsRegistry};
+use nucdb_seq::DnaSeq;
+
+use crate::coarse::CoarseScratch;
 use crate::collection::open_plain_dir;
-use crate::driver::{self, Backend, Merged};
-use crate::engine::{io_err, Database, DbConfig, QueryStats, SearchResult};
-use crate::explain::{CoarseExplain, ExplainPlan, SegmentExplain};
-use crate::fine::{fine_search_traced, CandidateTiming, FineMode, FineResult};
+use crate::driver;
+use crate::engine::{io_err, Database, DbConfig, IndexVariant, QueryStats, SearchResult};
+use crate::explain::ExplainPlan;
 use crate::metrics::SearchMetrics;
 use crate::params::SearchParams;
-use crate::store::{RecordSource, SequenceStore};
+use crate::segment::{SegmentedIndex, SegmentedStore};
+use crate::store::{RecordSource, SequenceStore, StorageMode, StoreVariant};
 
 /// Answer completeness of a sharded query: how many shards contributed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Coverage {
-    /// Shards that answered every phase of the query.
+    /// Shards that answered the query.
     pub shards_ok: usize,
     /// Total shards in the set (including dead-at-open shards).
     pub shards_total: usize,
@@ -138,11 +121,12 @@ impl std::fmt::Display for ShardCoverage {
 pub struct ShardWork {
     /// Shard directory name.
     pub shard: String,
-    /// Compressed postings bytes this shard read.
+    /// Compressed postings bytes the query read from this shard.
     pub postings_bytes_read: u64,
-    /// Postings entries this shard decoded.
+    /// Postings entries the query decoded from this shard.
     pub ids_decoded: u64,
-    /// Coarse candidates this shard surfaced (pre-merge).
+    /// Candidates of the query's top-C cuts (both strands) this shard
+    /// holds.
     pub candidates: u64,
 }
 
@@ -152,32 +136,29 @@ pub struct ShardedOutcome {
     /// Ranked answers, best first — bit-identical to a joint build when
     /// coverage is full.
     pub results: Vec<SearchResult>,
-    /// Aggregated cost counters across all shards and phases.
+    /// The query's cost counters, as a joint build counts them.
     pub stats: QueryStats,
     /// How many shards contributed.
     pub coverage: Coverage,
     /// Why non-contributing shards failed (empty at full coverage).
     pub failures: Vec<ShardFailure>,
-    /// Per-shard work attribution, one entry per *live* shard that
-    /// completed coarse search.
+    /// Per-shard work attribution, one entry per shard that answered.
     pub work: Vec<ShardWork>,
     /// The query plan, when [`SearchParams::explain`] asked for one: one
-    /// segment row per shard, each strand's lists folded over the shards.
+    /// segment row per shard.
     pub explain: Option<ExplainPlan>,
 }
 
-/// Options for [`ShardSet::open_root`]. There are none: every shard
-/// runs on the calling thread, so there is no dispatch to tune.
+/// Options for [`ShardSet::open_root`]. There are none: a query runs on
+/// the calling thread, so there is no dispatch to tune.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardSetConfig;
 
 /// Per-shard metric handles (`nucdb_shard_*` families, labeled by
 /// shard name). Disabled handles when no registry is bound.
-#[derive(Clone, Default)]
 struct ShardMetrics {
     queries: Counter,
     errors: Counter,
-    latency: Histogram,
 }
 
 impl ShardMetrics {
@@ -186,7 +167,7 @@ impl ShardMetrics {
         ShardMetrics {
             queries: registry.counter_with(
                 "nucdb_shard_queries_total",
-                "Phase dispatches to this shard",
+                "Query phases this shard served: coarse for every query, fine for a query whose cut it held candidates of",
                 labels,
             ),
             errors: registry.counter_with(
@@ -194,42 +175,37 @@ impl ShardMetrics {
                 "Queries this shard failed",
                 labels,
             ),
-            latency: registry.histogram_with(
-                "nucdb_shard_latency_ns",
-                "Per-phase shard service time in nanoseconds",
-                labels,
-            ),
         }
     }
 }
 
-/// One shard slot: its database (or why it did not open) and its
-/// record-id base. Dead-at-open shards keep their slot — their record
-/// count, and therefore every later shard's id base, comes from the
-/// shard manifest.
-struct ShardSlot {
+/// An opened shard's index and store, as parts of a view.
+type Part = (Arc<CompressedIndex>, Arc<SequenceStore>);
+
+/// One shard: its id range and its opened part, or why it did not open.
+/// A dead shard keeps its range — its record count, and therefore every
+/// later shard's id base, comes from the shard manifest.
+struct Shard {
     name: String,
     base: u32,
     records: u32,
-    db: Result<Database, String>,
-    /// Stored bases, summed once at open (0 for a dead slot): a shard's
-    /// records never change.
-    total_bases: u64,
+    part: Result<Part, String>,
     metrics: ShardMetrics,
 }
 
-/// The scatter-gather planner over N shards. See the module docs for
-/// the identity argument and degraded-mode contract.
+/// N shards answering as one segmented view. See the module docs for
+/// holes, the degraded retry and per-shard work.
 pub struct ShardSet {
-    slots: Vec<ShardSlot>,
+    shards: Vec<Shard>,
+    /// Every shard as a part, dead ones as holes; carries the set's
+    /// query metrics and capture handle.
+    view: Database,
+    /// Stored bases across live shards, summed once at open.
+    total_bases: u64,
     degraded_queries: Counter,
-    /// The driver's observability handles: query metrics bound to the
-    /// registry the set was opened with; capture disabled until
-    /// [`ShardSet::set_forensics`].
-    metrics: SearchMetrics,
 }
 
-/// One shard slot before assembly: name, manifest record count, and the
+/// One shard before assembly: name, manifest record count, and the
 /// opened database or the reason it is dead.
 type ShardEntry = (String, u32, Result<Database, String>);
 
@@ -238,53 +214,49 @@ impl ShardSet {
         entries: Vec<ShardEntry>,
         registry: &MetricsRegistry,
     ) -> Result<ShardSet, IndexError> {
-        use crate::coarse::PostingsSource;
         if entries.is_empty() {
             return Err(IndexError::Unsupported(
                 "a shard set needs at least one shard",
             ));
         }
-        // All live shards must agree on index parameters: coarse scores
-        // are only comparable across shards built the same way.
-        let mut live = entries.iter().filter_map(|(_, _, db)| db.as_ref().ok());
-        if let Some(first) = live.next() {
-            let params = first.index().index_params();
-            if live.any(|db| db.index().index_params() != params) {
-                return Err(IndexError::Unsupported(
-                    "shards disagree on index parameters",
-                ));
-            }
-        }
-        let mut slots = Vec::with_capacity(entries.len());
+        let mut shards = Vec::with_capacity(entries.len());
         let mut base: u64 = 0;
         for (name, records, db) in entries {
-            if base + u64::from(records) > u64::from(u32::MAX) {
-                return Err(IndexError::Unsupported(
-                    "total shard records overflow the u32 id space",
-                ));
-            }
-            slots.push(ShardSlot {
+            let part = match db.map(Database::into_variants) {
+                Ok((StoreVariant::Disk(store), IndexVariant::Disk(index))) => {
+                    Ok((Arc::new(index), Arc::new(store)))
+                }
+                Ok(_) => return Err(IndexError::Unsupported("a shard must be a plain database")),
+                Err(dead) => Err(dead),
+            };
+            shards.push(Shard {
                 metrics: ShardMetrics::bind(registry, &name),
                 name,
-                base: base as u32,
+                base: u32::try_from(base).map_err(|_| {
+                    IndexError::Unsupported("total shard records overflow the u32 id space")
+                })?,
                 records,
-                total_bases: db.as_ref().map_or(0, |db| db.store().total_bases() as u64),
-                db,
+                part,
             });
             base += u64::from(records);
         }
+        let total_bases = (shards.iter().filter_map(|s| s.part.as_ref().ok()))
+            .map(|(_, store)| store.total_bases() as u64)
+            .sum();
+        let view = view_of(&shards, |_| false)?.with_metrics(SearchMetrics::new(registry));
         Ok(ShardSet {
-            slots,
+            shards,
+            view,
+            total_bases,
             degraded_queries: registry.counter(
                 "nucdb_shard_degraded_queries_total",
                 "Queries answered with partial shard coverage",
             ),
-            metrics: SearchMetrics::new(registry),
         })
     }
 
-    /// Build a set from in-memory databases (tests, benches). Shard `i`
-    /// is named `shard-00i`.
+    /// Build a set from in-memory plain databases (tests, benches).
+    /// Shard `i` is named `shard-00i`.
     pub fn from_databases(
         dbs: Vec<Database>,
         registry: &MetricsRegistry,
@@ -299,9 +271,9 @@ impl ShardSet {
 
     /// Open a sharded root written by [`build_sharded_root`] (or
     /// `nucdb build --shards N`). A shard whose files are missing or
-    /// corrupt becomes a *dead* slot: the set still opens and answers
-    /// degraded queries, with the dead shard's record count taken from
-    /// the manifest so every other shard's id base stays correct.
+    /// corrupt is *dead*: the set still opens and answers degraded
+    /// queries, with the dead shard's record count taken from the
+    /// manifest so every other shard's id base stays correct.
     pub fn open_root(
         root: &Path,
         _config: ShardSetConfig,
@@ -328,20 +300,20 @@ impl ShardSet {
 
     /// Number of shards (including dead ones).
     pub fn num_shards(&self) -> usize {
-        self.slots.len()
+        self.shards.len()
     }
 
     /// Names and liveness of all shards, in id order:
     /// `(name, base, records, dead-error)`.
     pub fn shard_rows(&self) -> Vec<(String, u32, u32, Option<String>)> {
-        self.slots
+        self.shards
             .iter()
             .map(|s| {
                 (
                     s.name.clone(),
                     s.base,
                     s.records,
-                    s.db.as_ref().err().cloned(),
+                    s.part.as_ref().err().cloned(),
                 )
             })
             .collect()
@@ -350,16 +322,18 @@ impl ShardSet {
     /// The (index, store) pair of every shard that opened, named by its
     /// shard, in id order. A dead shard has none.
     pub fn parts(&self) -> Vec<(&str, &CompressedIndex, &SequenceStore)> {
-        self.slots
+        self.shards
             .iter()
-            .filter_map(|slot| Some((slot.name.as_str(), slot.db.as_ref().ok()?)))
-            .flat_map(|(name, db)| db.parts().into_iter().map(move |(_, i, s)| (name, i, s)))
+            .filter_map(|s| {
+                let (index, store) = s.part.as_ref().ok()?;
+                Some((s.name.as_str(), index.as_ref(), store.as_ref()))
+            })
             .collect()
     }
 
     /// Total records across all shards (the joint id space).
     pub fn len(&self) -> usize {
-        self.slots.iter().map(|s| s.records as usize).sum()
+        self.view.len()
     }
 
     /// Is the whole set empty?
@@ -369,81 +343,23 @@ impl ShardSet {
 
     /// Total stored bases across *live* shards.
     pub fn total_bases(&self) -> u64 {
-        self.slots.iter().map(|s| s.total_bases).sum()
+        self.total_bases
     }
 
     /// Attach the query capture handle (flight recorder, tail sampling,
     /// capture log). `&mut self`: configure before sharing the set.
     pub fn set_forensics(&mut self, forensics: Forensics) {
-        self.metrics = std::mem::take(&mut self.metrics).with_forensics(forensics);
+        self.view.set_forensics(forensics);
     }
 
     /// The set's observability handles.
     pub fn metrics(&self) -> &SearchMetrics {
-        &self.metrics
-    }
-
-    /// External id of a global record (empty for records on dead shards).
-    pub fn record_id(&self, global: u32) -> String {
-        self.live_slot_of(global)
-            .map(|(db, local)| db.store().id(local).to_string())
-            .unwrap_or_default()
+        self.view.metrics()
     }
 
     /// Length of a global record in bases (0 for records on dead shards).
     pub fn record_len(&self, global: u32) -> usize {
-        self.live_slot_of(global)
-            .map_or(0, |(db, local)| db.store().record_len(local))
-    }
-
-    /// Index of the slot whose id range holds `global`. Bases ascend, so
-    /// the owner is the last slot starting at or below it (empty slots
-    /// share their successor's base and sort before it).
-    fn slot_index_of(&self, global: u32) -> usize {
-        self.slots
-            .partition_point(|s| s.base <= global)
-            .saturating_sub(1)
-    }
-
-    fn live_slot_of(&self, global: u32) -> Option<(&Database, u32)> {
-        let slot = &self.slots[self.slot_index_of(global)];
-        let local = global - slot.base;
-        slot.db
-            .as_ref()
-            .ok()
-            .filter(|_| local < slot.records)
-            .map(|db| (db, local))
-    }
-
-    /// Run one phase on one live shard, on the calling thread. A shard
-    /// that errors is charged and entered in `failures`, and gives
-    /// `None`; so does a dead one (already a failure).
-    fn run_phase<T>(
-        &self,
-        failures: &mut BTreeMap<usize, String>,
-        slot_idx: usize,
-        phase: impl FnOnce(&Database) -> Result<T, IndexError>,
-    ) -> Option<T> {
-        let slot = &self.slots[slot_idx];
-        let db = slot.db.as_ref().ok()?;
-        slot.metrics.queries.inc();
-        let start = Instant::now();
-        let output = phase(db);
-        slot.metrics
-            .latency
-            .record(start.elapsed().as_nanos() as u64);
-        output
-            .map_err(|e| {
-                // A corrupt shard degrades the answer instead of failing
-                // the query, so the driver never sees the error: count
-                // the corruption here.
-                if e.is_corruption() {
-                    self.metrics.io_corruption.inc();
-                }
-                slot.metrics.errors.inc();
-                failures.insert(slot_idx, e.to_string());
-            })
-            .ok()
+        self.view.store().record_len(global)
     }
 
     /// Evaluate a query across all shards. Bit-identical to a joint
@@ -462,9 +378,8 @@ impl ShardSet {
     }
 
     /// [`ShardSet::search`] with caller-provided coarse working memory,
-    /// which every shard's coarse phase reuses in turn, carrying a
-    /// caller-assigned request id into every span, trace line, and
-    /// flight-recorder entry the query produces (see
+    /// carrying a caller-assigned request id into every span, trace
+    /// line, and flight-recorder entry the query produces (see
     /// [`Database::search_with_id`]).
     pub fn search_with_id(
         &self,
@@ -473,252 +388,135 @@ impl ShardSet {
         scratch: &mut CoarseScratch,
         request_id: Option<&str>,
     ) -> Result<ShardedOutcome, IndexError> {
-        let mut state = ShardQuery {
-            failures: self
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, slot)| Some((i, slot.db.as_ref().err()?.clone())))
-                .collect(),
-            work: BTreeMap::new(),
-            scratch: std::mem::take(scratch),
+        let mut failed: BTreeMap<usize, String> = (self.shards.iter().enumerate())
+            .filter_map(|(i, shard)| Some((i, shard.part.as_ref().err()?.clone())))
+            .collect();
+        let run = |view: &Database, failed: &BTreeMap<usize, String>, scratch: &mut _| {
+            self.ensure_alive(failed)?;
+            let partial = (!failed.is_empty())
+                .then(|| format!("partial answer from {}", self.coverage_of(failed)));
+            driver::run_query(view, scratch, query, params, request_id, partial)
         };
-        let outcome = driver::run_query(self, &mut state, query, params, request_id);
-        *scratch = std::mem::take(&mut state.scratch);
-        let outcome = outcome?;
-        let ShardCoverage { coverage, failures } = self.coverage_of(&state);
+        let outcome = match run(&self.view, &failed, scratch) {
+            Ok(outcome) => outcome,
+            Err(error) => {
+                // Find the shards that fail the query alone, then answer
+                // without them.
+                let before = failed.len();
+                for (i, shard) in self.shards.iter().enumerate() {
+                    if failed.contains_key(&i) {
+                        continue;
+                    }
+                    let alone = view_of(std::slice::from_ref(shard), |_| false)?;
+                    if let Err(e) = alone.search_with(query, params, scratch) {
+                        shard.metrics.errors.inc();
+                        failed.insert(i, e.to_string());
+                    }
+                }
+                if failed.len() == before {
+                    return Err(error);
+                }
+                let view = view_of(&self.shards, |i| failed.contains_key(&i))?
+                    .with_metrics(self.view.metrics().clone());
+                run(&view, &failed, scratch)?
+            }
+        };
+        if !failed.is_empty() {
+            self.degraded_queries.inc();
+        }
+        let mut work = Vec::new();
+        let mut part_work = scratch.part_work();
+        for (i, shard) in self.shards.iter().enumerate() {
+            let done = part_work.next().unwrap_or_default();
+            if failed.contains_key(&i) {
+                continue;
+            }
+            shard
+                .metrics
+                .queries
+                .add(1 + u64::from(done.candidates > 0));
+            work.push(ShardWork {
+                shard: shard.name.clone(),
+                postings_bytes_read: done.bytes_read,
+                ids_decoded: done.ids_decoded,
+                candidates: done.candidates,
+            });
+        }
+        let ShardCoverage { coverage, failures } = self.coverage_of(&failed);
         Ok(ShardedOutcome {
             results: outcome.results,
             stats: outcome.stats,
             coverage,
             failures,
-            work: state.work.into_values().collect(),
+            work,
             explain: outcome.explain,
         })
     }
 
-    fn coverage_of(&self, state: &ShardQuery) -> ShardCoverage {
+    fn coverage_of(&self, failed: &BTreeMap<usize, String>) -> ShardCoverage {
         ShardCoverage {
             coverage: Coverage {
-                shards_ok: self.slots.len() - state.failures.len(),
-                shards_total: self.slots.len(),
+                shards_ok: self.shards.len() - failed.len(),
+                shards_total: self.shards.len(),
             },
-            failures: state
-                .failures
+            failures: failed
                 .iter()
                 .map(|(&i, error)| ShardFailure {
-                    shard: self.slots[i].name.clone(),
+                    shard: self.shards[i].name.clone(),
                     error: error.clone(),
                 })
                 .collect(),
         }
     }
 
-    /// The all-shards-failed error, once no slot is left to answer.
-    fn ensure_alive(&self, state: &ShardQuery) -> Result<(), IndexError> {
-        let shards_total = self.slots.len();
-        if state.failures.len() < shards_total {
+    /// The all-shards-failed error, once no shard is left to answer.
+    fn ensure_alive(&self, failed: &BTreeMap<usize, String>) -> Result<(), IndexError> {
+        let shards_total = self.shards.len();
+        if failed.len() < shards_total {
             return Ok(());
         }
-        let detail = state.failures.values().next().map_or("no shards", |e| e);
+        let detail = failed.values().next().map_or("no shards", |e| e);
         Err(IndexError::Io(std::io::Error::other(format!(
             "all {shards_total} shards failed: {detail}"
         ))))
     }
 }
 
-/// One query's cross-phase state: which shards have failed so far (dead
-/// at open or errored — by slot index), what each live shard has done,
-/// and the caller's coarse working memory, lent for the query.
-pub(crate) struct ShardQuery {
-    failures: BTreeMap<usize, String>,
-    work: BTreeMap<usize, ShardWork>,
-    scratch: CoarseScratch,
-}
-
-impl Backend for ShardSet {
-    type State = ShardQuery;
-
-    fn metrics(&self) -> &SearchMetrics {
-        &self.metrics
-    }
-
-    /// One row per shard, dead ones included.
-    fn segment_rows(&self) -> Vec<SegmentExplain> {
-        let row = |(label, base, records, _)| SegmentExplain {
-            label,
-            base,
-            records,
+/// One segmented view over `shards`, in id order: a live shard not
+/// `is_hole(i)` as itself, every other shard as an empty placeholder of
+/// its record count, built with the live shards' parameters. (With no
+/// live shard any parameters do: no query runs on such a view.)
+fn view_of(shards: &[Shard], is_hole: impl Fn(usize) -> bool) -> Result<Database, IndexError> {
+    let hole = (shards.iter().find_map(|s| s.part.as_ref().ok()))
+        .map(|(index, _)| (index.params().clone(), index.codec()))
+        .unwrap_or_else(|| {
+            let DbConfig { index, codec, .. } = DbConfig::default();
+            (index, codec)
+        });
+    let (mut indexes, mut stores) = (Vec::new(), Vec::new());
+    for (i, shard) in shards.iter().enumerate() {
+        let (index, store) = match &shard.part {
+            Ok(part) if !is_hole(i) => part.clone(),
+            _ => placeholder(&hole, shard.records),
         };
-        self.shard_rows().into_iter().map(row).collect()
+        indexes.push((shard.name.clone(), index));
+        stores.push(store);
     }
-
-    /// Coarse on every shard still answering, one after another, then
-    /// merge the per-shard candidate lists to the global top-C exactly
-    /// as joint coarse ranking would. Work counters (and the per-shard
-    /// stage times) are summed over shards, and so is each list of an
-    /// explain plan, over the shards whose coarse phase succeeded.
-    fn coarse(
-        &self,
-        state: &mut ShardQuery,
-        query_bases: &[Base],
-        params: &SearchParams,
-        mut explain: Option<&mut CoarseExplain>,
-    ) -> Result<CoarseOutcome, IndexError> {
-        self.ensure_alive(state)?;
-        let mut total = CoarseOutcome::default();
-        for (slot_idx, slot) in self.slots.iter().enumerate() {
-            if state.failures.contains_key(&slot_idx) {
-                continue;
-            }
-            let scratch = &mut state.scratch;
-            let mut shard_plan = explain.is_some().then(CoarseExplain::default);
-            let Some(coarse) = self.run_phase(&mut state.failures, slot_idx, |db| {
-                coarse_rank_explain(
-                    db.index(),
-                    query_bases,
-                    params,
-                    scratch,
-                    shard_plan.as_mut(),
-                )
-            }) else {
-                continue;
-            };
-            if let (Some(plan), Some(shard_plan)) = (explain.as_deref_mut(), shard_plan) {
-                fold_plan(plan, shard_plan);
-            }
-            total.intervals_looked_up += coarse.intervals_looked_up;
-            total.lists_fetched += coarse.lists_fetched;
-            total.postings_decoded += coarse.postings_decoded;
-            total.postings_bytes_read += coarse.postings_bytes_read;
-            total.blocks_decoded += coarse.blocks_decoded;
-            total.total_hits += coarse.total_hits;
-            total.extract_nanos += coarse.extract_nanos;
-            total.accumulate_nanos += coarse.accumulate_nanos;
-            total.rank_nanos += coarse.rank_nanos;
-            let work = state.work.entry(slot_idx).or_insert_with(|| ShardWork {
-                shard: slot.name.clone(),
-                ..ShardWork::default()
-            });
-            work.postings_bytes_read += coarse.postings_bytes_read;
-            work.ids_decoded += coarse.postings_decoded;
-            work.candidates += coarse.candidates.len() as u64;
-            total
-                .candidates
-                .extend(coarse.candidates.into_iter().map(|mut hit| {
-                    hit.record += slot.base;
-                    hit
-                }));
-        }
-        // The joint candidate order: frame hits desc, global record asc.
-        // Globalised ids preserve the joint tie-break because shards
-        // hold contiguous, ordered id ranges.
-        total
-            .candidates
-            .sort_by(|a, b| (b.frame_hits.cmp(&a.frame_hits)).then(a.record.cmp(&b.record)));
-        total.candidates.truncate(params.max_candidates);
-        if let Some(plan) = explain {
-            record_survivors(plan, &total.candidates);
-        }
-        Ok(total)
-    }
-
-    /// Fine only on shards owning a global winner, each aligning its
-    /// own candidates under shard-local ids.
-    fn fine(
-        &self,
-        state: &mut ShardQuery,
-        query: &DnaSeq,
-        candidates: &[CoarseHit],
-        mode: FineMode,
-        params: &SearchParams,
-        mut timings: Option<&mut Vec<CandidateTiming>>,
-    ) -> Result<Vec<FineResult>, IndexError> {
-        let stage_start = Instant::now();
-        let mut per_shard: BTreeMap<usize, Vec<CoarseHit>> = BTreeMap::new();
-        for hit in candidates {
-            let slot_idx = self.slot_index_of(hit.record);
-            per_shard.entry(slot_idx).or_default().push(CoarseHit {
-                record: hit.record - self.slots[slot_idx].base,
-                ..*hit
-            });
-        }
-        let mut results = Vec::with_capacity(candidates.len());
-        for (slot_idx, hits) in per_shard {
-            let base = self.slots[slot_idx].base;
-            let first = timings.as_ref().map_or(0, |t| t.len());
-            let start_ns = stage_start.elapsed().as_nanos() as u64;
-            let fine = self.run_phase(&mut state.failures, slot_idx, |db| {
-                fine_search_traced(
-                    db.store(),
-                    query,
-                    &hits,
-                    mode,
-                    &params.scheme,
-                    params.min_score,
-                    timings.as_deref_mut(),
-                )
-                .map_err(io_err)
-            });
-            // This shard's timings, in global ids and stage time.
-            for t in timings.iter_mut().flat_map(|t| t[first..].iter_mut()) {
-                (t.record, t.start_ns) = (t.record + base, t.start_ns + start_ns);
-            }
-            let Some(fine) = fine else { continue };
-            results.extend(fine.into_iter().map(|mut r| {
-                r.record += base;
-                r.coarse.record += base;
-                r
-            }));
-        }
-        Ok(results)
-    }
-
-    fn record_id(&self, record: u32) -> String {
-        ShardSet::record_id(self, record)
-    }
-
-    /// A shard that failed any phase contributes nothing: drop even
-    /// results it returned for other strands/phases, so a degraded
-    /// answer equals a clean answer over the surviving shards.
-    fn finish(
-        &self,
-        state: &mut ShardQuery,
-        merged: &mut Merged,
-    ) -> Result<Option<String>, IndexError> {
-        self.ensure_alive(state)?;
-        if state.failures.is_empty() {
-            return Ok(None);
-        }
-        merged.retain(|(_, r)| !state.failures.contains_key(&self.slot_index_of(r.record)));
-        self.degraded_queries.inc();
-        Ok(Some(format!(
-            "partial answer from {}",
-            self.coverage_of(state)
-        )))
-    }
+    Ok(Database::from_variants(
+        StoreVariant::Segmented(SegmentedStore::new(stores)),
+        IndexVariant::Segmented(SegmentedIndex::new(indexes)?),
+    ))
 }
 
-/// Fold one shard's coarse plan into its strand's: lists matched by
-/// code, with their work summed and `absent` only where every shard
-/// lacks the list. The survivors are set once, from the merged cut.
-fn fold_plan(plan: &mut CoarseExplain, shard: CoarseExplain) {
-    plan.k = shard.k;
-    plan.stopping = shard.stopping;
-    plan.floor = plan.floor.max(shard.floor);
-    for list in shard.lists {
-        match plan.lists.binary_search_by_key(&list.code, |l| l.code) {
-            Ok(i) => {
-                let into = &mut plan.lists[i];
-                into.df += list.df;
-                into.ids_decoded += list.ids_decoded;
-                into.bytes_read += list.bytes_read;
-                into.blocks_decoded += list.blocks_decoded;
-                into.absent &= list.absent;
-            }
-            Err(i) => plan.lists.insert(i, list),
-        }
+/// `records` empty records with no postings: a hole in a view.
+fn placeholder((params, codec): &(IndexParams, ListCodec), records: u32) -> Part {
+    let mut builder = IndexBuilder::new(params.clone()).with_codec(*codec);
+    let mut store = SequenceStore::new(StorageMode::DirectCoding);
+    for _ in 0..records {
+        builder.add_record(&[]);
+        store.add(String::new(), &DnaSeq::new());
     }
+    (Arc::new(builder.finish()), Arc::new(store))
 }
 
 /// Partition `records` into `num_shards` contiguous slices and write a

@@ -27,8 +27,8 @@
 //!   live (incrementally ingested) directory, swapped atomically on
 //!   every flush/compaction.
 //! * [`shard`] — the `SHARDS` manifest describing a sharded database
-//!   root: per-shard record counts fix the record-id bases that make
-//!   scatter-gather answers bit-identical to a joint build.
+//!   root: per-shard record counts fix the record-id bases at which the
+//!   shards join one view, bit-identical to a joint build.
 //! * [`disk`] — the index file format: [`write_index`] writes an index's
 //!   byte image, [`CompressedIndex::open`] reads it back once and checks
 //!   every list's CRCs, and the verification walk that `fsck` and the
@@ -56,6 +56,7 @@ pub mod disk;
 pub mod durable;
 pub mod error;
 pub mod fault;
+mod framing;
 pub mod interval;
 pub mod manifest;
 pub mod merge;

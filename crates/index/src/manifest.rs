@@ -22,34 +22,29 @@
 //!       per segment: id vu64 | records vu64 | index_bytes vu64 | store_bytes vu64
 //! ```
 //!
-//! The body is CRC-guarded and the file must end exactly at the body —
-//! trailing bytes are a format violation. The manifest is
+//! The framing (CRC-guarded body, exact end of file) is the one both
+//! manifests share (`crate::framing`). The manifest is
 //! self-describing: it carries the index parameters and codec so an empty
 //! live directory reopens with the configuration it was created with.
 //! Stopping is deliberately absent — stopped indexes cannot be merged
 //! ([`merge_indexes`](crate::merge::merge_indexes)), so live directories
 //! never use it.
 
-use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::compress::ListCodec;
-use crate::durable::{crc32, read_exact_chunked, AtomicFile};
+use crate::durable::AtomicFile;
 use crate::error::IndexError;
-use crate::interval::{
-    check_granularity, check_storage, DIRECT_CODING_STORAGE, OFFSET_GRANULARITY,
-};
+use crate::framing::{put_vu64, Framing, Head};
 
 /// File name of the manifest inside a live directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
-const MAGIC: &[u8; 8] = b"NUCMAN01";
-/// Fixed header size: magic + body_len + body_crc.
-const HEADER_LEN: u64 = 16;
-/// Cap on the declared body length (a manifest is tiny; anything near
-/// this is corrupt).
-const MAX_BODY_LEN: u32 = 64 << 20;
+const FRAMING: Framing = Framing {
+    magic: b"NUCMAN01",
+    section: "manifest",
+};
 
 /// One immutable on-disk segment referenced by a [`Manifest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,103 +157,40 @@ impl Manifest {
 
     /// Serialize to the full on-disk file image (header + body).
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(64 + self.segments.len() * 16);
-        put_vu64(&mut body, self.version);
-        put_vu64(&mut body, self.k as u64);
-        put_vu64(&mut body, self.stride as u64);
-        body.push(OFFSET_GRANULARITY);
-        body.push(self.codec.tag());
-        body.push(DIRECT_CODING_STORAGE);
-        put_vu64(&mut body, self.segments.len() as u64);
-        for seg in &self.segments {
-            put_vu64(&mut body, seg.id);
-            put_vu64(&mut body, u64::from(seg.records));
-            put_vu64(&mut body, seg.index_bytes);
-            put_vu64(&mut body, seg.store_bytes);
-        }
-        let mut out = Vec::with_capacity(HEADER_LEN as usize + body.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        let head = Head {
+            version: self.version,
+            k: self.k,
+            stride: self.stride,
+            codec: self.codec,
+        };
+        FRAMING.encode(&head, self.segments.len(), |body| {
+            for seg in &self.segments {
+                put_vu64(body, seg.id);
+                put_vu64(body, u64::from(seg.records));
+                put_vu64(body, seg.index_bytes);
+                put_vu64(body, seg.store_bytes);
+            }
+        })
     }
 
     /// Parse a full file image produced by [`Manifest::encode`],
     /// verifying magic, CRC, and exact end-of-file.
     pub fn decode(bytes: &[u8]) -> Result<Manifest, IndexError> {
-        if bytes.len() < HEADER_LEN as usize {
-            return Err(IndexError::bad_in(
-                "manifest shorter than header",
-                "manifest",
-            ));
-        }
-        if &bytes[..8] != MAGIC {
-            return Err(IndexError::bad_at("bad manifest magic", "manifest", 0));
-        }
-        let body_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if body_len > MAX_BODY_LEN {
-            return Err(IndexError::bad_at(
-                "manifest body length implausible",
-                "manifest",
-                8,
-            ));
-        }
-        let stored_crc = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        let body = &bytes[HEADER_LEN as usize..];
-        if body.len() != body_len as usize {
-            return Err(IndexError::bad_at(
-                "manifest body length does not match file size",
-                "manifest",
-                8,
-            ));
-        }
-        let actual_crc = crc32(body);
-        if actual_crc != stored_crc {
-            return Err(IndexError::checksum(
-                "manifest", HEADER_LEN, stored_crc, actual_crc,
-            ));
-        }
-
-        let mut cur = body;
-        let version = take_vu64(&mut cur)?;
-        let k = take_vu64(&mut cur)?;
-        let stride = take_vu64(&mut cur)?;
-        if k == 0 || k > 32 {
-            return Err(IndexError::bad_in("manifest k out of range", "manifest"));
-        }
-        if stride == 0 {
-            return Err(IndexError::bad_in("manifest stride is zero", "manifest"));
-        }
-        check_granularity(take_u8(&mut cur)?)?;
-        let codec = ListCodec::from_tag(take_u8(&mut cur)?)?;
-        check_storage(take_u8(&mut cur)?)?;
-        let count = take_vu64(&mut cur)?;
-        // Each segment entry takes at least 4 bytes; bound count by the
-        // remaining body so a corrupt count can't drive a huge allocation.
-        if count > cur.len() as u64 {
-            return Err(IndexError::bad_in(
-                "manifest segment count implausible",
-                "manifest",
-            ));
-        }
+        let (head, count, mut body) = FRAMING.decode(bytes)?;
         let mut segments: Vec<SegmentMeta> = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            let id = take_vu64(&mut cur)?;
-            let records = take_vu64(&mut cur)?;
-            let index_bytes = take_vu64(&mut cur)?;
-            let store_bytes = take_vu64(&mut cur)?;
+            let id = body.vu64()?;
+            let records = body.vu64()?;
+            let index_bytes = body.vu64()?;
+            let store_bytes = body.vu64()?;
             if records > u64::from(u32::MAX) {
-                return Err(IndexError::bad_in(
-                    "segment record count overflows u32",
-                    "manifest",
-                ));
+                return Err(body.bad("segment record count overflows u32"));
             }
             // Ids need not be ordered (compaction splices a fresh-id
             // merged segment into list position) but must be unique —
             // file names derive from them.
             if segments.iter().any(|s: &SegmentMeta| s.id == id) {
-                return Err(IndexError::bad_in("duplicate segment id", "manifest"));
+                return Err(body.bad("duplicate segment id"));
             }
             segments.push(SegmentMeta {
                 id,
@@ -267,17 +199,12 @@ impl Manifest {
                 store_bytes,
             });
         }
-        if !cur.is_empty() {
-            return Err(IndexError::bad_in(
-                "trailing bytes after manifest body",
-                "manifest",
-            ));
-        }
+        body.finish()?;
         Ok(Manifest {
-            version,
-            k: k as usize,
-            stride: stride as usize,
-            codec,
+            version: head.version,
+            k: head.k,
+            stride: head.stride,
+            codec: head.codec,
             segments,
         })
     }
@@ -299,25 +226,7 @@ impl Manifest {
 
     /// Load and verify `dir/MANIFEST`.
     pub fn load(dir: &Path) -> Result<Manifest, IndexError> {
-        let mut file = File::open(Manifest::path_in(dir))?;
-        let len = file.metadata()?.len();
-        if len < HEADER_LEN || len > HEADER_LEN + u64::from(MAX_BODY_LEN) {
-            return Err(IndexError::bad_in(
-                "manifest file size implausible",
-                "manifest",
-            ));
-        }
-        let bytes = read_exact_chunked(&mut file, len as usize)?;
-        // Reject files with data past the declared body (decode checks the
-        // slice it is handed, so hand it exactly what the file holds).
-        let mut trailing = [0u8; 1];
-        if file.read(&mut trailing)? != 0 {
-            return Err(IndexError::bad_in(
-                "trailing bytes after manifest body",
-                "manifest",
-            ));
-        }
-        Manifest::decode(&bytes)
+        Manifest::decode(&FRAMING.load(&Manifest::path_in(dir))?)
     }
 
     /// Does `dir` look like a live directory (has a manifest)?
@@ -355,48 +264,10 @@ impl Manifest {
     }
 }
 
-fn put_vu64(out: &mut Vec<u8>, mut value: u64) {
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn take_u8(cur: &mut &[u8]) -> Result<u8, IndexError> {
-    let (&first, rest) = cur
-        .split_first()
-        .ok_or_else(|| IndexError::bad_in("manifest body truncated", "manifest"))?;
-    *cur = rest;
-    Ok(first)
-}
-
-fn take_vu64(cur: &mut &[u8]) -> Result<u64, IndexError> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = take_u8(cur)?;
-        if shift == 63 && byte > 1 {
-            return Err(IndexError::bad_in("varint overflows u64", "manifest"));
-        }
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(IndexError::bad_in("varint too long", "manifest"));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::checks::{self, Framed};
 
     fn sample() -> Manifest {
         let mut m = Manifest::new(8, 1, ListCodec::Block);
@@ -418,60 +289,47 @@ mod tests {
         m
     }
 
+    impl Framed for Manifest {
+        fn encode(&self) -> Vec<u8> {
+            Manifest::encode(self)
+        }
+        fn decode(bytes: &[u8]) -> Result<Manifest, IndexError> {
+            Manifest::decode(bytes)
+        }
+        fn save(&self, dir: &Path) -> Result<(), IndexError> {
+            Manifest::save(self, dir)
+        }
+        fn load(dir: &Path) -> Result<Manifest, IndexError> {
+            Manifest::load(dir)
+        }
+    }
+
     #[test]
     fn round_trip() {
-        let m = sample();
-        let bytes = m.encode();
-        let back = Manifest::decode(&bytes).unwrap();
-        assert_eq!(back, m);
+        let back = checks::round_trip(&sample());
         assert_eq!(back.total_records(), 142);
         assert_eq!(back.next_segment_id(), 4);
     }
 
     #[test]
     fn save_and_load() {
-        let dir = std::env::temp_dir().join(format!("nucman-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let m = sample();
-        m.save(&dir).unwrap();
-        let back = Manifest::load(&dir).unwrap();
-        assert_eq!(back, m);
+        let dir = checks::save_and_load(&sample(), "nucman");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn every_byte_flip_is_detected() {
-        let m = sample();
-        let bytes = m.encode();
-        for pos in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut corrupt = bytes.clone();
-                corrupt[pos] ^= 1 << bit;
-                assert!(
-                    Manifest::decode(&corrupt).is_err(),
-                    "flip at byte {pos} bit {bit} went undetected"
-                );
-            }
-        }
+        checks::every_byte_flip_is_detected(&sample());
     }
 
     #[test]
     fn every_truncation_is_detected() {
-        let m = sample();
-        let bytes = m.encode();
-        for len in 0..bytes.len() {
-            assert!(
-                Manifest::decode(&bytes[..len]).is_err(),
-                "truncation to {len} bytes went undetected"
-            );
-        }
+        checks::every_truncation_is_detected(&sample());
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = sample().encode();
-        bytes.push(0);
-        assert!(Manifest::decode(&bytes).is_err());
+        checks::trailing_bytes_rejected(&sample());
     }
 
     #[test]

@@ -252,9 +252,9 @@ pub fn start_live(
     start_collection(addr, Collection::Live(live), registry, defaults, config)
 }
 
-/// Bind `addr` and serve a [`ShardSet`]: each query runs over the
-/// shards one after another on its worker's thread and merges one
-/// global answer, bit-identical to a joint build at full coverage. Each
+/// Bind `addr` and serve a [`ShardSet`]: each query runs on its
+/// worker's thread over one view of the shards, bit-identical to a
+/// joint build at full coverage. Each
 /// per-query response carries a `coverage` object; failed shards
 /// degrade the answer (`coverage < 1`), and only a query *no* shard
 /// could answer is a 500. The registry must be the one the shard set

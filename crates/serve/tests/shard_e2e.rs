@@ -199,8 +199,7 @@ fn coverage_of(result: &Value) -> (u64, u64, Vec<String>) {
 }
 
 /// Answers over HTTP are bit-identical to the joint build at full
-/// coverage, and the per-shard query counters and latency histograms
-/// fill.
+/// coverage, and the per-shard query counters fill.
 #[test]
 fn sharded_server_is_bit_identical_to_joint_build() {
     let coll = collection();
@@ -288,7 +287,7 @@ fn sharded_server_is_bit_identical_to_joint_build() {
     assert_eq!(names, ["shard-000", "shard-001", "shard-002"]);
 
     // The per-shard metric families are in the exposition: every shard
-    // ran phases and its latency histogram recorded them.
+    // served phases.
     let (status, metrics) = get(addr, "/metrics");
     assert_eq!(status, 200);
     let text = String::from_utf8(metrics).unwrap();
@@ -305,10 +304,6 @@ fn sharded_server_is_bit_identical_to_joint_build() {
     };
     for shard in ["shard-000", "shard-001", "shard-002"] {
         assert!(counter("nucdb_shard_queries_total", shard) >= 1);
-        assert!(
-            counter("nucdb_shard_latency_ns_count", shard) >= 1,
-            "latency histogram for {shard} is empty"
-        );
     }
 
     handle.shutdown();

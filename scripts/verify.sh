@@ -34,8 +34,9 @@ e2e/run.sh --smoke --seconds 4
 # Index health end to end on a real corpus: build a block-codec
 # database and a 2-shard root, fsck both (clean files must exit 0 — any
 # other exit code fails the run via set -e), explain a search over the
-# shards (one plan row per shard), and write the stat report; CI uploads
-# results/STAT.json as an artifact so index-shape drift is reviewable.
+# shards (one plan row per shard) in full and piped to `head`, and
+# write the stat report; CI uploads results/STAT.json as an artifact so
+# index-shape drift is reviewable.
 # Then the capture pipeline through the same binary: bench with the
 # log, its stride, tail sampling and the ring on, and profile the log,
 # all inside the temporary directory. Then `serve` through the release
@@ -62,6 +63,15 @@ for shard in shard-000 shard-001; do
     exit 1
   fi
 done
+# A reader that stops after one line closes stdout under the search: it
+# must end quietly with exit 0 (pipefail is on, so its status counts).
+target/release/nucdb search --db "$health_dir/shards" --query "$health_dir/q.fasta" \
+  --explain 2>"$health_dir/explain-head.err" | head -n 1 >/dev/null
+if grep -q panicked "$health_dir/explain-head.err"; then
+  echo "search --explain | head -n 1 panicked:" >&2
+  cat "$health_dir/explain-head.err" >&2
+  exit 1
+fi
 "${NUCDB[@]}" stat --db "$health_dir/db" --out results
 "${NUCDB[@]}" bench --db "$health_dir/db" --query "$health_dir/q.fasta" \
   --trace "$health_dir/t.jsonl" --trace-sample 4 --slow-ms 0.001 --flight-recorder 16

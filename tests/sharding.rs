@@ -14,6 +14,7 @@ use nucdb::{
 };
 use nucdb_index::{
     forge_short_record, shard_dir_name, CompressedIndex, IndexParams, ListCodec, ShardManifest,
+    StopPolicy,
 };
 use nucdb_obs::{Forensics, ForensicsConfig, MetricsRegistry, SpanNode};
 use nucdb_seq::DnaSeq;
@@ -193,6 +194,107 @@ fn disk_root_matches_the_joint_build() {
         joint_answers(&joint, &queries, &params)
     );
     let _ = std::fs::remove_dir_all(&dir);
+
+    // A stopped root: each shard drops its own frequent lists, so no
+    // joint build answers like it, but it opens, and every answer is
+    // its owning shard's own answer for that record (id, score, hits).
+    let stopped = DbConfig {
+        index: IndexParams {
+            stopping: Some(StopPolicy::DfFraction(0.3)),
+            ..IndexParams::new(8)
+        },
+        ..DbConfig::default()
+    };
+    let dir = temp_dir("stoppedroot");
+    let counts = build_sharded_root(&dir, records.clone(), 2, &stopped).unwrap();
+    let set = ShardSet::open_root(&dir, ShardSetConfig, &registry).unwrap();
+    let shards: Vec<Collection> = (0..2)
+        .map(|i| Collection::open(&dir.join(shard_dir_name(i)), &Default::default()).unwrap())
+        .collect();
+    for query in &queries {
+        let answer = &sharded_answers(&set, std::slice::from_ref(query), &params)[0];
+        assert!(!answer.is_empty());
+        for (record, id, score, coarse_score, hits) in answer {
+            let shard = usize::from(*record >= counts[0]);
+            let local = record - shard as u32 * counts[0];
+            let alone = shards[shard]
+                .search_with_id(query, &params, &mut CoarseScratch::new(), None)
+                .unwrap();
+            let own = (alone.results.iter())
+                .find(|r| r.record == local)
+                .unwrap_or_else(|| panic!("{id} missing from shard {shard}'s own answer"));
+            assert_eq!(
+                (&own.id, own.score, own.coarse_score, own.coarse_hits),
+                (id, *score, *coarse_score, *hits)
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sharded query does the joint build's work, not once per shard: one
+/// coarse pass over the joint id space fetches each list once. Its
+/// counts of lists, ids, hits and candidates equal the joint build's,
+/// and the per-shard attribution sums to them. Bytes and blocks depend
+/// on how each file encodes its share of a list, so they are each
+/// shard's own: every shard's work is what the shard alone reads.
+#[test]
+fn a_sharded_query_does_the_joint_builds_work() {
+    let records = corpus(60, 23);
+    let queries: Vec<DnaSeq> = records.iter().step_by(4).map(|(_, s)| s.clone()).collect();
+    let params = SearchParams {
+        strand: nucdb::Strand::Both,
+        ..SearchParams::default()
+    };
+    let counters = |s: &nucdb::QueryStats| {
+        [
+            s.intervals_looked_up,
+            s.lists_fetched,
+            s.postings_decoded,
+            s.total_hits,
+            s.candidates,
+        ]
+    };
+    for codec in [ListCodec::Paper, ListCodec::Block] {
+        let config = DbConfig {
+            codec,
+            ..DbConfig::default()
+        };
+        let joint = Database::build(records.clone(), &config);
+        let parts: Vec<Database> = split(&records, 2)
+            .into_iter()
+            .map(|chunk| Database::build(chunk, &config))
+            .collect();
+        let set = sharded_set(&records, 2, &config);
+        for query in &queries {
+            let want = joint.search(query, &params).unwrap().stats;
+            let got = set.search(query, &params).unwrap();
+            assert_eq!(counters(&got.stats), counters(&want), "{codec:?}");
+            let work = &got.work;
+            assert_eq!(work.len(), 2);
+            let sum = |field: fn(&nucdb::ShardWork) -> u64| work.iter().map(field).sum::<u64>();
+            assert_eq!(sum(|w| w.ids_decoded), want.postings_decoded);
+            assert_eq!(sum(|w| w.candidates), want.candidates);
+
+            let alone: Vec<nucdb::QueryStats> = (parts.iter())
+                .map(|db| db.search(query, &params).unwrap().stats)
+                .collect();
+            for (w, alone) in work.iter().zip(&alone) {
+                assert_eq!(
+                    (w.ids_decoded, w.postings_bytes_read),
+                    (alone.postings_decoded, alone.postings_bytes_read),
+                    "{codec:?} {}",
+                    w.shard
+                );
+            }
+            let total = |field: fn(&nucdb::QueryStats) -> u64| alone.iter().map(field).sum::<u64>();
+            assert_eq!(
+                got.stats.postings_bytes_read,
+                total(|s| s.postings_bytes_read)
+            );
+            assert_eq!(got.stats.blocks_decoded, total(|s| s.blocks_decoded));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
